@@ -325,13 +325,15 @@ def _strong_core_included(g1: Game, g2: Game, tol: float):
     if not doubtful:
         return True, "constraintwise", ""
     system = core_system(g1)
-    if linfeas.feasible(system) is None:
-        return True, "vacuous", "strong core empty under the first game"
     for c in doubtful:
         cost = [0] * n
         for i in members(c):
             cost[i] = 1
-        value, point = linfeas.minimize(system, cost)
+        found = linfeas.minimize(system, cost)
+        if found is None:
+            # the system is the same for every c, so only the first can fail
+            return True, "vacuous", "strong core empty under the first game"
+        value, point = found
         threshold = Fraction(g2.values[c]) / Fraction(v2n)
         if not geq(value, threshold, tol):
             return False, "support-lp", f"coalition {c:#x} point {_fmt_point(point)}"

@@ -45,7 +45,6 @@ from .stability import (
     DEFAULT_SAMPLES,
     STRONG,
     WEAK,
-    core_region,
     patched_core,
     stable_sets,
 )
@@ -259,15 +258,8 @@ def _sweep_point(args, label: str, game: Game, extra: dict) -> dict:
         samples=args.samples,
         seed=args.seed,
     )
-    rng = random.Random(args.seed)
-    strong_grand = core_region(
-        game, STRONG, max_exact_weak_n=args.max_exact_weak_core_n,
-        samples=args.samples, rng=rng,
-    )
-    weak_grand = core_region(
-        game, WEAK, max_exact_weak_n=args.max_exact_weak_core_n,
-        samples=args.samples, rng=rng,
-    )
+    # partitions come grand first, so the first record holds the grand cores
+    grand = report.records[0]
     stable_strong = [partition_label(p, game.players) for p, _ in report.stable(STRONG)]
     stable_weak = [partition_label(p, game.players) for p, _ in report.stable(WEAK)]
     consolidated = report.most_consolidated(WEAK)
@@ -282,7 +274,7 @@ def _sweep_point(args, label: str, game: Game, extra: dict) -> dict:
             "stable_weak": len(stable_weak),
             "unknown_weak": len(report.unknown(WEAK)),
         },
-        "core": {"strong": strong_grand.status, "weak": weak_grand.status},
+        "core": {"strong": grand.strong.status, "weak": grand.weak.status},
         "stable_strong": stable_strong,
         "stable_weak": stable_weak,
         "most_consolidated": None
@@ -529,6 +521,13 @@ def run(argv=None) -> int:
         return _fail(str(exc), 2)
     except (OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
         return _fail(str(exc), 2)
+    except (RecursionError, MemoryError) as exc:
+        return _fail(
+            f"{type(exc).__name__}: the input is too large for this analysis "
+            "(the exact weak-core search recurses once per partition); lower "
+            "--max-exact-weak-core-n or use a smaller game",
+            2,
+        )
 
 
 def main() -> None:

@@ -8,9 +8,13 @@ bounds, one sum-to-one equality per variable block, and half-spaces
 All arithmetic is rational; float inputs are converted exactly through
 ``Fraction``, so feasibility verdicts are never rounding artifacts.  A
 two-phase simplex (most-negative entering column, switching to Bland's rule
-to rule out cycling) decides feasibility and optimizes.  Vertices come from
-brute-force active-set intersection, which is entirely adequate at the
-dimensions this package targets.
+to rule out cycling) decides feasibility and optimizes.  The max-slack
+witness is a lexicographic optimum, solved as in the sequential LPs of the
+nucleolus (Kopelowitz 1967): one phase 1, then one phase-2 stage per
+objective on the same tableau, each restarting from the previous optimal
+basis and restricted to its optimal face.  Vertices come from brute-force
+active-set intersection, which is entirely adequate at the dimensions this
+package targets.
 """
 
 from __future__ import annotations
@@ -157,10 +161,14 @@ def _pivot_loop(tab, obj, basis, candidates) -> str:
                 obj[j] -= delta * prow[j]
 
 
-def _two_phase(a_rows, b_vals, cost):
-    """Returns (status, x) with status 'optimal'|'infeasible'|'unbounded'."""
+def _phase_one(a_rows, b_vals, n):
+    """Phase 1 of the simplex on A x = b, x >= 0 over n columns.
+
+    Returns (tab, basis): a tableau in a feasible basis of structural
+    columns, with redundant rows and the artificial columns removed, so each
+    row is n coefficients plus its right-hand side.  None when infeasible.
+    """
     m = len(a_rows)
-    n = len(cost)
     tab = []
     for i in range(m):
         row = list(a_rows[i])
@@ -172,8 +180,7 @@ def _two_phase(a_rows, b_vals, cost):
         art[i] = _F1
         tab.append(row + art + [rhs])
     basis = list(range(n, n + m))
-    width = n + m + 1
-    obj = [_F0] * width
+    obj = [_F0] * (n + m + 1)
     for row in tab:
         for j in range(n):
             obj[j] -= row[j]
@@ -182,11 +189,9 @@ def _two_phase(a_rows, b_vals, cost):
     if status != "optimal":  # pragma: no cover - phase 1 is always bounded
         raise NumericFailure("phase-1 simplex reported unbounded")
     if -obj[-1] > 0:
-        return "infeasible", None
+        return None
     # drive zero-level artificials out of the basis; drop redundant rows
     for i in range(m - 1, -1, -1):
-        if i >= len(tab):
-            continue
         if basis[i] < n:
             continue
         col = next((j for j in range(n) if tab[i][j] != 0), None)
@@ -195,23 +200,41 @@ def _two_phase(a_rows, b_vals, cost):
             del basis[i]
         else:
             _pivot(tab, basis, i, col)
-    obj = [_F0] * width
-    for j in range(n):
-        obj[j] = cost[j]
+    return [row[:n] + row[-1:] for row in tab], basis
+
+
+def _phase_two(tab, basis, cost, candidates):
+    """Minimize cost.x from the tableau's current feasible basis, entering
+    only the given columns.  Pivots in place; returns (status, obj), where
+    obj holds the final reduced costs."""
+    obj = list(cost) + [_F0]
     for i, bi in enumerate(basis):
         cb = cost[bi]
         if cb:
             row = tab[i]
-            for j in range(width):
+            for j in range(len(obj)):
                 obj[j] -= cb * row[j]
-    status = _pivot_loop(tab, obj, basis, range(n))
-    if status == "unbounded":
-        return "unbounded", None
+    return _pivot_loop(tab, obj, basis, candidates), obj
+
+
+def _basic_point(tab, basis, n):
     x = [_F0] * n
     for i, bi in enumerate(basis):
-        if bi < n:
-            x[bi] = tab[i][-1]
-    return "optimal", x
+        x[bi] = tab[i][-1]
+    return x
+
+
+def _two_phase(a_rows, b_vals, cost):
+    """Returns (status, x) with status 'optimal'|'infeasible'|'unbounded'."""
+    n = len(cost)
+    found = _phase_one(a_rows, b_vals, n)
+    if found is None:
+        return "infeasible", None
+    tab, basis = found
+    status, _ = _phase_two(tab, basis, cost, range(n))
+    if status == "unbounded":
+        return "unbounded", None
+    return "optimal", _basic_point(tab, basis, n)
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +273,9 @@ def _assemble(system: LinearSystem, slack_var: bool):
     return nv, eqs, ges
 
 
-def _lp(nv, eqs, ges, cost):
+def _standard_form(nv, eqs, ges):
+    """Rows and right-hand sides of A x = b, x >= 0: one surplus column per
+    inequality after the nv variables."""
     rows = []
     rhs = []
     ns = len(ges)
@@ -262,7 +287,12 @@ def _lp(nv, eqs, ges, cost):
         row[nv + k] = -_F1
         rows.append(row)
         rhs.append(b)
-    status, x = _two_phase(rows, rhs, list(cost) + [_F0] * ns)
+    return rows, rhs
+
+
+def _lp(nv, eqs, ges, cost):
+    rows, rhs = _standard_form(nv, eqs, ges)
+    status, x = _two_phase(rows, rhs, list(cost) + [_F0] * len(ges))
     if status == "optimal":
         return status, x[:nv]
     return status, None
@@ -304,35 +334,36 @@ def max_slack_point(system: LinearSystem):
 
     Slack of a lower bound is f_i - lb_i; slack of a halfspace is
     coef*sum - rhs.  Raises InfeasibleSystem when nothing is feasible.
+
+    One phase 1, then dim+1 phase-2 stages on the same tableau: maximize the
+    slack t, then minimize f_0, ..., f_{dim-1} in turn.  Each stage starts
+    from the previous optimal basis.  A nonbasic column with positive reduced
+    cost is zero on every optimal point of its stage, so dropping it from
+    the entering candidates keeps exactly the optimal face.
     """
     dim = system.dim
     nv, eqs, ges = _assemble(system, slack_var=True)
-    cost = [_F0] * nv
-    cost[dim] = -_F1
-    status, x = _lp(nv, eqs, ges, cost)
-    if status == "infeasible":
+    rows, rhs = _standard_form(nv, eqs, ges)
+    ncols = nv + len(ges)
+    found = _phase_one(rows, rhs, ncols)
+    if found is None:
         raise InfeasibleSystem("system has no feasible point")
-    if status == "unbounded":
-        raise NumericFailure("slack unbounded; every variable needs a block")
-    slack = x[dim]
-    fixed = [(_unit_row(nv, dim), slack)]
-    for i in range(dim):
-        cost = [_F0] * nv
-        cost[i] = _F1
-        status, x = _lp(nv, eqs + fixed, ges, cost)
-        if status != "optimal":  # pragma: no cover - solver contract
-            raise NumericFailure("lexicographic pass lost feasibility")
-        fixed.append((_unit_row(nv, i), x[i]))
+    tab, basis = found
+    candidates = list(range(ncols))
+    for var, sign in [(dim, -_F1)] + [(i, _F1) for i in range(dim)]:
+        cost = [_F0] * ncols
+        cost[var] = sign
+        status, obj = _phase_two(tab, basis, cost, candidates)
+        # only the slack stage can be unbounded: later stages minimize a
+        # nonnegative variable
+        if status == "unbounded":
+            raise NumericFailure("slack unbounded; every variable needs a block")
+        candidates = [j for j in candidates if obj[j] == 0]
+    x = _basic_point(tab, basis, ncols)
     point = tuple(x[i] + system.lower[i] for i in range(dim))
     if not satisfies(system, point):  # pragma: no cover - solver contract
         raise NumericFailure("simplex returned a point violating the system")
-    return point, slack
-
-
-def _unit_row(nv, i):
-    row = [_F0] * nv
-    row[i] = _F1
-    return row
+    return point, x[dim]
 
 
 # ---------------------------------------------------------------------------

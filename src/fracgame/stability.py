@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
@@ -52,12 +51,6 @@ UNKNOWN = "unknown"
 
 DEFAULT_MAX_EXACT_WEAK_N = 4
 DEFAULT_SAMPLES = 200
-
-
-class ResistanceKind(Enum):
-    STRONG_FISSION = "strong-fission"
-    WEAK_FISSION = "weak-fission"
-    FUSION = "fusion"
 
 
 def _check_kind(kind: str) -> None:

@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 
 from fracgame import STRONG, boundary_contains, enumerate_partitions, make_game, members
+from fracgame import linfeas
+from fracgame.errors import InfeasibleSystem, NumericFailure
 from fracgame.games import geq
 
 
@@ -110,3 +112,34 @@ def naive_fission_resistant(game, partition, shares, kind):
                 if not any(covered(p) for p in pieces):
                     return False
     return True
+
+
+def naive_max_slack_point(system):
+    """Cold sequential reference for linfeas.max_slack_point: one full
+    two-phase solve per lexicographic stage, each adding the previous
+    stage's optimum as an equality row."""
+    dim = system.dim
+    nv, eqs, ges = linfeas._assemble(system, slack_var=True)
+    cost = [Fraction(0)] * nv
+    cost[dim] = Fraction(-1)
+    status, x = linfeas._lp(nv, eqs, ges, cost)
+    if status == "infeasible":
+        raise InfeasibleSystem("system has no feasible point")
+    if status == "unbounded":
+        raise NumericFailure("slack unbounded; every variable needs a block")
+
+    def unit_row(i):
+        row = [Fraction(0)] * nv
+        row[i] = Fraction(1)
+        return row
+
+    slack = x[dim]
+    fixed = [(unit_row(dim), slack)]
+    for i in range(dim):
+        cost = [Fraction(0)] * nv
+        cost[i] = Fraction(1)
+        status, x = linfeas._lp(nv, eqs + fixed, ges, cost)
+        assert status == "optimal"
+        fixed.append((unit_row(i), x[i]))
+    point = tuple(x[i] + system.lower[i] for i in range(dim))
+    return point, slack

@@ -187,6 +187,15 @@ def test_strong_core_inclusion_checked_directly():
     assert checked > 30
 
 
+def test_strong_core_inclusion_vacuous_when_first_core_empty(pairy3):
+    # pairy3's pairs demand 3/4 of the whole each, so its strong core is
+    # empty; g2 raises the pair thresholds, so the fast path cannot decide
+    g2 = make_game(3, {1: 2, 2: 2, 4: 2, 3: 4, 5: 4, 6: 4, 7: 4})
+    assert core_region(pairy3, STRONG).status == "empty"
+    claim = verify_corollary(pairy3, g2, samples=10, seed=1).claims[0]
+    assert (claim.name, claim.passed, claim.scope) == ("strong-core-inclusion", True, "vacuous")
+
+
 def test_weak_core_inclusion_spot_checked():
     rng = random.Random(14)
     for _ in range(30):

@@ -230,3 +230,38 @@ def test_console_script_entry_point(super3_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["valid"]
+
+
+def test_sweep_core_is_the_grand_record():
+    import argparse
+    import random
+
+    from conftest import random_exact_game
+    from fracgame.cli import _sweep_point
+    from fracgame.stability import EMPTY, STRONG, UNKNOWN, WEAK, core_region, stable_sets
+
+    # with two samples the sampled weak verdict depends on the seed
+    game = random_exact_game(random.Random(4), 5)
+    args = argparse.Namespace(cap=12, max_exact_weak_core_n=4, samples=2, seed=1)
+    point = _sweep_point(args, "g", game, {})
+    grand = stable_sets(game, samples=2, seed=1).records[0]
+    assert grand.partition == (game.grand,)
+    assert grand.weak.block_regions[0].method == "sampled(2)"
+    assert point["core"] == {"strong": grand.strong.status, "weak": grand.weak.status}
+    # the same verdicts as deciding the grand cores on their own
+    rng = random.Random(1)
+    fresh = [core_region(game, kind, samples=2, rng=rng).status for kind in (STRONG, WEAK)]
+    assert [point["core"]["strong"], point["core"]["weak"]] == fresh == [EMPTY, UNKNOWN]
+
+
+@pytest.mark.parametrize("error", [RecursionError, MemoryError])
+def test_size_cliff_errors_exit_2(super3_path, monkeypatch, capsys, error):
+    from fracgame import cli
+
+    def too_big(args):
+        raise error("simulated")
+
+    monkeypatch.setattr(cli, "cmd_analyze", too_big)
+    assert run(["analyze", super3_path]) == 2
+    err = capsys.readouterr().err
+    assert error.__name__ in err and "--max-exact-weak-core-n" in err

@@ -5,6 +5,8 @@ import pytest
 
 from fracgame import (
     InfeasibleSystem,
+    MeanStdScenario,
+    build_meanstd_game,
     NumericFailure,
     feasible,
     linear_system,
@@ -13,6 +15,7 @@ from fracgame import (
     satisfies,
     vertices,
 )
+from fracgame.stability import core_system
 
 
 def simplex(dim, lower, halfspaces=()):
@@ -184,3 +187,64 @@ def test_minimize_value_bounds_sampled_points():
         assert sum(c * x for c, x in zip(cost, arg)) == value
         for v in vertices(sys_):
             assert sum(c * x for c, x in zip(cost, v)) >= value
+
+
+def _oracle_systems(rng):
+    """Seeded systems for the warm-vs-cold comparison, labelled by the
+    property they exercise."""
+    out = []
+    for k in range(300):
+        dim = rng.randint(2, 6)
+        full = (1 << dim) - 1
+        if dim >= 3 and k % 2:
+            cut = (1 << rng.randint(1, dim - 1)) - 1
+            blocks = [cut, full ^ cut]
+        else:
+            blocks = [full]
+        den = rng.choice([6, 8, 12])
+        if k % 4 < 2:
+            # lower bounds filling each block exactly: a degenerate optimum
+            lower = [Fraction(0)] * dim
+            for b in blocks:
+                mem = [i for i in range(dim) if b >> i & 1]
+                weights = [rng.randint(1, 4) for _ in mem]
+                for i, w in zip(mem, weights):
+                    lower[i] = Fraction(w, sum(weights))
+            label = "tight"
+        else:
+            lower = [Fraction(rng.randrange(0, 4), den) for _ in range(dim)]
+            label = "loose"
+        cuts = [
+            (rng.randint(1, 3), rng.randrange(1, full + 1), Fraction(rng.randrange(0, 2 * den), den))
+            for _ in range(rng.randrange(0, 5))
+        ]
+        out.append((label, len(blocks), linear_system(dim, lower, blocks, cuts)))
+    for n in (3, 4):
+        for r in (0.0, 0.3, 0.7, 1.1):
+            phi = {rng.randrange(1, (1 << n) - 1): rng.uniform(0.8, 1.3) for _ in range(2)}
+            game = build_meanstd_game(MeanStdScenario(n, 1.3, 0.6, r, phi))
+            out.append(("meanstd", 1, core_system(game)))
+    return out
+
+
+def test_max_slack_point_matches_cold_sequential_reference():
+    from conftest import naive_max_slack_point
+
+    def outcome(solve, system):
+        try:
+            return solve(system)
+        except InfeasibleSystem:
+            return None
+
+    seen = {"infeasible": 0, "two-block": 0, "tight": 0, "meanstd": 0}
+    den_bits = 0
+    for label, nblocks, sys_ in _oracle_systems(random.Random(2304)):
+        want = outcome(naive_max_slack_point, sys_)
+        assert outcome(max_slack_point, sys_) == want
+        seen["infeasible"] += want is None
+        seen["two-block"] += nblocks == 2
+        seen[label] = seen.get(label, 0) + 1
+        if label == "meanstd":
+            den_bits = max(den_bits, *(h.rhs.denominator.bit_length() for h in sys_.halfspaces))
+    assert min(seen["infeasible"], seen["two-block"], seen["tight"]) >= 20
+    assert seen["meanstd"] == 8 and den_bits >= 50
