@@ -20,9 +20,9 @@ tail-ratio property.
 
 from __future__ import annotations
 
-import bisect
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -42,58 +42,83 @@ from .games import (
 )
 from .centripetality import OrderVerdict, leq_cp
 
-_raw_nodes, _raw_weights = np.polynomial.legendre.leggauss(32)
-_GL_NODES = tuple(float(x) for x in _raw_nodes)
-_GL_WEIGHTS = tuple(float(x) for x in _raw_weights)
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 
 
 # ---------------------------------------------------------------------------
 # piecewise linear curves
 
 
-def _interp(knots_x, knots_y, x: float) -> float:
-    j = bisect.bisect_right(knots_x, x) - 1
-    if j >= len(knots_x) - 1:
-        return knots_y[-1]
+def _column(xs) -> np.ndarray:
+    col = np.array(xs, dtype=float)
+    col.setflags(write=False)
+    return col
+
+
+def _segments(knots_x: np.ndarray, x):
+    """Elementwise ``bisect_right(knots_x, x) - 1``, clipped to the last
+    segment, plus the mask of points at or past the last knot."""
+    j = np.searchsorted(knots_x, x, side="right") - 1
+    last = j >= len(knots_x) - 1
+    return np.minimum(j, len(knots_x) - 2), last
+
+
+def _interp(knots_x: np.ndarray, knots_y: np.ndarray, x):
+    """Piecewise linear interpolation at every point of x (a float or an
+    array), held at the last knot's value from the last knot on."""
+    j, last = _segments(knots_x, x)
     x0, x1 = knots_x[j], knots_x[j + 1]
     y0, y1 = knots_y[j], knots_y[j + 1]
-    return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+    return np.where(last, knots_y[-1], y0 + (y1 - y0) * (x - x0) / (x1 - x0))
 
 
 @dataclass(frozen=True)
 class QuantileCurve:
     """Nondecreasing piecewise linear reward-quantile curve on [0, 1],
     nonnegative, strictly positive away from 0.  ``prefix[j]`` caches the
-    integral from 0 to the j-th knot."""
+    integral from 0 to the j-th knot; ``betas`` and ``values`` are the knot
+    columns.  The columns are read-only arrays; equality and hashing depend
+    on ``knots`` alone."""
 
     knots: tuple[tuple[float, float], ...]
-    prefix: tuple[float, ...]
+    prefix: np.ndarray = field(compare=False, repr=False)
+    betas: np.ndarray = field(init=False, compare=False, repr=False)
+    values: np.ndarray = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "prefix", _column(self.prefix))
+        object.__setattr__(self, "betas", _column([b for b, _ in self.knots]))
+        object.__setattr__(self, "values", _column([v for _, v in self.knots]))
 
     def value(self, beta: float) -> float:
         if not 0.0 <= beta <= 1.0:
             raise ValueError(f"quantile argument {beta!r} outside [0, 1]")
-        return _interp([b for b, _ in self.knots], [v for _, v in self.knots], beta)
+        return float(_interp(self.betas, self.values, beta))
 
     def integral_to(self, x: float) -> float:
-        """Integral of the curve from 0 to x, closed form per segment."""
+        """Integral of the curve from 0 to x."""
         if not 0.0 <= x <= 1.0:
             raise ValueError(f"integration bound {x!r} outside [0, 1]")
-        betas = [b for b, _ in self.knots]
-        vals = [v for _, v in self.knots]
-        j = bisect.bisect_right(betas, x) - 1
-        if j >= len(betas) - 1:
-            return self.prefix[-1]
+        return float(self._integrals(x))
+
+    def _integrals(self, x):
+        """Integral from 0 to every point of x in [0, 1], closed form per
+        segment."""
+        betas, vals, prefix = self.betas, self.values, self.prefix
+        j, last = _segments(betas, x)
         dx = x - betas[j]
         slope = (vals[j + 1] - vals[j]) / (betas[j + 1] - betas[j])
-        return self.prefix[j] + vals[j] * dx + 0.5 * slope * dx * dx
+        return np.where(last, prefix[-1], prefix[j] + vals[j] * dx + 0.5 * slope * dx * dx)
 
     @property
     def mean(self) -> float:
-        return self.prefix[-1]
+        return float(self.prefix[-1])
 
 
 def quantile_curve(knots: Sequence) -> QuantileCurve:
     pts = [(float(b), float(v)) for b, v in knots]
+    if not all(math.isfinite(b) and math.isfinite(v) for b, v in pts):
+        raise ValueError("curve knots must be finite")
     if len(pts) < 2 or pts[0][0] != 0.0 or pts[-1][0] != 1.0:
         raise ValueError("curve knots must run from beta=0 to beta=1")
     prev_b, prev_v = pts[0]
@@ -129,6 +154,8 @@ def empirical_curve(samples: Sequence, knot_count: int = 101) -> QuantileCurve:
     data = [float(x) for x in samples]
     if not data:
         raise ScenarioError("cannot build a curve from an empty sample")
+    if not all(math.isfinite(x) for x in data):
+        raise ScenarioError("sample draws must be finite")
     if min(data) <= 0:
         raise ScenarioError("sample draws must be positive")
     betas = [j / (knot_count - 1) for j in range(knot_count)]
@@ -147,18 +174,28 @@ def empirical_curve(samples: Sequence, knot_count: int = 101) -> QuantileCurve:
 @dataclass(frozen=True)
 class Density:
     """Piecewise linear mixing density on [0, 1]: nonnegative, strictly
-    positive strictly inside the interval, integrating to one."""
+    positive strictly inside the interval, integrating to one.  ``alphas``
+    and ``values`` are the knot columns, as read-only arrays; equality and
+    hashing depend on ``knots`` alone."""
 
     knots: tuple[tuple[float, float], ...]
+    alphas: np.ndarray = field(init=False, compare=False, repr=False)
+    values: np.ndarray = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "alphas", _column([a for a, _ in self.knots]))
+        object.__setattr__(self, "values", _column([v for _, v in self.knots]))
 
     def value(self, alpha: float) -> float:
         if not 0.0 <= alpha <= 1.0:
             raise AlphaOutOfRange(f"density argument {alpha!r} outside [0, 1]")
-        return _interp([a for a, _ in self.knots], [v for _, v in self.knots], alpha)
+        return float(_interp(self.alphas, self.values, alpha))
 
 
 def density_curve(knots: Sequence, *, normalize: bool = False) -> Density:
     pts = [(float(a), float(v)) for a, v in knots]
+    if not all(math.isfinite(a) and math.isfinite(v) for a, v in pts):
+        raise ValueError("density knots must be finite")
     if len(pts) < 2 or pts[0][0] != 0.0 or pts[-1][0] != 1.0:
         raise ValueError("density knots must run from alpha=0 to alpha=1")
     total = 0.0
@@ -199,34 +236,60 @@ def beta_density(a: float, knot_count: int = 101) -> Density:
 def cvar(curve: QuantileCurve, alpha: float) -> float:
     """Mean of the curve over its lowest 1-alpha mass: the strict tail
     average at level alpha.  alpha = 0 gives the plain mean."""
-    if not 0.0 <= alpha < 1.0:
-        raise AlphaOutOfRange(f"tail level {alpha!r} outside [0, 1)")
+    return float(_tail_averages(curve, alpha))
+
+
+def _tail_averages(curve: QuantileCurve, alpha) -> np.ndarray:
+    """``cvar`` at every point of alpha (a float or an array).  Once alpha
+    is in [0, 1), the integration bound 1 - alpha is in (0, 1]."""
+    alpha = np.asarray(alpha, dtype=float)
+    ok = (alpha >= 0.0) & (alpha < 1.0)
+    if not ok.all():
+        raise AlphaOutOfRange(f"tail level {float(alpha[~ok][0])!r} outside [0, 1)")
     x = 1.0 - alpha
-    return curve.integral_to(x) / x
+    return curve._integrals(x) / x
 
 
 def mixture_reward(curve: QuantileCurve, density: Density) -> float:
     """Tail averages of the curve mixed against the density, by composite
-    Gauss-Legendre quadrature split at every kink of the integrand."""
+    Gauss-Legendre quadrature split at every kink of the integrand.
+
+    The panel grid is built in Python: every interval between consecutive
+    kinks (1 - beta at each curve knot, alpha at each density knot) is split
+    into ceil(width / 0.0625) equal panels of 32 nodes.  All nodes of all
+    panels are then evaluated in one numpy sweep: each node's term is
+    weight * half-width * cvar * density, from the same array helpers that
+    the scalar ``cvar`` and ``Density.value`` call, so every term is
+    bit-for-bit the scalar term.
+
+    The terms are summed left to right, panel-major and node-minor, with
+    ``np.add.accumulate``.  The order is fixed because coalition values feed
+    exact LPs and byte-compared reports: ``np.sum`` sums pairwise and the
+    built-in ``sum`` compensates from Python 3.12, and either changes the
+    last bits of the result.
+    """
     points = {0.0, 1.0}
-    points.update(1.0 - b for b, _ in curve.knots)
-    points.update(a for a, _ in density.knots)
+    points.update((1.0 - curve.betas).tolist())
+    points.update(density.alphas.tolist())
     grid = sorted(x for x in points if 0.0 <= x <= 1.0)
-    total = 0.0
+    lo, hi = [], []
     for a, b in zip(grid, grid[1:]):
         width = b - a
         if width <= 0:
             continue
         panels = max(1, math.ceil(width / 0.0625))
         for p in range(panels):
-            lo = a + width * p / panels
-            hi = a + width * (p + 1) / panels
-            mid = 0.5 * (lo + hi)
-            half = 0.5 * (hi - lo)
-            for node, weight in zip(_GL_NODES, _GL_WEIGHTS):
-                alpha = mid + half * node
-                total += weight * half * cvar(curve, alpha) * density.value(alpha)
-    return float(total)
+            lo.append(a + width * p / panels)
+            hi.append(a + width * (p + 1) / panels)
+    lo = np.array(lo)[:, None]
+    hi = np.array(hi)[:, None]
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    alpha = (mid + half * _GL_NODES).ravel()
+    tails = _tail_averages(curve, alpha)
+    dens = _interp(density.alphas, density.values, alpha)
+    terms = (_GL_WEIGHTS * half).ravel() * tails * dens
+    return float(np.add.accumulate(terms)[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -247,15 +310,15 @@ def _ratio_monotone(f_knots, g_knots, nonincreasing: bool, tol: float):
     exact.  Returns the first offending segment or None.
     """
     xs = sorted({x for x, _ in f_knots} | {x for x, _ in g_knots})
-    f_x = [x for x, _ in f_knots]
-    f_y = [y for _, y in f_knots]
-    g_x = [x for x, _ in g_knots]
-    g_y = [y for _, y in g_knots]
-    for a, b in zip(xs, xs[1:]):
+    f_x, f_y = np.array(f_knots, dtype=float).T
+    g_x, g_y = np.array(g_knots, dtype=float).T
+    f = _interp(f_x, f_y, np.array(xs)).tolist()
+    g = _interp(g_x, g_y, np.array(xs)).tolist()
+    for i, (a, b) in enumerate(zip(xs, xs[1:])):
         if b <= a:
             continue
-        fa, fb = _interp(f_x, f_y, a), _interp(f_x, f_y, b)
-        ga, gb = _interp(g_x, g_y, a), _interp(g_x, g_y, b)
+        fa, fb = f[i], f[i + 1]
+        ga, gb = g[i], g[i + 1]
         mf = (fb - fa) / (b - a)
         mg = (gb - ga) / (b - a)
         for fx, gx in ((fa, ga), (fb, gb)):
@@ -345,7 +408,8 @@ def build_cvar_game(
     tol: float = DEFAULT_TOL,
 ) -> Game:
     """Game whose coalition values are the curves' tail averages mixed
-    against the density.  The curve table must cover every coalition."""
+    against the density.  The curve table must cover every coalition;
+    equal curves are integrated once."""
     if not curves:
         raise ScenarioError("no curves supplied")
     full = max(curves)
@@ -353,7 +417,13 @@ def build_cvar_game(
     missing = [c for c in coalitions(n) if c not in curves]
     if missing or set(curves) - set(coalitions(n)):
         raise ScenarioError(f"curve table must cover all coalitions of {n} players")
-    values = {c: float(mixture_reward(curves[c], density)) for c in coalitions(n)}
+    rewards: dict[QuantileCurve, float] = {}
+    values = {}
+    for c in coalitions(n):
+        curve = curves[c]
+        if curve not in rewards:
+            rewards[curve] = mixture_reward(curve, density)
+        values[c] = rewards[curve]
     return make_game(n, values, mode=FLOAT, tol=tol, players=players)
 
 
@@ -493,7 +563,7 @@ def verify_prop2(
     g2 = build_cvar_game(curves, d2, tol=tol)
     order = leq_cp(g1, g2)
     alphas = [j / grid for j in range(grid)]
-    table = {c: [cvar(k, a) for a in alphas] for c, k in curves.items()}
+    table = {c: _tail_averages(k, alphas).tolist() for c, k in curves.items()}
     violations = []
     checks = 0
     for outer in sorted(curves):
@@ -518,68 +588,124 @@ def verify_prop2(
 # scenario files
 
 
-def meanstd_from_dict(data: Mapping) -> tuple[MeanStdScenario, tuple[str, ...]]:
+def _field_map(raw, name: str) -> Mapping:
+    if not isinstance(raw, Mapping):
+        raise ScenarioError(f"{name} must be an object, got {raw!r}")
+    return raw
+
+
+def _field_list(raw, name: str) -> Sequence:
+    if not isinstance(raw, (list, tuple)):
+        raise ScenarioError(f"{name} must be a list, got {raw!r}")
+    return raw
+
+
+def _field_number(raw, name: str, kind=float):
+    """raw as a float, or for kind=int as an integer; strings, booleans and
+    non-integral values of an int field are rejected."""
+    if isinstance(raw, bool) or not isinstance(raw, numbers.Real):
+        raise ScenarioError(f"{name} must be a number, got {raw!r}")
     try:
-        n = int(data["n"])
-        mu = float(data["mu"])
-        sigma = float(data["sigma"])
-        r = float(data["r"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ScenarioError(f"mean-std scenario needs n, mu, sigma, r: {exc}") from exc
-    players = tuple(str(p) for p in data.get("players", default_players(n)))
+        value = kind(raw)
+    except (ValueError, OverflowError) as exc:
+        raise ScenarioError(f"{name} must be a finite number, got {raw!r}") from exc
+    if kind is int and value != raw:
+        raise ScenarioError(f"{name} must be an integer, got {raw!r}")
+    return value
+
+
+def _field_bool(raw, name: str) -> bool:
+    if not isinstance(raw, bool):
+        raise ScenarioError(f"{name} must be true or false, got {raw!r}")
+    return raw
+
+
+def _field_knots(raw, name: str) -> list[tuple[float, float]]:
+    pts = []
+    for i, pt in enumerate(_field_list(raw, name)):
+        if not isinstance(pt, (list, tuple)) or len(pt) != 2:
+            raise ScenarioError(f"{name}[{i}] must be an [x, y] pair, got {pt!r}")
+        pts.append(tuple(_field_number(x, f"{name}[{i}]") for x in pt))
+    return pts
+
+
+def _field_players(data: Mapping, default) -> tuple[str, ...]:
+    if "players" not in data:
+        return tuple(default)
+    return tuple(str(p) for p in _field_list(data["players"], "players"))
+
+
+def meanstd_from_dict(data: Mapping) -> tuple[MeanStdScenario, tuple[str, ...]]:
+    _field_map(data, "mean-std scenario")
+    missing = [key for key in ("n", "mu", "sigma", "r") if key not in data]
+    if missing:
+        raise ScenarioError(f"mean-std scenario needs n, mu, sigma, r: missing {', '.join(missing)}")
+    n = _field_number(data["n"], "n", int)
+    mu = _field_number(data["mu"], "mu")
+    sigma = _field_number(data["sigma"], "sigma")
+    r = _field_number(data["r"], "r")
+    players = _field_players(data, default_players(n))
     if len(players) != n:
         raise ScenarioError(f"expected {n} players, got {len(players)}")
     phi = None
     if "phi" in data:
-        raw = dict(data["phi"])
-        default = float(raw.pop("default", 1.0))
+        raw = dict(_field_map(data["phi"], "phi"))
+        default = _field_number(raw.pop("default", 1.0), "phi.default")
         table = {c: default for c in coalitions(n)}
         for label, factor in raw.items():
-            table[coalition_from_label(label, players)] = float(factor)
+            table[coalition_from_label(label, players)] = _field_number(factor, f"phi.{label}")
         phi = table
     return MeanStdScenario(n, mu, sigma, r, phi), players
 
 
 def density_from_dict(data: Mapping) -> Density:
+    _field_map(data, "density")
     if "beta_a" in data:
-        return beta_density(float(data["beta_a"]), int(data.get("knot_count", 101)))
+        return beta_density(
+            _field_number(data["beta_a"], "density.beta_a"),
+            _field_number(data.get("knot_count", 101), "density.knot_count", int),
+        )
     if "knots" in data:
-        return density_curve(data["knots"], normalize=bool(data.get("normalize", False)))
+        return density_curve(
+            _field_knots(data["knots"], "density.knots"),
+            normalize=_field_bool(data.get("normalize", False), "density.normalize"),
+        )
     raise ScenarioError("density needs either 'beta_a' or 'knots'")
 
 
-def _curve_from_entry(entry) -> QuantileCurve:
+def _curve_from_entry(entry, name: str) -> QuantileCurve:
     if isinstance(entry, Mapping):
         if "samples" in entry:
-            return empirical_curve(entry["samples"], int(entry.get("knot_count", 101)))
+            samples = _field_list(entry["samples"], f"{name}.samples")
+            return empirical_curve(
+                [_field_number(x, f"{name}.samples") for x in samples],
+                _field_number(entry.get("knot_count", 101), f"{name}.knot_count", int),
+            )
         if "knots" in entry:
-            return quantile_curve(entry["knots"])
+            return quantile_curve(_field_knots(entry["knots"], f"{name}.knots"))
         raise ScenarioError("curve entry needs 'knots' or 'samples'")
-    return quantile_curve(entry)
+    return quantile_curve(_field_knots(entry, name))
 
 
 def cvar_scenario_from_dict(
     data: Mapping,
 ) -> tuple[dict[int, QuantileCurve], Density, tuple[str, ...]]:
+    _field_map(data, "cvar scenario")
     if "density" not in data:
         raise ScenarioError("scenario needs a 'density' entry")
     density = density_from_dict(data["density"])
     if "curves" in data:
-        raw = data["curves"]
-        if "players" in data:
-            players = tuple(str(p) for p in data["players"])
-        else:
-            singles = sorted(label for label in raw if "," not in label)
-            players = tuple(singles)
+        raw = _field_map(data["curves"], "curves")
+        players = _field_players(data, sorted(label for label in raw if "," not in label))
         if not players:
             raise ScenarioError("cannot determine the player list")
         curves = {
-            coalition_from_label(label, players): _curve_from_entry(entry)
+            coalition_from_label(label, players): _curve_from_entry(entry, f"curves.{label}")
             for label, entry in raw.items()
         }
         return curves, density, players
     if "n" in data:
-        n = int(data["n"])
-        players = tuple(str(p) for p in data.get("players", default_players(n)))
+        n = _field_number(data["n"], "n", int)
+        players = _field_players(data, default_players(n))
         return default_uniform_family(n), density, players
     raise ScenarioError("scenario needs 'curves' or 'n'")

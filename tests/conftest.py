@@ -1,6 +1,9 @@
+import bisect
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from fracgame import STRONG, boundary_contains, enumerate_partitions, make_game, members
@@ -143,3 +146,59 @@ def naive_max_slack_point(system):
         fixed.append((unit_row(i), x[i]))
     point = tuple(x[i] + system.lower[i] for i in range(dim))
     return point, slack
+
+
+_raw_nodes, _raw_weights = np.polynomial.legendre.leggauss(32)
+_GL_NODES = tuple(float(x) for x in _raw_nodes)
+_GL_WEIGHTS = tuple(float(x) for x in _raw_weights)
+
+
+def naive_interp(knots, x):
+    knots_x = [a for a, _ in knots]
+    knots_y = [v for _, v in knots]
+    j = bisect.bisect_right(knots_x, x) - 1
+    if j >= len(knots_x) - 1:
+        return knots_y[-1]
+    x0, x1 = knots_x[j], knots_x[j + 1]
+    y0, y1 = knots_y[j], knots_y[j + 1]
+    return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+
+
+def naive_cvar(curve, alpha):
+    x = 1.0 - alpha
+    betas = [b for b, _ in curve.knots]
+    vals = [v for _, v in curve.knots]
+    prefix = [float(p) for p in curve.prefix]
+    j = bisect.bisect_right(betas, x) - 1
+    if j >= len(betas) - 1:
+        return prefix[-1] / x
+    dx = x - betas[j]
+    slope = (vals[j + 1] - vals[j]) / (betas[j + 1] - betas[j])
+    return (prefix[j] + vals[j] * dx + 0.5 * slope * dx * dx) / x
+
+
+def naive_mixture_reward(curve, density):
+    """Scalar reference for risk.mixture_reward: one Python float per
+    quadrature node, summed left to right, evaluating the tail average and
+    the density from the raw knot lists at every node."""
+    points = {0.0, 1.0}
+    points.update(1.0 - b for b, _ in curve.knots)
+    points.update(a for a, _ in density.knots)
+    grid = sorted(x for x in points if 0.0 <= x <= 1.0)
+    total = 0.0
+    for a, b in zip(grid, grid[1:]):
+        width = b - a
+        if width <= 0:
+            continue
+        panels = max(1, math.ceil(width / 0.0625))
+        for p in range(panels):
+            lo = a + width * p / panels
+            hi = a + width * (p + 1) / panels
+            mid = 0.5 * (lo + hi)
+            half = 0.5 * (hi - lo)
+            for node, weight in zip(_GL_NODES, _GL_WEIGHTS):
+                alpha = mid + half * node
+                total += weight * half * naive_cvar(curve, alpha) * naive_interp(
+                    density.knots, alpha
+                )
+    return float(total)

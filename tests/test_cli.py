@@ -265,3 +265,27 @@ def test_size_cliff_errors_exit_2(super3_path, monkeypatch, capsys, error):
     assert run(["analyze", super3_path]) == 2
     err = capsys.readouterr().err
     assert error.__name__ in err and "--max-exact-weak-core-n" in err
+
+
+@pytest.mark.parametrize(
+    "command, scenario",
+    [
+        ("scenario-cvar", '{"n": 3, "density": 3}'),
+        ("scenario-cvar", '{"curves": [1, 2], "density": {"beta_a": 2}}'),
+        ("scenario-cvar", '{"curves": {"a": 5}, "density": {"beta_a": 2}}'),
+        ("scenario-cvar", '{"n": 3, "density": {"knots": 5}}'),
+        ("scenario-cvar", '{"curves": {"a": {"samples": 5}}, "density": {"beta_a": 2}}'),
+        ("scenario-cvar", '{"n": 3, "players": 3, "density": {"beta_a": 2}}'),
+        ("scenario-cvar", '{"curves": {"a": {"samples": [1, NaN]}}, "density": {"beta_a": 2}}'),
+        ("scenario-cvar", '{"n": 2, "density": {"knots": [[0, Infinity], [1, 1]]}}'),
+        ("scenario-meanstd", '{"n": 3, "mu": 1.0, "sigma": 0.5, "r": 0.5, "phi": 3}'),
+        ("scenario-meanstd", '{"n": 3, "mu": 1.0, "sigma": 0.5, "r": 0.5, "players": 5}'),
+        ("scenario-meanstd", '{"n": 1e400, "mu": 1.0, "sigma": 0.5, "r": 0.5}'),
+    ],
+)
+def test_malformed_scenario_exits_without_traceback(tmp_path, capsys, command, scenario):
+    scen = tmp_path / "scen.json"
+    scen.write_text(scenario)
+    assert run([command, str(scen)]) in (1, 2)
+    err = capsys.readouterr().err
+    assert err and "Traceback" not in err

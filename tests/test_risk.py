@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from conftest import naive_cvar, naive_interp, naive_mixture_reward
 
 from fracgame import (
     AlphaOutOfRange,
@@ -24,6 +25,7 @@ from fracgame import (
     verify_prop1,
     verify_prop2,
 )
+from fracgame import risk
 from fracgame.risk import (
     MeanStdScenario,
     cvar_scenario_from_dict,
@@ -126,6 +128,74 @@ def test_mixture_against_dense_riemann_oracle():
         total += cvar(curve, alpha) * density.value(alpha)
     total /= steps
     assert math.isclose(mixture_reward(curve, density), total, abs_tol=5e-9)
+
+
+ORACLE_SHAPES = (1.0, 2.0, 1.357, 2.633, 3.878)
+
+
+def _oracle_densities():
+    explicit = density_curve([(0, 0.2), (0.3, 1.1), (0.55, 0.4), (1, 1.7)], normalize=True)
+    return [beta_density(a) for a in ORACLE_SHAPES] + [explicit]
+
+
+def test_mixture_bit_identical_to_scalar_loop_on_uniform_family():
+    for density in _oracle_densities():
+        for curve in set(default_uniform_family(7).values()):
+            assert mixture_reward(curve, density) == naive_mixture_reward(curve, density)
+
+
+def test_mixture_bit_identical_to_scalar_loop_on_empirical_curves():
+    rng = random.Random(33)
+    densities = _oracle_densities()
+    for k in range(42):
+        s = 1 + k % 5
+        draws = [s + rng.gammavariate(2.0, 0.5 * math.sqrt(s)) for _ in range(200)]
+        curve = empirical_curve(draws, rng.randint(51, 101))
+        density = densities[k % len(densities)]
+        value = mixture_reward(curve, density)
+        assert type(value) is float
+        assert value == naive_mixture_reward(curve, density)
+        for alpha in (0.0, rng.random(), 0.5, 1 - 1e-9):
+            assert cvar(curve, alpha) == naive_cvar(curve, alpha)
+            assert density.value(alpha) == naive_interp(density.knots, alpha)
+            assert curve.value(alpha) == naive_interp(curve.knots, alpha)
+
+
+def test_cvar_game_integrates_each_distinct_curve_once(monkeypatch):
+    fam = default_uniform_family(7)
+    density = beta_density(2.633)
+    want = {c: mixture_reward(k, density) for c, k in fam.items()}
+    calls = []
+
+    def counting(curve, density):
+        calls.append(curve)
+        return mixture_reward(curve, density)
+
+    monkeypatch.setattr(risk, "mixture_reward", counting)
+    game = build_cvar_game(fam, density)
+    assert len(calls) == 7
+    assert all(game.values[c] == want[c] for c in fam)
+
+
+def test_curves_compare_by_knots():
+    a = quantile_curve([(0, 1), (0.5, 2), (1, 4)])
+    b = quantile_curve([(0.0, 1.0), (0.5, 2.0), (1.0, 4.0)])
+    assert a == b and hash(a) == hash(b)
+    assert a.betas.tolist() == [0.0, 0.5, 1.0] and a.values.tolist() == [1.0, 2.0, 4.0]
+    assert a.prefix.tolist() == [0.0, 0.75, 2.25] and not a.betas.flags.writeable
+    assert a != quantile_curve([(0, 1), (0.5, 2), (1, 5)])
+    d = density_curve([(0, 1), (1, 1)])
+    assert d == density_curve([(0.0, 1.0), (1.0, 1.0)]) and d.alphas.tolist() == [0.0, 1.0]
+
+
+def test_non_finite_knots_and_draws_rejected():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            quantile_curve([(0, 1), (1, bad)])
+        with pytest.raises(ValueError):
+            density_curve([(0, bad), (1, 1)], normalize=True)
+        with pytest.raises(ScenarioError):
+            empirical_curve([1.0, bad, 2.0])
 
 
 # ---------------------------------------------------------------------------
@@ -375,3 +445,47 @@ def test_cvar_scenario_accepts_sampled_curves():
                 "density": {"beta_a": 1},
             }
         )
+
+
+@pytest.mark.parametrize(
+    "reader, data, field",
+    [
+        (cvar_scenario_from_dict, {"n": 3, "density": 3}, "density"),
+        (cvar_scenario_from_dict, {"curves": [1, 2], "density": {"beta_a": 2}}, "curves"),
+        (cvar_scenario_from_dict, {"curves": {"a": 5}, "density": {"beta_a": 2}}, "curves.a"),
+        (cvar_scenario_from_dict, {"n": 2, "density": {"knots": 5}}, "density.knots"),
+        (cvar_scenario_from_dict, {"n": 2, "density": {"beta_a": [2]}}, "density.beta_a"),
+        (
+            cvar_scenario_from_dict,
+            {"n": 2, "density": {"knots": [[0, 1], [1, 3]], "normalize": "false"}},
+            "density.normalize",
+        ),
+        (
+            cvar_scenario_from_dict,
+            {"curves": {"a": {"samples": 5}}, "density": {"beta_a": 2}},
+            "curves.a.samples",
+        ),
+        (cvar_scenario_from_dict, {"n": 2, "players": 3, "density": {"beta_a": 2}}, "players"),
+        (cvar_scenario_from_dict, {"n": 2.5, "density": {"beta_a": 2}}, "n"),
+        (cvar_scenario_from_dict, {"n": True, "density": {"beta_a": 2}}, "n"),
+        (cvar_scenario_from_dict, {"n": 2, "density": {"beta_a": "2"}}, "density.beta_a"),
+        (
+            cvar_scenario_from_dict,
+            {"n": 2, "density": {"beta_a": 2, "knot_count": "50"}},
+            "density.knot_count",
+        ),
+        (
+            cvar_scenario_from_dict,
+            {"curves": {"a": {"samples": [1, 2], "knot_count": 9.5}}, "density": {"beta_a": 2}},
+            "curves.a.knot_count",
+        ),
+        (meanstd_from_dict, {"n": 2.5, "mu": 1, "sigma": 0.5, "r": 0}, "n"),
+        (meanstd_from_dict, {"n": 2, "mu": "1", "sigma": 0.5, "r": 0}, "mu"),
+        (meanstd_from_dict, {"n": 2, "mu": 1, "sigma": 0.5}, "missing r"),
+        (meanstd_from_dict, {"n": 2, "mu": 1, "sigma": 0.5, "r": 0, "phi": 3}, "phi"),
+        (meanstd_from_dict, {"n": 2, "mu": 1, "sigma": 0.5, "r": 0, "players": 5}, "players"),
+    ],
+)
+def test_scenario_readers_name_mistyped_fields(reader, data, field):
+    with pytest.raises(ScenarioError, match=field):
+        reader(data)
