@@ -80,6 +80,7 @@ from .stability import (
     STRONG,
     UNKNOWN,
     WEAK,
+    BlockTable,
     CoreRegion,
     PatchedCore,
     StabilityReport,

@@ -25,7 +25,6 @@ from fractions import Fraction
 from . import linfeas
 from .errors import DimensionMismatch, InfeasibleSolution
 from .games import (
-    EXACT,
     Game,
     boundary_contains,
     boundary_empty,
@@ -37,7 +36,6 @@ from .games import (
     members,
     sample_boundary,
     solution_feasible,
-    subgame,
     submasks,
 )
 from .partitions import enumerate_partitions, singleton_partition
@@ -45,7 +43,7 @@ from .stability import (
     NONEMPTY,
     STRONG,
     WEAK,
-    CoreRegion,
+    BlockTable,
     _fission_resistant_feasible,
     boundary_system,
     core_contains,
@@ -235,24 +233,7 @@ def verify_theorem1(
     )
 
     # (4) fission-resistant solutions transfer, witnesses plus samples
-    region_cache: dict[tuple[int, str], CoreRegion] = {}
-
-    def block_region(block: int, kind: str) -> CoreRegion:
-        key = (block, kind)
-        got = region_cache.get(key)
-        if got is None:
-            if block.bit_count() == 1:
-                got = CoreRegion(NONEMPTY, (1,) if g1.mode == EXACT else (1.0,), "singleton")
-            else:
-                got = core_region(
-                    subgame(g1, block),
-                    kind,
-                    max_exact_weak_n=n,
-                    canonical_witness=False,
-                )
-            region_cache[key] = got
-        return got
-
+    table = BlockTable(g1, max_exact_weak_n=n, canonical_witness=False)
     checked = {STRONG: 0, WEAK: 0}
     failures = []
     for partition in parts:
@@ -260,14 +241,8 @@ def verify_theorem1(
             continue
         drawn = [_sample_solution(g1, partition, rng) for _ in range(samples)]
         for kind in (STRONG, WEAK):
-            candidates = []
-            regions = [block_region(b, kind) for b in partition]
-            if all(r.status == NONEMPTY for r in regions):
-                shares: list = [None] * n
-                for block, region in zip(partition, regions):
-                    for j, i in enumerate(members(block)):
-                        shares[i] = region.witness[j]
-                candidates.append(tuple(shares))
+            patched = table.patched(partition, kind)
+            candidates = [patched.witness] if patched.status == NONEMPTY else []
             candidates.extend(f for f in drawn if f is not None)
             for f in candidates:
                 if not _fission_resistant_feasible(g1, partition, f, kind):

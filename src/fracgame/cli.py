@@ -21,11 +21,13 @@ from .errors import FracgameError, InvalidGameError, ScenarioError
 from .games import (
     DEFAULT_TOL,
     Game,
+    coalition_label,
+    coalitions,
     game_digest,
     game_from_dict,
     game_to_dict,
+    json_number,
     make_game,
-    coalitions,
 )
 from .partitions import DEFAULT_ENUM_CAP, grand_partition, partition_from_label, partition_label
 from .risk import (
@@ -45,7 +47,7 @@ from .stability import (
     DEFAULT_SAMPLES,
     STRONG,
     WEAK,
-    patched_core,
+    BlockTable,
     stable_sets,
 )
 
@@ -112,14 +114,10 @@ def cmd_validate(args) -> int:
         game = game_from_dict(data)
     except InvalidGameError as exc:
         players = [str(p) for p in data.get("players", ())]
-
-        def label(mask: int) -> str:
-            return ",".join(players[i] for i in range(len(players)) if mask >> i & 1)
-
         payload = {
             "valid": False,
             "issues": [
-                {"kind": issue.kind, "coalition": label(issue.coalition)}
+                {"kind": issue.kind, "coalition": coalition_label(issue.coalition, players)}
                 for issue in exc.report.issues
             ],
         }
@@ -154,34 +152,26 @@ def cmd_core(args) -> int:
         part = partition_from_label(args.partition, game.players)
     else:
         part = grand_partition(game.n)
-    rng = random.Random(args.seed)
+    table = BlockTable(
+        game,
+        max_exact_weak_n=args.max_exact_weak_core_n,
+        samples=args.samples,
+        rng=random.Random(args.seed),
+    )
     payload = {"partition": partition_label(part, game.players)}
     for kind in (STRONG, WEAK):
-        patched = patched_core(
-            game,
-            part,
-            kind,
-            max_exact_weak_n=args.max_exact_weak_core_n,
-            samples=args.samples,
-            rng=rng,
-        )
+        patched = table.patched(part, kind)
         payload[kind] = {
             "status": patched.status,
             "witness": None
             if patched.witness is None
-            else [_num(x) for x in patched.witness],
+            else [json_number(x) for x in patched.witness],
             "blocks": [
                 {"status": r.status, "method": r.method} for r in patched.block_regions
             ],
         }
     _emit(args, "core", payload)
     return 0
-
-
-def _num(x):
-    if isinstance(x, Fraction):
-        return str(x)
-    return x
 
 
 def cmd_compare(args) -> int:
@@ -194,8 +184,8 @@ def cmd_compare(args) -> int:
             {
                 "inner": g1.coalition_label(v.inner),
                 "outer": g1.coalition_label(v.outer),
-                "lhs": _num(v.lhs),
-                "rhs": _num(v.rhs),
+                "lhs": json_number(v.lhs),
+                "rhs": json_number(v.rhs),
             }
             for v in verdict.violations
         ],

@@ -60,6 +60,17 @@ def coalitions(n: int) -> range:
     return range(1, 1 << n)
 
 
+def remap(local: int, mem: Sequence[int]) -> int:
+    """Scatter a mask over positions 0..k-1 onto players: bit j becomes
+    bit ``mem[j]``."""
+    out = 0
+    while local:
+        low = local & -local
+        out |= 1 << mem[low.bit_length() - 1]
+        local ^= low
+    return out
+
+
 def submasks(mask: int, proper: bool = False) -> Iterator[int]:
     """Nonempty submasks of ``mask``, descending; skips ``mask`` if proper."""
     s = (mask - 1) & mask if proper else mask
@@ -164,7 +175,7 @@ class Game:
         return self.values[coalition]
 
     def coalition_label(self, coalition: int) -> str:
-        return ",".join(self.players[i] for i in members(coalition))
+        return coalition_label(coalition, self.players)
 
     def partition_label(self, partition: Sequence[int]) -> str:
         return "|".join(self.coalition_label(b) for b in partition)
@@ -283,13 +294,7 @@ def subgame(game: Game, coalition: int) -> Game:
     k = len(mem)
     table = [None] * (1 << k)
     for local in coalitions(k):
-        glob = 0
-        rest = local
-        while rest:
-            low = rest & -rest
-            glob |= 1 << mem[low.bit_length() - 1]
-            rest ^= low
-        table[local] = game.values[glob]
+        table[local] = game.values[remap(local, mem)]
     return Game(k, tuple(table), game.mode, game.tol, tuple(game.players[i] for i in mem))
 
 
@@ -349,6 +354,15 @@ def sample_boundary(game: Game, coalition: int, rng) -> tuple | None:
 
 # ---------------------------------------------------------------------------
 # serialization
+
+
+def coalition_label(mask: int, players: Sequence[str]) -> str:
+    return ",".join(players[i] for i in members(mask))
+
+
+def json_number(x):
+    """A number as reports print it: Fractions as strings, the rest as is."""
+    return str(x) if isinstance(x, Fraction) else x
 
 
 def coalition_from_label(label: str, players: Sequence[str]) -> int:

@@ -11,7 +11,7 @@ import itertools
 from typing import Iterator, Sequence
 
 from .errors import CapExceeded, DimensionMismatch
-from .games import check_partition, members
+from .games import check_partition, coalition_label, members, remap
 
 Partition = tuple[int, ...]
 
@@ -73,7 +73,7 @@ def enumerate_partitions(n: int, cap: int = DEFAULT_ENUM_CAP) -> Iterator[Partit
 
 
 def partition_label(partition: Sequence[int], players: Sequence[str]) -> str:
-    return "|".join(",".join(players[i] for i in members(b)) for b in partition)
+    return "|".join(coalition_label(b, players) for b in partition)
 
 
 def partition_from_label(text: str, players: Sequence[str]) -> Partition:
@@ -83,15 +83,6 @@ def partition_from_label(text: str, players: Sequence[str]) -> Partition:
     return make_partition(blocks, len(players))
 
 
-def _remap(local_mask: int, mem: Sequence[int]) -> int:
-    out = 0
-    while local_mask:
-        low = local_mask & -local_mask
-        out |= 1 << mem[low.bit_length() - 1]
-        local_mask ^= low
-    return out
-
-
 def fission_neighborhood(partition: Sequence[int]) -> set[Partition]:
     """Strict refinements: split one or more blocks; the partition itself is
     excluded.  Empty exactly for the all-singleton partition."""
@@ -99,7 +90,7 @@ def fission_neighborhood(partition: Sequence[int]) -> set[Partition]:
     for block in partition:
         mem = members(block)
         opts = [
-            tuple(_remap(m, mem) for m in local)
+            tuple(remap(m, mem) for m in local)
             for local in enumerate_partitions(len(mem))
         ]
         per_block.append(opts)

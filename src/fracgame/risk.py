@@ -31,6 +31,7 @@ from .errors import AlphaOutOfRange, RBarOutOfRange, ScenarioError
 from .games import (
     DEFAULT_TOL,
     FLOAT,
+    MAX_PLAYERS,
     Game,
     coalition_from_label,
     coalitions,
@@ -408,14 +409,15 @@ def build_cvar_game(
     tol: float = DEFAULT_TOL,
 ) -> Game:
     """Game whose coalition values are the curves' tail averages mixed
-    against the density.  The curve table must cover every coalition;
+    against the density.  The curve table must cover every coalition of the
+    players (by default, of as many players as the largest mask spans);
     equal curves are integrated once."""
     if not curves:
         raise ScenarioError("no curves supplied")
-    full = max(curves)
-    n = full.bit_count()
-    missing = [c for c in coalitions(n) if c not in curves]
-    if missing or set(curves) - set(coalitions(n)):
+    n = len(players) if players is not None else max(curves).bit_length()
+    if not 1 <= n <= MAX_PLAYERS:
+        raise ScenarioError(f"a cvar game needs 1..{MAX_PLAYERS} players, got {n}")
+    if len(curves) != (1 << n) - 1 or any(c not in curves for c in coalitions(n)):
         raise ScenarioError(f"curve table must cover all coalitions of {n} players")
     rewards: dict[QuantileCurve, float] = {}
     values = {}
@@ -635,18 +637,30 @@ def _field_players(data: Mapping, default) -> tuple[str, ...]:
     return tuple(str(p) for p in _field_list(data["players"], "players"))
 
 
+def _field_player_count(raw) -> int:
+    n = _field_number(raw, "n", int)
+    if not 1 <= n <= MAX_PLAYERS:
+        raise ScenarioError(f"n must be in 1..{MAX_PLAYERS}, got {n}")
+    return n
+
+
+def _field_n_players(data: Mapping, n: int) -> tuple[str, ...]:
+    players = _field_players(data, default_players(n))
+    if len(players) != n:
+        raise ScenarioError(f"expected {n} players, got {len(players)}")
+    return players
+
+
 def meanstd_from_dict(data: Mapping) -> tuple[MeanStdScenario, tuple[str, ...]]:
     _field_map(data, "mean-std scenario")
     missing = [key for key in ("n", "mu", "sigma", "r") if key not in data]
     if missing:
         raise ScenarioError(f"mean-std scenario needs n, mu, sigma, r: missing {', '.join(missing)}")
-    n = _field_number(data["n"], "n", int)
+    n = _field_player_count(data["n"])
     mu = _field_number(data["mu"], "mu")
     sigma = _field_number(data["sigma"], "sigma")
     r = _field_number(data["r"], "r")
-    players = _field_players(data, default_players(n))
-    if len(players) != n:
-        raise ScenarioError(f"expected {n} players, got {len(players)}")
+    players = _field_n_players(data, n)
     phi = None
     if "phi" in data:
         raw = dict(_field_map(data["phi"], "phi"))
@@ -705,7 +719,7 @@ def cvar_scenario_from_dict(
         }
         return curves, density, players
     if "n" in data:
-        n = _field_number(data["n"], "n", int)
-        players = _field_players(data, default_players(n))
+        n = _field_player_count(data["n"])
+        players = _field_n_players(data, n)
         return default_uniform_family(n), density, players
     raise ScenarioError("scenario needs 'curves' or 'n'")

@@ -28,6 +28,7 @@ from .games import (
     check_partition,
     coalitions,
     geq,
+    json_number,
     members,
     sample_boundary,
     solution_feasible,
@@ -222,10 +223,6 @@ class CoreRegion:
     method: str = ""
 
 
-def _one(game: Game):
-    return 1 if game.mode == EXACT else 1.0
-
-
 def _exact_lower_bounds(game: Game, block: int) -> list[Fraction]:
     v_b = Fraction(game.values[block])
     return [Fraction(game.values[1 << i]) / v_b for i in members(block)]
@@ -295,7 +292,7 @@ def core_region(
     _check_kind(kind)
     n = game.n
     if n == 1:
-        return CoreRegion(NONEMPTY, (_one(game),), "singleton")
+        return CoreRegion(NONEMPTY, (1,) if game.mode == EXACT else (1.0,), "singleton")
     full = game.grand
     if kind == STRONG:
         if n == 2:
@@ -405,6 +402,60 @@ class PatchedCore:
     block_regions: tuple[CoreRegion, ...]
 
 
+class BlockTable(dict):
+    """The core regions of one game's blocks, keyed by (block, kind).
+
+    A block's region is decided on first use, by ``core_region`` on the
+    block's subgame with this table's settings, and read back on every later
+    use, so each block has one verdict and one witness however many
+    partitions contain it.  ``rng`` is passed through unchanged: sampled
+    blocks draw from it in first-visit order.
+    """
+
+    def __init__(
+        self,
+        game: Game,
+        *,
+        max_exact_weak_n: int = DEFAULT_MAX_EXACT_WEAK_N,
+        samples: int = DEFAULT_SAMPLES,
+        rng: random.Random | None = None,
+        canonical_witness: bool = True,
+    ):
+        super().__init__()
+        self.game = game
+        self.settings = dict(
+            max_exact_weak_n=max_exact_weak_n,
+            samples=samples,
+            rng=rng,
+            canonical_witness=canonical_witness,
+        )
+
+    def __missing__(self, key: tuple[int, str]) -> CoreRegion:
+        block, kind = key
+        region = self[key] = core_region(subgame(self.game, block), kind, **self.settings)
+        return region
+
+    def patched(self, partition: Sequence[int], kind: str) -> PatchedCore:
+        """Blockwise product of cores: each block's subgame must have a
+        nonempty core of the requested kind.  Any empty block makes the
+        whole product empty; otherwise any unresolved block makes it
+        UNKNOWN.  Every block is decided, even after an empty one."""
+        _check_kind(kind)
+        check_partition(self.game.n, partition)
+        partition = tuple(partition)
+        regions = tuple(self[block, kind] for block in partition)
+        statuses = {r.status for r in regions}
+        if EMPTY in statuses:
+            return PatchedCore(partition, EMPTY, None, regions)
+        if UNKNOWN in statuses:
+            return PatchedCore(partition, UNKNOWN, None, regions)
+        shares: list = [None] * self.game.n
+        for block, region in zip(partition, regions):
+            for j, i in enumerate(members(block)):
+                shares[i] = region.witness[j]
+        return PatchedCore(partition, NONEMPTY, tuple(shares), regions)
+
+
 def patched_core(
     game: Game,
     partition: Sequence[int],
@@ -415,37 +466,15 @@ def patched_core(
     rng: random.Random | None = None,
     canonical_witness: bool = True,
 ) -> PatchedCore:
-    """Blockwise product of cores: each block's subgame must have a nonempty
-    core of the requested kind.  Any empty block makes the whole product
-    empty; otherwise any unresolved block makes it UNKNOWN."""
-    _check_kind(kind)
-    check_partition(game.n, partition)
-    partition = tuple(partition)
-    regions = []
-    shares: list = [None] * game.n
-    status = NONEMPTY
-    for block in partition:
-        if block.bit_count() == 1:
-            region = CoreRegion(NONEMPTY, (_one(game),), "singleton")
-        else:
-            region = core_region(
-                subgame(game, block),
-                kind,
-                max_exact_weak_n=max_exact_weak_n,
-                samples=samples,
-                rng=rng,
-                canonical_witness=canonical_witness,
-            )
-        regions.append(region)
-        if region.status == EMPTY:
-            status = EMPTY
-        elif region.status == UNKNOWN and status != EMPTY:
-            status = UNKNOWN
-        elif region.witness is not None:
-            for j, i in enumerate(members(block)):
-                shares[i] = region.witness[j]
-    witness = tuple(shares) if status == NONEMPTY else None
-    return PatchedCore(partition, status, witness, tuple(regions))
+    """The patched core of one partition; see ``BlockTable.patched``."""
+    table = BlockTable(
+        game,
+        max_exact_weak_n=max_exact_weak_n,
+        samples=samples,
+        rng=rng,
+        canonical_witness=canonical_witness,
+    )
+    return table.patched(partition, kind)
 
 
 @dataclass(frozen=True)
@@ -494,41 +523,33 @@ class StabilityReport:
         return None if best is None else best[1]
 
     def to_dict(self) -> dict:
-        def num(x):
-            if isinstance(x, Fraction):
-                return str(x)
-            return x
+        label = lambda p: partition_label(p, self.players)
+
+        def witness(w) -> list | None:
+            return None if w is None else [json_number(x) for x in w]
 
         def region(r: CoreRegion) -> dict:
+            return {"status": r.status, "method": r.method, "witness": witness(r.witness)}
+
+        def patched(p: PatchedCore) -> dict:
             return {
-                "status": r.status,
-                "method": r.method,
-                "witness": None if r.witness is None else [num(x) for x in r.witness],
+                "status": p.status,
+                "witness": witness(p.witness),
+                "blocks": [region(b) for b in p.block_regions],
             }
 
-        records = []
-        for r in self.records:
-            records.append(
-                {
-                    "partition": partition_label(r.partition, self.players),
-                    "strong": {
-                        "status": r.strong.status,
-                        "witness": None
-                        if r.strong.witness is None
-                        else [num(x) for x in r.strong.witness],
-                        "blocks": [region(b) for b in r.strong.block_regions],
-                    },
-                    "weak": {
-                        "status": r.weak.status,
-                        "witness": None
-                        if r.weak.witness is None
-                        else [num(x) for x in r.weak.witness],
-                        "blocks": [region(b) for b in r.weak.block_regions],
-                    },
-                    "fusion_resistant": r.fusion_resistant,
-                }
-            )
-        label = lambda p: partition_label(p, self.players)
+        def stable(kind: str) -> list[dict]:
+            return [{"partition": label(p), "witness": witness(w)} for p, w in self.stable(kind)]
+
+        records = [
+            {
+                "partition": label(r.partition),
+                "strong": patched(r.strong),
+                "weak": patched(r.weak),
+                "fusion_resistant": r.fusion_resistant,
+            }
+            for r in self.records
+        ]
         most = self.most_consolidated(WEAK)
         return {
             "players": list(self.players),
@@ -537,14 +558,8 @@ class StabilityReport:
             "patched_strong_nonempty": [label(p) for p in self.partitions_with(STRONG)],
             "patched_weak_nonempty": [label(p) for p in self.partitions_with(WEAK)],
             "fusion_resistant": [label(p) for p in self.fusion_resistant_partitions()],
-            "stable_strong": [
-                {"partition": label(p), "witness": [num(x) for x in w]}
-                for p, w in self.stable(STRONG)
-            ],
-            "stable_weak": [
-                {"partition": label(p), "witness": [num(x) for x in w]}
-                for p, w in self.stable(WEAK)
-            ],
+            "stable_strong": stable(STRONG),
+            "stable_weak": stable(WEAK),
             "weak_unknown": [label(p) for p in self.unknown(WEAK)],
             "most_consolidated_weak": None if most is None else label(most),
         }
@@ -594,29 +609,20 @@ def stable_sets(
 ) -> StabilityReport:
     """Sweep every partition: patched strong/weak cores and fusion
     resistance.  Stable solutions pair a fusion-resistant partition with any
-    point of its nonempty patched core."""
+    point of its nonempty patched core.  All partitions read their blocks
+    from one ``BlockTable``, so each block is decided once."""
     from .games import game_digest
 
-    rng = random.Random(seed)
-    records = []
-    for partition in enumerate_partitions(game.n, cap):
-        strong = patched_core(
-            game,
+    table = BlockTable(
+        game, max_exact_weak_n=max_exact_weak_n, samples=samples, rng=random.Random(seed)
+    )
+    records = [
+        PartitionRecord(
             partition,
-            STRONG,
-            max_exact_weak_n=max_exact_weak_n,
-            samples=samples,
-            rng=rng,
+            table.patched(partition, STRONG),
+            table.patched(partition, WEAK),
+            fusion_resistant(game, partition),
         )
-        weak = patched_core(
-            game,
-            partition,
-            WEAK,
-            max_exact_weak_n=max_exact_weak_n,
-            samples=samples,
-            rng=rng,
-        )
-        records.append(
-            PartitionRecord(partition, strong, weak, fusion_resistant(game, partition))
-        )
+        for partition in enumerate_partitions(game.n, cap)
+    ]
     return StabilityReport(game.n, game.players, game_digest(game), tuple(records))

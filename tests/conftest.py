@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fracgame import STRONG, boundary_contains, enumerate_partitions, make_game, members
-from fracgame import linfeas
+from fracgame import linfeas, stability
 from fracgame.errors import InfeasibleSystem, NumericFailure
 from fracgame.games import geq
 
@@ -115,6 +115,48 @@ def naive_fission_resistant(game, partition, shares, kind):
                 if not any(covered(p) for p in pieces):
                     return False
     return True
+
+
+def naive_stable_sets(game, *, max_exact_weak_n=stability.DEFAULT_MAX_EXACT_WEAK_N,
+                      samples=stability.DEFAULT_SAMPLES, seed=0):
+    """Per-partition reference for stability.stable_sets: every block of
+    every partition decided afresh by core_region on its subgame, all
+    drawing from one shared RNG, and the patched status aggregated block
+    by block."""
+    from fracgame.games import game_digest, subgame
+
+    rng = random.Random(seed)
+
+    def patched(partition, kind):
+        regions = []
+        shares = [None] * game.n
+        status = stability.NONEMPTY
+        for block in partition:
+            region = stability.core_region(
+                subgame(game, block), kind,
+                max_exact_weak_n=max_exact_weak_n, samples=samples, rng=rng,
+            )
+            regions.append(region)
+            if region.status == stability.EMPTY:
+                status = stability.EMPTY
+            elif region.status == stability.UNKNOWN and status != stability.EMPTY:
+                status = stability.UNKNOWN
+            elif region.witness is not None:
+                for j, i in enumerate(members(block)):
+                    shares[i] = region.witness[j]
+        witness = tuple(shares) if status == stability.NONEMPTY else None
+        return stability.PatchedCore(partition, status, witness, tuple(regions))
+
+    records = tuple(
+        stability.PartitionRecord(
+            partition,
+            patched(partition, stability.STRONG),
+            patched(partition, stability.WEAK),
+            stability.fusion_resistant(game, partition),
+        )
+        for partition in enumerate_partitions(game.n)
+    )
+    return stability.StabilityReport(game.n, game.players, game_digest(game), records)
 
 
 def naive_max_slack_point(system):

@@ -161,6 +161,15 @@ def test_scenario_cvar_from_samples(tmp_path, capsys):
     assert abs(float(payload["values"]["x,y"]) - 3.0) < 1e-10
 
 
+def test_scenario_cvar_missing_grand_curve_names_player_count(tmp_path, capsys):
+    scen = tmp_path / "scen.json"
+    scen.write_text(
+        json.dumps({"curves": {"a": [[0, 1], [1, 2]], "b": [[0, 1], [1, 2]]}, "density": {"beta_a": 1}})
+    )
+    assert run(["scenario-cvar", str(scen)]) == 1
+    assert "coalitions of 2 players" in capsys.readouterr().err
+
+
 def test_sweep_meanstd(capsys):
     code, payload = run_json(
         capsys,
@@ -281,6 +290,18 @@ def test_size_cliff_errors_exit_2(super3_path, monkeypatch, capsys, error):
         ("scenario-meanstd", '{"n": 3, "mu": 1.0, "sigma": 0.5, "r": 0.5, "phi": 3}'),
         ("scenario-meanstd", '{"n": 3, "mu": 1.0, "sigma": 0.5, "r": 0.5, "players": 5}'),
         ("scenario-meanstd", '{"n": 1e400, "mu": 1.0, "sigma": 0.5, "r": 0.5}'),
+        ("scenario-cvar", '{"n": 26, "density": {"beta_a": 2}}'),
+        ("scenario-meanstd", '{"n": 26, "mu": 1.0, "sigma": 0.5, "r": 0.5}'),
+        (
+            "scenario-cvar",
+            json.dumps(
+                {
+                    "curves": {"a": [[0, 1], [1, 2]]},
+                    "players": [f"p{i}" for i in range(40)],
+                    "density": {"beta_a": 2},
+                }
+            ),
+        ),
     ],
 )
 def test_malformed_scenario_exits_without_traceback(tmp_path, capsys, command, scenario):

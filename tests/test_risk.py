@@ -319,6 +319,28 @@ def test_cvar_game_requires_full_cover():
         build_cvar_game(fam, beta_density(1.0))
 
 
+def test_cvar_game_cover_error_counts_players():
+    # no curve for the grand coalition: the size comes from the player list,
+    # or from the highest player a mask names, not from the largest mask
+    curves, density, players = cvar_scenario_from_dict(
+        {"curves": {"a": [[0, 1], [1, 2]], "b": [[0, 1], [1, 2]]}, "density": {"beta_a": 1}}
+    )
+    assert players == ("a", "b")
+    for kwargs in ({"players": players}, {}):
+        with pytest.raises(ScenarioError, match="coalitions of 2 players"):
+            build_cvar_game(curves, density, **kwargs)
+
+
+def test_cvar_game_rejects_player_count_before_iterating():
+    # 40 players would mean 2^40 - 1 coalitions: the size check comes first
+    curves = {1: uniform_curve(1.0, 2.0)}
+    players = [f"p{i}" for i in range(40)]
+    with pytest.raises(ScenarioError, match="1..16 players, got 40"):
+        build_cvar_game(curves, beta_density(2.0), players=players)
+    with pytest.raises(ScenarioError, match="got 40"):
+        build_cvar_game({1 << 39: uniform_curve(1.0, 2.0)}, beta_density(2.0))
+
+
 def test_prop2_chain_and_reversal():
     fam = default_uniform_family(4)
     d1, d2 = beta_density(1.0), beta_density(2.0)
@@ -484,6 +506,15 @@ def test_cvar_scenario_accepts_sampled_curves():
         (meanstd_from_dict, {"n": 2, "mu": 1, "sigma": 0.5}, "missing r"),
         (meanstd_from_dict, {"n": 2, "mu": 1, "sigma": 0.5, "r": 0, "phi": 3}, "phi"),
         (meanstd_from_dict, {"n": 2, "mu": 1, "sigma": 0.5, "r": 0, "players": 5}, "players"),
+        (cvar_scenario_from_dict, {"n": 26, "density": {"beta_a": 2}}, "n must be in 1..16"),
+        (cvar_scenario_from_dict, {"n": 0, "density": {"beta_a": 2}}, "n must be in 1..16"),
+        (meanstd_from_dict, {"n": 26, "mu": 1, "sigma": 0.5, "r": 0}, "n must be in 1..16"),
+        (meanstd_from_dict, {"n": -1, "mu": 1, "sigma": 0.5, "r": 0}, "n must be in 1..16"),
+        (
+            cvar_scenario_from_dict,
+            {"n": 3, "players": ["x", "y"], "density": {"beta_a": 2}},
+            "expected 3 players, got 2",
+        ),
     ],
 )
 def test_scenario_readers_name_mistyped_fields(reader, data, field):

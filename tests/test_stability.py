@@ -26,8 +26,10 @@ from fracgame import (
     singleton_partition,
     stable_sets,
 )
+from fracgame.risk import MeanStdScenario, build_meanstd_game
 from conftest import (
     naive_fission_resistant,
+    naive_stable_sets,
     naive_weak_core_contains,
     random_exact_game,
     random_float_game,
@@ -349,3 +351,61 @@ def test_report_serializes(superadditive3):
     rows = report.csv_rows()
     assert rows[0][0] == "partition"
     assert len(rows) == 1 + 5
+
+
+# ---------------------------------------------------------------------------
+# the block table
+
+
+@pytest.mark.parametrize("n, seed", [(4, 12), (5, 14), (5, 31), (5, 40)])
+@pytest.mark.parametrize("exact_weak", [False, True])
+def test_stable_sets_match_per_partition_oracle(n, seed, exact_weak):
+    # up to n=5 no sampled block occurs in two partitions, so deciding each
+    # block once must reproduce the per-partition sweep exactly; with
+    # max_exact_weak_n = n - 1 (the default 4 at n=5) the grand block is
+    # sampled, and these seeds give it both NONEMPTY and UNKNOWN verdicts
+    game = random_exact_game(random.Random(seed), n)
+    max_exact_weak_n = n if exact_weak else n - 1
+    for samples in (2, 200):
+        got = stable_sets(game, max_exact_weak_n=max_exact_weak_n, samples=samples, seed=seed)
+        want = naive_stable_sets(
+            game, max_exact_weak_n=max_exact_weak_n, samples=samples, seed=seed
+        )
+        assert got.to_dict() == want.to_dict()
+        methods = {r.method for rec in got.records for r in rec.weak.block_regions}
+        assert (f"sampled({samples})" in methods) == (not exact_weak)
+
+
+def test_stable_sets_match_per_partition_oracle_on_float_game():
+    game = build_meanstd_game(MeanStdScenario(4, 1.0, 0.5, 0.8))
+    assert stable_sets(game).to_dict() == naive_stable_sets(game).to_dict()
+
+
+def test_stable_sets_decides_each_block_once(monkeypatch):
+    from fracgame import stability
+
+    calls = []
+    original = stability.core_region
+
+    def counting(game, kind, **kwargs):
+        calls.append((game.players, kind))
+        return original(game, kind, **kwargs)
+
+    monkeypatch.setattr(stability, "core_region", counting)
+    stable_sets(random_exact_game(random.Random(13), 5))
+    assert len(calls) == 2 * (2**5 - 1)
+    assert len(set(calls)) == len(calls)
+
+
+def test_repeated_sampled_block_has_one_region():
+    # 4-player blocks are sampled here and each occurs in Bell(2) = 2
+    # partitions; the report must give each block one verdict and witness
+    game = random_exact_game(random.Random(3), 6)
+    report = stable_sets(game, max_exact_weak_n=3, samples=5, seed=1)
+    seen = {}
+    for record in report.records:
+        for kind, patched in ((STRONG, record.strong), (WEAK, record.weak)):
+            for block, region in zip(record.partition, patched.block_regions):
+                assert seen.setdefault((block, kind), region) == region
+    assert len(seen) == 2 * (2**6 - 1)
+    assert any(r.method == "sampled(5)" and r.witness for r in seen.values())
