@@ -20,10 +20,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from . import linfeas
-from .errors import DimensionMismatch, InfeasibleSolution
+from .errors import DimensionMismatch
 from .games import (
     Game,
     boundary_contains,
@@ -44,14 +45,15 @@ from .stability import (
     STRONG,
     WEAK,
     BlockTable,
-    _fission_resistant_feasible,
-    boundary_system,
     core_contains,
     core_region,
     core_system,
-    fission_resistant,
+    fission_resistant_by_table,
     fusion_resistant,
     is_stable,
+    share_table,
+    split_vertices,
+    table_feasible,
 )
 
 
@@ -155,7 +157,7 @@ def _boundary_included(g1: Game, g2: Game, block: int, tol: float):
         return True, "thresholds", ""
     if boundary_empty(g1, block):
         return True, "vacuous", "empty under the first game"
-    for vertex in linfeas.vertices(boundary_system(g1, block), cap=len(mem)):
+    for vertex in split_vertices(g1, block):
         if not boundary_contains(g2, block, vertex):
             return False, "vertices", f"block {block:#x} vertex {_fmt_point(vertex)}"
     return True, "vertices", ""
@@ -170,6 +172,23 @@ def _sample_solution(game: Game, partition, rng):
         for j, i in enumerate(members(block)):
             shares[i] = local[j]
     return tuple(shares)
+
+
+class _Candidate:
+    """A g1-feasible allocation of one partition in the fission claim: its
+    share tables under both games (one table when the modes agree) and,
+    decided on first use, whether it is also feasible under g2."""
+
+    def __init__(self, g1: Game, g2: Game, partition, point):
+        self.g2 = g2
+        self.partition = partition
+        self.point = point
+        self.table1 = share_table(g1, partition, point)
+        self.table2 = self.table1 if g1.mode == g2.mode else share_table(g2, partition, point)
+
+    @cached_property
+    def feasible2(self) -> bool:
+        return table_feasible(self.g2, self.partition, self.point, self.table2)
 
 
 def verify_theorem1(
@@ -232,7 +251,8 @@ def verify_theorem1(
         ClaimResult("feasible-solutions", not failures, f"sampled({checked})", "; ".join(failures))
     )
 
-    # (4) fission-resistant solutions transfer, witnesses plus samples
+    # (4) fission-resistant solutions transfer, witnesses plus samples; each
+    # candidate's share table serves both games and both kinds
     table = BlockTable(g1, max_exact_weak_n=n, canonical_witness=False)
     checked = {STRONG: 0, WEAK: 0}
     failures = []
@@ -240,21 +260,19 @@ def verify_theorem1(
         if any(boundary_empty(g1, b) for b in partition):
             continue
         drawn = [_sample_solution(g1, partition, rng) for _ in range(samples)]
+        drawn = [_Candidate(g1, g2, partition, f) for f in drawn if f is not None]
         for kind in (STRONG, WEAK):
             patched = table.patched(partition, kind)
-            candidates = [patched.witness] if patched.status == NONEMPTY else []
-            candidates.extend(f for f in drawn if f is not None)
-            for f in candidates:
-                if not _fission_resistant_feasible(g1, partition, f, kind):
+            candidates = drawn
+            if patched.status == NONEMPTY:
+                candidates = [_Candidate(g1, g2, partition, patched.witness), *drawn]
+            for c in candidates:
+                if not fission_resistant_by_table(g1, partition, c.table1, kind):
                     continue
                 checked[kind] += 1
-                try:
-                    ok = fission_resistant(g2, partition, f, kind)
-                except InfeasibleSolution:
-                    ok = False
-                if not ok:
+                if not (c.feasible2 and fission_resistant_by_table(g2, partition, c.table2, kind)):
                     failures.append(
-                        f"{kind} partition {partition} point {_fmt_point(f)}"
+                        f"{kind} partition {partition} point {_fmt_point(c.point)}"
                     )
                     break
     claims.append(
@@ -338,8 +356,7 @@ def verify_corollary(
 
     # weak core: membership transfer on every g1 weak-core point we can find
     candidates: list[tuple] = []
-    if not boundary_empty(g1, g1.grand):
-        candidates.extend(linfeas.vertices(boundary_system(g1, g1.grand), cap=n))
+    candidates.extend(split_vertices(g1, g1.grand))
     region = core_region(g1, WEAK, max_exact_weak_n=n, canonical_witness=False)
     if region.status == NONEMPTY:
         candidates.append(region.witness)

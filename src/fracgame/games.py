@@ -321,8 +321,11 @@ def to_absolute(game: Game, shares: Sequence) -> tuple:
 def sample_boundary(game: Game, coalition: int, rng) -> tuple | None:
     """Random point of the coalition's split set, or None when it is empty.
 
-    Exact games get rational samples (uniform over a fine lattice of the
-    shifted simplex), float games get Dirichlet-uniform float samples.
+    Exact games get rational samples, uniform over the lattice of the
+    shifted simplex with denominator v(C)*2^20: with the members' values
+    a_j and v(C) scaled to integers, share j is
+    (a_j*2^20 + rest*gap_j) / (v(C)*2^20), where rest = v(C) - sum(a) and
+    the gaps split 2^20.  Float games get Dirichlet-uniform float samples.
     """
     mem = members(coalition)
     k = len(mem)
@@ -331,15 +334,20 @@ def sample_boundary(game: Game, coalition: int, rng) -> tuple | None:
         return (1,) if exact else (1.0,)
     v_c = game.values[coalition]
     if exact:
-        lbs = [Fraction(game.values[1 << i]) / Fraction(v_c) for i in mem]
-        s = 1 - sum(lbs)
-        if s < 0:
+        # exact values are ints or Fractions, both with numerator/denominator
+        values = [game.values[1 << i] for i in mem]
+        unit = math.lcm(v_c.denominator, *(a.denominator for a in values))
+        lone = [a.numerator * (unit // a.denominator) for a in values]
+        whole = v_c.numerator * (unit // v_c.denominator)
+        rest = whole - sum(lone)
+        if rest < 0:
             return None
         grain = 1 << 20
         cuts = sorted(rng.randrange(grain + 1) for _ in range(k - 1))
         cuts = [0] + cuts + [grain]
+        den = whole * grain
         return tuple(
-            lb + s * Fraction(cuts[j + 1] - cuts[j], grain) for j, lb in enumerate(lbs)
+            Fraction(a * grain + rest * (cuts[j + 1] - cuts[j]), den) for j, a in enumerate(lone)
         )
     lbs = [game.values[1 << i] / v_c for i in mem]
     s = 1.0 - sum(lbs)

@@ -487,8 +487,10 @@ def verify_prop1(
     games = [
         build_meanstd_game(MeanStdScenario(n, mu, sigma, r, phi), tol=tol) for r in grid
     ]
-    violations = []
+    order_violations = []
+    ratio_violations = []
     order_pairs = 0
+    ratio_checks = 0
     for i in range(len(grid)):
         for j in range(len(grid)):
             if grid[i] > grid[j] or i == j:
@@ -496,12 +498,7 @@ def verify_prop1(
             order_pairs += 1
             verdict = leq_cp(games[i], games[j])
             if not verdict.holds:
-                violations.append(f"order fails between r={grid[i]} and r={grid[j]}")
-    ratio_checks = 0
-    for i in range(len(grid)):
-        for j in range(len(grid)):
-            if grid[i] > grid[j] or i == j:
-                continue
+                order_violations.append(f"order fails between r={grid[i]} and r={grid[j]}")
             for s1 in range(1, n + 1):
                 for s2 in range(s1, n + 1):
                     ratio_checks += 1
@@ -512,10 +509,11 @@ def verify_prop1(
                         s1, mu, sigma, grid[i]
                     )
                     if not leq(lhs, rhs, tol):
-                        violations.append(
+                        ratio_violations.append(
                             f"ratio not monotone for sizes ({s1},{s2}) between "
                             f"r={grid[i]} and r={grid[j]}"
                         )
+    violations = order_violations + ratio_violations
     return Prop1Report(grid, order_pairs, ratio_checks, tuple(violations))
 
 

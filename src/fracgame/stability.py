@@ -13,11 +13,12 @@ three players can never be split weakly.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import linfeas
 from .errors import InfeasibleSolution
@@ -59,35 +60,81 @@ def _check_kind(kind: str) -> None:
         raise ValueError(f"kind must be {STRONG!r} or {WEAK!r}, got {kind!r}")
 
 
-def _share_sums(shares: Sequence, n: int) -> list:
-    """sums[mask] = total share of the coalition, for every mask."""
-    sums = [0] * (1 << n)
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        sums[mask] = sums[mask ^ low] + shares[low.bit_length() - 1]
-    return sums
+def _rational(game: Game, shares: Sequence) -> bool:
+    """Whether an allocation gets an integer share table: an exact game and
+    no float share (ints and Fractions both carry numerator/denominator)."""
+    return game.mode == EXACT and not any(isinstance(x, float) for x in shares)
+
+
+def share_table(game: Game, partition: Sequence[int], shares: Sequence) -> tuple[list, int]:
+    """The block share-sum table ``(sums, scale)`` of an allocation: for
+    every submask ``c`` of a partition block, ``sums[c] / scale`` is the
+    total share of ``c``, so a piece is covered by its block exactly when
+    ``v(b) * sums[c] >= v(c) * scale``.
+
+    Exact games with rational shares carry the sums as integer numerators
+    over the shares' common denominator ``scale``, which makes each coverage
+    test an int comparison on int-valued games.  Otherwise ``scale`` is 1
+    and the shares are added as they are, in the same order as always.
+    Masks outside the blocks stay 0."""
+    if _rational(game, shares):
+        scale = math.lcm(*(x.denominator for x in shares))
+        terms = [x.numerator * (scale // x.denominator) for x in shares]
+    else:
+        scale = 1
+        terms = shares
+    sums = [0] * (1 << game.n)
+    for block in partition:
+        # ascending submasks, so ``mask ^ low`` is always filled first
+        mask = block & -block
+        while mask:
+            low = mask & -mask
+            sums[mask] = sums[mask ^ low] + terms[low.bit_length() - 1]
+            mask = (mask - block) & block
+    return sums, scale
+
+
+def _covers(game: Game, block: int, piece: int, table) -> bool:
+    """Whether the piece's in-block share covers its value."""
+    sums, scale = table
+    return geq(game.values[block] * sums[piece], game.values[piece] * scale, game.tol)
+
+
+def table_feasible(game: Game, partition: Sequence[int], shares: Sequence, table) -> bool:
+    """``solution_feasible`` for an allocation whose share table is at hand.
+    Exact games read it off the table: each block sums to ``scale`` and every
+    member's share covers its lower bound (so no share exceeds ``scale``).
+    Other tables run ``solution_feasible`` itself."""
+    if not _rational(game, shares):
+        return solution_feasible(game, partition, shares)
+    sums, scale = table
+    values = game.values
+    for block in partition:
+        if sums[block] != scale:
+            return False
+        if block & (block - 1):
+            v_b = values[block]
+            if any(v_b * sums[1 << i] < values[1 << i] * scale for i in members(block)):
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------
 # membership predicates
 
 
-def _has_blocking_split(game: Game, block: int, sums) -> bool:
+def _has_blocking_split(game: Game, block: int, table) -> bool:
     """Whether the block splits into >=2-member pieces that all block, i.e.
     each piece's own value exceeds its scaled in-block share.  Assumes the
     shares are individually rational within the block."""
-    k = block.bit_count()
-    if k <= 3:
+    if block.bit_count() <= 3:
         return False
-    v_b = game.values[block]
-    tol = game.tol
-    values = game.values
     blocking = {}
 
     def is_blocking(piece: int) -> bool:
         got = blocking.get(piece)
         if got is None:
-            got = not geq(v_b * sums[piece], values[piece], tol)
+            got = not _covers(game, block, piece, table)
             blocking[piece] = got
         return got
 
@@ -121,19 +168,12 @@ def core_contains(game: Game, shares: Sequence, kind: str = STRONG) -> bool:
     proper coalitions consists entirely of blocking coalitions.  Infeasible
     share vectors simply fail."""
     _check_kind(kind)
-    n = game.n
     full = game.grand
     if not boundary_contains(game, full, shares):
         return False
-    if n == 1:
+    if game.n == 1:
         return True
-    sums = _share_sums(shares, n)
-    v_n = game.values[full]
-    tol = game.tol
-    if kind == STRONG:
-        values = game.values
-        return all(geq(v_n * sums[c], values[c], tol) for c in submasks(full, proper=True))
-    return not _has_blocking_split(game, full, sums)
+    return fission_resistant_by_table(game, (full,), share_table(game, (full,), shares), kind)
 
 
 def fission_resistant(game: Game, partition: Sequence[int], shares: Sequence, kind: str = STRONG) -> bool:
@@ -147,22 +187,20 @@ def fission_resistant(game: Game, partition: Sequence[int], shares: Sequence, ki
     _check_kind(kind)
     if not solution_feasible(game, partition, shares):
         raise InfeasibleSolution("allocation is not feasible for this partition")
-    return _fission_resistant_feasible(game, partition, shares, kind)
+    return fission_resistant_by_table(game, partition, share_table(game, partition, shares), kind)
 
 
-def _fission_resistant_feasible(game: Game, partition, shares, kind: str) -> bool:
-    sums = _share_sums(shares, game.n)
-    tol = game.tol
-    values = game.values
+def fission_resistant_by_table(game: Game, partition: Sequence[int], table, kind: str) -> bool:
+    """``fission_resistant`` on a feasible allocation given by its share
+    table; the table serves any game and either kind."""
     for block in partition:
         if block.bit_count() < 2:
             continue
         if kind == STRONG:
-            v_b = values[block]
-            for piece in submasks(block, proper=True):
-                if not geq(v_b * sums[piece], values[piece], tol):
-                    return False
-        elif _has_blocking_split(game, block, sums):
+            pieces = submasks(block, proper=True)
+            if not all(_covers(game, block, piece, table) for piece in pieces):
+                return False
+        elif _has_blocking_split(game, block, table):
             return False
     return True
 
@@ -207,7 +245,8 @@ def is_stable(game: Game, partition: Sequence[int], shares: Sequence, kind: str 
     _check_kind(kind)
     if not solution_feasible(game, partition, shares):
         return False
-    return _fission_resistant_feasible(game, partition, shares, kind) and fusion_resistant(
+    table = share_table(game, partition, shares)
+    return fission_resistant_by_table(game, partition, table, kind) and fusion_resistant(
         game, partition
     )
 
@@ -251,6 +290,18 @@ def core_system(game: Game, kind_masks=None) -> linfeas.LinearSystem:
     return linfeas.linear_system(n, lbs, (full,), hs)
 
 
+def split_vertices(game: Game, block: int) -> list[tuple]:
+    """Vertices of a block's bare split simplex in closed form, sorted and
+    without repeats as ``linfeas.vertices`` gives them: the lower bounds
+    plus the whole leftover on one member.  Empty when the simplex is."""
+    lbs = _exact_lower_bounds(game, block)
+    s = 1 - sum(lbs)
+    if s < 0:
+        return []
+    k = len(lbs)
+    return sorted({tuple(lb + s if i == j else lb for i, lb in enumerate(lbs)) for j in range(k)})
+
+
 def _centered_boundary_point(game: Game, block: int) -> tuple | None:
     """Max-slack point of a bare split simplex, computed in closed form:
     spread the leftover evenly.  None when the simplex is empty."""
@@ -279,6 +330,7 @@ def core_region(
     samples: int = DEFAULT_SAMPLES,
     rng: random.Random | None = None,
     canonical_witness: bool = True,
+    feasible: Callable[[linfeas.LinearSystem], tuple | None] | None = None,
 ) -> CoreRegion:
     """Decide (non)emptiness of the requested core and produce a witness.
 
@@ -287,9 +339,13 @@ def core_region(
     of polytopes: up to ``max_exact_weak_n`` players it is resolved exactly
     by a search over satisfied-coalition sets, beyond that by the strong-core
     shortcut and random sampling, answering UNKNOWN rather than EMPTY when
-    nothing is found.
+    nothing is found.  ``feasible`` (default ``linfeas.feasible``) decides
+    the strong-core system for both kinds, so a caller deciding both can
+    solve it once.
     """
     _check_kind(kind)
+    if feasible is None:
+        feasible = linfeas.feasible
     n = game.n
     if n == 1:
         return CoreRegion(NONEMPTY, (1,) if game.mode == EXACT else (1.0,), "singleton")
@@ -301,7 +357,7 @@ def core_region(
                 return CoreRegion(EMPTY, None, "boundary")
             return CoreRegion(NONEMPTY, point, "boundary")
         system = core_system(game)
-        point = linfeas.feasible(system)
+        point = feasible(system)
         if point is None:
             return CoreRegion(EMPTY, None, "lp")
         if canonical_witness:
@@ -313,9 +369,9 @@ def core_region(
         if point is None:
             return CoreRegion(EMPTY, None, "boundary")
         return CoreRegion(NONEMPTY, point, "boundary")
-    strong_point = linfeas.feasible(core_system(game))
-    if strong_point is not None:
-        return CoreRegion(NONEMPTY, _finish_witness(game, strong_point), "strong-subset")
+    point = feasible(core_system(game))
+    if point is not None:
+        return CoreRegion(NONEMPTY, _finish_witness(game, point), "strong-subset")
     if n <= max_exact_weak_n:
         return _weak_region_exact(game, canonical_witness)
     if rng is None:
@@ -408,8 +464,10 @@ class BlockTable(dict):
     A block's region is decided on first use, by ``core_region`` on the
     block's subgame with this table's settings, and read back on every later
     use, so each block has one verdict and one witness however many
-    partitions contain it.  ``rng`` is passed through unchanged: sampled
-    blocks draw from it in first-visit order.
+    partitions contain it.  Both kinds read one ``linfeas.feasible`` point
+    of the block's strong-core system, solved when the first of them needs
+    it.  ``rng`` is passed through unchanged: sampled blocks draw from it in
+    first-visit order.
     """
 
     def __init__(
@@ -429,10 +487,18 @@ class BlockTable(dict):
             rng=rng,
             canonical_witness=canonical_witness,
         )
+        self.strong_points: dict[int, tuple | None] = {}
 
     def __missing__(self, key: tuple[int, str]) -> CoreRegion:
         block, kind = key
-        region = self[key] = core_region(subgame(self.game, block), kind, **self.settings)
+
+        def feasible(system: linfeas.LinearSystem) -> tuple | None:
+            if block not in self.strong_points:
+                self.strong_points[block] = linfeas.feasible(system)
+            return self.strong_points[block]
+
+        game = subgame(self.game, block)
+        region = self[key] = core_region(game, kind, feasible=feasible, **self.settings)
         return region
 
     def patched(self, partition: Sequence[int], kind: str) -> PatchedCore:

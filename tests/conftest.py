@@ -9,7 +9,7 @@ import pytest
 from fracgame import STRONG, boundary_contains, enumerate_partitions, make_game, members
 from fracgame import linfeas, stability
 from fracgame.errors import InfeasibleSystem, NumericFailure
-from fracgame.games import geq
+from fracgame.games import boundary_empty, geq
 
 
 @pytest.fixture
@@ -115,6 +115,69 @@ def naive_fission_resistant(game, partition, shares, kind):
                 if not any(covered(p) for p in pieces):
                     return False
     return True
+
+
+def naive_sample_boundary(game, coalition, rng):
+    """Reference for games.sample_boundary on exact games: lower bounds and
+    leftover as Fractions, one Fraction sum and product per share."""
+    mem = members(coalition)
+    k = len(mem)
+    if k == 1:
+        return (1,)
+    v_c = game.values[coalition]
+    lbs = [Fraction(game.values[1 << i]) / Fraction(v_c) for i in mem]
+    s = 1 - sum(lbs)
+    if s < 0:
+        return None
+    grain = 1 << 20
+    cuts = sorted(rng.randrange(grain + 1) for _ in range(k - 1))
+    cuts = [0] + cuts + [grain]
+    return tuple(lb + s * Fraction(cuts[j + 1] - cuts[j], grain) for j, lb in enumerate(lbs))
+
+
+def naive_theorem_fission_claim(g1, g2, *, samples, seed):
+    """Reference for claim 4 of centripetality.verify_theorem1: the same
+    candidates (block-table witnesses, then samples drawn after replaying
+    claim 3's draws), each kind judged on its own by solution_feasible and
+    naive_fission_resistant, under g1 and then g2."""
+    from fracgame.centripetality import ClaimResult, _fmt_point, _sample_solution
+    from fracgame.games import solution_feasible
+
+    n = g1.n
+    rng = random.Random(seed)
+    parts = list(enumerate_partitions(n))
+    for _ in range(samples):
+        partition = parts[rng.randrange(len(parts))]
+        f = _sample_solution(g1, partition, rng)
+        if f is not None and not solution_feasible(g2, partition, f):
+            break
+    table = stability.BlockTable(g1, max_exact_weak_n=n, canonical_witness=False)
+    checked = {stability.STRONG: 0, stability.WEAK: 0}
+    failures = []
+    for partition in parts:
+        if any(boundary_empty(g1, b) for b in partition):
+            continue
+        drawn = [_sample_solution(g1, partition, rng) for _ in range(samples)]
+        for kind in (stability.STRONG, stability.WEAK):
+            patched = table.patched(partition, kind)
+            candidates = [patched.witness] if patched.status == stability.NONEMPTY else []
+            candidates.extend(f for f in drawn if f is not None)
+            for f in candidates:
+                if not naive_fission_resistant(g1, partition, f, kind):
+                    continue
+                checked[kind] += 1
+                if not (
+                    solution_feasible(g2, partition, f)
+                    and naive_fission_resistant(g2, partition, f, kind)
+                ):
+                    failures.append(f"{kind} partition {partition} point {_fmt_point(f)}")
+                    break
+    return ClaimResult(
+        "fission-resistant-solutions",
+        not failures,
+        f"witness+sampled(strong={checked[stability.STRONG]},weak={checked[stability.WEAK]})",
+        "; ".join(failures[:3]),
+    )
 
 
 def naive_stable_sets(game, *, max_exact_weak_n=stability.DEFAULT_MAX_EXACT_WEAK_N,

@@ -27,7 +27,7 @@ from fracgame import (
     to_fractional,
     validate_game,
 )
-from conftest import random_exact_game, random_float_game
+from conftest import naive_sample_boundary, random_exact_game, random_float_game
 
 
 def test_mask_helpers():
@@ -134,6 +134,29 @@ def test_sample_boundary_lands_inside():
 def test_sample_boundary_exact_empty_returns_none():
     g = make_game(2, {1: 3, 2: 2, 3: 4})
     assert sample_boundary(g, 3, random.Random(0)) is None
+
+
+def test_exact_sample_boundary_matches_reference_formula():
+    # int-valued (generated pairs) and Fraction-valued exact games, every
+    # coalition including empty split sets: same points, same draws
+    from fracgame import generate_ordered_pair
+
+    rng = random.Random(19)
+    games = []
+    for _ in range(12):
+        n = rng.randint(2, 5)
+        games.extend(generate_ordered_pair(rng.randrange(1 << 30), n))
+        games.append(random_exact_game(rng, n))
+    empty = 0
+    for k, g in enumerate(games):
+        fast, slow = random.Random(k), random.Random(k)
+        for mask in range(1, 1 << g.n):
+            for _ in range(3):
+                got = sample_boundary(g, mask, fast)
+                assert got == naive_sample_boundary(g, mask, slow)
+                assert fast.getstate() == slow.getstate()
+                empty += got is None
+    assert empty > 0
 
 
 def test_labels_round_trip():

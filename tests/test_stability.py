@@ -26,7 +26,16 @@ from fracgame import (
     singleton_partition,
     stable_sets,
 )
+from fracgame import linfeas
+from fracgame.games import boundary_empty, solution_feasible
 from fracgame.risk import MeanStdScenario, build_meanstd_game
+from fracgame.stability import (
+    boundary_system,
+    fission_resistant_by_table,
+    share_table,
+    split_vertices,
+    table_feasible,
+)
 from conftest import (
     naive_fission_resistant,
     naive_stable_sets,
@@ -122,6 +131,60 @@ def test_fission_resistance_matches_naive_oracle():
     assert checked > 120
 
 
+def test_share_table_matches_naive_oracles():
+    # the table read directly, on exact and float games: coverage against the
+    # literal oracles, and feasibility against solution_feasible on both
+    # valid samples and samples with one share moved to another player
+    rng = random.Random(47)
+    checked = infeasible = 0
+    for trial in range(200):
+        n = rng.randint(2, 5)
+        game = random_exact_game(rng, n) if trial % 2 else random_float_game(rng, n)
+        parts = list(enumerate_partitions(n))
+        partition = parts[rng.randrange(len(parts))]
+        shares = [None] * n
+        for block in partition:
+            point = sample_boundary(game, block, rng)
+            if point is None:
+                break
+            for i, x in zip(members(block), point):
+                shares[i] = x
+        else:
+            i, j = rng.randrange(n), rng.randrange(n)
+            moved = list(shares)
+            moved[i] -= Fraction(1, 2) * shares[i]
+            moved[j] += Fraction(1, 2) * shares[i]
+            for f in (tuple(shares), tuple(moved)):
+                table = share_table(game, partition, f)
+                feasible = solution_feasible(game, partition, f)
+                assert table_feasible(game, partition, f, table) == feasible
+                if not feasible:
+                    infeasible += 1
+                    continue
+                checked += 1
+                for kind in (STRONG, WEAK):
+                    assert fission_resistant_by_table(
+                        game, partition, table, kind
+                    ) == naive_fission_resistant(game, partition, f, kind)
+                if partition == (game.grand,):
+                    assert fission_resistant_by_table(
+                        game, partition, table, WEAK
+                    ) == naive_weak_core_contains(game, f)
+    assert checked > 150 and infeasible > 20
+
+
+def test_share_table_is_integer_on_exact_games():
+    game = make_game(3, {1: 1, 2: 1, 4: 1, 3: 3, 5: 3, 6: 3, 7: 6})
+    shares = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6))
+    sums, scale = share_table(game, (7,), shares)
+    assert scale == 6
+    assert all(type(x) is int for x in sums)
+    assert sums[7] == 6 and sums[3] == 5 and sums[6] == 3
+    # only the blocks' submasks are filled
+    sums, scale = share_table(game, (5, 2), (Fraction(1, 4), 1, Fraction(3, 4)))
+    assert scale == 4 and sums[5] == 4 and sums[2] == 4 and sums[3] == 0
+
+
 def test_fission_resistant_rejects_infeasible(superadditive3):
     with pytest.raises(InfeasibleSolution):
         fission_resistant(superadditive3, [7], (1, 0, 1), STRONG)
@@ -205,6 +268,23 @@ def test_regions_on_g4gap(g4gap):
 def test_empty_boundary_yields_empty_regions(pairy3):
     for kind in (STRONG, WEAK):
         assert core_region(pairy3, kind).status == EMPTY
+
+
+def test_split_vertices_match_brute_force_enumeration():
+    rng = random.Random(61)
+    games = [random_exact_game(rng, rng.randint(2, 4)) for _ in range(40)]
+    # singletons summing to the coalition value: a one-point simplex, s == 0
+    games.append(make_game(3, {1: 1, 2: 2, 4: 3, 3: 3, 5: 4, 6: 5, 7: 6}))
+    flat = 0
+    for game in games:
+        for block in range(1, 1 << game.n):
+            if block.bit_count() < 2:
+                continue
+            want = linfeas.vertices(boundary_system(game, block), cap=block.bit_count())
+            assert split_vertices(game, block) == want
+            assert (want == []) == boundary_empty(game, block)
+            flat += len(want) == 1
+    assert flat >= 4
 
 
 def test_region_witness_always_revalidates():
@@ -395,6 +475,21 @@ def test_stable_sets_decides_each_block_once(monkeypatch):
     stable_sets(random_exact_game(random.Random(13), 5))
     assert len(calls) == 2 * (2**5 - 1)
     assert len(set(calls)) == len(calls)
+
+
+def test_stable_sets_solves_each_feasibility_system_once(monkeypatch):
+    # the weak region of a block of four or more players reads the strong
+    # region's feasible point instead of solving the same system again
+    systems = []
+    original = linfeas.feasible
+
+    def recording(system):
+        systems.append(system)
+        return original(system)
+
+    monkeypatch.setattr(linfeas, "feasible", recording)
+    stable_sets(random_exact_game(random.Random(13), 5))
+    assert systems and len(systems) == len(set(systems))
 
 
 def test_repeated_sampled_block_has_one_region():
