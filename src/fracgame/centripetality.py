@@ -26,16 +26,17 @@ from fractions import Fraction
 from . import linfeas
 from .errors import DimensionMismatch
 from .games import (
+    EXACT,
     Game,
     boundary_contains,
     boundary_empty,
+    boundary_sampler,
     coalitions,
     combined_tol,
     geq,
     leq,
     make_game,
     members,
-    sample_boundary,
     solution_feasible,
     submasks,
 )
@@ -163,10 +164,11 @@ def _boundary_included(g1: Game, g2: Game, block: int, tol: float):
     return True, "vertices", ""
 
 
-def _sample_solution(game: Game, partition, rng):
-    shares: list = [None] * game.n
+def _sample_solution(sample, n: int, partition, rng):
+    """One ``boundary_sampler`` draw per block, scattered to n shares."""
+    shares: list = [None] * n
     for block in partition:
-        local = sample_boundary(game, block, rng)
+        local = sample(block, rng)
         if local is None:
             return None
         for j, i in enumerate(members(block)):
@@ -235,16 +237,23 @@ def verify_theorem1(
         )
     )
 
-    # (3) feasible solutions transfer, sampled
+    # (3) feasible solutions transfer, sampled; exact pairs read feasibility
+    # off the sample's share table under g2
+    sample = boundary_sampler(g1)
+    exact = g1.mode == g2.mode == EXACT
     checked = 0
     failures = []
     for _ in range(samples):
         partition = parts[rng.randrange(len(parts))]
-        f = _sample_solution(g1, partition, rng)
+        f = _sample_solution(sample, n, partition, rng)
         if f is None:
             continue
         checked += 1
-        if not solution_feasible(g2, partition, f):
+        if exact:
+            feasible2 = table_feasible(g2, partition, f, share_table(g2, partition, f))
+        else:
+            feasible2 = solution_feasible(g2, partition, f)
+        if not feasible2:
             failures.append(f"partition {partition} point {_fmt_point(f)}")
             break
     claims.append(
@@ -259,7 +268,7 @@ def verify_theorem1(
     for partition in parts:
         if any(boundary_empty(g1, b) for b in partition):
             continue
-        drawn = [_sample_solution(g1, partition, rng) for _ in range(samples)]
+        drawn = [_sample_solution(sample, n, partition, rng) for _ in range(samples)]
         drawn = [_Candidate(g1, g2, partition, f) for f in drawn if f is not None]
         for kind in (STRONG, WEAK):
             patched = table.patched(partition, kind)
@@ -360,8 +369,9 @@ def verify_corollary(
     region = core_region(g1, WEAK, max_exact_weak_n=n, canonical_witness=False)
     if region.status == NONEMPTY:
         candidates.append(region.witness)
+    sample = boundary_sampler(g1)
     for _ in range(samples):
-        f = sample_boundary(g1, g1.grand, rng)
+        f = sample(g1.grand, rng)
         if f is not None:
             candidates.append(f)
     checked = 0

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -20,14 +21,13 @@ from .centripetality import generate_ordered_pair, leq_cp, verify_corollary, ver
 from .errors import FracgameError, InvalidGameError, ScenarioError
 from .games import (
     DEFAULT_TOL,
+    EXACT,
     Game,
     coalition_label,
-    coalitions,
     game_digest,
     game_from_dict,
     game_to_dict,
     json_number,
-    make_game,
 )
 from .partitions import DEFAULT_ENUM_CAP, grand_partition, partition_from_label, partition_label
 from .risk import (
@@ -96,10 +96,9 @@ def _load_game(args, path: str) -> Game:
         data = json.load(fh)
     game = game_from_dict(data)
     if args.tolerance is not None and args.tolerance != game.tol:
-        values = {c: game.values[c] for c in coalitions(game.n)}
-        game = make_game(
-            game.n, values, mode=game.mode, tol=args.tolerance, players=game.players
-        )
+        if game.mode == EXACT:
+            raise ValueError("exact mode has no tolerance")
+        game = dataclasses.replace(game, tol=float(args.tolerance))
     return game
 
 

@@ -19,7 +19,7 @@ import math
 import string
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import DimensionMismatch, InvalidGameError, InvalidPartition
 
@@ -318,6 +318,58 @@ def to_absolute(game: Game, shares: Sequence) -> tuple:
     return tuple(f * v_n for f in shares)
 
 
+def boundary_sampler(game: Game) -> Callable[[int, object], tuple | None]:
+    """``sample_boundary`` bound to one game: each coalition's lower bounds
+    and leftover are derived on its first draw and reused after, and every
+    draw takes the same rng values as ``sample_boundary``."""
+    exact = game.mode == EXACT
+    bounds = {}
+
+    def derive(coalition: int):
+        mem = members(coalition)
+        v_c = game.values[coalition]
+        if exact:
+            # exact values are ints or Fractions, both with numerator/denominator
+            values = [game.values[1 << i] for i in mem]
+            unit = math.lcm(v_c.denominator, *(a.denominator for a in values))
+            lone = [a.numerator * (unit // a.denominator) for a in values]
+            whole = v_c.numerator * (unit // v_c.denominator)
+            return lone, whole, whole - sum(lone)
+        lbs = [game.values[1 << i] / v_c for i in mem]
+        total = sum(lbs)
+        return lbs, total, 1.0 - total
+
+    def sample(coalition: int, rng) -> tuple | None:
+        k = coalition.bit_count()
+        if k == 1:
+            return (1,) if exact else (1.0,)
+        found = bounds.get(coalition)
+        if found is None:
+            found = bounds[coalition] = derive(coalition)
+        if exact:
+            lone, whole, rest = found
+            if rest < 0:
+                return None
+            grain = 1 << 20
+            cuts = sorted(rng.randrange(grain + 1) for _ in range(k - 1))
+            cuts = [0] + cuts + [grain]
+            den = whole * grain
+            return tuple(
+                Fraction(a * grain + rest * (cuts[j + 1] - cuts[j]), den)
+                for j, a in enumerate(lone)
+            )
+        lbs, total, s = found
+        if s < 0:
+            if geq(1.0, total, game.tol):
+                return tuple(lbs)
+            return None
+        cuts = sorted(rng.random() for _ in range(k - 1))
+        cuts = [0.0] + cuts + [1.0]
+        return tuple(lb + s * (cuts[j + 1] - cuts[j]) for j, lb in enumerate(lbs))
+
+    return sample
+
+
 def sample_boundary(game: Game, coalition: int, rng) -> tuple | None:
     """Random point of the coalition's split set, or None when it is empty.
 
@@ -326,38 +378,9 @@ def sample_boundary(game: Game, coalition: int, rng) -> tuple | None:
     a_j and v(C) scaled to integers, share j is
     (a_j*2^20 + rest*gap_j) / (v(C)*2^20), where rest = v(C) - sum(a) and
     the gaps split 2^20.  Float games get Dirichlet-uniform float samples.
+    Repeated draws from one game go through ``boundary_sampler``.
     """
-    mem = members(coalition)
-    k = len(mem)
-    exact = game.mode == EXACT
-    if k == 1:
-        return (1,) if exact else (1.0,)
-    v_c = game.values[coalition]
-    if exact:
-        # exact values are ints or Fractions, both with numerator/denominator
-        values = [game.values[1 << i] for i in mem]
-        unit = math.lcm(v_c.denominator, *(a.denominator for a in values))
-        lone = [a.numerator * (unit // a.denominator) for a in values]
-        whole = v_c.numerator * (unit // v_c.denominator)
-        rest = whole - sum(lone)
-        if rest < 0:
-            return None
-        grain = 1 << 20
-        cuts = sorted(rng.randrange(grain + 1) for _ in range(k - 1))
-        cuts = [0] + cuts + [grain]
-        den = whole * grain
-        return tuple(
-            Fraction(a * grain + rest * (cuts[j + 1] - cuts[j]), den) for j, a in enumerate(lone)
-        )
-    lbs = [game.values[1 << i] / v_c for i in mem]
-    s = 1.0 - sum(lbs)
-    if s < 0:
-        if geq(1.0, sum(lbs), game.tol):
-            return tuple(lbs)
-        return None
-    cuts = sorted(rng.random() for _ in range(k - 1))
-    cuts = [0.0] + cuts + [1.0]
-    return tuple(lb + s * (cuts[j + 1] - cuts[j]) for j, lb in enumerate(lbs))
+    return boundary_sampler(game)(coalition, rng)
 
 
 # ---------------------------------------------------------------------------

@@ -5,21 +5,26 @@ bounds, one sum-to-one equality per variable block, and half-spaces
 
     coef * sum(f_i for i in support)  >=  rhs.
 
-All arithmetic is rational; float inputs are converted exactly through
+All arithmetic is exact; float inputs are converted exactly through
 ``Fraction``, so feasibility verdicts are never rounding artifacts.  A
 two-phase simplex (most-negative entering column, switching to Bland's rule
-to rule out cycling) decides feasibility and optimizes.  The max-slack
-witness is a lexicographic optimum, solved as in the sequential LPs of the
-nucleolus (Kopelowitz 1967): one phase 1, then one phase-2 stage per
-objective on the same tableau, each restarting from the previous optimal
-basis and restricted to its optimal face.  Vertices come from brute-force
-active-set intersection, which is entirely adequate at the dimensions this
-package targets.
+to rule out cycling) decides feasibility and optimizes.  Its tableau rows
+are Python ints: each row is a positive multiple of its rational row,
+divided by its gcd after every update (fraction-free elimination, as in
+Bareiss 1968), and the ratio test cross-multiplies, so the pivots are those
+of the rational tableau and only the returned point is built from
+Fractions.  The max-slack witness is a lexicographic optimum, solved as in
+the sequential LPs of the nucleolus (Kopelowitz 1967): one phase 1, then
+one phase-2 stage per objective on the same tableau, each restarting from
+the previous optimal basis and restricted to its optimal face.  Vertices
+come from brute-force active-set intersection, which is entirely adequate
+at the dimensions this package targets.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -100,21 +105,40 @@ def satisfies(system: LinearSystem, point, tol: float = 0.0) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# simplex core: min c.x  s.t.  A x = b, x >= 0
+# simplex core: min c.x  s.t.  A x = b, x >= 0, on integer rows
+#
+# Row i of the tableau holds s_i times its rational row, where s_i > 0 is
+# the row's entry in its basic column; the objective row holds a positive
+# multiple of the reduced costs.  Positive scaling keeps the order of the
+# entries within a row, and the ratio test compares rhs_i/a_i by cross
+# multiplication, so the pivots are exactly those of the rational tableau.
+# Every updated row is divided by the gcd of its entries.
+
+
+def _reduced(row: list) -> list:
+    g = math.gcd(*row)
+    return row if g < 2 else [v // g for v in row]
 
 
 def _pivot(tab, basis, row, col) -> None:
     prow = tab[row]
     piv = prow[col]
-    if piv != 1:
-        inv = 1 / piv
-        tab[row] = prow = [v * inv for v in prow]
+    if piv < 0:  # only phase 1's drive-out pass pivots on a negative entry
+        tab[row] = prow = [-v for v in prow]
+        piv = -piv
+    nonzero = [(j, b) for j, b in enumerate(prow) if b]
     for i, other in enumerate(tab):
         if i == row:
             continue
         factor = other[col]
         if factor:
-            tab[i] = [a - factor * b for a, b in zip(other, prow)]
+            # piv*other - factor*prow; rows are never shared, so a unit
+            # pivot updates the row in place
+            if piv != 1:
+                other = [piv * a for a in other]
+            for j, b in nonzero:
+                other[j] -= factor * b
+            tab[i] = _reduced(other)
     basis[row] = col
 
 
@@ -126,7 +150,7 @@ def _pivot_loop(tab, obj, basis, candidates) -> str:
         iters += 1
         bland = iters > bland_after
         enter = -1
-        best = _F0
+        best = 0
         for j in candidates:
             rj = obj[j]
             if rj < 0:
@@ -139,52 +163,45 @@ def _pivot_loop(tab, obj, basis, candidates) -> str:
         if enter < 0:
             return "optimal"
         leave = -1
-        best_ratio = None
         for i in range(m):
-            a = tab[i][enter]
+            row = tab[i]
+            a = row[enter]
             if a > 0:
-                ratio = tab[i][-1] / a
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[i] < basis[leave])
-                ):
-                    best_ratio = ratio
-                    leave = i
+                if leave >= 0:
+                    # rhs/a against the best ratio num/den, both denominators positive
+                    lhs, rhs = row[-1] * den, num * a
+                    if lhs > rhs or (lhs == rhs and basis[i] > basis[leave]):
+                        continue
+                leave, num, den = i, row[-1], a
         if leave < 0:
             return "unbounded"
         _pivot(tab, basis, leave, enter)
         delta = obj[enter]
         if delta:
             prow = tab[leave]
-            for j in range(len(obj)):
-                obj[j] -= delta * prow[j]
+            piv = prow[enter]
+            obj[:] = _reduced([piv * o - delta * p for o, p in zip(obj, prow)])
 
 
-def _phase_one(a_rows, b_vals, n):
-    """Phase 1 of the simplex on A x = b, x >= 0 over n columns.
+def _phase_one(tab, n):
+    """Phase 1 of the simplex on A x = b, x >= 0 over n columns, given the
+    rows of ``_tableau`` (artificial columns n..n+m-1 already in place).
 
     Returns (tab, basis): a tableau in a feasible basis of structural
     columns, with redundant rows and the artificial columns removed, so each
     row is n coefficients plus its right-hand side.  None when infeasible.
     """
-    m = len(a_rows)
-    tab = []
-    for i in range(m):
-        row = list(a_rows[i])
-        rhs = b_vals[i]
-        if rhs < 0:
-            row = [-v for v in row]
-            rhs = -rhs
-        art = [_F0] * m
-        art[i] = _F1
-        tab.append(row + art + [rhs])
+    m = len(tab)
     basis = list(range(n, n + m))
-    obj = [_F0] * (n + m + 1)
-    for row in tab:
-        for j in range(n):
-            obj[j] -= row[j]
-        obj[-1] -= row[-1]
+    # minimize the sum of the artificials: reduced cost -sum(rational rows)
+    # outside the artificial columns, over the rows' common scale
+    scale = math.lcm(*(row[n + i] for i, row in enumerate(tab)))
+    obj = [0] * (n + m + 1)
+    for i, row in enumerate(tab):
+        k = scale // row[n + i]
+        obj = [o - k * v for o, v in zip(obj, row)]
+    obj[n : n + m] = [0] * m
+    obj = _reduced(obj)
     status = _pivot_loop(tab, obj, basis, range(n + m))
     if status != "optimal":  # pragma: no cover - phase 1 is always bounded
         raise NumericFailure("phase-1 simplex reported unbounded")
@@ -200,109 +217,111 @@ def _phase_one(a_rows, b_vals, n):
             del basis[i]
         else:
             _pivot(tab, basis, i, col)
-    return [row[:n] + row[-1:] for row in tab], basis
+    return [_reduced(row[:n] + row[-1:]) for row in tab], basis
 
 
 def _phase_two(tab, basis, cost, candidates):
-    """Minimize cost.x from the tableau's current feasible basis, entering
-    only the given columns.  Pivots in place; returns (status, obj), where
-    obj holds the final reduced costs."""
-    obj = list(cost) + [_F0]
+    """Minimize cost.x (integers) from the tableau's current feasible basis,
+    entering only the given columns.  Pivots in place; returns (status,
+    obj), where obj holds a positive multiple of the final reduced costs."""
+    obj = list(cost) + [0]
+    scale = 1  # obj is scale times the reduced costs built so far
     for i, bi in enumerate(basis):
         cb = cost[bi]
         if cb:
             row = tab[i]
-            for j in range(len(obj)):
-                obj[j] -= cb * row[j]
+            s = row[bi]
+            k = scale * cb
+            obj = [s * o - k * r for o, r in zip(obj, row)]
+            scale *= s
+    obj = _reduced(obj)
     return _pivot_loop(tab, obj, basis, candidates), obj
 
 
-def _basic_point(tab, basis, n):
-    x = [_F0] * n
+def _basic_point(tab, basis, nv):
+    """The first nv coordinates of the basic solution, one Fraction each."""
+    x = [_F0] * nv
     for i, bi in enumerate(basis):
-        x[bi] = tab[i][-1]
+        if bi < nv:
+            x[bi] = Fraction(tab[i][-1], tab[i][bi])
     return x
-
-
-def _two_phase(a_rows, b_vals, cost):
-    """Returns (status, x) with status 'optimal'|'infeasible'|'unbounded'."""
-    n = len(cost)
-    found = _phase_one(a_rows, b_vals, n)
-    if found is None:
-        return "infeasible", None
-    tab, basis = found
-    status, _ = _phase_two(tab, basis, cost, range(n))
-    if status == "unbounded":
-        return "unbounded", None
-    return "optimal", _basic_point(tab, basis, n)
 
 
 # ---------------------------------------------------------------------------
 # system-level solving (variables shifted to x = f - lower >= 0)
 
 
-def _assemble(system: LinearSystem, slack_var: bool):
-    """Equality/inequality rows over nv variables: the dim shifted shares,
-    plus one trailing slack variable when requested."""
+def _tableau(system: LinearSystem, slack_var: bool):
+    """Phase-1 integer rows of the system in standard form; returns (tab, n).
+
+    Columns: the dim shifted shares (plus a trailing slack variable t when
+    requested), one surplus column per inequality, then one artificial
+    column per row, then the right-hand side; n counts the columns before
+    the artificials.  Rows: each block's equality, then each halfspace's
+    coef*sum(x) [- t] - surplus = rhs - coef*sum(lower), then with the slack
+    x_i - t - surplus = 0.  A row is the primitive integer multiple of its
+    rational row (artificial entry 1), negated first if its right-hand side
+    is negative."""
     dim = system.dim
     nv = dim + 1 if slack_var else dim
-    eqs = []
+    nh = len(system.halfspaces)
+    ns = nh + dim if slack_var else nh
+    n = nv + ns
+    width = n + len(system.blocks) + ns + 1
+    unit = math.lcm(*(lb.denominator for lb in system.lower))
+    low = [lb.numerator * (unit // lb.denominator) for lb in system.lower]
+    tab = []
+
+    def add(cols, a, minus, d, r):
+        # the rational row: a/d on cols, -1 on minus, right-hand side r/d
+        neg = -d
+        if r < 0:
+            a, neg, r = -a, d, -r
+        g = math.gcd(a, d, r)
+        row = [0] * width
+        for j in cols:
+            row[j] = a // g
+        for j in minus:
+            row[j] = neg // g
+        row[n + len(tab)] = d // g
+        row[-1] = r // g
+        tab.append(row)
+
     for b in system.blocks:
-        row = [_F0] * nv
-        shift = _F0
-        for i in members(b):
-            row[i] = _F1
-            shift += system.lower[i]
-        eqs.append((row, _F1 - shift))
-    ges = []
-    for h in system.halfspaces:
-        row = [_F0] * nv
-        shift = _F0
-        for i in members(h.support):
-            row[i] = h.coef
-            shift += system.lower[i]
-        if slack_var:
-            row[dim] = -_F1
-        ges.append((row, h.rhs - h.coef * shift))
+        mem = members(b)
+        add(mem, unit, (), unit, unit - sum(low[i] for i in mem))
+    slack = (dim,) if slack_var else ()
+    for k, h in enumerate(system.halfspaces):
+        mem = members(h.support)
+        c, r = h.coef, h.rhs
+        cu = c.numerator * r.denominator * unit
+        shift = c.numerator * r.denominator * sum(low[i] for i in mem)
+        add(mem, cu, slack + (nv + k,), c.denominator * r.denominator * unit,
+            r.numerator * c.denominator * unit - shift)
     if slack_var:
         for i in range(dim):
-            row = [_F0] * nv
-            row[i] = _F1
-            row[dim] = -_F1
-            ges.append((row, _F0))
-    return nv, eqs, ges
+            add((i,), 1, (dim, nv + nh + i), 1, 0)
+    return tab, n
 
 
-def _standard_form(nv, eqs, ges):
-    """Rows and right-hand sides of A x = b, x >= 0: one surplus column per
-    inequality after the nv variables."""
-    rows = []
-    rhs = []
-    ns = len(ges)
-    for coefs, b in eqs:
-        rows.append(list(coefs) + [_F0] * ns)
-        rhs.append(b)
-    for k, (coefs, b) in enumerate(ges):
-        row = list(coefs) + [_F0] * ns
-        row[nv + k] = -_F1
-        rows.append(row)
-        rhs.append(b)
-    return rows, rhs
-
-
-def _lp(nv, eqs, ges, cost):
-    rows, rhs = _standard_form(nv, eqs, ges)
-    status, x = _two_phase(rows, rhs, list(cost) + [_F0] * len(ges))
-    if status == "optimal":
-        return status, x[:nv]
-    return status, None
+def _lp(system: LinearSystem, cost):
+    """Returns (status, x) with status 'optimal'|'infeasible'|'unbounded';
+    x holds the dim shifted shares, cost is integer over them."""
+    tab, n = _tableau(system, slack_var=False)
+    found = _phase_one(tab, n)
+    if found is None:
+        return "infeasible", None
+    tab, basis = found
+    status, _ = _phase_two(tab, basis, list(cost) + [0] * (n - len(cost)), range(n))
+    if status == "unbounded":
+        return "unbounded", None
+    return "optimal", _basic_point(tab, basis, system.dim)
 
 
 def feasible(system: LinearSystem) -> tuple | None:
     """A feasible point (exact Fractions) or None.  Any returned point is
     re-checked against every constraint before being handed back."""
-    nv, eqs, ges = _assemble(system, slack_var=False)
-    status, x = _lp(nv, eqs, ges, [_F0] * nv)
+    status, x = _lp(system, [0] * system.dim)
     if status != "optimal":
         return None
     point = tuple(xi + lb for xi, lb in zip(x, system.lower))
@@ -317,8 +336,8 @@ def minimize(system: LinearSystem, cost):
     if len(cost) != system.dim:
         raise ValueError("cost vector length must match dim")
     cvec = [_frac(c) for c in cost]
-    nv, eqs, ges = _assemble(system, slack_var=False)
-    status, x = _lp(nv, eqs, ges, cvec)
+    unit = math.lcm(*(c.denominator for c in cvec))
+    status, x = _lp(system, [c.numerator * (unit // c.denominator) for c in cvec])
     if status == "infeasible":
         return None
     if status == "unbounded":
@@ -342,16 +361,14 @@ def max_slack_point(system: LinearSystem):
     the entering candidates keeps exactly the optimal face.
     """
     dim = system.dim
-    nv, eqs, ges = _assemble(system, slack_var=True)
-    rows, rhs = _standard_form(nv, eqs, ges)
-    ncols = nv + len(ges)
-    found = _phase_one(rows, rhs, ncols)
+    tab, ncols = _tableau(system, slack_var=True)
+    found = _phase_one(tab, ncols)
     if found is None:
         raise InfeasibleSystem("system has no feasible point")
     tab, basis = found
     candidates = list(range(ncols))
-    for var, sign in [(dim, -_F1)] + [(i, _F1) for i in range(dim)]:
-        cost = [_F0] * ncols
+    for var, sign in [(dim, -1)] + [(i, 1) for i in range(dim)]:
+        cost = [0] * ncols
         cost[var] = sign
         status, obj = _phase_two(tab, basis, cost, candidates)
         # only the slack stage can be unbounded: later stages minimize a
@@ -359,7 +376,7 @@ def max_slack_point(system: LinearSystem):
         if status == "unbounded":
             raise NumericFailure("slack unbounded; every variable needs a block")
         candidates = [j for j in candidates if obj[j] == 0]
-    x = _basic_point(tab, basis, ncols)
+    x = _basic_point(tab, basis, dim + 1)
     point = tuple(x[i] + system.lower[i] for i in range(dim))
     if not satisfies(system, point):  # pragma: no cover - solver contract
         raise NumericFailure("simplex returned a point violating the system")

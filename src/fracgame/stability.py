@@ -26,12 +26,12 @@ from .games import (
     EXACT,
     Game,
     boundary_contains,
+    boundary_sampler,
     check_partition,
     coalitions,
     geq,
     json_number,
     members,
-    sample_boundary,
     solution_feasible,
     subgame,
     submasks,
@@ -376,8 +376,9 @@ def core_region(
         return _weak_region_exact(game, canonical_witness)
     if rng is None:
         rng = random.Random(0)
+    sample = boundary_sampler(game)
     for _ in range(samples):
-        f = sample_boundary(game, full, rng)
+        f = sample(full, rng)
         if f is None:
             return CoreRegion(EMPTY, None, "boundary")
         if core_contains(game, f, WEAK):

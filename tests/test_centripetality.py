@@ -20,7 +20,7 @@ from fracgame import (
 )
 from fracgame.stability import core_system
 from fracgame.linfeas import vertices
-from conftest import naive_theorem_fission_claim, random_exact_game
+from conftest import naive_theorem_sampled_claims, random_exact_game
 
 
 def ratio_order_oracle(g1, g2):
@@ -159,16 +159,17 @@ def _float_copy(game):
     return make_game(game.n, {c: float(game.values[c]) for c in range(1, 1 << game.n)})
 
 
-def _theorem_report_with_naive_fission_claim(g1, g2, samples, seed):
+def _theorem_report_with_naive_sampled_claims(g1, g2, samples, seed):
     report = verify_theorem1(g1, g2, samples=samples, seed=seed)
     claims = list(report.claims)
-    claims[3] = naive_theorem_fission_claim(g1, g2, samples=samples, seed=seed)
+    claims[2:4] = naive_theorem_sampled_claims(g1, g2, samples=samples, seed=seed)
     return dataclasses.replace(report, claims=tuple(claims)).to_dict()
 
 
 def test_theorem_fission_claim_matches_naive_loop():
     # one share table per candidate must give the verdicts, counts and
-    # details of judging each game and kind separately; exact pairs (int and
+    # details of judging each game and kind separately, and claim 3's
+    # table read-off those of solution_feasible; exact pairs (int and
     # Fraction values, ordered and not), float copies of them and one pair
     # of each mixed kind
     rng = random.Random(29)
@@ -180,12 +181,13 @@ def test_theorem_fission_claim_matches_naive_loop():
     for n in (2, 3, 4):
         g1, g2 = random_exact_game(rng, n), random_exact_game(rng, n)
         pairs += [(g1, g2), (_float_copy(g1), _float_copy(g2))]
-    failed = 0
+    failed = {2: 0, 3: 0}
     for g1, g2 in pairs:
         got = verify_theorem1(g1, g2, samples=25, seed=3).to_dict()
-        assert got == _theorem_report_with_naive_fission_claim(g1, g2, 25, 3)
-        failed += not got["claims"][3]["passed"]
-    assert failed > 0
+        assert got == _theorem_report_with_naive_sampled_claims(g1, g2, 25, 3)
+        for claim in failed:
+            failed[claim] += not got["claims"][claim]["passed"] and g1.mode == g2.mode == "exact"
+    assert failed[2] > 0 and failed[3] > 0
 
 
 def test_theorem_fission_claim_needs_feasibility_under_the_second_game():
@@ -199,7 +201,7 @@ def test_theorem_fission_claim_needs_feasibility_under_the_second_game():
         claim = report.claims[3]
         assert not claim.passed
         assert "weak partition (3,)" in claim.detail
-        assert report.to_dict() == _theorem_report_with_naive_fission_claim(*pair, 5, 1)
+        assert report.to_dict() == _theorem_report_with_naive_sampled_claims(*pair, 5, 1)
 
 
 def test_corollary_suite_on_ordered_pairs():

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from fracgame import load_game, make_game, save_game
+from fracgame import load_game, make_game, save_game, stable_sets
 from fracgame.cli import run
 
 
@@ -62,6 +62,24 @@ def test_analyze_superadditive(super3_path, capsys):
     assert payload["fusion_resistant"] == ["a,b,c"]
     grand = next(p for p in payload["partitions"] if p["partition"] == "a,b,c")
     assert grand["strong"]["witness"] == ["1/3", "1/3", "1/3"]
+
+
+def test_tolerance_flag(super3_path, tmp_path, capsys):
+    # exact games take no tolerance: same message and exit code as ever,
+    # and a zero tolerance is no change
+    assert run(["analyze", super3_path, "--tolerance", "1e-6"]) == 2
+    assert capsys.readouterr().err == "exact mode has no tolerance\n"
+    assert run(["analyze", super3_path, "--tolerance", "0"]) == 0
+    capsys.readouterr()
+    # a float game is analyzed at the given tolerance
+    values = {1: 1.0, 2: 1.0, 4: 1.0, 3: 2.5, 5: 2.5, 6: 2.5, 7: 3.6}
+    path = tmp_path / "float3.json"
+    save_game(make_game(3, values), path)
+    code, payload = run_json(capsys, ["analyze", str(path), "--tolerance", "0.05"])
+    assert code == 0
+    want = stable_sets(make_game(3, values, tol=0.05)).to_dict()
+    assert payload == json.loads(json.dumps(want))
+    assert payload != json.loads(json.dumps(stable_sets(make_game(3, values)).to_dict()))
 
 
 def test_analyze_csv(super3_path, capsys):

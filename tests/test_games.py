@@ -27,6 +27,7 @@ from fracgame import (
     to_fractional,
     validate_game,
 )
+from fracgame.games import boundary_sampler
 from conftest import naive_sample_boundary, random_exact_game, random_float_game
 
 
@@ -136,9 +137,28 @@ def test_sample_boundary_exact_empty_returns_none():
     assert sample_boundary(g, 3, random.Random(0)) is None
 
 
+def _draws_match_reference(games) -> int:
+    """Draw every coalition of each game three times over, through
+    sample_boundary and through one boundary_sampler per game, against the
+    reference formula: same points, same rng draws.  Returns how many draws
+    found an empty split set."""
+    empty = 0
+    for k, g in enumerate(games):
+        sample = boundary_sampler(g)
+        fast, slow, memo = random.Random(k), random.Random(k), random.Random(k)
+        for _ in range(3):
+            for mask in range(1, 1 << g.n):
+                want = naive_sample_boundary(g, mask, slow)
+                assert sample_boundary(g, mask, fast) == want
+                assert sample(mask, memo) == want
+                assert fast.getstate() == slow.getstate() == memo.getstate()
+                empty += want is None
+    return empty
+
+
 def test_exact_sample_boundary_matches_reference_formula():
     # int-valued (generated pairs) and Fraction-valued exact games, every
-    # coalition including empty split sets: same points, same draws
+    # coalition including empty split sets
     from fracgame import generate_ordered_pair
 
     rng = random.Random(19)
@@ -147,16 +167,13 @@ def test_exact_sample_boundary_matches_reference_formula():
         n = rng.randint(2, 5)
         games.extend(generate_ordered_pair(rng.randrange(1 << 30), n))
         games.append(random_exact_game(rng, n))
-    empty = 0
-    for k, g in enumerate(games):
-        fast, slow = random.Random(k), random.Random(k)
-        for mask in range(1, 1 << g.n):
-            for _ in range(3):
-                got = sample_boundary(g, mask, fast)
-                assert got == naive_sample_boundary(g, mask, slow)
-                assert fast.getstate() == slow.getstate()
-                empty += got is None
-    assert empty > 0
+    assert _draws_match_reference(games) > 0
+
+
+def test_float_sample_boundary_matches_reference_formula():
+    rng = random.Random(23)
+    games = [random_float_game(rng, rng.randint(2, 5)) for _ in range(12)]
+    assert _draws_match_reference(games) > 0
 
 
 def test_labels_round_trip():

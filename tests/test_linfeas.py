@@ -5,6 +5,7 @@ import pytest
 
 from fracgame import (
     InfeasibleSystem,
+    LinearSystem,
     MeanStdScenario,
     build_meanstd_game,
     NumericFailure,
@@ -15,7 +16,24 @@ from fracgame import (
     satisfies,
     vertices,
 )
+from fracgame import linfeas, stability
+from fracgame.games import subgame
+from fracgame.risk import (
+    beta_density,
+    build_cvar_game,
+    default_uniform_family,
+    uniform_curve_family,
+)
 from fracgame.stability import core_system
+from conftest import (
+    cut_game,
+    naive_feasible,
+    naive_max_slack_point,
+    naive_minimize,
+    naive_warm_max_slack_point,
+    random_exact_game,
+    random_float_game,
+)
 
 
 def simplex(dim, lower, halfspaces=()):
@@ -189,6 +207,13 @@ def test_minimize_value_bounds_sampled_points():
             assert sum(c * x for c, x in zip(cost, v)) >= value
 
 
+def _outcome(solve, system):
+    try:
+        return solve(system)
+    except InfeasibleSystem:
+        return None
+
+
 def _oracle_systems(rng):
     """Seeded systems for the warm-vs-cold comparison, labelled by the
     property they exercise."""
@@ -228,19 +253,11 @@ def _oracle_systems(rng):
 
 
 def test_max_slack_point_matches_cold_sequential_reference():
-    from conftest import naive_max_slack_point
-
-    def outcome(solve, system):
-        try:
-            return solve(system)
-        except InfeasibleSystem:
-            return None
-
     seen = {"infeasible": 0, "two-block": 0, "tight": 0, "meanstd": 0}
     den_bits = 0
     for label, nblocks, sys_ in _oracle_systems(random.Random(2304)):
-        want = outcome(naive_max_slack_point, sys_)
-        assert outcome(max_slack_point, sys_) == want
+        want = _outcome(naive_max_slack_point, sys_)
+        assert _outcome(max_slack_point, sys_) == want
         seen["infeasible"] += want is None
         seen["two-block"] += nblocks == 2
         seen[label] = seen.get(label, 0) + 1
@@ -248,3 +265,107 @@ def test_max_slack_point_matches_cold_sequential_reference():
             den_bits = max(den_bits, *(h.rhs.denominator.bit_length() for h in sys_.halfspaces))
     assert min(seen["infeasible"], seen["two-block"], seen["tight"]) >= 20
     assert seen["meanstd"] == 8 and den_bits >= 50
+
+
+def _committed_weak_systems(games):
+    """The systems the exact weak-core search hands to the LP for these
+    games: its base system, every committed extension and the canonical
+    witness system."""
+    seen = []
+
+    def recording(solve):
+        def wrapped(system):
+            if system not in seen:
+                seen.append(system)
+            return solve(system)
+
+        return wrapped
+
+    saved = linfeas.feasible, linfeas.max_slack_point
+    linfeas.feasible, linfeas.max_slack_point = map(recording, saved)
+    try:
+        for game in games:
+            stability.core_region(game, stability.WEAK, max_exact_weak_n=game.n)
+    finally:
+        linfeas.feasible, linfeas.max_slack_point = saved
+    return seen
+
+
+def _superlinear_family(n):
+    return uniform_curve_family(n, lambda s: s**1.3, lambda s: s**1.3 + 1)
+
+
+def _differential_systems():
+    """Labelled systems for the point-equality test against the frozen
+    Fraction solver: every kind the library builds, feasible and not.  The
+    n=6 systems are few and picked cheap for the frozen solver."""
+    out = []
+    for n in (3, 4, 5):
+        for k in range(4):
+            out.append(("exact-core", core_system(random_exact_game(random.Random(k), n))))
+            out.append(("float-core", core_system(random_float_game(random.Random(k), n))))
+    out.append(("exact-core", core_system(random_exact_game(random.Random(0), 6))))
+    out.append(("float-core", core_system(random_float_game(random.Random(2), 6))))
+    for n, r, phi in (
+        (4, 0.3, {}), (4, 0.9, {3: 1.6}), (4, 1.4, {}),
+        (5, 0.3, {3: 1.6}), (5, 1.4, {}), (6, 0.8, {}),
+    ):
+        game = build_meanstd_game(MeanStdScenario(n, 1.3, 0.6, r, phi))
+        out.append(("meanstd", core_system(game)))
+    # the default family's tails shrink per head with size (empty split
+    # sets); a superlinear family has nonempty cores
+    for n in (3, 4):
+        for family in (default_uniform_family, _superlinear_family):
+            for a in (1.0, 4.0):
+                game = build_cvar_game(family(n), beta_density(a))
+                out.extend(("cvar", core_system(subgame(game, b))) for b in (3, 7, game.grand))
+    rng = random.Random(77)
+    weak_games = [cut_game(rng, n) for n in (4, 4, 5)]
+    out.extend(("weak-committed", s) for s in _committed_weak_systems(weak_games))
+    for n in (3, 4):
+        for k in range(6):
+            base = core_system(random_exact_game(random.Random(k), n))
+            # the grand block twice: one equality row is redundant
+            twice = LinearSystem(n, base.lower, base.blocks * 2, base.halfspaces)
+            out.append(("redundant-block", twice))
+    return out
+
+
+def test_integer_simplex_returns_the_frozen_solvers_points(monkeypatch):
+    systems = _differential_systems()
+    # phase 1's rarer paths: a redundant row deleted, a negative pivot in
+    # the drive-out pass
+    paths = {"deleted": 0, "negative": 0}
+    phase_one, pivot = linfeas._phase_one, linfeas._pivot
+
+    def counting_phase_one(tab, n):
+        rows = len(tab)
+        found = phase_one(tab, n)
+        paths["deleted"] += found is not None and len(found[0]) < rows
+        return found
+
+    def counting_pivot(tab, basis, row, col):
+        paths["negative"] += tab[row][col] < 0
+        pivot(tab, basis, row, col)
+
+    monkeypatch.setattr(linfeas, "_phase_one", counting_phase_one)
+    monkeypatch.setattr(linfeas, "_pivot", counting_pivot)
+
+    rng = random.Random(4)
+    feasible_by_label = {}
+    den_bits = 0
+    for label, sys_ in systems:
+        point = feasible(sys_)
+        assert point == naive_feasible(sys_), label
+        if sys_.dim < 6:
+            cost = [Fraction(rng.randrange(-6, 7), rng.randrange(1, 4)) for _ in range(sys_.dim)]
+            assert minimize(sys_, cost) == naive_minimize(sys_, cost), label
+        assert _outcome(max_slack_point, sys_) == _outcome(naive_warm_max_slack_point, sys_), label
+        feasible_by_label.setdefault(label, set()).add(point is not None)
+        if label == "meanstd":
+            den_bits = max(den_bits, *(h.rhs.denominator.bit_length() for h in sys_.halfspaces))
+    # every kind is seen both feasible and infeasible
+    assert len(feasible_by_label) == 6
+    assert all(v == {True, False} for v in feasible_by_label.values()), feasible_by_label
+    assert den_bits >= 50
+    assert paths["deleted"] and paths["negative"]

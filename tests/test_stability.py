@@ -37,9 +37,12 @@ from fracgame.stability import (
     table_feasible,
 )
 from conftest import (
+    cut_game,
+    naive_feasible,
     naive_fission_resistant,
     naive_stable_sets,
     naive_weak_core_contains,
+    naive_warm_max_slack_point,
     random_exact_game,
     random_float_game,
 )
@@ -504,3 +507,21 @@ def test_repeated_sampled_block_has_one_region():
                 assert seen.setdefault((block, kind), region) == region
     assert len(seen) == 2 * (2**6 - 1)
     assert any(r.method == "sampled(5)" and r.witness for r in seen.values())
+
+
+@pytest.mark.parametrize(
+    "game, max_exact_weak_n",
+    [
+        (cut_game(random.Random(1), 5), 5),
+        (build_meanstd_game(MeanStdScenario(6, 1.0, 0.5, 0.8)), 4),
+        (random_float_game(random.Random(2), 5), 4),
+    ],
+    ids=["cut-exact-5", "pooled-float-6", "random-float-5"],
+)
+def test_report_equals_the_frozen_solvers_report(monkeypatch, game, max_exact_weak_n):
+    # the integer simplex takes the frozen Fraction solver's pivots, so every
+    # verdict, witness and method string in the report comes out the same
+    got = stable_sets(game, max_exact_weak_n=max_exact_weak_n).to_dict()
+    monkeypatch.setattr(linfeas, "feasible", naive_feasible)
+    monkeypatch.setattr(linfeas, "max_slack_point", naive_warm_max_slack_point)
+    assert stable_sets(game, max_exact_weak_n=max_exact_weak_n).to_dict() == got
