@@ -18,6 +18,7 @@ the core inclusions and the downward transfer of splintered stability.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -33,11 +34,11 @@ from .games import (
     boundary_sampler,
     coalitions,
     combined_tol,
+    draw_shares,
     geq,
     leq,
     make_game,
     members,
-    solution_feasible,
     submasks,
 )
 from .partitions import enumerate_partitions, singleton_partition
@@ -46,14 +47,16 @@ from .stability import (
     STRONG,
     WEAK,
     BlockTable,
-    core_contains,
+    ShareTable,
     core_region,
     core_system,
     fission_resistant_by_table,
     fusion_resistant,
     is_stable,
     share_table,
+    share_terms,
     split_vertices,
+    sum_table,
     table_feasible,
 )
 
@@ -164,33 +167,57 @@ def _boundary_included(g1: Game, g2: Game, block: int, tol: float):
     return True, "vertices", ""
 
 
-def _sample_solution(sample, n: int, partition, rng):
-    """One ``boundary_sampler`` draw per block, scattered to n shares."""
-    shares: list = [None] * n
+def _sample_solution(sample, mems: dict, n: int, partition, rng):
+    """One ``boundary_sampler`` draw per block, scattered over the members
+    ``mems[block]`` to n terms on the blocks' common scale:
+    ``(terms, scale)``, or None."""
+    drawn = []
     for block in partition:
         local = sample(block, rng)
         if local is None:
             return None
-        for j, i in enumerate(members(block)):
-            shares[i] = local[j]
-    return tuple(shares)
+        drawn.append(local)
+    scale = math.lcm(*(den for _, den in drawn))
+    terms: list = [None] * n
+    for block, (local, den) in zip(partition, drawn):
+        lift = scale // den
+        for i, t in zip(mems[block], local):
+            terms[i] = t * lift
+    return terms, scale
 
 
 class _Candidate:
-    """A g1-feasible allocation of one partition in the fission claim: its
-    share tables under both games (one table when the modes agree) and,
-    decided on first use, whether it is also feasible under g2."""
+    """A g1-feasible allocation of one partition, given as ``terms`` over
+    ``scale`` (a draw, or a rescaled witness: integers on exact g1, the
+    float shares over 1 on float g1), with its share tables under both
+    games (one table when the modes agree) and its feasibility under g2.
+    Its shares are derived on first use, so an exact pair builds a Fraction
+    only for a point the report prints."""
 
-    def __init__(self, g1: Game, g2: Game, partition, point):
-        self.g2 = g2
+    def __init__(self, g1: Game, g2: Game, partition, terms, scale: int):
         self.partition = partition
-        self.point = point
-        self.table1 = share_table(g1, partition, point)
-        self.table2 = self.table1 if g1.mode == g2.mode else share_table(g2, partition, point)
+        self.terms = terms
+        self.scale = scale
+        self.table1 = sum_table(g1.n, partition, terms, scale, g1.mode == EXACT)
+        if g1.mode == g2.mode:
+            self.table2 = self.table1
+        else:
+            self.table2 = share_table(g2, partition, self.point)
+        self.feasible2 = self.feasible(g2, self.table2)
 
     @cached_property
-    def feasible2(self) -> bool:
-        return table_feasible(self.g2, self.partition, self.point, self.table2)
+    def point(self) -> tuple:
+        return draw_shares(self.terms, self.scale)
+
+    def feasible(self, game: Game, table: ShareTable) -> bool:
+        """Feasibility under one of the pair's games, on its table; a
+        rational table is read off without the shares."""
+        return table_feasible(game, self.partition, None if table.rational else self.point, table)
+
+
+def _witness_candidate(g1: Game, g2: Game, partition, witness) -> _Candidate:
+    terms, scale, _ = share_terms(g1, witness)
+    return _Candidate(g1, g2, partition, terms, scale)
 
 
 def verify_theorem1(
@@ -212,6 +239,7 @@ def verify_theorem1(
     tol = combined_tol(g1, g2)
     rng = random.Random(seed)
     parts = list(enumerate_partitions(n))
+    mems = {c: members(c) for c in coalitions(n)}
     claims = []
 
     # (1) grand-coalition split set
@@ -238,23 +266,19 @@ def verify_theorem1(
     )
 
     # (3) feasible solutions transfer, sampled; exact pairs read feasibility
-    # off the sample's share table under g2
+    # off the sample's share table
     sample = boundary_sampler(g1)
-    exact = g1.mode == g2.mode == EXACT
     checked = 0
     failures = []
     for _ in range(samples):
         partition = parts[rng.randrange(len(parts))]
-        f = _sample_solution(sample, n, partition, rng)
-        if f is None:
+        drawn = _sample_solution(sample, mems, n, partition, rng)
+        if drawn is None:
             continue
         checked += 1
-        if exact:
-            feasible2 = table_feasible(g2, partition, f, share_table(g2, partition, f))
-        else:
-            feasible2 = solution_feasible(g2, partition, f)
-        if not feasible2:
-            failures.append(f"partition {partition} point {_fmt_point(f)}")
+        c = _Candidate(g1, g2, partition, *drawn)
+        if not c.feasible2:
+            failures.append(f"partition {partition} point {_fmt_point(c.point)}")
             break
     claims.append(
         ClaimResult("feasible-solutions", not failures, f"sampled({checked})", "; ".join(failures))
@@ -268,13 +292,14 @@ def verify_theorem1(
     for partition in parts:
         if any(boundary_empty(g1, b) for b in partition):
             continue
-        drawn = [_sample_solution(sample, n, partition, rng) for _ in range(samples)]
-        drawn = [_Candidate(g1, g2, partition, f) for f in drawn if f is not None]
+        drawn = [_sample_solution(sample, mems, n, partition, rng) for _ in range(samples)]
+        drawn = [_Candidate(g1, g2, partition, *d) for d in drawn if d is not None]
         for kind in (STRONG, WEAK):
             patched = table.patched(partition, kind)
             candidates = drawn
             if patched.status == NONEMPTY:
-                candidates = [_Candidate(g1, g2, partition, patched.witness), *drawn]
+                witness = _witness_candidate(g1, g2, partition, patched.witness)
+                candidates = [witness, *drawn]
             for c in candidates:
                 if not fission_resistant_by_table(g1, partition, c.table1, kind):
                     continue
@@ -363,25 +388,29 @@ def verify_corollary(
     ok, scope, detail = _strong_core_included(g1, g2, tol)
     claims.append(ClaimResult("strong-core-inclusion", ok, scope, detail))
 
-    # weak core: membership transfer on every g1 weak-core point we can find
-    candidates: list[tuple] = []
-    candidates.extend(split_vertices(g1, g1.grand))
+    # weak core: membership transfer on every g1 weak-core point we can
+    # find, each judged under both games on its grand share tables
+    grand = (g1.grand,)
+    points = split_vertices(g1, g1.grand)
     region = core_region(g1, WEAK, max_exact_weak_n=n, canonical_witness=False)
     if region.status == NONEMPTY:
-        candidates.append(region.witness)
+        points.append(region.witness)
+    candidates = [_witness_candidate(g1, g2, grand, f) for f in points]
     sample = boundary_sampler(g1)
     for _ in range(samples):
-        f = sample(g1.grand, rng)
-        if f is not None:
-            candidates.append(f)
+        drawn = sample(g1.grand, rng)
+        if drawn is not None:
+            candidates.append(_Candidate(g1, g2, grand, *drawn))
     checked = 0
     failures = []
-    for f in candidates:
-        if not core_contains(g1, f, WEAK):
+    for c in candidates:
+        if not (
+            c.feasible(g1, c.table1) and fission_resistant_by_table(g1, grand, c.table1, WEAK)
+        ):
             continue
         checked += 1
-        if not core_contains(g2, f, WEAK):
-            failures.append(_fmt_point(f))
+        if not (c.feasible2 and fission_resistant_by_table(g2, grand, c.table2, WEAK)):
+            failures.append(_fmt_point(c.point))
             break
     claims.append(
         ClaimResult(

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import os
@@ -53,6 +54,9 @@ from .stability import (
 
 PROP1_GRID = tuple(x / 4 for x in range(8))
 PROP2_SHAPES = (1.0, 2.0, 3.0)
+# every grid point runs a full stability analysis, so a range grid that
+# would list more points than this is refused before it is built
+MAX_GRID_POINTS = 10_000
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +234,9 @@ def _parse_grid(text: str) -> list[float]:
         start, stop, step = (Fraction(p) for p in parts)
         if step <= 0 or stop < start:
             raise ValueError(f"grid {text!r} must ascend with positive step")
+        count = (stop - start) // step + 1
+        if count > MAX_GRID_POINTS:
+            raise ValueError(f"grid {text!r} has {count} points, more than {MAX_GRID_POINTS}")
         out = []
         x = start
         while x <= stop:
@@ -422,7 +429,18 @@ def cmd_verify(args) -> int:
 # parser
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {value}")
+    return value
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept for the process.
+    Each subcommand runs the module's ``cmd_<name>`` as bound at call time,
+    so the parser holds no command function."""
     parser = argparse.ArgumentParser(
         prog="fracgame",
         description="Fractional coalition analysis: cores, stability, orderings.",
@@ -438,7 +456,7 @@ def _build_parser() -> argparse.ArgumentParser:
             type=int,
             default=DEFAULT_MAX_EXACT_WEAK_N,
         )
-        sp.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
+        sp.add_argument("--samples", type=nonnegative_int, default=DEFAULT_SAMPLES)
         sp.add_argument("--cap", type=int, default=DEFAULT_ENUM_CAP)
         sp.add_argument("--format", choices=("json", "csv"), default="json")
         sp.add_argument("--out", default=None, metavar="DIR")
@@ -446,34 +464,28 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("validate", help="check a game file")
     sp.add_argument("game")
     common(sp)
-    sp.set_defaults(func=cmd_validate)
 
     sp = sub.add_parser("analyze", help="full partition/stability sweep")
     sp.add_argument("game")
     common(sp)
-    sp.set_defaults(func=cmd_analyze)
 
     sp = sub.add_parser("core", help="patched cores of one partition")
     sp.add_argument("game")
     sp.add_argument("--partition", default=None, help="e.g. 'a,b|c' (default grand)")
     common(sp)
-    sp.set_defaults(func=cmd_core)
 
     sp = sub.add_parser("compare", help="order two games")
     sp.add_argument("game1")
     sp.add_argument("game2")
     common(sp)
-    sp.set_defaults(func=cmd_compare)
 
     sp = sub.add_parser("scenario-meanstd", help="build a pooled-venture game")
     sp.add_argument("scenario")
     common(sp)
-    sp.set_defaults(func=cmd_scenario_meanstd)
 
     sp = sub.add_parser("scenario-cvar", help="build a tail-average mixture game")
     sp.add_argument("scenario")
     common(sp)
-    sp.set_defaults(func=cmd_scenario_cvar)
 
     sp = sub.add_parser("sweep", help="stability metrics along a parameter grid")
     sp.add_argument("--scenario", choices=("meanstd", "cvar"), required=True)
@@ -483,25 +495,23 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--r", default="0:1.75:0.25", help="grid start:stop:step or list")
     sp.add_argument("--beta-a", dest="beta_a", default="1,2,3")
     common(sp)
-    sp.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser("verify", help="run the built-in verification suites")
     sp.add_argument("suite", choices=("theorem", "corollary", "prop1", "prop2", "all"))
-    sp.add_argument("--pairs", type=int, default=20)
+    sp.add_argument("--pairs", type=nonnegative_int, default=20)
     common(sp)
-    sp.set_defaults(func=cmd_verify)
 
     return parser
 
 
 def run(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except InvalidGameError as exc:
         return _fail(str(exc), 1)
     except ScenarioError as exc:

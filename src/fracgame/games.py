@@ -319,10 +319,15 @@ def to_absolute(game: Game, shares: Sequence) -> tuple:
 
 
 def boundary_sampler(game: Game) -> Callable[[int, object], tuple | None]:
-    """``sample_boundary`` bound to one game: each coalition's lower bounds
-    and leftover are derived on its first draw and reused after, and every
-    draw takes the same rng values as ``sample_boundary``."""
+    """Draws from the coalitions' split sets, bound to one game: each draw
+    is ``(terms, scale)`` with share j equal to ``terms[j] / scale``, or
+    None when the split set is empty.  Exact games draw integer terms over
+    ``v(C)*2^20`` (v(C) scaled to an integer), float games their float
+    shares over 1, and singletons the share 1 over 1.  Each coalition's lower
+    bounds and leftover are derived on its first draw and reused after, and
+    every draw takes the same rng values as ``sample_boundary``."""
     exact = game.mode == EXACT
+    grain = 1 << 20
     bounds = {}
 
     def derive(coalition: int):
@@ -334,7 +339,7 @@ def boundary_sampler(game: Game) -> Callable[[int, object], tuple | None]:
             unit = math.lcm(v_c.denominator, *(a.denominator for a in values))
             lone = [a.numerator * (unit // a.denominator) for a in values]
             whole = v_c.numerator * (unit // v_c.denominator)
-            return lone, whole, whole - sum(lone)
+            return [a * grain for a in lone], whole * grain, whole - sum(lone)
         lbs = [game.values[1 << i] / v_c for i in mem]
         total = sum(lbs)
         return lbs, total, 1.0 - total
@@ -342,32 +347,35 @@ def boundary_sampler(game: Game) -> Callable[[int, object], tuple | None]:
     def sample(coalition: int, rng) -> tuple | None:
         k = coalition.bit_count()
         if k == 1:
-            return (1,) if exact else (1.0,)
+            return ((1,) if exact else (1.0,)), 1
         found = bounds.get(coalition)
         if found is None:
             found = bounds[coalition] = derive(coalition)
         if exact:
-            lone, whole, rest = found
+            lone, den, rest = found
             if rest < 0:
                 return None
-            grain = 1 << 20
             cuts = sorted(rng.randrange(grain + 1) for _ in range(k - 1))
             cuts = [0] + cuts + [grain]
-            den = whole * grain
-            return tuple(
-                Fraction(a * grain + rest * (cuts[j + 1] - cuts[j]), den)
-                for j, a in enumerate(lone)
-            )
+            return tuple(a + rest * (cuts[j + 1] - cuts[j]) for j, a in enumerate(lone)), den
         lbs, total, s = found
         if s < 0:
             if geq(1.0, total, game.tol):
-                return tuple(lbs)
+                return tuple(lbs), 1
             return None
         cuts = sorted(rng.random() for _ in range(k - 1))
         cuts = [0.0] + cuts + [1.0]
-        return tuple(lb + s * (cuts[j + 1] - cuts[j]) for j, lb in enumerate(lbs))
+        return tuple(lb + s * (cuts[j + 1] - cuts[j]) for j, lb in enumerate(lbs)), 1
 
     return sample
+
+
+def draw_shares(terms: Sequence, scale: int) -> tuple:
+    """The shares ``terms[j] / scale`` of a draw: the terms themselves over
+    scale 1, Fractions otherwise."""
+    if scale == 1:
+        return tuple(terms)
+    return tuple(Fraction(t, scale) for t in terms)
 
 
 def sample_boundary(game: Game, coalition: int, rng) -> tuple | None:
@@ -378,9 +386,11 @@ def sample_boundary(game: Game, coalition: int, rng) -> tuple | None:
     a_j and v(C) scaled to integers, share j is
     (a_j*2^20 + rest*gap_j) / (v(C)*2^20), where rest = v(C) - sum(a) and
     the gaps split 2^20.  Float games get Dirichlet-uniform float samples.
-    Repeated draws from one game go through ``boundary_sampler``.
+    Repeated draws from one game go through ``boundary_sampler``, which
+    gives exact samples as integer terms without building Fractions.
     """
-    return boundary_sampler(game)(coalition, rng)
+    drawn = boundary_sampler(game)(coalition, rng)
+    return None if drawn is None else draw_shares(*drawn)
 
 
 # ---------------------------------------------------------------------------

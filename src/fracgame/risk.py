@@ -372,6 +372,14 @@ class MeanStdScenario:
     phi: Mapping[int, float] | None = None
 
 
+def _check_player_count(n: int) -> int:
+    """Refuse a player count outside 1..MAX_PLAYERS before any of its 2^n
+    coalitions is built."""
+    if not 1 <= n <= MAX_PLAYERS:
+        raise ScenarioError(f"n must be in 1..{MAX_PLAYERS}, got {n}")
+    return n
+
+
 def meanstd_value(size: int, mu: float, sigma: float, r: float) -> float:
     return size * mu - r * math.sqrt(size) * sigma
 
@@ -386,6 +394,7 @@ def build_meanstd_game(
     spread, priced at aversion r; an optional synergy factor scales single
     coalitions.  r = 0 gives the additive game scaled by the synergy."""
     n, mu, sigma, r = scenario.n, scenario.mu, scenario.sigma, scenario.r
+    _check_player_count(n)
     if mu <= 0 or sigma <= 0:
         raise ScenarioError("mu and sigma must be positive")
     if not 0 <= r < mu / sigma:
@@ -433,6 +442,7 @@ def uniform_curve_family(
     n: int, lo: Callable[[int], float], hi: Callable[[int], float]
 ) -> dict[int, QuantileCurve]:
     """One uniform-spread curve per coalition, parameterized by size."""
+    _check_player_count(n)
     out = {}
     for c in coalitions(n):
         s = c.bit_count()
@@ -636,10 +646,7 @@ def _field_players(data: Mapping, default) -> tuple[str, ...]:
 
 
 def _field_player_count(raw) -> int:
-    n = _field_number(raw, "n", int)
-    if not 1 <= n <= MAX_PLAYERS:
-        raise ScenarioError(f"n must be in 1..{MAX_PLAYERS}, got {n}")
-    return n
+    return _check_player_count(_field_number(raw, "n", int))
 
 
 def _field_n_players(data: Mapping, n: int) -> tuple[str, ...]:

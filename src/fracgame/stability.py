@@ -21,14 +21,14 @@ from itertools import combinations
 from typing import Callable, Sequence
 
 from . import linfeas
-from .errors import InfeasibleSolution
+from .errors import DimensionMismatch, InfeasibleSolution
 from .games import (
     EXACT,
     Game,
-    boundary_contains,
     boundary_sampler,
     check_partition,
     coalitions,
+    draw_shares,
     geq,
     json_number,
     members,
@@ -60,13 +60,47 @@ def _check_kind(kind: str) -> None:
         raise ValueError(f"kind must be {STRONG!r} or {WEAK!r}, got {kind!r}")
 
 
-def _rational(game: Game, shares: Sequence) -> bool:
-    """Whether an allocation gets an integer share table: an exact game and
-    no float share (ints and Fractions both carry numerator/denominator)."""
-    return game.mode == EXACT and not any(isinstance(x, float) for x in shares)
+class ShareTable(tuple):
+    """``(sums, scale)``, see ``share_table``.  ``rational`` records that
+    the sums are integer numerators over ``scale`` taken under an exact
+    game, so that game's feasibility can be read off them."""
+
+    def __new__(cls, sums: list, scale: int, rational: bool):
+        table = super().__new__(cls, (sums, scale))
+        table.rational = rational
+        return table
 
 
-def share_table(game: Game, partition: Sequence[int], shares: Sequence) -> tuple[list, int]:
+def share_terms(game: Game, shares: Sequence) -> tuple[Sequence, int, bool]:
+    """The rescale step of ``share_table``: ``(terms, scale, rational)``
+    with share i equal to ``terms[i] / scale``.  Exact games with rational
+    shares (ints and Fractions both carry numerator/denominator) get integer
+    numerators over the shares' common denominator; any other allocation
+    keeps its shares as they are, over 1."""
+    if game.mode == EXACT and not any(isinstance(x, float) for x in shares):
+        scale = math.lcm(*(x.denominator for x in shares))
+        return [x.numerator * (scale // x.denominator) for x in shares], scale, True
+    return shares, 1, False
+
+
+def sum_table(
+    n: int, partition: Sequence[int], terms: Sequence, scale: int, rational: bool
+) -> ShareTable:
+    """The share table of an allocation given as ``terms`` over ``scale``:
+    ``sums[c]`` adds the terms of every submask ``c`` of a partition block.
+    Masks outside the blocks stay 0."""
+    sums = [0] * (1 << n)
+    for block in partition:
+        # ascending submasks, so ``mask ^ low`` is always filled first
+        mask = block & -block
+        while mask:
+            low = mask & -mask
+            sums[mask] = sums[mask ^ low] + terms[low.bit_length() - 1]
+            mask = (mask - block) & block
+    return ShareTable(sums, scale, rational)
+
+
+def share_table(game: Game, partition: Sequence[int], shares: Sequence) -> ShareTable:
     """The block share-sum table ``(sums, scale)`` of an allocation: for
     every submask ``c`` of a partition block, ``sums[c] / scale`` is the
     total share of ``c``, so a piece is covered by its block exactly when
@@ -75,23 +109,8 @@ def share_table(game: Game, partition: Sequence[int], shares: Sequence) -> tuple
     Exact games with rational shares carry the sums as integer numerators
     over the shares' common denominator ``scale``, which makes each coverage
     test an int comparison on int-valued games.  Otherwise ``scale`` is 1
-    and the shares are added as they are, in the same order as always.
-    Masks outside the blocks stay 0."""
-    if _rational(game, shares):
-        scale = math.lcm(*(x.denominator for x in shares))
-        terms = [x.numerator * (scale // x.denominator) for x in shares]
-    else:
-        scale = 1
-        terms = shares
-    sums = [0] * (1 << game.n)
-    for block in partition:
-        # ascending submasks, so ``mask ^ low`` is always filled first
-        mask = block & -block
-        while mask:
-            low = mask & -mask
-            sums[mask] = sums[mask ^ low] + terms[low.bit_length() - 1]
-            mask = (mask - block) & block
-    return sums, scale
+    and the shares are added as they are, in the same order as always."""
+    return sum_table(game.n, partition, *share_terms(game, shares))
 
 
 def _covers(game: Game, block: int, piece: int, table) -> bool:
@@ -100,12 +119,15 @@ def _covers(game: Game, block: int, piece: int, table) -> bool:
     return geq(game.values[block] * sums[piece], game.values[piece] * scale, game.tol)
 
 
-def table_feasible(game: Game, partition: Sequence[int], shares: Sequence, table) -> bool:
-    """``solution_feasible`` for an allocation whose share table is at hand.
-    Exact games read it off the table: each block sums to ``scale`` and every
-    member's share covers its lower bound (so no share exceeds ``scale``).
-    Other tables run ``solution_feasible`` itself."""
-    if not _rational(game, shares):
+def table_feasible(
+    game: Game, partition: Sequence[int], shares: Sequence, table: ShareTable
+) -> bool:
+    """``solution_feasible`` for an allocation whose share table, built
+    under this game, is at hand.  Rational tables are read off without the
+    shares: each block sums to ``scale`` and every member's share covers its
+    lower bound (so no share exceeds ``scale``).  Other tables run
+    ``solution_feasible`` on the shares."""
+    if not table.rational:
         return solution_feasible(game, partition, shares)
     sums, scale = table
     values = game.values
@@ -168,12 +190,13 @@ def core_contains(game: Game, shares: Sequence, kind: str = STRONG) -> bool:
     proper coalitions consists entirely of blocking coalitions.  Infeasible
     share vectors simply fail."""
     _check_kind(kind)
-    full = game.grand
-    if not boundary_contains(game, full, shares):
-        return False
-    if game.n == 1:
-        return True
-    return fission_resistant_by_table(game, (full,), share_table(game, (full,), shares), kind)
+    if len(shares) != game.n:
+        raise DimensionMismatch(f"expected {game.n} shares, got {len(shares)}")
+    grand = (game.grand,)
+    table = share_table(game, grand, shares)
+    return table_feasible(game, grand, shares, table) and fission_resistant_by_table(
+        game, grand, table, kind
+    )
 
 
 def fission_resistant(game: Game, partition: Sequence[int], shares: Sequence, kind: str = STRONG) -> bool:
@@ -378,9 +401,10 @@ def core_region(
         rng = random.Random(0)
     sample = boundary_sampler(game)
     for _ in range(samples):
-        f = sample(full, rng)
-        if f is None:
+        drawn = sample(full, rng)
+        if drawn is None:
             return CoreRegion(EMPTY, None, "boundary")
+        f = draw_shares(*drawn)
         if core_contains(game, f, WEAK):
             return CoreRegion(NONEMPTY, f, f"sampled({samples})")
     return CoreRegion(UNKNOWN, None, f"sampled({samples})")

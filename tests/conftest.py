@@ -230,6 +230,41 @@ def naive_theorem_sampled_claims(g1, g2, *, samples, seed):
     return feasible_claim, fission_claim
 
 
+def naive_corollary_weak_claim(g1, g2, *, samples, seed):
+    """Reference for the weak-core claim of centripetality.verify_corollary,
+    in its rng order: the grand split set's vertices, the g1 weak-core
+    witness and naive_sample_boundary draws, each point judged by
+    boundary_contains and naive_weak_core_contains under g1 and then g2."""
+    from fracgame.centripetality import ClaimResult, _fmt_point
+
+    n = g1.n
+    rng = random.Random(seed)
+    candidates = list(stability.split_vertices(g1, g1.grand))
+    region = stability.core_region(g1, stability.WEAK, max_exact_weak_n=n, canonical_witness=False)
+    if region.status == stability.NONEMPTY:
+        candidates.append(region.witness)
+    for _ in range(samples):
+        f = naive_sample_boundary(g1, g1.grand, rng)
+        if f is not None:
+            candidates.append(f)
+
+    def in_weak_core(game, f):
+        return boundary_contains(game, game.grand, f) and naive_weak_core_contains(game, f)
+
+    checked = 0
+    failures = []
+    for f in candidates:
+        if not in_weak_core(g1, f):
+            continue
+        checked += 1
+        if not in_weak_core(g2, f):
+            failures.append(_fmt_point(f))
+            break
+    return ClaimResult(
+        "weak-core-inclusion", not failures, f"witness+sampled({checked})", "; ".join(failures)
+    )
+
+
 def naive_stable_sets(game, *, max_exact_weak_n=stability.DEFAULT_MAX_EXACT_WEAK_N,
                       samples=stability.DEFAULT_SAMPLES, seed=0):
     """Per-partition reference for stability.stable_sets: every block of

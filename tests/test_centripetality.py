@@ -20,7 +20,7 @@ from fracgame import (
 )
 from fracgame.stability import core_system
 from fracgame.linfeas import vertices
-from conftest import naive_theorem_sampled_claims, random_exact_game
+from conftest import naive_corollary_weak_claim, naive_theorem_sampled_claims, random_exact_game
 
 
 def ratio_order_oracle(g1, g2):
@@ -202,6 +202,50 @@ def test_theorem_fission_claim_needs_feasibility_under_the_second_game():
         assert not claim.passed
         assert "weak partition (3,)" in claim.detail
         assert report.to_dict() == _theorem_report_with_naive_sampled_claims(*pair, 5, 1)
+
+
+def _near_tie_pair():
+    # g1's split set is the single point (1/2, 1/2); g2's first singleton
+    # asks for 1e-10 more than that, which only the float tolerance forgives
+    g1 = make_game(2, {1: 1, 2: 1, 3: 2})
+    g2 = make_game(2, {1: 1.0000000001, 2: 1.0, 3: 2.0})
+    return g1, g2
+
+
+def test_theorem_claims_keep_the_float_tolerance_on_mixed_pairs():
+    # an exact first game's integer draws are judged under a float second
+    # game by its tolerant predicates, not by the exact integer read-off
+    g1, g2 = _near_tie_pair()
+    report = verify_theorem1(g1, g2, samples=10, seed=2)
+    assert report.claims[2].passed and report.claims[3].passed
+    assert report.to_dict() == _theorem_report_with_naive_sampled_claims(g1, g2, 10, 2)
+
+
+def test_corollary_weak_claim_matches_naive_loop():
+    # the weak-core claim judged on one grand share table per candidate must
+    # give the verdicts, counts and details of boundary_contains plus the
+    # naive weak-core predicate under each game: ordered and unordered exact
+    # pairs, float copies, mixed pairs both ways, a pair whose second game
+    # has an empty split set and one that only the tolerance lets pass
+    rng = random.Random(147)
+    pairs = []
+    for n in (2, 3, 3, 4, 4):
+        g1, g2 = generate_ordered_pair(rng.randrange(1 << 30), n)
+        pairs += [(g1, g2), (_float_copy(g1), _float_copy(g2))]
+    pairs += [(g1, _float_copy(g2)), (_float_copy(g1), g2)]
+    for n in (2, 3, 4, 4):
+        g1, g2 = random_exact_game(rng, n), random_exact_game(rng, n)
+        pairs += [(g1, g2), (_float_copy(g1), _float_copy(g2)), (g1, _float_copy(g2))]
+    pairs.append((make_game(2, {1: 0, 2: 0, 3: 1}), make_game(2, {1: 1, 2: 1, 3: 1})))
+    pairs.append(_near_tie_pair())
+    failed = 0
+    for g1, g2 in pairs:
+        report = verify_corollary(g1, g2, samples=25, seed=5)
+        claims = list(report.claims)
+        claims[1] = naive_corollary_weak_claim(g1, g2, samples=25, seed=5)
+        assert report.to_dict() == dataclasses.replace(report, claims=tuple(claims)).to_dict()
+        failed += not claims[1].passed
+    assert failed >= 5
 
 
 def test_corollary_suite_on_ordered_pairs():

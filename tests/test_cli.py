@@ -328,3 +328,62 @@ def test_malformed_scenario_exits_without_traceback(tmp_path, capsys, command, s
     assert run([command, str(scen)]) in (1, 2)
     err = capsys.readouterr().err
     assert err and "Traceback" not in err
+
+
+def test_consecutive_runs_match_separate_processes(super3_path, monkeypatch, capsys):
+    # the parser is built once per process; a parse error must leave it as
+    # fresh for the next call as a new interpreter's
+    monkeypatch.setenv("COLUMNS", "80")
+    argvs = [
+        ["verify", "theorem", "--pairs", "x"],
+        ["verify", "theorem", "--pairs", "1", "--samples", "5", "--seed", "3"],
+        ["analyze", super3_path, "--samples", "-1"],
+        ["validate", super3_path],
+        ["core", "--help"],
+        ["core", super3_path, "--partition", "a|b,c"],
+    ]
+    in_process = []
+    for argv in argvs:
+        code = run(argv)
+        captured = capsys.readouterr()
+        in_process.append((code, captured.out, captured.err))
+    separate = []
+    for argv in argvs:
+        proc = subprocess.run(
+            [sys.executable, "-m", "fracgame.cli", *argv], capture_output=True, text=True
+        )
+        separate.append((proc.returncode, proc.stdout, proc.stderr))
+    assert in_process == separate
+    assert [code for code, _, _ in in_process] == [2, 0, 2, 0, 0, 0]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "theorem", "--pairs", "-1"], "--pairs: must be a nonnegative integer, got -1"),
+        (["verify", "theorem", "--samples", "-3"], "--samples: must be a nonnegative integer"),
+        (["verify", "corollary", "--pairs", "-2", "--samples", "4"], "--pairs: must be a"),
+    ],
+)
+def test_negative_counts_are_usage_errors(capsys, argv, message):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and not captured.out
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sweep", "--scenario", "meanstd", "--n", "40"], "n must be in 1..16, got 40"),
+        (["sweep", "--scenario", "cvar", "--n", "30"], "n must be in 1..16, got 30"),
+        (["sweep", "--scenario", "meanstd", "--n", "0"], "n must be in 1..16, got 0"),
+        (
+            ["sweep", "--scenario", "meanstd", "--r", "0:1e9:1e-9"],
+            "has 1000000000000000001 points, more than 10000",
+        ),
+    ],
+)
+def test_sweep_refuses_oversized_inputs_before_building_them(capsys, argv, message):
+    assert run(argv) in (1, 2)
+    captured = capsys.readouterr()
+    assert message in captured.err and "Traceback" not in captured.err

@@ -140,8 +140,10 @@ def test_sample_boundary_exact_empty_returns_none():
 def _draws_match_reference(games) -> int:
     """Draw every coalition of each game three times over, through
     sample_boundary and through one boundary_sampler per game, against the
-    reference formula: same points, same rng draws.  Returns how many draws
-    found an empty split set."""
+    reference formula: same points, same rng draws.  A boundary_sampler
+    draw is ``(terms, scale)``: on exact games int terms whose quotients by
+    the int scale are the point, on float games the point itself over 1.
+    Returns how many draws found an empty split set."""
     empty = 0
     for k, g in enumerate(games):
         sample = boundary_sampler(g)
@@ -150,7 +152,15 @@ def _draws_match_reference(games) -> int:
             for mask in range(1, 1 << g.n):
                 want = naive_sample_boundary(g, mask, slow)
                 assert sample_boundary(g, mask, fast) == want
-                assert sample(mask, memo) == want
+                drawn = sample(mask, memo)
+                if want is None:
+                    assert drawn is None
+                elif g.mode == "exact":
+                    terms, scale = drawn
+                    assert all(type(t) is int for t in (*terms, scale))
+                    assert tuple(Fraction(t, scale) for t in terms) == want
+                else:
+                    assert drawn == (want, 1)
                 assert fast.getstate() == slow.getstate() == memo.getstate()
                 empty += want is None
     return empty
