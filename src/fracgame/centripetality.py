@@ -13,7 +13,9 @@ false, the cross product agrees (case check over the zero patterns).
 
 The order's consequences are checked by two verification harnesses: one for
 the five inclusion claims between the ordered games' solution sets, one for
-the core inclusions and the downward transfer of splintered stability.
+the core inclusions and the downward transfer of splintered stability.  Their
+sampled claims judge all candidates of a partition at once, as bool arrays
+(``stability.block_verdicts``) read off in candidate order.
 """
 
 from __future__ import annotations
@@ -21,8 +23,9 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
+
+import numpy as np
 
 from . import linfeas
 from .errors import DimensionMismatch
@@ -47,17 +50,14 @@ from .stability import (
     STRONG,
     WEAK,
     BlockTable,
-    ShareTable,
+    block_feasible,
+    block_verdicts,
     core_region,
     core_system,
-    fission_resistant_by_table,
     fusion_resistant,
     is_stable,
-    share_table,
     share_terms,
     split_vertices,
-    sum_table,
-    table_feasible,
 )
 
 
@@ -167,57 +167,49 @@ def _boundary_included(g1: Game, g2: Game, block: int, tol: float):
     return True, "vertices", ""
 
 
-def _sample_solution(sample, mems: dict, n: int, partition, rng):
-    """One ``boundary_sampler`` draw per block, scattered over the members
-    ``mems[block]`` to n terms on the blocks' common scale:
-    ``(terms, scale)``, or None."""
+def _draw(sample, partition, rng) -> list | None:
+    """One ``boundary_sampler`` draw ``(terms, scale)`` per block, or None."""
     drawn = []
     for block in partition:
-        local = sample(block, rng)
-        if local is None:
+        drawn.append(sample(block, rng))
+        if drawn[-1] is None:
             return None
-        drawn.append(local)
-    scale = math.lcm(*(den for _, den in drawn))
-    terms: list = [None] * n
-    for block, (local, den) in zip(partition, drawn):
-        lift = scale // den
-        for i, t in zip(mems[block], local):
-            terms[i] = t * lift
-    return terms, scale
+    return drawn
 
 
-class _Candidate:
-    """A g1-feasible allocation of one partition, given as ``terms`` over
-    ``scale`` (a draw, or a rescaled witness: integers on exact g1, the
-    float shares over 1 on float g1), with its share tables under both
-    games (one table when the modes agree) and its feasibility under g2.
-    Its shares are derived on first use, so an exact pair builds a Fraction
-    only for a point the report prints."""
-
-    def __init__(self, g1: Game, g2: Game, partition, terms, scale: int):
-        self.partition = partition
-        self.terms = terms
-        self.scale = scale
-        self.table1 = sum_table(g1.n, partition, terms, scale, g1.mode == EXACT)
-        if g1.mode == g2.mode:
-            self.table2 = self.table1
-        else:
-            self.table2 = share_table(g2, partition, self.point)
-        self.feasible2 = self.feasible(g2, self.table2)
-
-    @cached_property
-    def point(self) -> tuple:
-        return draw_shares(self.terms, self.scale)
-
-    def feasible(self, game: Game, table: ShareTable) -> bool:
-        """Feasibility under one of the pair's games, on its table; a
-        rational table is read off without the shares."""
-        return table_feasible(game, self.partition, None if table.rational else self.point, table)
+def _row_point(n: int, partition, row) -> tuple:
+    """The allocation of a candidate row, as a report prints it."""
+    shares = {i: x for b, d in zip(partition, row) for i, x in zip(members(b), draw_shares(*d))}
+    return tuple(shares[i] for i in range(n))
 
 
-def _witness_candidate(g1: Game, g2: Game, partition, witness) -> _Candidate:
-    terms, scale, _ = share_terms(g1, witness)
-    return _Candidate(g1, g2, partition, terms, scale)
+def _judge_rows(g1: Game, g2: Game, partition, rows: list) -> list:
+    """Verdicts on all candidate rows of one partition at once: ``rows[r][b]``
+    is row r's ``(terms, scale)`` on block b under g1.  Per game, the AND
+    over the blocks of ``block_verdicts`` on the rows lifted to one scale; a
+    float g2 judges an exact g1's rows on their shares over 1."""
+    shared = g1.mode == g2.mode or g1.mode != EXACT
+    out = None
+    for b, block in enumerate(partition):
+        k, scale = block.bit_count(), math.lcm(*{row[b][1] for row in rows})
+        lifted = [t * (scale // row[b][1]) for row in rows for t in row[b][0]]
+        terms = np.array(lifted, dtype=object).reshape(len(rows), k)
+        judged = block_verdicts((g1, g2) if shared else (g1,), block, terms, scale, g1.mode == EXACT)
+        if not shared:
+            shares = np.array([draw_shares(*row[b]) for row in rows], dtype=object)
+            judged += block_verdicts((g2,), block, shares.reshape(len(rows), k), 1, False)
+        out = judged if out is None else [
+            (f & g, {kind: s[kind] & t[kind] for kind in s}) for (f, s), (g, t) in zip(out, judged)
+        ]
+    return out
+
+
+def _first_failure(counted: np.ndarray, passed: np.ndarray) -> tuple[int, int | None]:
+    """A claim read off over rows in order: the counted rows up to and
+    including the first counted row that fails, and that row (or None)."""
+    bad = np.flatnonzero(counted & ~passed)
+    stop = int(bad[0]) + 1 if bad.size else len(counted)
+    return int(np.count_nonzero(counted[:stop])), (int(bad[0]) if bad.size else None)
 
 
 def verify_theorem1(
@@ -231,7 +223,8 @@ def verify_theorem1(
     per-partition split products, feasible solutions, fission-resistant
     solutions (both senses), and the reversed inclusion of fusion-resistant
     partitions.  The first two and the last are exhaustive and exact; the
-    middle two are checked on witnesses plus random samples."""
+    middle two are checked on random samples, judged one by one until the
+    first failure, then on witnesses plus samples judged per partition."""
     if g1.n != g2.n:
         raise DimensionMismatch(f"games on {g1.n} and {g2.n} players")
     n = g1.n
@@ -239,7 +232,6 @@ def verify_theorem1(
     tol = combined_tol(g1, g2)
     rng = random.Random(seed)
     parts = list(enumerate_partitions(n))
-    mems = {c: members(c) for c in coalitions(n)}
     claims = []
 
     # (1) grand-coalition split set
@@ -265,50 +257,53 @@ def verify_theorem1(
         )
     )
 
-    # (3) feasible solutions transfer, sampled; exact pairs read feasibility
-    # off the sample's share table
+    # (3) feasible solutions transfer, sampled; each draw is judged under
+    # g2 block by block, exact pairs straight from its integer terms
     sample = boundary_sampler(g1)
+    rational = g1.mode == g2.mode == EXACT
     checked = 0
     failures = []
     for _ in range(samples):
         partition = parts[rng.randrange(len(parts))]
-        drawn = _sample_solution(sample, mems, n, partition, rng)
+        drawn = _draw(sample, partition, rng)
         if drawn is None:
             continue
         checked += 1
-        c = _Candidate(g1, g2, partition, *drawn)
-        if not c.feasible2:
-            failures.append(f"partition {partition} point {_fmt_point(c.point)}")
+        if not all(block_feasible(g2, b, *d, rational) for b, d in zip(partition, drawn)):
+            point = _fmt_point(_row_point(n, partition, drawn))
+            failures.append(f"partition {partition} point {point}")
             break
     claims.append(
         ClaimResult("feasible-solutions", not failures, f"sampled({checked})", "; ".join(failures))
     )
 
-    # (4) fission-resistant solutions transfer, witnesses plus samples; each
-    # candidate's share table serves both games and both kinds
+    # (4) fission-resistant solutions transfer, witnesses plus samples; all
+    # candidates of a partition are judged at once, under both games and
+    # both kinds, and each kind reads off its rows in order
     table = BlockTable(g1, max_exact_weak_n=n, canonical_witness=False)
     checked = {STRONG: 0, WEAK: 0}
     failures = []
     for partition in parts:
         if any(boundary_empty(g1, b) for b in partition):
             continue
-        drawn = [_sample_solution(sample, mems, n, partition, rng) for _ in range(samples)]
-        drawn = [_Candidate(g1, g2, partition, *d) for d in drawn if d is not None]
+        drawn = [_draw(sample, partition, rng) for _ in range(samples)]
+        rows, pick = [], {}
         for kind in (STRONG, WEAK):
             patched = table.patched(partition, kind)
-            candidates = drawn
-            if patched.status == NONEMPTY:
-                witness = _witness_candidate(g1, g2, partition, patched.witness)
-                candidates = [witness, *drawn]
-            for c in candidates:
-                if not fission_resistant_by_table(g1, partition, c.table1, kind):
-                    continue
-                checked[kind] += 1
-                if not (c.feasible2 and fission_resistant_by_table(g2, partition, c.table2, kind)):
-                    failures.append(
-                        f"{kind} partition {partition} point {_fmt_point(c.point)}"
-                    )
-                    break
+            pick[kind] = [len(rows)] if patched.status == NONEMPTY else []
+            if pick[kind]:
+                w = patched.witness
+                rows.append([share_terms(g1, [w[i] for i in members(b)])[:2] for b in partition])
+        first = len(rows)
+        rows += [d for d in drawn if d is not None]
+        (_, fission1), (feasible2, fission2) = _judge_rows(g1, g2, partition, rows)
+        for kind in (STRONG, WEAK):
+            at = pick[kind] + list(range(first, len(rows)))
+            count, bad = _first_failure(fission1[kind][at], (feasible2 & fission2[kind])[at])
+            checked[kind] += count
+            if bad is not None:
+                point = _fmt_point(_row_point(n, partition, rows[at[bad]]))
+                failures.append(f"{kind} partition {partition} point {point}")
     claims.append(
         ClaimResult(
             "fission-resistant-solutions",
@@ -376,7 +371,8 @@ def verify_corollary(
 ) -> InclusionReport:
     """Check that both grand-coalition cores grow along the order and that
     splintered stability transfers downward: if staying split is stable for
-    the later game it already was for the earlier one."""
+    the later game it already was for the earlier one.  Weak-core membership
+    is judged on all found points at once."""
     if g1.n != g2.n:
         raise DimensionMismatch(f"games on {g1.n} and {g2.n} players")
     n = g1.n
@@ -389,29 +385,21 @@ def verify_corollary(
     claims.append(ClaimResult("strong-core-inclusion", ok, scope, detail))
 
     # weak core: membership transfer on every g1 weak-core point we can
-    # find, each judged under both games on its grand share tables
+    # find, all judged at once under both games
     grand = (g1.grand,)
     points = split_vertices(g1, g1.grand)
     region = core_region(g1, WEAK, max_exact_weak_n=n, canonical_witness=False)
     if region.status == NONEMPTY:
         points.append(region.witness)
-    candidates = [_witness_candidate(g1, g2, grand, f) for f in points]
+    rows = [[share_terms(g1, f)[:2]] for f in points]
     sample = boundary_sampler(g1)
     for _ in range(samples):
         drawn = sample(g1.grand, rng)
         if drawn is not None:
-            candidates.append(_Candidate(g1, g2, grand, *drawn))
-    checked = 0
-    failures = []
-    for c in candidates:
-        if not (
-            c.feasible(g1, c.table1) and fission_resistant_by_table(g1, grand, c.table1, WEAK)
-        ):
-            continue
-        checked += 1
-        if not (c.feasible2 and fission_resistant_by_table(g2, grand, c.table2, WEAK)):
-            failures.append(_fmt_point(c.point))
-            break
+            rows.append([drawn])
+    (feasible1, fission1), (feasible2, fission2) = _judge_rows(g1, g2, grand, rows)
+    checked, bad = _first_failure(feasible1 & fission1[WEAK], feasible2 & fission2[WEAK])
+    failures = [] if bad is None else [_fmt_point(_row_point(n, grand, rows[bad]))]
     claims.append(
         ClaimResult(
             "weak-core-inclusion",

@@ -13,6 +13,7 @@ import dataclasses
 import functools
 import io
 import json
+import math
 import os
 import random
 import sys
@@ -436,6 +437,13 @@ def nonnegative_int(text: str) -> int:
     return value
 
 
+def nonnegative_float(text: str) -> float:
+    value = float(text)
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite nonnegative number, got {text}")
+    return value
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and kept for the process.
@@ -449,11 +457,11 @@ def _parser() -> argparse.ArgumentParser:
 
     def common(sp):
         sp.add_argument("--seed", type=int, default=0, help="seed for all sampling")
-        sp.add_argument("--tolerance", type=float, default=None)
+        sp.add_argument("--tolerance", type=nonnegative_float, default=None)
         sp.add_argument(
             "--max-exact-weak-core-n",
             dest="max_exact_weak_core_n",
-            type=int,
+            type=nonnegative_int,
             default=DEFAULT_MAX_EXACT_WEAK_N,
         )
         sp.add_argument("--samples", type=nonnegative_int, default=DEFAULT_SAMPLES)

@@ -205,6 +205,8 @@ def make_game(
         raise ValueError("exact mode requires int or Fraction values")
     if tol is None:
         tol = DEFAULT_TOL if mode == FLOAT else 0.0
+    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 <= tol < math.inf:
+        raise ValueError(f"tolerance must be a finite nonnegative number, got {tol!r}")
     if mode == EXACT and tol:
         raise ValueError("exact mode has no tolerance")
     if players is None:
@@ -355,6 +357,9 @@ def boundary_sampler(game: Game) -> Callable[[int, object], tuple | None]:
             lone, den, rest = found
             if rest < 0:
                 return None
+            if k == 2:  # a pair block: one cut, nothing to sort
+                cut = rng.randrange(grain + 1)
+                return (lone[0] + rest * cut, lone[1] + rest * (grain - cut)), den
             cuts = sorted(rng.randrange(grain + 1) for _ in range(k - 1))
             cuts = [0] + cuts + [grain]
             return tuple(a + rest * (cuts[j + 1] - cuts[j]) for j, a in enumerate(lone)), den

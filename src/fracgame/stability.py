@@ -17,14 +17,18 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, reduce
 from itertools import combinations
 from typing import Callable, Sequence
+
+import numpy as np
 
 from . import linfeas
 from .errors import DimensionMismatch, InfeasibleSolution
 from .games import (
     EXACT,
     Game,
+    boundary_contains,
     boundary_sampler,
     check_partition,
     coalitions,
@@ -32,6 +36,7 @@ from .games import (
     geq,
     json_number,
     members,
+    remap,
     solution_feasible,
     subgame,
     submasks,
@@ -83,13 +88,18 @@ def share_terms(game: Game, shares: Sequence) -> tuple[Sequence, int, bool]:
     return shares, 1, False
 
 
-def sum_table(
-    n: int, partition: Sequence[int], terms: Sequence, scale: int, rational: bool
-) -> ShareTable:
-    """The share table of an allocation given as ``terms`` over ``scale``:
-    ``sums[c]`` adds the terms of every submask ``c`` of a partition block.
-    Masks outside the blocks stay 0."""
-    sums = [0] * (1 << n)
+def share_table(game: Game, partition: Sequence[int], shares: Sequence) -> ShareTable:
+    """The block share-sum table ``(sums, scale)`` of an allocation: for
+    every submask ``c`` of a partition block, ``sums[c] / scale`` is the
+    total share of ``c``, so a piece is covered by its block exactly when
+    ``v(b) * sums[c] >= v(c) * scale``.  Masks outside the blocks stay 0.
+
+    Exact games with rational shares carry the sums as integer numerators
+    over the shares' common denominator ``scale``, which makes each coverage
+    test an int comparison on int-valued games.  Otherwise ``scale`` is 1
+    and the shares are added as they are, in the same order as always."""
+    terms, scale, rational = share_terms(game, shares)
+    sums = [0] * (1 << game.n)
     for block in partition:
         # ascending submasks, so ``mask ^ low`` is always filled first
         mask = block & -block
@@ -100,45 +110,37 @@ def sum_table(
     return ShareTable(sums, scale, rational)
 
 
-def share_table(game: Game, partition: Sequence[int], shares: Sequence) -> ShareTable:
-    """The block share-sum table ``(sums, scale)`` of an allocation: for
-    every submask ``c`` of a partition block, ``sums[c] / scale`` is the
-    total share of ``c``, so a piece is covered by its block exactly when
-    ``v(b) * sums[c] >= v(c) * scale``.
-
-    Exact games with rational shares carry the sums as integer numerators
-    over the shares' common denominator ``scale``, which makes each coverage
-    test an int comparison on int-valued games.  Otherwise ``scale`` is 1
-    and the shares are added as they are, in the same order as always."""
-    return sum_table(game.n, partition, *share_terms(game, shares))
-
-
 def _covers(game: Game, block: int, piece: int, table) -> bool:
     """Whether the piece's in-block share covers its value."""
     sums, scale = table
     return geq(game.values[block] * sums[piece], game.values[piece] * scale, game.tol)
 
 
+def block_feasible(game: Game, block: int, terms: Sequence, scale: int, rational: bool) -> bool:
+    """``boundary_contains`` for one block's shares ``terms[j] / scale``.
+    Rational terms (integers under an exact game) are read off without the
+    shares: they sum to ``scale`` and each covers its member's lower bound
+    (so none exceeds ``scale``)."""
+    if not rational:
+        return boundary_contains(game, block, draw_shares(terms, scale))
+    v_b, values = game.values[block], game.values
+    return sum(terms) == scale and all(
+        v_b * t >= values[1 << i] * scale for i, t in zip(members(block), terms)
+    )
+
+
 def table_feasible(
     game: Game, partition: Sequence[int], shares: Sequence, table: ShareTable
 ) -> bool:
     """``solution_feasible`` for an allocation whose share table, built
-    under this game, is at hand.  Rational tables are read off without the
-    shares: each block sums to ``scale`` and every member's share covers its
-    lower bound (so no share exceeds ``scale``).  Other tables run
-    ``solution_feasible`` on the shares."""
+    under this game, is at hand: rational tables are read off block by
+    block, others run ``solution_feasible`` on the shares."""
     if not table.rational:
         return solution_feasible(game, partition, shares)
     sums, scale = table
-    values = game.values
-    for block in partition:
-        if sums[block] != scale:
-            return False
-        if block & (block - 1):
-            v_b = values[block]
-            if any(v_b * sums[1 << i] < values[1 << i] * scale for i in members(block)):
-                return False
-    return True
+    return all(
+        block_feasible(game, b, [sums[1 << i] for i in members(b)], scale, True) for b in partition
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -151,35 +153,23 @@ def _has_blocking_split(game: Game, block: int, table) -> bool:
     shares are individually rational within the block."""
     if block.bit_count() <= 3:
         return False
-    blocking = {}
 
-    def is_blocking(piece: int) -> bool:
-        got = blocking.get(piece)
-        if got is None:
-            got = not _covers(game, block, piece, table)
-            blocking[piece] = got
-        return got
+    blocking = cache(lambda piece: not _covers(game, block, piece, table))
 
-    splittable = {0: True}
-
+    @cache
     def splits(mask: int) -> bool:
-        got = splittable.get(mask)
-        if got is not None:
-            return got
-        low = mask & -mask
-        rest = mask ^ low
-        result = False
         # every piece must contain the lowest member, have >=2 players, and
         # stay a proper part of the block
-        sub = rest
+        if not mask:
+            return True
+        low = mask & -mask
+        rest = sub = mask ^ low
         while sub:
             piece = sub | low
-            if piece != block and is_blocking(piece) and splits(mask ^ piece):
-                result = True
-                break
+            if piece != block and blocking(piece) and splits(mask ^ piece):
+                return True
             sub = (sub - 1) & rest
-        splittable[mask] = result
-        return result
+        return False
 
     return splits(block)
 
@@ -226,6 +216,54 @@ def fission_resistant_by_table(game: Game, partition: Sequence[int], table, kind
         elif _has_blocking_split(game, block, table):
             return False
     return True
+
+
+def block_verdicts(games: Sequence[Game], block: int, terms, scale: int, rational: bool) -> list:
+    """``table_feasible`` and ``fission_resistant_by_table`` on one block,
+    for many allocations at once: row r of the object array ``terms`` holds
+    one allocation's terms on the block's members, over ``scale`` (1 unless
+    ``rational``).  The sums follow ``share_table`` and each element goes
+    through the scalar predicates' Python operation.  Returns, per game, the
+    bool arrays ``(feasible, {STRONG: ..., WEAK: ...})`` over the rows."""
+    mem = members(block)
+    count, full = len(terms), (1 << len(mem)) - 1
+    sums, ones, judged = [0] * (full + 1), np.ones(count, bool), []
+    for mask in range(1, full + 1):
+        low = mask & -mask
+        sums[mask] = sums[mask ^ low] + terms[:, low.bit_length() - 1]
+    pieces = [(piece, remap(piece, mem)) for piece in range(1, full)]
+    for game in games:
+        values, v_b, tol, covered = game.values, game.values[block], game.tol, {}
+        for piece, outer in pieces:
+            lhs, rhs = v_b * sums[piece], values[outer] * scale
+            covered[piece] = (
+                np.fromiter((geq(x, rhs, tol) for x in lhs), bool, count) if tol else lhs >= rhs
+            )
+        if rational:  # the block sums to the scale and covers each member
+            singles = [covered[1 << j] for j in range(len(mem))] if full > 1 else []
+            feasible = reduce(np.logical_and, singles, sums[full] == scale)
+        else:
+            shares = terms.tolist()
+            feasible = np.fromiter((boundary_contains(game, block, f) for f in shares), bool, count)
+
+        @cache
+        def splits(mask: int) -> np.ndarray:
+            # _has_blocking_split's recursion, over bool arrays
+            if not mask:
+                return ones
+            low = mask & -mask
+            rest = sub = mask ^ low
+            got = np.zeros(count, bool)
+            while sub:
+                if sub | low != full:
+                    got |= ~covered[sub | low] & splits(mask ^ sub ^ low)
+                sub = (sub - 1) & rest
+            return got
+
+        strong = reduce(np.logical_and, covered.values(), ones)
+        weak = ~splits(full) if len(mem) > 3 else ones
+        judged.append((feasible, {STRONG: strong, WEAK: weak}))
+    return judged
 
 
 def fusion_resistant(game: Game, partition: Sequence[int]) -> bool:

@@ -3,6 +3,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from fracgame import (
@@ -18,9 +19,16 @@ from fracgame import (
     verify_corollary,
     verify_theorem1,
 )
+from fracgame import centripetality, stability
+from fracgame.games import boundary_sampler
 from fracgame.stability import core_system
 from fracgame.linfeas import vertices
-from conftest import naive_corollary_weak_claim, naive_theorem_sampled_claims, random_exact_game
+from conftest import (
+    cut_game,
+    naive_corollary_weak_claim,
+    naive_theorem_sampled_claims,
+    random_exact_game,
+)
 
 
 def ratio_order_oracle(g1, g2):
@@ -246,6 +254,96 @@ def test_corollary_weak_claim_matches_naive_loop():
         assert report.to_dict() == dataclasses.replace(report, claims=tuple(claims)).to_dict()
         failed += not claims[1].passed
     assert failed >= 5
+
+
+def _corollary_report_with_naive_weak_claim(g1, g2, samples, seed):
+    report = verify_corollary(g1, g2, samples=samples, seed=seed)
+    claims = list(report.claims)
+    claims[1] = naive_corollary_weak_claim(g1, g2, samples=samples, seed=seed)
+    return dataclasses.replace(report, claims=tuple(claims)).to_dict()
+
+
+def _five_player_pairs():
+    # cut_game gives 5-player blocks whose weak splits decide membership:
+    # an ordered pair (values scaled by a nondecreasing factor of the
+    # coalition size), its float copy, both mixed pairs, an unordered pair
+    # and one generated pair
+    rng = random.Random(61)
+    g1 = cut_game(rng, 5)
+    g2 = make_game(5, {c: g1.values[c] * (0, 1, 1, 2, 2, 3)[c.bit_count()] for c in range(1, 32)})
+    pairs = [(g1, g2), (_float_copy(g1), _float_copy(g2)), (g1, _float_copy(g2))]
+    pairs += [(_float_copy(g1), g2), (cut_game(rng, 5), cut_game(rng, 5))]
+    return pairs + [generate_ordered_pair(548563996, 5)]
+
+
+def test_sampled_claims_match_naive_loops_on_five_players():
+    failed = 0
+    for g1, g2 in _five_player_pairs():
+        report = verify_theorem1(g1, g2, samples=25, seed=3).to_dict()
+        assert report == _theorem_report_with_naive_sampled_claims(g1, g2, 25, 3)
+        corollary = verify_corollary(g1, g2, samples=25, seed=3).to_dict()
+        assert corollary == _corollary_report_with_naive_weak_claim(g1, g2, 25, 3)
+        failed += (not report["claims"][3]["passed"]) + (not corollary["claims"][1]["passed"])
+    assert failed >= 2
+
+
+def test_sampled_claims_match_naive_loops_at_200_samples():
+    rng = random.Random(200)
+    pairs = [generate_ordered_pair(rng.randrange(1 << 30), n) for n in (3, 4)]
+    pairs += [(_float_copy(g1), _float_copy(g2)) for g1, g2 in pairs]
+    pairs.append((random_exact_game(rng, 4), random_exact_game(rng, 4)))
+    for g1, g2 in pairs:
+        got = verify_theorem1(g1, g2, samples=200, seed=8).to_dict()
+        assert got == _theorem_report_with_naive_sampled_claims(g1, g2, 200, 8)
+        got = verify_corollary(g1, g2, samples=200, seed=8).to_dict()
+        assert got == _corollary_report_with_naive_weak_claim(g1, g2, 200, 8)
+
+
+def test_claim_three_failing_early_hands_its_rng_to_claim_four():
+    # claim 3 stops at its second sample, so claim 4 draws from the rng as
+    # that break left it
+    rng = random.Random(10)
+    g1, g2 = random_exact_game(rng, 4), random_exact_game(rng, 4)
+    got = verify_theorem1(g1, g2, samples=25, seed=3)
+    assert (got.claims[2].passed, got.claims[2].scope) == (False, "sampled(2)")
+    assert got.to_dict() == _theorem_report_with_naive_sampled_claims(g1, g2, 25, 3)
+
+
+def test_fission_claim_fails_on_the_witness_row_alone():
+    # g1's strong core is the single point (1/3, 1/3, 1/3), which no draw
+    # hits; g2's first pair asks for more, so only the block table's
+    # witness row fails, and the claim fails only if that row is judged
+    g1 = make_game(3, {1: 0, 2: 0, 4: 0, 3: 2, 5: 2, 6: 2, 7: 3})
+    g2 = make_game(3, {1: 0, 2: 0, 4: 0, 3: Fraction(21, 10), 5: 2, 6: 2, 7: 3})
+    for pair in ((g1, g2), (_float_copy(g1), _float_copy(g2))):
+        claim = verify_theorem1(*pair, samples=25, seed=3).claims[3]
+        assert not claim.passed
+        assert claim.detail.startswith("strong partition (7,) point (")
+        assert verify_theorem1(*pair, samples=25, seed=3).to_dict() == (
+            _theorem_report_with_naive_sampled_claims(*pair, 25, 3)
+        )
+    claim = verify_theorem1(g1, g2, samples=25, seed=3).claims[3]
+    assert claim.detail == "strong partition (7,) point (1/3, 1/3, 1/3)"
+
+
+def test_verdict_arrays_are_bool():
+    # numpy's ``~`` on an object array of Python bools is bitwise, so every
+    # verdict the harness combines must have bool dtype
+    g1, g2 = generate_ordered_pair(5, 4)
+    partitions = [(15,), (3, 12), (1, 2, 4, 8), (7, 8)]
+    for pair in ((g1, g2), (_float_copy(g1), _float_copy(g2)), (g1, _float_copy(g2)),
+                 (_float_copy(g1), g2)):
+        sample = boundary_sampler(pair[0])
+        rng = random.Random(4)
+        for partition in partitions:
+            rows = [centripetality._draw(sample, partition, rng) for _ in range(6)]
+            rows = [row for row in rows if row is not None]
+            for feasible, fission in centripetality._judge_rows(*pair, partition, rows):
+                assert feasible.dtype == bool and len(feasible) == len(rows)
+                assert all(v.dtype == bool and len(v) == len(rows) for v in fission.values())
+    terms = np.array([[1, 2], [2, 1]], dtype=object)
+    for feasible, fission in stability.block_verdicts((g1, g2), 3, terms, 3, True):
+        assert feasible.dtype == bool and all(v.dtype == bool for v in fission.values())
 
 
 def test_corollary_suite_on_ordered_pairs():

@@ -1,4 +1,5 @@
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -6,6 +7,8 @@ import pytest
 
 from fracgame import load_game, make_game, save_game, stable_sets
 from fracgame.cli import run
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 @pytest.fixture
@@ -387,3 +390,59 @@ def test_sweep_refuses_oversized_inputs_before_building_them(capsys, argv, messa
     assert run(argv) in (1, 2)
     captured = capsys.readouterr()
     assert message in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("suite", ["theorem", "corollary"])
+def test_verify_reports_match_committed_bytes(capsys, suite):
+    # the reports as the harnesses wrote them before judging all sampled
+    # candidates of a partition at once; any change to a count, a break
+    # point or a printed point shows here
+    argv = ["verify", suite, "--pairs", "20", "--samples", "50", "--seed", "1"]
+    assert run(argv) == 0
+    golden = DATA / f"verify_{suite}_pairs20_samples50_seed1.json"
+    assert capsys.readouterr().out.encode("utf-8") == golden.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "{game}", "--max-exact-weak-core-n", "-5"],
+        ["core", "{game}", "--max-exact-weak-core-n", "-1"],
+        ["verify", "theorem", "--pairs", "1", "--max-exact-weak-core-n", "-5"],
+    ],
+)
+def test_negative_exact_weak_core_n_is_a_usage_error(super3_path, capsys, argv):
+    assert run([a.format(game=super3_path) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert "--max-exact-weak-core-n: must be a nonnegative integer" in captured.err
+    assert not captured.out
+
+
+@pytest.mark.parametrize("tolerance", ["true", "-0.5", "1e400", '"0.1"', "null"])
+def test_game_file_tolerance_must_be_finite_and_nonnegative(tmp_path, capsys, tolerance):
+    # null means the mode's default; the rest are refused like any other
+    # malformed game file
+    path = tmp_path / "float2.json"
+    path.write_text(
+        '{"players": ["a", "b"], "mode": "float", "tolerance": %s,'
+        ' "values": {"a": 1.0, "b": 1.0, "a,b": 3.0}}' % tolerance
+    )
+    code = run(["core", str(path)])
+    captured = capsys.readouterr()
+    if tolerance == "null":
+        assert code == 0 and captured.out
+    else:
+        assert code == 2 and not captured.out
+        assert captured.err.startswith("tolerance must be a finite nonnegative number, got ")
+
+
+@pytest.mark.parametrize("flag", ["nan", "inf", "-inf", "-0.5", "1e400"])
+@pytest.mark.parametrize("command", ["core", "sweep"])
+def test_tolerance_flag_must_be_finite_and_nonnegative(tmp_path, capsys, flag, command):
+    path = tmp_path / "float2.json"
+    save_game(make_game(2, {1: 1.0, 2: 1.0, 3: 3.0}), path)
+    argv = ["core", str(path)] if command == "core" else ["sweep", "--scenario", "meanstd"]
+    assert run(argv + [f"--tolerance={flag}"]) == 2
+    captured = capsys.readouterr()
+    assert "--tolerance: must be a finite nonnegative number" in captured.err
+    assert not captured.out

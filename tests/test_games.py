@@ -58,6 +58,20 @@ def test_make_game_rejects_invalid():
         make_game(2, {1: 1, 2: 1, 3: 2}, players=["a", "a"])
 
 
+@pytest.mark.parametrize(
+    "tol", [True, False, -1e-9, float("nan"), float("inf"), "0.1", Fraction(1, 10)]
+)
+def test_make_game_rejects_tolerances_that_are_not_finite_nonnegative_numbers(tol):
+    with pytest.raises(ValueError, match="tolerance must be a finite nonnegative number"):
+        make_game(2, {1: 1.0, 2: 1.0, 3: 3.0}, tol=tol)
+
+
+def test_make_game_accepts_finite_nonnegative_tolerances():
+    assert make_game(2, {1: 1.0, 2: 1.0, 3: 3.0}, tol=0).tol == 0.0
+    assert make_game(2, {1: 1.0, 2: 1.0, 3: 3.0}, tol=1e-6).tol == 1e-6
+    assert make_game(2, {1: 1, 2: 1, 3: 3}, tol=0.0).mode == "exact"
+
+
 def test_mode_inference_and_labels():
     g = make_game(2, {1: 1, 2: Fraction(1, 2), 3: 2})
     assert g.mode == "exact" and g.tol == 0.0
