@@ -530,9 +530,8 @@ def run(argv=None) -> int:
         return _fail(str(exc), 2)
     except (RecursionError, MemoryError) as exc:
         return _fail(
-            f"{type(exc).__name__}: the input is too large for this analysis "
-            "(the exact weak-core search recurses once per partition); lower "
-            "--max-exact-weak-core-n or use a smaller game",
+            f"{type(exc).__name__}: the input is too large for this analysis; "
+            "lower --max-exact-weak-core-n or use a smaller game",
             2,
         )
 

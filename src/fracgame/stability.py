@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache, reduce
 from itertools import combinations
@@ -29,6 +29,7 @@ from .games import (
     EXACT,
     Game,
     boundary_contains,
+    boundary_empty,
     boundary_sampler,
     check_partition,
     coalitions,
@@ -147,31 +148,34 @@ def table_feasible(
 # membership predicates
 
 
-def _has_blocking_split(game: Game, block: int, table) -> bool:
-    """Whether the block splits into >=2-member pieces that all block, i.e.
-    each piece's own value exceeds its scaled in-block share.  Assumes the
-    shares are individually rational within the block."""
+def _blocking_split(game: Game, block: int, table) -> tuple[int, ...] | None:
+    """The pieces of the first split of the block into >=2-member pieces
+    that all block, i.e. each piece's own value exceeds its scaled in-block
+    share, or None when there is no such split.  Assumes the shares are
+    individually rational within the block."""
     if block.bit_count() <= 3:
-        return False
+        return None
 
     blocking = cache(lambda piece: not _covers(game, block, piece, table))
 
     @cache
-    def splits(mask: int) -> bool:
+    def split(mask: int) -> tuple[int, ...] | None:
         # every piece must contain the lowest member, have >=2 players, and
         # stay a proper part of the block
         if not mask:
-            return True
+            return ()
         low = mask & -mask
         rest = sub = mask ^ low
         while sub:
             piece = sub | low
-            if piece != block and blocking(piece) and splits(mask ^ piece):
-                return True
+            if piece != block and blocking(piece):
+                tail = split(mask ^ piece)
+                if tail is not None:
+                    return (piece, *tail)
             sub = (sub - 1) & rest
-        return False
+        return None
 
-    return splits(block)
+    return split(block)
 
 
 def core_contains(game: Game, shares: Sequence, kind: str = STRONG) -> bool:
@@ -213,7 +217,7 @@ def fission_resistant_by_table(game: Game, partition: Sequence[int], table, kind
             pieces = submasks(block, proper=True)
             if not all(_covers(game, block, piece, table) for piece in pieces):
                 return False
-        elif _has_blocking_split(game, block, table):
+        elif _blocking_split(game, block, table) is not None:
             return False
     return True
 
@@ -248,7 +252,7 @@ def block_verdicts(games: Sequence[Game], block: int, terms, scale: int, rationa
 
         @cache
         def splits(mask: int) -> np.ndarray:
-            # _has_blocking_split's recursion, over bool arrays
+            # _blocking_split's recursion, over bool arrays
             if not mask:
                 return ones
             low = mask & -mask
@@ -354,7 +358,10 @@ def core_system(game: Game, kind_masks=None) -> linfeas.LinearSystem:
 def split_vertices(game: Game, block: int) -> list[tuple]:
     """Vertices of a block's bare split simplex in closed form, sorted and
     without repeats as ``linfeas.vertices`` gives them: the lower bounds
-    plus the whole leftover on one member.  Empty when the simplex is."""
+    plus the whole leftover on one member.  Empty when the simplex is.  A
+    singleton block's only split is the share 1, whatever its value."""
+    if block.bit_count() == 1:
+        return [(Fraction(1),)]
     lbs = _exact_lower_bounds(game, block)
     s = 1 - sum(lbs)
     if s < 0:
@@ -398,9 +405,10 @@ def core_region(
     The strong core is a polytope, decided exactly by LP; its canonical
     witness maximizes the minimum constraint slack.  The weak core is a union
     of polytopes: up to ``max_exact_weak_n`` players it is resolved exactly
-    by a search over satisfied-coalition sets, beyond that by the strong-core
-    shortcut and random sampling, answering UNKNOWN rather than EMPTY when
-    nothing is found.  ``feasible`` (default ``linfeas.feasible``) decides
+    by a search that branches on the pieces of all-blocking splits (see
+    ``_weak_region_exact``), beyond that by the strong-core shortcut and
+    random sampling, answering UNKNOWN rather than EMPTY when nothing is
+    found.  ``feasible`` (default ``linfeas.feasible``) decides
     the strong-core system for both kinds, so a caller deciding both can
     solve it once.
     """
@@ -449,63 +457,45 @@ def core_region(
 
 
 def _weak_region_exact(game: Game, canonical_witness: bool) -> CoreRegion:
-    """Exhaustive search over which block of each non-grand partition gets a
-    satisfied constraint.  A branch commits a coalition's halfspace; pruning
-    happens on infeasible commitments and on already-failed states."""
-    n = game.n
-    full = game.grand
-    v_n = Fraction(game.values[full])
-    ratio = {c: Fraction(game.values[c]) / v_n for c in coalitions(n) if c != full}
-    base = boundary_system(game, full)
-    start = linfeas.feasible(base)
-    if start is None:
+    """Search over commitment sets: sets of proper coalitions whose
+    halfspace ``v(N) * f(C) >= v(C)`` is imposed on the grand split simplex.
+    A set's LP point either has no all-blocking split, and is then a weak-
+    core point, or every weak-core point of the set's polytope covers one
+    piece of the split ``_blocking_split`` finds there, so the search
+    branches on the pieces.  Infeasible sets are kept as nogoods and their
+    supersets skipped.  Coverage at the point is decided on the exactly
+    converted values, as the LP decides it.  The canonical witness is the
+    max-slack point of the polytope committing every coalition the found
+    point covers, all of which lies in the weak core."""
+    n, full = game.n, game.grand
+    if boundary_empty(game, full):
         return CoreRegion(EMPTY, None, "boundary")
-    parts = [p for p in enumerate_partitions(n) if len(p) > 1]
-
-    def point_satisfies(point, sums_cache, c):
-        total = sums_cache.get(c)
-        if total is None:
-            total = sum(point[i] for i in members(c))
-            sums_cache[c] = total
-        return total >= ratio[c]
+    exact = replace(game, values=(None, *map(Fraction, game.values[1:])), mode=EXACT, tol=0.0)
+    base = boundary_system(game, full)
 
     def system_for(committed):
-        hs = [(1, c, ratio[c]) for c in sorted(committed)]
+        hs = [(1, c, exact.values[c] / exact.values[full]) for c in sorted(committed)]
         return linfeas.linear_system(n, base.lower, base.blocks, hs)
 
-    failed: set[tuple[int, frozenset]] = set()
-
-    def search(idx, committed, point, sums_cache):
-        if idx == len(parts):
-            return committed, point
-        blocks = parts[idx]
-        if any(b in committed for b in blocks):
-            return search(idx + 1, committed, point, sums_cache)
-        ordered = sorted(blocks, key=lambda b: not point_satisfies(point, sums_cache, b))
-        for b in ordered:
-            nxt = committed | {b}
-            key = (idx + 1, nxt)
-            if key in failed:
-                continue
-            if point_satisfies(point, sums_cache, b):
-                result = search(idx + 1, nxt, point, sums_cache)
-            else:
-                fresh = linfeas.feasible(system_for(nxt))
-                if fresh is None:
-                    failed.add(key)
-                    continue
-                result = search(idx + 1, nxt, fresh, {})
-            if result is not None:
-                return result
-            failed.add(key)
-        return None
-
-    result = search(0, frozenset(), start, {})
-    if result is None:
+    nogoods, stack = [], [frozenset()]
+    while stack:
+        committed = stack.pop()
+        if any(bad <= committed for bad in nogoods):
+            continue
+        point = linfeas.feasible(system_for(committed))
+        if point is None:
+            nogoods.append(committed)
+            continue
+        table = share_table(exact, (full,), point)
+        pieces = _blocking_split(exact, full, table)
+        if pieces is None:
+            break
+        stack += [committed | {piece} for piece in reversed(pieces)]
+    else:
         return CoreRegion(EMPTY, None, "exact-search")
-    committed, point = result
     if canonical_witness:
-        point, _ = linfeas.max_slack_point(system_for(committed))
+        covered = [c for c in range(1, full) if _covers(exact, full, c, table)]
+        point, _ = linfeas.max_slack_point(system_for(covered))
     return CoreRegion(NONEMPTY, _finish_witness(game, point), "exact-search")
 
 

@@ -307,6 +307,71 @@ def naive_stable_sets(game, *, max_exact_weak_n=stability.DEFAULT_MAX_EXACT_WEAK
     return stability.StabilityReport(game.n, game.players, game_digest(game), records)
 
 
+def naive_weak_region_exact(game, canonical_witness):
+    """Verdict oracle for stability._weak_region_exact: the partition walk
+    it replaced, kept verbatim.  It walks all Bell(n)-1 non-grand partitions
+    in enumeration order, commits one block of each, and recurses once per
+    partition, so it is slow past n=4 and overflows the stack near n=8."""
+    from fracgame.games import coalitions
+
+    CoreRegion, EMPTY, NONEMPTY = stability.CoreRegion, stability.EMPTY, stability.NONEMPTY
+    n = game.n
+    full = game.grand
+    v_n = Fraction(game.values[full])
+    ratio = {c: Fraction(game.values[c]) / v_n for c in coalitions(n) if c != full}
+    base = stability.boundary_system(game, full)
+    start = linfeas.feasible(base)
+    if start is None:
+        return CoreRegion(EMPTY, None, "boundary")
+    parts = [p for p in enumerate_partitions(n) if len(p) > 1]
+
+    def point_satisfies(point, sums_cache, c):
+        total = sums_cache.get(c)
+        if total is None:
+            total = sum(point[i] for i in members(c))
+            sums_cache[c] = total
+        return total >= ratio[c]
+
+    def system_for(committed):
+        hs = [(1, c, ratio[c]) for c in sorted(committed)]
+        return linfeas.linear_system(n, base.lower, base.blocks, hs)
+
+    failed: set[tuple[int, frozenset]] = set()
+
+    def search(idx, committed, point, sums_cache):
+        if idx == len(parts):
+            return committed, point
+        blocks = parts[idx]
+        if any(b in committed for b in blocks):
+            return search(idx + 1, committed, point, sums_cache)
+        ordered = sorted(blocks, key=lambda b: not point_satisfies(point, sums_cache, b))
+        for b in ordered:
+            nxt = committed | {b}
+            key = (idx + 1, nxt)
+            if key in failed:
+                continue
+            if point_satisfies(point, sums_cache, b):
+                result = search(idx + 1, nxt, point, sums_cache)
+            else:
+                fresh = linfeas.feasible(system_for(nxt))
+                if fresh is None:
+                    failed.add(key)
+                    continue
+                result = search(idx + 1, nxt, fresh, {})
+            if result is not None:
+                return result
+            failed.add(key)
+        return None
+
+    result = search(0, frozenset(), start, {})
+    if result is None:
+        return CoreRegion(EMPTY, None, "exact-search")
+    committed, point = result
+    if canonical_witness:
+        point, _ = linfeas.max_slack_point(system_for(committed))
+    return CoreRegion(NONEMPTY, stability._finish_witness(game, point), "exact-search")
+
+
 # ---------------------------------------------------------------------------
 # frozen Fraction simplex: the two-phase solver linfeas used before its
 # tableau moved to integer rows, kept verbatim (helpers renamed) so the

@@ -123,6 +123,14 @@ def test_dimension_mismatch():
         leq_cp(g1, g2)
 
 
+def test_corollary_on_a_single_player_worth_nothing():
+    # a singleton may be worth 0; its one split is still the share 1
+    g1, g2 = make_game(1, {1: 0}), make_game(1, {1: 2})
+    assert leq_cp(g1, g2)
+    report = verify_corollary(g1, g2, samples=5, seed=0)
+    assert report.passed and verify_theorem1(g1, g2, samples=5, seed=0).passed
+
+
 def test_float_exact_agreement_on_dyadic_values():
     rng = random.Random(8)
     for _ in range(100):

@@ -403,6 +403,14 @@ def test_verify_reports_match_committed_bytes(capsys, suite):
     assert capsys.readouterr().out.encode("utf-8") == golden.read_bytes()
 
 
+def test_verify_report_of_a_pair_with_five_player_weak_searches(capsys):
+    # one n=5 pair whose six weak blocks of 4+ players once took the exact
+    # weak-core search minutes; the report is the one that search wrote
+    assert run(["verify", "theorem", "--pairs", "1", "--seed", "1022929911"]) == 0
+    golden = DATA / "verify_theorem_pairs1_seed1022929911.json"
+    assert capsys.readouterr().out.encode("utf-8") == golden.read_bytes()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -27,9 +27,11 @@ from fracgame import (
     stable_sets,
 )
 from fracgame import linfeas
-from fracgame.games import boundary_empty, solution_feasible
+from fracgame.games import boundary_contains, boundary_empty, solution_feasible, subgame
 from fracgame.risk import MeanStdScenario, build_meanstd_game
+from fracgame.centripetality import generate_ordered_pair
 from fracgame.stability import (
+    _weak_region_exact,
     boundary_system,
     fission_resistant_by_table,
     share_table,
@@ -42,6 +44,7 @@ from conftest import (
     naive_fission_resistant,
     naive_stable_sets,
     naive_weak_core_contains,
+    naive_weak_region_exact,
     naive_warm_max_slack_point,
     random_exact_game,
     random_float_game,
@@ -290,6 +293,14 @@ def test_split_vertices_match_brute_force_enumeration():
     assert flat >= 4
 
 
+def test_split_vertices_of_a_singleton_block():
+    # the only split of a singleton is the share 1, also when it is worth 0
+    for value in (0, 2, 0.5):
+        game = make_game(1, {1: value})
+        assert split_vertices(game, 1) == [(1,)]
+        assert boundary_contains(game, 1, split_vertices(game, 1)[0])
+
+
 def test_region_witness_always_revalidates():
     rng = random.Random(53)
     for trial in range(120):
@@ -332,6 +343,45 @@ def test_weak_region_exact_vs_sampled_consistency():
         else:
             assert exact.status in (NONEMPTY, EMPTY)
     assert agree > 10
+
+
+def _weak_search_games(n, seeds):
+    for seed in seeds:
+        yield random_exact_game(random.Random(seed), n)
+        yield from generate_ordered_pair(seed, n)
+        yield random_float_game(random.Random(seed), n)
+        game = cut_game(random.Random(seed), n)
+        yield game
+        if n == 5:
+            yield from (subgame(game, game.grand ^ 1 << i) for i in range(5))
+
+
+@pytest.mark.parametrize("n, seeds", [(4, range(60)), (5, range(25))])
+def test_weak_region_exact_matches_the_partition_walk(n, seeds):
+    # the split-driven search against the Bell(n) partition walk it
+    # replaced: same status on every game, and every witness, canonical or
+    # raw, re-validates under the library and the literal predicate
+    statuses = set()
+    for game in _weak_search_games(n, seeds):
+        want = naive_weak_region_exact(game, canonical_witness=False).status
+        for canonical in (True, False):
+            got = _weak_region_exact(game, canonical)
+            assert got.status == want
+            if got.status == NONEMPTY:
+                assert core_contains(game, got.witness, WEAK)
+                assert naive_weak_core_contains(game, got.witness)
+        statuses.add((game.mode, want))
+    assert statuses == {(m, s) for m in ("exact", "float") for s in (EMPTY, NONEMPTY)}
+
+
+def test_weak_region_exact_decides_eight_players():
+    # the partition walk recursed once per partition (Bell(8) - 1 = 4139
+    # levels) and overflowed the stack here
+    game = cut_game(random.Random(8), 8)
+    region = _weak_region_exact(game, True)
+    assert region.status in (NONEMPTY, EMPTY)
+    if region.status == NONEMPTY:
+        assert core_contains(game, region.witness, WEAK)
 
 
 def test_weak_region_unknown_when_sampling_cannot_decide():
