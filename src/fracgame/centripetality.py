@@ -183,23 +183,26 @@ def _row_point(n: int, partition, row) -> tuple:
     return tuple(shares[i] for i in range(n))
 
 
-def _judge_rows(g1: Game, g2: Game, partition, rows: list) -> list:
+def _judge_rows(g1: Game, g2: Game, partition, rows: list, feasible1: bool = True) -> list:
     """Verdicts on all candidate rows of one partition at once: ``rows[r][b]``
     is row r's ``(terms, scale)`` on block b under g1.  Per game, the AND
     over the blocks of ``block_verdicts`` on the rows lifted to one scale; a
-    float g2 judges an exact g1's rows on their shares over 1."""
+    float g2 judges an exact g1's rows on their shares over 1.  Without
+    ``feasible1`` g1's feasibility is not judged and reads None."""
     shared = g1.mode == g2.mode or g1.mode != EXACT
+    games, read = ((g1, g2), (feasible1, True)) if shared else ((g1,), (feasible1,))
     out = None
     for b, block in enumerate(partition):
         k, scale = block.bit_count(), math.lcm(*{row[b][1] for row in rows})
         lifted = [t * (scale // row[b][1]) for row in rows for t in row[b][0]]
         terms = np.array(lifted, dtype=object).reshape(len(rows), k)
-        judged = block_verdicts((g1, g2) if shared else (g1,), block, terms, scale, g1.mode == EXACT)
+        judged = block_verdicts(games, block, terms, scale, g1.mode == EXACT, read)
         if not shared:
             shares = np.array([draw_shares(*row[b]) for row in rows], dtype=object)
             judged += block_verdicts((g2,), block, shares.reshape(len(rows), k), 1, False)
         out = judged if out is None else [
-            (f & g, {kind: s[kind] & t[kind] for kind in s}) for (f, s), (g, t) in zip(out, judged)
+            (None if f is None else f & g, {kind: s[kind] & t[kind] for kind in s})
+            for (f, s), (g, t) in zip(out, judged)
         ]
     return out
 
@@ -279,7 +282,8 @@ def verify_theorem1(
 
     # (4) fission-resistant solutions transfer, witnesses plus samples; all
     # candidates of a partition are judged at once, under both games and
-    # both kinds, and each kind reads off its rows in order
+    # both kinds, and each kind reads off its rows in order; candidates are
+    # g1-feasible by construction, so only g2 feasibility is judged
     table = BlockTable(g1, max_exact_weak_n=n, canonical_witness=False)
     checked = {STRONG: 0, WEAK: 0}
     failures = []
@@ -296,7 +300,7 @@ def verify_theorem1(
                 rows.append([share_terms(g1, [w[i] for i in members(b)])[:2] for b in partition])
         first = len(rows)
         rows += [d for d in drawn if d is not None]
-        (_, fission1), (feasible2, fission2) = _judge_rows(g1, g2, partition, rows)
+        (_, fission1), (feasible2, fission2) = _judge_rows(g1, g2, partition, rows, False)
         for kind in (STRONG, WEAK):
             at = pick[kind] + list(range(first, len(rows)))
             count, bad = _first_failure(fission1[kind][at], (feasible2 & fission2[kind])[at])

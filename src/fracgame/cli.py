@@ -248,12 +248,14 @@ def _parse_grid(text: str) -> list[float]:
 
 
 def _sweep_point(args, label: str, game: Game, extra: dict) -> dict:
+    # a sweep prints no witness, so any core point will do
     report = stable_sets(
         game,
         cap=args.cap,
         max_exact_weak_n=args.max_exact_weak_core_n,
         samples=args.samples,
         seed=args.seed,
+        canonical_witness=False,
     )
     # partitions come grand first, so the first record holds the grand cores
     grand = report.records[0]

@@ -222,13 +222,22 @@ def fission_resistant_by_table(game: Game, partition: Sequence[int], table, kind
     return True
 
 
-def block_verdicts(games: Sequence[Game], block: int, terms, scale: int, rational: bool) -> list:
+def block_verdicts(
+    games: Sequence[Game],
+    block: int,
+    terms,
+    scale: int,
+    rational: bool,
+    feasible: Sequence[bool] | None = None,
+) -> list:
     """``table_feasible`` and ``fission_resistant_by_table`` on one block,
     for many allocations at once: row r of the object array ``terms`` holds
     one allocation's terms on the block's members, over ``scale`` (1 unless
     ``rational``).  The sums follow ``share_table`` and each element goes
     through the scalar predicates' Python operation.  Returns, per game, the
-    bool arrays ``(feasible, {STRONG: ..., WEAK: ...})`` over the rows."""
+    bool arrays ``(feasible, {STRONG: ..., WEAK: ...})`` over the rows.
+    ``feasible`` says per game whether its feasibility is read (default:
+    every game's); one that is not is None."""
     mem = members(block)
     count, full = len(terms), (1 << len(mem)) - 1
     sums, ones, judged = [0] * (full + 1), np.ones(count, bool), []
@@ -236,19 +245,23 @@ def block_verdicts(games: Sequence[Game], block: int, terms, scale: int, rationa
         low = mask & -mask
         sums[mask] = sums[mask ^ low] + terms[:, low.bit_length() - 1]
     pieces = [(piece, remap(piece, mem)) for piece in range(1, full)]
-    for game in games:
+    for game, read in zip(games, feasible or [True] * len(games)):
         values, v_b, tol, covered = game.values, game.values[block], game.tol, {}
         for piece, outer in pieces:
             lhs, rhs = v_b * sums[piece], values[outer] * scale
             covered[piece] = (
                 np.fromiter((geq(x, rhs, tol) for x in lhs), bool, count) if tol else lhs >= rhs
             )
-        if rational:  # the block sums to the scale and covers each member
+        if not read:
+            feasibility = None
+        elif rational:  # the block sums to the scale and covers each member
             singles = [covered[1 << j] for j in range(len(mem))] if full > 1 else []
-            feasible = reduce(np.logical_and, singles, sums[full] == scale)
+            feasibility = reduce(np.logical_and, singles, sums[full] == scale)
         else:
             shares = terms.tolist()
-            feasible = np.fromiter((boundary_contains(game, block, f) for f in shares), bool, count)
+            feasibility = np.fromiter(
+                (boundary_contains(game, block, f) for f in shares), bool, count
+            )
 
         @cache
         def splits(mask: int) -> np.ndarray:
@@ -266,7 +279,7 @@ def block_verdicts(games: Sequence[Game], block: int, terms, scale: int, rationa
 
         strong = reduce(np.logical_and, covered.values(), ones)
         weak = ~splits(full) if len(mem) > 3 else ones
-        judged.append((feasible, {STRONG: strong, WEAK: weak}))
+        judged.append((feasibility, {STRONG: strong, WEAK: weak}))
     return judged
 
 
@@ -512,15 +525,20 @@ class PatchedCore:
 
 
 class BlockTable(dict):
-    """The core regions of one game's blocks, keyed by (block, kind).
+    """The core regions of one game's blocks, looked up by (block, kind).
 
     A block's region is decided on first use, by ``core_region`` on the
     block's subgame with this table's settings, and read back on every later
     use, so each block has one verdict and one witness however many
-    partitions contain it.  Both kinds read one ``linfeas.feasible`` point
-    of the block's strong-core system, solved when the first of them needs
-    it.  ``rng`` is passed through unchanged: sampled blocks draw from it in
-    first-visit order.
+    partitions contain it.  Regions are kept by the subgame's content, its
+    value table without player labels (one table serves one game, so mode
+    and tolerance are fixed): blocks with equal subgames share one region,
+    computed once, and since a region is in the block's local coordinates,
+    ``patched`` scatters its witness into any of them.  Both kinds read one
+    ``linfeas.feasible`` point of a subgame's strong-core system, solved
+    when the first of them needs it.  ``rng`` is passed through unchanged:
+    sampled regions draw from it in first-visit order, once per distinct
+    subgame.
     """
 
     def __init__(
@@ -540,18 +558,30 @@ class BlockTable(dict):
             rng=rng,
             canonical_witness=canonical_witness,
         )
+        # each block's subgame and the index of its value table, so a table
+        # is hashed once per block and the regions are keyed by int
+        self.subgames: dict[int, tuple[Game, int]] = {}
+        self.contents: dict[tuple, int] = {}
+        self.regions: dict[tuple[int, str], CoreRegion] = {}
         self.strong_points: dict[int, tuple | None] = {}
 
     def __missing__(self, key: tuple[int, str]) -> CoreRegion:
         block, kind = key
+        if block not in self.subgames:
+            game = subgame(self.game, block)
+            self.subgames[block] = game, self.contents.setdefault(game.values, len(self.contents))
+        game, content = self.subgames[block]
+        region = self.regions.get((content, kind))
+        if region is None:
 
-        def feasible(system: linfeas.LinearSystem) -> tuple | None:
-            if block not in self.strong_points:
-                self.strong_points[block] = linfeas.feasible(system)
-            return self.strong_points[block]
+            def feasible(system: linfeas.LinearSystem) -> tuple | None:
+                if content not in self.strong_points:
+                    self.strong_points[content] = linfeas.feasible(system)
+                return self.strong_points[content]
 
-        game = subgame(self.game, block)
-        region = self[key] = core_region(game, kind, feasible=feasible, **self.settings)
+            region = core_region(game, kind, feasible=feasible, **self.settings)
+            self.regions[content, kind] = region
+        self[key] = region
         return region
 
     def patched(self, partition: Sequence[int], kind: str) -> PatchedCore:
@@ -725,15 +755,22 @@ def stable_sets(
     max_exact_weak_n: int = DEFAULT_MAX_EXACT_WEAK_N,
     samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
+    canonical_witness: bool = True,
 ) -> StabilityReport:
     """Sweep every partition: patched strong/weak cores and fusion
     resistance.  Stable solutions pair a fusion-resistant partition with any
     point of its nonempty patched core.  All partitions read their blocks
-    from one ``BlockTable``, so each block is decided once."""
+    from one ``BlockTable``, so each distinct block subgame is decided once.
+    Without ``canonical_witness`` the witnesses are any core points the LP
+    finds (see ``core_region``); the statuses do not change."""
     from .games import game_digest
 
     table = BlockTable(
-        game, max_exact_weak_n=max_exact_weak_n, samples=samples, rng=random.Random(seed)
+        game,
+        max_exact_weak_n=max_exact_weak_n,
+        samples=samples,
+        rng=random.Random(seed),
+        canonical_witness=canonical_witness,
     )
     records = [
         PartitionRecord(

@@ -354,6 +354,35 @@ def test_verdict_arrays_are_bool():
         assert feasible.dtype == bool and all(v.dtype == bool for v in fission.values())
 
 
+def test_theorem_judges_feasibility_under_the_second_game_only(monkeypatch):
+    # claim 4's candidates are feasible under g1 by construction; on a float
+    # g1 judging that anyway would run boundary_contains per row and block
+    g1, g2 = generate_ordered_pair(5, 4)
+    partition = (1, 14)
+    for pair in ((g1, g2), (_float_copy(g1), _float_copy(g2)), (g1, _float_copy(g2)),
+                 (_float_copy(g1), g2)):
+        sample, rng = boundary_sampler(pair[0]), random.Random(4)
+        rows = [centripetality._draw(sample, partition, rng) for _ in range(6)]
+        rows = [row for row in rows if row is not None]
+        both = centripetality._judge_rows(*pair, partition, rows)
+        (none, fission1), second = centripetality._judge_rows(*pair, partition, rows, False)
+        assert none is None and second[0].tolist() == both[1][0].tolist()
+        for kind in (STRONG, WEAK):
+            assert fission1[kind].tolist() == both[0][1][kind].tolist()
+            assert second[1][kind].tolist() == both[1][1][kind].tolist()
+    f1, f2 = _float_copy(g1), _float_copy(g2)
+    original = stability.boundary_contains
+
+    def second_game_only(game, coalition, shares):
+        assert game is not f1
+        return original(game, coalition, shares)
+
+    monkeypatch.setattr(stability, "boundary_contains", second_game_only)
+    assert verify_theorem1(f1, f2, samples=25, seed=3).to_dict() == (
+        _theorem_report_with_naive_sampled_claims(f1, f2, 25, 3)
+    )
+
+
 def test_corollary_suite_on_ordered_pairs():
     rng = random.Random(4)
     for _ in range(12):

@@ -412,6 +412,21 @@ def test_verify_report_of_a_pair_with_five_player_weak_searches(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["--scenario", "meanstd", "--n", "5", "--r", "0:1.5:0.5"], "meanstd_n5_r0-1.5-0.5"),
+        (["--scenario", "cvar", "--n", "4", "--beta-a", "1,2,3"], "cvar_n4_beta1-2-3"),
+    ],
+)
+def test_sweep_reports_match_committed_bytes(capsys, argv, name):
+    # the reports as sweeps wrote them while every block region still took
+    # its canonical (max-slack) witness, which a sweep never prints
+    assert run(["sweep", *argv]) == 0
+    golden = DATA / f"sweep_{name}.json"
+    assert capsys.readouterr().out.encode("utf-8") == golden.read_bytes()
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["analyze", "{game}", "--max-exact-weak-core-n", "-5"],

@@ -28,7 +28,13 @@ from fracgame import (
 )
 from fracgame import linfeas
 from fracgame.games import boundary_contains, boundary_empty, solution_feasible, subgame
-from fracgame.risk import MeanStdScenario, build_meanstd_game
+from fracgame.risk import (
+    MeanStdScenario,
+    beta_density,
+    build_cvar_game,
+    build_meanstd_game,
+    default_uniform_family,
+)
 from fracgame.centripetality import generate_ordered_pair
 from fracgame.stability import (
     _weak_region_exact,
@@ -514,20 +520,36 @@ def test_stable_sets_match_per_partition_oracle_on_float_game():
     assert stable_sets(game).to_dict() == naive_stable_sets(game).to_dict()
 
 
-def test_stable_sets_decides_each_block_once(monkeypatch):
+def _count_core_regions(monkeypatch) -> list:
     from fracgame import stability
 
     calls = []
     original = stability.core_region
 
     def counting(game, kind, **kwargs):
-        calls.append((game.players, kind))
+        calls.append((game.values, kind))
         return original(game, kind, **kwargs)
 
     monkeypatch.setattr(stability, "core_region", counting)
-    stable_sets(random_exact_game(random.Random(13), 5))
-    assert len(calls) == 2 * (2**5 - 1)
-    assert len(set(calls)) == len(calls)
+    return calls
+
+
+def test_stable_sets_decides_each_block_once(monkeypatch):
+    # one decision per distinct (block subgame, kind): blocks whose subgames
+    # have equal value tables share it
+    calls = _count_core_regions(monkeypatch)
+    game = random_exact_game(random.Random(13), 5)
+    stable_sets(game)
+    contents = {(subgame(game, b).values, kind) for b in range(1, 32) for kind in (STRONG, WEAK)}
+    assert len(calls) == len(set(calls)) and set(calls) == contents
+
+
+def test_stable_sets_decides_each_block_size_once_on_a_pooled_game(monkeypatch):
+    # a pooled venture's values depend only on coalition size: 6 distinct
+    # subgames among the 63 blocks, each decided once per kind
+    calls = _count_core_regions(monkeypatch)
+    stable_sets(build_meanstd_game(MeanStdScenario(6, 1.0, 0.5, 0.8)))
+    assert len(calls) == 12
 
 
 def test_stable_sets_solves_each_feasibility_system_once(monkeypatch):
@@ -543,6 +565,60 @@ def test_stable_sets_solves_each_feasibility_system_once(monkeypatch):
     monkeypatch.setattr(linfeas, "feasible", recording)
     stable_sets(random_exact_game(random.Random(13), 5))
     assert systems and len(systems) == len(set(systems))
+
+
+def _size_game(n: int, by_size: dict):
+    """A game whose values depend only on coalition size."""
+    return make_game(n, {m: by_size[m.bit_count()] for m in range(1, 1 << n)})
+
+
+# per capita, pairs get 3/2, 4-blocks 29/20 and 5-blocks 7/5, so a pair
+# inside blocks the strong cores of 4- and 5-blocks; their weak cores are
+# nonempty (give one member 1 and the others the rest evenly)
+SIZE_VALUES = {1: 1, 2: 3, 3: Fraction(9, 2), 4: Fraction(29, 5), 5: 7, 6: Fraction(42, 5)}
+
+
+@pytest.mark.parametrize(
+    "game, max_exact_weak_n",
+    [
+        *[(build_meanstd_game(MeanStdScenario(5, 1.0, 0.5, r)), 4) for r in (0, 0.8, 1.5)],
+        (build_cvar_game(default_uniform_family(5), beta_density(2.0)), 4),
+        (_size_game(5, SIZE_VALUES), 4),
+        (_size_game(5, SIZE_VALUES), 5),
+    ],
+    ids=["meanstd-r0", "meanstd-r0.8", "meanstd-r1.5", "cvar-beta2", "size-4", "size-5"],
+)
+def test_blocks_with_equal_subgames_match_the_per_partition_oracle(game, max_exact_weak_n):
+    # every block of one size has the same subgame here; deciding it once
+    # must reproduce the sweep that decides every block of every partition
+    got = stable_sets(game, max_exact_weak_n=max_exact_weak_n)
+    assert got.to_dict() == naive_stable_sets(game, max_exact_weak_n=max_exact_weak_n).to_dict()
+
+
+@pytest.mark.parametrize(
+    "game",
+    [
+        _size_game(6, SIZE_VALUES),
+        _size_game(6, {s: float(v) for s, v in SIZE_VALUES.items()}),
+    ],
+    ids=["exact", "float"],
+)
+def test_sampled_blocks_with_equal_subgames_share_one_region(game):
+    # with exact weak search up to 3 players the 4-, 5- and 6-player weak
+    # regions are sampled; every block of one size gets the one region
+    # drawn for its subgame, and every witness is a core point of it
+    report = stable_sets(game, max_exact_weak_n=3, samples=20, seed=1)
+    seen = {}
+    for record in report.records:
+        for kind, patched in ((STRONG, record.strong), (WEAK, record.weak)):
+            for block, region in zip(record.partition, patched.block_regions):
+                sub = subgame(game, block)
+                assert seen.setdefault((sub.values, kind), region) == region
+                if region.witness is not None:
+                    assert core_contains(sub, region.witness, kind)
+    assert len(seen) == 2 * game.n
+    sampled = [r for r in seen.values() if r.method == "sampled(20)"]
+    assert len(sampled) == game.n - 3
 
 
 def test_repeated_sampled_block_has_one_region():
