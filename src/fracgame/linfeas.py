@@ -16,9 +16,14 @@ of the rational tableau and only the returned point is built from
 Fractions.  The max-slack witness is a lexicographic optimum, solved as in
 the sequential LPs of the nucleolus (Kopelowitz 1967): one phase 1, then
 one phase-2 stage per objective on the same tableau, each restarting from
-the previous optimal basis and restricted to its optimal face.  Vertices
-come from brute-force active-set intersection, which is entirely adequate
-at the dimensions this package targets.
+the previous optimal basis and restricted to its optimal face.  Many
+halfspaces (the strong core's 2^n - 2 coalitions, few of them tight) go
+through row generation (Hallefjord, Helming & Jornsten 1995): a relaxation
+takes in the row most violated at its point (one integer subset-sum table
+finds it) until its optimum meets every row and so is the whole system's,
+which the answer is re-checked against.  Vertices come from brute-force
+active-set intersection, which is entirely adequate at the dimensions this
+package targets.
 """
 
 from __future__ import annotations
@@ -381,6 +386,54 @@ def max_slack_point(system: LinearSystem):
     if not satisfies(system, point):  # pragma: no cover - solver contract
         raise NumericFailure("simplex returned a point violating the system")
     return point, x[dim]
+
+
+def row_generation(system: LinearSystem, max_slack: bool = False):
+    """``feasible`` (or with ``max_slack``, ``max_slack_point``) of a system
+    with many halfspaces, by row generation.
+
+    The restricted system keeps the lower bounds and blocks and starts with
+    no halfspace.  Each round solves it with ``feasible`` (``max_slack_point``)
+    and takes in the halfspace of least slack among those whose slack at the
+    point is below 0 (below the restricted optimum t), ties going to the
+    lowest index, until there is none.  The answer is re-checked against the
+    whole system: verdict and max-slack point are the whole system's.
+    """
+    dim, halfspaces = system.dim, system.halfspaces
+    # halfspace k reads coefs[k] * F >= rhss[k] * D for a share sum F / D
+    unit = math.lcm(*(x.denominator for h in halfspaces for x in (h.coef, h.rhs)))
+    coefs = [h.coef.numerator * (unit // h.coef.denominator) for h in halfspaces]
+    rhss = [h.rhs.numerator * (unit // h.rhs.denominator) for h in halfspaces]
+    chosen: list[int] = []
+    while True:
+        restricted = LinearSystem(
+            dim, system.lower, system.blocks, tuple(halfspaces[k] for k in sorted(chosen))
+        )
+        if max_slack:
+            found = point, t = max_slack_point(restricted)
+        else:
+            found = point = feasible(restricted)
+            if point is None:
+                return None
+            t = _F0
+        scale = math.lcm(*(x.denominator for x in point))
+        terms = [x.numerator * (scale // x.denominator) for x in point]
+        sums = [0] * (1 << dim)
+        for mask in range(1, 1 << dim):
+            low = mask & -mask
+            sums[mask] = sums[mask ^ low] + terms[low.bit_length() - 1]
+        # slacks over the common scale unit * scale, compared with t
+        bar = t.numerator * unit * scale
+        slacks = (
+            (coefs[k] * sums[h.support] - rhss[k] * scale, k) for k, h in enumerate(halfspaces)
+        )
+        worst = min((s for s in slacks if s[0] * t.denominator < bar), default=None)
+        if worst is None:
+            break
+        chosen.append(worst[1])
+    if not satisfies(system, point):  # pragma: no cover - solver contract
+        raise NumericFailure("row generation returned a point violating the system")
+    return found
 
 
 # ---------------------------------------------------------------------------

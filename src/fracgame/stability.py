@@ -19,12 +19,12 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache, reduce
 from itertools import combinations
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import linfeas
-from .errors import DimensionMismatch, InfeasibleSolution
+from .errors import DimensionMismatch, InfeasibleSolution, InfeasibleSystem
 from .games import (
     EXACT,
     Game,
@@ -411,49 +411,47 @@ def core_region(
     samples: int = DEFAULT_SAMPLES,
     rng: random.Random | None = None,
     canonical_witness: bool = True,
-    feasible: Callable[[linfeas.LinearSystem], tuple | None] | None = None,
+    strong: CoreRegion | None = None,
 ) -> CoreRegion:
     """Decide (non)emptiness of the requested core and produce a witness.
 
-    The strong core is a polytope, decided exactly by LP; its canonical
-    witness maximizes the minimum constraint slack.  The weak core is a union
-    of polytopes: up to ``max_exact_weak_n`` players it is resolved exactly
-    by a search that branches on the pieces of all-blocking splits (see
-    ``_weak_region_exact``), beyond that by the strong-core shortcut and
-    random sampling, answering UNKNOWN rather than EMPTY when nothing is
-    found.  ``feasible`` (default ``linfeas.feasible``) decides
-    the strong-core system for both kinds, so a caller deciding both can
-    solve it once.
+    The strong core is a polytope, decided exactly by LP with row generation
+    over its coalition halfspaces; its canonical witness maximizes the
+    minimum constraint slack, otherwise any core point the LP finds serves.
+    The weak core is a union of polytopes containing the strong core, whose
+    region answers first: a nonempty one lends its verdict and witness
+    (``strong-subset``).  ``strong`` is that region when the caller has
+    already decided it for this game with the same ``canonical_witness``.
+    Otherwise up to ``max_exact_weak_n`` players the weak core is resolved
+    exactly by a search that branches on the pieces of all-blocking splits
+    (see ``_weak_region_exact``), beyond that by random sampling, answering
+    UNKNOWN rather than EMPTY when nothing is found.
     """
     _check_kind(kind)
-    if feasible is None:
-        feasible = linfeas.feasible
     n = game.n
     if n == 1:
         return CoreRegion(NONEMPTY, (1,) if game.mode == EXACT else (1.0,), "singleton")
     full = game.grand
-    if kind == STRONG:
-        if n == 2:
-            point = _centered_boundary_point(game, full)
-            if point is None:
-                return CoreRegion(EMPTY, None, "boundary")
-            return CoreRegion(NONEMPTY, point, "boundary")
-        system = core_system(game)
-        point = feasible(system)
-        if point is None:
-            return CoreRegion(EMPTY, None, "lp")
-        if canonical_witness:
-            point, _ = linfeas.max_slack_point(system)
-        return CoreRegion(NONEMPTY, _finish_witness(game, point), "lp")
-    # weak core
-    if n <= 3:
+    if n <= (2 if kind == STRONG else 3):
         point = _centered_boundary_point(game, full)
         if point is None:
             return CoreRegion(EMPTY, None, "boundary")
         return CoreRegion(NONEMPTY, point, "boundary")
-    point = feasible(core_system(game))
-    if point is not None:
-        return CoreRegion(NONEMPTY, _finish_witness(game, point), "strong-subset")
+    if kind == STRONG:
+        try:
+            if canonical_witness:
+                point, _ = linfeas.row_generation(core_system(game), max_slack=True)
+            else:
+                point = linfeas.row_generation(core_system(game))
+        except InfeasibleSystem:
+            point = None
+        if point is None:
+            return CoreRegion(EMPTY, None, "lp")
+        return CoreRegion(NONEMPTY, _finish_witness(game, point), "lp")
+    if strong is None:
+        strong = core_region(game, STRONG, canonical_witness=canonical_witness)
+    if strong.status == NONEMPTY:
+        return CoreRegion(NONEMPTY, strong.witness, "strong-subset")
     if n <= max_exact_weak_n:
         return _weak_region_exact(game, canonical_witness)
     if rng is None:
@@ -508,7 +506,7 @@ def _weak_region_exact(game: Game, canonical_witness: bool) -> CoreRegion:
         return CoreRegion(EMPTY, None, "exact-search")
     if canonical_witness:
         covered = [c for c in range(1, full) if _covers(exact, full, c, table)]
-        point, _ = linfeas.max_slack_point(system_for(covered))
+        point, _ = linfeas.row_generation(system_for(covered), max_slack=True)
     return CoreRegion(NONEMPTY, _finish_witness(game, point), "exact-search")
 
 
@@ -534,11 +532,11 @@ class BlockTable(dict):
     value table without player labels (one table serves one game, so mode
     and tolerance are fixed): blocks with equal subgames share one region,
     computed once, and since a region is in the block's local coordinates,
-    ``patched`` scatters its witness into any of them.  Both kinds read one
-    ``linfeas.feasible`` point of a subgame's strong-core system, solved
-    when the first of them needs it.  ``rng`` is passed through unchanged:
-    sampled regions draw from it in first-visit order, once per distinct
-    subgame.
+    ``patched`` scatters its witness into any of them.  The weak region of
+    a block of four or more players reads the strong region of the same
+    content, so its strong-core system is solved once.  ``rng`` is passed
+    through unchanged: sampled regions draw from it in first-visit order,
+    once per distinct subgame.
     """
 
     def __init__(
@@ -563,7 +561,6 @@ class BlockTable(dict):
         self.subgames: dict[int, tuple[Game, int]] = {}
         self.contents: dict[tuple, int] = {}
         self.regions: dict[tuple[int, str], CoreRegion] = {}
-        self.strong_points: dict[int, tuple | None] = {}
 
     def __missing__(self, key: tuple[int, str]) -> CoreRegion:
         block, kind = key
@@ -573,13 +570,8 @@ class BlockTable(dict):
         game, content = self.subgames[block]
         region = self.regions.get((content, kind))
         if region is None:
-
-            def feasible(system: linfeas.LinearSystem) -> tuple | None:
-                if content not in self.strong_points:
-                    self.strong_points[content] = linfeas.feasible(system)
-                return self.strong_points[content]
-
-            region = core_region(game, kind, feasible=feasible, **self.settings)
+            strong = self[block, STRONG] if kind == WEAK and game.n > 3 else None
+            region = core_region(game, kind, strong=strong, **self.settings)
             self.regions[content, kind] = region
         self[key] = region
         return region

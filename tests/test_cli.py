@@ -416,11 +416,14 @@ def test_verify_report_of_a_pair_with_five_player_weak_searches(capsys):
     [
         (["--scenario", "meanstd", "--n", "5", "--r", "0:1.5:0.5"], "meanstd_n5_r0-1.5-0.5"),
         (["--scenario", "cvar", "--n", "4", "--beta-a", "1,2,3"], "cvar_n4_beta1-2-3"),
+        (["--scenario", "meanstd", "--n", "7", "--r", "0:1.5:0.5"], "meanstd_n7_r0-1.5-0.5"),
     ],
 )
 def test_sweep_reports_match_committed_bytes(capsys, argv, name):
     # the reports as sweeps wrote them while every block region still took
-    # its canonical (max-slack) witness, which a sweep never prints
+    # its canonical (max-slack) witness, which a sweep never prints (n=5,
+    # cvar), and while every strong-core LP still carried all its coalition
+    # rows (n=7)
     assert run(["sweep", *argv]) == 0
     golden = DATA / f"sweep_{name}.json"
     assert capsys.readouterr().out.encode("utf-8") == golden.read_bytes()

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import cache, partial
 
 import pytest
 
@@ -17,13 +18,14 @@ from fracgame import (
     vertices,
 )
 from fracgame import linfeas, stability
-from fracgame.games import subgame
+from fracgame.games import make_game, subgame
 from fracgame.risk import (
     beta_density,
     build_cvar_game,
     default_uniform_family,
     uniform_curve_family,
 )
+from fracgame.linfeas import row_generation
 from fracgame.stability import core_system
 from conftest import (
     cut_game,
@@ -152,6 +154,7 @@ def test_vertices_all_satisfy_and_span():
             support = rng.randrange(1, 1 << dim)
             cuts.append((1, support, Fraction(rng.randrange(0, 10), 12)))
         sys_ = simplex(dim, lower, cuts)
+        _assert_row_generation(sys_, _frozen_cold(sys_))
         verts = vertices(sys_)
         for v in verts:
             assert satisfies(sys_, v)
@@ -186,6 +189,7 @@ def test_feasible_agrees_between_float_and_fraction_inputs():
             [(Fraction(1), cut_support, Fraction(cut_rhs))],
         )
         assert sys_float == sys_frac
+        _assert_row_generation(sys_frac, _frozen_cold(sys_frac))
         a = feasible(sys_float)
         b = feasible(sys_frac)
         assert (a is None) == (b is None)
@@ -197,6 +201,7 @@ def test_minimize_value_bounds_sampled_points():
         dim = rng.randint(2, 4)
         lower = [Fraction(rng.randrange(0, 2), 8) for _ in range(dim)]
         sys_ = simplex(dim, lower, [(1, rng.randrange(1, 1 << dim), Fraction(1, 3))])
+        _assert_row_generation(sys_, _frozen_cold(sys_))
         if feasible(sys_) is None:
             continue
         cost = [Fraction(rng.randrange(-4, 5)) for _ in range(dim)]
@@ -212,6 +217,22 @@ def _outcome(solve, system):
         return solve(system)
     except InfeasibleSystem:
         return None
+
+
+# the frozen solvers' outcomes, kept per system, so the driver's gates and
+# the integer solver's pins share one solve of each system
+_frozen_feasible = cache(naive_feasible)
+_frozen_cold = cache(partial(_outcome, naive_max_slack_point))
+_frozen_warm = cache(partial(_outcome, naive_warm_max_slack_point))
+
+
+def _assert_row_generation(system, frozen_best):
+    """The row-generation driver on a whole system: the frozen solver's
+    verdict, the frozen max-slack outcome, and points inside the system."""
+    point = row_generation(system)
+    assert (point is None) == (_frozen_feasible(system) is None)
+    assert point is None or satisfies(system, point)
+    assert _outcome(partial(row_generation, max_slack=True), system) == frozen_best
 
 
 def _oracle_systems(rng):
@@ -256,7 +277,7 @@ def test_max_slack_point_matches_cold_sequential_reference():
     seen = {"infeasible": 0, "two-block": 0, "tight": 0, "meanstd": 0}
     den_bits = 0
     for label, nblocks, sys_ in _oracle_systems(random.Random(2304)):
-        want = _outcome(naive_max_slack_point, sys_)
+        want = _frozen_cold(sys_)
         assert _outcome(max_slack_point, sys_) == want
         seen["infeasible"] += want is None
         seen["two-block"] += nblocks == 2
@@ -356,11 +377,11 @@ def test_integer_simplex_returns_the_frozen_solvers_points(monkeypatch):
     den_bits = 0
     for label, sys_ in systems:
         point = feasible(sys_)
-        assert point == naive_feasible(sys_), label
+        assert point == _frozen_feasible(sys_), label
         if sys_.dim < 6:
             cost = [Fraction(rng.randrange(-6, 7), rng.randrange(1, 4)) for _ in range(sys_.dim)]
             assert minimize(sys_, cost) == naive_minimize(sys_, cost), label
-        assert _outcome(max_slack_point, sys_) == _outcome(naive_warm_max_slack_point, sys_), label
+        assert _outcome(max_slack_point, sys_) == _frozen_warm(sys_), label
         feasible_by_label.setdefault(label, set()).add(point is not None)
         if label == "meanstd":
             den_bits = max(den_bits, *(h.rhs.denominator.bit_length() for h in sys_.halfspaces))
@@ -369,3 +390,82 @@ def test_integer_simplex_returns_the_frozen_solvers_points(monkeypatch):
     assert all(v == {True, False} for v in feasible_by_label.values()), feasible_by_label
     assert den_bits >= 50
     assert paths["deleted"] and paths["negative"]
+
+
+def test_row_generation_matches_the_frozen_solvers():
+    # the seeded oracle set against the cold reference, and every kind of
+    # system the library builds against the warm one (the pair agree on
+    # the oracle set); meanstd systems carry 54-bit denominators
+    for _, _, sys_ in _oracle_systems(random.Random(2304)):
+        _assert_row_generation(sys_, _frozen_cold(sys_))
+    den_bits = 0
+    for label, sys_ in _differential_systems():
+        _assert_row_generation(sys_, _frozen_warm(sys_))
+        if label == "meanstd":
+            den_bits = max(den_bits, *(h.rhs.denominator.bit_length() for h in sys_.halfspaces))
+    assert den_bits >= 54
+
+
+def _core_games(n):
+    """Strong-core systems of six to eight players: a pooled venture
+    (float values), a supermodular exact game (nonempty core), and the
+    cut and random exact games (empty cores)."""
+    rng = random.Random(n)
+    weights = [rng.randint(1, 5) for _ in range(n)]
+    square = {m: sum(w for i, w in enumerate(weights) if m >> i & 1) ** 2 for m in range(1, 1 << n)}
+    return {
+        "pooled": build_meanstd_game(MeanStdScenario(n, 1.0, 0.5, 0.8)),
+        "supermodular": make_game(n, square),
+        "cut": cut_game(random.Random(3), n),
+        "random-exact": random_exact_game(random.Random(3), n),
+    }
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_row_generation_decides_core_systems_of_six_to_eight_players(monkeypatch, n):
+    # the frozen solver cannot afford the whole system past six players, so
+    # the last restriction the driver solved is handed to it: the rows of a
+    # restriction are rows of the whole system, so an infeasible one proves
+    # the whole system infeasible, and its max-slack point is the whole
+    # system's when every row there keeps at least that slack
+    solved = []
+
+    def recording(solve):
+        def wrapped(system):
+            solved.append(system)
+            return solve(system)
+
+        return wrapped
+
+    monkeypatch.setattr(linfeas, "feasible", recording(linfeas.feasible))
+    monkeypatch.setattr(linfeas, "max_slack_point", recording(linfeas.max_slack_point))
+    verdicts = {}
+    for label, game in _core_games(n).items():
+        system = core_system(game)
+        for solve in (row_generation, partial(row_generation, max_slack=True)):
+            solved.clear()
+            got = _outcome(solve, system)
+            last = solved[-1]
+            assert (last.dim, last.lower, last.blocks) == (system.dim, system.lower, system.blocks)
+            assert set(last.halfspaces) < set(system.halfspaces), label
+            if got is None:
+                assert naive_feasible(last) is None, label
+            elif solve is row_generation:
+                assert satisfies(system, got), label
+            else:
+                assert got == naive_max_slack_point(last), label
+                point, slack = got
+                assert min(x - lb for x, lb in zip(point, system.lower)) >= slack
+                for h in system.halfspaces:
+                    total = sum(point[i] for i in range(n) if h.support >> i & 1)
+                    assert h.coef * total - h.rhs >= slack
+            verdicts.setdefault(label, set()).add(got is None)
+        if n == 6:
+            assert verdicts[label] == {naive_feasible(system) is None}, label
+        elif n == 7:
+            # the integer solvers on the whole system; got is the max-slack outcome
+            assert verdicts[label] == {feasible(system) is None}, label
+            assert got == _outcome(max_slack_point, system), label
+    assert verdicts == {
+        "pooled": {False}, "supermodular": {False}, "cut": {True}, "random-exact": {True}
+    }

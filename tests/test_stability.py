@@ -10,6 +10,7 @@ from fracgame import (
     STRONG,
     UNKNOWN,
     WEAK,
+    BlockTable,
     InfeasibleSolution,
     core_contains,
     core_region,
@@ -323,6 +324,27 @@ def test_region_witness_always_revalidates():
                     point = sample_boundary(game, game.grand, rng)
                     if point is not None:
                         assert not core_contains(game, point, kind)
+
+
+def test_weak_region_lends_the_strong_region_of_the_same_game():
+    # a nonempty strong core answers the weak one with its own witness,
+    # standalone and in a block table, with and without the canonical one
+    rng = random.Random(29)
+    make = (random_float_game, random_exact_game)
+    games = [make[k % 2](rng, 4 + k % 3) for k in range(30)]
+    games += [build_meanstd_game(MeanStdScenario(n, 1.0, 0.5, r)) for n in (4, 5, 6) for r in (0, 0.8)]
+    lent = 0
+    for game in games:
+        for canonical in (True, False):
+            strong = core_region(game, STRONG, canonical_witness=canonical)
+            weak = core_region(game, WEAK, canonical_witness=canonical)
+            table = BlockTable(game, canonical_witness=canonical)
+            assert table[game.grand, WEAK] == weak and table[game.grand, STRONG] == strong
+            assert (weak.method == "strong-subset") == (strong.status == NONEMPTY)
+            if strong.status == NONEMPTY:
+                assert weak.witness == strong.witness
+                lent += 1
+    assert lent >= 16 and lent < 2 * len(games)
 
 
 def test_weak_region_exact_vs_sampled_consistency():
