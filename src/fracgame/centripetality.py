@@ -284,7 +284,7 @@ def verify_theorem1(
     # candidates of a partition are judged at once, under both games and
     # both kinds, and each kind reads off its rows in order; candidates are
     # g1-feasible by construction, so only g2 feasibility is judged
-    table = BlockTable(g1, max_exact_weak_n=n, canonical_witness=False)
+    table = BlockTable(g1, canonical_witness=False)
     checked = {STRONG: 0, WEAK: 0}
     failures = []
     for partition in parts:
@@ -392,7 +392,7 @@ def verify_corollary(
     # find, all judged at once under both games
     grand = (g1.grand,)
     points = split_vertices(g1, g1.grand)
-    region = core_region(g1, WEAK, max_exact_weak_n=n, canonical_witness=False)
+    region = core_region(g1, WEAK, canonical_witness=False)
     if region.status == NONEMPTY:
         points.append(region.witness)
     rows = [[share_terms(g1, f)[:2]] for f in points]

@@ -44,14 +44,7 @@ from .risk import (
     verify_prop1,
     verify_prop2,
 )
-from .stability import (
-    DEFAULT_MAX_EXACT_WEAK_N,
-    DEFAULT_SAMPLES,
-    STRONG,
-    WEAK,
-    BlockTable,
-    stable_sets,
-)
+from .stability import STRONG, WEAK, BlockTable, stable_sets
 
 PROP1_GRID = tuple(x / 4 for x in range(8))
 PROP2_SHAPES = (1.0, 2.0, 3.0)
@@ -139,13 +132,7 @@ def cmd_validate(args) -> int:
 
 def cmd_analyze(args) -> int:
     game = _load_game(args, args.game)
-    report = stable_sets(
-        game,
-        cap=args.cap,
-        max_exact_weak_n=args.max_exact_weak_core_n,
-        samples=args.samples,
-        seed=args.seed,
-    )
+    report = stable_sets(game, cap=args.cap)
     _emit(args, "analyze", report.to_dict(), report.csv_rows())
     return 0
 
@@ -156,12 +143,7 @@ def cmd_core(args) -> int:
         part = partition_from_label(args.partition, game.players)
     else:
         part = grand_partition(game.n)
-    table = BlockTable(
-        game,
-        max_exact_weak_n=args.max_exact_weak_core_n,
-        samples=args.samples,
-        rng=random.Random(args.seed),
-    )
+    table = BlockTable(game)
     payload = {"partition": partition_label(part, game.players)}
     for kind in (STRONG, WEAK):
         patched = table.patched(part, kind)
@@ -249,14 +231,7 @@ def _parse_grid(text: str) -> list[float]:
 
 def _sweep_point(args, label: str, game: Game, extra: dict) -> dict:
     # a sweep prints no witness, so any core point will do
-    report = stable_sets(
-        game,
-        cap=args.cap,
-        max_exact_weak_n=args.max_exact_weak_core_n,
-        samples=args.samples,
-        seed=args.seed,
-        canonical_witness=False,
-    )
+    report = stable_sets(game, cap=args.cap, canonical_witness=False)
     # partitions come grand first, so the first record holds the grand cores
     grand = report.records[0]
     stable_strong = [partition_label(p, game.players) for p, _ in report.stable(STRONG)]
@@ -458,15 +433,11 @@ def _parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(sp):
-        sp.add_argument("--seed", type=int, default=0, help="seed for all sampling")
+        sp.add_argument("--seed", type=int, default=0, help="seed for verify's sampling")
         sp.add_argument("--tolerance", type=nonnegative_float, default=None)
-        sp.add_argument(
-            "--max-exact-weak-core-n",
-            dest="max_exact_weak_core_n",
-            type=nonnegative_int,
-            default=DEFAULT_MAX_EXACT_WEAK_N,
-        )
-        sp.add_argument("--samples", type=nonnegative_int, default=DEFAULT_SAMPLES)
+        # every weak core is decided exactly; kept so existing command lines still parse
+        sp.add_argument("--max-exact-weak-core-n", type=nonnegative_int, help=argparse.SUPPRESS)
+        sp.add_argument("--samples", type=nonnegative_int, default=200)
         sp.add_argument("--cap", type=int, default=DEFAULT_ENUM_CAP)
         sp.add_argument("--format", choices=("json", "csv"), default="json")
         sp.add_argument("--out", default=None, metavar="DIR")
@@ -533,7 +504,7 @@ def run(argv=None) -> int:
     except (RecursionError, MemoryError) as exc:
         return _fail(
             f"{type(exc).__name__}: the input is too large for this analysis; "
-            "lower --max-exact-weak-core-n or use a smaller game",
+            "use a game with fewer players",
             2,
         )
 

@@ -14,7 +14,6 @@ three players can never be split weakly.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache, reduce
@@ -30,7 +29,6 @@ from .games import (
     Game,
     boundary_contains,
     boundary_empty,
-    boundary_sampler,
     check_partition,
     coalitions,
     draw_shares,
@@ -55,10 +53,7 @@ WEAK = "weak"
 
 NONEMPTY = "nonempty"
 EMPTY = "empty"
-UNKNOWN = "unknown"
-
-DEFAULT_MAX_EXACT_WEAK_N = 4
-DEFAULT_SAMPLES = 200
+UNKNOWN = "unknown"  # no region is left undecided; the name stays in the report schema
 
 
 def _check_kind(kind: str) -> None:
@@ -407,9 +402,6 @@ def core_region(
     game: Game,
     kind: str = STRONG,
     *,
-    max_exact_weak_n: int = DEFAULT_MAX_EXACT_WEAK_N,
-    samples: int = DEFAULT_SAMPLES,
-    rng: random.Random | None = None,
     canonical_witness: bool = True,
     strong: CoreRegion | None = None,
 ) -> CoreRegion:
@@ -422,18 +414,15 @@ def core_region(
     region answers first: a nonempty one lends its verdict and witness
     (``strong-subset``).  ``strong`` is that region when the caller has
     already decided it for this game with the same ``canonical_witness``.
-    Otherwise up to ``max_exact_weak_n`` players the weak core is resolved
-    exactly by a search that branches on the pieces of all-blocking splits
-    (see ``_weak_region_exact``), beyond that by random sampling, answering
-    UNKNOWN rather than EMPTY when nothing is found.
+    Otherwise the weak core is decided exactly by a search that branches on
+    the pieces of all-blocking splits (see ``_weak_region_exact``).
     """
     _check_kind(kind)
     n = game.n
     if n == 1:
         return CoreRegion(NONEMPTY, (1,) if game.mode == EXACT else (1.0,), "singleton")
-    full = game.grand
     if n <= (2 if kind == STRONG else 3):
-        point = _centered_boundary_point(game, full)
+        point = _centered_boundary_point(game, game.grand)
         if point is None:
             return CoreRegion(EMPTY, None, "boundary")
         return CoreRegion(NONEMPTY, point, "boundary")
@@ -452,19 +441,7 @@ def core_region(
         strong = core_region(game, STRONG, canonical_witness=canonical_witness)
     if strong.status == NONEMPTY:
         return CoreRegion(NONEMPTY, strong.witness, "strong-subset")
-    if n <= max_exact_weak_n:
-        return _weak_region_exact(game, canonical_witness)
-    if rng is None:
-        rng = random.Random(0)
-    sample = boundary_sampler(game)
-    for _ in range(samples):
-        drawn = sample(full, rng)
-        if drawn is None:
-            return CoreRegion(EMPTY, None, "boundary")
-        f = draw_shares(*drawn)
-        if core_contains(game, f, WEAK):
-            return CoreRegion(NONEMPTY, f, f"sampled({samples})")
-    return CoreRegion(UNKNOWN, None, f"sampled({samples})")
+    return _weak_region_exact(game, canonical_witness)
 
 
 def _weak_region_exact(game: Game, canonical_witness: bool) -> CoreRegion:
@@ -534,28 +511,13 @@ class BlockTable(dict):
     computed once, and since a region is in the block's local coordinates,
     ``patched`` scatters its witness into any of them.  The weak region of
     a block of four or more players reads the strong region of the same
-    content, so its strong-core system is solved once.  ``rng`` is passed
-    through unchanged: sampled regions draw from it in first-visit order,
-    once per distinct subgame.
+    content, so its strong-core system is solved once.
     """
 
-    def __init__(
-        self,
-        game: Game,
-        *,
-        max_exact_weak_n: int = DEFAULT_MAX_EXACT_WEAK_N,
-        samples: int = DEFAULT_SAMPLES,
-        rng: random.Random | None = None,
-        canonical_witness: bool = True,
-    ):
+    def __init__(self, game: Game, *, canonical_witness: bool = True):
         super().__init__()
         self.game = game
-        self.settings = dict(
-            max_exact_weak_n=max_exact_weak_n,
-            samples=samples,
-            rng=rng,
-            canonical_witness=canonical_witness,
-        )
+        self.canonical_witness = canonical_witness
         # each block's subgame and the index of its value table, so a table
         # is hashed once per block and the regions are keyed by int
         self.subgames: dict[int, tuple[Game, int]] = {}
@@ -571,7 +533,9 @@ class BlockTable(dict):
         region = self.regions.get((content, kind))
         if region is None:
             strong = self[block, STRONG] if kind == WEAK and game.n > 3 else None
-            region = core_region(game, kind, strong=strong, **self.settings)
+            region = core_region(
+                game, kind, canonical_witness=self.canonical_witness, strong=strong
+            )
             self.regions[content, kind] = region
         self[key] = region
         return region
@@ -579,17 +543,14 @@ class BlockTable(dict):
     def patched(self, partition: Sequence[int], kind: str) -> PatchedCore:
         """Blockwise product of cores: each block's subgame must have a
         nonempty core of the requested kind.  Any empty block makes the
-        whole product empty; otherwise any unresolved block makes it
-        UNKNOWN.  Every block is decided, even after an empty one."""
+        whole product empty.  Every block is decided, even after an empty
+        one."""
         _check_kind(kind)
         check_partition(self.game.n, partition)
         partition = tuple(partition)
         regions = tuple(self[block, kind] for block in partition)
-        statuses = {r.status for r in regions}
-        if EMPTY in statuses:
+        if any(r.status == EMPTY for r in regions):
             return PatchedCore(partition, EMPTY, None, regions)
-        if UNKNOWN in statuses:
-            return PatchedCore(partition, UNKNOWN, None, regions)
         shares: list = [None] * self.game.n
         for block, region in zip(partition, regions):
             for j, i in enumerate(members(block)):
@@ -602,20 +563,10 @@ def patched_core(
     partition: Sequence[int],
     kind: str = STRONG,
     *,
-    max_exact_weak_n: int = DEFAULT_MAX_EXACT_WEAK_N,
-    samples: int = DEFAULT_SAMPLES,
-    rng: random.Random | None = None,
     canonical_witness: bool = True,
 ) -> PatchedCore:
     """The patched core of one partition; see ``BlockTable.patched``."""
-    table = BlockTable(
-        game,
-        max_exact_weak_n=max_exact_weak_n,
-        samples=samples,
-        rng=rng,
-        canonical_witness=canonical_witness,
-    )
-    return table.patched(partition, kind)
+    return BlockTable(game, canonical_witness=canonical_witness).patched(partition, kind)
 
 
 @dataclass(frozen=True)
@@ -744,9 +695,6 @@ def stable_sets(
     game: Game,
     *,
     cap: int = DEFAULT_ENUM_CAP,
-    max_exact_weak_n: int = DEFAULT_MAX_EXACT_WEAK_N,
-    samples: int = DEFAULT_SAMPLES,
-    seed: int = 0,
     canonical_witness: bool = True,
 ) -> StabilityReport:
     """Sweep every partition: patched strong/weak cores and fusion
@@ -757,13 +705,7 @@ def stable_sets(
     finds (see ``core_region``); the statuses do not change."""
     from .games import game_digest
 
-    table = BlockTable(
-        game,
-        max_exact_weak_n=max_exact_weak_n,
-        samples=samples,
-        rng=random.Random(seed),
-        canonical_witness=canonical_witness,
-    )
+    table = BlockTable(game, canonical_witness=canonical_witness)
     records = [
         PartitionRecord(
             partition,

@@ -72,7 +72,7 @@ def cut_game(rng: random.Random, n: int):
     pairs and triples worth 2*s^2 plus 0, 1/3 or 2/3 (supermodular, with
     nonempty strong cores), larger coalitions worth their best two-block
     split minus 1/3, 2/3 or 1 (empty strong cores, nonempty split sets), so
-    their weak cores go to the exact search or the sampler."""
+    their weak cores go to the exact search."""
     values = {}
     for mask in sorted(range(1, 1 << n), key=lambda m: (m.bit_count(), m)):
         s = mask.bit_count()
@@ -200,7 +200,7 @@ def naive_theorem_sampled_claims(g1, g2, *, samples, seed):
     feasible_claim = ClaimResult(
         "feasible-solutions", not failures, f"sampled({checked})", "; ".join(failures)
     )
-    table = stability.BlockTable(g1, max_exact_weak_n=n, canonical_witness=False)
+    table = stability.BlockTable(g1, canonical_witness=False)
     checked = {stability.STRONG: 0, stability.WEAK: 0}
     failures = []
     for partition in parts:
@@ -240,7 +240,7 @@ def naive_corollary_weak_claim(g1, g2, *, samples, seed):
     n = g1.n
     rng = random.Random(seed)
     candidates = list(stability.split_vertices(g1, g1.grand))
-    region = stability.core_region(g1, stability.WEAK, max_exact_weak_n=n, canonical_witness=False)
+    region = stability.core_region(g1, stability.WEAK, canonical_witness=False)
     if region.status == stability.NONEMPTY:
         candidates.append(region.witness)
     for _ in range(samples):
@@ -265,15 +265,11 @@ def naive_corollary_weak_claim(g1, g2, *, samples, seed):
     )
 
 
-def naive_stable_sets(game, *, max_exact_weak_n=stability.DEFAULT_MAX_EXACT_WEAK_N,
-                      samples=stability.DEFAULT_SAMPLES, seed=0):
+def naive_stable_sets(game, *, canonical_witness=True):
     """Per-partition reference for stability.stable_sets: every block of
-    every partition decided afresh by core_region on its subgame, all
-    drawing from one shared RNG, and the patched status aggregated block
-    by block."""
+    every partition decided afresh by core_region on its subgame, and the
+    patched status aggregated block by block."""
     from fracgame.games import game_digest, subgame
-
-    rng = random.Random(seed)
 
     def patched(partition, kind):
         regions = []
@@ -281,14 +277,11 @@ def naive_stable_sets(game, *, max_exact_weak_n=stability.DEFAULT_MAX_EXACT_WEAK
         status = stability.NONEMPTY
         for block in partition:
             region = stability.core_region(
-                subgame(game, block), kind,
-                max_exact_weak_n=max_exact_weak_n, samples=samples, rng=rng,
+                subgame(game, block), kind, canonical_witness=canonical_witness
             )
             regions.append(region)
             if region.status == stability.EMPTY:
                 status = stability.EMPTY
-            elif region.status == stability.UNKNOWN and status != stability.EMPTY:
-                status = stability.UNKNOWN
             elif region.witness is not None:
                 for j, i in enumerate(members(block)):
                     shares[i] = region.witness[j]

@@ -94,7 +94,9 @@ def test_analyze_csv(super3_path, capsys):
     assert len(lines) == 1 + 5
 
 
-def test_analyze_surfaces_unknown(tmp_path, capsys):
+def test_analyze_decides_the_weak_core_sampling_cannot(tmp_path, capsys):
+    # every two-two pairing blocks any split of the unit, so the grand weak
+    # core is empty; the exact search says so, whatever the size flag says
     g = make_game(4, {
         1: 0, 2: 0, 4: 0, 8: 0,
         3: 13, 5: 13, 9: 13, 6: 13, 10: 13, 12: 13,
@@ -107,8 +109,29 @@ def test_analyze_surfaces_unknown(tmp_path, capsys):
         capsys, ["analyze", str(path), "--max-exact-weak-core-n", "3"]
     )
     assert code == 0
-    statuses = {p["weak"]["status"] for p in payload["partitions"]}
-    assert "unknown" in statuses
+    grand = payload["partitions"][0]["weak"]
+    assert grand["status"] == "empty" and grand["blocks"][0]["method"] == "exact-search"
+    assert payload["weak_unknown"] == []
+    assert "unknown" not in {p["weak"]["status"] for p in payload["partitions"]}
+
+
+@pytest.mark.parametrize("command", ["analyze", "core"])
+def test_max_exact_weak_core_n_has_no_effect(tmp_path, capsys, command):
+    import random
+
+    from conftest import random_exact_game
+
+    # an empty grand strong core, so the grand weak core is searched
+    path = tmp_path / "g5.json"
+    save_game(random_exact_game(random.Random(4), 5), path)
+    assert run([command, str(path)]) == 0
+    plain = capsys.readouterr().out
+    assert run([command, str(path), "--max-exact-weak-core-n", "3"]) == 0
+    assert capsys.readouterr().out == plain
+    payload = json.loads(plain)
+    grand = payload["partitions"][0] if command == "analyze" else payload
+    assert grand["strong"]["status"] == "empty"
+    assert grand["weak"]["blocks"][0]["method"] == "exact-search"
 
 
 def test_core_partition(super3_path, capsys):
@@ -268,20 +291,20 @@ def test_sweep_core_is_the_grand_record():
 
     from conftest import random_exact_game
     from fracgame.cli import _sweep_point
-    from fracgame.stability import EMPTY, STRONG, UNKNOWN, WEAK, core_region, stable_sets
+    from fracgame.stability import EMPTY, NONEMPTY, STRONG, WEAK, core_region, stable_sets
 
-    # with two samples the sampled weak verdict depends on the seed
+    # an empty grand strong core, so the grand weak verdict is searched
     game = random_exact_game(random.Random(4), 5)
-    args = argparse.Namespace(cap=12, max_exact_weak_core_n=4, samples=2, seed=1)
+    args = argparse.Namespace(cap=12)
     point = _sweep_point(args, "g", game, {})
-    grand = stable_sets(game, samples=2, seed=1).records[0]
+    grand = stable_sets(game).records[0]
     assert grand.partition == (game.grand,)
-    assert grand.weak.block_regions[0].method == "sampled(2)"
+    assert grand.weak.block_regions[0].method == "exact-search"
     assert point["core"] == {"strong": grand.strong.status, "weak": grand.weak.status}
     # the same verdicts as deciding the grand cores on their own
-    rng = random.Random(1)
-    fresh = [core_region(game, kind, samples=2, rng=rng).status for kind in (STRONG, WEAK)]
-    assert [point["core"]["strong"], point["core"]["weak"]] == fresh == [EMPTY, UNKNOWN]
+    fresh = [core_region(game, kind).status for kind in (STRONG, WEAK)]
+    assert [point["core"]["strong"], point["core"]["weak"]] == fresh
+    assert fresh[0] == EMPTY and fresh[1] in (EMPTY, NONEMPTY)
 
 
 @pytest.mark.parametrize("error", [RecursionError, MemoryError])
@@ -294,7 +317,8 @@ def test_size_cliff_errors_exit_2(super3_path, monkeypatch, capsys, error):
     monkeypatch.setattr(cli, "cmd_analyze", too_big)
     assert run(["analyze", super3_path]) == 2
     err = capsys.readouterr().err
-    assert error.__name__ in err and "--max-exact-weak-core-n" in err
+    assert error.__name__ in err and "use a game with fewer players" in err
+    assert "--max-exact-weak-core-n" not in err
 
 
 @pytest.mark.parametrize(
@@ -426,6 +450,15 @@ def test_sweep_reports_match_committed_bytes(capsys, argv, name):
     # rows (n=7)
     assert run(["sweep", *argv]) == 0
     golden = DATA / f"sweep_{name}.json"
+    assert capsys.readouterr().out.encode("utf-8") == golden.read_bytes()
+
+
+def test_analyze_report_matches_committed_bytes(capsys):
+    # an n=6 game whose blocks of four or more players all have empty strong
+    # cores, so every such weak region and its witness comes from the exact
+    # search; default flags
+    assert run(["analyze", str(DATA / "cut_game_n6_seed0.json")]) == 0
+    golden = DATA / "analyze_cut_game_n6_seed0.json"
     assert capsys.readouterr().out.encode("utf-8") == golden.read_bytes()
 
 

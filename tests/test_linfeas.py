@@ -306,7 +306,7 @@ def _committed_weak_systems(games):
     linfeas.feasible, linfeas.max_slack_point = map(recording, saved)
     try:
         for game in games:
-            stability.core_region(game, stability.WEAK, max_exact_weak_n=game.n)
+            stability.core_region(game, stability.WEAK)
     finally:
         linfeas.feasible, linfeas.max_slack_point = saved
     return seen

@@ -11,6 +11,7 @@ from fracgame import (
     UNKNOWN,
     WEAK,
     BlockTable,
+    CoreRegion,
     InfeasibleSolution,
     core_contains,
     core_region,
@@ -49,6 +50,7 @@ from conftest import (
     cut_game,
     naive_feasible,
     naive_fission_resistant,
+    naive_sample_boundary,
     naive_stable_sets,
     naive_weak_core_contains,
     naive_weak_region_exact,
@@ -348,6 +350,9 @@ def test_weak_region_lends_the_strong_region_of_the_same_game():
 
 
 def test_weak_region_exact_vs_sampled_consistency():
+    # no draw from the grand split simplex may contradict the exact verdict:
+    # 200 draws per game, judged by the literal weak-core predicate, stop at
+    # the first weak-core point or at an empty simplex
     rng = random.Random(69)
     agree = 0
     for _ in range(36):
@@ -359,17 +364,19 @@ def test_weak_region_exact_vs_sampled_consistency():
                 values[mask] = Fraction(rng.randrange(1, 30), rng.randrange(1, 3))
         values[31] = sum(values[1 << i] for i in range(5)) + rng.randrange(1, 25)
         game = make_game(5, values)
-        exact = core_region(game, WEAK, max_exact_weak_n=5)
-        sampled = core_region(game, WEAK, max_exact_weak_n=4, rng=random.Random(3))
+        exact = core_region(game, WEAK)
         assert exact.status in (NONEMPTY, EMPTY)
-        if sampled.status == NONEMPTY:
-            assert exact.status == NONEMPTY
-            agree += 1
-        elif sampled.status == EMPTY:
-            # only the exact empty-simplex shortcut may say empty here
-            assert exact.status == EMPTY
-        else:
-            assert exact.status in (NONEMPTY, EMPTY)
+        draws = random.Random(3)
+        for _ in range(200):
+            f = naive_sample_boundary(game, game.grand, draws)
+            if f is None:
+                # only the exact empty-simplex shortcut may say empty here
+                assert exact.status == EMPTY and exact.method == "boundary"
+                break
+            if naive_weak_core_contains(game, f):
+                assert exact.status == NONEMPTY
+                agree += 1
+                break
     assert agree > 10
 
 
@@ -412,19 +419,17 @@ def test_weak_region_exact_decides_eight_players():
         assert core_contains(game, region.witness, WEAK)
 
 
-def test_weak_region_unknown_when_sampling_cannot_decide():
+def test_weak_region_empty_where_sampling_cannot_decide():
     # every two-two pairing blocks any split of the unit, so the weak core
-    # is empty; sampling alone cannot certify that
+    # is empty; sampling alone cannot certify that, the exact search does
     game = make_game(4, {
         1: 0, 2: 0, 4: 0, 8: 0,
         3: 13, 5: 13, 9: 13, 6: 13, 10: 13, 12: 13,
         7: 1, 11: 1, 13: 1, 14: 1,
         15: 12,
     })
-    exact = core_region(game, WEAK, max_exact_weak_n=4)
-    assert exact.status == EMPTY
-    sampled = core_region(game, WEAK, max_exact_weak_n=3, rng=random.Random(1))
-    assert sampled.status == UNKNOWN
+    assert core_region(game, WEAK) == CoreRegion(EMPTY, None, "exact-search")
+    assert core_region(game, WEAK, canonical_witness=False) == core_region(game, WEAK)
 
 
 def test_singleton_game_region():
@@ -432,6 +437,43 @@ def test_singleton_game_region():
     for kind in (STRONG, WEAK):
         region = core_region(g, kind)
         assert region.status == NONEMPTY and region.witness == (1,)
+
+
+def _default_report_games(n):
+    for r in (0, 0.8, 1.5):
+        yield build_meanstd_game(MeanStdScenario(n, 1.0, 0.5, r))
+    for seed in range(3):
+        for make in (cut_game, random_exact_game, random_float_game):
+            yield make(random.Random(seed), n)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_default_reports_decide_every_weak_core(n):
+    # with default settings every weak block region is decided, never
+    # sampled, and every witness is a weak-core point of its block's subgame
+    # under the library's and the literal predicate; at n=5 the grand
+    # verdict is the partition walk's
+    methods = set()
+    for game in _default_report_games(n):
+        report = stable_sets(game)
+        assert report.unknown(WEAK) == [] and report.to_dict()["weak_unknown"] == []
+        regions = {
+            block: region
+            for record in report.records
+            for block, region in zip(record.partition, record.weak.block_regions)
+        }
+        for block, region in regions.items():
+            assert region.status in (NONEMPTY, EMPTY) and region.status != UNKNOWN
+            assert not region.method.startswith("sampled")
+            methods.add(region.method)
+            if region.witness is not None:
+                sub = subgame(game, block)
+                assert core_contains(sub, region.witness, WEAK)
+                assert naive_weak_core_contains(sub, region.witness)
+        if n == 5:
+            want = naive_weak_region_exact(game, canonical_witness=False)
+            assert regions[game.grand].status == want.status
+    assert "exact-search" in methods
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +541,7 @@ def test_stable_witnesses_revalidate_randomly():
     for trial in range(40):
         n = rng.randint(2, 4)
         game = random_exact_game(rng, n) if trial % 2 else random_float_game(rng, n)
-        report = stable_sets(game, seed=trial)
+        report = stable_sets(game)
         for kind in (STRONG, WEAK):
             for partition, witness in report.stable(kind):
                 assert is_stable(game, partition, witness, kind)
@@ -519,22 +561,15 @@ def test_report_serializes(superadditive3):
 
 
 @pytest.mark.parametrize("n, seed", [(4, 12), (5, 14), (5, 31), (5, 40)])
-@pytest.mark.parametrize("exact_weak", [False, True])
-def test_stable_sets_match_per_partition_oracle(n, seed, exact_weak):
-    # up to n=5 no sampled block occurs in two partitions, so deciding each
-    # block once must reproduce the per-partition sweep exactly; with
-    # max_exact_weak_n = n - 1 (the default 4 at n=5) the grand block is
-    # sampled, and these seeds give it both NONEMPTY and UNKNOWN verdicts
+@pytest.mark.parametrize("canonical", [False, True])
+def test_stable_sets_match_per_partition_oracle(n, seed, canonical):
+    # deciding each block once must reproduce the sweep that decides every
+    # block of every partition afresh, with either kind of witness; the
+    # grand weak core of each of these games is left to the exact search
     game = random_exact_game(random.Random(seed), n)
-    max_exact_weak_n = n if exact_weak else n - 1
-    for samples in (2, 200):
-        got = stable_sets(game, max_exact_weak_n=max_exact_weak_n, samples=samples, seed=seed)
-        want = naive_stable_sets(
-            game, max_exact_weak_n=max_exact_weak_n, samples=samples, seed=seed
-        )
-        assert got.to_dict() == want.to_dict()
-        methods = {r.method for rec in got.records for r in rec.weak.block_regions}
-        assert (f"sampled({samples})" in methods) == (not exact_weak)
+    got = stable_sets(game, canonical_witness=canonical)
+    assert got.to_dict() == naive_stable_sets(game, canonical_witness=canonical).to_dict()
+    assert got.records[0].weak.block_regions[0].method == "exact-search"
 
 
 def test_stable_sets_match_per_partition_oracle_on_float_game():
@@ -601,20 +636,19 @@ SIZE_VALUES = {1: 1, 2: 3, 3: Fraction(9, 2), 4: Fraction(29, 5), 5: 7, 6: Fract
 
 
 @pytest.mark.parametrize(
-    "game, max_exact_weak_n",
+    "game",
     [
-        *[(build_meanstd_game(MeanStdScenario(5, 1.0, 0.5, r)), 4) for r in (0, 0.8, 1.5)],
-        (build_cvar_game(default_uniform_family(5), beta_density(2.0)), 4),
-        (_size_game(5, SIZE_VALUES), 4),
-        (_size_game(5, SIZE_VALUES), 5),
+        *[build_meanstd_game(MeanStdScenario(5, 1.0, 0.5, r)) for r in (0, 0.8, 1.5)],
+        build_cvar_game(default_uniform_family(5), beta_density(2.0)),
+        _size_game(4, SIZE_VALUES),
+        _size_game(5, SIZE_VALUES),
     ],
     ids=["meanstd-r0", "meanstd-r0.8", "meanstd-r1.5", "cvar-beta2", "size-4", "size-5"],
 )
-def test_blocks_with_equal_subgames_match_the_per_partition_oracle(game, max_exact_weak_n):
+def test_blocks_with_equal_subgames_match_the_per_partition_oracle(game):
     # every block of one size has the same subgame here; deciding it once
     # must reproduce the sweep that decides every block of every partition
-    got = stable_sets(game, max_exact_weak_n=max_exact_weak_n)
-    assert got.to_dict() == naive_stable_sets(game, max_exact_weak_n=max_exact_weak_n).to_dict()
+    assert stable_sets(game).to_dict() == naive_stable_sets(game).to_dict()
 
 
 @pytest.mark.parametrize(
@@ -626,10 +660,10 @@ def test_blocks_with_equal_subgames_match_the_per_partition_oracle(game, max_exa
     ids=["exact", "float"],
 )
 def test_sampled_blocks_with_equal_subgames_share_one_region(game):
-    # with exact weak search up to 3 players the 4-, 5- and 6-player weak
-    # regions are sampled; every block of one size gets the one region
-    # drawn for its subgame, and every witness is a core point of it
-    report = stable_sets(game, max_exact_weak_n=3, samples=20, seed=1)
+    # the 4-, 5- and 6-player weak regions, once sampled, are decided by the
+    # exact search; every block of one size gets the one region decided for
+    # its subgame, and every witness is a core point of it
+    report = stable_sets(game)
     seen = {}
     for record in report.records:
         for kind, patched in ((STRONG, record.strong), (WEAK, record.weak)):
@@ -639,37 +673,38 @@ def test_sampled_blocks_with_equal_subgames_share_one_region(game):
                 if region.witness is not None:
                     assert core_contains(sub, region.witness, kind)
     assert len(seen) == 2 * game.n
-    sampled = [r for r in seen.values() if r.method == "sampled(20)"]
-    assert len(sampled) == game.n - 3
+    searched = [r for r in seen.values() if r.method == "exact-search"]
+    assert len(searched) == game.n - 3
 
 
 def test_repeated_sampled_block_has_one_region():
-    # 4-player blocks are sampled here and each occurs in Bell(2) = 2
-    # partitions; the report must give each block one verdict and witness
+    # 4-player blocks, once sampled, are searched exactly here and each
+    # occurs in Bell(2) = 2 partitions; the report must give each block one
+    # verdict and witness
     game = random_exact_game(random.Random(3), 6)
-    report = stable_sets(game, max_exact_weak_n=3, samples=5, seed=1)
+    report = stable_sets(game)
     seen = {}
     for record in report.records:
         for kind, patched in ((STRONG, record.strong), (WEAK, record.weak)):
             for block, region in zip(record.partition, patched.block_regions):
                 assert seen.setdefault((block, kind), region) == region
     assert len(seen) == 2 * (2**6 - 1)
-    assert any(r.method == "sampled(5)" and r.witness for r in seen.values())
+    assert any(r.method == "exact-search" and r.witness for r in seen.values())
 
 
 @pytest.mark.parametrize(
-    "game, max_exact_weak_n",
+    "game",
     [
-        (cut_game(random.Random(1), 5), 5),
-        (build_meanstd_game(MeanStdScenario(6, 1.0, 0.5, 0.8)), 4),
-        (random_float_game(random.Random(2), 5), 4),
+        cut_game(random.Random(1), 5),
+        build_meanstd_game(MeanStdScenario(6, 1.0, 0.5, 0.8)),
+        random_float_game(random.Random(2), 5),
     ],
     ids=["cut-exact-5", "pooled-float-6", "random-float-5"],
 )
-def test_report_equals_the_frozen_solvers_report(monkeypatch, game, max_exact_weak_n):
+def test_report_equals_the_frozen_solvers_report(monkeypatch, game):
     # the integer simplex takes the frozen Fraction solver's pivots, so every
     # verdict, witness and method string in the report comes out the same
-    got = stable_sets(game, max_exact_weak_n=max_exact_weak_n).to_dict()
+    got = stable_sets(game).to_dict()
     monkeypatch.setattr(linfeas, "feasible", naive_feasible)
     monkeypatch.setattr(linfeas, "max_slack_point", naive_warm_max_slack_point)
-    assert stable_sets(game, max_exact_weak_n=max_exact_weak_n).to_dict() == got
+    assert stable_sets(game).to_dict() == got
