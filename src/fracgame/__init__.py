@@ -88,7 +88,6 @@ from .stability import (
     core_region,
     fission_resistant,
     fusion_resistant,
-    fusion_resistant_by_total,
     is_stable,
     patched_core,
     stable_sets,

@@ -24,6 +24,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
@@ -42,6 +43,7 @@ from .games import (
     leq,
     make_game,
     members,
+    size_values,
     submasks,
 )
 from .partitions import enumerate_partitions, singleton_partition
@@ -91,6 +93,25 @@ def leq_cp(g1: Game, g2: Game) -> OrderVerdict:
             if not leq(lhs, rhs, tol):
                 violations.append(OrderViolation(inner, outer, lhs, rhs))
     return OrderVerdict(not violations, tuple(violations))
+
+
+def order_matrix(games: Sequence[Game]) -> list[list[bool]]:
+    """``leq_cp(gi, gj).holds`` for every ordered pair of the games.  When
+    both games are size-symmetric (see ``games.size_values``), the products
+    ``leq_cp`` forms for a nested pair depend only on the two sizes, so the
+    entry is the same comparison on each pair of sizes s < t instead."""
+    by_size = [size_values(g) for g in games]
+
+    def holds(i: int, j: int) -> bool:
+        w1, w2 = by_size[i], by_size[j]
+        if w1 is None or w2 is None or len(w1) != len(w2):
+            return leq_cp(games[i], games[j]).holds
+        tol = combined_tol(games[i], games[j])
+        return all(
+            leq(w1[t] * w2[s], w2[t] * w1[s], tol) for t in range(2, len(w1)) for s in range(1, t)
+        )
+
+    return [[holds(i, j) for j in range(len(games))] for i in range(len(games))]
 
 
 def generate_ordered_pair(seed: int, n: int) -> tuple[Game, Game]:

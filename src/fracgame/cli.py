@@ -19,7 +19,13 @@ import random
 import sys
 from fractions import Fraction
 
-from .centripetality import generate_ordered_pair, leq_cp, verify_corollary, verify_theorem1
+from .centripetality import (
+    generate_ordered_pair,
+    leq_cp,
+    order_matrix,
+    verify_corollary,
+    verify_theorem1,
+)
 from .errors import FracgameError, InvalidGameError, ScenarioError
 from .games import (
     DEFAULT_TOL,
@@ -30,6 +36,7 @@ from .games import (
     game_from_dict,
     game_to_dict,
     json_number,
+    size_values,
 )
 from .partitions import DEFAULT_ENUM_CAP, grand_partition, partition_from_label, partition_label
 from .risk import (
@@ -44,7 +51,15 @@ from .risk import (
     verify_prop1,
     verify_prop2,
 )
-from .stability import STRONG, WEAK, BlockTable, stable_sets
+from .stability import (
+    NONEMPTY,
+    STRONG,
+    UNKNOWN,
+    WEAK,
+    BlockTable,
+    stable_sets,
+    walk_size_types,
+)
 
 PROP1_GRID = tuple(x / 4 for x in range(8))
 PROP2_SHAPES = (1.0, 2.0, 3.0)
@@ -230,30 +245,44 @@ def _parse_grid(text: str) -> list[float]:
 
 
 def _sweep_point(args, label: str, game: Game, extra: dict) -> dict:
-    # a sweep prints no witness, so any core point will do
-    report = stable_sets(game, cap=args.cap, canonical_witness=False)
-    # partitions come grand first, so the first record holds the grand cores
-    grand = report.records[0]
-    stable_strong = [partition_label(p, game.players) for p, _ in report.stable(STRONG)]
-    stable_weak = [partition_label(p, game.players) for p, _ in report.stable(WEAK)]
-    consolidated = report.most_consolidated(WEAK)
+    # a sweep prints no witness, so any core point will do; a size-symmetric
+    # game is decided per block-size type, any other through its report
+    if size_values(game) is None:
+        records = stable_sets(game, cap=args.cap, canonical_witness=False).records
+        rows = ((r.partition, r.strong.status, r.weak.status, r.fusion_resistant) for r in records)
+    else:
+        walk = walk_size_types(game, cap=args.cap)
+        rows = ((partition, t.strong, t.weak, fused) for partition, t, fused in walk)
+    counted = ("patched_strong", "patched_weak", "fusion_resistant", "unknown_weak")
+    counts = dict.fromkeys(counted, 0)
+    stable: dict[str, list] = {STRONG: [], WEAK: []}
+    core = None
+    for partition, strong, weak, fused in rows:
+        # partitions come grand first, so the first row holds the grand cores
+        core = core or {"strong": strong, "weak": weak}
+        counts["patched_strong"] += strong == NONEMPTY
+        counts["patched_weak"] += weak == NONEMPTY
+        counts["unknown_weak"] += weak == UNKNOWN
+        counts["fusion_resistant"] += fused
+        for kind, status in ((STRONG, strong), (WEAK, weak)):
+            if fused and status == NONEMPTY:
+                stable[kind].append(partition)
+    # a label per block, shared by the many partitions that hold the block
+    block_label = functools.cache(game.coalition_label)
+    labels = {kind: ["|".join(map(block_label, p)) for p in stable[kind]] for kind in stable}
+    counts.update(stable_strong=len(stable[STRONG]), stable_weak=len(stable[WEAK]))
+    # the stable weak partition with the fewest blocks, ties to the first label
+    consolidated = min(
+        zip(stable[WEAK], labels[WEAK]), key=lambda p: (len(p[0]), p[1]), default=None
+    )
     point = {
         "label": label,
-        "digest": report.digest,
-        "counts": {
-            "patched_strong": len(report.partitions_with(STRONG)),
-            "patched_weak": len(report.partitions_with(WEAK)),
-            "fusion_resistant": len(report.fusion_resistant_partitions()),
-            "stable_strong": len(stable_strong),
-            "stable_weak": len(stable_weak),
-            "unknown_weak": len(report.unknown(WEAK)),
-        },
-        "core": {"strong": grand.strong.status, "weak": grand.weak.status},
-        "stable_strong": stable_strong,
-        "stable_weak": stable_weak,
-        "most_consolidated": None
-        if consolidated is None
-        else partition_label(consolidated, game.players),
+        "digest": game_digest(game),
+        "counts": counts,
+        "core": core,
+        "stable_strong": labels[STRONG],
+        "stable_weak": labels[WEAK],
+        "most_consolidated": None if consolidated is None else consolidated[1],
     }
     point.update(extra)
     return point
@@ -279,7 +308,7 @@ def cmd_sweep(args) -> int:
             games.append(game)
             points.append(_sweep_point(args, f"a={a:g}", game, {"beta_a": a}))
     labels = [p["label"] for p in points]
-    matrix = [[leq_cp(gi, gj).holds for gj in games] for gi in games]
+    matrix = order_matrix(games)
     payload = {
         "scenario": args.scenario,
         "n": args.n,

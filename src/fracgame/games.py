@@ -300,6 +300,22 @@ def subgame(game: Game, coalition: int) -> Game:
     return Game(k, tuple(table), game.mode, game.tol, tuple(game.players[i] for i in mem))
 
 
+def size_values(game: Game) -> tuple | None:
+    """``w`` with ``w[s]`` the value of every coalition of s players, when
+    the game is size-symmetric: every coalition of one size holds an equal
+    (``==``) stored value.  None otherwise, found at the first mismatch.
+    ``w[0]`` is None."""
+    values = game.values
+    by_size = [None] * (game.n + 1)
+    for mask in coalitions(game.n):
+        s = mask.bit_count()
+        if by_size[s] is None:
+            by_size[s] = values[mask]
+        elif values[mask] != by_size[s]:
+            return None
+    return tuple(by_size)
+
+
 def to_fractional(game: Game, amounts: Sequence) -> tuple:
     """Absolute grand-coalition payoffs -> shares of the grand value."""
     if len(amounts) != game.n:

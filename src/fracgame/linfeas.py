@@ -92,9 +92,13 @@ def linear_system(dim, lower, blocks, halfspaces=()) -> LinearSystem:
 
 
 def satisfies(system: LinearSystem, point, tol: float = 0.0) -> bool:
-    """Exact (or tolerant) membership check of a point in the system."""
+    """Exact (or tolerant) membership check of a point in the system.  A
+    rational point (ints and Fractions) checked without tolerance is
+    checked on integers, see ``_satisfies_rational``."""
     if len(point) != system.dim:
         return False
+    if not tol and all(isinstance(x, (int, Fraction)) for x in point):
+        return _satisfies_rational(system, point)
     for x, lb in zip(point, system.lower):
         if not geq(x, lb, tol):
             return False
@@ -105,6 +109,27 @@ def satisfies(system: LinearSystem, point, tol: float = 0.0) -> bool:
     for h in system.halfspaces:
         total = sum(point[i] for i in members(h.support))
         if not geq(h.coef * total, h.rhs, tol):
+            return False
+    return True
+
+
+def _satisfies_rational(system: LinearSystem, point) -> bool:
+    """``satisfies`` without tolerance for a rational point, on integers:
+    the point is ``terms[i] / scale`` over its common denominator, and each
+    constraint is compared cross-multiplied, with its own sums."""
+    scale = math.lcm(*(x.denominator for x in point))
+    terms = [x.numerator * (scale // x.denominator) for x in point]
+    for t, lb in zip(terms, system.lower):
+        if t * lb.denominator < lb.numerator * scale:
+            return False
+    for b in system.blocks:
+        if sum(terms[i] for i in members(b)) != scale:
+            return False
+    for h in system.halfspaces:
+        # coef * total / scale >= rhs
+        coef, rhs = h.coef, h.rhs
+        total = sum(terms[i] for i in members(h.support))
+        if coef.numerator * rhs.denominator * total < rhs.numerator * coef.denominator * scale:
             return False
     return True
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache, reduce
 from itertools import combinations
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from .games import (
     json_number,
     members,
     remap,
+    size_values,
     solution_feasible,
     subgame,
     submasks,
@@ -44,7 +45,6 @@ from .partitions import (
     DEFAULT_ENUM_CAP,
     Partition,
     enumerate_partitions,
-    fusion_neighborhood,
     partition_label,
 )
 
@@ -298,20 +298,6 @@ def fusion_resistant(game: Game, partition: Sequence[int]) -> bool:
     return True
 
 
-def fusion_resistant_by_total(game: Game, partition: Sequence[int]) -> bool:
-    """Equivalent formulation: the summed block value does not increase into
-    any strict coarsening.  (Group differences telescope into single-merger
-    differences, so this agrees with fusion_resistant.)"""
-    check_partition(game.n, partition)
-    values = game.values
-    tol = game.tol
-    total = sum(values[b] for b in partition)
-    for coarser in fusion_neighborhood(tuple(partition)):
-        if not geq(total, sum(values[b] for b in coarser), tol):
-            return False
-    return True
-
-
 def is_stable(game: Game, partition: Sequence[int], shares: Sequence, kind: str = STRONG) -> bool:
     """Feasible, fission-resistant in the requested sense, and fusion-
     resistant.  Infeasible solutions are simply not stable."""
@@ -410,6 +396,9 @@ def core_region(
     The strong core is a polytope, decided exactly by LP with row generation
     over its coalition halfspaces; its canonical witness maximizes the
     minimum constraint slack, otherwise any core point the LP finds serves.
+    Without the canonical witness, the strong core of a size-symmetric game
+    (see ``games.size_values``) is decided in closed form on the equal
+    split (``equal-split``; see ``_equal_split_region``).
     The weak core is a union of polytopes containing the strong core, whose
     region answers first: a nonempty one lends its verdict and witness
     (``strong-subset``).  ``strong`` is that region when the caller has
@@ -427,6 +416,9 @@ def core_region(
             return CoreRegion(EMPTY, None, "boundary")
         return CoreRegion(NONEMPTY, point, "boundary")
     if kind == STRONG:
+        by_size = None if canonical_witness else size_values(game)
+        if by_size is not None:
+            return _equal_split_region(game, by_size)
         try:
             if canonical_witness:
                 point, _ = linfeas.row_generation(core_system(game), max_slack=True)
@@ -442,6 +434,21 @@ def core_region(
     if strong.status == NONEMPTY:
         return CoreRegion(NONEMPTY, strong.witness, "strong-subset")
     return _weak_region_exact(game, canonical_witness)
+
+
+def _equal_split_region(game: Game, by_size: tuple) -> CoreRegion:
+    """The strong region of a size-symmetric game of three or more players,
+    whose values by size are ``by_size``.  Its strong-core system is
+    invariant under permuting the players, and the core is convex, so the
+    core holds the average of any point's permutations, the equal split
+    (the averaging argument for symmetric LPs; Bödi, Herr & Joswig 2013).
+    The equal split covers a coalition of s players iff s*v(n) >= n*v(s),
+    compared on the exactly converted values, as the LP compares them."""
+    n = game.n
+    v = [Fraction(x) for x in by_size[1:]]
+    if all(s * v[-1] >= n * v[s - 1] for s in range(1, n)):
+        return CoreRegion(NONEMPTY, _finish_witness(game, (Fraction(1, n),) * n), "equal-split")
+    return CoreRegion(EMPTY, None, "equal-split")
 
 
 def _weak_region_exact(game: Game, canonical_witness: bool) -> CoreRegion:
@@ -716,3 +723,45 @@ def stable_sets(
         for partition in enumerate_partitions(game.n, cap)
     ]
     return StabilityReport(game.n, game.players, game_digest(game), tuple(records))
+
+
+@dataclass
+class SizeType:
+    """The patched-core statuses shared by every partition of a
+    size-symmetric game with one multiset of block sizes, and the number of
+    such partitions a walk has met."""
+
+    strong: str
+    weak: str
+    count: int = 0
+
+
+def walk_size_types(
+    game: Game, *, cap: int = DEFAULT_ENUM_CAP, types: dict | None = None
+) -> Iterator[tuple[Partition, SizeType, bool]]:
+    """Every partition of a size-symmetric game (see ``games.size_values``)
+    in enumeration order, with its ``SizeType`` and its fusion verdict, and
+    no record or witness built per partition.
+
+    Blocks of one size have equal subgames, so a partition's patched cores,
+    ANDs over its blocks, depend only on its block-size multiset: each
+    multiset is decided once, on the first partition that has it, through
+    one ``BlockTable`` without canonical witnesses, and kept in ``types``
+    under its sizes in descending order.  ``fusion_resistant`` adds block
+    values in block order, so its verdict is taken once per sequence of
+    block sizes in block order, which reproduces every partition's own
+    verdict bit for bit."""
+    table = BlockTable(game, canonical_witness=False)
+    types = {} if types is None else types
+    seen: dict[tuple[int, ...], tuple[SizeType, bool]] = {}
+    for partition in enumerate_partitions(game.n, cap):
+        sizes = tuple(b.bit_count() for b in partition)
+        found = seen.get(sizes)
+        if found is None:
+            key = tuple(sorted(sizes, reverse=True))
+            if key not in types:
+                statuses = (table.patched(partition, kind).status for kind in (STRONG, WEAK))
+                types[key] = SizeType(*statuses)
+            found = seen[sizes] = types[key], fusion_resistant(game, partition)
+        found[0].count += 1
+        yield partition, *found

@@ -10,7 +10,8 @@ from fracgame import STRONG, boundary_contains, enumerate_partitions, make_game,
 from fracgame import sample_boundary
 from fracgame import linfeas, stability
 from fracgame.errors import InfeasibleSystem, NumericFailure
-from fracgame.games import boundary_empty, geq
+from fracgame.games import boundary_empty, check_partition, geq
+from fracgame.partitions import fusion_neighborhood
 
 
 @pytest.fixture
@@ -98,6 +99,20 @@ def naive_weak_core_contains(game, shares):
         if partition == (game.grand,):
             continue
         if all(not geq(v_n * sums[c], game.values[c], game.tol) for c in partition):
+            return False
+    return True
+
+
+def fusion_resistant_by_total(game, partition):
+    """Reference for stability.fusion_resistant: the summed block value
+    does not increase into any strict coarsening.  (Group differences
+    telescope into single-merger differences, so the two agree.)"""
+    check_partition(game.n, partition)
+    values = game.values
+    tol = game.tol
+    total = sum(values[b] for b in partition)
+    for coarser in fusion_neighborhood(tuple(partition)):
+        if not geq(total, sum(values[b] for b in coarser), tol):
             return False
     return True
 
@@ -298,6 +313,43 @@ def naive_stable_sets(game, *, canonical_witness=True):
         for partition in enumerate_partitions(game.n)
     )
     return stability.StabilityReport(game.n, game.players, game_digest(game), records)
+
+
+def naive_sweep_point(args, label, game, extra):
+    """Reference for cli._sweep_point: the point as it was read off a full
+    stable_sets report of every game, symmetric or not.  The report takes
+    canonical witnesses, so every strong region comes from the LP and the
+    oracle shares neither the type walk nor the closed form; the statuses
+    do not depend on the witness."""
+    from fracgame.partitions import partition_label
+    from fracgame.stability import STRONG, WEAK, stable_sets
+
+    report = stable_sets(game, cap=args.cap, canonical_witness=True)
+    # partitions come grand first, so the first record holds the grand cores
+    grand = report.records[0]
+    stable_strong = [partition_label(p, game.players) for p, _ in report.stable(STRONG)]
+    stable_weak = [partition_label(p, game.players) for p, _ in report.stable(WEAK)]
+    consolidated = report.most_consolidated(WEAK)
+    point = {
+        "label": label,
+        "digest": report.digest,
+        "counts": {
+            "patched_strong": len(report.partitions_with(STRONG)),
+            "patched_weak": len(report.partitions_with(WEAK)),
+            "fusion_resistant": len(report.fusion_resistant_partitions()),
+            "stable_strong": len(stable_strong),
+            "stable_weak": len(stable_weak),
+            "unknown_weak": len(report.unknown(WEAK)),
+        },
+        "core": {"strong": grand.strong.status, "weak": grand.weak.status},
+        "stable_strong": stable_strong,
+        "stable_weak": stable_weak,
+        "most_consolidated": None
+        if consolidated is None
+        else partition_label(consolidated, game.players),
+    }
+    point.update(extra)
+    return point
 
 
 def naive_weak_region_exact(game, canonical_witness):
@@ -570,6 +622,20 @@ def _naive_lp(nv, eqs, ges, cost):
     if status == "optimal":
         return status, x[:nv]
     return status, None
+
+
+def naive_satisfies(system: linfeas.LinearSystem, point) -> bool:
+    """Reference for linfeas.satisfies without tolerance: one Fraction sum
+    per block and per halfspace, each constraint compared as it reads."""
+    if len(point) != system.dim:
+        return False
+    if any(x < lb for x, lb in zip(point, system.lower)):
+        return False
+    if any(sum(point[i] for i in members(b)) != 1 for b in system.blocks):
+        return False
+    return all(
+        h.coef * sum(point[i] for i in members(h.support)) >= h.rhs for h in system.halfspaces
+    )
 
 
 def naive_feasible(system: linfeas.LinearSystem) -> tuple | None:

@@ -23,7 +23,6 @@ from fracgame import (
     default_uniform_family,
     enumerate_partitions,
     fusion_resistant,
-    fusion_resistant_by_total,
     generate_ordered_pair,
     leq_cp,
     leq_lr,
@@ -39,7 +38,12 @@ from fracgame.risk import MeanStdScenario, mixture_reward
 
 from fracgame.stability import core_system
 from fracgame.cli import run
-from conftest import naive_weak_core_contains, random_exact_game, random_float_game
+from conftest import (
+    fusion_resistant_by_total,
+    naive_weak_core_contains,
+    random_exact_game,
+    random_float_game,
+)
 
 
 def report(criterion: int, ok: bool, detail: str):

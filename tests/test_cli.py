@@ -1,12 +1,23 @@
+import argparse
 import json
+import math
 import pathlib
 import subprocess
 import sys
 
 import pytest
 
-from fracgame import load_game, make_game, save_game, stable_sets
-from fracgame.cli import run
+from fracgame import DEFAULT_TOL, load_game, make_game, save_game, stable_sets
+from fracgame.cli import _sweep_point, run
+from fracgame.stability import walk_size_types
+from fracgame.risk import (
+    MeanStdScenario,
+    beta_density,
+    build_cvar_game,
+    build_meanstd_game,
+    default_uniform_family,
+)
+from conftest import naive_sweep_point
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -441,13 +452,16 @@ def test_verify_report_of_a_pair_with_five_player_weak_searches(capsys):
         (["--scenario", "meanstd", "--n", "5", "--r", "0:1.5:0.5"], "meanstd_n5_r0-1.5-0.5"),
         (["--scenario", "cvar", "--n", "4", "--beta-a", "1,2,3"], "cvar_n4_beta1-2-3"),
         (["--scenario", "meanstd", "--n", "7", "--r", "0:1.5:0.5"], "meanstd_n7_r0-1.5-0.5"),
+        (["--scenario", "cvar", "--n", "6", "--beta-a", "1,2,3"], "cvar_n6_beta1-2-3"),
     ],
 )
 def test_sweep_reports_match_committed_bytes(capsys, argv, name):
     # the reports as sweeps wrote them while every block region still took
     # its canonical (max-slack) witness, which a sweep never prints (n=5,
-    # cvar), and while every strong-core LP still carried all its coalition
-    # rows (n=7)
+    # cvar n=4), while every strong-core LP still carried all its coalition
+    # rows (n=7), and while every sweep still read a full report (cvar n=6,
+    # whose blocks of two or more players have empty split simplices, so
+    # their strong cores are empty by the equal split from three players on)
     assert run(["sweep", *argv]) == 0
     golden = DATA / f"sweep_{name}.json"
     assert capsys.readouterr().out.encode("utf-8") == golden.read_bytes()
@@ -505,3 +519,61 @@ def test_tolerance_flag_must_be_finite_and_nonnegative(tmp_path, capsys, flag, c
     captured = capsys.readouterr()
     assert "--tolerance: must be a finite nonnegative number" in captured.err
     assert not captured.out
+
+
+def _sweep_games(n: int):
+    """(label, game, extra) per grid point, built as ``sweep`` builds them:
+    meanstd over several (mu, sigma) pairs and grids, including r = 0 with
+    a mu whose rounded values leave some block sizes without a strong
+    core, and cvar over several shapes."""
+    for mu, sigma, grid in (
+        (1.0, 0.5, (0.0, 0.5, 1.5)),
+        (1.3, 0.6, (0.2, 2.1)),
+        (7 / 37, 0.1, (0.0, 1.8)),
+        (9 / 37, 0.3, (0.0,)),
+    ):
+        for r in grid:
+            game = build_meanstd_game(MeanStdScenario(n, mu, sigma, r), tol=DEFAULT_TOL)
+            yield f"r={r:g}", game, {"r": r}
+    for a in (1.0, 2.0, 3.5):
+        game = build_cvar_game(default_uniform_family(n), beta_density(a), tol=DEFAULT_TOL)
+        yield f"a={a:g}", game, {"beta_a": a}
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+def test_sweep_points_match_the_report_oracle(n):
+    # the type walk against the point read off a full report; from four
+    # players on, some game has two types with equally many blocks and
+    # different statuses, so types cannot be told apart by block count
+    args = argparse.Namespace(cap=12)
+    apart = False
+    for label, game, extra in _sweep_games(n):
+        assert _sweep_point(args, label, game, extra) == naive_sweep_point(args, label, game, extra)
+        types, by_count = {}, {}
+        for _ in walk_size_types(game, types=types):
+            pass
+        for sizes, kind in types.items():
+            by_count.setdefault(len(sizes), set()).add((kind.strong, kind.weak))
+        apart |= any(len(statuses) > 1 for statuses in by_count.values())
+    assert apart == (n > 3)
+
+
+def test_sweep_point_of_a_game_one_ulp_off_takes_the_report(monkeypatch):
+    from fracgame import cli
+
+    game = build_meanstd_game(MeanStdScenario(5, 1.0, 0.5, 0.8))
+    values = list(game.values)
+    values[11] = math.nextafter(values[11], 0.0)  # one coalition of three
+    nudged = make_game(5, dict(enumerate(values[1:], 1)), tol=game.tol)
+    reports = []
+
+    def recording(game, **kwargs):
+        reports.append(game)
+        return stable_sets(game, **kwargs)
+
+    monkeypatch.setattr(cli, "stable_sets", recording)
+    args = argparse.Namespace(cap=12)
+    assert _sweep_point(args, "g", game, {}) == naive_sweep_point(args, "g", game, {})
+    assert reports == []
+    assert _sweep_point(args, "g", nudged, {}) == naive_sweep_point(args, "g", nudged, {})
+    assert reports == [nudged]

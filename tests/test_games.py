@@ -27,7 +27,7 @@ from fracgame import (
     to_fractional,
     validate_game,
 )
-from fracgame.games import boundary_sampler
+from fracgame.games import boundary_sampler, size_values
 from conftest import naive_sample_boundary, random_exact_game, random_float_game
 
 
@@ -251,3 +251,26 @@ def test_game_from_dict_rejects_duplicates_and_unknowns():
 def test_digest_changes_with_values(superadditive3, additive3):
     assert game_digest(superadditive3) != game_digest(additive3)
     assert game_to_dict(superadditive3)["mode"] == "exact"
+
+
+def test_size_values_reads_one_value_per_size():
+    by_size = {1: 0, 2: 3, 3: Fraction(9, 2), 4: 6}
+    game = make_game(4, {m: by_size[m.bit_count()] for m in range(1, 16)})
+    assert size_values(game) == (None, 0, 3, Fraction(9, 2), 6)
+    # equal values of different types are equal
+    mixed = dict(enumerate(game.values[1:], 1))
+    mixed[5] = Fraction(mixed[5])
+    assert size_values(make_game(4, mixed)) == size_values(game)
+    floats = make_game(3, {m: 1.5 * m.bit_count() for m in range(1, 8)})
+    assert size_values(floats) == (None, 1.5, 3.0, 4.5)
+    assert size_values(make_game(1, {1: 2})) == (None, 2)
+
+
+@pytest.mark.parametrize("mask", [1, 6, 9, 14, 15])
+def test_size_values_refuses_a_value_one_ulp_off(mask):
+    values = {m: 0.7 * m.bit_count() for m in range(1, 16)}
+    values[mask] = math.nextafter(values[mask], 0.0)
+    game = make_game(4, values)
+    # the grand coalition is alone in its size
+    assert (size_values(game) is None) == (mask != 15)
+    assert size_values(random_exact_game(random.Random(0), 4)) is None

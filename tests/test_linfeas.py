@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from functools import cache, partial
@@ -32,6 +33,7 @@ from conftest import (
     naive_feasible,
     naive_max_slack_point,
     naive_minimize,
+    naive_satisfies,
     naive_warm_max_slack_point,
     random_exact_game,
     random_float_game,
@@ -469,3 +471,38 @@ def test_row_generation_decides_core_systems_of_six_to_eight_players(monkeypatch
     assert verdicts == {
         "pooled": {False}, "supermodular": {False}, "cut": {True}, "random-exact": {True}
     }
+
+
+def _moved(point):
+    """The point moved by one unit over its common denominator: each share
+    up and down, and one unit from each share to each other one."""
+    step = Fraction(1, math.lcm(*(x.denominator for x in point)))
+
+    def move(deltas):
+        return tuple(x + deltas.get(k, 0) for k, x in enumerate(point))
+
+    dim = len(point)
+    out = [move({i: sign * step}) for i in range(dim) for sign in (1, -1)]
+    out += [move({i: step, j: -step}) for i in range(dim) for j in range(dim) if i != j]
+    return out
+
+
+def test_rational_satisfies_matches_the_fraction_check():
+    # the integer check of rational points against one Fraction sum per
+    # constraint, on the systems above: their LP points, which sit on the
+    # constraints they make tight, and those points moved off by one unit
+    systems = [s for _, _, s in _oracle_systems(random.Random(2304))]
+    systems += [s for _, s in _differential_systems()]
+    seen = {True: 0, False: 0, "last-alone": 0}
+    for system in systems:
+        best = _outcome(max_slack_point, system)
+        points = [feasible(system), best and best[0]] if best else [tuple(system.lower)]
+        allbut = LinearSystem(system.dim, system.lower, system.blocks, system.halfspaces[:-1])
+        for point in points:
+            for p in [point, *_moved(point), (Fraction(1),) * (system.dim + 1)]:
+                want = naive_satisfies(system, p)
+                assert satisfies(system, p) == want
+                seen[want] += 1
+                seen["last-alone"] += not want and naive_satisfies(allbut, p)
+    # every verdict occurs, and some points fail the last halfspace alone
+    assert min(seen.values()) >= 20, seen

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -18,7 +19,6 @@ from fracgame import (
     enumerate_partitions,
     fission_resistant,
     fusion_resistant,
-    fusion_resistant_by_total,
     grand_partition,
     is_stable,
     make_game,
@@ -29,7 +29,15 @@ from fracgame import (
     stable_sets,
 )
 from fracgame import linfeas
-from fracgame.games import boundary_contains, boundary_empty, solution_feasible, subgame
+from fracgame.games import (
+    boundary_contains,
+    boundary_empty,
+    size_values,
+    solution_feasible,
+    subgame,
+)
+from fracgame.linfeas import row_generation
+from fracgame.partitions import bell_number
 from fracgame.risk import (
     MeanStdScenario,
     beta_density,
@@ -41,13 +49,16 @@ from fracgame.centripetality import generate_ordered_pair
 from fracgame.stability import (
     _weak_region_exact,
     boundary_system,
+    core_system,
     fission_resistant_by_table,
     share_table,
     split_vertices,
     table_feasible,
+    walk_size_types,
 )
 from conftest import (
     cut_game,
+    fusion_resistant_by_total,
     naive_feasible,
     naive_fission_resistant,
     naive_sample_boundary,
@@ -708,3 +719,116 @@ def test_report_equals_the_frozen_solvers_report(monkeypatch, game):
     monkeypatch.setattr(linfeas, "feasible", naive_feasible)
     monkeypatch.setattr(linfeas, "max_slack_point", naive_warm_max_slack_point)
     assert stable_sets(game).to_dict() == got
+
+
+# ---------------------------------------------------------------------------
+# size-symmetric games: the equal-split closed form and the type walk
+
+
+def _size_symmetric_games(n: int) -> list:
+    """Labelled size-symmetric games of n players: pooled ventures (float),
+    the cvar sweep's default family, and exact games by size with empty
+    strong cores (some over nonempty split simplices, so the weak core goes
+    to the exact search), nonempty ones, and ties s*v(n) = n*v(s)."""
+    games = [
+        (f"pooled-r{r}", build_meanstd_game(MeanStdScenario(n, 1.0, 0.5, r)))
+        for r in (0.0, 0.8, 1.5)
+    ]
+    # empty from three players on, after rounding (see the r = 0 test below)
+    games.append(("pooled-7/37", build_meanstd_game(MeanStdScenario(n, 7 / 37, 0.1, 0.0))))
+    games += [
+        (f"cvar-{a}", build_cvar_game(default_uniform_family(n), beta_density(a)))
+        for a in (1.0, 3.0)
+    ]
+    # best two-block split minus 1/3: the split simplex is nonempty, the
+    # strong core empty from three players on
+    sizes = range(1, n + 1)
+    cut = {1: Fraction(1), 2: Fraction(3)}
+    for s in sizes[2:]:
+        cut[s] = max(cut[a] + cut[s - a] for a in range(1, s)) - Fraction(1, 3)
+    games += [
+        ("cut", _size_game(n, cut)),
+        ("square", _size_game(n, {s: s * s for s in sizes})),
+        ("additive", _size_game(n, {s: s for s in sizes})),
+        # a tie at n - 1 players, strict below it
+        ("tie", _size_game(n, {s: s * s if s < n - 1 else (n - 1) * s * n for s in sizes})),
+        ("lone-heavy", _size_game(n, {s: 2 * n if s == 1 else n * s for s in sizes})),
+    ]
+    rng = random.Random(n)
+    games += [
+        ("random", _size_game(n, {s: Fraction(rng.randrange(1, 6 * s), 2) for s in sizes}))
+        for _ in range(4)
+    ]
+    if n <= len(SIZE_VALUES):
+        games.append(("size-values", _size_game(n, SIZE_VALUES)))
+    return games
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+def test_equal_split_region_matches_the_lp(n):
+    statuses = set()
+    for label, game in _size_symmetric_games(n):
+        region = core_region(game, STRONG, canonical_witness=False)
+        assert region.method == "equal-split", label
+        system = core_system(game)
+        nonempty = region.status == NONEMPTY
+        statuses.add(region.status)
+        assert nonempty == (row_generation(system) is not None), label
+        # the frozen solver takes about a second per six-player system
+        if n <= 5 or n == 6 and label in ("pooled-7/37", "cut", "tie"):
+            assert nonempty == (naive_feasible(system) is not None), label
+        if nonempty:
+            w = region.witness
+            assert core_contains(game, w, STRONG), label
+            assert boundary_contains(game, game.grand, w), label
+            assert naive_fission_resistant(game, (game.grand,), w, STRONG), label
+        # the weak verdict does not move with the strong region's method
+        weak = core_region(game, WEAK, canonical_witness=False)
+        assert weak.status == core_region(game, WEAK).status, label
+        if label == "cut":
+            assert (region.status, weak.method) == (EMPTY, "exact-search" if n > 3 else "boundary")
+    assert statuses == {EMPTY, NONEMPTY}
+
+
+def test_equal_split_region_matches_the_lp_on_pooled_games_without_aversion():
+    # r = 0: every value is mu * s, rounded; the exact comparison of the
+    # rounded values is what the LP decides, empty or not
+    empty = 0
+    for n in (3, 4):
+        for k in range(1, 200):
+            game = build_meanstd_game(MeanStdScenario(n, k / 37, 0.5, 0.0))
+            region = core_region(game, STRONG, canonical_witness=False)
+            assert (region.status == NONEMPTY) == (row_generation(core_system(game)) is not None)
+            empty += region.status == EMPTY
+    assert empty == 121
+
+
+def test_canonical_witness_and_asymmetric_games_keep_the_lp():
+    game = build_meanstd_game(MeanStdScenario(5, 1.0, 0.5, 0.8))
+    assert core_region(game, STRONG).method == "lp"
+    # one coalition of three players one ulp above the rest of its size
+    values = list(game.values)
+    values[7] = math.nextafter(values[7], math.inf)
+    nudged = make_game(5, dict(enumerate(values[1:], 1)), tol=game.tol)
+    assert size_values(game) is not None and size_values(nudged) is None
+    assert core_region(nudged, STRONG, canonical_witness=False).method == "lp"
+
+
+def test_size_types_count_the_partitions_of_each_type():
+    # n! / (prod sizes! * prod multiplicities!) partitions per multiset of
+    # block sizes, one multiset per integer partition of n, Bell(n) in all
+    for n in range(1, 9):
+        types = {}
+        game = build_meanstd_game(MeanStdScenario(n, 1, 0.5, 0.8))
+        walked = list(walk_size_types(game, types=types))
+        assert [p for p, _, _ in walked] == list(enumerate_partitions(n))
+        for sizes, kind in types.items():
+            assert sum(sizes) == n and list(sizes) == sorted(sizes, reverse=True)
+            want = math.factorial(n)
+            for s in sizes:
+                want //= math.factorial(s)
+            for s in set(sizes):
+                want //= math.factorial(sizes.count(s))
+            assert kind.count == want
+        assert len(types) == [1, 2, 3, 5, 7, 11, 15, 22][n - 1]
+        assert sum(kind.count for kind in types.values()) == bell_number(n)
