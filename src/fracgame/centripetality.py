@@ -96,16 +96,17 @@ def leq_cp(g1: Game, g2: Game) -> OrderVerdict:
 
 
 def order_matrix(games: Sequence[Game]) -> list[list[bool]]:
-    """``leq_cp(gi, gj).holds`` for every ordered pair of the games.  When
-    both games are size-symmetric (see ``games.size_values``), the products
-    ``leq_cp`` forms for a nested pair depend only on the two sizes, so the
-    entry is the same comparison on each pair of sizes s < t instead."""
+    """``leq_cp(gi, gj).holds`` for every ordered pair of size-symmetric
+    games (see ``games.size_values``) of one player count.  The products
+    ``leq_cp`` forms for a nested pair depend only on the two sizes, so each
+    entry is the same comparison on each pair of sizes s < t.  Raises
+    ValueError on other games."""
     by_size = [size_values(g) for g in games]
+    if None in by_size or len({len(w) for w in by_size}) > 1:
+        raise ValueError("order_matrix needs size-symmetric games of one player count")
 
     def holds(i: int, j: int) -> bool:
         w1, w2 = by_size[i], by_size[j]
-        if w1 is None or w2 is None or len(w1) != len(w2):
-            return leq_cp(games[i], games[j]).holds
         tol = combined_tol(games[i], games[j])
         return all(
             leq(w1[t] * w2[s], w2[t] * w1[s], tol) for t in range(2, len(w1)) for s in range(1, t)

@@ -36,7 +36,6 @@ from .games import (
     game_from_dict,
     game_to_dict,
     json_number,
-    size_values,
 )
 from .partitions import DEFAULT_ENUM_CAP, grand_partition, partition_from_label, partition_label
 from .risk import (
@@ -58,7 +57,7 @@ from .stability import (
     WEAK,
     BlockTable,
     stable_sets,
-    walk_size_types,
+    walk_partitions,
 )
 
 PROP1_GRID = tuple(x / 4 for x in range(8))
@@ -245,19 +244,12 @@ def _parse_grid(text: str) -> list[float]:
 
 
 def _sweep_point(args, label: str, game: Game, extra: dict) -> dict:
-    # a sweep prints no witness, so any core point will do; a size-symmetric
-    # game is decided per block-size type, any other through its report
-    if size_values(game) is None:
-        records = stable_sets(game, cap=args.cap, canonical_witness=False).records
-        rows = ((r.partition, r.strong.status, r.weak.status, r.fusion_resistant) for r in records)
-    else:
-        walk = walk_size_types(game, cap=args.cap)
-        rows = ((partition, t.strong, t.weak, fused) for partition, t, fused in walk)
+    # a sweep prints no witness, so any core point will do
     counted = ("patched_strong", "patched_weak", "fusion_resistant", "unknown_weak")
     counts = dict.fromkeys(counted, 0)
     stable: dict[str, list] = {STRONG: [], WEAK: []}
     core = None
-    for partition, strong, weak, fused in rows:
+    for partition, strong, weak, fused in walk_partitions(game, cap=args.cap):
         # partitions come grand first, so the first row holds the grand cores
         core = core or {"strong": strong, "weak": weak}
         counts["patched_strong"] += strong == NONEMPTY

@@ -92,13 +92,13 @@ def linear_system(dim, lower, blocks, halfspaces=()) -> LinearSystem:
 
 
 def satisfies(system: LinearSystem, point, tol: float = 0.0) -> bool:
-    """Exact (or tolerant) membership check of a point in the system.  A
-    rational point (ints and Fractions) checked without tolerance is
-    checked on integers, see ``_satisfies_rational``."""
+    """Exact (or tolerant) membership check of a point in the system.
+    Without tolerance, each coordinate is converted exactly to a Fraction
+    and the point is checked on integers, see ``_satisfies_exact``."""
     if len(point) != system.dim:
         return False
-    if not tol and all(isinstance(x, (int, Fraction)) for x in point):
-        return _satisfies_rational(system, point)
+    if not tol:
+        return _satisfies_exact(system, [Fraction(x) for x in point])
     for x, lb in zip(point, system.lower):
         if not geq(x, lb, tol):
             return False
@@ -113,10 +113,10 @@ def satisfies(system: LinearSystem, point, tol: float = 0.0) -> bool:
     return True
 
 
-def _satisfies_rational(system: LinearSystem, point) -> bool:
-    """``satisfies`` without tolerance for a rational point, on integers:
-    the point is ``terms[i] / scale`` over its common denominator, and each
-    constraint is compared cross-multiplied, with its own sums."""
+def _satisfies_exact(system: LinearSystem, point: list[Fraction]) -> bool:
+    """``satisfies`` without tolerance, on integers: the point is
+    ``terms[i] / scale`` over its common denominator, and each constraint is
+    compared cross-multiplied, with its own sums."""
     scale = math.lcm(*(x.denominator for x in point))
     terms = [x.numerator * (scale // x.denominator) for x in point]
     for t, lb in zip(terms, system.lower):

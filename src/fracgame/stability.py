@@ -725,43 +725,35 @@ def stable_sets(
     return StabilityReport(game.n, game.players, game_digest(game), tuple(records))
 
 
-@dataclass
-class SizeType:
-    """The patched-core statuses shared by every partition of a
-    size-symmetric game with one multiset of block sizes, and the number of
-    such partitions a walk has met."""
+def walk_partitions(
+    game: Game, *, cap: int = DEFAULT_ENUM_CAP
+) -> Iterator[tuple[Partition, str, str, bool]]:
+    """Every partition in enumeration order, with the statuses of its
+    patched strong and weak cores, decided through one ``BlockTable``
+    without canonical witnesses, and its fusion verdict.  No record or
+    witness is built per partition.
 
-    strong: str
-    weak: str
-    count: int = 0
-
-
-def walk_size_types(
-    game: Game, *, cap: int = DEFAULT_ENUM_CAP, types: dict | None = None
-) -> Iterator[tuple[Partition, SizeType, bool]]:
-    """Every partition of a size-symmetric game (see ``games.size_values``)
-    in enumeration order, with its ``SizeType`` and its fusion verdict, and
-    no record or witness built per partition.
-
-    Blocks of one size have equal subgames, so a partition's patched cores,
-    ANDs over its blocks, depend only on its block-size multiset: each
-    multiset is decided once, on the first partition that has it, through
-    one ``BlockTable`` without canonical witnesses, and kept in ``types``
-    under its sizes in descending order.  ``fusion_resistant`` adds block
-    values in block order, so its verdict is taken once per sequence of
-    block sizes in block order, which reproduces every partition's own
-    verdict bit for bit."""
+    On a size-symmetric game (see ``games.size_values``) blocks of one size
+    have equal subgames, so a partition's patched cores, ANDs over its
+    blocks, depend only on its block-size multiset: each multiset is
+    decided once, on the first partition that has it.  ``fusion_resistant``
+    adds block values in block order, so its verdict is taken once per
+    sequence of block sizes in block order, which reproduces every
+    partition's own verdict bit for bit."""
     table = BlockTable(game, canonical_witness=False)
-    types = {} if types is None else types
-    seen: dict[tuple[int, ...], tuple[SizeType, bool]] = {}
+    symmetric = size_values(game) is not None
+    types: dict[tuple[int, ...], tuple[str, str]] = {}
+    seen: dict[tuple[int, ...], tuple[str, str, bool]] = {}
     for partition in enumerate_partitions(game.n, cap):
+        if not symmetric:
+            statuses = (table.patched(partition, kind).status for kind in (STRONG, WEAK))
+            yield partition, *statuses, fusion_resistant(game, partition)
+            continue
         sizes = tuple(b.bit_count() for b in partition)
         found = seen.get(sizes)
         if found is None:
-            key = tuple(sorted(sizes, reverse=True))
+            key = tuple(sorted(sizes))
             if key not in types:
-                statuses = (table.patched(partition, kind).status for kind in (STRONG, WEAK))
-                types[key] = SizeType(*statuses)
-            found = seen[sizes] = types[key], fusion_resistant(game, partition)
-        found[0].count += 1
+                types[key] = tuple(table.patched(partition, kind).status for kind in (STRONG, WEAK))
+            found = seen[sizes] = (*types[key], fusion_resistant(game, partition))
         yield partition, *found

@@ -445,15 +445,19 @@ def test_weak_core_inclusion_spot_checked():
 
 def test_order_matrix_by_size_pairs_matches_leq_cp():
     # size-symmetric games (pooled ventures, the cvar family, exact games by
-    # size) are compared by size pairs, the rest by leq_cp; both kinds of
-    # verdict occur, and mixed pairs fall back to leq_cp
+    # size) compared by size pairs; both verdicts occur
     for n in (1, 2, 3, 5, 6):
         games = [build_meanstd_game(MeanStdScenario(n, 1.0, 0.5, r)) for r in (0.0, 0.4, 1.2)]
         games += [build_meanstd_game(MeanStdScenario(n, 7 / 37, 0.1, 0.0))]
         games += [build_cvar_game(default_uniform_family(n), beta_density(a)) for a in (1.0, 3.0)]
         games += [make_game(n, {m: m.bit_count() ** k for m in range(1, 1 << n)}) for k in (1, 2)]
-        games += [random_exact_game(random.Random(n), n)]
         want = [[leq_cp(gi, gj).holds for gj in games] for gi in games]
         assert order_matrix(games) == want
         if n > 2:
             assert {x for row in want for x in row} == {True, False}
+            # a game that is not size-symmetric
+            with pytest.raises(ValueError):
+                order_matrix(games + [random_exact_game(random.Random(n), n)])
+        # a game of another player count
+        with pytest.raises(ValueError):
+            order_matrix(games + [build_meanstd_game(MeanStdScenario(n + 1, 1.0, 0.5, 0.4))])

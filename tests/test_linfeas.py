@@ -487,10 +487,10 @@ def _moved(point):
     return out
 
 
-def test_rational_satisfies_matches_the_fraction_check():
-    # the integer check of rational points against one Fraction sum per
-    # constraint, on the systems above: their LP points, which sit on the
-    # constraints they make tight, and those points moved off by one unit
+def test_exact_satisfies_matches_the_fraction_check():
+    # the integer check against one Fraction sum per constraint, on the
+    # systems above: their LP points, which sit on the constraints they make
+    # tight, those points moved off by one unit, and their nearest floats
     systems = [s for _, _, s in _oracle_systems(random.Random(2304))]
     systems += [s for _, s in _differential_systems()]
     seen = {True: 0, False: 0, "last-alone": 0}
@@ -502,6 +502,9 @@ def test_rational_satisfies_matches_the_fraction_check():
             for p in [point, *_moved(point), (Fraction(1),) * (system.dim + 1)]:
                 want = naive_satisfies(system, p)
                 assert satisfies(system, p) == want
+                # floats are converted exactly
+                near = [float(x) for x in p]
+                assert satisfies(system, near) == naive_satisfies(system, list(map(Fraction, near)))
                 seen[want] += 1
                 seen["last-alone"] += not want and naive_satisfies(allbut, p)
     # every verdict occurs, and some points fail the last halfspace alone

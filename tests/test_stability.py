@@ -54,7 +54,7 @@ from fracgame.stability import (
     share_table,
     split_vertices,
     table_feasible,
-    walk_size_types,
+    walk_partitions,
 )
 from conftest import (
     cut_game,
@@ -816,19 +816,22 @@ def test_canonical_witness_and_asymmetric_games_keep_the_lp():
 
 def test_size_types_count_the_partitions_of_each_type():
     # n! / (prod sizes! * prod multiplicities!) partitions per multiset of
-    # block sizes, one multiset per integer partition of n, Bell(n) in all
+    # block sizes, one multiset per integer partition of n, Bell(n) in all;
+    # the partitions of one multiset share their statuses
     for n in range(1, 9):
-        types = {}
         game = build_meanstd_game(MeanStdScenario(n, 1, 0.5, 0.8))
-        walked = list(walk_size_types(game, types=types))
-        assert [p for p, _, _ in walked] == list(enumerate_partitions(n))
-        for sizes, kind in types.items():
-            assert sum(sizes) == n and list(sizes) == sorted(sizes, reverse=True)
+        walked = list(walk_partitions(game))
+        assert [p for p, _, _, _ in walked] == list(enumerate_partitions(n))
+        types = {}
+        for partition, strong, weak, _ in walked:
+            sizes = tuple(sorted(b.bit_count() for b in partition))
+            types.setdefault(sizes, []).append((strong, weak))
+        for sizes, statuses in types.items():
             want = math.factorial(n)
             for s in sizes:
                 want //= math.factorial(s)
             for s in set(sizes):
                 want //= math.factorial(sizes.count(s))
-            assert kind.count == want
+            assert len(statuses) == want and len(set(statuses)) == 1
         assert len(types) == [1, 2, 3, 5, 7, 11, 15, 22][n - 1]
-        assert sum(kind.count for kind in types.values()) == bell_number(n)
+        assert len(walked) == bell_number(n)
