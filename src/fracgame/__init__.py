@@ -78,7 +78,6 @@ from .stability import (
     EMPTY,
     NONEMPTY,
     STRONG,
-    UNKNOWN,
     WEAK,
     BlockTable,
     CoreRegion,

@@ -319,7 +319,7 @@ def verify_theorem1(
             pick[kind] = [len(rows)] if patched.status == NONEMPTY else []
             if pick[kind]:
                 w = patched.witness
-                rows.append([share_terms(g1, [w[i] for i in members(b)])[:2] for b in partition])
+                rows.append([share_terms(g1, [w[i] for i in members(b)]) for b in partition])
         first = len(rows)
         rows += [d for d in drawn if d is not None]
         (_, fission1), (feasible2, fission2) = _judge_rows(g1, g2, partition, rows, False)
@@ -417,7 +417,7 @@ def verify_corollary(
     region = core_region(g1, WEAK, canonical_witness=False)
     if region.status == NONEMPTY:
         points.append(region.witness)
-    rows = [[share_terms(g1, f)[:2]] for f in points]
+    rows = [[share_terms(g1, f)] for f in points]
     sample = boundary_sampler(g1)
     for _ in range(samples):
         drawn = sample(g1.grand, rng)

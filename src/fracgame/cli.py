@@ -53,7 +53,6 @@ from .risk import (
 from .stability import (
     NONEMPTY,
     STRONG,
-    UNKNOWN,
     WEAK,
     BlockTable,
     stable_sets,
@@ -84,7 +83,7 @@ def _csv_text(rows) -> str:
 
 
 def _emit(args, stem: str, payload, csv_rows=None) -> None:
-    if args.format == "csv" and csv_rows is not None:
+    if csv_rows is not None and args.format == "csv":
         text = _csv_text(csv_rows)
         suffix = ".csv"
     else:
@@ -244,7 +243,8 @@ def _parse_grid(text: str) -> list[float]:
 
 
 def _sweep_point(args, label: str, game: Game, extra: dict) -> dict:
-    # a sweep prints no witness, so any core point will do
+    # a sweep prints no witness, so any core point will do; no weak core is
+    # left undecided, so unknown_weak stays 0 in the schema
     counted = ("patched_strong", "patched_weak", "fusion_resistant", "unknown_weak")
     counts = dict.fromkeys(counted, 0)
     stable: dict[str, list] = {STRONG: [], WEAK: []}
@@ -254,7 +254,6 @@ def _sweep_point(args, label: str, game: Game, extra: dict) -> dict:
         core = core or {"strong": strong, "weak": weak}
         counts["patched_strong"] += strong == NONEMPTY
         counts["patched_weak"] += weak == NONEMPTY
-        counts["unknown_weak"] += weak == UNKNOWN
         counts["fusion_resistant"] += fused
         for kind, status in ((STRONG, strong), (WEAK, weak)):
             if fused and status == NONEMPTY:
@@ -453,55 +452,67 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--seed", type=int, default=0, help="seed for verify's sampling")
-        sp.add_argument("--tolerance", type=nonnegative_float, default=None)
-        # every weak core is decided exactly; kept so existing command lines still parse
-        sp.add_argument("--max-exact-weak-core-n", type=nonnegative_int, help=argparse.SUPPRESS)
-        sp.add_argument("--samples", type=nonnegative_int, default=200)
-        sp.add_argument("--cap", type=int, default=DEFAULT_ENUM_CAP)
-        sp.add_argument("--format", choices=("json", "csv"), default="json")
-        sp.add_argument("--out", default=None, metavar="DIR")
+    def option(*names, **kwargs) -> argparse.ArgumentParser:
+        # one shared option; each subcommand takes as parents only those it reads
+        parent = argparse.ArgumentParser(add_help=False)
+        parent.add_argument(*names, **kwargs)
+        return parent
 
-    sp = sub.add_parser("validate", help="check a game file")
+    seed = option("--seed", type=int, default=0, help="seed for verify's sampling")
+    samples = option("--samples", type=nonnegative_int, default=200)
+    tolerance = option("--tolerance", type=nonnegative_float, default=None)
+    cap = option("--cap", type=int, default=DEFAULT_ENUM_CAP)
+    fmt = option("--format", choices=("json", "csv"), default="json")
+    out = option("--out", default=None, metavar="DIR")
+    # every weak core is decided exactly; analyze keeps the flag so existing
+    # command lines still parse
+    exact_n = option("--max-exact-weak-core-n", type=nonnegative_int, help=argparse.SUPPRESS)
+
+    sp = sub.add_parser("validate", help="check a game file", parents=[out])
     sp.add_argument("game")
-    common(sp)
 
-    sp = sub.add_parser("analyze", help="full partition/stability sweep")
+    sp = sub.add_parser(
+        "analyze",
+        help="full partition/stability sweep",
+        parents=[tolerance, exact_n, cap, fmt, out],
+    )
     sp.add_argument("game")
-    common(sp)
 
-    sp = sub.add_parser("core", help="patched cores of one partition")
+    sp = sub.add_parser("core", help="patched cores of one partition", parents=[tolerance, out])
     sp.add_argument("game")
     sp.add_argument("--partition", default=None, help="e.g. 'a,b|c' (default grand)")
-    common(sp)
 
-    sp = sub.add_parser("compare", help="order two games")
+    sp = sub.add_parser("compare", help="order two games", parents=[tolerance, out])
     sp.add_argument("game1")
     sp.add_argument("game2")
-    common(sp)
 
-    sp = sub.add_parser("scenario-meanstd", help="build a pooled-venture game")
+    sp = sub.add_parser(
+        "scenario-meanstd", help="build a pooled-venture game", parents=[tolerance, out]
+    )
     sp.add_argument("scenario")
-    common(sp)
 
-    sp = sub.add_parser("scenario-cvar", help="build a tail-average mixture game")
+    sp = sub.add_parser(
+        "scenario-cvar", help="build a tail-average mixture game", parents=[tolerance, out]
+    )
     sp.add_argument("scenario")
-    common(sp)
 
-    sp = sub.add_parser("sweep", help="stability metrics along a parameter grid")
+    sp = sub.add_parser(
+        "sweep",
+        help="stability metrics along a parameter grid",
+        parents=[tolerance, cap, fmt, out],
+    )
     sp.add_argument("--scenario", choices=("meanstd", "cvar"), required=True)
     sp.add_argument("--n", type=int, default=4)
     sp.add_argument("--mu", type=float, default=1.0)
     sp.add_argument("--sigma", type=float, default=0.5)
     sp.add_argument("--r", default="0:1.75:0.25", help="grid start:stop:step or list")
     sp.add_argument("--beta-a", dest="beta_a", default="1,2,3")
-    common(sp)
 
-    sp = sub.add_parser("verify", help="run the built-in verification suites")
+    sp = sub.add_parser(
+        "verify", help="run the built-in verification suites", parents=[seed, samples, out]
+    )
     sp.add_argument("suite", choices=("theorem", "corollary", "prop1", "prop2", "all"))
     sp.add_argument("--pairs", type=nonnegative_int, default=20)
-    common(sp)
 
     return parser
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CapExceeded, InfeasibleSystem, NumericFailure
-from .games import geq, leq, members
+from .games import members
 
 VERTEX_DIM_CAP = 5
 
@@ -91,32 +91,14 @@ def linear_system(dim, lower, blocks, halfspaces=()) -> LinearSystem:
     return LinearSystem(dim, lower, blocks, tuple(hs))
 
 
-def satisfies(system: LinearSystem, point, tol: float = 0.0) -> bool:
-    """Exact (or tolerant) membership check of a point in the system.
-    Without tolerance, each coordinate is converted exactly to a Fraction
-    and the point is checked on integers, see ``_satisfies_exact``."""
+def satisfies(system: LinearSystem, point) -> bool:
+    """Exact membership check of a point in the system, on integers: each
+    coordinate is converted exactly to a Fraction, the point is
+    ``terms[i] / scale`` over its common denominator, and each constraint
+    is compared cross-multiplied, with its own sums."""
     if len(point) != system.dim:
         return False
-    if not tol:
-        return _satisfies_exact(system, [Fraction(x) for x in point])
-    for x, lb in zip(point, system.lower):
-        if not geq(x, lb, tol):
-            return False
-    for b in system.blocks:
-        total = sum(point[i] for i in members(b))
-        if not (geq(total, 1, tol) and leq(total, 1, tol)):
-            return False
-    for h in system.halfspaces:
-        total = sum(point[i] for i in members(h.support))
-        if not geq(h.coef * total, h.rhs, tol):
-            return False
-    return True
-
-
-def _satisfies_exact(system: LinearSystem, point: list[Fraction]) -> bool:
-    """``satisfies`` without tolerance, on integers: the point is
-    ``terms[i] / scale`` over its common denominator, and each constraint is
-    compared cross-multiplied, with its own sums."""
+    point = [Fraction(x) for x in point]
     scale = math.lcm(*(x.denominator for x in point))
     terms = [x.numerator * (scale // x.denominator) for x in point]
     for t, lb in zip(terms, system.lower):

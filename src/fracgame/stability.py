@@ -53,7 +53,6 @@ WEAK = "weak"
 
 NONEMPTY = "nonempty"
 EMPTY = "empty"
-UNKNOWN = "unknown"  # no region is left undecided; the name stays in the report schema
 
 
 def _check_kind(kind: str) -> None:
@@ -61,30 +60,19 @@ def _check_kind(kind: str) -> None:
         raise ValueError(f"kind must be {STRONG!r} or {WEAK!r}, got {kind!r}")
 
 
-class ShareTable(tuple):
-    """``(sums, scale)``, see ``share_table``.  ``rational`` records that
-    the sums are integer numerators over ``scale`` taken under an exact
-    game, so that game's feasibility can be read off them."""
-
-    def __new__(cls, sums: list, scale: int, rational: bool):
-        table = super().__new__(cls, (sums, scale))
-        table.rational = rational
-        return table
-
-
-def share_terms(game: Game, shares: Sequence) -> tuple[Sequence, int, bool]:
-    """The rescale step of ``share_table``: ``(terms, scale, rational)``
-    with share i equal to ``terms[i] / scale``.  Exact games with rational
-    shares (ints and Fractions both carry numerator/denominator) get integer
-    numerators over the shares' common denominator; any other allocation
-    keeps its shares as they are, over 1."""
+def share_terms(game: Game, shares: Sequence) -> tuple[Sequence, int]:
+    """The rescale step of ``share_table``: ``(terms, scale)`` with share i
+    equal to ``terms[i] / scale``.  Exact games with rational shares (ints
+    and Fractions both carry numerator/denominator) get integer numerators
+    over the shares' common denominator; any other allocation keeps its
+    shares as they are, over 1."""
     if game.mode == EXACT and not any(isinstance(x, float) for x in shares):
         scale = math.lcm(*(x.denominator for x in shares))
-        return [x.numerator * (scale // x.denominator) for x in shares], scale, True
-    return shares, 1, False
+        return [x.numerator * (scale // x.denominator) for x in shares], scale
+    return shares, 1
 
 
-def share_table(game: Game, partition: Sequence[int], shares: Sequence) -> ShareTable:
+def share_table(game: Game, partition: Sequence[int], shares: Sequence) -> tuple[list, int]:
     """The block share-sum table ``(sums, scale)`` of an allocation: for
     every submask ``c`` of a partition block, ``sums[c] / scale`` is the
     total share of ``c``, so a piece is covered by its block exactly when
@@ -94,7 +82,7 @@ def share_table(game: Game, partition: Sequence[int], shares: Sequence) -> Share
     over the shares' common denominator ``scale``, which makes each coverage
     test an int comparison on int-valued games.  Otherwise ``scale`` is 1
     and the shares are added as they are, in the same order as always."""
-    terms, scale, rational = share_terms(game, shares)
+    terms, scale = share_terms(game, shares)
     sums = [0] * (1 << game.n)
     for block in partition:
         # ascending submasks, so ``mask ^ low`` is always filled first
@@ -103,7 +91,7 @@ def share_table(game: Game, partition: Sequence[int], shares: Sequence) -> Share
             low = mask & -mask
             sums[mask] = sums[mask ^ low] + terms[low.bit_length() - 1]
             mask = (mask - block) & block
-    return ShareTable(sums, scale, rational)
+    return sums, scale
 
 
 def _covers(game: Game, block: int, piece: int, table) -> bool:
@@ -122,20 +110,6 @@ def block_feasible(game: Game, block: int, terms: Sequence, scale: int, rational
     v_b, values = game.values[block], game.values
     return sum(terms) == scale and all(
         v_b * t >= values[1 << i] * scale for i, t in zip(members(block), terms)
-    )
-
-
-def table_feasible(
-    game: Game, partition: Sequence[int], shares: Sequence, table: ShareTable
-) -> bool:
-    """``solution_feasible`` for an allocation whose share table, built
-    under this game, is at hand: rational tables are read off block by
-    block, others run ``solution_feasible`` on the shares."""
-    if not table.rational:
-        return solution_feasible(game, partition, shares)
-    sums, scale = table
-    return all(
-        block_feasible(game, b, [sums[1 << i] for i in members(b)], scale, True) for b in partition
     )
 
 
@@ -182,9 +156,8 @@ def core_contains(game: Game, shares: Sequence, kind: str = STRONG) -> bool:
     if len(shares) != game.n:
         raise DimensionMismatch(f"expected {game.n} shares, got {len(shares)}")
     grand = (game.grand,)
-    table = share_table(game, grand, shares)
-    return table_feasible(game, grand, shares, table) and fission_resistant_by_table(
-        game, grand, table, kind
+    return solution_feasible(game, grand, shares) and fission_resistant_by_table(
+        game, grand, share_table(game, grand, shares), kind
     )
 
 
@@ -225,7 +198,7 @@ def block_verdicts(
     rational: bool,
     feasible: Sequence[bool] | None = None,
 ) -> list:
-    """``table_feasible`` and ``fission_resistant_by_table`` on one block,
+    """``block_feasible`` and ``fission_resistant_by_table`` on one block,
     for many allocations at once: row r of the object array ``terms`` holds
     one allocation's terms on the block's members, over ``scale`` (1 unless
     ``rational``).  The sums follow ``share_table`` and each element goes
@@ -591,9 +564,10 @@ class StabilityReport:
     digest: str
     records: tuple[PartitionRecord, ...]
 
-    def partitions_with(self, kind: str, status: str = NONEMPTY) -> list[Partition]:
+    def partitions_with(self, kind: str) -> list[Partition]:
+        """Partitions whose patched core of the requested kind is nonempty."""
         side = {STRONG: lambda r: r.strong, WEAK: lambda r: r.weak}[kind]
-        return [r.partition for r in self.records if side(r).status == status]
+        return [r.partition for r in self.records if side(r).status == NONEMPTY]
 
     def fusion_resistant_partitions(self) -> list[Partition]:
         return [r.partition for r in self.records if r.fusion_resistant]
@@ -607,9 +581,6 @@ class StabilityReport:
             if r.fusion_resistant and patched.status == NONEMPTY:
                 out.append((r.partition, patched.witness))
         return out
-
-    def unknown(self, kind: str) -> list[Partition]:
-        return self.partitions_with(kind, UNKNOWN)
 
     def most_consolidated(self, kind: str = WEAK) -> Partition | None:
         """Stable partition with the fewest blocks; ties broken by canonical
@@ -659,7 +630,8 @@ class StabilityReport:
             "fusion_resistant": [label(p) for p in self.fusion_resistant_partitions()],
             "stable_strong": stable(STRONG),
             "stable_weak": stable(WEAK),
-            "weak_unknown": [label(p) for p in self.unknown(WEAK)],
+            # every weak core is decided; the field stays in the schema
+            "weak_unknown": [],
             "most_consolidated_weak": None if most is None else label(most),
         }
 
@@ -728,27 +700,24 @@ def stable_sets(
 def walk_partitions(
     game: Game, *, cap: int = DEFAULT_ENUM_CAP
 ) -> Iterator[tuple[Partition, str, str, bool]]:
-    """Every partition in enumeration order, with the statuses of its
-    patched strong and weak cores, decided through one ``BlockTable``
-    without canonical witnesses, and its fusion verdict.  No record or
-    witness is built per partition.
+    """Every partition of a size-symmetric game (see ``games.size_values``)
+    in enumeration order, with the statuses of its patched strong and weak
+    cores, decided through one ``BlockTable`` without canonical witnesses,
+    and its fusion verdict.  No record or witness is built per partition.
+    Raises ValueError, on the first step, on any other game.
 
-    On a size-symmetric game (see ``games.size_values``) blocks of one size
-    have equal subgames, so a partition's patched cores, ANDs over its
-    blocks, depend only on its block-size multiset: each multiset is
-    decided once, on the first partition that has it.  ``fusion_resistant``
-    adds block values in block order, so its verdict is taken once per
-    sequence of block sizes in block order, which reproduces every
-    partition's own verdict bit for bit."""
+    Blocks of one size have equal subgames, so a partition's patched cores,
+    ANDs over its blocks, depend only on its block-size multiset: each
+    multiset is decided once, on the first partition that has it.
+    ``fusion_resistant`` adds block values in block order, so its verdict is
+    taken once per sequence of block sizes in block order, which reproduces
+    every partition's own verdict bit for bit."""
+    if size_values(game) is None:
+        raise ValueError("walk_partitions needs a size-symmetric game")
     table = BlockTable(game, canonical_witness=False)
-    symmetric = size_values(game) is not None
     types: dict[tuple[int, ...], tuple[str, str]] = {}
     seen: dict[tuple[int, ...], tuple[str, str, bool]] = {}
     for partition in enumerate_partitions(game.n, cap):
-        if not symmetric:
-            statuses = (table.patched(partition, kind).status for kind in (STRONG, WEAK))
-            yield partition, *statuses, fusion_resistant(game, partition)
-            continue
         sizes = tuple(b.bit_count() for b in partition)
         found = seen.get(sizes)
         if found is None:

@@ -317,7 +317,7 @@ def naive_stable_sets(game, *, canonical_witness=True):
 
 def naive_sweep_point(args, label, game, extra):
     """Reference for cli._sweep_point: the point as it was read off a full
-    stable_sets report of every game, symmetric or not.  The report takes
+    stable_sets report, with no weak core left undecided.  The report takes
     canonical witnesses, so every strong region comes from the LP and the
     oracle shares neither the type walk nor the closed form; the statuses
     do not depend on the witness."""
@@ -339,7 +339,7 @@ def naive_sweep_point(args, label, game, extra):
             "fusion_resistant": len(report.fusion_resistant_partitions()),
             "stable_strong": len(stable_strong),
             "stable_weak": len(stable_weak),
-            "unknown_weak": len(report.unknown(WEAK)),
+            "unknown_weak": 0,
         },
         "core": {"strong": grand.strong.status, "weak": grand.weak.status},
         "stable_strong": stable_strong,

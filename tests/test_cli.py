@@ -128,17 +128,19 @@ def test_analyze_decides_the_weak_core_sampling_cannot(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["analyze", "core"])
 def test_max_exact_weak_core_n_has_no_effect(tmp_path, capsys, command):
-    import random
-
-    from conftest import random_exact_game
-
-    # an empty grand strong core, so the grand weak core is searched
+    # an empty grand strong core, so the grand weak core is searched; only
+    # analyze still takes the flag, which it ignores
     path = tmp_path / "g5.json"
     save_game(random_exact_game(random.Random(4), 5), path)
     assert run([command, str(path)]) == 0
     plain = capsys.readouterr().out
-    assert run([command, str(path), "--max-exact-weak-core-n", "3"]) == 0
-    assert capsys.readouterr().out == plain
+    code = run([command, str(path), "--max-exact-weak-core-n", "3"])
+    captured = capsys.readouterr()
+    if command == "analyze":
+        assert code == 0 and captured.out == plain
+    else:
+        assert code == 2 and not captured.out
+        assert "unrecognized arguments: --max-exact-weak-core-n 3" in captured.err
     payload = json.loads(plain)
     grand = payload["partitions"][0] if command == "analyze" else payload
     assert grand["strong"]["status"] == "empty"
@@ -297,15 +299,13 @@ def test_console_script_entry_point(super3_path):
 
 
 def test_sweep_core_is_the_grand_record():
-    import argparse
-    import random
+    from fracgame.stability import EMPTY, NONEMPTY, STRONG, WEAK, core_region
 
-    from conftest import random_exact_game
-    from fracgame.cli import _sweep_point
-    from fracgame.stability import EMPTY, NONEMPTY, STRONG, WEAK, core_region, stable_sets
-
-    # an empty grand strong core, so the grand weak verdict is searched
-    game = random_exact_game(random.Random(4), 5)
+    # a size-symmetric exact game, as sweeps take: two players earn 3 but
+    # the equal split gives them 12/5, so the grand strong core is empty
+    # over a nonempty split simplex and the grand weak verdict is searched
+    by_size = (None, 1, 3, 4, 5, 6)
+    game = make_game(5, {m: by_size[m.bit_count()] for m in range(1, 32)})
     args = argparse.Namespace(cap=12)
     point = _sweep_point(args, "g", game, {})
     grand = stable_sets(game).records[0]
@@ -477,18 +477,83 @@ def test_analyze_report_matches_committed_bytes(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        ["analyze", "{game}", "--max-exact-weak-core-n", "-5"],
-        ["core", "{game}", "--max-exact-weak-core-n", "-1"],
-        ["verify", "theorem", "--pairs", "1", "--max-exact-weak-core-n", "-5"],
+        pytest.param(
+            ["analyze", "{game}", "--max-exact-weak-core-n", "-5"],
+            "--max-exact-weak-core-n: must be a nonnegative integer",
+            id="argv0",
+        ),
+        # only analyze takes the flag
+        pytest.param(
+            ["core", "{game}", "--max-exact-weak-core-n", "-1"],
+            "unrecognized arguments: --max-exact-weak-core-n -1",
+            id="argv1",
+        ),
+        pytest.param(
+            ["verify", "theorem", "--pairs", "1", "--max-exact-weak-core-n", "-5"],
+            "unrecognized arguments: --max-exact-weak-core-n -5",
+            id="argv2",
+        ),
     ],
 )
-def test_negative_exact_weak_core_n_is_a_usage_error(super3_path, capsys, argv):
+def test_negative_exact_weak_core_n_is_a_usage_error(super3_path, capsys, argv, message):
     assert run([a.format(game=super3_path) for a in argv]) == 2
     captured = capsys.readouterr()
-    assert "--max-exact-weak-core-n: must be a nonnegative integer" in captured.err
+    assert message in captured.err
     assert not captured.out
+
+
+# a small input per subcommand, and the options every subcommand used to
+# take, each with a value and the 21 (subcommand, option) pairs that read it
+SUBCOMMAND_ARGV = {
+    "validate": ["{game}"],
+    "analyze": ["{game}"],
+    "core": ["{game}"],
+    "compare": ["{game}", "{game}"],
+    "scenario-meanstd": ["{meanstd}"],
+    "scenario-cvar": ["{cvar}"],
+    "sweep": ["--scenario", "meanstd", "--n", "3", "--r", "0,0.5"],
+    "verify": ["theorem", "--pairs", "0"],
+}
+SHARED_OPTIONS = {
+    "--seed": ("3", {"verify"}),
+    "--samples": ("5", {"verify"}),
+    "--tolerance": ("0", set(SUBCOMMAND_ARGV) - {"validate", "verify"}),
+    "--cap": ("12", {"analyze", "sweep"}),
+    "--format": ("csv", {"analyze", "sweep"}),
+    "--out": ("{out}", set(SUBCOMMAND_ARGV)),
+    "--max-exact-weak-core-n": ("5", {"analyze"}),
+}
+
+
+@pytest.mark.parametrize("option", list(SHARED_OPTIONS))
+@pytest.mark.parametrize("command", list(SUBCOMMAND_ARGV))
+def test_subcommands_take_only_the_options_they_read(
+    super3_path, tmp_path, capsys, command, option
+):
+    # an option a subcommand does not read is a usage error, not ignored
+    meanstd, cvar = tmp_path / "meanstd.json", tmp_path / "cvar.json"
+    meanstd.write_text(json.dumps({"n": 3, "mu": 1.0, "sigma": 0.5, "r": 0.5}))
+    cvar.write_text(json.dumps({"n": 3, "density": {"beta_a": 2}}))
+    paths = {"game": super3_path, "meanstd": meanstd, "cvar": cvar, "out": tmp_path / "o"}
+    value, readers = SHARED_OPTIONS[option]
+    value = value.format(**paths)
+    code = run([command, *(a.format(**paths) for a in SUBCOMMAND_ARGV[command]), option, value])
+    captured = capsys.readouterr()
+    if command in readers:
+        assert code == 0
+    else:
+        assert code == 2 and not captured.out
+        assert f"unrecognized arguments: {option} {value}" in captured.err
+
+
+def test_analyze_ignores_the_weak_core_size_flag(capsys):
+    # the benchmark's analyze command shape prints the default report
+    game = str(DATA / "cut_game_n6_seed0.json")
+    assert run(["analyze", game, "--max-exact-weak-core-n", "5"]) == 0
+    golden = DATA / "analyze_cut_game_n6_seed0.json"
+    assert capsys.readouterr().out.encode("utf-8") == golden.read_bytes()
 
 
 @pytest.mark.parametrize("tolerance", ["true", "-0.5", "1e400", '"0.1"', "null"])
@@ -554,7 +619,10 @@ def test_sweep_points_match_the_report_oracle(n):
             by_count.setdefault(len(partition), set()).add((strong, weak))
         apart |= any(len(statuses) > 1 for statuses in by_count.values())
     assert apart == (n > 3)
-    # a game that is not size-symmetric shares nothing between partitions
+    # sweeps take only size-symmetric games
     if n <= 5:
         game = random_exact_game(random.Random(n), n)
-        assert _sweep_point(args, "g", game, {}) == naive_sweep_point(args, "g", game, {})
+        with pytest.raises(ValueError, match="size-symmetric"):
+            next(walk_partitions(game))
+        with pytest.raises(ValueError, match="size-symmetric"):
+            _sweep_point(args, "g", game, {})

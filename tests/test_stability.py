@@ -9,7 +9,6 @@ from fracgame import (
     EMPTY,
     NONEMPTY,
     STRONG,
-    UNKNOWN,
     WEAK,
     BlockTable,
     CoreRegion,
@@ -53,7 +52,6 @@ from fracgame.stability import (
     fission_resistant_by_table,
     share_table,
     split_vertices,
-    table_feasible,
     walk_partitions,
 )
 from conftest import (
@@ -159,8 +157,8 @@ def test_fission_resistance_matches_naive_oracle():
 
 def test_share_table_matches_naive_oracles():
     # the table read directly, on exact and float games: coverage against the
-    # literal oracles, and feasibility against solution_feasible on both
-    # valid samples and samples with one share moved to another player
+    # literal oracles, on valid samples and on samples with one share moved
+    # to another player that are still feasible
     rng = random.Random(47)
     checked = infeasible = 0
     for trial in range(200):
@@ -181,12 +179,10 @@ def test_share_table_matches_naive_oracles():
             moved[i] -= Fraction(1, 2) * shares[i]
             moved[j] += Fraction(1, 2) * shares[i]
             for f in (tuple(shares), tuple(moved)):
-                table = share_table(game, partition, f)
-                feasible = solution_feasible(game, partition, f)
-                assert table_feasible(game, partition, f, table) == feasible
-                if not feasible:
+                if not solution_feasible(game, partition, f):
                     infeasible += 1
                     continue
+                table = share_table(game, partition, f)
                 checked += 1
                 for kind in (STRONG, WEAK):
                     assert fission_resistant_by_table(
@@ -467,14 +463,14 @@ def test_default_reports_decide_every_weak_core(n):
     methods = set()
     for game in _default_report_games(n):
         report = stable_sets(game)
-        assert report.unknown(WEAK) == [] and report.to_dict()["weak_unknown"] == []
+        assert report.to_dict()["weak_unknown"] == []
         regions = {
             block: region
             for record in report.records
             for block, region in zip(record.partition, record.weak.block_regions)
         }
         for block, region in regions.items():
-            assert region.status in (NONEMPTY, EMPTY) and region.status != UNKNOWN
+            assert region.status in (NONEMPTY, EMPTY)
             assert not region.method.startswith("sampled")
             methods.add(region.method)
             if region.witness is not None:
