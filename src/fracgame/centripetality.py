@@ -265,12 +265,10 @@ def verify_theorem1(
 
     # (2) split products, one check per distinct block
     failures = []
-    scopes = set()
     for block in coalitions(n):
         if block.bit_count() < 2:
             continue
-        ok, scope, detail = _boundary_included(g1, g2, block, tol)
-        scopes.add(scope)
+        ok, _, detail = _boundary_included(g1, g2, block, tol)
         if not ok:
             failures.append(detail)
     claims.append(

@@ -36,6 +36,7 @@ from .games import (
     game_from_dict,
     game_to_dict,
     json_number,
+    load_game,
 )
 from .partitions import DEFAULT_ENUM_CAP, grand_partition, partition_from_label, partition_label
 from .risk import (
@@ -103,9 +104,7 @@ def _fail(message: str, code: int) -> int:
 
 
 def _load_game(args, path: str) -> Game:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    game = game_from_dict(data)
+    game = load_game(path)
     if args.tolerance is not None and args.tolerance != game.tol:
         if game.mode == EXACT:
             raise ValueError("exact mode has no tolerance")
@@ -221,6 +220,13 @@ def cmd_scenario_cvar(args) -> int:
 # sweeps
 
 
+def _grid_point(x: Fraction, text: str) -> float:
+    try:
+        return float(x)
+    except OverflowError:
+        raise ValueError(f"grid {text!r} has a point beyond the float range") from None
+
+
 def _parse_grid(text: str) -> list[float]:
     """Accept either '0:1.5:0.5' (inclusive range) or '0,0.5,1'."""
     if ":" in text:
@@ -236,10 +242,10 @@ def _parse_grid(text: str) -> list[float]:
         out = []
         x = start
         while x <= stop:
-            out.append(float(x))
+            out.append(_grid_point(x, text))
             x += step
         return out
-    return sorted(float(Fraction(p)) for p in text.split(","))
+    return sorted(_grid_point(Fraction(p), text) for p in text.split(","))
 
 
 def _sweep_point(args, label: str, game: Game, extra: dict) -> dict:

@@ -71,6 +71,32 @@ def remap(local: int, mem: Sequence[int]) -> int:
     return out
 
 
+def integer_terms(xs: Sequence) -> tuple[list, int]:
+    """``(terms, scale)`` with ``xs[i] == terms[i] / scale``: integer
+    numerators over the numbers' common denominator.  Ints and Fractions are
+    read as they are; anything else (a float) is converted exactly through
+    ``Fraction`` first."""
+    xs = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in xs]
+    scale = math.lcm(*(x.denominator for x in xs))
+    return [x.numerator * (scale // x.denominator) for x in xs], scale
+
+
+def subset_sums(terms: Sequence, block: int, sums: list | None = None) -> list:
+    """``sums[c]``, for every nonempty submask ``c`` of ``block``, is the sum
+    of ``terms[i]`` over the members i of c, built up over ascending submasks
+    from ``sums[c ^ lowest member of c]``, so float sums are always added in
+    one order.  Fills ``sums`` (default: zeros up to ``block``) in place and
+    returns it; other masks keep their entries."""
+    if sums is None:
+        sums = [0] * (block + 1)
+    mask = block & -block
+    while mask:
+        low = mask & -mask
+        sums[mask] = sums[mask ^ low] + terms[low.bit_length() - 1]
+        mask = (mask - block) & block
+    return sums
+
+
 def submasks(mask: int, proper: bool = False) -> Iterator[int]:
     """Nonempty submasks of ``mask``, descending; skips ``mask`` if proper."""
     s = (mask - 1) & mask if proper else mask
@@ -170,9 +196,6 @@ class Game:
     @property
     def grand(self) -> int:
         return (1 << self.n) - 1
-
-    def value(self, coalition: int):
-        return self.values[coalition]
 
     def coalition_label(self, coalition: int) -> str:
         return coalition_label(coalition, self.players)
@@ -352,11 +375,7 @@ def boundary_sampler(game: Game) -> Callable[[int, object], tuple | None]:
         mem = members(coalition)
         v_c = game.values[coalition]
         if exact:
-            # exact values are ints or Fractions, both with numerator/denominator
-            values = [game.values[1 << i] for i in mem]
-            unit = math.lcm(v_c.denominator, *(a.denominator for a in values))
-            lone = [a.numerator * (unit // a.denominator) for a in values]
-            whole = v_c.numerator * (unit // v_c.denominator)
+            (whole, *lone), _ = integer_terms([v_c, *(game.values[1 << i] for i in mem)])
             return [a * grain for a in lone], whole * grain, whole - sum(lone)
         lbs = [game.values[1 << i] / v_c for i in mem]
         total = sum(lbs)
@@ -453,7 +472,10 @@ def _decode_value(raw):
     if isinstance(raw, (int, float)):
         return raw
     if isinstance(raw, str):
-        return Fraction(raw)
+        try:
+            return Fraction(raw)
+        except ZeroDivisionError:
+            raise ValueError(f"coalition value {raw!r} divides by zero") from None
     raise ValueError(f"cannot parse coalition value {raw!r}")
 
 
@@ -469,8 +491,10 @@ def game_to_dict(game: Game) -> dict:
 
 
 def game_from_dict(data: Mapping) -> Game:
+    if not isinstance(data, Mapping):
+        raise ValueError("game JSON must be an object")
     players = data.get("players")
-    if not players:
+    if not players or not isinstance(players, Iterable):
         raise ValueError("game JSON needs a nonempty 'players' list")
     players = [str(p) for p in players]
     n = len(players)
@@ -489,8 +513,7 @@ def game_from_dict(data: Mapping) -> Game:
 
 def load_game(path) -> Game:
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    return game_from_dict(data)
+        return game_from_dict(json.load(fh))
 
 
 def save_game(game: Game, path) -> None:

@@ -8,12 +8,12 @@ bounds, one sum-to-one equality per variable block, and half-spaces
 All arithmetic is exact; float inputs are converted exactly through
 ``Fraction``, so feasibility verdicts are never rounding artifacts.  A
 two-phase simplex (most-negative entering column, switching to Bland's rule
-to rule out cycling) decides feasibility and optimizes.  Its tableau rows
-are Python ints: each row is a positive multiple of its rational row,
-divided by its gcd after every update (fraction-free elimination, as in
-Bareiss 1968), and the ratio test cross-multiplies, so the pivots are those
-of the rational tableau and only the returned point is built from
-Fractions.  The max-slack witness is a lexicographic optimum, solved as in
+to rule out cycling) optimizes; phase 1 alone decides feasibility.  Its
+tableau rows are Python ints: each row is a positive multiple of its
+rational row, divided by its gcd after every update (fraction-free
+elimination, as in Bareiss 1968), and the ratio test cross-multiplies, so
+the pivots are those of the rational tableau and only the returned point is
+built from Fractions.  The max-slack witness is a lexicographic optimum, solved as in
 the sequential LPs of the nucleolus (Kopelowitz 1967): one phase 1, then
 one phase-2 stage per objective on the same tableau, each restarting from
 the previous optimal basis and restricted to its optimal face.  Many
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CapExceeded, InfeasibleSystem, NumericFailure
-from .games import members
+from .games import integer_terms, members, subset_sums
 
 VERTEX_DIM_CAP = 5
 
@@ -63,6 +63,12 @@ class LinearSystem:
     blocks: tuple[int, ...]
     halfspaces: tuple[Halfspace, ...] = ()
 
+    def restricted(self, keep) -> LinearSystem:
+        """The same bounds and blocks with only the halfspaces at the indices
+        ``keep``, in ascending index order."""
+        hs = self.halfspaces
+        return LinearSystem(self.dim, self.lower, self.blocks, tuple(hs[k] for k in sorted(keep)))
+
 
 def linear_system(dim, lower, blocks, halfspaces=()) -> LinearSystem:
     """Validating constructor; accepts halfspaces as (coef, support, rhs)."""
@@ -79,8 +85,7 @@ def linear_system(dim, lower, blocks, halfspaces=()) -> LinearSystem:
             raise ValueError("blocks must be nonempty, in range, and disjoint")
         seen |= b
     hs = []
-    for h in halfspaces:
-        coef, support, rhs = (h.coef, h.support, h.rhs) if isinstance(h, Halfspace) else h
+    for coef, support, rhs in halfspaces:
         support = int(support)
         if support == 0 or support & ~full:
             raise ValueError("halfspace support must be a nonempty variable set")
@@ -98,9 +103,7 @@ def satisfies(system: LinearSystem, point) -> bool:
     is compared cross-multiplied, with its own sums."""
     if len(point) != system.dim:
         return False
-    point = [Fraction(x) for x in point]
-    scale = math.lcm(*(x.denominator for x in point))
-    terms = [x.numerator * (scale // x.denominator) for x in point]
+    terms, scale = integer_terms(point)
     for t, lb in zip(terms, system.lower):
         if t * lb.denominator < lb.numerator * scale:
             return False
@@ -280,8 +283,7 @@ def _tableau(system: LinearSystem, slack_var: bool):
     ns = nh + dim if slack_var else nh
     n = nv + ns
     width = n + len(system.blocks) + ns + 1
-    unit = math.lcm(*(lb.denominator for lb in system.lower))
-    low = [lb.numerator * (unit // lb.denominator) for lb in system.lower]
+    low, unit = integer_terms(system.lower)
     tab = []
 
     def add(cols, a, minus, d, r):
@@ -316,26 +318,15 @@ def _tableau(system: LinearSystem, slack_var: bool):
     return tab, n
 
 
-def _lp(system: LinearSystem, cost):
-    """Returns (status, x) with status 'optimal'|'infeasible'|'unbounded';
-    x holds the dim shifted shares, cost is integer over them."""
+def feasible(system: LinearSystem) -> tuple | None:
+    """A feasible point (exact Fractions) or None: the basic point phase 1
+    ends on.  Any returned point is re-checked against every constraint
+    before being handed back."""
     tab, n = _tableau(system, slack_var=False)
     found = _phase_one(tab, n)
     if found is None:
-        return "infeasible", None
-    tab, basis = found
-    status, _ = _phase_two(tab, basis, list(cost) + [0] * (n - len(cost)), range(n))
-    if status == "unbounded":
-        return "unbounded", None
-    return "optimal", _basic_point(tab, basis, system.dim)
-
-
-def feasible(system: LinearSystem) -> tuple | None:
-    """A feasible point (exact Fractions) or None.  Any returned point is
-    re-checked against every constraint before being handed back."""
-    status, x = _lp(system, [0] * system.dim)
-    if status != "optimal":
         return None
+    x = _basic_point(*found, system.dim)
     point = tuple(xi + lb for xi, lb in zip(x, system.lower))
     if not satisfies(system, point):  # pragma: no cover - solver contract
         raise NumericFailure("simplex returned a point violating the system")
@@ -348,12 +339,16 @@ def minimize(system: LinearSystem, cost):
     if len(cost) != system.dim:
         raise ValueError("cost vector length must match dim")
     cvec = [_frac(c) for c in cost]
-    unit = math.lcm(*(c.denominator for c in cvec))
-    status, x = _lp(system, [c.numerator * (unit // c.denominator) for c in cvec])
-    if status == "infeasible":
+    tab, n = _tableau(system, slack_var=False)
+    found = _phase_one(tab, n)
+    if found is None:
         return None
+    tab, basis = found
+    icost, _ = integer_terms(cvec)
+    status, _ = _phase_two(tab, basis, icost + [0] * (n - len(icost)), range(n))
     if status == "unbounded":
         raise NumericFailure("objective unbounded below")
+    x = _basic_point(tab, basis, system.dim)
     point = tuple(xi + lb for xi, lb in zip(x, system.lower))
     value = sum(c * f for c, f in zip(cvec, point))
     return value, point
@@ -408,14 +403,11 @@ def row_generation(system: LinearSystem, max_slack: bool = False):
     """
     dim, halfspaces = system.dim, system.halfspaces
     # halfspace k reads coefs[k] * F >= rhss[k] * D for a share sum F / D
-    unit = math.lcm(*(x.denominator for h in halfspaces for x in (h.coef, h.rhs)))
-    coefs = [h.coef.numerator * (unit // h.coef.denominator) for h in halfspaces]
-    rhss = [h.rhs.numerator * (unit // h.rhs.denominator) for h in halfspaces]
+    terms, unit = integer_terms([x for h in halfspaces for x in (h.coef, h.rhs)])
+    coefs, rhss = terms[0::2], terms[1::2]
     chosen: list[int] = []
     while True:
-        restricted = LinearSystem(
-            dim, system.lower, system.blocks, tuple(halfspaces[k] for k in sorted(chosen))
-        )
+        restricted = system.restricted(chosen)
         if max_slack:
             found = point, t = max_slack_point(restricted)
         else:
@@ -423,12 +415,8 @@ def row_generation(system: LinearSystem, max_slack: bool = False):
             if point is None:
                 return None
             t = _F0
-        scale = math.lcm(*(x.denominator for x in point))
-        terms = [x.numerator * (scale // x.denominator) for x in point]
-        sums = [0] * (1 << dim)
-        for mask in range(1, 1 << dim):
-            low = mask & -mask
-            sums[mask] = sums[mask ^ low] + terms[low.bit_length() - 1]
+        terms, scale = integer_terms(point)
+        sums = subset_sums(terms, (1 << dim) - 1)
         # slacks over the common scale unit * scale, compared with t
         bar = t.numerator * unit * scale
         slacks = (

@@ -96,12 +96,6 @@ class QuantileCurve:
             raise ValueError(f"quantile argument {beta!r} outside [0, 1]")
         return float(_interp(self.betas, self.values, beta))
 
-    def integral_to(self, x: float) -> float:
-        """Integral of the curve from 0 to x."""
-        if not 0.0 <= x <= 1.0:
-            raise ValueError(f"integration bound {x!r} outside [0, 1]")
-        return float(self._integrals(x))
-
     def _integrals(self, x):
         """Integral from 0 to every point of x in [0, 1], closed form per
         segment."""

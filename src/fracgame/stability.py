@@ -13,7 +13,6 @@ three players can never be split weakly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache, reduce
@@ -30,9 +29,9 @@ from .games import (
     boundary_contains,
     boundary_empty,
     check_partition,
-    coalitions,
     draw_shares,
     geq,
+    integer_terms,
     json_number,
     members,
     remap,
@@ -40,6 +39,7 @@ from .games import (
     solution_feasible,
     subgame,
     submasks,
+    subset_sums,
 )
 from .partitions import (
     DEFAULT_ENUM_CAP,
@@ -67,8 +67,7 @@ def share_terms(game: Game, shares: Sequence) -> tuple[Sequence, int]:
     over the shares' common denominator; any other allocation keeps its
     shares as they are, over 1."""
     if game.mode == EXACT and not any(isinstance(x, float) for x in shares):
-        scale = math.lcm(*(x.denominator for x in shares))
-        return [x.numerator * (scale // x.denominator) for x in shares], scale
+        return integer_terms(shares)
     return shares, 1
 
 
@@ -85,12 +84,7 @@ def share_table(game: Game, partition: Sequence[int], shares: Sequence) -> tuple
     terms, scale = share_terms(game, shares)
     sums = [0] * (1 << game.n)
     for block in partition:
-        # ascending submasks, so ``mask ^ low`` is always filled first
-        mask = block & -block
-        while mask:
-            low = mask & -mask
-            sums[mask] = sums[mask ^ low] + terms[low.bit_length() - 1]
-            mask = (mask - block) & block
+        subset_sums(terms, block, sums)
     return sums, scale
 
 
@@ -208,10 +202,7 @@ def block_verdicts(
     every game's); one that is not is None."""
     mem = members(block)
     count, full = len(terms), (1 << len(mem)) - 1
-    sums, ones, judged = [0] * (full + 1), np.ones(count, bool), []
-    for mask in range(1, full + 1):
-        low = mask & -mask
-        sums[mask] = sums[mask ^ low] + terms[:, low.bit_length() - 1]
+    sums, ones, judged = subset_sums(terms.T, full), np.ones(count, bool), []
     pieces = [(piece, remap(piece, mem)) for piece in range(1, full)]
     for game, read in zip(games, feasible or [True] * len(games)):
         values, v_b, tol, covered = game.values, game.values[block], game.tol, {}
@@ -299,27 +290,16 @@ def _exact_lower_bounds(game: Game, block: int) -> list[Fraction]:
     return [Fraction(game.values[1 << i]) / v_b for i in members(block)]
 
 
-def boundary_system(game: Game, block: int) -> linfeas.LinearSystem:
-    """The split simplex of a block as a linear system over local variables.
+def core_system(game: Game) -> linfeas.LinearSystem:
+    """The strong-core system: the grand split simplex plus the halfspace
+    ``f(C) >= v(C) / v(N)`` of every proper coalition C, at index C - 1.
     Float values are converted exactly; no tolerance is baked in, so region
-    verdicts are exact for the stored values."""
-    mem = members(block)
-    k = len(mem)
-    lbs = _exact_lower_bounds(game, block)
-    return linfeas.linear_system(k, lbs, ((1 << k) - 1,))
-
-
-def core_system(game: Game, kind_masks=None) -> linfeas.LinearSystem:
-    """Grand-coalition split simplex plus scaled-share halfspaces for the
-    given coalitions (default: all proper ones, the strong core)."""
-    n = game.n
+    verdicts are exact for the stored values.  Any sub-system, down to the
+    bare split simplex, is ``core_system(game).restricted(...)``."""
     full = game.grand
-    lbs = _exact_lower_bounds(game, full)
     v_n = Fraction(game.values[full])
-    if kind_masks is None:
-        kind_masks = [c for c in coalitions(n) if c != full]
-    hs = [(1, c, Fraction(game.values[c]) / v_n) for c in kind_masks]
-    return linfeas.linear_system(n, lbs, (full,), hs)
+    hs = [(1, c, Fraction(game.values[c]) / v_n) for c in range(1, full)]
+    return linfeas.linear_system(game.n, _exact_lower_bounds(game, full), (full,), hs)
 
 
 def split_vertices(game: Game, block: int) -> list[tuple]:
@@ -344,11 +324,7 @@ def _centered_boundary_point(game: Game, block: int) -> tuple | None:
     s = 1 - sum(lbs)
     if s < 0:
         return None
-    k = len(lbs)
-    point = tuple(lb + Fraction(s, k) for lb in lbs)
-    if game.mode == EXACT:
-        return point
-    return tuple(float(x) for x in point)
+    return _finish_witness(game, (lb + s / len(lbs) for lb in lbs))
 
 
 def _finish_witness(game: Game, point) -> tuple:
@@ -435,22 +411,17 @@ def _weak_region_exact(game: Game, canonical_witness: bool) -> CoreRegion:
     converted values, as the LP decides it.  The canonical witness is the
     max-slack point of the polytope committing every coalition the found
     point covers, all of which lies in the weak core."""
-    n, full = game.n, game.grand
+    full = game.grand
     if boundary_empty(game, full):
         return CoreRegion(EMPTY, None, "boundary")
     exact = replace(game, values=(None, *map(Fraction, game.values[1:])), mode=EXACT, tol=0.0)
-    base = boundary_system(game, full)
-
-    def system_for(committed):
-        hs = [(1, c, exact.values[c] / exact.values[full]) for c in sorted(committed)]
-        return linfeas.linear_system(n, base.lower, base.blocks, hs)
-
+    whole = core_system(game)  # coalition c's halfspace at index c - 1
     nogoods, stack = [], [frozenset()]
     while stack:
         committed = stack.pop()
         if any(bad <= committed for bad in nogoods):
             continue
-        point = linfeas.feasible(system_for(committed))
+        point = linfeas.feasible(whole.restricted(c - 1 for c in committed))
         if point is None:
             nogoods.append(committed)
             continue
@@ -462,8 +433,8 @@ def _weak_region_exact(game: Game, canonical_witness: bool) -> CoreRegion:
     else:
         return CoreRegion(EMPTY, None, "exact-search")
     if canonical_witness:
-        covered = [c for c in range(1, full) if _covers(exact, full, c, table)]
-        point, _ = linfeas.row_generation(system_for(covered), max_slack=True)
+        covered = [c - 1 for c in range(1, full) if _covers(exact, full, c, table)]
+        point, _ = linfeas.row_generation(whole.restricted(covered), max_slack=True)
     return CoreRegion(NONEMPTY, _finish_witness(game, point), "exact-search")
 
 
@@ -538,15 +509,9 @@ class BlockTable(dict):
         return PatchedCore(partition, NONEMPTY, tuple(shares), regions)
 
 
-def patched_core(
-    game: Game,
-    partition: Sequence[int],
-    kind: str = STRONG,
-    *,
-    canonical_witness: bool = True,
-) -> PatchedCore:
+def patched_core(game: Game, partition: Sequence[int], kind: str = STRONG) -> PatchedCore:
     """The patched core of one partition; see ``BlockTable.patched``."""
-    return BlockTable(game, canonical_witness=canonical_witness).patched(partition, kind)
+    return BlockTable(game).patched(partition, kind)
 
 
 @dataclass(frozen=True)
@@ -670,21 +635,15 @@ class StabilityReport:
         return rows
 
 
-def stable_sets(
-    game: Game,
-    *,
-    cap: int = DEFAULT_ENUM_CAP,
-    canonical_witness: bool = True,
-) -> StabilityReport:
+def stable_sets(game: Game, *, cap: int = DEFAULT_ENUM_CAP) -> StabilityReport:
     """Sweep every partition: patched strong/weak cores and fusion
     resistance.  Stable solutions pair a fusion-resistant partition with any
     point of its nonempty patched core.  All partitions read their blocks
-    from one ``BlockTable``, so each distinct block subgame is decided once.
-    Without ``canonical_witness`` the witnesses are any core points the LP
-    finds (see ``core_region``); the statuses do not change."""
+    from one ``BlockTable``, so each distinct block subgame is decided once,
+    with its canonical witness."""
     from .games import game_digest
 
-    table = BlockTable(game, canonical_witness=canonical_witness)
+    table = BlockTable(game)
     records = [
         PartitionRecord(
             partition,

@@ -324,7 +324,7 @@ def naive_sweep_point(args, label, game, extra):
     from fracgame.partitions import partition_label
     from fracgame.stability import STRONG, WEAK, stable_sets
 
-    report = stable_sets(game, cap=args.cap, canonical_witness=True)
+    report = stable_sets(game, cap=args.cap)
     # partitions come grand first, so the first record holds the grand cores
     grand = report.records[0]
     stable_strong = [partition_label(p, game.players) for p, _ in report.stable(STRONG)]
@@ -364,7 +364,8 @@ def naive_weak_region_exact(game, canonical_witness):
     full = game.grand
     v_n = Fraction(game.values[full])
     ratio = {c: Fraction(game.values[c]) / v_n for c in coalitions(n) if c != full}
-    base = stability.boundary_system(game, full)
+    lower = [Fraction(game.values[1 << i]) / v_n for i in range(n)]
+    base = linfeas.linear_system(n, lower, (full,))
     start = linfeas.feasible(base)
     if start is None:
         return CoreRegion(EMPTY, None, "boundary")

@@ -368,6 +368,24 @@ def test_malformed_scenario_exits_without_traceback(tmp_path, capsys, command, s
     assert err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["validate", "analyze", "core", "compare"])
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"players": ["a", "b"], "values": {"a": 1, "b": 1, "a,b": "1/0"}}', "divides by zero"),
+        ("[1, 2]", "game JSON must be an object"),
+        ('{"players": 5, "values": {}}', "needs a nonempty 'players' list"),
+    ],
+)
+def test_malformed_game_file_exits_without_traceback(tmp_path, capsys, command, text, message):
+    path = tmp_path / "game.json"
+    path.write_text(text)
+    argv = [command, str(path)] + ([str(path)] if command == "compare" else [])
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.err.count("\n") == 1 and not captured.out
+
+
 def test_consecutive_runs_match_separate_processes(super3_path, monkeypatch, capsys):
     # the parser is built once per process; a parse error must leave it as
     # fresh for the next call as a new interpreter's
@@ -419,6 +437,9 @@ def test_negative_counts_are_usage_errors(capsys, argv, message):
             ["sweep", "--scenario", "meanstd", "--r", "0:1e9:1e-9"],
             "has 1000000000000000001 points, more than 10000",
         ),
+        (["sweep", "--scenario", "meanstd", "--r", "1e400"], "grid '1e400' has a point beyond"),
+        (["sweep", "--scenario", "meanstd", "--r", "0:1e400:1e399"], "beyond the float range"),
+        (["sweep", "--scenario", "cvar", "--beta-a", "1e400"], "grid '1e400' has a point beyond"),
     ],
 )
 def test_sweep_refuses_oversized_inputs_before_building_them(capsys, argv, message):

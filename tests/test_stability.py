@@ -47,7 +47,6 @@ from fracgame.risk import (
 from fracgame.centripetality import generate_ordered_pair
 from fracgame.stability import (
     _weak_region_exact,
-    boundary_system,
     core_system,
     fission_resistant_by_table,
     share_table,
@@ -302,7 +301,8 @@ def test_split_vertices_match_brute_force_enumeration():
         for block in range(1, 1 << game.n):
             if block.bit_count() < 2:
                 continue
-            want = linfeas.vertices(boundary_system(game, block), cap=block.bit_count())
+            bare = core_system(subgame(game, block)).restricted(())
+            want = linfeas.vertices(bare, cap=block.bit_count())
             assert split_vertices(game, block) == want
             assert (want == []) == boundary_empty(game, block)
             flat += len(want) == 1
@@ -571,12 +571,19 @@ def test_report_serializes(superadditive3):
 @pytest.mark.parametrize("canonical", [False, True])
 def test_stable_sets_match_per_partition_oracle(n, seed, canonical):
     # deciding each block once must reproduce the sweep that decides every
-    # block of every partition afresh, with either kind of witness; the
-    # grand weak core of each of these games is left to the exact search
+    # block of every partition afresh, with either kind of witness (patched
+    # cores without the canonical one read from a block table); the grand
+    # weak core of each of these games is left to the exact search
     game = random_exact_game(random.Random(seed), n)
-    got = stable_sets(game, canonical_witness=canonical)
-    assert got.to_dict() == naive_stable_sets(game, canonical_witness=canonical).to_dict()
-    assert got.records[0].weak.block_regions[0].method == "exact-search"
+    want = naive_stable_sets(game, canonical_witness=canonical)
+    if canonical:
+        assert stable_sets(game).to_dict() == want.to_dict()
+    else:
+        table = BlockTable(game, canonical_witness=False)
+        for record in want.records:
+            assert table.patched(record.partition, STRONG) == record.strong
+            assert table.patched(record.partition, WEAK) == record.weak
+    assert want.records[0].weak.block_regions[0].method == "exact-search"
 
 
 def test_stable_sets_match_per_partition_oracle_on_float_game():
