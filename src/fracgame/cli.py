@@ -145,7 +145,11 @@ def cmd_validate(args) -> int:
 def cmd_analyze(args) -> int:
     game = _load_game(args, args.game)
     report = stable_sets(game, cap=args.cap)
-    _emit(args, "analyze", report.to_dict(), report.csv_rows())
+    # encode only the format that is printed
+    if args.format == "csv":
+        _emit(args, "analyze", None, report.csv_rows())
+    else:
+        _emit(args, "analyze", report.to_dict())
     return 0
 
 
@@ -220,6 +224,13 @@ def cmd_scenario_cvar(args) -> int:
 # sweeps
 
 
+def _grid_fraction(part: str, text: str) -> Fraction:
+    try:
+        return Fraction(part)
+    except ZeroDivisionError:
+        raise ValueError(f"grid {text!r} has a zero denominator") from None
+
+
 def _grid_point(x: Fraction, text: str) -> float:
     try:
         return float(x)
@@ -233,7 +244,7 @@ def _parse_grid(text: str) -> list[float]:
         parts = text.split(":")
         if len(parts) != 3:
             raise ValueError(f"grid {text!r} must be start:stop:step")
-        start, stop, step = (Fraction(p) for p in parts)
+        start, stop, step = (_grid_fraction(p, text) for p in parts)
         if step <= 0 or stop < start:
             raise ValueError(f"grid {text!r} must ascend with positive step")
         count = (stop - start) // step + 1
@@ -245,7 +256,7 @@ def _parse_grid(text: str) -> list[float]:
             out.append(_grid_point(x, text))
             x += step
         return out
-    return sorted(_grid_point(Fraction(p), text) for p in text.split(","))
+    return sorted(_grid_point(_grid_fraction(p, text), text) for p in text.split(","))
 
 
 def _sweep_point(args, label: str, game: Game, extra: dict) -> dict:

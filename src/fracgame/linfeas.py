@@ -13,10 +13,12 @@ tableau rows are Python ints: each row is a positive multiple of its
 rational row, divided by its gcd after every update (fraction-free
 elimination, as in Bareiss 1968), and the ratio test cross-multiplies, so
 the pivots are those of the rational tableau and only the returned point is
-built from Fractions.  The max-slack witness is a lexicographic optimum, solved as in
-the sequential LPs of the nucleolus (Kopelowitz 1967): one phase 1, then
-one phase-2 stage per objective on the same tableau, each restarting from
-the previous optimal basis and restricted to its optimal face.  Many
+built from Fractions.  One lexicographic driver solves every LP, as in the
+sequential LPs of the nucleolus (Kopelowitz 1967): one phase 1, then one
+phase-2 stage per objective on the same tableau (none for feasibility, one
+for minimization, the slack and then each share for the max-slack
+witness), each restarting from the previous optimal basis and restricted
+to its optimal face; every point it returns is re-checked.  Many
 halfspaces (the strong core's 2^n - 2 coalitions, few of them tight) go
 through row generation (Hallefjord, Helming & Jornsten 1995): a relaxation
 takes in the row most violated at its point (one integer subset-sum table
@@ -318,19 +320,37 @@ def _tableau(system: LinearSystem, slack_var: bool):
     return tab, n
 
 
-def feasible(system: LinearSystem) -> tuple | None:
-    """A feasible point (exact Fractions) or None: the basic point phase 1
-    ends on.  Any returned point is re-checked against every constraint
-    before being handed back."""
-    tab, n = _tableau(system, slack_var=False)
+def _lexmin(system: LinearSystem, costs, slack_var: bool = False):
+    """Minimize the costs (integer lists over the leading columns of ``_tableau``)
+    in turn: one phase 1, then one phase-2 stage per cost, each from the
+    previous optimal basis.  A nonbasic column with positive reduced cost is
+    zero on every optimal point of its stage, so dropping it from the
+    entering candidates keeps exactly the optimal face.  Returns (point,
+    slack variable or None), re-checked against every constraint, or None
+    when the system is infeasible."""
+    tab, n = _tableau(system, slack_var)
     found = _phase_one(tab, n)
     if found is None:
         return None
-    x = _basic_point(*found, system.dim)
+    tab, basis = found
+    candidates = range(n)
+    for cost in costs:
+        status, obj = _phase_two(tab, basis, cost + [0] * (n - len(cost)), candidates)
+        if status == "unbounded":
+            raise NumericFailure("objective unbounded; every variable needs a block")
+        candidates = [j for j in candidates if obj[j] == 0]
+    x = _basic_point(tab, basis, system.dim + slack_var)
     point = tuple(xi + lb for xi, lb in zip(x, system.lower))
-    if not satisfies(system, point):  # pragma: no cover - solver contract
+    if not satisfies(system, point):
         raise NumericFailure("simplex returned a point violating the system")
-    return point
+    return point, (x[-1] if slack_var else None)
+
+
+def feasible(system: LinearSystem) -> tuple | None:
+    """A feasible point (exact Fractions) or None: the basic point phase 1
+    ends on."""
+    found = _lexmin(system, ())
+    return None if found is None else found[0]
 
 
 def minimize(system: LinearSystem, cost):
@@ -339,19 +359,11 @@ def minimize(system: LinearSystem, cost):
     if len(cost) != system.dim:
         raise ValueError("cost vector length must match dim")
     cvec = [_frac(c) for c in cost]
-    tab, n = _tableau(system, slack_var=False)
-    found = _phase_one(tab, n)
+    found = _lexmin(system, [integer_terms(cvec)[0]])
     if found is None:
         return None
-    tab, basis = found
-    icost, _ = integer_terms(cvec)
-    status, _ = _phase_two(tab, basis, icost + [0] * (n - len(icost)), range(n))
-    if status == "unbounded":
-        raise NumericFailure("objective unbounded below")
-    x = _basic_point(tab, basis, system.dim)
-    point = tuple(xi + lb for xi, lb in zip(x, system.lower))
-    value = sum(c * f for c, f in zip(cvec, point))
-    return value, point
+    point = found[0]
+    return sum(c * f for c, f in zip(cvec, point)), point
 
 
 def max_slack_point(system: LinearSystem):
@@ -360,34 +372,14 @@ def max_slack_point(system: LinearSystem):
 
     Slack of a lower bound is f_i - lb_i; slack of a halfspace is
     coef*sum - rhs.  Raises InfeasibleSystem when nothing is feasible.
-
-    One phase 1, then dim+1 phase-2 stages on the same tableau: maximize the
-    slack t, then minimize f_0, ..., f_{dim-1} in turn.  Each stage starts
-    from the previous optimal basis.  A nonbasic column with positive reduced
-    cost is zero on every optimal point of its stage, so dropping it from
-    the entering candidates keeps exactly the optimal face.
+    The stages maximize the slack t, then minimize f_0, ..., f_{dim-1}.
     """
     dim = system.dim
-    tab, ncols = _tableau(system, slack_var=True)
-    found = _phase_one(tab, ncols)
+    costs = [[0] * dim + [-1]] + [[0] * i + [1] for i in range(dim)]
+    found = _lexmin(system, costs, slack_var=True)
     if found is None:
         raise InfeasibleSystem("system has no feasible point")
-    tab, basis = found
-    candidates = list(range(ncols))
-    for var, sign in [(dim, -1)] + [(i, 1) for i in range(dim)]:
-        cost = [0] * ncols
-        cost[var] = sign
-        status, obj = _phase_two(tab, basis, cost, candidates)
-        # only the slack stage can be unbounded: later stages minimize a
-        # nonnegative variable
-        if status == "unbounded":
-            raise NumericFailure("slack unbounded; every variable needs a block")
-        candidates = [j for j in candidates if obj[j] == 0]
-    x = _basic_point(tab, basis, dim + 1)
-    point = tuple(x[i] + system.lower[i] for i in range(dim))
-    if not satisfies(system, point):  # pragma: no cover - solver contract
-        raise NumericFailure("simplex returned a point violating the system")
-    return point, x[dim]
+    return found
 
 
 def row_generation(system: LinearSystem, max_slack: bool = False):
@@ -460,22 +452,13 @@ def vertices(system: LinearSystem, cap: int = VERTEX_DIM_CAP) -> list[tuple]:
     dim = system.dim
     if dim > cap:
         raise CapExceeded(f"vertex enumeration capped at dimension {cap}, got {dim}")
-    eq_rows = []
-    for b in system.blocks:
-        row = [_F0] * dim
-        for i in members(b):
-            row[i] = _F1
-        eq_rows.append((row, _F1))
-    ineqs = []
-    for i in range(dim):
-        row = [_F0] * dim
-        row[i] = _F1
-        ineqs.append((row, system.lower[i]))
-    for h in system.halfspaces:
-        row = [_F0] * dim
-        for i in members(h.support):
-            row[i] = h.coef
-        ineqs.append((row, h.rhs))
+
+    def row(support, coef):
+        return [coef if support >> i & 1 else _F0 for i in range(dim)]
+
+    eq_rows = [(row(b, _F1), _F1) for b in system.blocks]
+    ineqs = [(row(1 << i, _F1), lb) for i, lb in enumerate(system.lower)]
+    ineqs += [(row(h.support, h.coef), h.rhs) for h in system.halfspaces]
     need = dim - len(eq_rows)
     if need < 0:
         return []

@@ -44,6 +44,8 @@ from .games import (
 from .centripetality import OrderVerdict, leq_cp
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
+# a scenario file's knot_count above this is refused before its levels are built
+MAX_KNOTS = 10_001
 
 
 # ---------------------------------------------------------------------------
@@ -74,32 +76,61 @@ def _interp(knots_x: np.ndarray, knots_y: np.ndarray, x):
 
 
 @dataclass(frozen=True)
-class QuantileCurve:
-    """Nondecreasing piecewise linear reward-quantile curve on [0, 1],
-    nonnegative, strictly positive away from 0.  ``prefix[j]`` caches the
-    integral from 0 to the j-th knot; ``betas`` and ``values`` are the knot
-    columns.  The columns are read-only arrays; equality and hashing depend
-    on ``knots`` alone."""
+class _KnotTable:
+    """Piecewise linear function on [0, 1] given by its knots.  ``xs`` and
+    ``values`` are the knot columns and ``prefix[j]`` the integral from 0 to
+    the j-th knot, all read-only arrays; equality and hashing depend on
+    ``knots`` alone.  Each kind names its argument (``_argument``) and the
+    error that ``value`` raises outside [0, 1] (``_out_of_range``)."""
 
     knots: tuple[tuple[float, float], ...]
     prefix: np.ndarray = field(compare=False, repr=False)
-    betas: np.ndarray = field(init=False, compare=False, repr=False)
+    xs: np.ndarray = field(init=False, compare=False, repr=False)
     values: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "prefix", _column(self.prefix))
-        object.__setattr__(self, "betas", _column([b for b, _ in self.knots]))
+        object.__setattr__(self, "xs", _column([x for x, _ in self.knots]))
         object.__setattr__(self, "values", _column([v for _, v in self.knots]))
 
-    def value(self, beta: float) -> float:
-        if not 0.0 <= beta <= 1.0:
-            raise ValueError(f"quantile argument {beta!r} outside [0, 1]")
-        return float(_interp(self.betas, self.values, beta))
+    def value(self, x: float) -> float:
+        if not 0.0 <= x <= 1.0:
+            raise self._out_of_range(f"{self._argument} argument {x!r} outside [0, 1]")
+        return float(_interp(self.xs, self.values, x))
+
+
+def _knot_table(knots: Sequence, kind: str, arg: str, check: Callable) -> tuple:
+    """The knots as float pairs, validated, and the prefix integrals of the
+    piecewise linear function through them.  Every knot after the first goes
+    through ``check(x, v, previous v)``, which raises on a bad value."""
+    pts = [(float(x), float(v)) for x, v in knots]
+    if not all(math.isfinite(x) and math.isfinite(v) for x, v in pts):
+        raise ValueError(f"{kind} knots must be finite")
+    if len(pts) < 2 or pts[0][0] != 0.0 or pts[-1][0] != 1.0:
+        raise ValueError(f"{kind} knots must run from {arg}=0 to {arg}=1")
+    if pts[0][1] < 0:
+        raise ValueError(f"{kind} values must be nonnegative")
+    prefix = [0.0]
+    for (prev_x, prev_v), (x, v) in zip(pts, pts[1:]):
+        if x <= prev_x:
+            raise ValueError(f"{kind} knots must be strictly increasing in {arg}")
+        check(x, v, prev_v)
+        prefix.append(prefix[-1] + 0.5 * (prev_v + v) * (x - prev_x))
+    return tuple(pts), prefix
+
+
+@dataclass(frozen=True)
+class QuantileCurve(_KnotTable):
+    """Nondecreasing piecewise linear reward-quantile curve on [0, 1],
+    nonnegative, strictly positive away from 0."""
+
+    _argument = "quantile"
+    _out_of_range = ValueError
 
     def _integrals(self, x):
         """Integral from 0 to every point of x in [0, 1], closed form per
         segment."""
-        betas, vals, prefix = self.betas, self.values, self.prefix
+        betas, vals, prefix = self.xs, self.values, self.prefix
         j, last = _segments(betas, x)
         dx = x - betas[j]
         slope = (vals[j + 1] - vals[j]) / (betas[j + 1] - betas[j])
@@ -110,26 +141,15 @@ class QuantileCurve:
         return float(self.prefix[-1])
 
 
+def _nondecreasing_positive(beta: float, v: float, prev_v: float) -> None:
+    if v < prev_v:
+        raise ValueError("curve must be nondecreasing")
+    if v <= 0:
+        raise ValueError("curve must be strictly positive for beta > 0")
+
+
 def quantile_curve(knots: Sequence) -> QuantileCurve:
-    pts = [(float(b), float(v)) for b, v in knots]
-    if not all(math.isfinite(b) and math.isfinite(v) for b, v in pts):
-        raise ValueError("curve knots must be finite")
-    if len(pts) < 2 or pts[0][0] != 0.0 or pts[-1][0] != 1.0:
-        raise ValueError("curve knots must run from beta=0 to beta=1")
-    prev_b, prev_v = pts[0]
-    if prev_v < 0:
-        raise ValueError("curve values must be nonnegative")
-    prefix = [0.0]
-    for b, v in pts[1:]:
-        if b <= prev_b:
-            raise ValueError("curve knots must be strictly increasing in beta")
-        if v < prev_v:
-            raise ValueError("curve must be nondecreasing")
-        if v <= 0:
-            raise ValueError("curve must be strictly positive for beta > 0")
-        prefix.append(prefix[-1] + 0.5 * (prev_v + v) * (b - prev_b))
-        prev_b, prev_v = b, v
-    return QuantileCurve(tuple(pts), tuple(prefix))
+    return QuantileCurve(*_knot_table(knots, "curve", "beta", _nondecreasing_positive))
 
 
 def uniform_curve(lo: float, hi: float) -> QuantileCurve:
@@ -154,63 +174,36 @@ def empirical_curve(samples: Sequence, knot_count: int = 101) -> QuantileCurve:
     if min(data) <= 0:
         raise ScenarioError("sample draws must be positive")
     betas = [j / (knot_count - 1) for j in range(knot_count)]
-    levels = np.quantile(np.array(data), betas)
-    knots = []
-    prev = None
-    for b, q in zip(betas, levels):
-        q = float(q)
-        if prev is not None and q < prev:
-            q = prev
-        knots.append((b, q))
-        prev = q
-    return quantile_curve(knots)
+    # the running maximum irons out rounding dips between interpolated levels
+    levels = np.maximum.accumulate(np.quantile(np.array(data), betas))
+    return quantile_curve(zip(betas, levels.tolist()))
 
 
 @dataclass(frozen=True)
-class Density:
+class Density(_KnotTable):
     """Piecewise linear mixing density on [0, 1]: nonnegative, strictly
-    positive strictly inside the interval, integrating to one.  ``alphas``
-    and ``values`` are the knot columns, as read-only arrays; equality and
-    hashing depend on ``knots`` alone."""
+    positive strictly inside the interval, integrating to one."""
 
-    knots: tuple[tuple[float, float], ...]
-    alphas: np.ndarray = field(init=False, compare=False, repr=False)
-    values: np.ndarray = field(init=False, compare=False, repr=False)
+    _argument = "density"
+    _out_of_range = AlphaOutOfRange
 
-    def __post_init__(self):
-        object.__setattr__(self, "alphas", _column([a for a, _ in self.knots]))
-        object.__setattr__(self, "values", _column([v for _, v in self.knots]))
 
-    def value(self, alpha: float) -> float:
-        if not 0.0 <= alpha <= 1.0:
-            raise AlphaOutOfRange(f"density argument {alpha!r} outside [0, 1]")
-        return float(_interp(self.alphas, self.values, alpha))
+def _positive_inside(alpha: float, v: float, prev_v: float) -> None:
+    if v < 0 or (v == 0 and alpha < 1.0):
+        raise ValueError("density must be strictly positive inside (0, 1)")
 
 
 def density_curve(knots: Sequence, *, normalize: bool = False) -> Density:
-    pts = [(float(a), float(v)) for a, v in knots]
-    if not all(math.isfinite(a) and math.isfinite(v) for a, v in pts):
-        raise ValueError("density knots must be finite")
-    if len(pts) < 2 or pts[0][0] != 0.0 or pts[-1][0] != 1.0:
-        raise ValueError("density knots must run from alpha=0 to alpha=1")
-    total = 0.0
-    prev_a, prev_v = pts[0]
-    if prev_v < 0:
-        raise ValueError("density values must be nonnegative")
-    for a, v in pts[1:]:
-        if a <= prev_a:
-            raise ValueError("density knots must be strictly increasing in alpha")
-        if v < 0 or (v == 0 and a < 1.0):
-            raise ValueError("density must be strictly positive inside (0, 1)")
-        total += 0.5 * (prev_v + v) * (a - prev_a)
-        prev_a, prev_v = a, v
+    pts, prefix = _knot_table(knots, "density", "alpha", _positive_inside)
+    total = prefix[-1]
     if normalize:
         if total <= 0:
             raise ValueError("cannot normalize a zero density")
-        pts = [(a, v / total) for a, v in pts]
+        pts = tuple((a, v / total) for a, v in pts)
+        prefix = [p / total for p in prefix]
     elif abs(total - 1.0) > 1e-9:
         raise ValueError(f"density integrates to {total!r}, not 1; pass normalize=True")
-    return Density(tuple(pts))
+    return Density(pts, prefix)
 
 
 def beta_density(a: float, knot_count: int = 101) -> Density:
@@ -264,14 +257,12 @@ def mixture_reward(curve: QuantileCurve, density: Density) -> float:
     last bits of the result.
     """
     points = {0.0, 1.0}
-    points.update((1.0 - curve.betas).tolist())
-    points.update(density.alphas.tolist())
+    points.update((1.0 - curve.xs).tolist())
+    points.update(density.xs.tolist())
     grid = sorted(x for x in points if 0.0 <= x <= 1.0)
     lo, hi = [], []
     for a, b in zip(grid, grid[1:]):
         width = b - a
-        if width <= 0:
-            continue
         panels = max(1, math.ceil(width / 0.0625))
         for p in range(panels):
             lo.append(a + width * p / panels)
@@ -282,7 +273,7 @@ def mixture_reward(curve: QuantileCurve, density: Density) -> float:
     half = 0.5 * (hi - lo)
     alpha = (mid + half * _GL_NODES).ravel()
     tails = _tail_averages(curve, alpha)
-    dens = _interp(density.alphas, density.values, alpha)
+    dens = _interp(density.xs, density.values, alpha)
     terms = (_GL_WEIGHTS * half).ravel() * tails * dens
     return float(np.add.accumulate(terms)[-1])
 
@@ -297,21 +288,17 @@ class MonotoneVerdict:
     violations: tuple = ()
 
 
-def _ratio_monotone(f_knots, g_knots, nonincreasing: bool, tol: float):
+def _ratio_monotone(f_table: _KnotTable, g_table: _KnotTable, nonincreasing: bool, tol: float):
     """Check that g/f is monotone on [0, 1] for piecewise linear f, g >= 0.
 
     On each common-refinement segment the numerator of (g/f)' is the linear
     function W = g'*f - g*f', so checking W's sign at segment endpoints is
     exact.  Returns the first offending segment or None.
     """
-    xs = sorted({x for x, _ in f_knots} | {x for x, _ in g_knots})
-    f_x, f_y = np.array(f_knots, dtype=float).T
-    g_x, g_y = np.array(g_knots, dtype=float).T
-    f = _interp(f_x, f_y, np.array(xs)).tolist()
-    g = _interp(g_x, g_y, np.array(xs)).tolist()
+    xs = sorted(set(f_table.xs.tolist()) | set(g_table.xs.tolist()))
+    f = _interp(f_table.xs, f_table.values, np.array(xs)).tolist()
+    g = _interp(g_table.xs, g_table.values, np.array(xs)).tolist()
     for i, (a, b) in enumerate(zip(xs, xs[1:])):
-        if b <= a:
-            continue
         fa, fb = f[i], f[i + 1]
         ga, gb = g[i], g[i + 1]
         mf = (fb - fa) / (b - a)
@@ -325,6 +312,15 @@ def _ratio_monotone(f_knots, g_knots, nonincreasing: bool, tol: float):
     return None
 
 
+def _nested_pairs(curves: Mapping[int, QuantileCurve]):
+    """Every (inner, outer) pair of the table's coalitions with inner a
+    proper submask of outer: outer ascending, inner in submask order."""
+    for outer in sorted(curves):
+        for inner in submasks(outer, proper=True):
+            if inner in curves:
+                yield inner, outer
+
+
 def check_tail_dominance(
     curves: Mapping[int, QuantileCurve], tol: float = DEFAULT_TOL
 ) -> MonotoneVerdict:
@@ -332,22 +328,17 @@ def check_tail_dominance(
     dominates in relative tails: the curve ratio outer/inner is nonincreasing
     in the quantile argument."""
     violations = []
-    for outer in sorted(curves):
-        for inner in submasks(outer, proper=True):
-            if inner not in curves:
-                continue
-            bad = _ratio_monotone(
-                curves[inner].knots, curves[outer].knots, nonincreasing=True, tol=tol
-            )
-            if bad is not None:
-                violations.append((inner, outer) + bad)
+    for inner, outer in _nested_pairs(curves):
+        bad = _ratio_monotone(curves[inner], curves[outer], nonincreasing=True, tol=tol)
+        if bad is not None:
+            violations.append((inner, outer) + bad)
     return MonotoneVerdict(not violations, tuple(violations))
 
 
 def leq_lr(d1: Density, d2: Density, tol: float = DEFAULT_TOL) -> MonotoneVerdict:
     """Likelihood-ratio comparison of mixing densities: d2/d1 nondecreasing,
     meaning d2 leans toward high alpha (prices tails harder) than d1."""
-    bad = _ratio_monotone(d1.knots, d2.knots, nonincreasing=False, tol=tol)
+    bad = _ratio_monotone(d1, d2, nonincreasing=False, tol=tol)
     if bad is None:
         return MonotoneVerdict(True)
     return MonotoneVerdict(False, (bad,))
@@ -491,6 +482,8 @@ def verify_prop1(
     games = [
         build_meanstd_game(MeanStdScenario(n, mu, sigma, r, phi), tol=tol) for r in grid
     ]
+    # sized[i][s]: the unscaled value of a size-s coalition at r = grid[i]
+    sized = [[meanstd_value(s, mu, sigma, r) for s in range(n + 1)] for r in grid]
     order_violations = []
     ratio_violations = []
     order_pairs = 0
@@ -506,12 +499,8 @@ def verify_prop1(
             for s1 in range(1, n + 1):
                 for s2 in range(s1, n + 1):
                     ratio_checks += 1
-                    lhs = meanstd_value(s2, mu, sigma, grid[i]) * meanstd_value(
-                        s1, mu, sigma, grid[j]
-                    )
-                    rhs = meanstd_value(s2, mu, sigma, grid[j]) * meanstd_value(
-                        s1, mu, sigma, grid[i]
-                    )
+                    lhs = sized[i][s2] * sized[j][s1]
+                    rhs = sized[j][s2] * sized[i][s1]
                     if not leq(lhs, rhs, tol):
                         ratio_violations.append(
                             f"ratio not monotone for sizes ({s1},{s2}) between "
@@ -570,19 +559,16 @@ def verify_prop2(
     table = {c: _tail_averages(k, alphas).tolist() for c, k in curves.items()}
     violations = []
     checks = 0
-    for outer in sorted(curves):
-        for inner in submasks(outer, proper=True):
-            if inner not in curves:
-                continue
-            lo = table[inner]
-            hi = table[outer]
-            for t in range(len(alphas) - 1):
-                checks += 1
-                if not leq(hi[t] * lo[t + 1], hi[t + 1] * lo[t], tol):
-                    violations.append(
-                        f"tail-average ratio drops on ({inner:#x},{outer:#x}) "
-                        f"at alpha={alphas[t]:.3f}"
-                    )
+    for inner, outer in _nested_pairs(curves):
+        lo = table[inner]
+        hi = table[outer]
+        for t in range(len(alphas) - 1):
+            checks += 1
+            if not leq(hi[t] * lo[t + 1], hi[t + 1] * lo[t], tol):
+                violations.append(
+                    f"tail-average ratio drops on ({inner:#x},{outer:#x}) "
+                    f"at alpha={alphas[t]:.3f}"
+                )
     if not order.holds:
         violations.append("mixture games are not ordered")
     return Prop2Report(tail, likelihood, order, checks, tuple(violations))
@@ -592,21 +578,23 @@ def verify_prop2(
 # scenario files
 
 
-def _field_map(raw, name: str) -> Mapping:
-    if not isinstance(raw, Mapping):
-        raise ScenarioError(f"{name} must be an object, got {raw!r}")
-    return raw
+# the shape a field of each non-number kind must have, and its name in messages
+_SHAPES = {
+    Mapping: (Mapping, "an object"),
+    list: ((list, tuple), "a list"),
+    bool: (bool, "true or false"),
+}
 
 
-def _field_list(raw, name: str) -> Sequence:
-    if not isinstance(raw, (list, tuple)):
-        raise ScenarioError(f"{name} must be a list, got {raw!r}")
-    return raw
-
-
-def _field_number(raw, name: str, kind=float):
-    """raw as a float, or for kind=int as an integer; strings, booleans and
-    non-integral values of an int field are rejected."""
+def _field(raw, name: str, kind=float, most=None):
+    """raw checked as kind: Mapping, list or bool give raw as it is; float
+    gives raw as a float and int as an integer, rejecting strings, booleans,
+    non-integral values of an int field and numbers above most."""
+    if kind in _SHAPES:
+        shape, what = _SHAPES[kind]
+        if not isinstance(raw, shape):
+            raise ScenarioError(f"{name} must be {what}, got {raw!r}")
+        return raw
     if isinstance(raw, bool) or not isinstance(raw, numbers.Real):
         raise ScenarioError(f"{name} must be a number, got {raw!r}")
     try:
@@ -615,73 +603,65 @@ def _field_number(raw, name: str, kind=float):
         raise ScenarioError(f"{name} must be a finite number, got {raw!r}") from exc
     if kind is int and value != raw:
         raise ScenarioError(f"{name} must be an integer, got {raw!r}")
+    if most is not None and value > most:
+        raise ScenarioError(f"{name} must be at most {most}, got {raw!r}")
     return value
-
-
-def _field_bool(raw, name: str) -> bool:
-    if not isinstance(raw, bool):
-        raise ScenarioError(f"{name} must be true or false, got {raw!r}")
-    return raw
 
 
 def _field_knots(raw, name: str) -> list[tuple[float, float]]:
     pts = []
-    for i, pt in enumerate(_field_list(raw, name)):
+    for i, pt in enumerate(_field(raw, name, list)):
         if not isinstance(pt, (list, tuple)) or len(pt) != 2:
             raise ScenarioError(f"{name}[{i}] must be an [x, y] pair, got {pt!r}")
-        pts.append(tuple(_field_number(x, f"{name}[{i}]") for x in pt))
+        pts.append(tuple(_field(x, f"{name}[{i}]") for x in pt))
     return pts
 
 
-def _field_players(data: Mapping, default) -> tuple[str, ...]:
+def _field_players(data: Mapping, default=None) -> tuple[str, ...]:
+    """The 'players' list, else default.  Without a default the list must
+    hold data['n'] players, the first n letters unless given."""
+    if default is None:
+        n = _check_player_count(_field(data["n"], "n", int))
+        players = _field_players(data, default_players(n))
+        if len(players) != n:
+            raise ScenarioError(f"expected {n} players, got {len(players)}")
+        return players
     if "players" not in data:
         return tuple(default)
-    return tuple(str(p) for p in _field_list(data["players"], "players"))
-
-
-def _field_player_count(raw) -> int:
-    return _check_player_count(_field_number(raw, "n", int))
-
-
-def _field_n_players(data: Mapping, n: int) -> tuple[str, ...]:
-    players = _field_players(data, default_players(n))
-    if len(players) != n:
-        raise ScenarioError(f"expected {n} players, got {len(players)}")
-    return players
+    return tuple(str(p) for p in _field(data["players"], "players", list))
 
 
 def meanstd_from_dict(data: Mapping) -> tuple[MeanStdScenario, tuple[str, ...]]:
-    _field_map(data, "mean-std scenario")
+    _field(data, "mean-std scenario", Mapping)
     missing = [key for key in ("n", "mu", "sigma", "r") if key not in data]
     if missing:
         raise ScenarioError(f"mean-std scenario needs n, mu, sigma, r: missing {', '.join(missing)}")
-    n = _field_player_count(data["n"])
-    mu = _field_number(data["mu"], "mu")
-    sigma = _field_number(data["sigma"], "sigma")
-    r = _field_number(data["r"], "r")
-    players = _field_n_players(data, n)
+    players = _field_players(data)
+    n = len(players)
+    mu = _field(data["mu"], "mu")
+    sigma = _field(data["sigma"], "sigma")
+    r = _field(data["r"], "r")
     phi = None
     if "phi" in data:
-        raw = dict(_field_map(data["phi"], "phi"))
-        default = _field_number(raw.pop("default", 1.0), "phi.default")
-        table = {c: default for c in coalitions(n)}
+        raw = dict(_field(data["phi"], "phi", Mapping))
+        default = _field(raw.pop("default", 1.0), "phi.default")
+        phi = {c: default for c in coalitions(n)}
         for label, factor in raw.items():
-            table[coalition_from_label(label, players)] = _field_number(factor, f"phi.{label}")
-        phi = table
+            phi[coalition_from_label(label, players)] = _field(factor, f"phi.{label}")
     return MeanStdScenario(n, mu, sigma, r, phi), players
 
 
 def density_from_dict(data: Mapping) -> Density:
-    _field_map(data, "density")
+    _field(data, "density", Mapping)
     if "beta_a" in data:
         return beta_density(
-            _field_number(data["beta_a"], "density.beta_a"),
-            _field_number(data.get("knot_count", 101), "density.knot_count", int),
+            _field(data["beta_a"], "density.beta_a"),
+            _field(data.get("knot_count", 101), "density.knot_count", int, MAX_KNOTS),
         )
     if "knots" in data:
         return density_curve(
             _field_knots(data["knots"], "density.knots"),
-            normalize=_field_bool(data.get("normalize", False), "density.normalize"),
+            normalize=_field(data.get("normalize", False), "density.normalize", bool),
         )
     raise ScenarioError("density needs either 'beta_a' or 'knots'")
 
@@ -689,10 +669,10 @@ def density_from_dict(data: Mapping) -> Density:
 def _curve_from_entry(entry, name: str) -> QuantileCurve:
     if isinstance(entry, Mapping):
         if "samples" in entry:
-            samples = _field_list(entry["samples"], f"{name}.samples")
+            samples = _field(entry["samples"], f"{name}.samples", list)
             return empirical_curve(
-                [_field_number(x, f"{name}.samples") for x in samples],
-                _field_number(entry.get("knot_count", 101), f"{name}.knot_count", int),
+                [_field(x, f"{name}.samples") for x in samples],
+                _field(entry.get("knot_count", 101), f"{name}.knot_count", int, MAX_KNOTS),
             )
         if "knots" in entry:
             return quantile_curve(_field_knots(entry["knots"], f"{name}.knots"))
@@ -703,12 +683,12 @@ def _curve_from_entry(entry, name: str) -> QuantileCurve:
 def cvar_scenario_from_dict(
     data: Mapping,
 ) -> tuple[dict[int, QuantileCurve], Density, tuple[str, ...]]:
-    _field_map(data, "cvar scenario")
+    _field(data, "cvar scenario", Mapping)
     if "density" not in data:
         raise ScenarioError("scenario needs a 'density' entry")
     density = density_from_dict(data["density"])
     if "curves" in data:
-        raw = _field_map(data["curves"], "curves")
+        raw = _field(data["curves"], "curves", Mapping)
         players = _field_players(data, sorted(label for label in raw if "," not in label))
         if not players:
             raise ScenarioError("cannot determine the player list")
@@ -718,7 +698,6 @@ def cvar_scenario_from_dict(
         }
         return curves, density, players
     if "n" in data:
-        n = _field_player_count(data["n"])
-        players = _field_n_players(data, n)
-        return default_uniform_family(n), density, players
+        players = _field_players(data)
+        return default_uniform_family(len(players)), density, players
     raise ScenarioError("scenario needs 'curves' or 'n'")

@@ -754,6 +754,20 @@ def naive_interp(knots, x):
     return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
 
 
+def naive_empirical_knots(samples, knot_count):
+    """Knots of ``risk.empirical_curve`` by the scalar loop: the empirical
+    quantile at each level, held at the previous level where it dips."""
+    betas = [j / (knot_count - 1) for j in range(knot_count)]
+    knots, prev = [], None
+    for b, q in zip(betas, np.quantile(np.array([float(x) for x in samples]), betas)):
+        q = float(q)
+        if prev is not None and q < prev:
+            q = prev
+        knots.append((b, q))
+        prev = q
+    return tuple(knots)
+
+
 def naive_cvar(curve, alpha):
     x = 1.0 - alpha
     betas = [b for b, _ in curve.knots]

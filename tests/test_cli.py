@@ -348,6 +348,11 @@ def test_size_cliff_errors_exit_2(super3_path, monkeypatch, capsys, error):
         ("scenario-meanstd", '{"n": 1e400, "mu": 1.0, "sigma": 0.5, "r": 0.5}'),
         ("scenario-cvar", '{"n": 26, "density": {"beta_a": 2}}'),
         ("scenario-meanstd", '{"n": 26, "mu": 1.0, "sigma": 0.5, "r": 0.5}'),
+        ("scenario-cvar", '{"n": 2, "density": {"beta_a": 2, "knot_count": 1000000000}}'),
+        (
+            "scenario-cvar",
+            '{"curves": {"a": {"samples": [1], "knot_count": 1000000000}}, "density": {"beta_a": 2}}',
+        ),
         (
             "scenario-cvar",
             json.dumps(
@@ -448,6 +453,22 @@ def test_sweep_refuses_oversized_inputs_before_building_them(capsys, argv, messa
     assert message in captured.err and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--scenario", "meanstd", "--r", "1/0"],
+        ["--scenario", "meanstd", "--r", "0,1/0"],
+        ["--scenario", "meanstd", "--r", "0:1/0:1"],
+        ["--scenario", "meanstd", "--r", "0:1:1/0"],
+        ["--scenario", "cvar", "--beta-a", "1/0"],
+    ],
+)
+def test_sweep_refuses_zero_denominator_grids(capsys, argv):
+    assert run(["sweep", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"grid {argv[-1]!r} has a zero denominator\n" and not captured.out
+
+
 @pytest.mark.parametrize("suite", ["theorem", "corollary"])
 def test_verify_reports_match_committed_bytes(capsys, suite):
     # the reports as the harnesses wrote them before judging all sampled
@@ -486,6 +507,29 @@ def test_sweep_reports_match_committed_bytes(capsys, argv, name):
     assert run(["sweep", *argv]) == 0
     golden = DATA / f"sweep_{name}.json"
     assert capsys.readouterr().out.encode("utf-8") == golden.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["verify", "prop1"], "verify_prop1.json"),
+        (["verify", "prop2"], "verify_prop2.json"),
+        # empirical curves at several knot counts, one explicit curve and a
+        # density given by knots and normalized
+        (
+            ["scenario-cvar", str(DATA / "scenario_cvar_empirical_n3.json")],
+            "cvar_game_empirical_n3.json",
+        ),
+        (
+            ["scenario-meanstd", str(DATA / "scenario_meanstd_phi_n3.json")],
+            "meanstd_game_phi_n3.json",
+        ),
+    ],
+)
+def test_risk_reports_match_committed_bytes(capsys, argv, golden):
+    # the float bits of every quadrature, normalization and synergy factor
+    assert run(argv) == 0
+    assert capsys.readouterr().out.encode("utf-8") == (DATA / golden).read_bytes()
 
 
 def test_analyze_report_matches_committed_bytes(capsys):

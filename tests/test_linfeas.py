@@ -108,6 +108,17 @@ def test_minimize_none_when_infeasible_and_slack_raises():
         max_slack_point(bad)
 
 
+@pytest.mark.parametrize(
+    "solve", [feasible, partial(minimize, cost=[1, 0, 0]), max_slack_point]
+)
+def test_every_solver_rechecks_its_point(monkeypatch, solve):
+    # a basic point off the system is refused, never handed back
+    basic_point = linfeas._basic_point
+    monkeypatch.setattr(linfeas, "_basic_point", lambda *a: [x + 1 for x in basic_point(*a)])
+    with pytest.raises(NumericFailure, match="violating the system"):
+        solve(simplex(3, [0, 0, 0]))
+
+
 def test_max_slack_frozen_example():
     # simplex with lower bounds 0 plus the halfspace f0 + f1 >= 5/6 on four
     # variables; slack-maximizing point computed once by hand

@@ -1,8 +1,9 @@
 import math
 import random
 
+import numpy as np
 import pytest
-from conftest import naive_cvar, naive_interp, naive_mixture_reward
+from conftest import naive_cvar, naive_empirical_knots, naive_interp, naive_mixture_reward
 
 from fracgame import (
     AlphaOutOfRange,
@@ -40,18 +41,24 @@ from fracgame.risk import (
 
 
 def test_quantile_curve_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="curve knots must be finite"):
+        quantile_curve([(0, 1), (0.5, math.nan), (1, 2)])
+    with pytest.raises(ValueError, match="curve knots must run from beta=0 to beta=1"):
         quantile_curve([(0, 1)])  # needs both endpoints
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="curve knots must run from beta=0 to beta=1"):
         quantile_curve([(0, 1), (0.5, 1)])  # does not reach beta = 1
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="curve knots must be strictly increasing in beta"):
+        quantile_curve([(0, 1), (0.5, 2), (0.5, 3), (1, 4)])
+    with pytest.raises(ValueError, match="curve must be nondecreasing"):
         quantile_curve([(0, 2), (1, 1)])  # decreasing
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="curve values must be nonnegative"):
         quantile_curve([(0, -1), (1, 1)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="curve must be strictly positive for beta > 0"):
         quantile_curve([(0, 0), (0.5, 0), (1, 1)])  # flat at zero inside
     curve = quantile_curve([(0, 0), (1, 2)])  # zero only at the origin is fine
     assert curve.value(0.5) == 1.0
+    with pytest.raises(ValueError, match="quantile argument 1.5 outside"):
+        curve.value(1.5)
 
 
 def test_cvar_closed_form_uniform():
@@ -90,12 +97,24 @@ def test_cvar_monotone_nonincreasing_in_alpha():
 
 
 def test_density_validation_and_normalization():
-    with pytest.raises(ValueError):
-        density_curve([(0, 1), (1, 3)])  # integrates to 2
+    with pytest.raises(ValueError, match="density integrates to 2.0, not 1"):
+        density_curve([(0, 1), (1, 3)])
     d = density_curve([(0, 1), (1, 3)], normalize=True)
     assert d.value(0.0) == 0.5 and d.value(1.0) == 1.5
-    with pytest.raises(ValueError):
+    with pytest.raises(AlphaOutOfRange, match="density argument -0.5 outside"):
+        d.value(-0.5)
+    with pytest.raises(ValueError, match="density must be strictly positive inside"):
         density_curve([(0, 1), (0.5, 0), (1, 1)], normalize=True)  # interior zero
+    with pytest.raises(ValueError, match="density knots must be finite"):
+        density_curve([(0, 1), (1, math.inf)], normalize=True)
+    with pytest.raises(ValueError, match="density knots must run from alpha=0 to alpha=1"):
+        density_curve([(0.1, 1), (1, 1)], normalize=True)
+    with pytest.raises(ValueError, match="density knots must be strictly increasing in alpha"):
+        density_curve([(0, 1), (0.6, 1), (0.4, 1), (1, 1)], normalize=True)
+    with pytest.raises(ValueError, match="density values must be nonnegative"):
+        density_curve([(0, -1), (1, 3)], normalize=True)
+    with pytest.raises(ValueError, match="cannot normalize a zero density"):
+        density_curve([(0, 0), (1, 0)], normalize=True)
     # endpoint zeros are allowed
     density_curve([(0, 0), (0.5, 2), (1, 0)], normalize=True)
 
@@ -161,6 +180,19 @@ def test_mixture_bit_identical_to_scalar_loop_on_empirical_curves():
             assert curve.value(alpha) == naive_interp(curve.knots, alpha)
 
 
+def test_empirical_knots_match_the_scalar_loop(monkeypatch):
+    rng = random.Random(41)
+    for k in range(80):
+        pool = [1.0, 2.0, 0.1 + 0.2, 0.3, 1 + rng.random()]
+        draws = [rng.choice(pool) * (1 + 1e-15 * rng.random()) for _ in range(rng.randint(1, 40))]
+        count = rng.randint(2, 101)
+        assert empirical_curve(draws, count).knots == naive_empirical_knots(draws, count)
+    # a level that dips below the one before is held there
+    monkeypatch.setattr(np, "quantile", lambda data, betas: np.array([1.0, 2.0, 1.5, 3.0]))
+    want = ((0.0, 1.0), (1 / 3, 2.0), (2 / 3, 2.0), (1.0, 3.0))
+    assert empirical_curve([1.0, 3.0], 4).knots == naive_empirical_knots([1.0, 3.0], 4) == want
+
+
 def test_cvar_game_integrates_each_distinct_curve_once(monkeypatch):
     fam = default_uniform_family(7)
     density = beta_density(2.633)
@@ -181,11 +213,11 @@ def test_curves_compare_by_knots():
     a = quantile_curve([(0, 1), (0.5, 2), (1, 4)])
     b = quantile_curve([(0.0, 1.0), (0.5, 2.0), (1.0, 4.0)])
     assert a == b and hash(a) == hash(b)
-    assert a.betas.tolist() == [0.0, 0.5, 1.0] and a.values.tolist() == [1.0, 2.0, 4.0]
-    assert a.prefix.tolist() == [0.0, 0.75, 2.25] and not a.betas.flags.writeable
+    assert a.xs.tolist() == [0.0, 0.5, 1.0] and a.values.tolist() == [1.0, 2.0, 4.0]
+    assert a.prefix.tolist() == [0.0, 0.75, 2.25] and not a.xs.flags.writeable
     assert a != quantile_curve([(0, 1), (0.5, 2), (1, 5)])
     d = density_curve([(0, 1), (1, 1)])
-    assert d == density_curve([(0.0, 1.0), (1.0, 1.0)]) and d.alphas.tolist() == [0.0, 1.0]
+    assert d == density_curve([(0.0, 1.0), (1.0, 1.0)]) and d.xs.tolist() == [0.0, 1.0]
 
 
 def test_non_finite_knots_and_draws_rejected():
@@ -500,6 +532,16 @@ def test_cvar_scenario_accepts_sampled_curves():
             cvar_scenario_from_dict,
             {"curves": {"a": {"samples": [1, 2], "knot_count": 9.5}}, "density": {"beta_a": 2}},
             "curves.a.knot_count",
+        ),
+        (
+            cvar_scenario_from_dict,
+            {"n": 2, "density": {"beta_a": 2, "knot_count": 10**9}},
+            "density.knot_count must be at most 10001, got 1000000000",
+        ),
+        (
+            cvar_scenario_from_dict,
+            {"curves": {"a": {"samples": [1, 2], "knot_count": 10_002}}, "density": {"beta_a": 2}},
+            "curves.a.knot_count must be at most 10001, got 10002",
         ),
         (meanstd_from_dict, {"n": 2.5, "mu": 1, "sigma": 0.5, "r": 0}, "n"),
         (meanstd_from_dict, {"n": 2, "mu": "1", "sigma": 0.5, "r": 0}, "mu"),
