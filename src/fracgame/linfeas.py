@@ -21,18 +21,27 @@ witness), each restarting from the previous optimal basis and restricted
 to its optimal face; every point it returns is re-checked.  Many
 halfspaces (the strong core's 2^n - 2 coalitions, few of them tight) go
 through row generation (Hallefjord, Helming & Jornsten 1995): a relaxation
-takes in the row most violated at its point (one integer subset-sum table
-finds it) until its optimum meets every row and so is the whole system's,
-which the answer is re-checked against.  Vertices come from brute-force
-active-set intersection, which is entirely adequate at the dimensions this
-package targets.
+takes in the row most violated at its point until its optimum meets every
+row and so is the whole system's, which the answer is re-checked against.
+The rows are priced lazily: a caller's pricing names the row to take in
+(one integer subset-sum table per point finds it), so a row is built only
+once it is taken, and the strong core never lists its 2^n - 2 rows.  The
+max-slack rounds are warm: the first restriction is solved cold, and each
+row taken in is appended to its optimal tableau with a surplus column of
+its own, its basic columns eliminated, and one artificial on that row
+driven to zero by phase 1 (a basis restart, as in Lemke 1954) before the
+stages re-run from that basis; the max-slack point of each restriction is
+unique, so the warm rounds end where cold ones would; the feasibility
+rounds stay cold, so each hands ``feasible`` the restriction it always did.
+Vertices come from brute-force active-set intersection, which is entirely
+adequate at the dimensions this package targets.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import CapExceeded, InfeasibleSystem, NumericFailure
@@ -200,6 +209,23 @@ def _pivot_loop(tab, obj, basis, candidates) -> str:
             obj[:] = _reduced([piv * o - delta * p for o, p in zip(obj, prow)])
 
 
+def _drive_out(tab, basis, n):
+    """The end of a phase 1 that reached zero: each artificial still basic
+    (a column from n on, at zero level) is pivoted out onto the first
+    nonzero column of its row, or its row is deleted when there is none (a
+    redundant row).  Returns the rows without the artificial columns."""
+    for i in range(len(tab) - 1, -1, -1):
+        if basis[i] < n:
+            continue
+        col = next((j for j in range(n) if tab[i][j] != 0), None)
+        if col is None:
+            del tab[i]
+            del basis[i]
+        else:
+            _pivot(tab, basis, i, col)
+    return [_reduced(row[:n] + row[-1:]) for row in tab]
+
+
 def _phase_one(tab, n):
     """Phase 1 of the simplex on A x = b, x >= 0 over n columns, given the
     rows of ``_tableau`` (artificial columns n..n+m-1 already in place).
@@ -224,17 +250,41 @@ def _phase_one(tab, n):
         raise NumericFailure("phase-1 simplex reported unbounded")
     if -obj[-1] > 0:
         return None
-    # drive zero-level artificials out of the basis; drop redundant rows
-    for i in range(m - 1, -1, -1):
-        if basis[i] < n:
-            continue
-        col = next((j for j in range(n) if tab[i][j] != 0), None)
-        if col is None:
-            del tab[i]
-            del basis[i]
-        else:
-            _pivot(tab, basis, i, col)
-    return [_reduced(row[:n] + row[-1:]) for row in tab], basis
+    return _drive_out(tab, basis, n), basis
+
+
+def _take_row(tab, basis, row):
+    """Append one equality row to a tableau in a feasible basis and restore
+    feasibility: phase 1 on that row alone.  ``row`` holds the row's
+    integers over the tableau's columns and one new last column (its
+    surplus), then its right-hand side.  The basic columns are eliminated
+    from it, and an artificial column on it alone stands in as its basic
+    variable, so every other row keeps its basic column; phase 1 then
+    minimizes the artificial.  Returns the tableau with the row and without
+    the artificial, or None when the row leaves the system infeasible."""
+    n = len(row) - 1
+    for other in tab:
+        other[n - 1 : n - 1] = (0, 0)  # the new surplus, then the artificial
+    row = row[:n] + [0] + row[-1:]
+    for other, bi in zip(tab, basis):
+        f = row[bi]
+        if f:
+            s = other[bi]
+            row = _reduced([s * a - f * b for a, b in zip(row, other)])
+    if row[-1] < 0:
+        row = [-a for a in row]
+    row[n] = 1
+    tab.append(row)
+    basis.append(n)
+    # minimize the artificial: reduced cost -row outside its column
+    obj = [-a for a in row]
+    obj[n] = 0
+    status = _pivot_loop(tab, obj, basis, range(n))
+    if status != "optimal":  # pragma: no cover - phase 1 is always bounded
+        raise NumericFailure("phase-1 simplex reported unbounded")
+    if -obj[-1] > 0:
+        return None
+    return _drive_out(tab, basis, n)
 
 
 def _phase_two(tab, basis, cost, candidates):
@@ -268,6 +318,35 @@ def _basic_point(tab, basis, nv):
 # system-level solving (variables shifted to x = f - lower >= 0)
 
 
+def _row(width, cols, a, minus, d, r, art=None):
+    """The rational row a/d on ``cols``, -1 on ``minus`` (and on the column
+    ``art``, if given, 1) with right-hand side r/d, as its primitive integer
+    multiple, negated first if r is negative."""
+    neg = -d
+    if r < 0:
+        a, neg, r = -a, d, -r
+    g = math.gcd(a, d, r)
+    row = [0] * width
+    for j in cols:
+        row[j] = a // g
+    for j in minus:
+        row[j] = neg // g
+    if art is not None:
+        row[art] = d // g
+    row[-1] = r // g
+    return row
+
+
+def _halfspace_terms(h: Halfspace, low, unit):
+    """(members, a, d, r): the halfspace in the shifted variables reads
+    a/d * sum(x_i for the members) >= r/d, for lower bounds low[i] / unit."""
+    mem = members(h.support)
+    c, r = h.coef, h.rhs
+    a = c.numerator * r.denominator
+    d = c.denominator * r.denominator * unit
+    return mem, a * unit, d, r.numerator * c.denominator * unit - a * sum(low[i] for i in mem)
+
+
 def _tableau(system: LinearSystem, slack_var: bool):
     """Phase-1 integer rows of the system in standard form; returns (tab, n).
 
@@ -287,58 +366,43 @@ def _tableau(system: LinearSystem, slack_var: bool):
     width = n + len(system.blocks) + ns + 1
     low, unit = integer_terms(system.lower)
     tab = []
-
-    def add(cols, a, minus, d, r):
-        # the rational row: a/d on cols, -1 on minus, right-hand side r/d
-        neg = -d
-        if r < 0:
-            a, neg, r = -a, d, -r
-        g = math.gcd(a, d, r)
-        row = [0] * width
-        for j in cols:
-            row[j] = a // g
-        for j in minus:
-            row[j] = neg // g
-        row[n + len(tab)] = d // g
-        row[-1] = r // g
-        tab.append(row)
-
     for b in system.blocks:
         mem = members(b)
-        add(mem, unit, (), unit, unit - sum(low[i] for i in mem))
+        tab.append(_row(width, mem, unit, (), unit, unit - sum(low[i] for i in mem), n + len(tab)))
     slack = (dim,) if slack_var else ()
     for k, h in enumerate(system.halfspaces):
-        mem = members(h.support)
-        c, r = h.coef, h.rhs
-        cu = c.numerator * r.denominator * unit
-        shift = c.numerator * r.denominator * sum(low[i] for i in mem)
-        add(mem, cu, slack + (nv + k,), c.denominator * r.denominator * unit,
-            r.numerator * c.denominator * unit - shift)
+        mem, a, d, r = _halfspace_terms(h, low, unit)
+        tab.append(_row(width, mem, a, slack + (nv + k,), d, r, n + len(tab)))
     if slack_var:
         for i in range(dim):
-            add((i,), 1, (dim, nv + nh + i), 1, 0)
+            tab.append(_row(width, (i,), 1, (dim, nv + nh + i), 1, 0, n + len(tab)))
     return tab, n
 
 
-def _lexmin(system: LinearSystem, costs, slack_var: bool = False):
-    """Minimize the costs (integer lists over the leading columns of ``_tableau``)
-    in turn: one phase 1, then one phase-2 stage per cost, each from the
-    previous optimal basis.  A nonbasic column with positive reduced cost is
-    zero on every optimal point of its stage, so dropping it from the
-    entering candidates keeps exactly the optimal face.  Returns (point,
-    slack variable or None), re-checked against every constraint, or None
-    when the system is infeasible."""
-    tab, n = _tableau(system, slack_var)
-    found = _phase_one(tab, n)
-    if found is None:
-        return None
-    tab, basis = found
+def _optimize(tab, basis, n, costs) -> None:
+    """One phase-2 stage per cost (integer lists over the leading columns),
+    each from the previous optimal basis.  A nonbasic column with positive
+    reduced cost is zero on every optimal point of its stage, so dropping it
+    from the entering candidates keeps exactly the optimal face."""
     candidates = range(n)
     for cost in costs:
         status, obj = _phase_two(tab, basis, cost + [0] * (n - len(cost)), candidates)
         if status == "unbounded":
             raise NumericFailure("objective unbounded; every variable needs a block")
         candidates = [j for j in candidates if obj[j] == 0]
+
+
+def _lexmin(system: LinearSystem, costs, slack_var: bool = False):
+    """Minimize the costs over the leading columns of ``_tableau`` in turn:
+    one phase 1, then ``_optimize``.  Returns (point, slack variable or
+    None), re-checked against every constraint, or None when the system is
+    infeasible."""
+    tab, n = _tableau(system, slack_var)
+    found = _phase_one(tab, n)
+    if found is None:
+        return None
+    tab, basis = found
+    _optimize(tab, basis, n, costs)
     x = _basic_point(tab, basis, system.dim + slack_var)
     point = tuple(xi + lb for xi, lb in zip(x, system.lower))
     if not satisfies(system, point):
@@ -366,6 +430,12 @@ def minimize(system: LinearSystem, cost):
     return sum(c * f for c, f in zip(cvec, point)), point
 
 
+def _max_slack_costs(dim: int) -> list:
+    """The stages of the max-slack witness: maximize the slack t (column
+    dim), then minimize f_0, ..., f_{dim-1}."""
+    return [[0] * dim + [-1]] + [[0] * i + [1] for i in range(dim)]
+
+
 def max_slack_point(system: LinearSystem):
     """The feasible point maximizing the minimum constraint slack, with ties
     broken by lexicographic minimality; returns (point, slack).
@@ -374,51 +444,98 @@ def max_slack_point(system: LinearSystem):
     coef*sum - rhs.  Raises InfeasibleSystem when nothing is feasible.
     The stages maximize the slack t, then minimize f_0, ..., f_{dim-1}.
     """
-    dim = system.dim
-    costs = [[0] * dim + [-1]] + [[0] * i + [1] for i in range(dim)]
-    found = _lexmin(system, costs, slack_var=True)
+    found = _lexmin(system, _max_slack_costs(system.dim), slack_var=True)
     if found is None:
         raise InfeasibleSystem("system has no feasible point")
     return found
 
 
-def row_generation(system: LinearSystem, max_slack: bool = False):
-    """``feasible`` (or with ``max_slack``, ``max_slack_point``) of a system
-    with many halfspaces, by row generation.
-
-    The restricted system keeps the lower bounds and blocks and starts with
-    no halfspace.  Each round solves it with ``feasible`` (``max_slack_point``)
-    and takes in the halfspace of least slack among those whose slack at the
-    point is below 0 (below the restricted optimum t), ties going to the
-    lowest index, until there is none.  The answer is re-checked against the
-    whole system: verdict and max-slack point are the whole system's.
-    """
-    dim, halfspaces = system.dim, system.halfspaces
+def _halfspace_pricing(system: LinearSystem):
+    """``generate_rows`` pricing over the system's own halfspaces, keyed by
+    index: one integer subset-sum table per point."""
+    halfspaces, full = system.halfspaces, (1 << system.dim) - 1
     # halfspace k reads coefs[k] * F >= rhss[k] * D for a share sum F / D
     terms, unit = integer_terms([x for h in halfspaces for x in (h.coef, h.rhs)])
     coefs, rhss = terms[0::2], terms[1::2]
-    chosen: list[int] = []
-    while True:
-        restricted = system.restricted(chosen)
-        if max_slack:
-            found = point, t = max_slack_point(restricted)
-        else:
-            found = point = feasible(restricted)
-            if point is None:
-                return None
-            t = _F0
+
+    def price(point, t):
         terms, scale = integer_terms(point)
-        sums = subset_sums(terms, (1 << dim) - 1)
+        sums = subset_sums(terms, full)
         # slacks over the common scale unit * scale, compared with t
         bar = t.numerator * unit * scale
         slacks = (
             (coefs[k] * sums[h.support] - rhss[k] * scale, k) for k, h in enumerate(halfspaces)
         )
         worst = min((s for s in slacks if s[0] * t.denominator < bar), default=None)
-        if worst is None:
-            break
-        chosen.append(worst[1])
-    if not satisfies(system, point):  # pragma: no cover - solver contract
+        return None if worst is None else (worst[1], halfspaces[worst[1]])
+
+    return price
+
+
+def generate_rows(base: LinearSystem, price, max_slack: bool = False):
+    """``feasible`` (or with ``max_slack``, ``max_slack_point``) of ``base``
+    plus halfspaces given lazily, by row generation.
+
+    ``price(point, t)`` returns ``(key, halfspace)`` for the halfspace of
+    least slack among those whose slack at the point is below t (0 for
+    ``feasible``), ties going to the lowest key, or None when there is none.
+    The restricted system is ``base`` plus the halfspaces taken in so far,
+    in key order.  Each round solves it and takes in the priced halfspace,
+    until there is none; the answer then meets every halfspace, so verdict
+    and max-slack point are the whole system's.  The caller re-checks the
+    answer against every halfspace.
+
+    Without ``max_slack`` each round is a cold ``feasible`` of the restricted
+    system.  With it, the first restriction is solved cold and its final
+    tableau kept: each halfspace taken in is appended to it with a surplus
+    column of its own (``_take_row``), and the stages re-run from that
+    basis.  The max-slack point of each restriction is unique, so it is the
+    one a cold solve finds.  Raises InfeasibleSystem when nothing is
+    feasible."""
+    if max_slack:
+        return _warm_rounds(base, price)
+    taken: dict = {}
+    while True:
+        rows = tuple(taken[k] for k in sorted(taken))
+        point = feasible(replace(base, halfspaces=base.halfspaces + rows))
+        if point is None:
+            return None
+        row = price(point, _F0)
+        if row is None:
+            return point
+        taken[row[0]] = row[1]
+
+
+def _warm_rounds(base: LinearSystem, price):
+    dim = base.dim
+    costs = _max_slack_costs(dim)
+    tab, n = _tableau(base, slack_var=True)
+    found = _phase_one(tab, n)
+    if found is None:
+        raise InfeasibleSystem("system has no feasible point")
+    tab, basis = found
+    low, unit = integer_terms(base.lower)
+    while True:
+        _optimize(tab, basis, n, costs)
+        x = _basic_point(tab, basis, dim + 1)
+        point, t = tuple(xi + lb for xi, lb in zip(x, base.lower)), x[-1]
+        row = price(point, t)
+        if row is None:
+            return point, t
+        # coef*sum(x) - t - surplus = rhs - coef*sum(lower), surplus last
+        mem, a, d, r = _halfspace_terms(row[1], low, unit)
+        n += 1
+        tab = _take_row(tab, basis, _row(n + 1, mem, a, (dim, n - 1), d, r))
+        if tab is None:
+            raise InfeasibleSystem("system has no feasible point")
+
+
+def row_generation(system: LinearSystem, max_slack: bool = False):
+    """``feasible`` (or with ``max_slack``, ``max_slack_point``) of a system
+    with many halfspaces: ``generate_rows`` from its bounds and blocks over
+    its own halfspaces, the answer re-checked against the whole system."""
+    found = generate_rows(system.restricted(()), _halfspace_pricing(system), max_slack)
+    if found is not None and not satisfies(system, found[0] if max_slack else found):
         raise NumericFailure("row generation returned a point violating the system")
     return found
 

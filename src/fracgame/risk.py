@@ -651,15 +651,29 @@ def meanstd_from_dict(data: Mapping) -> tuple[MeanStdScenario, tuple[str, ...]]:
     return MeanStdScenario(n, mu, sigma, r, phi), players
 
 
+def _built(name: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, a curve or density constructor on fields already
+    read, with the values it refuses reported as a ScenarioError naming the
+    field ``name``."""
+    try:
+        return build(*args, **kwargs)
+    except (ValueError, ScenarioError) as exc:
+        raise ScenarioError(f"{name}: {exc}") from None
+
+
 def density_from_dict(data: Mapping) -> Density:
     _field(data, "density", Mapping)
     if "beta_a" in data:
-        return beta_density(
+        return _built(
+            "density",
+            beta_density,
             _field(data["beta_a"], "density.beta_a"),
             _field(data.get("knot_count", 101), "density.knot_count", int, MAX_KNOTS),
         )
     if "knots" in data:
-        return density_curve(
+        return _built(
+            "density",
+            density_curve,
             _field_knots(data["knots"], "density.knots"),
             normalize=_field(data.get("normalize", False), "density.normalize", bool),
         )
@@ -670,14 +684,16 @@ def _curve_from_entry(entry, name: str) -> QuantileCurve:
     if isinstance(entry, Mapping):
         if "samples" in entry:
             samples = _field(entry["samples"], f"{name}.samples", list)
-            return empirical_curve(
+            return _built(
+                name,
+                empirical_curve,
                 [_field(x, f"{name}.samples") for x in samples],
                 _field(entry.get("knot_count", 101), f"{name}.knot_count", int, MAX_KNOTS),
             )
         if "knots" in entry:
-            return quantile_curve(_field_knots(entry["knots"], f"{name}.knots"))
+            return _built(name, quantile_curve, _field_knots(entry["knots"], f"{name}.knots"))
         raise ScenarioError("curve entry needs 'knots' or 'samples'")
-    return quantile_curve(_field_knots(entry, name))
+    return _built(name, quantile_curve, _field_knots(entry, name))
 
 
 def cvar_scenario_from_dict(

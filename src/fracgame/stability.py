@@ -22,7 +22,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import linfeas
-from .errors import DimensionMismatch, InfeasibleSolution, InfeasibleSystem
+from .errors import DimensionMismatch, InfeasibleSolution, InfeasibleSystem, NumericFailure
 from .games import (
     EXACT,
     Game,
@@ -53,6 +53,8 @@ WEAK = "weak"
 
 NONEMPTY = "nonempty"
 EMPTY = "empty"
+
+_F1 = Fraction(1)
 
 
 def _check_kind(kind: str) -> None:
@@ -290,16 +292,74 @@ def _exact_lower_bounds(game: Game, block: int) -> list[Fraction]:
     return [Fraction(game.values[1 << i]) / v_b for i in members(block)]
 
 
+class CoreRows:
+    """The strong-core system of a game with its coalition rows given
+    lazily: the grand split simplex ``base``, and the halfspace
+    ``f(C) >= v(C) / v(N)`` of each proper coalition C, built only when
+    asked for.  Rows are priced on one integer value table ``values``, with
+    v(C) proportional to ``values[C]`` (float values converted exactly), so
+    a coalition's slack at a point with share sums F(C) / scale is
+    proportional to ``values[N] * F(C) - values[C] * scale``."""
+
+    def __init__(self, game: Game):
+        self.full = full = game.grand
+        self.values = integer_terms((0, *game.values[1:]))[0]
+        self.base = linfeas.linear_system(game.n, _exact_lower_bounds(game, full), (full,))
+
+    def halfspace(self, c: int) -> linfeas.Halfspace:
+        return linfeas.Halfspace(_F1, c, Fraction(self.values[c], self.values[self.full]))
+
+    def restricted(self, coalitions) -> linfeas.LinearSystem:
+        """The split simplex plus the rows of the coalitions, ascending."""
+        return replace(self.base, halfspaces=tuple(map(self.halfspace, sorted(coalitions))))
+
+    def pricing(self, candidates: Sequence[int]):
+        """``linfeas.generate_rows`` pricing over the candidate coalitions,
+        ascending and keyed by coalition, off the point's subset-sum table:
+        the order, and ties, of ``core_system``'s rows."""
+        values, full = self.values, self.full
+        v_n = values[full]
+
+        def price(point, t):
+            terms, scale = integer_terms(point)
+            sums = subset_sums(terms, full)
+            bar, den = t.numerator * v_n * scale, t.denominator
+            slacks = ((v_n * sums[c] - values[c] * scale, c) for c in candidates)
+            worst = min((s for s in slacks if s[0] * den < bar), default=None)
+            return None if worst is None else (worst[1], self.halfspace(worst[1]))
+
+        return price
+
+    def solve(self, candidates: Sequence[int], max_slack: bool) -> tuple | None:
+        """A point of the split simplex covering every candidate coalition
+        by ``linfeas.generate_rows`` (with ``max_slack``, the max-slack
+        point), or None when there is none.  The point is re-checked on its
+        own code path: the split simplex, then every candidate with its own
+        member sum."""
+        try:
+            found = linfeas.generate_rows(self.base, self.pricing(candidates), max_slack)
+        except InfeasibleSystem:
+            return None
+        point = found[0] if max_slack else found
+        if point is None:
+            return None
+        terms, scale = integer_terms(point)
+        values, v_n = self.values, self.values[self.full]
+        if not linfeas.satisfies(self.base, point) or any(
+            v_n * sum(terms[i] for i in members(c)) < values[c] * scale for c in candidates
+        ):
+            raise NumericFailure("row generation returned a point violating the system")
+        return point
+
+
 def core_system(game: Game) -> linfeas.LinearSystem:
-    """The strong-core system: the grand split simplex plus the halfspace
-    ``f(C) >= v(C) / v(N)`` of every proper coalition C, at index C - 1.
-    Float values are converted exactly; no tolerance is baked in, so region
-    verdicts are exact for the stored values.  Any sub-system, down to the
-    bare split simplex, is ``core_system(game).restricted(...)``."""
-    full = game.grand
-    v_n = Fraction(game.values[full])
-    hs = [(1, c, Fraction(game.values[c]) / v_n) for c in range(1, full)]
-    return linfeas.linear_system(game.n, _exact_lower_bounds(game, full), (full,), hs)
+    """The strong-core system with every row listed: the grand split
+    simplex plus the halfspace ``f(C) >= v(C) / v(N)`` of every proper
+    coalition C, at index C - 1.  Float values are converted exactly; no
+    tolerance is baked in, so region verdicts are exact for the stored
+    values.  Regions do not build it: they take its rows lazily through
+    ``CoreRows``, whose rows these are."""
+    return CoreRows(game).restricted(range(1, game.grand))
 
 
 def split_vertices(game: Game, block: int) -> list[tuple]:
@@ -343,8 +403,10 @@ def core_region(
     """Decide (non)emptiness of the requested core and produce a witness.
 
     The strong core is a polytope, decided exactly by LP with row generation
-    over its coalition halfspaces; its canonical witness maximizes the
-    minimum constraint slack, otherwise any core point the LP finds serves.
+    over its coalition halfspaces, priced lazily (see ``CoreRows``; the
+    whole system is never listed); its canonical witness maximizes the
+    minimum constraint slack, found by warm rounds on one tableau, otherwise
+    any core point the LP finds serves.
     Without the canonical witness, the strong core of a size-symmetric game
     (see ``games.size_values``) is decided in closed form on the equal
     split (``equal-split``; see ``_equal_split_region``).
@@ -368,13 +430,7 @@ def core_region(
         by_size = None if canonical_witness else size_values(game)
         if by_size is not None:
             return _equal_split_region(game, by_size)
-        try:
-            if canonical_witness:
-                point, _ = linfeas.row_generation(core_system(game), max_slack=True)
-            else:
-                point = linfeas.row_generation(core_system(game))
-        except InfeasibleSystem:
-            point = None
+        point = CoreRows(game).solve(range(1, game.grand), canonical_witness)
         if point is None:
             return CoreRegion(EMPTY, None, "lp")
         return CoreRegion(NONEMPTY, _finish_witness(game, point), "lp")
@@ -415,13 +471,13 @@ def _weak_region_exact(game: Game, canonical_witness: bool) -> CoreRegion:
     if boundary_empty(game, full):
         return CoreRegion(EMPTY, None, "boundary")
     exact = replace(game, values=(None, *map(Fraction, game.values[1:])), mode=EXACT, tol=0.0)
-    whole = core_system(game)  # coalition c's halfspace at index c - 1
+    rows = CoreRows(game)
     nogoods, stack = [], [frozenset()]
     while stack:
         committed = stack.pop()
         if any(bad <= committed for bad in nogoods):
             continue
-        point = linfeas.feasible(whole.restricted(c - 1 for c in committed))
+        point = linfeas.feasible(rows.restricted(committed))
         if point is None:
             nogoods.append(committed)
             continue
@@ -433,8 +489,7 @@ def _weak_region_exact(game: Game, canonical_witness: bool) -> CoreRegion:
     else:
         return CoreRegion(EMPTY, None, "exact-search")
     if canonical_witness:
-        covered = [c - 1 for c in range(1, full) if _covers(exact, full, c, table)]
-        point, _ = linfeas.row_generation(whole.restricted(covered), max_slack=True)
+        point = rows.solve([c for c in range(1, full) if _covers(exact, full, c, table)], True)
     return CoreRegion(NONEMPTY, _finish_witness(game, point), "exact-search")
 
 

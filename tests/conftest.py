@@ -10,7 +10,7 @@ from fracgame import STRONG, boundary_contains, enumerate_partitions, make_game,
 from fracgame import sample_boundary
 from fracgame import linfeas, stability
 from fracgame.errors import InfeasibleSystem, NumericFailure
-from fracgame.games import boundary_empty, check_partition, geq
+from fracgame.games import boundary_empty, check_partition, geq, integer_terms, subset_sums
 from fracgame.partitions import fusion_neighborhood
 
 
@@ -736,6 +736,71 @@ def naive_max_slack_point(system):
         fixed.append((unit_row(i), x[i]))
     point = tuple(x[i] + system.lower[i] for i in range(dim))
     return point, slack
+
+
+def naive_row_generation(system: linfeas.LinearSystem, max_slack: bool = False):
+    """The cold row-generation driver linfeas used before its max-slack
+    rounds went warm, kept verbatim (solvers called through the module):
+    every round solves its restricted system from scratch with
+    ``linfeas.feasible`` (``linfeas.max_slack_point``).
+
+    The restricted system keeps the lower bounds and blocks and starts with
+    no halfspace.  Each round solves it with ``feasible`` (``max_slack_point``)
+    and takes in the halfspace of least slack among those whose slack at the
+    point is below 0 (below the restricted optimum t), ties going to the
+    lowest index, until there is none.  The answer is re-checked against the
+    whole system: verdict and max-slack point are the whole system's.
+    """
+    dim, halfspaces = system.dim, system.halfspaces
+    # halfspace k reads coefs[k] * F >= rhss[k] * D for a share sum F / D
+    terms, unit = integer_terms([x for h in halfspaces for x in (h.coef, h.rhs)])
+    coefs, rhss = terms[0::2], terms[1::2]
+    chosen: list[int] = []
+    while True:
+        restricted = system.restricted(chosen)
+        if max_slack:
+            found = point, t = linfeas.max_slack_point(restricted)
+        else:
+            found = point = linfeas.feasible(restricted)
+            if point is None:
+                return None
+            t = _F0
+        terms, scale = integer_terms(point)
+        sums = subset_sums(terms, (1 << dim) - 1)
+        # slacks over the common scale unit * scale, compared with t
+        bar = t.numerator * unit * scale
+        slacks = (
+            (coefs[k] * sums[h.support] - rhss[k] * scale, k) for k, h in enumerate(halfspaces)
+        )
+        worst = min((s for s in slacks if s[0] * t.denominator < bar), default=None)
+        if worst is None:
+            break
+        chosen.append(worst[1])
+    if not linfeas.satisfies(system, point):  # pragma: no cover - solver contract
+        raise NumericFailure("row generation returned a point violating the system")
+    return found
+
+
+def naive_generate_rows(base: linfeas.LinearSystem, price, max_slack: bool = False):
+    """linfeas.generate_rows with every round solved cold on its restricted
+    system (``base`` plus the rows taken in, in key order) through
+    ``linfeas.feasible`` or ``linfeas.max_slack_point``, so a test can hand
+    every round to the frozen solvers."""
+    taken = {}
+    while True:
+        rows = tuple(taken[k] for k in sorted(taken))
+        restricted = linfeas.LinearSystem(base.dim, base.lower, base.blocks, base.halfspaces + rows)
+        if max_slack:
+            found = point, t = linfeas.max_slack_point(restricted)
+        else:
+            found = point = linfeas.feasible(restricted)
+            if point is None:
+                return None
+            t = _F0
+        row = price(point, t)
+        if row is None:
+            return found
+        taken[row[0]] = row[1]
 
 
 _raw_nodes, _raw_weights = np.polynomial.legendre.leggauss(32)

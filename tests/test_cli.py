@@ -373,6 +373,35 @@ def test_malformed_scenario_exits_without_traceback(tmp_path, capsys, command, s
     assert err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "scenario, message",
+    [
+        ({"n": 2, "density": {"beta_a": 2, "knot_count": 1}}, "density: need at least two knots"),
+        ({"n": 2, "density": {"beta_a": 0.5}}, "density: shape parameter must be at least 1"),
+        (
+            {"curves": {"a": [[0, 2], [1, 1]]}, "density": {"beta_a": 2}},
+            "curves.a: curve must be nondecreasing",
+        ),
+        (
+            {"n": 2, "density": {"knots": [[0, 2], [1, 2]]}},
+            "density: density integrates to 2.0, not 1; pass normalize=True",
+        ),
+        (
+            {"curves": {"a": {"samples": [1, 2], "knot_count": 1}}, "density": {"beta_a": 2}},
+            "curves.a: need at least two knots",
+        ),
+    ],
+)
+def test_refused_scenario_values_exit_like_mistyped_fields(tmp_path, capsys, scenario, message):
+    # a value the curve or density constructor refuses is a malformed
+    # scenario field: exit 1 with one line naming the field
+    path = tmp_path / "scen.json"
+    path.write_text(json.dumps(scenario))
+    assert run(["scenario-cvar", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == message + "\n" and not captured.out
+
+
 @pytest.mark.parametrize("command", ["validate", "analyze", "core", "compare"])
 @pytest.mark.parametrize(
     "text, message",
@@ -539,6 +568,23 @@ def test_analyze_report_matches_committed_bytes(capsys):
     assert run(["analyze", str(DATA / "cut_game_n6_seed0.json")]) == 0
     golden = DATA / "analyze_cut_game_n6_seed0.json"
     assert capsys.readouterr().out.encode("utf-8") == golden.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["analyze", "{game}", "--format", "csv"], "analyze_cut_game_n6_seed0.csv"),
+        (["core", "{game}"], "core_cut_game_n6_seed0.json"),
+        (["core", "{game}", "--partition", "a,b,c|d,e,f"], "core_cut_game_n6_seed0_abc-def.json"),
+    ],
+)
+def test_canonical_witnesses_match_committed_bytes(capsys, argv, golden):
+    # every canonical witness as the cold max-slack rounds wrote it: the
+    # strong regions of the 3+3 blocks, every weak region of four or more
+    # players and its max-slack witness over the rows it covers
+    game = str(DATA / "cut_game_n6_seed0.json")
+    assert run([a.format(game=game) for a in argv]) == 0
+    assert capsys.readouterr().out.encode("utf-8") == (DATA / golden).read_bytes()
 
 
 @pytest.mark.parametrize(

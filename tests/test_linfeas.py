@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 from functools import cache, partial
 
@@ -33,6 +34,7 @@ from conftest import (
     naive_feasible,
     naive_max_slack_point,
     naive_minimize,
+    naive_row_generation,
     naive_satisfies,
     naive_warm_max_slack_point,
     random_exact_game,
@@ -109,7 +111,13 @@ def test_minimize_none_when_infeasible_and_slack_raises():
 
 
 @pytest.mark.parametrize(
-    "solve", [feasible, partial(minimize, cost=[1, 0, 0]), max_slack_point]
+    "solve",
+    [
+        feasible,
+        partial(minimize, cost=[1, 0, 0]),
+        max_slack_point,
+        partial(row_generation, max_slack=True),
+    ],
 )
 def test_every_solver_rechecks_its_point(monkeypatch, solve):
     # a basic point off the system is refused, never handed back
@@ -301,27 +309,50 @@ def test_max_slack_point_matches_cold_sequential_reference():
     assert seen["meanstd"] == 8 and den_bits >= 50
 
 
+def _recording_rows(record):
+    """A stand-in for ``linfeas.generate_rows`` that hands ``record`` each
+    restricted system the driver solves, in order, as it is formed: the
+    base, then the base plus the rows taken in so far, in key order."""
+    generate_rows = linfeas.generate_rows
+
+    def wrapped(base, price, max_slack=False):
+        taken = {}
+
+        def recording(point, t):
+            row = price(point, t)
+            if row is not None:
+                taken[row[0]] = row[1]
+                rows = tuple(taken[k] for k in sorted(taken))
+                record(replace(base, halfspaces=base.halfspaces + rows))
+            return row
+
+        record(base)
+        return generate_rows(base, recording, max_slack)
+
+    return wrapped
+
+
 def _committed_weak_systems(games):
     """The systems the exact weak-core search hands to the LP for these
-    games: its base system, every committed extension and the canonical
-    witness system."""
+    games: the strong-core restrictions it reads first, its base system,
+    every committed extension and the canonical witness restrictions."""
     seen = []
 
-    def recording(solve):
-        def wrapped(system):
-            if system not in seen:
-                seen.append(system)
-            return solve(system)
+    def record(system):
+        if system not in seen:
+            seen.append(system)
 
-        return wrapped
+    def recording_feasible(system):
+        record(system)
+        return feasible(system)
 
-    saved = linfeas.feasible, linfeas.max_slack_point
-    linfeas.feasible, linfeas.max_slack_point = map(recording, saved)
+    saved = linfeas.feasible, linfeas.generate_rows
+    linfeas.feasible, linfeas.generate_rows = recording_feasible, _recording_rows(record)
     try:
         for game in games:
             stability.core_region(game, stability.WEAK)
     finally:
-        linfeas.feasible, linfeas.max_slack_point = saved
+        linfeas.feasible, linfeas.generate_rows = saved
     return seen
 
 
@@ -419,6 +450,81 @@ def test_row_generation_matches_the_frozen_solvers():
     assert den_bits >= 54
 
 
+def _row_generation_systems():
+    return [s for _, _, s in _oracle_systems(random.Random(2304))] + [
+        s for _, s in _differential_systems()
+    ]
+
+
+def test_row_generation_matches_the_cold_driver(monkeypatch):
+    # the max-slack rounds are warm, the feasible ones cold as before: the
+    # same outcomes, and feasible sees the same restrictions in one order
+    handed = []
+
+    def recording(system):
+        handed.append(system)
+        return feasible(system)
+
+    systems = _row_generation_systems()
+    monkeypatch.setattr(linfeas, "feasible", recording)
+    infeasible = 0
+    for system in systems:
+        want = _outcome(partial(naive_row_generation, max_slack=True), system)
+        assert _outcome(partial(row_generation, max_slack=True), system) == want
+        infeasible += want is None
+        handed.clear()
+        want = naive_row_generation(system)
+        cold = list(handed)
+        handed.clear()
+        assert row_generation(system) == want
+        assert handed == cold
+    assert infeasible >= 20
+
+
+def test_max_slack_rounds_run_one_phase_one_and_every_warm_branch(monkeypatch):
+    # each call solves its first restriction cold and every later round
+    # warm; an appended row proves infeasibility, and the artificial of an
+    # appended row is driven out at zero level (its row always keeps its own
+    # surplus column, so it is never deleted as redundant)
+    counts = {"phase one": 0, "rows": 0, "infeasible": 0, "driven out": 0}
+    phase_one, take_row, drive_out = linfeas._phase_one, linfeas._take_row, linfeas._drive_out
+    warm = []
+
+    def counting_phase_one(tab, n):
+        counts["phase one"] += 1
+        return phase_one(tab, n)
+
+    def counting_take_row(tab, basis, row):
+        warm.append(True)
+        try:
+            found = take_row(tab, basis, row)
+        finally:
+            warm.pop()
+        counts["rows"] += 1
+        counts["infeasible"] += found is None
+        return found
+
+    def counting_drive_out(tab, basis, n):
+        if warm:
+            counts["driven out"] += any(b >= n for b in basis)
+            rows = len(tab)
+            found = drive_out(tab, basis, n)
+            assert len(found) == rows
+            return found
+        return drive_out(tab, basis, n)
+
+    systems = _row_generation_systems()
+    monkeypatch.setattr(linfeas, "_phase_one", counting_phase_one)
+    monkeypatch.setattr(linfeas, "_take_row", counting_take_row)
+    monkeypatch.setattr(linfeas, "_drive_out", counting_drive_out)
+    for system in systems:
+        before = counts["phase one"]
+        _outcome(partial(row_generation, max_slack=True), system)
+        assert counts["phase one"] == before + 1
+    assert counts["rows"] > len(systems) // 2
+    assert counts["infeasible"] >= 20 and counts["driven out"] >= 1, counts
+
+
 def _core_games(n):
     """Strong-core systems of six to eight players: a pooled venture
     (float values), a supermodular exact game (nonempty core), and the
@@ -437,21 +543,13 @@ def _core_games(n):
 @pytest.mark.parametrize("n", [6, 7, 8])
 def test_row_generation_decides_core_systems_of_six_to_eight_players(monkeypatch, n):
     # the frozen solver cannot afford the whole system past six players, so
-    # the last restriction the driver solved is handed to it: the rows of a
-    # restriction are rows of the whole system, so an infeasible one proves
-    # the whole system infeasible, and its max-slack point is the whole
-    # system's when every row there keeps at least that slack
+    # the last restriction the driver solved (its final row set) is handed
+    # to it: the rows of a restriction are rows of the whole system, so an
+    # infeasible one proves the whole system infeasible, and its max-slack
+    # point is the whole system's when every row there keeps at least that
+    # slack
     solved = []
-
-    def recording(solve):
-        def wrapped(system):
-            solved.append(system)
-            return solve(system)
-
-        return wrapped
-
-    monkeypatch.setattr(linfeas, "feasible", recording(linfeas.feasible))
-    monkeypatch.setattr(linfeas, "max_slack_point", recording(linfeas.max_slack_point))
+    monkeypatch.setattr(linfeas, "generate_rows", _recording_rows(solved.append))
     verdicts = {}
     for label, game in _core_games(n).items():
         system = core_system(game)

@@ -557,6 +557,27 @@ def test_cvar_scenario_accepts_sampled_curves():
             {"n": 3, "players": ["x", "y"], "density": {"beta_a": 2}},
             "expected 3 players, got 2",
         ),
+        # values the curve and density constructors refuse
+        (
+            cvar_scenario_from_dict,
+            {"n": 2, "density": {"beta_a": 2, "knot_count": 1}},
+            "^density: need at least two knots$",
+        ),
+        (
+            cvar_scenario_from_dict,
+            {"n": 2, "density": {"beta_a": 0.5}},
+            "^density: shape parameter must be at least 1$",
+        ),
+        (
+            cvar_scenario_from_dict,
+            {"curves": {"a": [[0, 2], [1, 1]]}, "density": {"beta_a": 2}},
+            "^curves.a: curve must be nondecreasing$",
+        ),
+        (
+            cvar_scenario_from_dict,
+            {"n": 2, "density": {"knots": [[0, 2], [1, 2]]}},
+            r"^density: density integrates to 2.0, not 1; pass normalize=True$",
+        ),
     ],
 )
 def test_scenario_readers_name_mistyped_fields(reader, data, field):

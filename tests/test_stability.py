@@ -27,7 +27,7 @@ from fracgame import (
     singleton_partition,
     stable_sets,
 )
-from fracgame import linfeas
+from fracgame import NumericFailure, linfeas, stability
 from fracgame.games import (
     boundary_contains,
     boundary_empty,
@@ -58,6 +58,7 @@ from conftest import (
     fusion_resistant_by_total,
     naive_feasible,
     naive_fission_resistant,
+    naive_generate_rows,
     naive_sample_boundary,
     naive_stable_sets,
     naive_weak_core_contains,
@@ -716,12 +717,69 @@ def test_repeated_sampled_block_has_one_region():
     ids=["cut-exact-5", "pooled-float-6", "random-float-5"],
 )
 def test_report_equals_the_frozen_solvers_report(monkeypatch, game):
-    # the integer simplex takes the frozen Fraction solver's pivots, so every
+    # the integer simplex takes the frozen Fraction solver's pivots, and the
+    # warm max-slack rounds end on the cold rounds' unique points, so every
     # verdict, witness and method string in the report comes out the same
+    # when every round is solved cold by the frozen solvers
     got = stable_sets(game).to_dict()
     monkeypatch.setattr(linfeas, "feasible", naive_feasible)
     monkeypatch.setattr(linfeas, "max_slack_point", naive_warm_max_slack_point)
+    monkeypatch.setattr(linfeas, "generate_rows", naive_generate_rows)
     assert stable_sets(game).to_dict() == got
+
+
+def test_row_generation_rechecks_every_coalition(monkeypatch):
+    # a pricing that misses a violated coalition ends row generation on a
+    # point outside the core; the final check over every coalition's own
+    # member sum refuses it
+    # supermodular: a nonempty core off the equal split
+    weights = (1, 2, 3, 5)
+    game = make_game(4, {m: sum(weights[i] for i in members(m)) ** 2 for m in range(1, 16)})
+    rows, pricing = stability.CoreRows(game), stability.CoreRows.pricing
+    for max_slack in (True, False):
+        taken = []
+
+        def recording(self, candidates):
+            price = pricing(self, candidates)
+
+            def wrapped(point, t):
+                row = price(point, t)
+                if row is not None:
+                    taken.append(row[0])
+                return row
+
+            return wrapped
+
+        monkeypatch.setattr(stability.CoreRows, "pricing", recording)
+        assert rows.solve(range(1, 15), max_slack) is not None and taken
+
+        def skipping(self, candidates):
+            price = pricing(self, candidates)
+
+            def wrapped(point, t):
+                # the first coalition taken in is reported as no violation
+                row = price(point, t)
+                return None if row and row[0] == taken[0] else row
+
+            return wrapped
+
+        monkeypatch.setattr(stability.CoreRows, "pricing", skipping)
+        with pytest.raises(NumericFailure, match="violating the system"):
+            rows.solve(range(1, 15), max_slack)
+
+
+def test_regions_never_build_the_whole_core_system(monkeypatch):
+    # regions price coalition rows lazily; the listed system is only for
+    # the inclusion harness and the tests
+    game = cut_game(random.Random(1), 5)
+    want = stable_sets(game).to_dict()
+
+    def refuse(game):
+        raise AssertionError("core_system built")
+
+    monkeypatch.setattr(stability, "core_system", refuse)
+    assert stable_sets(game).to_dict() == want
+    assert core_region(game, WEAK, canonical_witness=False).status == NONEMPTY
 
 
 # ---------------------------------------------------------------------------
