@@ -83,19 +83,21 @@ def _csv_text(rows) -> str:
     return buf.getvalue()
 
 
-def _emit(args, stem: str, payload, csv_rows=None) -> None:
-    if csv_rows is not None and args.format == "csv":
-        text = _csv_text(csv_rows)
-        suffix = ".csv"
-    else:
-        text = _json_text(payload)
-        suffix = ".json"
+def _write(args, name: str, text: str) -> None:
+    """The text to the file ``name`` under ``--out``, else to stdout."""
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, stem + suffix), "w", encoding="utf-8") as fh:
+        with open(os.path.join(args.out, name), "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(args, stem: str, payload, csv_rows=None) -> None:
+    if csv_rows is not None and args.format == "csv":
+        _write(args, stem + ".csv", _csv_text(csv_rows))
+    else:
+        _write(args, stem + ".json", _json_text(payload))
 
 
 def _fail(message: str, code: int) -> int:
@@ -147,9 +149,9 @@ def cmd_analyze(args) -> int:
     report = stable_sets(game, cap=args.cap)
     # encode only the format that is printed
     if args.format == "csv":
-        _emit(args, "analyze", None, report.csv_rows())
+        _write(args, "analyze.csv", _csv_text(report.csv_rows()))
     else:
-        _emit(args, "analyze", report.to_dict())
+        _write(args, "analyze.json", report.json_text())
     return 0
 
 

@@ -208,6 +208,22 @@ def default_players(n: int) -> tuple[str, ...]:
     return tuple(string.ascii_lowercase[:n])
 
 
+def _check_players(players: Sequence[str], n: int) -> tuple[str, ...]:
+    """The names as a tuple when they are n distinct names that a coalition
+    label can spell: not empty, no ',' or '|', and no whitespace around
+    them, which ``coalition_from_label`` strips."""
+    players = tuple(players)
+    if len(players) != n or len(set(players)) != n:
+        raise ValueError("players must be n distinct names")
+    for name in players:
+        if not name or name != name.strip() or "," in name or "|" in name:
+            raise ValueError(
+                f"player name {name!r} may not be empty, contain ',' or '|', "
+                "or start or end with whitespace"
+            )
+    return players
+
+
 def make_game(
     n: int,
     values: Mapping[int, object],
@@ -232,15 +248,7 @@ def make_game(
         raise ValueError(f"tolerance must be a finite nonnegative number, got {tol!r}")
     if mode == EXACT and tol:
         raise ValueError("exact mode has no tolerance")
-    if players is None:
-        players = default_players(n)
-    else:
-        players = tuple(players)
-        if len(players) != n or len(set(players)) != n:
-            raise ValueError("players must be n distinct names")
-        for name in players:
-            if not name or "," in name or "|" in name:
-                raise ValueError(f"player name {name!r} may not be empty or contain ',' or '|'")
+    players = default_players(n) if players is None else _check_players(players, n)
     table = [None] * (1 << n)
     for m in coalitions(n):
         table[m] = values[m]
@@ -494,10 +502,10 @@ def game_from_dict(data: Mapping) -> Game:
     if not isinstance(data, Mapping):
         raise ValueError("game JSON must be an object")
     players = data.get("players")
-    if not players or not isinstance(players, Iterable):
+    if not players or not isinstance(players, list):
         raise ValueError("game JSON needs a nonempty 'players' list")
-    players = [str(p) for p in players]
     n = len(players)
+    players = _check_players([str(p) for p in players], n)
     if "values" not in data or not isinstance(data["values"], Mapping):
         raise ValueError("game JSON needs a 'values' object")
     table: dict[int, object] = {}

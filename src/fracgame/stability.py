@@ -13,6 +13,7 @@ three players can never be split weakly.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache, reduce
@@ -29,6 +30,7 @@ from .games import (
     boundary_contains,
     boundary_empty,
     check_partition,
+    coalition_label,
     draw_shares,
     geq,
     integer_terms,
@@ -524,9 +526,10 @@ class BlockTable(dict):
         super().__init__()
         self.game = game
         self.canonical_witness = canonical_witness
-        # each block's subgame and the index of its value table, so a table
-        # is hashed once per block and the regions are keyed by int
-        self.subgames: dict[int, tuple[Game, int]] = {}
+        # each block's subgame, the index of its value table (so a table is
+        # hashed once per block and the regions are keyed by int) and its
+        # members
+        self.subgames: dict[int, tuple[Game, int, list[int]]] = {}
         self.contents: dict[tuple, int] = {}
         self.regions: dict[tuple[int, str], CoreRegion] = {}
 
@@ -534,8 +537,9 @@ class BlockTable(dict):
         block, kind = key
         if block not in self.subgames:
             game = subgame(self.game, block)
-            self.subgames[block] = game, self.contents.setdefault(game.values, len(self.contents))
-        game, content = self.subgames[block]
+            content = self.contents.setdefault(game.values, len(self.contents))
+            self.subgames[block] = game, content, members(block)
+        game, content, _ = self.subgames[block]
         region = self.regions.get((content, kind))
         if region is None:
             strong = self[block, STRONG] if kind == WEAK and game.n > 3 else None
@@ -559,8 +563,8 @@ class BlockTable(dict):
             return PatchedCore(partition, EMPTY, None, regions)
         shares: list = [None] * self.game.n
         for block, region in zip(partition, regions):
-            for j, i in enumerate(members(block)):
-                shares[i] = region.witness[j]
+            for i, x in zip(self.subgames[block][2], region.witness):
+                shares[i] = x
         return PatchedCore(partition, NONEMPTY, tuple(shares), regions)
 
 
@@ -605,89 +609,166 @@ class StabilityReport:
     def most_consolidated(self, kind: str = WEAK) -> Partition | None:
         """Stable partition with the fewest blocks; ties broken by canonical
         label order."""
-        best = None
-        for partition, _ in self.stable(kind):
-            key = (len(partition), partition_label(partition, self.players))
-            if best is None or key < best[0]:
-                best = (key, partition)
-        return None if best is None else best[1]
+        stable = [partition for partition, _ in self.stable(kind)]
+        fewest = min(map(len, stable), default=None)
+        label = lambda partition: partition_label(partition, self.players)
+        return min((p for p in stable if len(p) == fewest), key=label, default=None)
+
+    def json_text(self) -> str:
+        """The report as JSON: the bytes of ``json.dumps(d, sort_keys=True,
+        indent=2) + "\\n"`` for the report's dict ``d``, written from
+        fragments kept for this call (see ``_Fragments``) into templates
+        with the keys in sorted order.  Each ``CoreRegion`` object is
+        encoded once, however many partitions share it."""
+        parts = _Fragments(self.players, lambda s: json.dumps(s)[1:-1], _json_scalar)
+        regions: dict[int, str] = {}
+
+        def region(b: CoreRegion) -> str:
+            text = regions.get(id(b))
+            if text is None:
+                witness = _json_list(b.witness and parts.witness(b), 6)
+                text = _REGION.format(_json_scalar(b.method), _json_scalar(b.status), witness)
+                regions[id(b)] = text
+            return text
+
+        records, fused = [], []
+        nonempty: dict[str, list] = {STRONG: [], WEAK: []}
+        stable: dict[str, list] = {STRONG: [], WEAK: []}
+        for r in self.records:
+            label, sides = f'"{parts.partition(r.partition)}"', []
+            for kind, p in ((STRONG, r.strong), (WEAK, r.weak)):
+                items = p.witness and parts.scatter(p)
+                blocks = _json_list([region(b) for b in p.block_regions], 4)
+                sides.append(_PATCHED.format(blocks, f'"{p.status}"', _json_list(items, 4)))
+                if p.status == NONEMPTY:
+                    nonempty[kind].append(label)
+                    if r.fusion_resistant:
+                        stable[kind].append(_STABLE.format(label, _json_list(items, 3)))
+            if r.fusion_resistant:
+                fused.append(label)
+            records.append(_RECORD.format(json.dumps(r.fusion_resistant), label, *sides))
+        most = self.most_consolidated(WEAK)
+        return _REPORT.format(
+            _json_list(fused, 1),
+            _json_scalar(self.digest),
+            _json_scalar(most and partition_label(most, self.players)),
+            _json_list(records, 1),
+            _json_list(nonempty[STRONG], 1),
+            _json_list(nonempty[WEAK], 1),
+            _json_list([_json_scalar(name) for name in self.players], 1),
+            _json_list(stable[STRONG], 1),
+            _json_list(stable[WEAK], 1),
+            "[]",  # every weak core is decided; weak_unknown stays in the schema
+        )
 
     def to_dict(self) -> dict:
-        label = lambda p: partition_label(p, self.players)
-
-        def witness(w) -> list | None:
-            return None if w is None else [json_number(x) for x in w]
-
-        def region(r: CoreRegion) -> dict:
-            return {"status": r.status, "method": r.method, "witness": witness(r.witness)}
-
-        def patched(p: PatchedCore) -> dict:
-            return {
-                "status": p.status,
-                "witness": witness(p.witness),
-                "blocks": [region(b) for b in p.block_regions],
-            }
-
-        def stable(kind: str) -> list[dict]:
-            return [{"partition": label(p), "witness": witness(w)} for p, w in self.stable(kind)]
-
-        records = [
-            {
-                "partition": label(r.partition),
-                "strong": patched(r.strong),
-                "weak": patched(r.weak),
-                "fusion_resistant": r.fusion_resistant,
-            }
-            for r in self.records
-        ]
-        most = self.most_consolidated(WEAK)
-        return {
-            "players": list(self.players),
-            "game": self.digest,
-            "partitions": records,
-            "patched_strong_nonempty": [label(p) for p in self.partitions_with(STRONG)],
-            "patched_weak_nonempty": [label(p) for p in self.partitions_with(WEAK)],
-            "fusion_resistant": [label(p) for p in self.fusion_resistant_partitions()],
-            "stable_strong": stable(STRONG),
-            "stable_weak": stable(WEAK),
-            # every weak core is decided; the field stays in the schema
-            "weak_unknown": [],
-            "most_consolidated_weak": None if most is None else label(most),
-        }
+        """The report as the JSON value ``json_text`` writes."""
+        return json.loads(self.json_text())
 
     def csv_rows(self) -> list[list]:
+        """The report as CSV rows, a header first, labels and witnesses
+        written from fragments kept for this call (see ``_Fragments``)."""
         header = [
-            "partition",
-            "blocks",
-            "in_patched_strong",
-            "in_patched_weak",
-            "fusion_resistant",
-            "stable_strong",
-            "stable_weak",
-            "weak_status",
-            "witness_strong",
-            "witness_weak",
+            "partition", "blocks", "in_patched_strong", "in_patched_weak", "fusion_resistant",
+            "stable_strong", "stable_weak", "weak_status", "witness_strong", "witness_weak",
         ]
+        parts = _Fragments(self.players, str, str)
+        wit = lambda p: "" if p.witness is None else " ".join(parts.scatter(p))
         rows = [header]
         for r in self.records:
-            strong_ok = r.strong.status == NONEMPTY
-            weak_ok = r.weak.status == NONEMPTY
-            wit = lambda w: "" if w is None else " ".join(str(x) for x in w)
-            rows.append(
-                [
-                    partition_label(r.partition, self.players),
-                    len(r.partition),
-                    strong_ok,
-                    weak_ok,
-                    r.fusion_resistant,
-                    strong_ok and r.fusion_resistant,
-                    weak_ok and r.fusion_resistant,
-                    r.weak.status,
-                    wit(r.strong.witness),
-                    wit(r.weak.witness),
-                ]
+            strong_ok, weak_ok, fused = (
+                r.strong.status == NONEMPTY, r.weak.status == NONEMPTY, r.fusion_resistant
             )
+            rows.append([
+                parts.partition(r.partition), len(r.partition), strong_ok, weak_ok, fused,
+                strong_ok and fused, weak_ok and fused, r.weak.status, wit(r.strong), wit(r.weak),
+            ])
         return rows
+
+
+def _json_scalar(x) -> str:
+    """One number (as reports print it; see ``json_number``), string or
+    None as JSON."""
+    return json.dumps(json_number(x))
+
+
+def _json_list(items: Sequence[str] | None, depth: int) -> str:
+    """Encoded items (None: JSON null) as ``json.dumps(..., indent=2)`` lays
+    out an array that opens on a line of the given nesting depth."""
+    if not items:
+        return "null" if items is None else "[]"
+    pad = "  " * depth
+    return "[\n  " + pad + (",\n  " + pad).join(items) + "\n" + pad + "]"
+
+
+def _json_object(keys: tuple[str, ...], depth: int) -> str:
+    """The ``str.format`` template, one field per key, of an object with
+    these keys as ``json.dumps(..., sort_keys=True, indent=2)`` lays it out
+    on a line of the given nesting depth; the keys come in sorted order."""
+    pad = "  " * depth
+    fields = ",\n".join(f'{pad}  "{key}": {{}}' for key in keys)
+    return "{{\n" + fields + "\n" + pad + "}}"
+
+
+# the objects of an analyze report, each at the one depth it sits at
+_REPORT = _json_object(
+    (
+        "fusion_resistant", "game", "most_consolidated_weak", "partitions",
+        "patched_strong_nonempty", "patched_weak_nonempty", "players",
+        "stable_strong", "stable_weak", "weak_unknown",
+    ),
+    0,
+) + "\n"
+_RECORD = _json_object(("fusion_resistant", "partition", "strong", "weak"), 2)
+_STABLE = _json_object(("partition", "witness"), 2)
+_PATCHED = _json_object(("blocks", "status", "witness"), 3)
+_REGION = _json_object(("method", "status", "witness"), 5)
+
+
+class _Fragments:
+    """The texts one report encoding is written from, kept for one call:
+    each block mask's label and member list, each ``CoreRegion``'s witness
+    numbers, and each (block, region) pair's numbers by player.  Regions
+    are keyed by the object (the report keeps it alive), never by value:
+    hashing a region's Fractions costs more than encoding them.  ``label``
+    encodes a block label, ``number`` a witness number."""
+
+    def __init__(self, players: Sequence[str], label, number):
+        self.players, self.label, self.number = players, label, number
+        self.blocks: dict[int, tuple[str, list[int]]] = {}
+        self.numbers: dict[int, list[str]] = {}
+        self.placed: dict[tuple[int, int], tuple] = {}
+
+    def block(self, mask: int) -> tuple[str, list[int]]:
+        found = self.blocks.get(mask)
+        if found is None:
+            label = self.label(coalition_label(mask, self.players))
+            found = self.blocks[mask] = label, members(mask)
+        return found
+
+    def partition(self, partition: Sequence[int]) -> str:
+        """The partition's label, encoded blockwise (the separators need no
+        escaping)."""
+        return "|".join([self.block(b)[0] for b in partition])
+
+    def witness(self, region: CoreRegion) -> list[str]:
+        found = self.numbers.get(id(region))
+        if found is None:
+            found = self.numbers[id(region)] = list(map(self.number, region.witness))
+        return found
+
+    def scatter(self, patched: PatchedCore) -> list[str]:
+        """A nonempty patched core's witness numbers, player by player, read
+        from its blocks' regions."""
+        out, placed = [""] * len(self.players), self.placed
+        for block, region in zip(patched.partition, patched.block_regions):
+            pairs = placed.get((block, id(region)))
+            if pairs is None:
+                pairs = tuple(zip(self.block(block)[1], self.witness(region)))
+                placed[block, id(region)] = pairs
+            for i, text in pairs:
+                out[i] = text
+        return out
 
 
 def stable_sets(game: Game, *, cap: int = DEFAULT_ENUM_CAP) -> StabilityReport:

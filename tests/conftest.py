@@ -315,6 +315,100 @@ def naive_stable_sets(game, *, canonical_witness=True):
     return stability.StabilityReport(game.n, game.players, game_digest(game), records)
 
 
+def naive_report_dict(report):
+    """Reference for StabilityReport.json_text: the report's dict as it was
+    built before the writer, field by field from the records, each witness
+    encoded afresh.  ``json.dumps(naive_report_dict(r), sort_keys=True,
+    indent=2) + "\\n"`` is the text the writer must produce."""
+    from fracgame.games import json_number
+    from fracgame.partitions import partition_label
+    from fracgame.stability import STRONG, WEAK
+
+    self = report  # the former method body, unchanged
+    label = lambda p: partition_label(p, self.players)
+
+    def witness(w) -> list | None:
+        return None if w is None else [json_number(x) for x in w]
+
+    def region(r) -> dict:
+        return {"status": r.status, "method": r.method, "witness": witness(r.witness)}
+
+    def patched(p) -> dict:
+        return {
+            "status": p.status,
+            "witness": witness(p.witness),
+            "blocks": [region(b) for b in p.block_regions],
+        }
+
+    def stable(kind: str) -> list[dict]:
+        return [{"partition": label(p), "witness": witness(w)} for p, w in self.stable(kind)]
+
+    records = [
+        {
+            "partition": label(r.partition),
+            "strong": patched(r.strong),
+            "weak": patched(r.weak),
+            "fusion_resistant": r.fusion_resistant,
+        }
+        for r in self.records
+    ]
+    most = self.most_consolidated(WEAK)
+    return {
+        "players": list(self.players),
+        "game": self.digest,
+        "partitions": records,
+        "patched_strong_nonempty": [label(p) for p in self.partitions_with(STRONG)],
+        "patched_weak_nonempty": [label(p) for p in self.partitions_with(WEAK)],
+        "fusion_resistant": [label(p) for p in self.fusion_resistant_partitions()],
+        "stable_strong": stable(STRONG),
+        "stable_weak": stable(WEAK),
+        # every weak core is decided; the field stays in the schema
+        "weak_unknown": [],
+        "most_consolidated_weak": None if most is None else label(most),
+    }
+
+
+def naive_csv_rows(report):
+    """Reference for StabilityReport.csv_rows: every label and witness of
+    every partition stringified afresh."""
+    from fracgame.partitions import partition_label
+    from fracgame.stability import NONEMPTY
+
+    self = report  # the former method body, unchanged
+    header = [
+        "partition",
+        "blocks",
+        "in_patched_strong",
+        "in_patched_weak",
+        "fusion_resistant",
+        "stable_strong",
+        "stable_weak",
+        "weak_status",
+        "witness_strong",
+        "witness_weak",
+    ]
+    rows = [header]
+    for r in self.records:
+        strong_ok = r.strong.status == NONEMPTY
+        weak_ok = r.weak.status == NONEMPTY
+        wit = lambda w: "" if w is None else " ".join(str(x) for x in w)
+        rows.append(
+            [
+                partition_label(r.partition, self.players),
+                len(r.partition),
+                strong_ok,
+                weak_ok,
+                r.fusion_resistant,
+                strong_ok and r.fusion_resistant,
+                weak_ok and r.fusion_resistant,
+                r.weak.status,
+                wit(r.strong.witness),
+                wit(r.weak.witness),
+            ]
+        )
+    return rows
+
+
 def naive_sweep_point(args, label, game, extra):
     """Reference for cli._sweep_point: the point as it was read off a full
     stable_sets report, with no weak core left undecided.  The report takes

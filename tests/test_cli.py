@@ -409,6 +409,15 @@ def test_refused_scenario_values_exit_like_mistyped_fields(tmp_path, capsys, sce
         ('{"players": ["a", "b"], "values": {"a": 1, "b": 1, "a,b": "1/0"}}', "divides by zero"),
         ("[1, 2]", "game JSON must be an object"),
         ('{"players": 5, "values": {}}', "needs a nonempty 'players' list"),
+        # a string or an object is not a players list, though both iterate
+        ('{"players": "ab", "values": {"a": 1, "b": 1, "a,b": 3}}', "nonempty 'players' list"),
+        (
+            '{"players": {"a": 1, "b": 2}, "values": {"a": 1, "b": 1, "a,b": 3}}',
+            "nonempty 'players' list",
+        ),
+        # names no label can spell are refused before any label is read
+        ('{"players": [" a", "b"], "values": {"a": 1, "b": 1, "a,b": 3}}', "player name ' a'"),
+        ('{"players": ["a,c", "b"], "values": {"a": 1, "b": 1}}', "player name 'a,c'"),
     ],
 )
 def test_malformed_game_file_exits_without_traceback(tmp_path, capsys, command, text, message):
@@ -568,6 +577,15 @@ def test_analyze_report_matches_committed_bytes(capsys):
     assert run(["analyze", str(DATA / "cut_game_n6_seed0.json")]) == 0
     golden = DATA / "analyze_cut_game_n6_seed0.json"
     assert capsys.readouterr().out.encode("utf-8") == golden.read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_analyze_out_file_matches_committed_bytes(tmp_path, capsys, fmt):
+    game = str(DATA / "cut_game_n6_seed0.json")
+    assert run(["analyze", game, "--format", fmt, "--out", str(tmp_path)]) == 0
+    assert not capsys.readouterr().out
+    golden = DATA / f"analyze_cut_game_n6_seed0.{fmt}"
+    assert (tmp_path / f"analyze.{fmt}").read_bytes() == golden.read_bytes()
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -56,9 +57,11 @@ from fracgame.stability import (
 from conftest import (
     cut_game,
     fusion_resistant_by_total,
+    naive_csv_rows,
     naive_feasible,
     naive_fission_resistant,
     naive_generate_rows,
+    naive_report_dict,
     naive_sample_boundary,
     naive_stable_sets,
     naive_weak_core_contains,
@@ -562,6 +565,53 @@ def test_report_serializes(superadditive3):
     rows = report.csv_rows()
     assert rows[0][0] == "partition"
     assert len(rows) == 1 + 5
+
+
+def _assert_report_text(report):
+    # the writer prints the bytes json.dumps prints for the dict oracle,
+    # to_dict reads them back, and the CSV rows match their oracle
+    text = report.json_text()
+    assert text == json.dumps(naive_report_dict(report), sort_keys=True, indent=2) + "\n"
+    assert report.to_dict() == json.loads(text)
+    assert report.csv_rows() == naive_csv_rows(report)
+    return text
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_report_text_matches_the_dict_oracle(n):
+    rng = random.Random(n)
+    games = [
+        random_exact_game(rng, n),
+        random_float_game(rng, n),
+        cut_game(rng, n),
+        build_meanstd_game(MeanStdScenario(n, 1.0, 0.5, 0.8)),
+    ]
+    reports = [stable_sets(game) for game in games]
+    for report in reports:
+        _assert_report_text(report)
+        # no fusion-resistant partition: empty lists and no consolidated one
+        records = tuple(replace(r, fusion_resistant=False) for r in report.records)
+        text = _assert_report_text(replace(report, records=records))
+        assert '"most_consolidated_weak": null' in text
+    # the cut game's blocks of four or more players have empty strong cores
+    assert (n >= 4) == any(r.strong.status == EMPTY for r in reports[2].records)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_report_text_escapes_player_names(n):
+    names = ('"q', "b\\s", "\u00e9", "\u2603", "t\tx", "\x01c", "\U0001d11e")[:n]
+    for game in (random_exact_game(random.Random(n), n), random_float_game(random.Random(n), n)):
+        values = {m: game.values[m] for m in range(1, 1 << n)}
+        report = stable_sets(make_game(n, values, mode=game.mode, tol=game.tol, players=names))
+        assert json.loads(_assert_report_text(report))["players"] == list(names)
+
+
+def test_report_text_prints_float_witnesses_with_exponents():
+    # a lone player worth nearly the whole leaves the other shares near 0,
+    # so their repr has an exponent
+    values = {1: 1 - 1e-7, 2: 0.0, 4: 0.0, 3: 1.0, 5: 1.0, 6: 1.0, 7: 1.0}
+    text = _assert_report_text(stable_sets(make_game(3, values, mode="float", tol=1e-9)))
+    assert "e-08" in text
 
 
 # ---------------------------------------------------------------------------
