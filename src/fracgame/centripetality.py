@@ -14,8 +14,9 @@ false, the cross product agrees (case check over the zero patterns).
 The order's consequences are checked by two verification harnesses: one for
 the five inclusion claims between the ordered games' solution sets, one for
 the core inclusions and the downward transfer of splintered stability.  Their
-sampled claims judge all candidates of a partition at once, as bool arrays
-(``stability.block_verdicts``) read off in candidate order.
+sampled claims draw every candidate first and judge each distinct block's
+candidates at once, as bool arrays (``stability.block_verdicts``) that each
+partition ANDs over its blocks and reads off in candidate order.
 """
 
 from __future__ import annotations
@@ -32,10 +33,10 @@ from . import linfeas
 from .errors import DimensionMismatch
 from .games import (
     EXACT,
+    BoundarySampler,
     Game,
     boundary_contains,
     boundary_empty,
-    boundary_sampler,
     coalitions,
     combined_tol,
     draw_shares,
@@ -52,7 +53,6 @@ from .stability import (
     STRONG,
     WEAK,
     BlockTable,
-    block_feasible,
     block_verdicts,
     core_region,
     core_system,
@@ -189,44 +189,49 @@ def _boundary_included(g1: Game, g2: Game, block: int, tol: float):
     return True, "vertices", ""
 
 
-def _draw(sample, partition, rng) -> list | None:
-    """One ``boundary_sampler`` draw ``(terms, scale)`` per block, or None."""
-    drawn = []
+def _point(n: int, sampler, partition, picked: dict) -> str:
+    """The allocation of a candidate, as a report prints it: ``picked``
+    maps each judged block to its term matrix, scale and the candidate's
+    row; a singleton block holds its one split, the share 1."""
+    shares = [None] * n
     for block in partition:
-        drawn.append(sample(block, rng))
-        if drawn[-1] is None:
-            return None
-    return drawn
+        terms, scale, row = picked.get(block) or (*sampler.terms(block, [()]), 0)
+        for i, x in zip(members(block), draw_shares(terms[row].tolist(), scale)):
+            shares[i] = x
+    return _fmt_point(shares)
 
 
-def _row_point(n: int, partition, row) -> tuple:
-    """The allocation of a candidate row, as a report prints it."""
-    shares = {i: x for b, d in zip(partition, row) for i, x in zip(members(b), draw_shares(*d))}
-    return tuple(shares[i] for i in range(n))
+_fraction = np.frompyfunc(Fraction, 2, 1)
 
 
-def _judge_rows(g1: Game, g2: Game, partition, rows: list, feasible1: bool = True) -> list:
-    """Verdicts on all candidate rows of one partition at once: ``rows[r][b]``
-    is row r's ``(terms, scale)`` on block b under g1.  Per game, the AND
-    over the blocks of ``block_verdicts`` on the rows lifted to one scale; a
-    float g2 judges an exact g1's rows on their shares over 1.  Without
-    ``feasible1`` g1's feasibility is not judged and reads None."""
-    shared = g1.mode == g2.mode or g1.mode != EXACT
-    games, read = ((g1, g2), (feasible1, True)) if shared else ((g1,), (feasible1,))
-    out = None
-    for b, block in enumerate(partition):
-        k, scale = block.bit_count(), math.lcm(*{row[b][1] for row in rows})
-        lifted = [t * (scale // row[b][1]) for row in rows for t in row[b][0]]
-        terms = np.array(lifted, dtype=object).reshape(len(rows), k)
-        judged = block_verdicts(games, block, terms, scale, g1.mode == EXACT, read)
-        if not shared:
-            shares = np.array([draw_shares(*row[b]) for row in rows], dtype=object)
-            judged += block_verdicts((g2,), block, shares.reshape(len(rows), k), 1, False)
-        out = judged if out is None else [
-            (None if f is None else f & g, {kind: s[kind] & t[kind] for kind in s})
-            for (f, s), (g, t) in zip(out, judged)
-        ]
-    return out
+def _judge_block(
+    g1: Game, g2: Game, block: int, terms, scale: int, read=(True, True), fission: bool = True
+) -> list:
+    """``block_verdicts`` under g1 and g2 on one block's candidate rows: the
+    matrix ``terms`` over ``scale`` holds g1's terms, and a float g2 judges
+    an exact g1's rows on their shares over 1.  ``read`` says per
+    game whether its feasibility is judged (one that is not reads None)."""
+    if g1.mode == g2.mode or g1.mode != EXACT:
+        return block_verdicts((g1, g2), block, terms, scale, g1.mode == EXACT, read, fission)
+    shares = terms if scale == 1 else _fraction(terms.astype(object), scale)
+    return block_verdicts((g1,), block, terms, scale, True, read[:1], fission) + block_verdicts(
+        (g2,), block, shares, 1, False, read[1:], fission
+    )
+
+
+def _block_matrix(sampler, block: int, witnesses: list, cuts: list) -> tuple:
+    """One block's candidates as one term matrix over one scale: the
+    witness rows ``(terms, scale)`` first, then the draws of the cut rows
+    in order, all lifted to the scales' least common multiple (int64 while
+    it fits in 62 bits, as ``BoundarySampler.terms``)."""
+    drawn, den = sampler.terms(block, cuts)
+    if not witnesses:
+        return drawn, den
+    scale = math.lcm(den, *(s for _, s in witnesses))
+    if scale >= 1 << 62:
+        drawn = drawn.astype(object)
+    lifted = np.array([[t * (scale // s) for t in w] for w, s in witnesses], drawn.dtype)
+    return np.concatenate([lifted, drawn * (scale // den)]), scale
 
 
 def _first_failure(counted: np.ndarray, passed: np.ndarray) -> tuple[int, int | None]:
@@ -248,8 +253,9 @@ def verify_theorem1(
     per-partition split products, feasible solutions, fission-resistant
     solutions (both senses), and the reversed inclusion of fusion-resistant
     partitions.  The first two and the last are exhaustive and exact; the
-    middle two are checked on random samples, judged one by one until the
-    first failure, then on witnesses plus samples judged per partition."""
+    middle two are checked on random samples read in order up to the first
+    failure, then on witnesses plus samples, each distinct block's
+    candidates judged at once."""
     if g1.n != g2.n:
         raise DimensionMismatch(f"games on {g1.n} and {g2.n} players")
     n = g1.n
@@ -280,54 +286,103 @@ def verify_theorem1(
         )
     )
 
-    # (3) feasible solutions transfer, sampled; each draw is judged under
-    # g2 block by block, exact pairs straight from its integer terms
-    sample = boundary_sampler(g1)
-    rational = g1.mode == g2.mode == EXACT
-    checked = 0
-    failures = []
-    for _ in range(samples):
+    # (3) feasible solutions transfer, sampled: all draws are taken first,
+    # each distinct block's draws judged under g2 at once, and the first
+    # failure read in sample order; a failure replays the draws up to it,
+    # so claim 4 takes the rng where the one-by-one loop would have stopped.
+    # A singleton's one split, the share 1, passes under every game, so
+    # singletons are not judged (here and in claim 4)
+    sampler = BoundarySampler(g1)
+    state = rng.getstate()
+    drawn = []
+    for j in range(samples):
         partition = parts[rng.randrange(len(parts))]
-        drawn = _draw(sample, partition, rng)
-        if drawn is None:
-            continue
-        checked += 1
-        if not all(block_feasible(g2, b, *d, rational) for b, d in zip(partition, drawn)):
-            point = _fmt_point(_row_point(n, partition, drawn))
-            failures.append(f"partition {partition} point {point}")
-            break
+        cuts = sampler.cuts(partition, rng)
+        if cuts is not None:
+            drawn.append((j, partition, cuts))
+    at: dict[int, list] = {}  # per block: the draws holding it, and their cuts
+    rows: dict[int, list] = {}
+    for d, (_, partition, cuts) in enumerate(drawn):
+        for block, c in zip(partition, cuts):
+            if block & (block - 1):
+                at.setdefault(block, []).append(d)
+                rows.setdefault(block, []).extend(c)
+    passed, matrices = np.ones(len(drawn), bool), {}
+    for block, where in at.items():
+        terms, scale = matrices[block] = sampler.terms(block, rows[block])
+        passed[where] &= _judge_block(g1, g2, block, terms, scale, (False, True), False)[1][0]
+    checked, bad = _first_failure(np.ones(len(drawn), bool), passed)
+    failures = []
+    if bad is not None:
+        j, partition, _ = drawn[bad]
+        picked = {b: (*matrices[b], at[b].index(bad)) for b in partition if b in at}
+        point = _point(n, sampler, partition, picked)
+        failures.append(f"partition {partition} point {point}")
+        rng.setstate(state)
+        for _ in range(j + 1):
+            sampler.cuts(parts[rng.randrange(len(parts))], rng)
     claims.append(
         ClaimResult("feasible-solutions", not failures, f"sampled({checked})", "; ".join(failures))
     )
 
-    # (4) fission-resistant solutions transfer, witnesses plus samples; all
-    # candidates of a partition are judged at once, under both games and
-    # both kinds, and each kind reads off its rows in order; candidates are
-    # g1-feasible by construction, so only g2 feasibility is judged
+    # (4) fission-resistant solutions transfer, witnesses plus samples.  Each
+    # distinct block's candidates are judged at once, under both games and
+    # both kinds: its own region witnesses (one per kind with a nonempty
+    # region), then its draws from every partition that contains it.  A
+    # partition ANDs its blocks' slices, and each kind reads off its rows
+    # in order, the patched witness first when every block has one (a
+    # singleton's region always has).  Candidates are g1-feasible by
+    # construction, so only g2 feasibility is judged
     table = BlockTable(g1, canonical_witness=False)
+    live = [p for p in parts if not any(boundary_empty(g1, b) for b in p)]
+    counts, cuts = [], {}
+    for partition in live:
+        drawn = sampler.cuts(partition, rng, samples)
+        counts.append(0 if drawn is None else samples)
+        for block, c in zip(partition, drawn or [[]] * len(partition)):
+            if block & (block - 1):
+                cuts.setdefault(block, []).extend(c)
+    # per block: its matrix and scale, its witness row per kind, and per
+    # kind the rows counted (g1-fission-resistant) and passed (under g2)
+    judged, offset = {}, {}
+    for block, cut_rows in cuts.items():
+        witnesses, picks = [], {}
+        for kind in (STRONG, WEAK):
+            region = table[block, kind]
+            if region.status == NONEMPTY:
+                picks[kind] = len(witnesses)
+                witnesses.append(share_terms(g1, region.witness))
+        terms, scale = _block_matrix(sampler, block, witnesses, cut_rows)
+        (_, fission1), (feasible2, fission2) = _judge_block(
+            g1, g2, block, terms, scale, (False, True)
+        )
+        verdicts = {kind: (fission1[kind], feasible2 & fission2[kind]) for kind in (STRONG, WEAK)}
+        judged[block] = terms, scale, picks, verdicts
+        offset[block] = len(witnesses)
     checked = {STRONG: 0, WEAK: 0}
     failures = []
-    for partition in parts:
-        if any(boundary_empty(g1, b) for b in partition):
-            continue
-        drawn = [_draw(sample, partition, rng) for _ in range(samples)]
-        rows, pick = [], {}
+    for partition, count in zip(live, counts):
+        blocks = [b for b in partition if b in judged]
         for kind in (STRONG, WEAK):
-            patched = table.patched(partition, kind)
-            pick[kind] = [len(rows)] if patched.status == NONEMPTY else []
-            if pick[kind]:
-                w = patched.witness
-                rows.append([share_terms(g1, [w[i] for i in members(b)]) for b in partition])
-        first = len(rows)
-        rows += [d for d in drawn if d is not None]
-        (_, fission1), (feasible2, fission2) = _judge_rows(g1, g2, partition, rows, False)
-        for kind in (STRONG, WEAK):
-            at = pick[kind] + list(range(first, len(rows)))
-            count, bad = _first_failure(fission1[kind][at], (feasible2 & fission2[kind])[at])
-            checked[kind] += count
+            witness = all(kind in judged[b][2] for b in blocks)
+            counted, passed = np.ones(witness + count, bool), np.ones(witness + count, bool)
+            for b in blocks:
+                _, _, picks, verdicts = judged[b]
+                fission1, ok = verdicts[kind]
+                counted[witness:] &= fission1[offset[b] : offset[b] + count]
+                passed[witness:] &= ok[offset[b] : offset[b] + count]
+                if witness:
+                    counted[0] &= fission1[picks[kind]]
+                    passed[0] &= ok[picks[kind]]
+            got, bad = _first_failure(counted, passed)
+            checked[kind] += got
             if bad is not None:
-                point = _fmt_point(_row_point(n, partition, rows[at[bad]]))
+                row = {b: judged[b][2][kind] if bad < witness else offset[b] + bad - witness
+                       for b in blocks}
+                point = _point(n, sampler, partition, {b: (*judged[b][:2], row[b]) for b in blocks})
                 failures.append(f"{kind} partition {partition} point {point}")
+        for b in blocks:
+            offset[b] += count
     claims.append(
         ClaimResult(
             "fission-resistant-solutions",
@@ -415,15 +470,13 @@ def verify_corollary(
     region = core_region(g1, WEAK, canonical_witness=False)
     if region.status == NONEMPTY:
         points.append(region.witness)
-    rows = [[share_terms(g1, f)] for f in points]
-    sample = boundary_sampler(g1)
-    for _ in range(samples):
-        drawn = sample(g1.grand, rng)
-        if drawn is not None:
-            rows.append([drawn])
-    (feasible1, fission1), (feasible2, fission2) = _judge_rows(g1, g2, grand, rows)
+    sampler = BoundarySampler(g1)
+    cuts = sampler.cuts(grand, rng, samples)
+    witnesses = [share_terms(g1, f) for f in points]
+    terms, scale = _block_matrix(sampler, g1.grand, witnesses, cuts[0] if cuts else [])
+    (feasible1, fission1), (feasible2, fission2) = _judge_block(g1, g2, g1.grand, terms, scale)
     checked, bad = _first_failure(feasible1 & fission1[WEAK], feasible2 & fission2[WEAK])
-    failures = [] if bad is None else [_fmt_point(_row_point(n, grand, rows[bad]))]
+    failures = [] if bad is None else [_point(n, sampler, grand, {g1.grand: (terms, scale, bad)})]
     claims.append(
         ClaimResult(
             "weak-core-inclusion",

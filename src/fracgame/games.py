@@ -19,7 +19,9 @@ import math
 import string
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .errors import DimensionMismatch, InvalidGameError, InvalidPartition
 
@@ -367,55 +369,111 @@ def to_absolute(game: Game, shares: Sequence) -> tuple:
     return tuple(f * v_n for f in shares)
 
 
-def boundary_sampler(game: Game) -> Callable[[int, object], tuple | None]:
-    """Draws from the coalitions' split sets, bound to one game: each draw
-    is ``(terms, scale)`` with share j equal to ``terms[j] / scale``, or
-    None when the split set is empty.  Exact games draw integer terms over
-    ``v(C)*2^20`` (v(C) scaled to an integer), float games their float
-    shares over 1, and singletons the share 1 over 1.  Each coalition's lower
-    bounds and leftover are derived on its first draw and reused after, and
-    every draw takes the same rng values as ``sample_boundary``."""
-    exact = game.mode == EXACT
-    grain = 1 << 20
-    bounds = {}
+class BoundarySampler:
+    """Draws from the coalitions' split sets, bound to one game, in two
+    steps.  ``cuts`` takes the rng values of draws over a run of blocks, in
+    the order one draw after another takes them; ``terms`` turns a block's
+    cut rows into the draws' terms, one matrix over one scale: row r, column
+    j is share j of draw r times the scale.  Exact games draw integer terms
+    over ``v(C)*2^20`` (v(C) scaled to an integer), float games their float
+    shares over 1, and singletons the share 1 over 1.  Each coalition's
+    lower bounds and leftover are derived on its first draw and reused
+    after; calling the sampler makes the one draw ``(terms, scale)`` that
+    ``sample_boundary`` makes, from the same rng values, or None when the
+    split set is empty."""
 
-    def derive(coalition: int):
-        mem = members(coalition)
-        v_c = game.values[coalition]
-        if exact:
+    GRAIN = 1 << 20
+
+    def __init__(self, game: Game):
+        self.game = game
+        self.exact = game.mode == EXACT
+        self.bounds: dict[int, tuple] = {}
+        self.plans: dict[tuple, tuple] = {}
+
+    def _bounds(self, coalition: int) -> tuple:
+        """``(lower, scale, leftover, count)``: the members' lower bounds,
+        as integer terms over ``scale`` on exact games and as floats
+        otherwise; the leftover share above them (scaled terms on exact
+        games); and the number of rng values a draw takes, None when the
+        split set is empty.  Cached per coalition."""
+        found = self.bounds.get(coalition)
+        if found is not None:
+            return found
+        game, mem, grain = self.game, members(coalition), self.GRAIN
+        v_c, count = game.values[coalition], len(mem) - 1
+        if count == 0:
+            found = ((1 if self.exact else 1.0,), 1, 0, 0)
+        elif self.exact:
             (whole, *lone), _ = integer_terms([v_c, *(game.values[1 << i] for i in mem)])
-            return [a * grain for a in lone], whole * grain, whole - sum(lone)
-        lbs = [game.values[1 << i] / v_c for i in mem]
-        total = sum(lbs)
-        return lbs, total, 1.0 - total
+            rest = whole - sum(lone)
+            found = ([a * grain for a in lone], whole * grain, rest, count if rest >= 0 else None)
+        else:
+            lbs = [game.values[1 << i] / v_c for i in mem]
+            total = sum(lbs)
+            s = 1.0 - total
+            if s < 0:  # degenerate within tolerance: the bounds themselves
+                count = 0 if geq(1.0, total, game.tol) else None
+            found = (lbs, 1, s, count)
+        self.bounds[coalition] = found
+        return found
 
-    def sample(coalition: int, rng) -> tuple | None:
-        k = coalition.bit_count()
-        if k == 1:
-            return ((1,) if exact else (1.0,)), 1
-        found = bounds.get(coalition)
-        if found is None:
-            found = bounds[coalition] = derive(coalition)
-        if exact:
-            lone, den, rest = found
-            if rest < 0:
-                return None
-            if k == 2:  # a pair block: one cut, nothing to sort
-                cut = rng.randrange(grain + 1)
-                return (lone[0] + rest * cut, lone[1] + rest * (grain - cut)), den
-            cuts = sorted(rng.randrange(grain + 1) for _ in range(k - 1))
-            cuts = [0] + cuts + [grain]
-            return tuple(a + rest * (cuts[j + 1] - cuts[j]) for j, a in enumerate(lone)), den
-        lbs, total, s = found
-        if s < 0:
-            if geq(1.0, total, game.tol):
-                return tuple(lbs), 1
+    def cuts(self, blocks: Sequence[int], rng, rows: int = 1) -> list | None:
+        """The rng values of ``rows`` draws on each of the blocks in turn,
+        as one list of ``rows`` cut lists per block: k-1 ``randrange(2^20+1)``
+        cuts per k-member block on exact games, k-1 ``random()`` cuts on
+        float games, none for a singleton or a float block whose bounds
+        already sum to 1 within tolerance.  None when a block's split set is
+        empty, after each draw's earlier blocks took their cuts."""
+        plan = self.plans.get(blocks)
+        if plan is None:
+            counts = [self._bounds(block)[3] for block in blocks]
+            empty = None in counts
+            counts = counts[: counts.index(None)] if empty else counts
+            plan = self.plans[blocks] = counts, sum(counts), empty
+        counts, total, empty = plan
+        if self.exact:
+            top = self.GRAIN + 1
+            flat = [rng.randrange(top) for _ in range(total * rows)]
+        else:
+            flat = [rng.random() for _ in range(total * rows)]
+        if empty:
             return None
-        cuts = sorted(rng.random() for _ in range(k - 1))
-        cuts = [0.0] + cuts + [1.0]
-        return tuple(lb + s * (cuts[j + 1] - cuts[j]) for j, lb in enumerate(lbs)), 1
+        starts = range(0, total * rows, total) if total else [0] * rows
+        out, at = [], 0
+        for count in counts:
+            out.append([flat[r + at : r + at + count] for r in starts])
+            at += count
+        return out
 
-    return sample
+    def terms(self, coalition: int, cuts: Sequence) -> tuple[np.ndarray, int]:
+        """The draws of one block's cut lists (from ``cuts``) on the
+        coalition, as one matrix of terms over one scale: share j of a draw
+        is ``lower_j + leftover * gap_j``, with the sorted cuts splitting the
+        grain (2^20, or 1.0 on float games) into gaps.  Exact terms, which
+        lie between 0 and the scale, are int64 when the scale fits in 62
+        bits and Python ints otherwise; float terms are Python floats."""
+        lower, scale, rest, count = self._bounds(coalition)
+        narrow = self.exact and scale < 1 << 62
+        out = np.empty((len(cuts), len(lower)), np.int64 if narrow else object)
+        if count == 0 or not cuts:  # a singleton or a degenerate float block
+            out[:] = lower
+            return out, scale
+        ends = np.sort(np.array(cuts, np.int64 if self.exact else float), axis=1)
+        gaps = np.empty(out.shape, ends.dtype)
+        gaps[:, 0] = ends[:, 0]
+        gaps[:, 1:-1] = ends[:, 1:] - ends[:, :-1]
+        gaps[:, -1] = (self.GRAIN if self.exact else 1.0) - ends[:, -1]
+        if self.exact and not narrow:
+            gaps = gaps.astype(object)
+        out[:] = gaps * rest + np.array(lower, out.dtype if self.exact else float)
+        return out, scale
+
+    def __call__(self, coalition: int, rng) -> tuple | None:
+        drawn = self.cuts((coalition,), rng)
+        if drawn is None:
+            return None
+        terms, scale = self.terms(coalition, drawn[0])
+        return tuple(terms[0].tolist()), scale
 
 
 def draw_shares(terms: Sequence, scale: int) -> tuple:
@@ -434,10 +492,10 @@ def sample_boundary(game: Game, coalition: int, rng) -> tuple | None:
     a_j and v(C) scaled to integers, share j is
     (a_j*2^20 + rest*gap_j) / (v(C)*2^20), where rest = v(C) - sum(a) and
     the gaps split 2^20.  Float games get Dirichlet-uniform float samples.
-    Repeated draws from one game go through ``boundary_sampler``, which
+    Repeated draws from one game go through ``BoundarySampler``, which
     gives exact samples as integer terms without building Fractions.
     """
-    drawn = boundary_sampler(game)(coalition, rng)
+    drawn = BoundarySampler(game)(coalition, rng)
     return None if drawn is None else draw_shares(*drawn)
 
 

@@ -33,6 +33,7 @@ from .games import (
     FLOAT,
     MAX_PLAYERS,
     Game,
+    _check_players,
     coalition_from_label,
     coalitions,
     default_players,
@@ -618,17 +619,37 @@ def _field_knots(raw, name: str) -> list[tuple[float, float]]:
 
 
 def _field_players(data: Mapping, default=None) -> tuple[str, ...]:
-    """The 'players' list, else default.  Without a default the list must
-    hold data['n'] players, the first n letters unless given."""
+    """The 'players' list, else default, held to the game files' name rule
+    (``games._check_players``).  Without a default the list must hold
+    data['n'] players, the first n letters unless given."""
     if default is None:
         n = _check_player_count(_field(data["n"], "n", int))
         players = _field_players(data, default_players(n))
         if len(players) != n:
             raise ScenarioError(f"expected {n} players, got {len(players)}")
         return players
-    if "players" not in data:
-        return tuple(default)
-    return tuple(str(p) for p in _field(data["players"], "players", list))
+    if "players" in data:
+        default = [str(p) for p in _field(data["players"], "players", list)]
+    try:
+        return _check_players(default, len(default))
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from None
+
+
+def _field_coalitions(raw: Mapping, name: str, players) -> dict:
+    """The entries of the object ``raw`` keyed by the coalitions their labels
+    spell; an unknown or repeated player, or a coalition spelled twice, is a
+    ScenarioError naming the field ``name.label``."""
+    out = {}
+    for label, entry in raw.items():
+        try:
+            mask = coalition_from_label(label, players)
+        except ValueError as exc:
+            raise ScenarioError(f"{name}.{label}: {exc}") from None
+        if mask in out:
+            raise ScenarioError(f"{name}.{label}: coalition listed twice")
+        out[mask] = label, entry
+    return out
 
 
 def meanstd_from_dict(data: Mapping) -> tuple[MeanStdScenario, tuple[str, ...]]:
@@ -646,8 +667,8 @@ def meanstd_from_dict(data: Mapping) -> tuple[MeanStdScenario, tuple[str, ...]]:
         raw = dict(_field(data["phi"], "phi", Mapping))
         default = _field(raw.pop("default", 1.0), "phi.default")
         phi = {c: default for c in coalitions(n)}
-        for label, factor in raw.items():
-            phi[coalition_from_label(label, players)] = _field(factor, f"phi.{label}")
+        for c, (label, factor) in _field_coalitions(raw, "phi", players).items():
+            phi[c] = _field(factor, f"phi.{label}")
     return MeanStdScenario(n, mu, sigma, r, phi), players
 
 
@@ -709,8 +730,8 @@ def cvar_scenario_from_dict(
         if not players:
             raise ScenarioError("cannot determine the player list")
         curves = {
-            coalition_from_label(label, players): _curve_from_entry(entry, f"curves.{label}")
-            for label, entry in raw.items()
+            c: _curve_from_entry(entry, f"curves.{label}")
+            for c, (label, entry) in _field_coalitions(raw, "curves", players).items()
         }
         return curves, density, players
     if "n" in data:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cache, reduce
+from functools import cache
 from itertools import combinations
 from typing import Iterator, Sequence
 
@@ -31,7 +31,6 @@ from .games import (
     boundary_empty,
     check_partition,
     coalition_label,
-    draw_shares,
     geq,
     integer_terms,
     json_number,
@@ -96,19 +95,6 @@ def _covers(game: Game, block: int, piece: int, table) -> bool:
     """Whether the piece's in-block share covers its value."""
     sums, scale = table
     return geq(game.values[block] * sums[piece], game.values[piece] * scale, game.tol)
-
-
-def block_feasible(game: Game, block: int, terms: Sequence, scale: int, rational: bool) -> bool:
-    """``boundary_contains`` for one block's shares ``terms[j] / scale``.
-    Rational terms (integers under an exact game) are read off without the
-    shares: they sum to ``scale`` and each covers its member's lower bound
-    (so none exceeds ``scale``)."""
-    if not rational:
-        return boundary_contains(game, block, draw_shares(terms, scale))
-    v_b, values = game.values[block], game.values
-    return sum(terms) == scale and all(
-        v_b * t >= values[1 << i] * scale for i, t in zip(members(block), terms)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -195,55 +181,84 @@ def block_verdicts(
     scale: int,
     rational: bool,
     feasible: Sequence[bool] | None = None,
+    fission: bool = True,
 ) -> list:
-    """``block_feasible`` and ``fission_resistant_by_table`` on one block,
-    for many allocations at once: row r of the object array ``terms`` holds
-    one allocation's terms on the block's members, over ``scale`` (1 unless
-    ``rational``).  The sums follow ``share_table`` and each element goes
-    through the scalar predicates' Python operation.  Returns, per game, the
-    bool arrays ``(feasible, {STRONG: ..., WEAK: ...})`` over the rows.
+    """``boundary_contains`` and ``fission_resistant_by_table`` on one
+    block, for many allocations at once: row r of the array ``terms``
+    (object, or int64, kept only while every product fits) holds one
+    allocation's terms on the block's members, over ``scale`` (1 unless
+    ``rational``).  The sums follow ``share_table`` and each element is
+    compared as the scalar predicates compare it: exactly, or by tolerant
+    ``geq`` on float games.  Rational terms (integers under an exact game)
+    are feasible when they sum to the scale and each covers its member's
+    lower bound (so none exceeds the scale).  Returns, per game, the bool
+    arrays ``(feasible, {STRONG: ..., WEAK: ...})`` over the rows.
     ``feasible`` says per game whether its feasibility is read (default:
-    every game's); one that is not is None."""
+    every game's); one that is not is None, and so are the fission verdicts
+    without ``fission``."""
     mem = members(block)
     count, full = len(terms), (1 << len(mem)) - 1
-    sums, ones, judged = subset_sums(terms.T, full), np.ones(count, bool), []
-    pieces = [(piece, remap(piece, mem)) for piece in range(1, full)]
+    outer = [remap(piece, mem) for piece in range(full + 1)]
+    if terms.dtype != object and not _fits_int64(games, outer[1:], terms, scale):
+        terms = terms.astype(object)
+    sums = subset_sums(terms.T, full) if fission else None
+    ones, judged = np.ones(count, bool), []
     for game, read in zip(games, feasible or [True] * len(games)):
-        values, v_b, tol, covered = game.values, game.values[block], game.tol, {}
-        for piece, outer in pieces:
-            lhs, rhs = v_b * sums[piece], values[outer] * scale
+        values, v_b, tol = game.values, game.values[block], game.tol
+        if not read:
+            feasibility = None
+        elif rational:
+            lone = [values[1 << i] * scale for i in mem]
+            feasibility = (v_b * terms >= lone).all(axis=1) & (terms.sum(axis=1) == scale)
+        else:
+            feasibility = np.fromiter(
+                (boundary_contains(game, block, f) for f in terms.tolist()), bool, count
+            )
+        if not fission:
+            judged.append((feasibility, None))
+            continue
+        covered = {}
+        for piece in range(1, full):
+            lhs, rhs = v_b * sums[piece], values[outer[piece]] * scale
             covered[piece] = (
                 np.fromiter((geq(x, rhs, tol) for x in lhs), bool, count) if tol else lhs >= rhs
             )
-        if not read:
-            feasibility = None
-        elif rational:  # the block sums to the scale and covers each member
-            singles = [covered[1 << j] for j in range(len(mem))] if full > 1 else []
-            feasibility = reduce(np.logical_and, singles, sums[full] == scale)
-        else:
-            shares = terms.tolist()
-            feasibility = np.fromiter(
-                (boundary_contains(game, block, f) for f in shares), bool, count
-            )
-
-        @cache
-        def splits(mask: int) -> np.ndarray:
-            # _blocking_split's recursion, over bool arrays
-            if not mask:
-                return ones
-            low = mask & -mask
-            rest = sub = mask ^ low
-            got = np.zeros(count, bool)
-            while sub:
-                if sub | low != full:
-                    got |= ~covered[sub | low] & splits(mask ^ sub ^ low)
-                sub = (sub - 1) & rest
-            return got
-
-        strong = reduce(np.logical_and, covered.values(), ones)
-        weak = ~splits(full) if len(mem) > 3 else ones
+        strong = ones.copy()
+        for verdict in covered.values():
+            strong &= verdict
+        weak = ~_blocking_splits(full, full, covered, {0: ones}) if len(mem) > 3 else ones
         judged.append((feasibility, {STRONG: strong, WEAK: weak}))
     return judged
+
+
+def _fits_int64(games: Sequence[Game], masks: Sequence[int], terms, scale: int) -> bool:
+    """Whether a non-object ``terms`` matrix can be judged as it is: the
+    games compare exactly (no tolerance), every value they hold on the masks
+    is an int, and its products with the scale and with any sum of a row's
+    terms stay below 2^63."""
+    values = [game.values[c] for game in games for c in masks]
+    if any(game.tol for game in games) or not all(type(v) is int for v in values):
+        return False
+    top = terms.shape[1] * int(np.abs(terms).max()) if terms.size else 0
+    return max(map(abs, values)) * max(top, scale) < 1 << 63
+
+
+def _blocking_splits(mask: int, full: int, covered: dict, memo: dict) -> np.ndarray:
+    """``_blocking_split``'s recursion over bool arrays: per row, whether
+    ``mask`` splits into pieces of two or more members, none of them the
+    block ``full``, that all block (``covered`` false); memoized in
+    ``memo``, which starts as ``{0: all true}``."""
+    got = memo.get(mask)
+    if got is None:
+        low = mask & -mask
+        rest = sub = mask ^ low
+        got = np.zeros(len(memo[0]), bool)
+        while sub:
+            if sub | low != full:
+                got |= ~covered[sub | low] & _blocking_splits(mask ^ sub ^ low, full, covered, memo)
+            sub = (sub - 1) & rest
+        memo[mask] = got
+    return got
 
 
 def fusion_resistant(game: Game, partition: Sequence[int]) -> bool:

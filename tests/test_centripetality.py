@@ -28,12 +28,14 @@ from fracgame.risk import (
     build_meanstd_game,
     default_uniform_family,
 )
-from fracgame.games import boundary_sampler
+from fracgame.games import BoundarySampler, boundary_empty, solution_feasible
+from fracgame.partitions import enumerate_partitions
 from fracgame.stability import core_system
 from fracgame.linfeas import vertices
 from conftest import (
     cut_game,
     naive_corollary_weak_claim,
+    naive_sample_solution,
     naive_theorem_sampled_claims,
     random_exact_game,
 )
@@ -342,6 +344,101 @@ def test_fission_claim_fails_on_the_witness_row_alone():
     assert claim.detail == "strong partition (7,) point (1/3, 1/3, 1/3)"
 
 
+def _pair_modes(g1, g2):
+    """The pair, its float copy and both mixed pairs."""
+    f1, f2 = _float_copy(g1), _float_copy(g2)
+    return [(g1, g2), (f1, f2), (g1, f2), (f1, g2)]
+
+
+def _assert_matches_naive_loops(g1, g2, samples, seed):
+    got = verify_theorem1(g1, g2, samples=samples, seed=seed).to_dict()
+    assert got == _theorem_report_with_naive_sampled_claims(g1, g2, samples, seed)
+    got = verify_corollary(g1, g2, samples=samples, seed=seed).to_dict()
+    assert got == _corollary_report_with_naive_weak_claim(g1, g2, samples, seed)
+
+
+@pytest.mark.parametrize("samples", [0, 1, 5, 50])
+def test_per_block_matrices_match_naive_loops(samples):
+    # each distinct block judged once per pair, against the references that
+    # judge one candidate at a time: one to five players, ordered pairs
+    # (whose split sets are often empty) and unordered ones, each exact,
+    # float and mixed both ways
+    rng = random.Random(1900 + samples)
+    pairs = []
+    for n in range(1, 6):
+        pairs += _pair_modes(*generate_ordered_pair(rng.randrange(1 << 30), n))
+        if n < 5:
+            pairs += _pair_modes(random_exact_game(rng, n), random_exact_game(rng, n))
+    for g1, g2 in pairs:
+        _assert_matches_naive_loops(g1, g2, samples, 3)
+
+
+@pytest.mark.parametrize("factor", [1 << 21, 1 << 40])
+def test_per_block_matrices_past_the_int64_range(factor):
+    # scaling both games by one factor keeps every verdict; at 2^21 the
+    # draws' terms still fit in int64 but their products with the values do
+    # not, at 2^40 the terms themselves do not, and both go through Python
+    # ints
+    rng = random.Random(factor)
+    for n in (3, 4):
+        for g1, g2 in (generate_ordered_pair(rng.randrange(1 << 30), n),
+                       (random_exact_game(rng, n), random_exact_game(rng, n))):
+            big = [make_game(n, {c: g.values[c] * factor for c in range(1, 1 << n)})
+                   for g in (g1, g2)]
+            _assert_matches_naive_loops(*big, 25, 3)
+            scaled = verify_theorem1(*big, samples=25, seed=3).to_dict()
+            assert scaled == verify_theorem1(g1, g2, samples=25, seed=3).to_dict()
+
+
+def test_a_partition_whose_draw_ends_at_an_empty_block():
+    # pair 3's partition (3, 12): the pair 3 has a split set, 12 has none,
+    # so each claim-3 draw of it takes one cut and then reads None
+    g1, g2 = generate_ordered_pair(3, 4)
+    assert not boundary_empty(g1, 3) and boundary_empty(g1, 12)
+    rng, replay = random.Random(7), random.Random(7)
+    assert BoundarySampler(g1).cuts((3, 12), rng, 2) is None
+    replay.randrange((1 << 20) + 1), replay.randrange((1 << 20) + 1)
+    assert rng.getstate() == replay.getstate()
+    for pair in _pair_modes(g1, g2):
+        for samples in (5, 50):
+            _assert_matches_naive_loops(*pair, samples, 3)
+
+
+def _claim_three_failure(g1, g2, samples, seed):
+    """The index of the sample at which claim 3 fails, by the naive loop."""
+    rng, parts = random.Random(seed), list(enumerate_partitions(g1.n))
+    for j in range(samples):
+        partition = parts[rng.randrange(len(parts))]
+        f = naive_sample_solution(g1, partition, rng)
+        if f is not None and not solution_feasible(g2, partition, f):
+            return j
+    return None
+
+
+@pytest.mark.parametrize("seed, at", [(6, 0), (0, 4)])
+def test_claim_three_failing_at_its_first_or_last_sample(seed, at):
+    # the first failure sits at sample 0 (claim 4 replays one draw) or at
+    # the last of five (nothing to replay)
+    rng = random.Random(seed)
+    g1, g2 = random_exact_game(rng, 3), random_exact_game(rng, 3)
+    assert _claim_three_failure(g1, g2, 5, 3) == at
+    assert not verify_theorem1(g1, g2, samples=5, seed=3).claims[2].passed
+    for pair in _pair_modes(g1, g2):
+        _assert_matches_naive_loops(*pair, 5, 3)
+
+
+def test_witness_rows_count_only_when_every_block_has_one():
+    # pair 0 at five players: the partition (11, 20) has a nonempty strong
+    # region on its pair block 20 but an empty one on its triple 11, so its
+    # patched witness does not exist and must not be counted
+    g1, g2 = generate_ordered_pair(0, 5)
+    table = stability.BlockTable(g1, canonical_witness=False)
+    assert [table[b, STRONG].status for b in (11, 20)] == ["empty", "nonempty"]
+    assert not any(boundary_empty(g1, b) for b in (11, 20))
+    for pair in _pair_modes(g1, g2):
+        _assert_matches_naive_loops(*pair, 5, 3)
+
+
 def test_verdict_arrays_are_bool():
     # numpy's ``~`` on an object array of Python bools is bitwise, so every
     # verdict the harness combines must have bool dtype
@@ -349,14 +446,21 @@ def test_verdict_arrays_are_bool():
     partitions = [(15,), (3, 12), (1, 2, 4, 8), (7, 8)]
     for pair in ((g1, g2), (_float_copy(g1), _float_copy(g2)), (g1, _float_copy(g2)),
                  (_float_copy(g1), g2)):
-        sample = boundary_sampler(pair[0])
+        sampler = BoundarySampler(pair[0])
         rng = random.Random(4)
+        judged = 0
         for partition in partitions:
-            rows = [centripetality._draw(sample, partition, rng) for _ in range(6)]
-            rows = [row for row in rows if row is not None]
-            for feasible, fission in centripetality._judge_rows(*pair, partition, rows):
-                assert feasible.dtype == bool and len(feasible) == len(rows)
-                assert all(v.dtype == bool and len(v) == len(rows) for v in fission.values())
+            # a partition with an empty split set draws nothing
+            for block, cuts in zip(partition, sampler.cuts(partition, rng, 6) or ()):
+                judged += 1
+                terms, scale = sampler.terms(block, cuts)
+                for feasible, fission in centripetality._judge_block(*pair, block, terms, scale):
+                    assert feasible.dtype == bool and len(feasible) == len(terms) == 6
+                    assert all(v.dtype == bool and len(v) == 6 for v in fission.values())
+                read = (False, True)
+                second = centripetality._judge_block(*pair, block, terms, scale, read, False)
+                assert second[1][0].dtype == bool and len(second[1][0]) == 6
+        assert judged >= 5
     terms = np.array([[1, 2], [2, 1]], dtype=object)
     for feasible, fission in stability.block_verdicts((g1, g2), 3, terms, 3, True):
         assert feasible.dtype == bool and all(v.dtype == bool for v in fission.values())
@@ -365,19 +469,21 @@ def test_verdict_arrays_are_bool():
 def test_theorem_judges_feasibility_under_the_second_game_only(monkeypatch):
     # claim 4's candidates are feasible under g1 by construction; on a float
     # g1 judging that anyway would run boundary_contains per row and block
-    g1, g2 = generate_ordered_pair(5, 4)
-    partition = (1, 14)
+    # (pair 16 has no empty split set, so every block draws)
+    g1, g2 = generate_ordered_pair(16, 4)
     for pair in ((g1, g2), (_float_copy(g1), _float_copy(g2)), (g1, _float_copy(g2)),
                  (_float_copy(g1), g2)):
-        sample, rng = boundary_sampler(pair[0]), random.Random(4)
-        rows = [centripetality._draw(sample, partition, rng) for _ in range(6)]
-        rows = [row for row in rows if row is not None]
-        both = centripetality._judge_rows(*pair, partition, rows)
-        (none, fission1), second = centripetality._judge_rows(*pair, partition, rows, False)
-        assert none is None and second[0].tolist() == both[1][0].tolist()
-        for kind in (STRONG, WEAK):
-            assert fission1[kind].tolist() == both[0][1][kind].tolist()
-            assert second[1][kind].tolist() == both[1][1][kind].tolist()
+        sampler, rng = BoundarySampler(pair[0]), random.Random(4)
+        for block in (1, 14, 15):
+            terms, scale = sampler.terms(block, sampler.cuts((block,), rng, 6)[0])
+            both = centripetality._judge_block(*pair, block, terms, scale)
+            (none, fission1), second = centripetality._judge_block(
+                *pair, block, terms, scale, (False, True)
+            )
+            assert none is None and second[0].tolist() == both[1][0].tolist()
+            for kind in (STRONG, WEAK):
+                assert fission1[kind].tolist() == both[0][1][kind].tolist()
+                assert second[1][kind].tolist() == both[1][1][kind].tolist()
     f1, f2 = _float_copy(g1), _float_copy(g2)
     original = stability.boundary_contains
 

@@ -346,6 +346,12 @@ def test_size_cliff_errors_exit_2(super3_path, monkeypatch, capsys, error):
         ("scenario-meanstd", '{"n": 3, "mu": 1.0, "sigma": 0.5, "r": 0.5, "phi": 3}'),
         ("scenario-meanstd", '{"n": 3, "mu": 1.0, "sigma": 0.5, "r": 0.5, "players": 5}'),
         ("scenario-meanstd", '{"n": 1e400, "mu": 1.0, "sigma": 0.5, "r": 0.5}'),
+        (
+            "scenario-meanstd",
+            '{"n": 2, "mu": 1.0, "sigma": 0.5, "r": 0.5, "players": [" a", "b"],'
+            ' "phi": {"a": 1.1}}',
+        ),
+        ("scenario-meanstd", '{"n": 2, "mu": 1.0, "sigma": 0.5, "r": 0.5, "phi": {"z": 1.1}}'),
         ("scenario-cvar", '{"n": 26, "density": {"beta_a": 2}}'),
         ("scenario-meanstd", '{"n": 26, "mu": 1.0, "sigma": 0.5, "r": 0.5}'),
         ("scenario-cvar", '{"n": 2, "density": {"beta_a": 2, "knot_count": 1000000000}}'),
@@ -398,6 +404,65 @@ def test_refused_scenario_values_exit_like_mistyped_fields(tmp_path, capsys, sce
     path = tmp_path / "scen.json"
     path.write_text(json.dumps(scenario))
     assert run(["scenario-cvar", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == message + "\n" and not captured.out
+
+
+_MEANSTD = {"n": 2, "mu": 1.0, "sigma": 0.5, "r": 0.5}
+_CURVE = [[0, 1], [1, 2]]
+
+
+@pytest.mark.parametrize(
+    "command, scenario, message",
+    [
+        (
+            "scenario-meanstd",
+            {**_MEANSTD, "players": [" a", "b"], "phi": {"a": 1.1}},
+            "player name ' a' may not be empty, contain ',' or '|', "
+            "or start or end with whitespace",
+        ),
+        (
+            "scenario-meanstd",
+            {**_MEANSTD, "players": ["a", "a"]},
+            "players must be n distinct names",
+        ),
+        ("scenario-meanstd", {**_MEANSTD, "phi": {"z": 1.1}}, "phi.z: unknown player 'z'"),
+        (
+            "scenario-meanstd",
+            {**_MEANSTD, "phi": {"a,a": 1.1}},
+            "phi.a,a: player 'a' repeated in coalition 'a,a'",
+        ),
+        (
+            "scenario-meanstd",
+            {**_MEANSTD, "phi": {"a,b": 1.1, "b,a": 1.2}},
+            "phi.b,a: coalition listed twice",
+        ),
+        (
+            "scenario-cvar",
+            {"curves": {"a": _CURVE, "z,a": _CURVE}, "density": {"beta_a": 2}},
+            "curves.z,a: unknown player 'z'",
+        ),
+        (
+            "scenario-cvar",
+            {"curves": {"a": _CURVE, "b": _CURVE, "a,b": _CURVE, "b,a": _CURVE},
+             "density": {"beta_a": 2}},
+            "curves.b,a: coalition listed twice",
+        ),
+        (
+            "scenario-cvar",
+            {"curves": {"a ": _CURVE}, "density": {"beta_a": 2}},
+            "player name 'a ' may not be empty, contain ',' or '|', "
+            "or start or end with whitespace",
+        ),
+    ],
+)
+def test_scenario_labels_are_malformed_fields(tmp_path, capsys, command, scenario, message):
+    # player names follow the game files' rule before any label is decoded,
+    # and a label naming no player, a player twice or a coalition twice is
+    # a malformed field: exit 1 with one line naming it
+    path = tmp_path / "scen.json"
+    path.write_text(json.dumps(scenario))
+    assert run([command, str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.err == message + "\n" and not captured.out
 
@@ -515,6 +580,17 @@ def test_verify_reports_match_committed_bytes(capsys, suite):
     argv = ["verify", suite, "--pairs", "20", "--samples", "50", "--seed", "1"]
     assert run(argv) == 0
     golden = DATA / f"verify_{suite}_pairs20_samples50_seed1.json"
+    assert capsys.readouterr().out.encode("utf-8") == golden.read_bytes()
+
+
+@pytest.mark.parametrize("suite", ["theorem", "corollary"])
+def test_verify_reports_at_the_benchmark_shape_match_committed_bytes(capsys, suite):
+    # a heavy bundle as the benchmark times it (ten pairs at 50 samples:
+    # six n=4, two n=3, two n=2), as the harnesses wrote it before judging
+    # each distinct block once per pair
+    argv = ["verify", suite, "--pairs", "10", "--samples", "50", "--seed", "2058525530"]
+    assert run(argv) == 0
+    golden = DATA / f"verify_{suite}_pairs10_samples50_seed2058525530.json"
     assert capsys.readouterr().out.encode("utf-8") == golden.read_bytes()
 
 

@@ -27,7 +27,7 @@ from fracgame import (
     to_fractional,
     validate_game,
 )
-from fracgame.games import boundary_sampler, size_values
+from fracgame.games import BoundarySampler, size_values
 from conftest import naive_sample_boundary, random_exact_game, random_float_game
 
 
@@ -153,14 +153,14 @@ def test_sample_boundary_exact_empty_returns_none():
 
 def _draws_match_reference(games) -> int:
     """Draw every coalition of each game three times over, through
-    sample_boundary and through one boundary_sampler per game, against the
-    reference formula: same points, same rng draws.  A boundary_sampler
+    sample_boundary and through one BoundarySampler per game, against the
+    reference formula: same points, same rng draws.  A BoundarySampler
     draw is ``(terms, scale)``: on exact games int terms whose quotients by
     the int scale are the point, on float games the point itself over 1.
     Returns how many draws found an empty split set."""
     empty = 0
     for k, g in enumerate(games):
-        sample = boundary_sampler(g)
+        sample = BoundarySampler(g)
         fast, slow, memo = random.Random(k), random.Random(k), random.Random(k)
         for _ in range(3):
             for mask in range(1, 1 << g.n):
@@ -274,3 +274,48 @@ def test_size_values_refuses_a_value_one_ulp_off(mask):
     # the grand coalition is alone in its size
     assert (size_values(game) is None) == (mask != 15)
     assert size_values(random_exact_game(random.Random(0), 4)) is None
+
+
+def test_batched_draws_match_one_draw_at_a_time():
+    # BoundarySampler.cuts over the blocks of a partition, then terms per
+    # block, gives the points that rounds of one sample_boundary draw per
+    # block give, from the same rng values; a round that meets an empty
+    # split set ends there, and then the batch is None.  Exact and float
+    # games, and a float pair whose bounds overshoot 1 within tolerance
+    # (drawn as its bounds, without rng values)
+    from fracgame import enumerate_partitions
+    from fracgame.games import draw_shares
+
+    rng = random.Random(31)
+    games = [random_exact_game(rng, n) for n in (1, 2, 3, 4, 5) for _ in range(3)]
+    games += [random_float_game(rng, n) for n in (1, 2, 3, 4, 5) for _ in range(3)]
+    games.append(make_game(3, {1: 0.5, 2: 0.5 + 1e-12, 4: 1.0, 3: 1.0, 5: 2.0, 6: 2.0, 7: 3.0}))
+    nones = 0
+    for k, g in enumerate(games):
+        parts = list(enumerate_partitions(g.n))
+        for rows in (0, 1, 4):
+            partition = parts[rng.randrange(len(parts))]
+            batched, single = random.Random(k), random.Random(k)
+            sampler = BoundarySampler(g)
+            cuts = sampler.cuts(partition, batched, rows)
+            want = []
+            for _ in range(rows):
+                drawn = []
+                for block in partition:
+                    drawn.append(sample_boundary(g, block, single))
+                    if drawn[-1] is None:
+                        break
+                want.append(None if drawn[-1] is None else drawn)
+            assert batched.getstate() == single.getstate()
+            if cuts is None:
+                nones += rows > 0
+                assert all(w is None for w in want)
+                continue
+            for j, block in enumerate(partition):
+                terms, scale = sampler.terms(block, cuts[j])
+                assert terms.shape == (rows, block.bit_count())
+                got = [draw_shares(row, scale) for row in terms.tolist()]
+                assert got == [w[j] for w in want]
+    assert nones > 0
+    degenerate = BoundarySampler(games[-1])
+    assert degenerate.cuts((3,), random.Random(0), 5) == [[[]] * 5]
