@@ -191,12 +191,16 @@ def _boundary_included(g1: Game, g2: Game, block: int, tol: float):
 
 def _point(n: int, sampler, partition, picked: dict) -> str:
     """The allocation of a candidate, as a report prints it: ``picked``
-    maps each judged block to its term matrix, scale and the candidate's
-    row; a singleton block holds its one split, the share 1."""
+    maps each judged block to the candidate's terms on it and their scale;
+    a singleton block holds its one split, the share 1."""
     shares = [None] * n
     for block in partition:
-        terms, scale, row = picked.get(block) or (*sampler.terms(block, [()]), 0)
-        for i, x in zip(members(block), draw_shares(terms[row].tolist(), scale)):
+        if block in picked:
+            terms, scale = picked[block]
+        else:
+            lone, scale = sampler.terms(block, [()])
+            terms = lone[0].tolist()
+        for i, x in zip(members(block), draw_shares(terms, scale)):
             shares[i] = x
     return _fmt_point(shares)
 
@@ -213,25 +217,28 @@ def _judge_block(
     game whether its feasibility is judged (one that is not reads None)."""
     if g1.mode == g2.mode or g1.mode != EXACT:
         return block_verdicts((g1, g2), block, terms, scale, g1.mode == EXACT, read, fission)
-    shares = terms if scale == 1 else _fraction(terms.astype(object), scale)
+    shares = terms if scale == 1 else _fraction(terms, scale)
     return block_verdicts((g1,), block, terms, scale, True, read[:1], fission) + block_verdicts(
         (g2,), block, shares, 1, False, read[1:], fission
     )
 
 
-def _block_matrix(sampler, block: int, witnesses: list, cuts: list) -> tuple:
+def _block_matrix(sampler, block: int, witnesses: list, cuts) -> tuple:
     """One block's candidates as one term matrix over one scale: the
     witness rows ``(terms, scale)`` first, then the draws of the cut rows
-    in order, all lifted to the scales' least common multiple (int64 while
-    it fits in 62 bits, as ``BoundarySampler.terms``)."""
+    in order, all lifted to the scales' least common multiple."""
     drawn, den = sampler.terms(block, cuts)
     if not witnesses:
         return drawn, den
     scale = math.lcm(den, *(s for _, s in witnesses))
-    if scale >= 1 << 62:
-        drawn = drawn.astype(object)
-    lifted = np.array([[t * (scale // s) for t in w] for w, s in witnesses], drawn.dtype)
+    lifted = np.array([[t * (scale // s) for t in w] for w, s in witnesses], object)
     return np.concatenate([lifted, drawn * (scale // den)]), scale
+
+
+# rows judged per call in theorem claim 4: the draws of every partition are
+# held as cuts, and a block's Python-number terms and subset sums are built
+# for at most this many rows at a time
+_CHUNK = 1 << 12
 
 
 def _first_failure(counted: np.ndarray, passed: np.ndarray) -> tuple[int, int | None]:
@@ -315,7 +322,11 @@ def verify_theorem1(
     failures = []
     if bad is not None:
         j, partition, _ = drawn[bad]
-        picked = {b: (*matrices[b], at[b].index(bad)) for b in partition if b in at}
+        picked = {}
+        for b in partition:
+            if b in at:
+                terms, scale = matrices[b]
+                picked[b] = terms[at[b].index(bad)].tolist(), scale
         point = _point(n, sampler, partition, picked)
         failures.append(f"partition {partition} point {point}")
         rng.setstate(state)
@@ -335,30 +346,50 @@ def verify_theorem1(
     # construction, so only g2 feasibility is judged
     table = BlockTable(g1, canonical_witness=False)
     live = [p for p in parts if not any(boundary_empty(g1, b) for b in p)]
+    # per block: one compact cut array per partition that holds it (int32,
+    # as exact cuts stay within 2^20, or float64), so the draws of every
+    # partition cost 4 or 8 bytes a cut until judged, _CHUNK rows at a time
     counts, cuts = [], {}
     for partition in live:
         drawn = sampler.cuts(partition, rng, samples)
         counts.append(0 if drawn is None else samples)
-        for block, c in zip(partition, drawn or [[]] * len(partition)):
+        for b, block in enumerate(partition):
             if block & (block - 1):
-                cuts.setdefault(block, []).extend(c)
-    # per block: its matrix and scale, its witness row per kind, and per
-    # kind the rows counted (g1-fission-resistant) and passed (under g2)
+                arrays = cuts.setdefault(block, [])
+                if drawn is not None:
+                    arrays.append(np.array(drawn[b], np.int32 if sampler.exact else float))
+    # per block: its witness rows and cut array, its witness row per kind,
+    # and per kind the rows counted (g1-fission-resistant) and passed (g2)
     judged, offset = {}, {}
-    for block, cut_rows in cuts.items():
+    for block in list(cuts):
+        arrays = cuts.pop(block)  # freed once joined
         witnesses, picks = [], {}
         for kind in (STRONG, WEAK):
             region = table[block, kind]
             if region.status == NONEMPTY:
                 picks[kind] = len(witnesses)
                 witnesses.append(share_terms(g1, region.witness))
-        terms, scale = _block_matrix(sampler, block, witnesses, cut_rows)
-        (_, fission1), (feasible2, fission2) = _judge_block(
-            g1, g2, block, terms, scale, (False, True)
-        )
-        verdicts = {kind: (fission1[kind], feasible2 & fission2[kind]) for kind in (STRONG, WEAK)}
-        judged[block] = terms, scale, picks, verdicts
+        rows = np.concatenate(arrays) if arrays else ()
+        verdicts = {STRONG: ([], []), WEAK: ([], [])}
+        for lo in range(0, max(len(rows), 1), _CHUNK):
+            chunk = _block_matrix(sampler, block, [] if lo else witnesses, rows[lo : lo + _CHUNK])
+            (_, fission1), (feasible2, fission2) = _judge_block(g1, g2, block, *chunk, (False, True))
+            for kind, (counted, passed) in verdicts.items():
+                counted.append(fission1[kind])
+                passed.append(feasible2 & fission2[kind])
+        verdicts = {kind: tuple(map(np.concatenate, v)) for kind, v in verdicts.items()}
+        judged[block] = witnesses, rows, picks, verdicts
         offset[block] = len(witnesses)
+
+    def candidate(block: int, row: int) -> tuple:
+        # row ``row`` of a block's judged candidates, as (terms, scale)
+        witnesses, rows = judged[block][:2]
+        if row < len(witnesses):
+            return witnesses[row]
+        row -= len(witnesses)
+        terms, scale = sampler.terms(block, rows[row : row + 1])
+        return terms[0].tolist(), scale
+
     checked = {STRONG: 0, WEAK: 0}
     failures = []
     for partition, count in zip(live, counts):
@@ -377,9 +408,11 @@ def verify_theorem1(
             got, bad = _first_failure(counted, passed)
             checked[kind] += got
             if bad is not None:
-                row = {b: judged[b][2][kind] if bad < witness else offset[b] + bad - witness
-                       for b in blocks}
-                point = _point(n, sampler, partition, {b: (*judged[b][:2], row[b]) for b in blocks})
+                picked = {
+                    b: candidate(b, judged[b][2][kind] if bad < witness else offset[b] + bad - witness)
+                    for b in blocks
+                }
+                point = _point(n, sampler, partition, picked)
                 failures.append(f"{kind} partition {partition} point {point}")
         for b in blocks:
             offset[b] += count
@@ -476,7 +509,9 @@ def verify_corollary(
     terms, scale = _block_matrix(sampler, g1.grand, witnesses, cuts[0] if cuts else [])
     (feasible1, fission1), (feasible2, fission2) = _judge_block(g1, g2, g1.grand, terms, scale)
     checked, bad = _first_failure(feasible1 & fission1[WEAK], feasible2 & fission2[WEAK])
-    failures = [] if bad is None else [_point(n, sampler, grand, {g1.grand: (terms, scale, bad)})]
+    failures = [] if bad is None else [
+        _point(n, sampler, grand, {g1.grand: (terms[bad].tolist(), scale)})
+    ]
     claims.append(
         ClaimResult(
             "weak-core-inclusion",

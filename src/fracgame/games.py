@@ -388,7 +388,6 @@ class BoundarySampler:
         self.game = game
         self.exact = game.mode == EXACT
         self.bounds: dict[int, tuple] = {}
-        self.plans: dict[tuple, tuple] = {}
 
     def _bounds(self, coalition: int) -> tuple:
         """``(lower, scale, leftover, count)``: the members' lower bounds,
@@ -424,19 +423,19 @@ class BoundarySampler:
         float games, none for a singleton or a float block whose bounds
         already sum to 1 within tolerance.  None when a block's split set is
         empty, after each draw's earlier blocks took their cuts."""
-        plan = self.plans.get(blocks)
-        if plan is None:
-            counts = [self._bounds(block)[3] for block in blocks]
-            empty = None in counts
-            counts = counts[: counts.index(None)] if empty else counts
-            plan = self.plans[blocks] = counts, sum(counts), empty
-        counts, total, empty = plan
+        counts = []
+        for block in blocks:
+            count = self._bounds(block)[3]
+            if count is None:
+                break
+            counts.append(count)
+        total = sum(counts)
         if self.exact:
             top = self.GRAIN + 1
             flat = [rng.randrange(top) for _ in range(total * rows)]
         else:
             flat = [rng.random() for _ in range(total * rows)]
-        if empty:
+        if len(counts) < len(blocks):
             return None
         starts = range(0, total * rows, total) if total else [0] * rows
         out, at = [], 0
@@ -449,23 +448,21 @@ class BoundarySampler:
         """The draws of one block's cut lists (from ``cuts``) on the
         coalition, as one matrix of terms over one scale: share j of a draw
         is ``lower_j + leftover * gap_j``, with the sorted cuts splitting the
-        grain (2^20, or 1.0 on float games) into gaps.  Exact terms, which
-        lie between 0 and the scale, are int64 when the scale fits in 62
-        bits and Python ints otherwise; float terms are Python floats."""
+        grain (2^20, or 1.0 on float games) into gaps.  The matrix holds
+        Python numbers: ints on exact games, floats on float games."""
         lower, scale, rest, count = self._bounds(coalition)
-        narrow = self.exact and scale < 1 << 62
-        out = np.empty((len(cuts), len(lower)), np.int64 if narrow else object)
-        if count == 0 or not cuts:  # a singleton or a degenerate float block
+        out = np.empty((len(cuts), len(lower)), object)
+        if count == 0 or not len(cuts):  # a singleton or a degenerate float block
             out[:] = lower
             return out, scale
-        ends = np.sort(np.array(cuts, np.int64 if self.exact else float), axis=1)
+        ends = np.sort(np.asarray(cuts, np.int64 if self.exact else float), axis=1)
         gaps = np.empty(out.shape, ends.dtype)
         gaps[:, 0] = ends[:, 0]
         gaps[:, 1:-1] = ends[:, 1:] - ends[:, :-1]
         gaps[:, -1] = (self.GRAIN if self.exact else 1.0) - ends[:, -1]
-        if self.exact and not narrow:
+        if self.exact:
             gaps = gaps.astype(object)
-        out[:] = gaps * rest + np.array(lower, out.dtype if self.exact else float)
+        out[:] = gaps * rest + np.array(lower, gaps.dtype)
         return out, scale
 
     def __call__(self, coalition: int, rng) -> tuple | None:

@@ -184,23 +184,20 @@ def block_verdicts(
     fission: bool = True,
 ) -> list:
     """``boundary_contains`` and ``fission_resistant_by_table`` on one
-    block, for many allocations at once: row r of the array ``terms``
-    (object, or int64, kept only while every product fits) holds one
-    allocation's terms on the block's members, over ``scale`` (1 unless
-    ``rational``).  The sums follow ``share_table`` and each element is
-    compared as the scalar predicates compare it: exactly, or by tolerant
-    ``geq`` on float games.  Rational terms (integers under an exact game)
-    are feasible when they sum to the scale and each covers its member's
-    lower bound (so none exceeds the scale).  Returns, per game, the bool
-    arrays ``(feasible, {STRONG: ..., WEAK: ...})`` over the rows.
-    ``feasible`` says per game whether its feasibility is read (default:
-    every game's); one that is not is None, and so are the fission verdicts
-    without ``fission``."""
+    block, for many allocations at once: row r of the object array
+    ``terms`` holds one allocation's terms on the block's members, over
+    ``scale`` (1 unless ``rational``).  The sums follow ``share_table``
+    and each element is compared as the scalar predicates compare it:
+    exactly, or by tolerant ``geq`` on float games.  Rational terms
+    (integers under an exact game) are feasible when they sum to the scale
+    and each covers its member's lower bound (so none exceeds the scale).
+    Returns, per game, the bool arrays ``(feasible, {STRONG: ..., WEAK:
+    ...})`` over the rows.  ``feasible`` says per game whether its
+    feasibility is read (default: every game's); one that is not is None,
+    and so are the fission verdicts without ``fission``."""
     mem = members(block)
     count, full = len(terms), (1 << len(mem)) - 1
-    outer = [remap(piece, mem) for piece in range(full + 1)]
-    if terms.dtype != object and not _fits_int64(games, outer[1:], terms, scale):
-        terms = terms.astype(object)
+    pieces = [(piece, remap(piece, mem)) for piece in range(1, full)]
     sums = subset_sums(terms.T, full) if fission else None
     ones, judged = np.ones(count, bool), []
     for game, read in zip(games, feasible or [True] * len(games)):
@@ -218,8 +215,8 @@ def block_verdicts(
             judged.append((feasibility, None))
             continue
         covered = {}
-        for piece in range(1, full):
-            lhs, rhs = v_b * sums[piece], values[outer[piece]] * scale
+        for piece, outer in pieces:
+            lhs, rhs = v_b * sums[piece], values[outer] * scale
             covered[piece] = (
                 np.fromiter((geq(x, rhs, tol) for x in lhs), bool, count) if tol else lhs >= rhs
             )
@@ -229,18 +226,6 @@ def block_verdicts(
         weak = ~_blocking_splits(full, full, covered, {0: ones}) if len(mem) > 3 else ones
         judged.append((feasibility, {STRONG: strong, WEAK: weak}))
     return judged
-
-
-def _fits_int64(games: Sequence[Game], masks: Sequence[int], terms, scale: int) -> bool:
-    """Whether a non-object ``terms`` matrix can be judged as it is: the
-    games compare exactly (no tolerance), every value they hold on the masks
-    is an int, and its products with the scale and with any sum of a row's
-    terms stay below 2^63."""
-    values = [game.values[c] for game in games for c in masks]
-    if any(game.tol for game in games) or not all(type(v) is int for v in values):
-        return False
-    top = terms.shape[1] * int(np.abs(terms).max()) if terms.size else 0
-    return max(map(abs, values)) * max(top, scale) < 1 << 63
 
 
 def _blocking_splits(mask: int, full: int, covered: dict, memo: dict) -> np.ndarray:

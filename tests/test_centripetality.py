@@ -373,12 +373,28 @@ def test_per_block_matrices_match_naive_loops(samples):
         _assert_matches_naive_loops(g1, g2, samples, 3)
 
 
+def test_claim_four_judges_long_blocks_in_chunks(monkeypatch):
+    # with seven rows a chunk, a block's witnesses and its draws from one
+    # partition straddle chunk boundaries; verdicts, counts and the first
+    # failing point read the same as the one-candidate-at-a-time loops
+    monkeypatch.setattr(centripetality, "_CHUNK", 7)
+    rng = random.Random(2024)
+    failed = 0
+    for n in (3, 4, 5):
+        pairs = _pair_modes(*generate_ordered_pair(rng.randrange(1 << 30), n))
+        pairs += _pair_modes(random_exact_game(rng, n), random_exact_game(rng, n))
+        for g1, g2 in pairs:
+            _assert_matches_naive_loops(g1, g2, 9, 5)
+            report = verify_theorem1(g1, g2, samples=9, seed=5)
+            failed += not next(c for c in report.claims if c.name == "fission-resistant-solutions").passed
+    assert failed
+
+
 @pytest.mark.parametrize("factor", [1 << 21, 1 << 40])
 def test_per_block_matrices_past_the_int64_range(factor):
     # scaling both games by one factor keeps every verdict; at 2^21 the
-    # draws' terms still fit in int64 but their products with the values do
-    # not, at 2^40 the terms themselves do not, and both go through Python
-    # ints
+    # draws' products with the values pass 2^63, at 2^40 the terms
+    # themselves do, and the exact comparisons stay exact
     rng = random.Random(factor)
     for n in (3, 4):
         for g1, g2 in (generate_ordered_pair(rng.randrange(1 << 30), n),
