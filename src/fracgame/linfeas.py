@@ -20,19 +20,15 @@ for minimization, the slack and then each share for the max-slack
 witness), each restarting from the previous optimal basis and restricted
 to its optimal face; every point it returns is re-checked.  Many
 halfspaces (the strong core's 2^n - 2 coalitions, few of them tight) go
-through row generation (Hallefjord, Helming & Jornsten 1995): a relaxation
-takes in the row most violated at its point until its optimum meets every
-row and so is the whole system's, which the answer is re-checked against.
-The rows are priced lazily: a caller's pricing names the row to take in
-(one integer subset-sum table per point finds it), so a row is built only
-once it is taken, and the strong core never lists its 2^n - 2 rows.  The
-max-slack rounds are warm: the first restriction is solved cold, and each
-row taken in is appended to its optimal tableau with a surplus column of
-its own, its basic columns eliminated, and one artificial on that row
-driven to zero by phase 1 (a basis restart, as in Lemke 1954) before the
-stages re-run from that basis; the max-slack point of each restriction is
-unique, so the warm rounds end where cold ones would; the feasibility
-rounds stay cold, so each hands ``feasible`` the restriction it always did.
+through row generation (Hallefjord, Helming & Jornsten 1995) in the same
+driver: a caller's pricing names the row of least slack at the max-slack
+point, if below the optimal slack (one integer subset-sum table per point
+finds it), so the strong core never lists its 2^n - 2 rows.  The row is
+appended to the optimal tableau with a surplus column of its own, its
+basic columns eliminated, and one artificial on it driven to zero by phase
+1 (a basis restart, as in Lemke 1954) before the stages re-run from that
+basis.  Max-slack points are unique, so the rounds end where cold solves
+would, on a point meeting every row, which the caller re-checks.
 Vertices come from brute-force active-set intersection, which is entirely
 adequate at the dimensions this package targets.
 """
@@ -41,7 +37,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CapExceeded, InfeasibleSystem, NumericFailure
@@ -348,7 +344,8 @@ def _halfspace_terms(h: Halfspace, low, unit):
 
 
 def _tableau(system: LinearSystem, slack_var: bool):
-    """Phase-1 integer rows of the system in standard form; returns (tab, n).
+    """Phase-1 integer rows of the system in standard form; returns (tab,
+    n, low, unit), the lower bounds being low[i] / unit.
 
     Columns: the dim shifted shares (plus a trailing slack variable t when
     requested), one surplus column per inequality, then one artificial
@@ -376,7 +373,7 @@ def _tableau(system: LinearSystem, slack_var: bool):
     if slack_var:
         for i in range(dim):
             tab.append(_row(width, (i,), 1, (dim, nv + nh + i), 1, 0, n + len(tab)))
-    return tab, n
+    return tab, n, low, unit
 
 
 def _optimize(tab, basis, n, costs) -> None:
@@ -392,22 +389,36 @@ def _optimize(tab, basis, n, costs) -> None:
         candidates = [j for j in candidates if obj[j] == 0]
 
 
-def _lexmin(system: LinearSystem, costs, slack_var: bool = False):
+def _lexmin(system: LinearSystem, costs, slack_var: bool = False, price=None):
     """Minimize the costs over the leading columns of ``_tableau`` in turn:
-    one phase 1, then ``_optimize``.  Returns (point, slack variable or
-    None), re-checked against every constraint, or None when the system is
+    one phase 1, then ``_optimize``, re-run after each halfspace a
+    ``price`` (see ``generate_rows``) names at the optimum is taken in by
+    ``_take_row``.  Returns (point, slack variable or None), re-checked
+    against ``system``, or None when the rows taken in so far are
     infeasible."""
-    tab, n = _tableau(system, slack_var)
+    dim = system.dim
+    tab, n, low, unit = _tableau(system, slack_var)
     found = _phase_one(tab, n)
     if found is None:
         return None
     tab, basis = found
-    _optimize(tab, basis, n, costs)
-    x = _basic_point(tab, basis, system.dim + slack_var)
-    point = tuple(xi + lb for xi, lb in zip(x, system.lower))
+    while True:
+        _optimize(tab, basis, n, costs)
+        x = _basic_point(tab, basis, dim + slack_var)
+        point = tuple(xi + lb for xi, lb in zip(x, system.lower))
+        t = x[-1] if slack_var else None
+        row = price(point, t) if price else None
+        if row is None:
+            break
+        # coef*sum(x) - t - surplus = rhs - coef*sum(lower), surplus last
+        mem, a, d, r = _halfspace_terms(row[1], low, unit)
+        n += 1
+        tab = _take_row(tab, basis, _row(n + 1, mem, a, (dim, n - 1), d, r))
+        if tab is None:
+            return None
     if not satisfies(system, point):
         raise NumericFailure("simplex returned a point violating the system")
-    return point, (x[-1] if slack_var else None)
+    return point, t
 
 
 def feasible(system: LinearSystem) -> tuple | None:
@@ -430,10 +441,15 @@ def minimize(system: LinearSystem, cost):
     return sum(c * f for c, f in zip(cvec, point)), point
 
 
-def _max_slack_costs(dim: int) -> list:
-    """The stages of the max-slack witness: maximize the slack t (column
-    dim), then minimize f_0, ..., f_{dim-1}."""
-    return [[0] * dim + [-1]] + [[0] * i + [1] for i in range(dim)]
+def _max_slack(system: LinearSystem, price=None):
+    """``_lexmin`` over the stages of the max-slack witness: maximize the
+    slack t (column dim), then minimize f_0, ..., f_{dim-1}."""
+    dim = system.dim
+    costs = [[0] * dim + [-1]] + [[0] * i + [1] for i in range(dim)]
+    found = _lexmin(system, costs, True, price)
+    if found is None:
+        raise InfeasibleSystem("system has no feasible point")
+    return found
 
 
 def max_slack_point(system: LinearSystem):
@@ -444,10 +460,7 @@ def max_slack_point(system: LinearSystem):
     coef*sum - rhs.  Raises InfeasibleSystem when nothing is feasible.
     The stages maximize the slack t, then minimize f_0, ..., f_{dim-1}.
     """
-    found = _lexmin(system, _max_slack_costs(system.dim), slack_var=True)
-    if found is None:
-        raise InfeasibleSystem("system has no feasible point")
-    return found
+    return _max_slack(system)
 
 
 def _halfspace_pricing(system: LinearSystem):
@@ -472,70 +485,28 @@ def _halfspace_pricing(system: LinearSystem):
     return price
 
 
-def generate_rows(base: LinearSystem, price, max_slack: bool = False):
-    """``feasible`` (or with ``max_slack``, ``max_slack_point``) of ``base``
-    plus halfspaces given lazily, by row generation.
+def generate_rows(base: LinearSystem, price):
+    """``max_slack_point`` of ``base`` plus halfspaces given lazily, by row
+    generation.
 
     ``price(point, t)`` returns ``(key, halfspace)`` for the halfspace of
-    least slack among those whose slack at the point is below t (0 for
-    ``feasible``), ties going to the lowest key, or None when there is none.
-    The restricted system is ``base`` plus the halfspaces taken in so far,
-    in key order.  Each round solves it and takes in the priced halfspace,
-    until there is none; the answer then meets every halfspace, so verdict
-    and max-slack point are the whole system's.  The caller re-checks the
-    answer against every halfspace.
-
-    Without ``max_slack`` each round is a cold ``feasible`` of the restricted
-    system.  With it, the first restriction is solved cold and its final
-    tableau kept: each halfspace taken in is appended to it with a surplus
-    column of its own (``_take_row``), and the stages re-run from that
-    basis.  The max-slack point of each restriction is unique, so it is the
-    one a cold solve finds.  Raises InfeasibleSystem when nothing is
-    feasible."""
-    if max_slack:
-        return _warm_rounds(base, price)
-    taken: dict = {}
-    while True:
-        rows = tuple(taken[k] for k in sorted(taken))
-        point = feasible(replace(base, halfspaces=base.halfspaces + rows))
-        if point is None:
-            return None
-        row = price(point, _F0)
-        if row is None:
-            return point
-        taken[row[0]] = row[1]
+    least slack among those whose slack at the point is below t, ties going
+    to the lowest key, or None when there is none.  Each round appends the
+    priced halfspace to the last round's optimal tableau, until there is
+    none; the answer then meets every halfspace, so verdict and max-slack
+    point are the whole system's.  The max-slack point of each restriction
+    (``base`` plus the halfspaces taken in, in key order) is unique, so it
+    is the one a cold solve finds.  The caller re-checks the answer against
+    every halfspace.  Raises InfeasibleSystem when nothing is feasible."""
+    return _max_slack(base, price)
 
 
-def _warm_rounds(base: LinearSystem, price):
-    dim = base.dim
-    costs = _max_slack_costs(dim)
-    tab, n = _tableau(base, slack_var=True)
-    found = _phase_one(tab, n)
-    if found is None:
-        raise InfeasibleSystem("system has no feasible point")
-    tab, basis = found
-    low, unit = integer_terms(base.lower)
-    while True:
-        _optimize(tab, basis, n, costs)
-        x = _basic_point(tab, basis, dim + 1)
-        point, t = tuple(xi + lb for xi, lb in zip(x, base.lower)), x[-1]
-        row = price(point, t)
-        if row is None:
-            return point, t
-        # coef*sum(x) - t - surplus = rhs - coef*sum(lower), surplus last
-        mem, a, d, r = _halfspace_terms(row[1], low, unit)
-        n += 1
-        tab = _take_row(tab, basis, _row(n + 1, mem, a, (dim, n - 1), d, r))
-        if tab is None:
-            raise InfeasibleSystem("system has no feasible point")
-
-
-def row_generation(system: LinearSystem, max_slack: bool = False):
-    """``feasible`` (or with ``max_slack``, ``max_slack_point``) of a system
-    with many halfspaces: ``generate_rows`` from its bounds and blocks over
-    its own halfspaces, the answer re-checked against the whole system."""
-    found = generate_rows(system.restricted(()), _halfspace_pricing(system), max_slack)
-    if found is not None and not satisfies(system, found[0] if max_slack else found):
+def row_generation(system: LinearSystem):
+    """``max_slack_point`` of a system with many halfspaces:
+    ``generate_rows`` from its bounds and blocks over its own halfspaces,
+    the answer re-checked against the whole system."""
+    found = generate_rows(system.restricted(()), _halfspace_pricing(system))
+    if not satisfies(system, found[0]):
         raise NumericFailure("row generation returned a point violating the system")
     return found
 

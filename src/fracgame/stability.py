@@ -301,7 +301,8 @@ class CoreRows:
     asked for.  Rows are priced on one integer value table ``values``, with
     v(C) proportional to ``values[C]`` (float values converted exactly), so
     a coalition's slack at a point with share sums F(C) / scale is
-    proportional to ``values[N] * F(C) - values[C] * scale``."""
+    proportional to ``values[N] * F(C) - values[C] * scale``.  Every solve
+    gives the max-slack point of the rows it covers."""
 
     def __init__(self, game: Game):
         self.full = full = game.grand
@@ -332,24 +333,19 @@ class CoreRows:
 
         return price
 
-    def solve(self, candidates: Sequence[int], max_slack: bool) -> tuple | None:
-        """A point of the split simplex covering every candidate coalition
-        by ``linfeas.generate_rows`` (with ``max_slack``, the max-slack
-        point), or None when there is none.  The point is re-checked on its
-        own code path: the split simplex, then every candidate with its own
-        member sum."""
+    def solve(self, candidates: Sequence[int]) -> tuple | None:
+        """The max-slack point of the split simplex covering every
+        candidate coalition, by ``linfeas.generate_rows``, or None when
+        there is none.  The driver re-checks the point on the split
+        simplex; every candidate is re-checked here, on its own code path,
+        with its own member sum."""
         try:
-            found = linfeas.generate_rows(self.base, self.pricing(candidates), max_slack)
+            point = linfeas.generate_rows(self.base, self.pricing(candidates))[0]
         except InfeasibleSystem:
-            return None
-        point = found[0] if max_slack else found
-        if point is None:
             return None
         terms, scale = integer_terms(point)
         values, v_n = self.values, self.values[self.full]
-        if not linfeas.satisfies(self.base, point) or any(
-            v_n * sum(terms[i] for i in members(c)) < values[c] * scale for c in candidates
-        ):
+        if any(v_n * sum(terms[i] for i in members(c)) < values[c] * scale for c in candidates):
             raise NumericFailure("row generation returned a point violating the system")
         return point
 
@@ -406,12 +402,12 @@ def core_region(
 
     The strong core is a polytope, decided exactly by LP with row generation
     over its coalition halfspaces, priced lazily (see ``CoreRows``; the
-    whole system is never listed); its canonical witness maximizes the
-    minimum constraint slack, found by warm rounds on one tableau, otherwise
-    any core point the LP finds serves.
-    Without the canonical witness, the strong core of a size-symmetric game
-    (see ``games.size_values``) is decided in closed form on the equal
-    split (``equal-split``; see ``_equal_split_region``).
+    whole system is never listed); its witness maximizes the minimum
+    constraint slack (the canonical witness), found by rounds on one
+    tableau.  Without the canonical witness, the strong core of a
+    size-symmetric game (see ``games.size_values``) is decided in closed
+    form on the equal split (``equal-split``; see ``_equal_split_region``);
+    every other strong region is the same either way.
     The weak core is a union of polytopes containing the strong core, whose
     region answers first: a nonempty one lends its verdict and witness
     (``strong-subset``).  ``strong`` is that region when the caller has
@@ -432,7 +428,7 @@ def core_region(
         by_size = None if canonical_witness else size_values(game)
         if by_size is not None:
             return _equal_split_region(game, by_size)
-        point = CoreRows(game).solve(range(1, game.grand), canonical_witness)
+        point = CoreRows(game).solve(range(1, game.grand))
         if point is None:
             return CoreRegion(EMPTY, None, "lp")
         return CoreRegion(NONEMPTY, _finish_witness(game, point), "lp")
@@ -468,7 +464,8 @@ def _weak_region_exact(game: Game, canonical_witness: bool) -> CoreRegion:
     supersets skipped.  Coverage at the point is decided on the exactly
     converted values, as the LP decides it.  The canonical witness is the
     max-slack point of the polytope committing every coalition the found
-    point covers, all of which lies in the weak core."""
+    point covers, all of which lies in the weak core; without it the found
+    point serves."""
     full = game.grand
     if boundary_empty(game, full):
         return CoreRegion(EMPTY, None, "boundary")
@@ -491,7 +488,7 @@ def _weak_region_exact(game: Game, canonical_witness: bool) -> CoreRegion:
     else:
         return CoreRegion(EMPTY, None, "exact-search")
     if canonical_witness:
-        point = rows.solve([c for c in range(1, full) if _covers(exact, full, c, table)], True)
+        point = rows.solve([c for c in range(1, full) if _covers(exact, full, c, table)])
     return CoreRegion(NONEMPTY, _finish_witness(game, point), "exact-search")
 
 
@@ -519,7 +516,9 @@ class BlockTable(dict):
     computed once, and since a region is in the block's local coordinates,
     ``patched`` scatters its witness into any of them.  The weak region of
     a block of four or more players reads the strong region of the same
-    content, so its strong-core system is solved once.
+    content, so its strong-core system is solved once.  Without canonical
+    witnesses only regions that rest on a size-symmetric strong region or
+    on the weak search change (see ``core_region``).
     """
 
     def __init__(self, game: Game, *, canonical_witness: bool = True):

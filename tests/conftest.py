@@ -832,18 +832,18 @@ def naive_max_slack_point(system):
     return point, slack
 
 
-def naive_row_generation(system: linfeas.LinearSystem, max_slack: bool = False):
+def naive_row_generation(system: linfeas.LinearSystem):
     """The cold row-generation driver linfeas used before its max-slack
-    rounds went warm, kept verbatim (solvers called through the module):
-    every round solves its restricted system from scratch with
-    ``linfeas.feasible`` (``linfeas.max_slack_point``).
+    rounds went warm, kept verbatim but for its feasibility mode (solvers
+    called through the module): every round solves its restricted system
+    from scratch with ``linfeas.max_slack_point``.
 
     The restricted system keeps the lower bounds and blocks and starts with
-    no halfspace.  Each round solves it with ``feasible`` (``max_slack_point``)
-    and takes in the halfspace of least slack among those whose slack at the
-    point is below 0 (below the restricted optimum t), ties going to the
-    lowest index, until there is none.  The answer is re-checked against the
-    whole system: verdict and max-slack point are the whole system's.
+    no halfspace.  Each round solves it with ``max_slack_point`` and takes
+    in the halfspace of least slack among those whose slack at the point is
+    below the restricted optimum t, ties going to the lowest index, until
+    there is none.  The answer is re-checked against the whole system:
+    verdict and max-slack point are the whole system's.
     """
     dim, halfspaces = system.dim, system.halfspaces
     # halfspace k reads coefs[k] * F >= rhss[k] * D for a share sum F / D
@@ -851,14 +851,7 @@ def naive_row_generation(system: linfeas.LinearSystem, max_slack: bool = False):
     coefs, rhss = terms[0::2], terms[1::2]
     chosen: list[int] = []
     while True:
-        restricted = system.restricted(chosen)
-        if max_slack:
-            found = point, t = linfeas.max_slack_point(restricted)
-        else:
-            found = point = linfeas.feasible(restricted)
-            if point is None:
-                return None
-            t = _F0
+        found = point, t = linfeas.max_slack_point(system.restricted(chosen))
         terms, scale = integer_terms(point)
         sums = subset_sums(terms, (1 << dim) - 1)
         # slacks over the common scale unit * scale, compared with t
@@ -875,26 +868,29 @@ def naive_row_generation(system: linfeas.LinearSystem, max_slack: bool = False):
     return found
 
 
-def naive_generate_rows(base: linfeas.LinearSystem, price, max_slack: bool = False):
+def naive_generate_rows(base: linfeas.LinearSystem, price):
     """linfeas.generate_rows with every round solved cold on its restricted
     system (``base`` plus the rows taken in, in key order) through
-    ``linfeas.feasible`` or ``linfeas.max_slack_point``, so a test can hand
-    every round to the frozen solvers."""
+    ``linfeas.max_slack_point``, so a test can hand every round to the
+    frozen solvers."""
     taken = {}
     while True:
         rows = tuple(taken[k] for k in sorted(taken))
         restricted = linfeas.LinearSystem(base.dim, base.lower, base.blocks, base.halfspaces + rows)
-        if max_slack:
-            found = point, t = linfeas.max_slack_point(restricted)
-        else:
-            found = point = linfeas.feasible(restricted)
-            if point is None:
-                return None
-            t = _F0
+        found = point, t = linfeas.max_slack_point(restricted)
         row = price(point, t)
         if row is None:
             return found
         taken[row[0]] = row[1]
+
+
+def outcome(solve, system):
+    """What ``solve`` returns on the system, or None when it raises
+    InfeasibleSystem."""
+    try:
+        return solve(system)
+    except InfeasibleSystem:
+        return None
 
 
 _raw_nodes, _raw_weights = np.polynomial.legendre.leggauss(32)

@@ -37,6 +37,7 @@ from conftest import (
     naive_row_generation,
     naive_satisfies,
     naive_warm_max_slack_point,
+    outcome,
     random_exact_game,
     random_float_game,
 )
@@ -116,7 +117,7 @@ def test_minimize_none_when_infeasible_and_slack_raises():
         feasible,
         partial(minimize, cost=[1, 0, 0]),
         max_slack_point,
-        partial(row_generation, max_slack=True),
+        row_generation,
     ],
 )
 def test_every_solver_rechecks_its_point(monkeypatch, solve):
@@ -233,27 +234,21 @@ def test_minimize_value_bounds_sampled_points():
             assert sum(c * x for c, x in zip(cost, v)) >= value
 
 
-def _outcome(solve, system):
-    try:
-        return solve(system)
-    except InfeasibleSystem:
-        return None
-
-
 # the frozen solvers' outcomes, kept per system, so the driver's gates and
 # the integer solver's pins share one solve of each system
 _frozen_feasible = cache(naive_feasible)
-_frozen_cold = cache(partial(_outcome, naive_max_slack_point))
-_frozen_warm = cache(partial(_outcome, naive_warm_max_slack_point))
+_frozen_cold = cache(partial(outcome, naive_max_slack_point))
+_frozen_warm = cache(partial(outcome, naive_warm_max_slack_point))
 
 
 def _assert_row_generation(system, frozen_best):
-    """The row-generation driver on a whole system: the frozen solver's
-    verdict, the frozen max-slack outcome, and points inside the system."""
-    point = row_generation(system)
-    assert (point is None) == (_frozen_feasible(system) is None)
-    assert point is None or satisfies(system, point)
-    assert _outcome(partial(row_generation, max_slack=True), system) == frozen_best
+    """The row-generation driver on a whole system: its max-slack outcome is
+    None iff the frozen solver finds the system infeasible, its point lies
+    inside the system, and the outcome is the frozen max-slack one."""
+    got = outcome(row_generation, system)
+    assert (got is None) == (_frozen_feasible(system) is None)
+    assert got is None or satisfies(system, got[0])
+    assert got == frozen_best
 
 
 def _oracle_systems(rng):
@@ -299,7 +294,7 @@ def test_max_slack_point_matches_cold_sequential_reference():
     den_bits = 0
     for label, nblocks, sys_ in _oracle_systems(random.Random(2304)):
         want = _frozen_cold(sys_)
-        assert _outcome(max_slack_point, sys_) == want
+        assert outcome(max_slack_point, sys_) == want
         seen["infeasible"] += want is None
         seen["two-block"] += nblocks == 2
         seen[label] = seen.get(label, 0) + 1
@@ -315,7 +310,7 @@ def _recording_rows(record):
     base, then the base plus the rows taken in so far, in key order."""
     generate_rows = linfeas.generate_rows
 
-    def wrapped(base, price, max_slack=False):
+    def wrapped(base, price):
         taken = {}
 
         def recording(point, t):
@@ -327,7 +322,7 @@ def _recording_rows(record):
             return row
 
         record(base)
-        return generate_rows(base, recording, max_slack)
+        return generate_rows(base, recording)
 
     return wrapped
 
@@ -425,7 +420,7 @@ def test_integer_simplex_returns_the_frozen_solvers_points(monkeypatch):
         if sys_.dim < 6:
             cost = [Fraction(rng.randrange(-6, 7), rng.randrange(1, 4)) for _ in range(sys_.dim)]
             assert minimize(sys_, cost) == naive_minimize(sys_, cost), label
-        assert _outcome(max_slack_point, sys_) == _frozen_warm(sys_), label
+        assert outcome(max_slack_point, sys_) == _frozen_warm(sys_), label
         feasible_by_label.setdefault(label, set()).add(point is not None)
         if label == "meanstd":
             den_bits = max(den_bits, *(h.rhs.denominator.bit_length() for h in sys_.halfspaces))
@@ -456,28 +451,13 @@ def _row_generation_systems():
     ]
 
 
-def test_row_generation_matches_the_cold_driver(monkeypatch):
-    # the max-slack rounds are warm, the feasible ones cold as before: the
-    # same outcomes, and feasible sees the same restrictions in one order
-    handed = []
-
-    def recording(system):
-        handed.append(system)
-        return feasible(system)
-
-    systems = _row_generation_systems()
-    monkeypatch.setattr(linfeas, "feasible", recording)
+def test_row_generation_matches_the_cold_driver():
+    # the max-slack rounds are warm: the same outcomes as cold rounds
     infeasible = 0
-    for system in systems:
-        want = _outcome(partial(naive_row_generation, max_slack=True), system)
-        assert _outcome(partial(row_generation, max_slack=True), system) == want
+    for system in _row_generation_systems():
+        want = outcome(naive_row_generation, system)
+        assert outcome(row_generation, system) == want
         infeasible += want is None
-        handed.clear()
-        want = naive_row_generation(system)
-        cold = list(handed)
-        handed.clear()
-        assert row_generation(system) == want
-        assert handed == cold
     assert infeasible >= 20
 
 
@@ -519,10 +499,36 @@ def test_max_slack_rounds_run_one_phase_one_and_every_warm_branch(monkeypatch):
     monkeypatch.setattr(linfeas, "_drive_out", counting_drive_out)
     for system in systems:
         before = counts["phase one"]
-        _outcome(partial(row_generation, max_slack=True), system)
+        outcome(row_generation, system)
         assert counts["phase one"] == before + 1
     assert counts["rows"] > len(systems) // 2
     assert counts["infeasible"] >= 20 and counts["driven out"] >= 1, counts
+
+
+def test_row_generation_never_prices_a_row_twice(monkeypatch):
+    # a row taken in keeps at least the optimal slack of every later
+    # restriction, so the rounds end: no pricing names it again
+    halfspace_pricing, taken = linfeas._halfspace_pricing, []
+
+    def pricing_once(system):
+        price, priced = halfspace_pricing(system), set()
+
+        def wrapped(point, t):
+            row = price(point, t)
+            if row is not None:
+                assert row[0] not in priced, "a row taken in was priced again"
+                priced.add(row[0])
+                taken.append(row[0])
+            return row
+
+        return wrapped
+
+    systems = [s for _, _, s in _oracle_systems(random.Random(2304))]
+    systems += [core_system(game) for n in (4, 5, 6) for game in _core_games(n).values()]
+    monkeypatch.setattr(linfeas, "_halfspace_pricing", pricing_once)
+    for system in systems:
+        outcome(row_generation, system)
+    assert len(taken) > 100
 
 
 def _core_games(n):
@@ -553,30 +559,28 @@ def test_row_generation_decides_core_systems_of_six_to_eight_players(monkeypatch
     verdicts = {}
     for label, game in _core_games(n).items():
         system = core_system(game)
-        for solve in (row_generation, partial(row_generation, max_slack=True)):
-            solved.clear()
-            got = _outcome(solve, system)
-            last = solved[-1]
-            assert (last.dim, last.lower, last.blocks) == (system.dim, system.lower, system.blocks)
-            assert set(last.halfspaces) < set(system.halfspaces), label
-            if got is None:
-                assert naive_feasible(last) is None, label
-            elif solve is row_generation:
-                assert satisfies(system, got), label
-            else:
-                assert got == naive_max_slack_point(last), label
-                point, slack = got
-                assert min(x - lb for x, lb in zip(point, system.lower)) >= slack
-                for h in system.halfspaces:
-                    total = sum(point[i] for i in range(n) if h.support >> i & 1)
-                    assert h.coef * total - h.rhs >= slack
-            verdicts.setdefault(label, set()).add(got is None)
+        solved.clear()
+        got = outcome(row_generation, system)
+        last = solved[-1]
+        assert (last.dim, last.lower, last.blocks) == (system.dim, system.lower, system.blocks)
+        assert set(last.halfspaces) < set(system.halfspaces), label
+        if got is None:
+            assert naive_feasible(last) is None, label
+        else:
+            assert got == naive_max_slack_point(last), label
+            point, slack = got
+            assert satisfies(system, point), label
+            assert min(x - lb for x, lb in zip(point, system.lower)) >= slack
+            for h in system.halfspaces:
+                total = sum(point[i] for i in range(n) if h.support >> i & 1)
+                assert h.coef * total - h.rhs >= slack
+        verdicts.setdefault(label, set()).add(got is None)
         if n == 6:
             assert verdicts[label] == {naive_feasible(system) is None}, label
         elif n == 7:
             # the integer solvers on the whole system; got is the max-slack outcome
             assert verdicts[label] == {feasible(system) is None}, label
-            assert got == _outcome(max_slack_point, system), label
+            assert got == outcome(max_slack_point, system), label
     assert verdicts == {
         "pooled": {False}, "supermodular": {False}, "cut": {True}, "random-exact": {True}
     }
@@ -604,7 +608,7 @@ def test_exact_satisfies_matches_the_fraction_check():
     systems += [s for _, s in _differential_systems()]
     seen = {True: 0, False: 0, "last-alone": 0}
     for system in systems:
-        best = _outcome(max_slack_point, system)
+        best = outcome(max_slack_point, system)
         points = [feasible(system), best and best[0]] if best else [tuple(system.lower)]
         allbut = LinearSystem(system.dim, system.lower, system.blocks, system.halfspaces[:-1])
         for point in points:

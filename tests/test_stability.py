@@ -67,6 +67,7 @@ from conftest import (
     naive_weak_core_contains,
     naive_weak_region_exact,
     naive_warm_max_slack_point,
+    outcome,
     random_exact_game,
     random_float_game,
 )
@@ -786,36 +787,35 @@ def test_row_generation_rechecks_every_coalition(monkeypatch):
     weights = (1, 2, 3, 5)
     game = make_game(4, {m: sum(weights[i] for i in members(m)) ** 2 for m in range(1, 16)})
     rows, pricing = stability.CoreRows(game), stability.CoreRows.pricing
-    for max_slack in (True, False):
-        taken = []
+    taken = []
 
-        def recording(self, candidates):
-            price = pricing(self, candidates)
+    def recording(self, candidates):
+        price = pricing(self, candidates)
 
-            def wrapped(point, t):
-                row = price(point, t)
-                if row is not None:
-                    taken.append(row[0])
-                return row
+        def wrapped(point, t):
+            row = price(point, t)
+            if row is not None:
+                taken.append(row[0])
+            return row
 
-            return wrapped
+        return wrapped
 
-        monkeypatch.setattr(stability.CoreRows, "pricing", recording)
-        assert rows.solve(range(1, 15), max_slack) is not None and taken
+    monkeypatch.setattr(stability.CoreRows, "pricing", recording)
+    assert rows.solve(range(1, 15)) is not None and taken
 
-        def skipping(self, candidates):
-            price = pricing(self, candidates)
+    def skipping(self, candidates):
+        price = pricing(self, candidates)
 
-            def wrapped(point, t):
-                # the first coalition taken in is reported as no violation
-                row = price(point, t)
-                return None if row and row[0] == taken[0] else row
+        def wrapped(point, t):
+            # the first coalition taken in is reported as no violation
+            row = price(point, t)
+            return None if row and row[0] == taken[0] else row
 
-            return wrapped
+        return wrapped
 
-        monkeypatch.setattr(stability.CoreRows, "pricing", skipping)
-        with pytest.raises(NumericFailure, match="violating the system"):
-            rows.solve(range(1, 15), max_slack)
+    monkeypatch.setattr(stability.CoreRows, "pricing", skipping)
+    with pytest.raises(NumericFailure, match="violating the system"):
+        rows.solve(range(1, 15))
 
 
 def test_regions_never_build_the_whole_core_system(monkeypatch):
@@ -884,7 +884,7 @@ def test_equal_split_region_matches_the_lp(n):
         system = core_system(game)
         nonempty = region.status == NONEMPTY
         statuses.add(region.status)
-        assert nonempty == (row_generation(system) is not None), label
+        assert nonempty == (outcome(row_generation, system) is not None), label
         # the frozen solver takes about a second per six-player system
         if n <= 5 or n == 6 and label in ("pooled-7/37", "cut", "tie"):
             assert nonempty == (naive_feasible(system) is not None), label
@@ -909,7 +909,8 @@ def test_equal_split_region_matches_the_lp_on_pooled_games_without_aversion():
         for k in range(1, 200):
             game = build_meanstd_game(MeanStdScenario(n, k / 37, 0.5, 0.0))
             region = core_region(game, STRONG, canonical_witness=False)
-            assert (region.status == NONEMPTY) == (row_generation(core_system(game)) is not None)
+            got = outcome(row_generation, core_system(game))
+            assert (region.status == NONEMPTY) == (got is not None)
             empty += region.status == EMPTY
     assert empty == 121
 
@@ -923,6 +924,38 @@ def test_canonical_witness_and_asymmetric_games_keep_the_lp():
     nudged = make_game(5, dict(enumerate(values[1:], 1)), tol=game.tol)
     assert size_values(game) is not None and size_values(nudged) is None
     assert core_region(nudged, STRONG, canonical_witness=False).method == "lp"
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_strong_regions_without_the_canonical_witness_are_the_canonical_ones(n):
+    # every strong region the LP decides carries its max-slack point, with
+    # or without the canonical witness; only size-symmetric block subgames
+    # are decided on the equal split without it
+    rng = random.Random(50 + n)
+    phi = {rng.randrange(3, 1 << n): rng.uniform(1.05, 1.4) for _ in range(n)}
+    games = [
+        random_exact_game(rng, n),
+        random_float_game(rng, n),
+        cut_game(rng, n),
+        build_meanstd_game(MeanStdScenario(n, 1.0, 0.5, 0.8, phi)),
+        build_meanstd_game(MeanStdScenario(n, 1.3, 0.6, 0.3, phi)),
+        build_meanstd_game(MeanStdScenario(n, 1.0, 0.5, 0.8)),
+    ]
+    seen = {"lp": 0, "nonempty lp": 0, "equal-split": 0}
+    for game in games:
+        subgames = {subgame(game, b).values: subgame(game, b) for b in range(1, game.grand + 1)}
+        for sub in subgames.values():
+            canonical = core_region(sub, STRONG)
+            region = core_region(sub, STRONG, canonical_witness=False)
+            if sub.n >= 3 and size_values(sub) is not None:
+                assert region.method == "equal-split" and canonical.method == "lp"
+                assert region.status == canonical.status
+                seen["equal-split"] += 1
+            else:
+                assert region == canonical
+                seen["lp"] += region.method == "lp"
+                seen["nonempty lp"] += region.method == "lp" and region.status == NONEMPTY
+    assert min(seen.values()) >= 1 and seen["nonempty lp"] >= 2, seen
 
 
 def test_size_types_count_the_partitions_of_each_type():
