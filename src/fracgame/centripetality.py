@@ -14,9 +14,10 @@ false, the cross product agrees (case check over the zero patterns).
 The order's consequences are checked by two verification harnesses: one for
 the five inclusion claims between the ordered games' solution sets, one for
 the core inclusions and the downward transfer of splintered stability.  Their
-sampled claims draw every candidate first and judge each distinct block's
-candidates at once, as bool arrays (``stability.block_verdicts``) that each
-partition ANDs over its blocks and reads off in candidate order.
+sampled claims draw their candidates first and judge each distinct block's
+candidates together, a bounded chunk at a time, as bool arrays
+(``stability.block_verdicts``) that each partition ANDs over its blocks and
+reads off in candidate order.
 """
 
 from __future__ import annotations
@@ -235,9 +236,10 @@ def _block_matrix(sampler, block: int, witnesses: list, cuts) -> tuple:
     return np.concatenate([lifted, drawn * (scale // den)]), scale
 
 
-# rows judged per call in theorem claim 4: the draws of every partition are
-# held as cuts, and a block's Python-number terms and subset sums are built
-# for at most this many rows at a time
+# samples drawn and judged per call in theorem claim 3, and rows judged per
+# call in claim 4, whose draws of every partition are held as cuts: a block's
+# Python-number terms and subset sums are built for at most this many rows at
+# a time
 _CHUNK = 1 << 12
 
 
@@ -293,45 +295,49 @@ def verify_theorem1(
         )
     )
 
-    # (3) feasible solutions transfer, sampled: all draws are taken first,
-    # each distinct block's draws judged under g2 at once, and the first
-    # failure read in sample order; a failure replays the draws up to it,
-    # so claim 4 takes the rng where the one-by-one loop would have stopped.
-    # A singleton's one split, the share 1, passes under every game, so
-    # singletons are not judged (here and in claim 4)
+    # (3) feasible solutions transfer, sampled, _CHUNK samples at a time: a
+    # chunk's draws are taken first, each distinct block's draws judged under
+    # g2 at once, and the first failure read in sample order; a failure
+    # replays the chunk's draws up to it, so claim 4 takes the rng where the
+    # one-by-one loop would have stopped.  A singleton's one split, the share
+    # 1, passes under every game, so singletons are not judged (here and in
+    # claim 4)
     sampler = BoundarySampler(g1)
-    state = rng.getstate()
-    drawn = []
-    for j in range(samples):
-        partition = parts[rng.randrange(len(parts))]
-        cuts = sampler.cuts(partition, rng)
-        if cuts is not None:
-            drawn.append((j, partition, cuts))
-    at: dict[int, list] = {}  # per block: the draws holding it, and their cuts
-    rows: dict[int, list] = {}
-    for d, (_, partition, cuts) in enumerate(drawn):
-        for block, c in zip(partition, cuts):
-            if block & (block - 1):
-                at.setdefault(block, []).append(d)
-                rows.setdefault(block, []).extend(c)
-    passed, matrices = np.ones(len(drawn), bool), {}
-    for block, where in at.items():
-        terms, scale = matrices[block] = sampler.terms(block, rows[block])
-        passed[where] &= _judge_block(g1, g2, block, terms, scale, (False, True), False)[1][0]
-    checked, bad = _first_failure(np.ones(len(drawn), bool), passed)
-    failures = []
-    if bad is not None:
-        j, partition, _ = drawn[bad]
-        picked = {}
-        for b in partition:
-            if b in at:
-                terms, scale = matrices[b]
-                picked[b] = terms[at[b].index(bad)].tolist(), scale
-        point = _point(n, sampler, partition, picked)
-        failures.append(f"partition {partition} point {point}")
-        rng.setstate(state)
-        for _ in range(j + 1):
-            sampler.cuts(parts[rng.randrange(len(parts))], rng)
+    checked, failures = 0, []
+    for start in range(0, samples, _CHUNK):
+        state = rng.getstate()
+        drawn = []
+        for j in range(start, min(start + _CHUNK, samples)):
+            partition = parts[rng.randrange(len(parts))]
+            cuts = sampler.cuts(partition, rng)
+            if cuts is not None:
+                drawn.append((j, partition, cuts))
+        at: dict[int, list] = {}  # per block: the draws holding it, and their cuts
+        rows: dict[int, list] = {}
+        for d, (_, partition, cuts) in enumerate(drawn):
+            for block, c in zip(partition, cuts):
+                if block & (block - 1):
+                    at.setdefault(block, []).append(d)
+                    rows.setdefault(block, []).extend(c)
+        passed, matrices = np.ones(len(drawn), bool), {}
+        for block, where in at.items():
+            terms, scale = matrices[block] = sampler.terms(block, rows[block])
+            passed[where] &= _judge_block(g1, g2, block, terms, scale, (False, True), False)[1][0]
+        got, bad = _first_failure(np.ones(len(drawn), bool), passed)
+        checked += got
+        if bad is not None:
+            j, partition, _ = drawn[bad]
+            picked = {}
+            for b in partition:
+                if b in at:
+                    terms, scale = matrices[b]
+                    picked[b] = terms[at[b].index(bad)].tolist(), scale
+            point = _point(n, sampler, partition, picked)
+            failures.append(f"partition {partition} point {point}")
+            rng.setstate(state)
+            for _ in range(start, j + 1):
+                sampler.cuts(parts[rng.randrange(len(parts))], rng)
+            break
     claims.append(
         ClaimResult("feasible-solutions", not failures, f"sampled({checked})", "; ".join(failures))
     )

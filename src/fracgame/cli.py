@@ -460,85 +460,85 @@ def nonnegative_float(text: str) -> float:
     return value
 
 
+# settings per argument name; a name not listed is a plain positional
+_ARGUMENTS = {
+    "--seed": dict(type=int, default=0, help="seed for verify's sampling"),
+    "--samples": dict(type=nonnegative_int, default=200),
+    "--tolerance": dict(type=nonnegative_float, default=None),
+    "--cap": dict(type=int, default=DEFAULT_ENUM_CAP),
+    "--format": dict(choices=("json", "csv"), default="json"),
+    "--out": dict(default=None, metavar="DIR"),
+    # every weak core is decided exactly; analyze keeps the flag for old command lines
+    "--max-exact-weak-core-n": dict(type=nonnegative_int, help=argparse.SUPPRESS),
+    "--partition": dict(default=None, help="e.g. 'a,b|c' (default grand)"),
+    "--scenario": dict(choices=("meanstd", "cvar"), required=True),
+    "--n": dict(type=int, default=4),
+    "--mu": dict(type=float, default=1.0),
+    "--sigma": dict(type=float, default=0.5),
+    "--r": dict(default="0:1.75:0.25", help="grid start:stop:step or list"),
+    "--beta-a": dict(dest="beta_a", default="1,2,3"),
+    "suite": dict(choices=("theorem", "corollary", "prop1", "prop2", "all")),
+    "--pairs": dict(type=nonnegative_int, default=20),
+}
+# per command: its help line and its arguments in order, shared options first
+_COMMANDS = {
+    "validate": ("check a game file", ("--out", "game")),
+    "analyze": (
+        "full partition/stability sweep",
+        ("--tolerance", "--max-exact-weak-core-n", "--cap", "--format", "--out", "game"),
+    ),
+    "core": ("patched cores of one partition", ("--tolerance", "--out", "game", "--partition")),
+    "compare": ("order two games", ("--tolerance", "--out", "game1", "game2")),
+    "scenario-meanstd": ("build a pooled-venture game", ("--tolerance", "--out", "scenario")),
+    "scenario-cvar": ("build a tail-average mixture game", ("--tolerance", "--out", "scenario")),
+    "sweep": (
+        "stability metrics along a parameter grid",
+        ("--tolerance", "--cap", "--format", "--out")
+        + ("--scenario", "--n", "--mu", "--sigma", "--r", "--beta-a"),
+    ),
+    "verify": (
+        "run the built-in verification suites",
+        ("--seed", "--samples", "--out", "suite", "--pairs"),
+    ),
+}
+
+
+@functools.cache
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of one command; the full parser's subparser copies it."""
+    parser = argparse.ArgumentParser(prog=f"fracgame {name}")
+    for arg in _COMMANDS[name][1]:
+        parser.add_argument(arg, **_ARGUMENTS.get(arg, {}))
+    return parser
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and kept for the process.
-    Each subcommand runs the module's ``cmd_<name>`` as bound at call time,
-    so the parser holds no command function."""
+    """The full parser: the help, and the usage errors ``_parse`` hands it."""
     parser = argparse.ArgumentParser(
         prog="fracgame",
         description="Fractional coalition analysis: cores, stability, orderings.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def option(*names, **kwargs) -> argparse.ArgumentParser:
-        # one shared option; each subcommand takes as parents only those it reads
-        parent = argparse.ArgumentParser(add_help=False)
-        parent.add_argument(*names, **kwargs)
-        return parent
-
-    seed = option("--seed", type=int, default=0, help="seed for verify's sampling")
-    samples = option("--samples", type=nonnegative_int, default=200)
-    tolerance = option("--tolerance", type=nonnegative_float, default=None)
-    cap = option("--cap", type=int, default=DEFAULT_ENUM_CAP)
-    fmt = option("--format", choices=("json", "csv"), default="json")
-    out = option("--out", default=None, metavar="DIR")
-    # every weak core is decided exactly; analyze keeps the flag so existing
-    # command lines still parse
-    exact_n = option("--max-exact-weak-core-n", type=nonnegative_int, help=argparse.SUPPRESS)
-
-    sp = sub.add_parser("validate", help="check a game file", parents=[out])
-    sp.add_argument("game")
-
-    sp = sub.add_parser(
-        "analyze",
-        help="full partition/stability sweep",
-        parents=[tolerance, exact_n, cap, fmt, out],
-    )
-    sp.add_argument("game")
-
-    sp = sub.add_parser("core", help="patched cores of one partition", parents=[tolerance, out])
-    sp.add_argument("game")
-    sp.add_argument("--partition", default=None, help="e.g. 'a,b|c' (default grand)")
-
-    sp = sub.add_parser("compare", help="order two games", parents=[tolerance, out])
-    sp.add_argument("game1")
-    sp.add_argument("game2")
-
-    sp = sub.add_parser(
-        "scenario-meanstd", help="build a pooled-venture game", parents=[tolerance, out]
-    )
-    sp.add_argument("scenario")
-
-    sp = sub.add_parser(
-        "scenario-cvar", help="build a tail-average mixture game", parents=[tolerance, out]
-    )
-    sp.add_argument("scenario")
-
-    sp = sub.add_parser(
-        "sweep",
-        help="stability metrics along a parameter grid",
-        parents=[tolerance, cap, fmt, out],
-    )
-    sp.add_argument("--scenario", choices=("meanstd", "cvar"), required=True)
-    sp.add_argument("--n", type=int, default=4)
-    sp.add_argument("--mu", type=float, default=1.0)
-    sp.add_argument("--sigma", type=float, default=0.5)
-    sp.add_argument("--r", default="0:1.75:0.25", help="grid start:stop:step or list")
-    sp.add_argument("--beta-a", dest="beta_a", default="1,2,3")
-
-    sp = sub.add_parser(
-        "verify", help="run the built-in verification suites", parents=[seed, samples, out]
-    )
-    sp.add_argument("suite", choices=("theorem", "corollary", "prop1", "prop2", "all"))
-    sp.add_argument("--pairs", type=nonnegative_int, default=20)
-
+    for name, (text, _) in _COMMANDS.items():
+        sub.add_parser(name, help=text, parents=[_command_parser(name)], add_help=False)
     return parser
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``_parser().parse_args(argv)``, read by the named command's parser
+    alone unless the argv names no command or has arguments left over."""
+    if argv and argv[0] in _COMMANDS:
+        args, extras = _command_parser(argv[0]).parse_known_args(argv[1:])
+        if not extras:
+            args.command = argv[0]
+            return args
+    return _parser().parse_args(argv)
 
 
 def run(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     command = globals()["cmd_" + args.command.replace("-", "_")]

@@ -44,7 +44,28 @@ from .games import (
 )
 from .centripetality import OrderVerdict, leq_cp
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
+# the 32-point Gauss-Legendre rule on [-1, 1], numpy.polynomial.legendre.leggauss(32)
+# written out bit for bit, so that import pays for neither numpy.polynomial nor the solve
+_GL_NODES = np.array([float.fromhex(x) for x in """
+    -0x1.fe995e70409b6p-1 -0x1.f8a212714bcdcp-1 -0x1.edf5518053baap-1 -0x1.deac0259f7f42p-1
+    -0x1.caea9b4574cb9p-1 -0x1.b2e04fd686a13p-1 -0x1.96c69481c4bc5p-1 -0x1.76e0931d693bap-1
+    -0x1.537a89c487f8ap-1 -0x1.2ce9146962ca4p-1 -0x1.038862866b29dp-1 -0x1.af76b57c6f8f1p-2
+    -0x1.53d55ce57bdf6p-2 -0x1.ea0f7e19c094bp-3 -0x1.27e0ea717f237p-3 -0x1.8bbc8488cc49ap-5
+    0x1.8bbc8488cc49ap-5 0x1.27e0ea717f237p-3 0x1.ea0f7e19c094bp-3 0x1.53d55ce57bdf6p-2
+    0x1.af76b57c6f8f1p-2 0x1.038862866b29dp-1 0x1.2ce9146962ca4p-1 0x1.537a89c487f8ap-1
+    0x1.76e0931d693bap-1 0x1.96c69481c4bc5p-1 0x1.b2e04fd686a13p-1 0x1.caea9b4574cb9p-1
+    0x1.deac0259f7f42p-1 0x1.edf5518053baap-1 0x1.f8a212714bcdcp-1 0x1.fe995e70409b6p-1
+""".split()])
+_GL_WEIGHTS = np.array([float.fromhex(x) for x in """
+    0x1.cbf8bc743ce34p-8 0x1.0aa3c248696dep-6 0x1.a0060a8531ff0p-6 0x1.18c5800a35609p-5
+    0x1.5ee963a3354abp-5 0x1.a1c6ae961fbeep-5 0x1.e0bd76c924984p-5 0x1.0d9b9a62cac04p-4
+    0x1.2854103b35e00p-4 0x1.40483e126fd0ep-4 0x1.553ee25ebebc3p-4 0x1.6705e18e13ecfp-4
+    0x1.7572bdb3f6e49p-4 0x1.8062fc0f6fef5p-4 0x1.87bc776f8c6ccp-4 0x1.8b6d9eaec77a3p-4
+    0x1.8b6d9eaec77a3p-4 0x1.87bc776f8c6ccp-4 0x1.8062fc0f6fef5p-4 0x1.7572bdb3f6e49p-4
+    0x1.6705e18e13ecfp-4 0x1.553ee25ebebc3p-4 0x1.40483e126fd0ep-4 0x1.2854103b35e00p-4
+    0x1.0d9b9a62cac04p-4 0x1.e0bd76c924984p-5 0x1.a1c6ae961fbeep-5 0x1.5ee963a3354abp-5
+    0x1.18c5800a35609p-5 0x1.a0060a8531ff0p-6 0x1.0aa3c248696dep-6 0x1.cbf8bc743ce34p-8
+""".split()])
 # a scenario file's knot_count above this is refused before its levels are built
 MAX_KNOTS = 10_001
 

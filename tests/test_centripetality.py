@@ -1,6 +1,8 @@
+import ast
 import dataclasses
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -28,7 +30,13 @@ from fracgame.risk import (
     build_meanstd_game,
     default_uniform_family,
 )
-from fracgame.games import BoundarySampler, boundary_empty, solution_feasible
+from fracgame.games import (
+    BoundarySampler,
+    boundary_contains,
+    boundary_empty,
+    members,
+    solution_feasible,
+)
 from fracgame.partitions import enumerate_partitions
 from fracgame.stability import core_system
 from fracgame.linfeas import vertices
@@ -387,6 +395,53 @@ def test_claim_four_judges_long_blocks_in_chunks(monkeypatch):
             _assert_matches_naive_loops(g1, g2, 9, 5)
             report = verify_theorem1(g1, g2, samples=9, seed=5)
             failed += not next(c for c in report.claims if c.name == "fission-resistant-solutions").passed
+    assert failed
+
+
+def test_claim_three_judges_its_draws_in_chunks(monkeypatch):
+    # with seven samples a chunk, claim 3's draws span five chunks; its
+    # count, its first failing point and the rng it hands claim 4 read the
+    # same as the one-candidate-at-a-time loops, also when the failure sits
+    # in a later chunk
+    monkeypatch.setattr(centripetality, "_CHUNK", 7)
+    rng = random.Random(2028)
+    late = 0
+    for n in (3, 4):
+        pairs = _pair_modes(*generate_ordered_pair(rng.randrange(1 << 30), n))
+        pairs += _pair_modes(random_exact_game(rng, n), random_exact_game(rng, n))
+        for g1, g2 in pairs:
+            _assert_matches_naive_loops(g1, g2, 30, 5)
+            at = _claim_three_failure(g1, g2, 30, 5)
+            late += at is not None and at >= 7
+    assert late
+
+
+def test_a_claim_three_failure_is_a_claim_two_failure_on_the_same_block():
+    # claim 3 draws each block's shares from its g1 split set, so a block
+    # whose shares g2 refuses has a split set that g2's does not contain:
+    # claim 2 names it.  Generated pairs are ordered, so both pass; swapped,
+    # they are unordered and may fail
+    rng = random.Random(5)
+    failed = 0
+    for n in (2, 3, 4, 5):
+        for _ in range(4):
+            g1, g2 = generate_ordered_pair(rng.randrange(1 << 30), n)
+            for first, second in ((g1, g2), (g2, g1)):
+                claims = verify_theorem1(first, second, samples=40, seed=9).claims
+                named = {int(b, 16) for b in re.findall(r"block (0x[0-9a-f]+)", claims[1].detail)}
+                assert claims[1].passed == (not named) and (claims[1].passed or first is g2)
+                if claims[2].passed:
+                    continue
+                failed += 1
+                match = re.fullmatch(r"partition (\(.*?\)) point \((.*)\)", claims[2].detail)
+                partition = ast.literal_eval(match[1])
+                point = [Fraction(x) for x in match[2].split(", ")]
+                refused = {
+                    b
+                    for b in partition
+                    if not boundary_contains(second, b, [point[i] for i in members(b)])
+                }
+                assert refused and refused <= named
     assert failed
 
 

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from fracgame import DEFAULT_TOL, load_game, make_game, save_game, stable_sets
+from fracgame import cli
 from fracgame.cli import _sweep_point, run
 from fracgame.stability import walk_partitions
 from fracgame.risk import (
@@ -495,8 +496,8 @@ def test_malformed_game_file_exits_without_traceback(tmp_path, capsys, command, 
 
 
 def test_consecutive_runs_match_separate_processes(super3_path, monkeypatch, capsys):
-    # the parser is built once per process; a parse error must leave it as
-    # fresh for the next call as a new interpreter's
+    # the parsers are built once per process; a parse error must leave them
+    # as fresh for the next call as a new interpreter's
     monkeypatch.setenv("COLUMNS", "80")
     argvs = [
         ["verify", "theorem", "--pairs", "x"],
@@ -519,6 +520,86 @@ def test_consecutive_runs_match_separate_processes(super3_path, monkeypatch, cap
         separate.append((proc.returncode, proc.stdout, proc.stderr))
     assert in_process == separate
     assert [code for code, _, _ in in_process] == [2, 0, 2, 0, 0, 0]
+
+
+def _subparsers():
+    """The full parser's subparser per command name."""
+    actions = cli._parser()._actions
+    return next(a for a in actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+@pytest.mark.parametrize("name", list(cli._COMMANDS))
+def test_command_parser_prints_the_full_parsers_help(name, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    command, sub = cli._command_parser(name), _subparsers()[name]
+    assert command.format_help() == sub.format_help()
+    assert command.format_usage() == sub.format_usage()
+
+
+def test_full_parser_lists_every_command_in_order():
+    assert list(_subparsers()) == list(cli._COMMANDS)
+
+
+_VALID_ARGVS = [
+    ["validate", "g.json", "--out", "o"],
+    ["analyze", "g.json"],
+    ["analyze", "g.json", "--max-exact-weak-core-n", "3", "--form", "csv", "--cap", "5"],
+    ["analyze", "--tolerance", "0", "g.json", "--out", "o", "--format", "json"],
+    ["core", "g.json", "--partition", "a,b|c", "--tolerance", "1e-6"],
+    ["compare", "g1.json", "g2.json", "--out", "o"],
+    ["scenario-meanstd", "s.json", "--tolerance", "1e-3"],
+    ["scenario-cvar", "s.json"],
+    ["sweep", "--scenario", "meanstd"],
+    ["sweep", "--scenario", "cvar", "--n", "3", "--beta-a", "1,2", "--format", "csv"],
+    ["sweep", "--scenario", "meanstd", "--mu", "2", "--sigma", "1", "--r", "0:1:0.5", "--cap", "9"],
+    ["verify", "all"],
+    ["verify", "theorem", "--pairs", "2", "--samples", "3", "--seed", "-4", "--out", "o"],
+]
+
+
+@pytest.mark.parametrize("argv", _VALID_ARGVS)
+def test_command_parser_reads_what_the_full_parser_reads(argv):
+    assert cli._parse(argv) == cli._parser().parse_args(argv)
+
+
+def test_a_command_builds_only_its_own_parser(capsys):
+    cli._parser.cache_clear()
+    cli._command_parser.cache_clear()
+    assert cli._parse(["verify", "prop1"]).suite == "prop1"
+    assert cli._parse(["verify", "prop2", "--seed", "1"]).seed == 1
+    assert (cli._parser.cache_info().currsize, cli._command_parser.cache_info().misses) == (0, 1)
+    # arguments left over go to the full parser, which reports them
+    assert run(["verify", "prop1", "extra"]) == 2
+    assert cli._parser.cache_info().currsize == 1
+    assert "fracgame: error: unrecognized arguments: extra" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["-h"],
+        ["sweep", "--help"],
+        ["frobnicate"],
+        ["verify", "bogus"],
+        ["analyze", "g.json", "--format", "xml"],
+        ["analyze"],
+        ["compare", "g1.json"],
+        ["verify", "theorem", "--pairs", "x"],
+        ["sweep", "--scenario", "meanstd", "--n", "1.5"],
+        ["analyze", "g.json", "--bogus"],
+        ["core", "g.json", "--samples", "5"],
+        ["compare", "g1.json", "g2.json", "g3.json"],
+        ["--tolerance", "1", "analyze", "x"],
+        ["--", "analyze", "x"],
+    ],
+)
+def test_usage_errors_match_the_full_parser(argv, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    got = run(argv), *capsys.readouterr()
+    monkeypatch.setattr(cli, "_parse", lambda argv: cli._parser().parse_args(argv))
+    assert got == (run(argv), *capsys.readouterr())
+    assert got[0] in (0, 2) and "Traceback" not in got[2]
 
 
 @pytest.mark.parametrize(

@@ -129,6 +129,19 @@ def test_beta_density_shapes():
         beta_density(0.5)
 
 
+def test_gauss_legendre_literals_are_leggauss_32():
+    # the rule is written out so that import skips numpy.polynomial; the
+    # literals match leggauss(32) to the last bit here, and to within one
+    # ulp wherever its eigenvalue solve rounds differently
+    nodes, weights = np.polynomial.legendre.leggauss(32)
+    for literal, reference in ((risk._GL_NODES, nodes), (risk._GL_WEIGHTS, weights)):
+        assert literal.dtype == np.float64 and literal.shape == (32,)
+        assert np.all(np.abs(literal - reference) <= np.spacing(np.abs(reference)))
+    assert np.all(np.diff(risk._GL_NODES) > 0)
+    assert risk._GL_NODES.tolist() == (-risk._GL_NODES[::-1]).tolist()
+    assert risk._GL_WEIGHTS.tolist() == risk._GL_WEIGHTS[::-1].tolist()
+
+
 def test_mixture_closed_forms():
     c = uniform_curve(1.0, 2.0)
     assert math.isclose(mixture_reward(c, beta_density(1.0)), 1.25, abs_tol=1e-10)
