@@ -285,14 +285,22 @@ def boundary_contains(game: Game, coalition: int, shares: Sequence) -> bool:
     return True
 
 
+def split_terms(game: Game, coalition: int) -> tuple[int, list]:
+    """``(whole, lone)``: the coalition's value and its members' values over
+    their common denominator (``integer_terms``), so member i's lower bound
+    on a split is ``lone[i] / whole``, the leftover ``1 - sum(lone) / whole``."""
+    mem = members(coalition)
+    (whole, *lone), _ = integer_terms([game.values[coalition], *(game.values[1 << i] for i in mem)])
+    return whole, lone
+
+
 def boundary_empty(game: Game, coalition: int) -> bool:
     """Whether the coalition's split set is empty, decided exactly: it is
     empty iff the members' stand-alone values sum above the coalition value."""
-    mem = members(coalition)
-    if len(mem) == 1:
+    if coalition.bit_count() == 1:
         return False
-    lone = sum(Fraction(game.values[1 << i]) for i in mem)
-    return lone > Fraction(game.values[coalition])
+    whole, lone = split_terms(game, coalition)
+    return sum(lone) > whole
 
 
 def check_partition(n: int, blocks: Sequence[int]) -> None:
@@ -403,7 +411,7 @@ class BoundarySampler:
         if count == 0:
             found = ((1 if self.exact else 1.0,), 1, 0, 0)
         elif self.exact:
-            (whole, *lone), _ = integer_terms([v_c, *(game.values[1 << i] for i in mem)])
+            whole, lone = split_terms(game, coalition)
             rest = whole - sum(lone)
             found = ([a * grain for a in lone], whole * grain, rest, count if rest >= 0 else None)
         else:

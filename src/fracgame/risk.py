@@ -233,6 +233,8 @@ def beta_density(a: float, knot_count: int = 101) -> Density:
     larger a shifts mass toward alpha = 1 (more conservative mixing)."""
     if a < 1:
         raise ValueError("shape parameter must be at least 1")
+    if not math.isfinite(a):
+        raise ValueError(f"shape parameter must be a finite number, got {a!r}")
     if knot_count < 2:
         raise ValueError("need at least two knots")
     alphas = [j / (knot_count - 1) for j in range(knot_count)]
@@ -404,6 +406,9 @@ def build_meanstd_game(
     _check_player_count(n)
     if mu <= 0 or sigma <= 0:
         raise ScenarioError("mu and sigma must be positive")
+    for name, x in (("mu", mu), ("sigma", sigma)):
+        if not math.isfinite(x):
+            raise ScenarioError(f"{name} must be a finite number, got {x!r}")
     if not 0 <= r < mu / sigma:
         raise RBarOutOfRange(f"risk aversion {r!r} outside [0, {mu / sigma!r})")
     phi = scenario.phi or {}

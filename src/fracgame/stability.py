@@ -9,6 +9,10 @@ allocation is individually rational inside a block, singleton sub-coalitions
 can never be part of an all-blocking split, so only splits whose pieces all
 have two or more members need to be examined.  In particular blocks of up to
 three players can never be split weakly.
+
+Coverage (a piece's scaled share covers its value) is read off subset sums:
+of one allocation in the scalar predicates, of many in ``block_verdicts``,
+and of the weak-core search's LP points in ``CoreRows.covered``.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from .games import (
     remap,
     size_values,
     solution_feasible,
+    split_terms,
     subgame,
     submasks,
     subset_sums,
@@ -64,8 +69,8 @@ def _check_kind(kind: str) -> None:
 
 
 def share_terms(game: Game, shares: Sequence) -> tuple[Sequence, int]:
-    """The rescale step of ``share_table``: ``(terms, scale)`` with share i
-    equal to ``terms[i] / scale``.  Exact games with rational shares (ints
+    """``(terms, scale)`` with share i equal to ``terms[i] / scale``, the
+    terms the scalar predicates sum.  Exact games with rational shares (ints
     and Fractions both carry numerator/denominator) get integer numerators
     over the shares' common denominator; any other allocation keeps its
     shares as they are, over 1."""
@@ -74,42 +79,19 @@ def share_terms(game: Game, shares: Sequence) -> tuple[Sequence, int]:
     return shares, 1
 
 
-def share_table(game: Game, partition: Sequence[int], shares: Sequence) -> tuple[list, int]:
-    """The block share-sum table ``(sums, scale)`` of an allocation: for
-    every submask ``c`` of a partition block, ``sums[c] / scale`` is the
-    total share of ``c``, so a piece is covered by its block exactly when
-    ``v(b) * sums[c] >= v(c) * scale``.  Masks outside the blocks stay 0.
-
-    Exact games with rational shares carry the sums as integer numerators
-    over the shares' common denominator ``scale``, which makes each coverage
-    test an int comparison on int-valued games.  Otherwise ``scale`` is 1
-    and the shares are added as they are, in the same order as always."""
-    terms, scale = share_terms(game, shares)
-    sums = [0] * (1 << game.n)
-    for block in partition:
-        subset_sums(terms, block, sums)
-    return sums, scale
-
-
-def _covers(game: Game, block: int, piece: int, table) -> bool:
-    """Whether the piece's in-block share covers its value."""
-    sums, scale = table
-    return geq(game.values[block] * sums[piece], game.values[piece] * scale, game.tol)
-
-
 # ---------------------------------------------------------------------------
 # membership predicates
 
 
-def _blocking_split(game: Game, block: int, table) -> tuple[int, ...] | None:
+def _blocking_split(block: int, blocking) -> tuple[int, ...] | None:
     """The pieces of the first split of the block into >=2-member pieces
-    that all block, i.e. each piece's own value exceeds its scaled in-block
-    share, or None when there is no such split.  Assumes the shares are
-    individually rational within the block."""
+    that all block (``blocking(piece)``: the piece's own value exceeds its
+    scaled in-block share), or None when there is no such split.  Assumes
+    the shares are individually rational within the block."""
     if block.bit_count() <= 3:
         return None
 
-    blocking = cache(lambda piece: not _covers(game, block, piece, table))
+    blocking = cache(blocking)
 
     @cache
     def split(mask: int) -> tuple[int, ...] | None:
@@ -140,9 +122,7 @@ def core_contains(game: Game, shares: Sequence, kind: str = STRONG) -> bool:
     if len(shares) != game.n:
         raise DimensionMismatch(f"expected {game.n} shares, got {len(shares)}")
     grand = (game.grand,)
-    return solution_feasible(game, grand, shares) and fission_resistant_by_table(
-        game, grand, share_table(game, grand, shares), kind
-    )
+    return solution_feasible(game, grand, shares) and _resists_fission(game, grand, shares, kind)
 
 
 def fission_resistant(game: Game, partition: Sequence[int], shares: Sequence, kind: str = STRONG) -> bool:
@@ -156,20 +136,25 @@ def fission_resistant(game: Game, partition: Sequence[int], shares: Sequence, ki
     _check_kind(kind)
     if not solution_feasible(game, partition, shares):
         raise InfeasibleSolution("allocation is not feasible for this partition")
-    return fission_resistant_by_table(game, partition, share_table(game, partition, shares), kind)
+    return _resists_fission(game, partition, shares, kind)
 
 
-def fission_resistant_by_table(game: Game, partition: Sequence[int], table, kind: str) -> bool:
-    """``fission_resistant`` on a feasible allocation given by its share
-    table; the table serves any game and either kind."""
+def _resists_fission(game: Game, partition: Sequence[int], shares: Sequence, kind: str) -> bool:
+    """``fission_resistant`` on a feasible allocation, judged on its subset
+    sums, built once: a piece ``c`` of block ``b`` is covered exactly when
+    ``v(b) * sums[c] >= v(c) * scale`` (tolerant ``geq`` on float games)."""
+    terms, scale = share_terms(game, shares)
+    sums, values, tol = [0] * (1 << game.n), game.values, game.tol
     for block in partition:
         if block.bit_count() < 2:
             continue
+        subset_sums(terms, block, sums)
+        v_b = values[block]
+        covers = lambda piece: geq(v_b * sums[piece], values[piece] * scale, tol)
         if kind == STRONG:
-            pieces = submasks(block, proper=True)
-            if not all(_covers(game, block, piece, table) for piece in pieces):
+            if not all(map(covers, submasks(block, proper=True))):
                 return False
-        elif _blocking_split(game, block, table) is not None:
+        elif _blocking_split(block, lambda piece: not covers(piece)) is not None:
             return False
     return True
 
@@ -183,10 +168,10 @@ def block_verdicts(
     feasible: Sequence[bool] | None = None,
     fission: bool = True,
 ) -> list:
-    """``boundary_contains`` and ``fission_resistant_by_table`` on one
-    block, for many allocations at once: row r of the object array
-    ``terms`` holds one allocation's terms on the block's members, over
-    ``scale`` (1 unless ``rational``).  The sums follow ``share_table``
+    """``boundary_contains`` and ``fission_resistant`` on one block, for
+    many allocations at once: row r of the object array ``terms`` holds one
+    allocation's terms on the block's members, over ``scale`` (1 unless
+    ``rational``).  The sums follow the scalar predicates' ``subset_sums``
     and each element is compared as the scalar predicates compare it:
     exactly, or by tolerant ``geq`` on float games.  Rational terms
     (integers under an exact game) are feasible when they sum to the scale
@@ -272,10 +257,7 @@ def is_stable(game: Game, partition: Sequence[int], shares: Sequence, kind: str 
     _check_kind(kind)
     if not solution_feasible(game, partition, shares):
         return False
-    table = share_table(game, partition, shares)
-    return fission_resistant_by_table(game, partition, table, kind) and fusion_resistant(
-        game, partition
-    )
+    return _resists_fission(game, partition, shares, kind) and fusion_resistant(game, partition)
 
 
 # ---------------------------------------------------------------------------
@@ -287,11 +269,6 @@ class CoreRegion:
     status: str
     witness: tuple | None = None
     method: str = ""
-
-
-def _exact_lower_bounds(game: Game, block: int) -> list[Fraction]:
-    v_b = Fraction(game.values[block])
-    return [Fraction(game.values[1 << i]) / v_b for i in members(block)]
 
 
 class CoreRows:
@@ -307,7 +284,8 @@ class CoreRows:
     def __init__(self, game: Game):
         self.full = full = game.grand
         self.values = integer_terms((0, *game.values[1:]))[0]
-        self.base = linfeas.linear_system(game.n, _exact_lower_bounds(game, full), (full,))
+        whole, lone = split_terms(game, full)
+        self.base = linfeas.linear_system(game.n, [Fraction(a, whole) for a in lone], (full,))
 
     def halfspace(self, c: int) -> linfeas.Halfspace:
         return linfeas.Halfspace(_F1, c, Fraction(self.values[c], self.values[self.full]))
@@ -315,6 +293,13 @@ class CoreRows:
     def restricted(self, coalitions) -> linfeas.LinearSystem:
         """The split simplex plus the rows of the coalitions, ascending."""
         return replace(self.base, halfspaces=tuple(map(self.halfspace, sorted(coalitions))))
+
+    def covered(self, point):
+        """Whether a point covers coalition C's row, as a predicate on C,
+        read off the point's integer subset-sum table as ``pricing`` is."""
+        terms, scale = integer_terms(point)
+        sums, values, v_n = subset_sums(terms, self.full), self.values, self.values[self.full]
+        return lambda c: v_n * sums[c] >= values[c] * scale
 
     def pricing(self, candidates: Sequence[int]):
         """``linfeas.generate_rows`` pricing over the candidate coalitions,
@@ -367,22 +352,22 @@ def split_vertices(game: Game, block: int) -> list[tuple]:
     singleton block's only split is the share 1, whatever its value."""
     if block.bit_count() == 1:
         return [(Fraction(1),)]
-    lbs = _exact_lower_bounds(game, block)
-    s = 1 - sum(lbs)
-    if s < 0:
+    whole, lone = split_terms(game, block)
+    rest = whole - sum(lone)
+    if rest < 0:
         return []
-    k = len(lbs)
-    return sorted({tuple(lb + s if i == j else lb for i, lb in enumerate(lbs)) for j in range(k)})
+    lb = [Fraction(a, whole) for a in lone]
+    return sorted({(*lb[:j], Fraction(a + rest, whole), *lb[j + 1 :]) for j, a in enumerate(lone)})
 
 
 def _centered_boundary_point(game: Game, block: int) -> tuple | None:
     """Max-slack point of a bare split simplex, computed in closed form:
     spread the leftover evenly.  None when the simplex is empty."""
-    lbs = _exact_lower_bounds(game, block)
-    s = 1 - sum(lbs)
-    if s < 0:
+    whole, lone = split_terms(game, block)
+    rest, k = whole - sum(lone), len(lone)
+    if rest < 0:
         return None
-    return _finish_witness(game, (lb + s / len(lbs) for lb in lbs))
+    return _finish_witness(game, (Fraction(k * a + rest, k * whole) for a in lone))
 
 
 def _finish_witness(game: Game, point) -> tuple:
@@ -461,15 +446,14 @@ def _weak_region_exact(game: Game, canonical_witness: bool) -> CoreRegion:
     core point, or every weak-core point of the set's polytope covers one
     piece of the split ``_blocking_split`` finds there, so the search
     branches on the pieces.  Infeasible sets are kept as nogoods and their
-    supersets skipped.  Coverage at the point is decided on the exactly
-    converted values, as the LP decides it.  The canonical witness is the
+    supersets skipped.  Coverage at the point is read off ``CoreRows``'
+    integer table, exact as the LP decides it.  The canonical witness is the
     max-slack point of the polytope committing every coalition the found
     point covers, all of which lies in the weak core; without it the found
     point serves."""
     full = game.grand
     if boundary_empty(game, full):
         return CoreRegion(EMPTY, None, "boundary")
-    exact = replace(game, values=(None, *map(Fraction, game.values[1:])), mode=EXACT, tol=0.0)
     rows = CoreRows(game)
     nogoods, stack = [], [frozenset()]
     while stack:
@@ -480,15 +464,15 @@ def _weak_region_exact(game: Game, canonical_witness: bool) -> CoreRegion:
         if point is None:
             nogoods.append(committed)
             continue
-        table = share_table(exact, (full,), point)
-        pieces = _blocking_split(exact, full, table)
+        covered = rows.covered(point)
+        pieces = _blocking_split(full, lambda piece: not covered(piece))
         if pieces is None:
             break
         stack += [committed | {piece} for piece in reversed(pieces)]
     else:
         return CoreRegion(EMPTY, None, "exact-search")
     if canonical_witness:
-        point = rows.solve([c for c in range(1, full) if _covers(exact, full, c, table)])
+        point = rows.solve([c for c in range(1, full) if covered(c)])
     return CoreRegion(NONEMPTY, _finish_witness(game, point), "exact-search")
 
 

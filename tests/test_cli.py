@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import pathlib
 import random
 import subprocess
@@ -464,6 +465,62 @@ def test_scenario_labels_are_malformed_fields(tmp_path, capsys, command, scenari
     path = tmp_path / "scen.json"
     path.write_text(json.dumps(scenario))
     assert run([command, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == message + "\n" and not captured.out
+
+
+_SWEEP = ["sweep", "--scenario", "meanstd", "--n", "3", "--r", "0.1"]
+
+
+@pytest.mark.parametrize(
+    "argv, scenario, message",
+    [
+        (["scenario-meanstd"], {**_MEANSTD, "mu": math.nan}, "mu must be a finite number, got nan"),
+        (["scenario-meanstd"], {**_MEANSTD, "mu": math.inf}, "mu must be a finite number, got inf"),
+        (
+            ["scenario-meanstd"],
+            {**_MEANSTD, "sigma": math.inf},
+            "sigma must be a finite number, got inf",
+        ),
+        (
+            ["scenario-meanstd"],
+            {**_MEANSTD, "sigma": math.nan},
+            "sigma must be a finite number, got nan",
+        ),
+        (
+            ["scenario-cvar"],
+            {"n": 2, "density": {"beta_a": math.inf}},
+            "density: shape parameter must be a finite number, got inf",
+        ),
+        (
+            ["scenario-cvar"],
+            {"n": 2, "density": {"beta_a": math.nan}},
+            "density: shape parameter must be a finite number, got nan",
+        ),
+        (_SWEEP + ["--mu", "inf"], None, "mu must be a finite number, got inf"),
+        (_SWEEP + ["--sigma", "nan"], None, "sigma must be a finite number, got nan"),
+        # non-finite values that were already refused keep their messages
+        (["scenario-meanstd"], {**_MEANSTD, "mu": -math.inf}, "mu and sigma must be positive"),
+        (
+            ["scenario-cvar"],
+            {"n": 2, "density": {"beta_a": -math.inf}},
+            "density: shape parameter must be at least 1",
+        ),
+        (
+            ["scenario-meanstd"],
+            {**_MEANSTD, "r": math.inf},
+            "risk aversion inf outside [0, 2.0)",
+        ),
+    ],
+)
+def test_non_finite_risk_parameters_name_their_field(tmp_path, capsys, argv, scenario, message):
+    # a non-finite mean, spread or shape is a malformed scenario field: exit
+    # 1 with one line naming it, not a bound or value error it leads to
+    if scenario is not None:
+        path = tmp_path / "scen.json"
+        path.write_text(json.dumps(scenario))
+        argv = argv + [str(path)]
+    assert run(argv) == 1
     captured = capsys.readouterr()
     assert captured.err == message + "\n" and not captured.out
 

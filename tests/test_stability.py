@@ -30,10 +30,12 @@ from fracgame import (
 )
 from fracgame import NumericFailure, linfeas, stability
 from fracgame.games import (
+    BoundarySampler,
     boundary_contains,
     boundary_empty,
     size_values,
     solution_feasible,
+    split_terms,
     subgame,
 )
 from fracgame.linfeas import row_generation
@@ -47,10 +49,10 @@ from fracgame.risk import (
 )
 from fracgame.centripetality import generate_ordered_pair
 from fracgame.stability import (
+    _centered_boundary_point,
     _weak_region_exact,
     core_system,
-    fission_resistant_by_table,
-    share_table,
+    share_terms,
     split_vertices,
     walk_partitions,
 )
@@ -160,9 +162,9 @@ def test_fission_resistance_matches_naive_oracle():
 
 
 def test_share_table_matches_naive_oracles():
-    # the table read directly, on exact and float games: coverage against the
-    # literal oracles, on valid samples and on samples with one share moved
-    # to another player that are still feasible
+    # the scalar coverage check, on exact and float games: fission verdicts
+    # against the literal oracles, on valid samples and on samples with one
+    # share moved to another player that are still feasible
     rng = random.Random(47)
     checked = infeasible = 0
     for trial in range(200):
@@ -186,29 +188,23 @@ def test_share_table_matches_naive_oracles():
                 if not solution_feasible(game, partition, f):
                     infeasible += 1
                     continue
-                table = share_table(game, partition, f)
                 checked += 1
+                # exact games compare integer numerators over one scale
+                terms, scale = share_terms(game, f)
+                if trial % 2:
+                    assert all(type(t) is int for t in terms)
+                    assert [Fraction(t, scale) for t in terms] == list(f)
+                else:
+                    assert (tuple(terms), scale) == (f, 1)
                 for kind in (STRONG, WEAK):
-                    assert fission_resistant_by_table(
-                        game, partition, table, kind
-                    ) == naive_fission_resistant(game, partition, f, kind)
+                    assert fission_resistant(game, partition, f, kind) == naive_fission_resistant(
+                        game, partition, f, kind
+                    )
                 if partition == (game.grand,):
-                    assert fission_resistant_by_table(
-                        game, partition, table, WEAK
-                    ) == naive_weak_core_contains(game, f)
+                    assert fission_resistant(game, partition, f, WEAK) == naive_weak_core_contains(
+                        game, f
+                    )
     assert checked > 150 and infeasible > 20
-
-
-def test_share_table_is_integer_on_exact_games():
-    game = make_game(3, {1: 1, 2: 1, 4: 1, 3: 3, 5: 3, 6: 3, 7: 6})
-    shares = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6))
-    sums, scale = share_table(game, (7,), shares)
-    assert scale == 6
-    assert all(type(x) is int for x in sums)
-    assert sums[7] == 6 and sums[3] == 5 and sums[6] == 3
-    # only the blocks' submasks are filled
-    sums, scale = share_table(game, (5, 2), (Fraction(1, 4), 1, Fraction(3, 4)))
-    assert scale == 4 and sums[5] == 4 and sums[2] == 4 and sums[3] == 0
 
 
 def test_fission_resistant_rejects_infeasible(superadditive3):
@@ -320,6 +316,78 @@ def test_split_vertices_of_a_singleton_block():
         game = make_game(1, {1: value})
         assert split_vertices(game, 1) == [(1,)]
         assert boundary_contains(game, 1, split_vertices(game, 1)[0])
+
+
+def test_split_simplex_functions_match_their_fraction_formulas():
+    # every reader of games.split_terms against the Fraction formulas of a
+    # block's split simplex: lower bounds v(i)/v(B) and leftover 1 - their
+    # sum, on exact and float games, empty blocks and blocks with nothing
+    # left over
+    rng = random.Random(83)
+    games = [random_exact_game(rng, rng.randint(2, 4)) for _ in range(30)]
+    games += [random_float_game(rng, rng.randint(2, 4)) for _ in range(30)]
+    games += [cut_game(random.Random(3), 4), build_meanstd_game(MeanStdScenario(4, 1.0, 0.5, 0.8))]
+    games.append(make_game(3, {1: 1, 2: 2, 4: 3, 3: 3, 5: 4, 6: 5, 7: 6}))
+    games.append(make_game(2, {1: 0.5, 2: 0.25, 3: 0.75}))
+    seen = {"empty": 0, "flat": 0, "float": 0}
+    for game in games:
+        for block in range(1, 1 << game.n):
+            if block.bit_count() < 2:
+                continue
+            mem = members(block)
+            lbs = [Fraction(game.values[1 << i]) / Fraction(game.values[block]) for i in mem]
+            s, k = 1 - sum(lbs), len(mem)
+            whole, lone = split_terms(game, block)
+            assert all(type(x) is int for x in (whole, *lone))
+            assert [Fraction(a, whole) for a in lone] == lbs
+            assert Fraction(whole - sum(lone), whole) == s
+            assert boundary_empty(game, block) == (s < 0)
+            vertices = {tuple(lb + s if i == j else lb for i, lb in enumerate(lbs)) for j in range(k)}
+            assert split_vertices(game, block) == ([] if s < 0 else sorted(vertices))
+            centre = None if s < 0 else tuple(lb + s / k for lb in lbs)
+            if centre is not None and game.mode != "exact":
+                centre = tuple(map(float, centre))
+            assert _centered_boundary_point(game, block) == centre
+            if game.mode == "exact":
+                lower, scale, rest, count = BoundarySampler(game)._bounds(block)
+                assert [Fraction(a, scale) for a in lower] == lbs
+                assert Fraction(rest * BoundarySampler.GRAIN, scale) == s
+                assert (count is None) == (s < 0)
+            assert stability.CoreRows(subgame(game, block)).base.lower == tuple(lbs)
+            seen["empty"] += s < 0
+            seen["flat"] += s == 0
+            seen["float"] += game.mode != "exact" and s >= 0
+    assert all(count >= 3 for count in seen.values())
+
+
+def test_core_rows_coverage_matches_fraction_member_sums():
+    # at the LP point of a committed system, CoreRows.covered says of every
+    # coalition C whether v(N) * (sum of its shares) >= v(C), as literal
+    # Fraction member sums say it; the points sit on the rows they commit
+    # and on lower bounds, so ties are checked too
+    rng = random.Random(89)
+    games = [random_exact_game(rng, rng.randint(3, 5)) for _ in range(8)]
+    games += [random_float_game(rng, rng.randint(3, 5)) for _ in range(8)]
+    games += [cut_game(random.Random(seed), n) for seed, n in ((1, 4), (2, 5), (3, 6))]
+    games += [build_meanstd_game(MeanStdScenario(n, 1.0, 0.5, r)) for n, r in ((3, 0.4), (4, 1.2))]
+    seen = {True: 0, False: 0, "tight": 0}
+    for game in games:
+        rows, full = stability.CoreRows(game), game.grand
+        v_n = Fraction(game.values[full])
+        proper = range(1, full)
+        for trial in range(6):
+            committed = rng.sample(proper, min(trial, len(proper)))
+            point = linfeas.feasible(rows.restricted(committed))
+            if point is None:
+                continue
+            covered = rows.covered(point)
+            for c in proper:
+                share = v_n * sum(point[i] for i in members(c))
+                value = Fraction(game.values[c])
+                assert covered(c) == (share >= value)
+                seen[covered(c)] += 1
+                seen["tight"] += share == value
+    assert all(count >= 50 for count in seen.values())
 
 
 def test_region_witness_always_revalidates():
