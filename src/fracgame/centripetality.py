@@ -13,18 +13,20 @@ false, the cross product agrees (case check over the zero patterns).
 
 The order's consequences are checked by two verification harnesses: one for
 the five inclusion claims between the ordered games' solution sets, one for
-the core inclusions and the downward transfer of splintered stability.  Their
-sampled claims draw their candidates first and judge each distinct block's
-candidates together, a bounded chunk at a time, as bool arrays
-(``stability.block_verdicts``) that each partition ANDs over its blocks and
-reads off in candidate order.
+the core inclusions and the downward transfer of splintered stability.  The
+split-set and feasible-solution claims are decided exactly, per distinct
+block, on vertices.  The sampled claims draw their candidates first and judge
+each distinct block's candidates together, a bounded chunk at a time, as
+bool arrays (``stability.block_verdicts``) that each partition ANDs over its
+blocks and reads off in candidate order.  The second game always judges at
+the pair's combined tolerance, as ``leq_cp`` does.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -48,7 +50,7 @@ from .games import (
     size_values,
     submasks,
 )
-from .partitions import enumerate_partitions, singleton_partition
+from .partitions import enumerate_partitions, make_partition, singleton_partition
 from .stability import (
     NONEMPTY,
     STRONG,
@@ -170,24 +172,33 @@ def _fmt_point(point) -> str:
     return "(" + ", ".join(str(x) for x in point) + ")"
 
 
+def _at_tol(game: Game, tol: float) -> Game:
+    """The game with its predicates at tolerance ``tol``: a pair's claims
+    judge the second game at the pair's combined tolerance."""
+    return game if game.tol == tol else replace(game, tol=tol)
+
+
 def _boundary_included(g1: Game, g2: Game, block: int, tol: float):
-    """Split-set inclusion for one block, exact.  Fast path: lower bounds
-    under g2 sit below those under g1 (cross-multiplied).  Otherwise decide
-    on the vertices of the g1 split set, which is a simplex-like polytope
-    with at most dim vertices."""
+    """Split-set inclusion for one block, exact: ``(scope, detail,
+    vertex)``, where vertex is the first g1 vertex that g2 refuses, or None
+    when the inclusion holds.  Fast path: lower bounds under g2 sit below
+    those under g1 (cross-multiplied).  Otherwise decide on the vertices of
+    the g1 split set, which is a simplex-like polytope with at most dim
+    vertices."""
     mem = members(block)
     if len(mem) == 1:
-        return True, "singleton", ""
+        return "singleton", "", None
     v1b = g1.values[block]
     v2b = g2.values[block]
     if all(leq(g2.values[1 << i] * v1b, g1.values[1 << i] * v2b, tol) for i in mem):
-        return True, "thresholds", ""
+        return "thresholds", "", None
     if boundary_empty(g1, block):
-        return True, "vacuous", "empty under the first game"
+        return "vacuous", "empty under the first game", None
+    g2 = _at_tol(g2, tol)
     for vertex in split_vertices(g1, block):
         if not boundary_contains(g2, block, vertex):
-            return False, "vertices", f"block {block:#x} vertex {_fmt_point(vertex)}"
-    return True, "vertices", ""
+            return "vertices", f"block {block:#x} vertex {_fmt_point(vertex)}", vertex
+    return "vertices", "", None
 
 
 def _point(n: int, sampler, partition, picked: dict) -> str:
@@ -209,18 +220,19 @@ def _point(n: int, sampler, partition, picked: dict) -> str:
 _fraction = np.frompyfunc(Fraction, 2, 1)
 
 
-def _judge_block(
-    g1: Game, g2: Game, block: int, terms, scale: int, read=(True, True), fission: bool = True
-) -> list:
+def _judge_block(g1: Game, g2: Game, block: int, terms, scale: int, read=(True, True)) -> list:
     """``block_verdicts`` under g1 and g2 on one block's candidate rows: the
     matrix ``terms`` over ``scale`` holds g1's terms, and a float g2 judges
-    an exact g1's rows on their shares over 1.  ``read`` says per
-    game whether its feasibility is judged (one that is not reads None)."""
+    an exact g1's rows on their shares over 1.  g2 judges at the pair's
+    combined tolerance, so a float g1's rows that miss an exact g2's bounds
+    by rounding alone pass.  ``read`` says per game whether its feasibility
+    is judged (one that is not reads None)."""
+    g2 = _at_tol(g2, combined_tol(g1, g2))
     if g1.mode == g2.mode or g1.mode != EXACT:
-        return block_verdicts((g1, g2), block, terms, scale, g1.mode == EXACT, read, fission)
+        return block_verdicts((g1, g2), block, terms, scale, g1.mode == EXACT, read)
     shares = terms if scale == 1 else _fraction(terms, scale)
-    return block_verdicts((g1,), block, terms, scale, True, read[:1], fission) + block_verdicts(
-        (g2,), block, shares, 1, False, read[1:], fission
+    return block_verdicts((g1,), block, terms, scale, True, read[:1]) + block_verdicts(
+        (g2,), block, shares, 1, False, read[1:]
     )
 
 
@@ -236,10 +248,9 @@ def _block_matrix(sampler, block: int, witnesses: list, cuts) -> tuple:
     return np.concatenate([lifted, drawn * (scale // den)]), scale
 
 
-# samples drawn and judged per call in theorem claim 3, and rows judged per
-# call in claim 4, whose draws of every partition are held as cuts: a block's
-# Python-number terms and subset sums are built for at most this many rows at
-# a time
+# rows judged per call in theorem claim 4, whose draws of every partition are
+# held as cuts: a block's Python-number terms and subset sums are built for at
+# most this many rows at a time
 _CHUNK = 1 << 12
 
 
@@ -261,86 +272,52 @@ def verify_theorem1(
     """Check the five inclusion claims for an ordered pair: grand split set,
     per-partition split products, feasible solutions, fission-resistant
     solutions (both senses), and the reversed inclusion of fusion-resistant
-    partitions.  The first two and the last are exhaustive and exact; the
-    middle two are checked on random samples read in order up to the first
-    failure, then on witnesses plus samples, each distinct block's
-    candidates judged at once."""
+    partitions.  All but the fourth are exhaustive and exact; the fourth is
+    checked on witnesses plus random samples read in order up to the first
+    failure, each distinct block's candidates judged at once."""
     if g1.n != g2.n:
         raise DimensionMismatch(f"games on {g1.n} and {g2.n} players")
     n = g1.n
     order = leq_cp(g1, g2)
     tol = combined_tol(g1, g2)
-    rng = random.Random(seed)
     parts = list(enumerate_partitions(n))
     claims = []
 
     # (1) grand-coalition split set
-    ok, scope, detail = _boundary_included(g1, g2, g1.grand, tol)
-    claims.append(ClaimResult("boundary", ok, scope, detail))
+    scope, detail, vertex = _boundary_included(g1, g2, g1.grand, tol)
+    claims.append(ClaimResult("boundary", vertex is None, scope, detail))
 
     # (2) split products, one check per distinct block
-    failures = []
+    refused = []  # per failing block: the block, its detail and its refused vertex
     for block in coalitions(n):
         if block.bit_count() < 2:
             continue
-        ok, _, detail = _boundary_included(g1, g2, block, tol)
-        if not ok:
-            failures.append(detail)
+        _, detail, vertex = _boundary_included(g1, g2, block, tol)
+        if vertex is not None:
+            refused.append((block, detail, vertex))
     claims.append(
         ClaimResult(
             "partition-boundaries",
-            not failures,
+            not refused,
             "exhaustive-blocks",
-            "; ".join(failures),
+            "; ".join(detail for _, detail, _ in refused),
         )
     )
 
-    # (3) feasible solutions transfer, sampled, _CHUNK samples at a time: a
-    # chunk's draws are taken first, each distinct block's draws judged under
-    # g2 at once, and the first failure read in sample order; a failure
-    # replays the chunk's draws up to it, so claim 4 takes the rng where the
-    # one-by-one loop would have stopped.  A singleton's one split, the share
-    # 1, passes under every game, so singletons are not judged (here and in
-    # claim 4)
-    sampler = BoundarySampler(g1)
-    checked, failures = 0, []
-    for start in range(0, samples, _CHUNK):
-        state = rng.getstate()
-        drawn = []
-        for j in range(start, min(start + _CHUNK, samples)):
-            partition = parts[rng.randrange(len(parts))]
-            cuts = sampler.cuts(partition, rng)
-            if cuts is not None:
-                drawn.append((j, partition, cuts))
-        at: dict[int, list] = {}  # per block: the draws holding it, and their cuts
-        rows: dict[int, list] = {}
-        for d, (_, partition, cuts) in enumerate(drawn):
-            for block, c in zip(partition, cuts):
-                if block & (block - 1):
-                    at.setdefault(block, []).append(d)
-                    rows.setdefault(block, []).extend(c)
-        passed, matrices = np.ones(len(drawn), bool), {}
-        for block, where in at.items():
-            terms, scale = matrices[block] = sampler.terms(block, rows[block])
-            passed[where] &= _judge_block(g1, g2, block, terms, scale, (False, True), False)[1][0]
-        got, bad = _first_failure(np.ones(len(drawn), bool), passed)
-        checked += got
-        if bad is not None:
-            j, partition, _ = drawn[bad]
-            picked = {}
-            for b in partition:
-                if b in at:
-                    terms, scale = matrices[b]
-                    picked[b] = terms[at[b].index(bad)].tolist(), scale
-            point = _point(n, sampler, partition, picked)
-            failures.append(f"partition {partition} point {point}")
-            rng.setstate(state)
-            for _ in range(start, j + 1):
-                sampler.cuts(parts[rng.randrange(len(parts))], rng)
-            break
-    claims.append(
-        ClaimResult("feasible-solutions", not failures, f"sampled({checked})", "; ".join(failures))
-    )
+    # (3) feasible solutions transfer.  A feasible solution is a product of
+    # per-block splits, so every one transfers iff every block's split set
+    # does, which claim 2 decides.  The first failing block's refused vertex,
+    # with the share 1 on each other player alone, is a g1-feasible solution
+    # that g2 refuses
+    detail = ""
+    if refused:
+        block, _, vertex = refused[0]
+        shares = [1] * n
+        for i, x in zip(members(block), vertex):
+            shares[i] = x
+        partition = make_partition([block, *(1 << i for i in members(g1.grand ^ block))], n)
+        detail = f"partition {partition} point {_fmt_point(shares)}"
+    claims.append(ClaimResult("feasible-solutions", not refused, "exhaustive-blocks", detail))
 
     # (4) fission-resistant solutions transfer, witnesses plus samples.  Each
     # distinct block's candidates are judged at once, under both games and
@@ -349,7 +326,11 @@ def verify_theorem1(
     # partition ANDs its blocks' slices, and each kind reads off its rows
     # in order, the patched witness first when every block has one (a
     # singleton's region always has).  Candidates are g1-feasible by
-    # construction, so only g2 feasibility is judged
+    # construction, so only g2 feasibility is judged.  A singleton's one
+    # split, the share 1, passes under every game, so singletons are not
+    # judged
+    rng = random.Random(seed)
+    sampler = BoundarySampler(g1)
     table = BlockTable(g1, canonical_witness=False)
     live = [p for p in parts if not any(boundary_empty(g1, b) for b in p)]
     # per block: one compact cut array per partition that holds it (int32,

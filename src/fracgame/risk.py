@@ -413,8 +413,8 @@ def build_meanstd_game(
         raise RBarOutOfRange(f"risk aversion {r!r} outside [0, {mu / sigma!r})")
     phi = scenario.phi or {}
     for c, factor in phi.items():
-        if factor <= 0:
-            raise ScenarioError(f"synergy factor for {c:#x} must be positive")
+        if not 0 < factor < math.inf:
+            raise ScenarioError(f"synergy factor for {c:#x} must be positive and finite")
     values = {}
     for c in coalitions(n):
         base = meanstd_value(c.bit_count(), mu, sigma, r)
@@ -635,6 +635,14 @@ def _field(raw, name: str, kind=float, most=None):
     return value
 
 
+def _finite_field(raw, name: str) -> float:
+    """``_field`` for a float field that has no use for inf or nan."""
+    value = _field(raw, name)
+    if not math.isfinite(value):
+        raise ScenarioError(f"{name} must be a finite number, got {value!r}")
+    return value
+
+
 def _field_knots(raw, name: str) -> list[tuple[float, float]]:
     pts = []
     for i, pt in enumerate(_field(raw, name, list)):
@@ -691,10 +699,10 @@ def meanstd_from_dict(data: Mapping) -> tuple[MeanStdScenario, tuple[str, ...]]:
     phi = None
     if "phi" in data:
         raw = dict(_field(data["phi"], "phi", Mapping))
-        default = _field(raw.pop("default", 1.0), "phi.default")
+        default = _finite_field(raw.pop("default", 1.0), "phi.default")
         phi = {c: default for c in coalitions(n)}
         for c, (label, factor) in _field_coalitions(raw, "phi", players).items():
-            phi[c] = _field(factor, f"phi.{label}")
+            phi[c] = _finite_field(factor, f"phi.{label}")
     return MeanStdScenario(n, mu, sigma, r, phi), players
 
 

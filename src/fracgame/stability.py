@@ -166,7 +166,6 @@ def block_verdicts(
     scale: int,
     rational: bool,
     feasible: Sequence[bool] | None = None,
-    fission: bool = True,
 ) -> list:
     """``boundary_contains`` and ``fission_resistant`` on one block, for
     many allocations at once: row r of the object array ``terms`` holds one
@@ -178,12 +177,11 @@ def block_verdicts(
     and each covers its member's lower bound (so none exceeds the scale).
     Returns, per game, the bool arrays ``(feasible, {STRONG: ..., WEAK:
     ...})`` over the rows.  ``feasible`` says per game whether its
-    feasibility is read (default: every game's); one that is not is None,
-    and so are the fission verdicts without ``fission``."""
+    feasibility is read (default: every game's); one that is not is None."""
     mem = members(block)
     count, full = len(terms), (1 << len(mem)) - 1
     pieces = [(piece, remap(piece, mem)) for piece in range(1, full)]
-    sums = subset_sums(terms.T, full) if fission else None
+    sums = subset_sums(terms.T, full)
     ones, judged = np.ones(count, bool), []
     for game, read in zip(games, feasible or [True] * len(games)):
         values, v_b, tol = game.values, game.values[block], game.tol
@@ -196,9 +194,6 @@ def block_verdicts(
             feasibility = np.fromiter(
                 (boundary_contains(game, block, f) for f in terms.tolist()), bool, count
             )
-        if not fission:
-            judged.append((feasibility, None))
-            continue
         covered = {}
         for piece, outer in pieces:
             lhs, rhs = v_b * sums[piece], values[outer] * scale

@@ -1,4 +1,5 @@
 import bisect
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -10,7 +11,14 @@ from fracgame import STRONG, boundary_contains, enumerate_partitions, make_game,
 from fracgame import sample_boundary
 from fracgame import linfeas, stability
 from fracgame.errors import InfeasibleSystem, NumericFailure
-from fracgame.games import boundary_empty, check_partition, geq, integer_terms, subset_sums
+from fracgame.games import (
+    boundary_empty,
+    check_partition,
+    combined_tol,
+    geq,
+    integer_terms,
+    subset_sums,
+)
 from fracgame.partitions import fusion_neighborhood
 
 
@@ -189,32 +197,22 @@ def naive_sample_solution(game, partition, rng):
     return tuple(shares)
 
 
-def naive_theorem_sampled_claims(g1, g2, *, samples, seed):
-    """Reference for claims 3 and 4 of centripetality.verify_theorem1, in
-    its rng order: claim 3 judges each sample by solution_feasible under g2;
-    claim 4 takes the same candidates (block-table witnesses, then fresh
-    samples), each kind judged on its own by solution_feasible and
-    naive_fission_resistant, under g1 and then g2."""
+def _at_pair_tol(g1, g2):
+    """g2 with its predicates at the pair's combined tolerance."""
+    return dataclasses.replace(g2, tol=combined_tol(g1, g2))
+
+
+def naive_theorem_fission_claim(g1, g2, *, samples, seed):
+    """Reference for claim 4 of centripetality.verify_theorem1, in its rng
+    order: the block-table witnesses, then fresh samples, each kind judged
+    on its own by solution_feasible and naive_fission_resistant, under g1
+    and then under g2 at the pair's combined tolerance."""
     from fracgame.centripetality import ClaimResult, _fmt_point
     from fracgame.games import solution_feasible
 
-    n = g1.n
     rng = random.Random(seed)
-    parts = list(enumerate_partitions(n))
-    checked = 0
-    failures = []
-    for _ in range(samples):
-        partition = parts[rng.randrange(len(parts))]
-        f = naive_sample_solution(g1, partition, rng)
-        if f is None:
-            continue
-        checked += 1
-        if not solution_feasible(g2, partition, f):
-            failures.append(f"partition {partition} point {_fmt_point(f)}")
-            break
-    feasible_claim = ClaimResult(
-        "feasible-solutions", not failures, f"sampled({checked})", "; ".join(failures)
-    )
+    parts = list(enumerate_partitions(g1.n))
+    g2 = _at_pair_tol(g1, g2)
     table = stability.BlockTable(g1, canonical_witness=False)
     checked = {stability.STRONG: 0, stability.WEAK: 0}
     failures = []
@@ -236,24 +234,24 @@ def naive_theorem_sampled_claims(g1, g2, *, samples, seed):
                 ):
                     failures.append(f"{kind} partition {partition} point {_fmt_point(f)}")
                     break
-    fission_claim = ClaimResult(
+    return ClaimResult(
         "fission-resistant-solutions",
         not failures,
         f"witness+sampled(strong={checked[stability.STRONG]},weak={checked[stability.WEAK]})",
         "; ".join(failures[:3]),
     )
-    return feasible_claim, fission_claim
 
 
 def naive_corollary_weak_claim(g1, g2, *, samples, seed):
     """Reference for the weak-core claim of centripetality.verify_corollary,
     in its rng order: the grand split set's vertices, the g1 weak-core
     witness and naive_sample_boundary draws, each point judged by
-    boundary_contains and naive_weak_core_contains under g1 and then g2."""
+    boundary_contains and naive_weak_core_contains under g1 and then under
+    g2 at the pair's combined tolerance."""
     from fracgame.centripetality import ClaimResult, _fmt_point
 
-    n = g1.n
     rng = random.Random(seed)
+    g2 = _at_pair_tol(g1, g2)
     candidates = list(stability.split_vertices(g1, g1.grand))
     region = stability.core_region(g1, stability.WEAK, canonical_witness=False)
     if region.status == stability.NONEMPTY:

@@ -32,19 +32,16 @@ from fracgame.risk import (
 )
 from fracgame.games import (
     BoundarySampler,
-    boundary_contains,
     boundary_empty,
     members,
     solution_feasible,
 )
-from fracgame.partitions import enumerate_partitions
 from fracgame.stability import core_system
 from fracgame.linfeas import vertices
 from conftest import (
     cut_game,
     naive_corollary_weak_claim,
-    naive_sample_solution,
-    naive_theorem_sampled_claims,
+    naive_theorem_fission_claim,
     random_exact_game,
 )
 
@@ -193,19 +190,18 @@ def _float_copy(game):
     return make_game(game.n, {c: float(game.values[c]) for c in range(1, 1 << game.n)})
 
 
-def _theorem_report_with_naive_sampled_claims(g1, g2, samples, seed):
+def _theorem_report_with_naive_fission_claim(g1, g2, samples, seed):
     report = verify_theorem1(g1, g2, samples=samples, seed=seed)
     claims = list(report.claims)
-    claims[2:4] = naive_theorem_sampled_claims(g1, g2, samples=samples, seed=seed)
+    claims[3] = naive_theorem_fission_claim(g1, g2, samples=samples, seed=seed)
     return dataclasses.replace(report, claims=tuple(claims)).to_dict()
 
 
 def test_theorem_fission_claim_matches_naive_loop():
     # one share table per candidate must give the verdicts, counts and
-    # details of judging each game and kind separately, and claim 3's
-    # table read-off those of solution_feasible; exact pairs (int and
-    # Fraction values, ordered and not), float copies of them and one pair
-    # of each mixed kind
+    # details of judging each game and kind separately; exact pairs (int
+    # and Fraction values, ordered and not), float copies of them and one
+    # pair of each mixed kind
     rng = random.Random(29)
     pairs = []
     for n in (2, 3, 3, 4, 4):
@@ -215,13 +211,12 @@ def test_theorem_fission_claim_matches_naive_loop():
     for n in (2, 3, 4):
         g1, g2 = random_exact_game(rng, n), random_exact_game(rng, n)
         pairs += [(g1, g2), (_float_copy(g1), _float_copy(g2))]
-    failed = {2: 0, 3: 0}
+    failed = 0
     for g1, g2 in pairs:
         got = verify_theorem1(g1, g2, samples=25, seed=3).to_dict()
-        assert got == _theorem_report_with_naive_sampled_claims(g1, g2, 25, 3)
-        for claim in failed:
-            failed[claim] += not got["claims"][claim]["passed"] and g1.mode == g2.mode == "exact"
-    assert failed[2] > 0 and failed[3] > 0
+        assert got == _theorem_report_with_naive_fission_claim(g1, g2, 25, 3)
+        failed += not got["claims"][3]["passed"] and g1.mode == g2.mode == "exact"
+    assert failed > 0
 
 
 def test_theorem_fission_claim_needs_feasibility_under_the_second_game():
@@ -235,7 +230,7 @@ def test_theorem_fission_claim_needs_feasibility_under_the_second_game():
         claim = report.claims[3]
         assert not claim.passed
         assert "weak partition (3,)" in claim.detail
-        assert report.to_dict() == _theorem_report_with_naive_sampled_claims(*pair, 5, 1)
+        assert report.to_dict() == _theorem_report_with_naive_fission_claim(*pair, 5, 1)
 
 
 def _near_tie_pair():
@@ -252,7 +247,85 @@ def test_theorem_claims_keep_the_float_tolerance_on_mixed_pairs():
     g1, g2 = _near_tie_pair()
     report = verify_theorem1(g1, g2, samples=10, seed=2)
     assert report.claims[2].passed and report.claims[3].passed
-    assert report.to_dict() == _theorem_report_with_naive_sampled_claims(g1, g2, 10, 2)
+    assert report.to_dict() == _theorem_report_with_naive_fission_claim(g1, g2, 10, 2)
+
+
+def _rounded_mixed_pair():
+    # ordered (leq_cp holds at the float tolerance of g1), but draws of g1
+    # sum to 1 only up to rounding, which the exact g2 refuses at its own
+    # tolerance 0
+    g1 = make_game(2, {1: 1.0659163240289307, 2: 1.7096670861217336, 3: 7.2079832237469})
+    g2 = make_game(2, {1: Fraction(1, 3), 2: 2, 3: Fraction(21, 2)})
+    return g1, g2
+
+
+def test_mixed_pairs_judge_the_second_game_at_the_combined_tolerance():
+    # claims 1-2 and leq_cp compare at the pair's tolerance, so the sampled
+    # claims judge g2 at it too: a float g1's rounding fails no claim
+    g1, g2 = _rounded_mixed_pair()
+    assert leq_cp(g1, g2).holds
+    assert verify_theorem1(g1, g2, samples=200, seed=323).passed
+    assert verify_corollary(g1, g2, samples=200, seed=323).passed
+    _assert_matches_naive_loops(g1, g2, 200, 323)
+
+
+def _refused_blocks(g1, g2):
+    """Reference for claim 2: the blocks of two or more players whose g1
+    split set is nonempty and holds a point g2 refuses.  The g1 split set
+    is the simplex of shares at or above v1(i)/v1(B) summing to 1, so g2
+    refuses one of its points iff some member's lower bound is higher under
+    g2; decided in Fractions."""
+    refused = []
+    for block in range(3, 1 << g1.n):
+        if block & (block - 1):
+            lower = [
+                [Fraction(g.values[1 << i]) / Fraction(g.values[block]) for i in members(block)]
+                for g in (g1, g2)
+            ]
+            if sum(lower[0]) <= 1 and any(a < b for a, b in zip(*lower)):
+                refused.append(block)
+    return refused
+
+
+@pytest.mark.parametrize("samples", [0, 40])
+def test_claim_three_is_decided_by_claim_two(samples):
+    # a feasible solution is a product of per-block splits, so claim 3
+    # holds iff every block's split set is included, which claim 2 decides.
+    # A failure prints the first refused block, with singletons around it,
+    # and a g1 vertex of it that g2 refuses, with the share 1 elsewhere:
+    # g1-feasible and g2-infeasible.  Generated pairs are ordered and
+    # pass; swapped, they fail on some blocks; exact, float and mixed
+    rng = random.Random(23)
+    pairs = [_rounded_mixed_pair()]
+    for n in (2, 3, 3, 4, 4, 5):
+        g1, g2 = generate_ordered_pair(rng.randrange(1 << 30), n)
+        pairs += _pair_modes(g1, g2) + _pair_modes(g2, g1)
+    failed = set()
+    for g1, g2 in pairs:
+        two, three = verify_theorem1(g1, g2, samples=samples, seed=9).claims[1:3]
+        refused = _refused_blocks(g1, g2)
+        named = [int(b, 16) for b in re.findall(r"block (0x[0-9a-f]+)", two.detail)]
+        assert named == refused and two.passed == (not refused)
+        assert (three.name, three.passed, three.scope) == (
+            "feasible-solutions",
+            two.passed,
+            "exhaustive-blocks",
+        )
+        if three.passed:
+            assert three.detail == ""
+            continue
+        failed.update(refused)
+        match = re.fullmatch(r"partition (\(.*?\)) point \((.*)\)", three.detail)
+        partition = ast.literal_eval(match[1])
+        point = [Fraction(x) for x in match[2].split(", ")]
+        block = refused[0]
+        others = [1 << i for i in range(g1.n) if not block >> i & 1]
+        assert sorted(partition) == sorted([block, *others])
+        assert all(point[i] == 1 for i in range(g1.n) if not block >> i & 1)
+        assert tuple(point[i] for i in members(block)) in stability.split_vertices(g1, block)
+        assert solution_feasible(g1, partition, point)
+        assert not solution_feasible(g2, partition, point)
+    assert len(failed) > 10
 
 
 def test_corollary_weak_claim_matches_naive_loop():
@@ -306,7 +379,7 @@ def test_sampled_claims_match_naive_loops_on_five_players():
     failed = 0
     for g1, g2 in _five_player_pairs():
         report = verify_theorem1(g1, g2, samples=25, seed=3).to_dict()
-        assert report == _theorem_report_with_naive_sampled_claims(g1, g2, 25, 3)
+        assert report == _theorem_report_with_naive_fission_claim(g1, g2, 25, 3)
         corollary = verify_corollary(g1, g2, samples=25, seed=3).to_dict()
         assert corollary == _corollary_report_with_naive_weak_claim(g1, g2, 25, 3)
         failed += (not report["claims"][3]["passed"]) + (not corollary["claims"][1]["passed"])
@@ -320,19 +393,9 @@ def test_sampled_claims_match_naive_loops_at_200_samples():
     pairs.append((random_exact_game(rng, 4), random_exact_game(rng, 4)))
     for g1, g2 in pairs:
         got = verify_theorem1(g1, g2, samples=200, seed=8).to_dict()
-        assert got == _theorem_report_with_naive_sampled_claims(g1, g2, 200, 8)
+        assert got == _theorem_report_with_naive_fission_claim(g1, g2, 200, 8)
         got = verify_corollary(g1, g2, samples=200, seed=8).to_dict()
         assert got == _corollary_report_with_naive_weak_claim(g1, g2, 200, 8)
-
-
-def test_claim_three_failing_early_hands_its_rng_to_claim_four():
-    # claim 3 stops at its second sample, so claim 4 draws from the rng as
-    # that break left it
-    rng = random.Random(10)
-    g1, g2 = random_exact_game(rng, 4), random_exact_game(rng, 4)
-    got = verify_theorem1(g1, g2, samples=25, seed=3)
-    assert (got.claims[2].passed, got.claims[2].scope) == (False, "sampled(2)")
-    assert got.to_dict() == _theorem_report_with_naive_sampled_claims(g1, g2, 25, 3)
 
 
 def test_fission_claim_fails_on_the_witness_row_alone():
@@ -346,7 +409,7 @@ def test_fission_claim_fails_on_the_witness_row_alone():
         assert not claim.passed
         assert claim.detail.startswith("strong partition (7,) point (")
         assert verify_theorem1(*pair, samples=25, seed=3).to_dict() == (
-            _theorem_report_with_naive_sampled_claims(*pair, 25, 3)
+            _theorem_report_with_naive_fission_claim(*pair, 25, 3)
         )
     claim = verify_theorem1(g1, g2, samples=25, seed=3).claims[3]
     assert claim.detail == "strong partition (7,) point (1/3, 1/3, 1/3)"
@@ -360,7 +423,7 @@ def _pair_modes(g1, g2):
 
 def _assert_matches_naive_loops(g1, g2, samples, seed):
     got = verify_theorem1(g1, g2, samples=samples, seed=seed).to_dict()
-    assert got == _theorem_report_with_naive_sampled_claims(g1, g2, samples, seed)
+    assert got == _theorem_report_with_naive_fission_claim(g1, g2, samples, seed)
     got = verify_corollary(g1, g2, samples=samples, seed=seed).to_dict()
     assert got == _corollary_report_with_naive_weak_claim(g1, g2, samples, seed)
 
@@ -398,53 +461,6 @@ def test_claim_four_judges_long_blocks_in_chunks(monkeypatch):
     assert failed
 
 
-def test_claim_three_judges_its_draws_in_chunks(monkeypatch):
-    # with seven samples a chunk, claim 3's draws span five chunks; its
-    # count, its first failing point and the rng it hands claim 4 read the
-    # same as the one-candidate-at-a-time loops, also when the failure sits
-    # in a later chunk
-    monkeypatch.setattr(centripetality, "_CHUNK", 7)
-    rng = random.Random(2028)
-    late = 0
-    for n in (3, 4):
-        pairs = _pair_modes(*generate_ordered_pair(rng.randrange(1 << 30), n))
-        pairs += _pair_modes(random_exact_game(rng, n), random_exact_game(rng, n))
-        for g1, g2 in pairs:
-            _assert_matches_naive_loops(g1, g2, 30, 5)
-            at = _claim_three_failure(g1, g2, 30, 5)
-            late += at is not None and at >= 7
-    assert late
-
-
-def test_a_claim_three_failure_is_a_claim_two_failure_on_the_same_block():
-    # claim 3 draws each block's shares from its g1 split set, so a block
-    # whose shares g2 refuses has a split set that g2's does not contain:
-    # claim 2 names it.  Generated pairs are ordered, so both pass; swapped,
-    # they are unordered and may fail
-    rng = random.Random(5)
-    failed = 0
-    for n in (2, 3, 4, 5):
-        for _ in range(4):
-            g1, g2 = generate_ordered_pair(rng.randrange(1 << 30), n)
-            for first, second in ((g1, g2), (g2, g1)):
-                claims = verify_theorem1(first, second, samples=40, seed=9).claims
-                named = {int(b, 16) for b in re.findall(r"block (0x[0-9a-f]+)", claims[1].detail)}
-                assert claims[1].passed == (not named) and (claims[1].passed or first is g2)
-                if claims[2].passed:
-                    continue
-                failed += 1
-                match = re.fullmatch(r"partition (\(.*?\)) point \((.*)\)", claims[2].detail)
-                partition = ast.literal_eval(match[1])
-                point = [Fraction(x) for x in match[2].split(", ")]
-                refused = {
-                    b
-                    for b in partition
-                    if not boundary_contains(second, b, [point[i] for i in members(b)])
-                }
-                assert refused and refused <= named
-    assert failed
-
-
 @pytest.mark.parametrize("factor", [1 << 21, 1 << 40])
 def test_per_block_matrices_past_the_int64_range(factor):
     # scaling both games by one factor keeps every verdict; at 2^21 the
@@ -463,7 +479,8 @@ def test_per_block_matrices_past_the_int64_range(factor):
 
 def test_a_partition_whose_draw_ends_at_an_empty_block():
     # pair 3's partition (3, 12): the pair 3 has a split set, 12 has none,
-    # so each claim-3 draw of it takes one cut and then reads None
+    # so each draw of it takes one cut and then reads None; the harnesses,
+    # which skip such partitions, match the naive loops
     g1, g2 = generate_ordered_pair(3, 4)
     assert not boundary_empty(g1, 3) and boundary_empty(g1, 12)
     rng, replay = random.Random(7), random.Random(7)
@@ -473,29 +490,6 @@ def test_a_partition_whose_draw_ends_at_an_empty_block():
     for pair in _pair_modes(g1, g2):
         for samples in (5, 50):
             _assert_matches_naive_loops(*pair, samples, 3)
-
-
-def _claim_three_failure(g1, g2, samples, seed):
-    """The index of the sample at which claim 3 fails, by the naive loop."""
-    rng, parts = random.Random(seed), list(enumerate_partitions(g1.n))
-    for j in range(samples):
-        partition = parts[rng.randrange(len(parts))]
-        f = naive_sample_solution(g1, partition, rng)
-        if f is not None and not solution_feasible(g2, partition, f):
-            return j
-    return None
-
-
-@pytest.mark.parametrize("seed, at", [(6, 0), (0, 4)])
-def test_claim_three_failing_at_its_first_or_last_sample(seed, at):
-    # the first failure sits at sample 0 (claim 4 replays one draw) or at
-    # the last of five (nothing to replay)
-    rng = random.Random(seed)
-    g1, g2 = random_exact_game(rng, 3), random_exact_game(rng, 3)
-    assert _claim_three_failure(g1, g2, 5, 3) == at
-    assert not verify_theorem1(g1, g2, samples=5, seed=3).claims[2].passed
-    for pair in _pair_modes(g1, g2):
-        _assert_matches_naive_loops(*pair, 5, 3)
 
 
 def test_witness_rows_count_only_when_every_block_has_one():
@@ -528,9 +522,8 @@ def test_verdict_arrays_are_bool():
                 for feasible, fission in centripetality._judge_block(*pair, block, terms, scale):
                     assert feasible.dtype == bool and len(feasible) == len(terms) == 6
                     assert all(v.dtype == bool and len(v) == 6 for v in fission.values())
-                read = (False, True)
-                second = centripetality._judge_block(*pair, block, terms, scale, read, False)
-                assert second[1][0].dtype == bool and len(second[1][0]) == 6
+                second = centripetality._judge_block(*pair, block, terms, scale, (False, True))
+                assert second[0][0] is None and second[1][0].dtype == bool
         assert judged >= 5
     terms = np.array([[1, 2], [2, 1]], dtype=object)
     for feasible, fission in stability.block_verdicts((g1, g2), 3, terms, 3, True):
@@ -564,7 +557,7 @@ def test_theorem_judges_feasibility_under_the_second_game_only(monkeypatch):
 
     monkeypatch.setattr(stability, "boundary_contains", second_game_only)
     assert verify_theorem1(f1, f2, samples=25, seed=3).to_dict() == (
-        _theorem_report_with_naive_sampled_claims(f1, f2, 25, 3)
+        _theorem_report_with_naive_fission_claim(f1, f2, 25, 3)
     )
 
 

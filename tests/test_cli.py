@@ -497,6 +497,21 @@ _SWEEP = ["sweep", "--scenario", "meanstd", "--n", "3", "--r", "0.1"]
             {"n": 2, "density": {"beta_a": math.nan}},
             "density: shape parameter must be a finite number, got nan",
         ),
+        (
+            ["scenario-meanstd"],
+            {**_MEANSTD, "phi": {"default": math.inf}},
+            "phi.default must be a finite number, got inf",
+        ),
+        (
+            ["scenario-meanstd"],
+            {**_MEANSTD, "phi": {"a,b": math.nan}},
+            "phi.a,b must be a finite number, got nan",
+        ),
+        (
+            ["scenario-meanstd"],
+            {**_MEANSTD, "phi": {"default": 2.0, "a": -math.inf}},
+            "phi.a must be a finite number, got -inf",
+        ),
         (_SWEEP + ["--mu", "inf"], None, "mu must be a finite number, got inf"),
         (_SWEEP + ["--sigma", "nan"], None, "sigma must be a finite number, got nan"),
         # non-finite values that were already refused keep their messages
@@ -514,8 +529,9 @@ _SWEEP = ["sweep", "--scenario", "meanstd", "--n", "3", "--r", "0.1"]
     ],
 )
 def test_non_finite_risk_parameters_name_their_field(tmp_path, capsys, argv, scenario, message):
-    # a non-finite mean, spread or shape is a malformed scenario field: exit
-    # 1 with one line naming it, not a bound or value error it leads to
+    # a non-finite mean, spread, synergy factor or shape is a malformed
+    # scenario field: exit 1 with one line naming it, not a bound or value
+    # error it leads to
     if scenario is not None:
         path = tmp_path / "scen.json"
         path.write_text(json.dumps(scenario))

@@ -289,6 +289,13 @@ def test_meanstd_values_and_bounds():
         build_meanstd_game(MeanStdScenario(3, 0.0, 1.0, 0.0))
 
 
+@pytest.mark.parametrize("factor", [0.0, -1.0, math.inf, -math.inf, math.nan])
+def test_meanstd_refuses_synergy_factors_outside_zero_to_infinity(factor):
+    phi = {c: factor if c == 3 else 1.0 for c in range(1, 8)}
+    with pytest.raises(ScenarioError, match="synergy factor for 0x3 must be positive and finite"):
+        build_meanstd_game(MeanStdScenario(3, 2.0, 1.0, 0.5, phi))
+
+
 def test_meanstd_zero_aversion_is_additive_scaled():
     phi = {c: 1.5 if c.bit_count() > 1 else 1.0 for c in range(1, 8)}
     g = build_meanstd_game(MeanStdScenario(3, 2.0, 0.5, 0.0, phi))
