@@ -15,11 +15,12 @@ The order's consequences are checked by two verification harnesses: one for
 the five inclusion claims between the ordered games' solution sets, one for
 the core inclusions and the downward transfer of splintered stability.  The
 split-set and feasible-solution claims are decided exactly, per distinct
-block, on vertices.  The sampled claims draw their candidates first and judge
-each distinct block's candidates together, a bounded chunk at a time, as
-bool arrays (``stability.block_verdicts``) that each partition ANDs over its
-blocks and reads off in candidate order.  The second game always judges at
-the pair's combined tolerance, as ``leq_cp`` does.
+block, on vertices.  The sampled claims, fission-resistant solutions and
+weak-core inclusion, are per-block core inclusions too, so both go through
+one sampled-block check: a block's witnesses, then its draws, judged a
+bounded chunk at a time as bool arrays (``stability.block_verdicts``) and
+read off in order up to the first failure.  The second game always judges
+at the pair's combined tolerance, as ``leq_cp`` does.
 """
 
 from __future__ import annotations
@@ -201,39 +202,32 @@ def _boundary_included(g1: Game, g2: Game, block: int, tol: float):
     return "vertices", "", None
 
 
-def _point(n: int, sampler, partition, picked: dict) -> str:
-    """The allocation of a candidate, as a report prints it: ``picked``
-    maps each judged block to the candidate's terms on it and their scale;
-    a singleton block holds its one split, the share 1."""
-    shares = [None] * n
-    for block in partition:
-        if block in picked:
-            terms, scale = picked[block]
-        else:
-            lone, scale = sampler.terms(block, [()])
-            terms = lone[0].tolist()
-        for i, x in zip(members(block), draw_shares(terms, scale)):
-            shares[i] = x
-    return _fmt_point(shares)
+def _padded(n: int, block: int, point) -> str:
+    """A block's point as a solution prints it: the block with singletons
+    around it, and the share 1 for every other player, whose one split
+    passes under every game."""
+    shares = [1] * n
+    for i, x in zip(members(block), point):
+        shares[i] = x
+    partition = make_partition([block, *(1 << i for i in range(n) if not block >> i & 1)], n)
+    return f"partition {partition} point {_fmt_point(shares)}"
 
 
 _fraction = np.frompyfunc(Fraction, 2, 1)
 
 
-def _judge_block(g1: Game, g2: Game, block: int, terms, scale: int, read=(True, True)) -> list:
-    """``block_verdicts`` under g1 and g2 on one block's candidate rows: the
-    matrix ``terms`` over ``scale`` holds g1's terms, and a float g2 judges
-    an exact g1's rows on their shares over 1.  g2 judges at the pair's
-    combined tolerance, so a float g1's rows that miss an exact g2's bounds
-    by rounding alone pass.  ``read`` says per game whether its feasibility
-    is judged (one that is not reads None)."""
+def _judge_block(g1: Game, g2: Game, block: int, terms, scale: int) -> list:
+    """``block_verdicts`` under g1 and g2 on one block's candidate rows, g1
+    splits held as the matrix ``terms`` over ``scale``: per game and kind,
+    whether g1 resists fission on each row, and whether g2 puts it in its
+    core.  g2 judges at the pair's combined tolerance, so a float g1's rows
+    that miss an exact g2's bounds by rounding alone pass, and a float g2
+    judges an exact g1's rows on their shares over 1."""
     g2 = _at_tol(g2, combined_tol(g1, g2))
-    if g1.mode == g2.mode or g1.mode != EXACT:
-        return block_verdicts((g1, g2), block, terms, scale, g1.mode == EXACT, read)
-    shares = terms if scale == 1 else _fraction(terms, scale)
-    return block_verdicts((g1,), block, terms, scale, True, read[:1]) + block_verdicts(
-        (g2,), block, shares, 1, False, read[1:]
-    )
+    rational = g1.mode == g2.mode == EXACT
+    if g1.mode == EXACT and not rational:
+        terms, scale = _fraction(terms, scale), 1
+    return block_verdicts((g1, g2), block, terms, scale, rational)
 
 
 def _block_matrix(sampler, block: int, witnesses: list, cuts) -> tuple:
@@ -248,18 +242,37 @@ def _block_matrix(sampler, block: int, witnesses: list, cuts) -> tuple:
     return np.concatenate([lifted, drawn * (scale // den)]), scale
 
 
-# rows judged per call in theorem claim 4, whose draws of every partition are
-# held as cuts: a block's Python-number terms and subset sums are built for at
-# most this many rows at a time
+# rows drawn and judged per call of the sampled claims: a block's cuts,
+# Python-number terms and subset sums exist for at most this many rows at once
 _CHUNK = 1 << 12
 
 
-def _first_failure(counted: np.ndarray, passed: np.ndarray) -> tuple[int, int | None]:
-    """A claim read off over rows in order: the counted rows up to and
-    including the first counted row that fails, and that row (or None)."""
-    bad = np.flatnonzero(counted & ~passed)
-    stop = int(bad[0]) + 1 if bad.size else len(counted)
-    return int(np.count_nonzero(counted[:stop])), (int(bad[0]) if bad.size else None)
+def _sampled_block(g1: Game, g2: Game, block: int, witnesses: list, rng, samples: int, kinds):
+    """One block's sampled inclusion of g1's cores in g2's, per kind: its
+    witness rows ``(terms, scale)``, then ``samples`` draws from the g1
+    split set, each read in order up to the first row that g1 puts in the
+    kind's core and g2 refuses.  Returns per kind the rows g1 put in its
+    core up to that row, and that row's point (None when there is none).
+    The draws always take ``samples`` rows of ``rng``; at most ``_CHUNK``
+    rows are drawn and judged at a time."""
+    sampler, total = BoundarySampler(g1), len(witnesses) + samples
+    checked, refused = dict.fromkeys(kinds, 0), dict.fromkeys(kinds)
+    for lo in range(0, total, _CHUNK):
+        hi = min(lo + _CHUNK, total)
+        draws = hi - max(lo, len(witnesses))
+        cuts = sampler.cuts(block, rng, draws) if draws > 0 else []
+        if None not in refused.values():
+            continue  # every kind has failed: the draws only keep the rng's order
+        terms, scale = _block_matrix(sampler, block, witnesses[lo:hi], cuts or [])
+        first, second = _judge_block(g1, g2, block, terms, scale)
+        for kind in kinds:
+            if refused[kind] is None:
+                bad = np.flatnonzero(first[kind] & ~second[kind])
+                stop = int(bad[0]) + 1 if bad.size else len(terms)
+                checked[kind] += int(np.count_nonzero(first[kind][:stop]))
+                if bad.size:
+                    refused[kind] = draw_shares(terms[bad[0]].tolist(), scale)
+    return {kind: (checked[kind], refused[kind]) for kind in kinds}
 
 
 def verify_theorem1(
@@ -273,14 +286,13 @@ def verify_theorem1(
     per-partition split products, feasible solutions, fission-resistant
     solutions (both senses), and the reversed inclusion of fusion-resistant
     partitions.  All but the fourth are exhaustive and exact; the fourth is
-    checked on witnesses plus random samples read in order up to the first
-    failure, each distinct block's candidates judged at once."""
+    checked per distinct block, on its witnesses plus random samples read
+    in order up to the first failure."""
     if g1.n != g2.n:
         raise DimensionMismatch(f"games on {g1.n} and {g2.n} players")
     n = g1.n
     order = leq_cp(g1, g2)
     tol = combined_tol(g1, g2)
-    parts = list(enumerate_partitions(n))
     claims = []
 
     # (1) grand-coalition split set
@@ -309,100 +321,31 @@ def verify_theorem1(
     # does, which claim 2 decides.  The first failing block's refused vertex,
     # with the share 1 on each other player alone, is a g1-feasible solution
     # that g2 refuses
-    detail = ""
-    if refused:
-        block, _, vertex = refused[0]
-        shares = [1] * n
-        for i, x in zip(members(block), vertex):
-            shares[i] = x
-        partition = make_partition([block, *(1 << i for i in members(g1.grand ^ block))], n)
-        detail = f"partition {partition} point {_fmt_point(shares)}"
+    detail = _padded(n, refused[0][0], refused[0][2]) if refused else ""
     claims.append(ClaimResult("feasible-solutions", not refused, "exhaustive-blocks", detail))
 
-    # (4) fission-resistant solutions transfer, witnesses plus samples.  Each
-    # distinct block's candidates are judged at once, under both games and
-    # both kinds: its own region witnesses (one per kind with a nonempty
-    # region), then its draws from every partition that contains it.  A
-    # partition ANDs its blocks' slices, and each kind reads off its rows
-    # in order, the patched witness first when every block has one (a
-    # singleton's region always has).  Candidates are g1-feasible by
-    # construction, so only g2 feasibility is judged.  A singleton's one
-    # split, the share 1, passes under every game, so singletons are not
-    # judged
+    # (4) fission-resistant solutions transfer.  A solution resists fission
+    # iff each block's shares lie in that block's core, and any block with
+    # singletons around it is a g1 solution, so the claim fails iff some
+    # block's g1 core holds a point g2 refuses.  Each distinct block of two
+    # or more players with a nonempty g1 split set is checked on its own
+    # region witnesses (one per nonempty region, without repeats), then on
+    # its draws, from one rng in ascending block order
     rng = random.Random(seed)
-    sampler = BoundarySampler(g1)
     table = BlockTable(g1, canonical_witness=False)
-    live = [p for p in parts if not any(boundary_empty(g1, b) for b in p)]
-    # per block: one compact cut array per partition that holds it (int32,
-    # as exact cuts stay within 2^20, or float64), so the draws of every
-    # partition cost 4 or 8 bytes a cut until judged, _CHUNK rows at a time
-    counts, cuts = [], {}
-    for partition in live:
-        drawn = sampler.cuts(partition, rng, samples)
-        counts.append(0 if drawn is None else samples)
-        for b, block in enumerate(partition):
-            if block & (block - 1):
-                arrays = cuts.setdefault(block, [])
-                if drawn is not None:
-                    arrays.append(np.array(drawn[b], np.int32 if sampler.exact else float))
-    # per block: its witness rows and cut array, its witness row per kind,
-    # and per kind the rows counted (g1-fission-resistant) and passed (g2)
-    judged, offset = {}, {}
-    for block in list(cuts):
-        arrays = cuts.pop(block)  # freed once joined
-        witnesses, picks = [], {}
-        for kind in (STRONG, WEAK):
-            region = table[block, kind]
-            if region.status == NONEMPTY:
-                picks[kind] = len(witnesses)
-                witnesses.append(share_terms(g1, region.witness))
-        rows = np.concatenate(arrays) if arrays else ()
-        verdicts = {STRONG: ([], []), WEAK: ([], [])}
-        for lo in range(0, max(len(rows), 1), _CHUNK):
-            chunk = _block_matrix(sampler, block, [] if lo else witnesses, rows[lo : lo + _CHUNK])
-            (_, fission1), (feasible2, fission2) = _judge_block(g1, g2, block, *chunk, (False, True))
-            for kind, (counted, passed) in verdicts.items():
-                counted.append(fission1[kind])
-                passed.append(feasible2 & fission2[kind])
-        verdicts = {kind: tuple(map(np.concatenate, v)) for kind, v in verdicts.items()}
-        judged[block] = witnesses, rows, picks, verdicts
-        offset[block] = len(witnesses)
-
-    def candidate(block: int, row: int) -> tuple:
-        # row ``row`` of a block's judged candidates, as (terms, scale)
-        witnesses, rows = judged[block][:2]
-        if row < len(witnesses):
-            return witnesses[row]
-        row -= len(witnesses)
-        terms, scale = sampler.terms(block, rows[row : row + 1])
-        return terms[0].tolist(), scale
-
     checked = {STRONG: 0, WEAK: 0}
     failures = []
-    for partition, count in zip(live, counts):
-        blocks = [b for b in partition if b in judged]
-        for kind in (STRONG, WEAK):
-            witness = all(kind in judged[b][2] for b in blocks)
-            counted, passed = np.ones(witness + count, bool), np.ones(witness + count, bool)
-            for b in blocks:
-                _, _, picks, verdicts = judged[b]
-                fission1, ok = verdicts[kind]
-                counted[witness:] &= fission1[offset[b] : offset[b] + count]
-                passed[witness:] &= ok[offset[b] : offset[b] + count]
-                if witness:
-                    counted[0] &= fission1[picks[kind]]
-                    passed[0] &= ok[picks[kind]]
-            got, bad = _first_failure(counted, passed)
+    for block in coalitions(n):
+        if block.bit_count() < 2 or boundary_empty(g1, block):
+            continue
+        regions = (table[block, kind] for kind in (STRONG, WEAK))
+        points = dict.fromkeys(r.witness for r in regions if r.status == NONEMPTY)
+        witnesses = [share_terms(g1, f) for f in points]
+        found = _sampled_block(g1, g2, block, witnesses, rng, samples, (STRONG, WEAK))
+        for kind, (got, point) in found.items():
             checked[kind] += got
-            if bad is not None:
-                picked = {
-                    b: candidate(b, judged[b][2][kind] if bad < witness else offset[b] + bad - witness)
-                    for b in blocks
-                }
-                point = _point(n, sampler, partition, picked)
-                failures.append(f"{kind} partition {partition} point {point}")
-        for b in blocks:
-            offset[b] += count
+            if point is not None:
+                failures.append(f"{kind} {_padded(n, block, point)}")
     claims.append(
         ClaimResult(
             "fission-resistant-solutions",
@@ -414,7 +357,7 @@ def verify_theorem1(
 
     # (5) fusion-resistant partitions, reversed, exhaustive
     failures = []
-    for partition in parts:
+    for partition in enumerate_partitions(n):
         if fusion_resistant(g2, partition) and not fusion_resistant(g1, partition):
             failures.append(str(partition))
     claims.append(
@@ -471,7 +414,8 @@ def verify_corollary(
     """Check that both grand-coalition cores grow along the order and that
     splintered stability transfers downward: if staying split is stable for
     the later game it already was for the earlier one.  Weak-core membership
-    is judged on all found points at once."""
+    is judged on the grand block's witnesses plus random samples, as claim 4
+    of ``verify_theorem1`` judges each block."""
     if g1.n != g2.n:
         raise DimensionMismatch(f"games on {g1.n} and {g2.n} players")
     n = g1.n
@@ -484,21 +428,14 @@ def verify_corollary(
     claims.append(ClaimResult("strong-core-inclusion", ok, scope, detail))
 
     # weak core: membership transfer on every g1 weak-core point we can
-    # find, all judged at once under both games
-    grand = (g1.grand,)
+    # find, judged as one block's sampled inclusion
     points = split_vertices(g1, g1.grand)
     region = core_region(g1, WEAK, canonical_witness=False)
     if region.status == NONEMPTY:
         points.append(region.witness)
-    sampler = BoundarySampler(g1)
-    cuts = sampler.cuts(grand, rng, samples)
     witnesses = [share_terms(g1, f) for f in points]
-    terms, scale = _block_matrix(sampler, g1.grand, witnesses, cuts[0] if cuts else [])
-    (feasible1, fission1), (feasible2, fission2) = _judge_block(g1, g2, g1.grand, terms, scale)
-    checked, bad = _first_failure(feasible1 & fission1[WEAK], feasible2 & fission2[WEAK])
-    failures = [] if bad is None else [
-        _point(n, sampler, grand, {g1.grand: (terms[bad].tolist(), scale)})
-    ]
+    ((checked, point),) = _sampled_block(g1, g2, g1.grand, witnesses, rng, samples, (WEAK,)).values()
+    failures = [] if point is None else [_fmt_point(point)]
     claims.append(
         ClaimResult(
             "weak-core-inclusion",

@@ -231,6 +231,8 @@ def _grid_fraction(part: str, text: str) -> Fraction:
         return Fraction(part)
     except ZeroDivisionError:
         raise ValueError(f"grid {text!r} has a zero denominator") from None
+    except ValueError:
+        raise ValueError(f"grid {text!r} has a value that is not a number") from None
 
 
 def _grid_point(x: Fraction, text: str) -> float:

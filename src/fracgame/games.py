@@ -379,9 +379,9 @@ def to_absolute(game: Game, shares: Sequence) -> tuple:
 
 class BoundarySampler:
     """Draws from the coalitions' split sets, bound to one game, in two
-    steps.  ``cuts`` takes the rng values of draws over a run of blocks, in
-    the order one draw after another takes them; ``terms`` turns a block's
-    cut rows into the draws' terms, one matrix over one scale: row r, column
+    steps.  ``cuts`` takes the rng values of draws on one coalition, in the
+    order one draw after another takes them; ``terms`` turns a block's cut
+    rows into the draws' terms, one matrix over one scale: row r, column
     j is share j of draw r times the scale.  Exact games draw integer terms
     over ``v(C)*2^20`` (v(C) scaled to an integer), float games their float
     shares over 1, and singletons the share 1 over 1.  Each coalition's
@@ -424,33 +424,19 @@ class BoundarySampler:
         self.bounds[coalition] = found
         return found
 
-    def cuts(self, blocks: Sequence[int], rng, rows: int = 1) -> list | None:
-        """The rng values of ``rows`` draws on each of the blocks in turn,
-        as one list of ``rows`` cut lists per block: k-1 ``randrange(2^20+1)``
-        cuts per k-member block on exact games, k-1 ``random()`` cuts on
-        float games, none for a singleton or a float block whose bounds
-        already sum to 1 within tolerance.  None when a block's split set is
-        empty, after each draw's earlier blocks took their cuts."""
-        counts = []
-        for block in blocks:
-            count = self._bounds(block)[3]
-            if count is None:
-                break
-            counts.append(count)
-        total = sum(counts)
+    def cuts(self, coalition: int, rng, rows: int = 1) -> list | None:
+        """The rng values of ``rows`` draws on the coalition, one cut list
+        per draw: k-1 ``randrange(2^20+1)`` cuts for k members on exact
+        games, k-1 ``random()`` cuts on float games, none for a singleton or
+        a float coalition whose bounds already sum to 1 within tolerance.
+        None, taking no rng value, when the split set is empty."""
+        count = self._bounds(coalition)[3]
+        if count is None:
+            return None
         if self.exact:
             top = self.GRAIN + 1
-            flat = [rng.randrange(top) for _ in range(total * rows)]
-        else:
-            flat = [rng.random() for _ in range(total * rows)]
-        if len(counts) < len(blocks):
-            return None
-        starts = range(0, total * rows, total) if total else [0] * rows
-        out, at = [], 0
-        for count in counts:
-            out.append([flat[r + at : r + at + count] for r in starts])
-            at += count
-        return out
+            return [[rng.randrange(top) for _ in range(count)] for _ in range(rows)]
+        return [[rng.random() for _ in range(count)] for _ in range(rows)]
 
     def terms(self, coalition: int, cuts: Sequence) -> tuple[np.ndarray, int]:
         """The draws of one block's cut lists (from ``cuts``) on the
@@ -474,10 +460,10 @@ class BoundarySampler:
         return out, scale
 
     def __call__(self, coalition: int, rng) -> tuple | None:
-        drawn = self.cuts((coalition,), rng)
+        drawn = self.cuts(coalition, rng)
         if drawn is None:
             return None
-        terms, scale = self.terms(coalition, drawn[0])
+        terms, scale = self.terms(coalition, drawn)
         return tuple(terms[0].tolist()), scale
 
 

@@ -159,39 +159,32 @@ def _resists_fission(game: Game, partition: Sequence[int], shares: Sequence, kin
     return True
 
 
-def block_verdicts(
-    games: Sequence[Game],
-    block: int,
-    terms,
-    scale: int,
-    rational: bool,
-    feasible: Sequence[bool] | None = None,
-) -> list:
-    """``boundary_contains`` and ``fission_resistant`` on one block, for
-    many allocations at once: row r of the object array ``terms`` holds one
-    allocation's terms on the block's members, over ``scale`` (1 unless
-    ``rational``).  The sums follow the scalar predicates' ``subset_sums``
-    and each element is compared as the scalar predicates compare it:
-    exactly, or by tolerant ``geq`` on float games.  Rational terms
-    (integers under an exact game) are feasible when they sum to the scale
-    and each covers its member's lower bound (so none exceeds the scale).
-    Returns, per game, the bool arrays ``(feasible, {STRONG: ..., WEAK:
-    ...})`` over the rows.  ``feasible`` says per game whether its
-    feasibility is read (default: every game's); one that is not is None."""
+def block_verdicts(games: Sequence[Game], block: int, terms, scale: int, rational: bool) -> list:
+    """Core membership on one block, for many allocations at once: row r
+    of the object array ``terms`` holds one allocation's terms on the
+    block's members, over ``scale`` (1 unless ``rational``).  The rows are
+    splits of the block under the first game, so only the later games judge
+    ``boundary_contains``; every game judges ``fission_resistant``.  The
+    sums follow the scalar predicates' ``subset_sums`` and each element is
+    compared as the scalar predicates compare it: exactly, or by tolerant
+    ``geq`` on float games.  Rational terms (integers under an exact game)
+    are feasible when they sum to the scale and each covers its member's
+    lower bound (so none exceeds the scale).  Returns, per game, the bool
+    arrays ``{STRONG: ..., WEAK: ...}`` over the rows."""
     mem = members(block)
     count, full = len(terms), (1 << len(mem)) - 1
     pieces = [(piece, remap(piece, mem)) for piece in range(1, full)]
     sums = subset_sums(terms.T, full)
-    ones, judged = np.ones(count, bool), []
-    for game, read in zip(games, feasible or [True] * len(games)):
+    judged = []
+    for game in games:
         values, v_b, tol = game.values, game.values[block], game.tol
-        if not read:
-            feasibility = None
+        if not judged:
+            feasible = np.ones(count, bool)
         elif rational:
             lone = [values[1 << i] * scale for i in mem]
-            feasibility = (v_b * terms >= lone).all(axis=1) & (terms.sum(axis=1) == scale)
+            feasible = (v_b * terms >= lone).all(axis=1) & (terms.sum(axis=1) == scale)
         else:
-            feasibility = np.fromiter(
+            feasible = np.fromiter(
                 (boundary_contains(game, block, f) for f in terms.tolist()), bool, count
             )
         covered = {}
@@ -200,11 +193,13 @@ def block_verdicts(
             covered[piece] = (
                 np.fromiter((geq(x, rhs, tol) for x in lhs), bool, count) if tol else lhs >= rhs
             )
-        strong = ones.copy()
+        strong = feasible.copy()
         for verdict in covered.values():
             strong &= verdict
-        weak = ~_blocking_splits(full, full, covered, {0: ones}) if len(mem) > 3 else ones
-        judged.append((feasibility, {STRONG: strong, WEAK: weak}))
+        weak = feasible
+        if len(mem) > 3:
+            weak = feasible & ~_blocking_splits(full, full, covered, {0: np.ones(count, bool)})
+        judged.append({STRONG: strong, WEAK: weak})
     return judged
 
 

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from fracgame import STRONG, boundary_contains, enumerate_partitions, make_game, members
-from fracgame import sample_boundary
 from fracgame import linfeas, stability
 from fracgame.errors import InfeasibleSystem, NumericFailure
 from fracgame.games import (
@@ -185,18 +184,6 @@ def naive_sample_boundary(game, coalition, rng):
     return tuple(lb + s * Fraction(cuts[j + 1] - cuts[j], grain) for j, lb in enumerate(lbs))
 
 
-def naive_sample_solution(game, partition, rng):
-    """One sample_boundary draw per block, scattered to the players."""
-    shares = [None] * game.n
-    for block in partition:
-        local = sample_boundary(game, block, rng)
-        if local is None:
-            return None
-        for j, i in enumerate(members(block)):
-            shares[i] = local[j]
-    return tuple(shares)
-
-
 def _at_pair_tol(g1, g2):
     """g2 with its predicates at the pair's combined tolerance."""
     return dataclasses.replace(g2, tol=combined_tol(g1, g2))
@@ -204,26 +191,41 @@ def _at_pair_tol(g1, g2):
 
 def naive_theorem_fission_claim(g1, g2, *, samples, seed):
     """Reference for claim 4 of centripetality.verify_theorem1, in its rng
-    order: the block-table witnesses, then fresh samples, each kind judged
-    on its own by solution_feasible and naive_fission_resistant, under g1
-    and then under g2 at the pair's combined tolerance."""
+    order: per block of two or more players with a nonempty g1 split set,
+    in ascending mask order, the block-table witnesses (strong, then a
+    different weak one), then naive_sample_boundary draws, each candidate
+    padded with the share 1 on every other player and judged on the block
+    with singletons, one at a time and each kind on its own, by
+    naive_fission_resistant under g1 and then by solution_feasible and
+    naive_fission_resistant under g2 at the pair's combined tolerance."""
     from fracgame.centripetality import ClaimResult, _fmt_point
     from fracgame.games import solution_feasible
+    from fracgame.partitions import make_partition
 
+    n = g1.n
     rng = random.Random(seed)
-    parts = list(enumerate_partitions(g1.n))
     g2 = _at_pair_tol(g1, g2)
     table = stability.BlockTable(g1, canonical_witness=False)
     checked = {stability.STRONG: 0, stability.WEAK: 0}
     failures = []
-    for partition in parts:
-        if any(boundary_empty(g1, b) for b in partition):
+    for block in range(1, 1 << n):
+        if block.bit_count() < 2 or boundary_empty(g1, block):
             continue
-        drawn = [naive_sample_solution(g1, partition, rng) for _ in range(samples)]
+        others = [1 << i for i in range(n) if not block >> i & 1]
+        partition = make_partition([block, *others], n)
+        local = []
         for kind in (stability.STRONG, stability.WEAK):
-            patched = table.patched(partition, kind)
-            candidates = [patched.witness] if patched.status == stability.NONEMPTY else []
-            candidates.extend(f for f in drawn if f is not None)
+            region = table[block, kind]
+            if region.status == stability.NONEMPTY and region.witness not in local:
+                local.append(region.witness)
+        local += [naive_sample_boundary(g1, block, rng) for _ in range(samples)]
+        candidates = []
+        for point in local:
+            shares = [1] * n
+            for i, x in zip(members(block), point):
+                shares[i] = x
+            candidates.append(shares)
+        for kind in (stability.STRONG, stability.WEAK):
             for f in candidates:
                 if not naive_fission_resistant(g1, partition, f, kind):
                     continue

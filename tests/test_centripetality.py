@@ -32,7 +32,8 @@ from fracgame.risk import (
 )
 from fracgame.games import (
     BoundarySampler,
-    boundary_empty,
+    combined_tol,
+    draw_shares,
     members,
     solution_feasible,
 )
@@ -41,6 +42,7 @@ from fracgame.linfeas import vertices
 from conftest import (
     cut_game,
     naive_corollary_weak_claim,
+    naive_fission_resistant,
     naive_theorem_fission_claim,
     random_exact_game,
 )
@@ -190,8 +192,36 @@ def _float_copy(game):
     return make_game(game.n, {c: float(game.values[c]) for c in range(1, 1 << game.n)})
 
 
+def _number(text):
+    # a printed share: Fractions and ints exactly, floats by their repr
+    return Fraction(text) if "/" in text or text.lstrip("-").isdigit() else float(text)
+
+
+def _read_back_fission_failures(g1, g2, claim):
+    """Every claim 4 failure, read back from its printed form: g1 accepts
+    the partition and point (feasible and fission-resistant in the named
+    sense), and g2 refuses them at the pair's combined tolerance.  The
+    partition is one block of two or more players with singletons around
+    it, whose shares are 1."""
+    found = re.findall(r"(strong|weak) partition (\(.*?\)) point \((.*?)\)", claim.detail)
+    assert len(found) == claim.detail.count("partition") and bool(found) == (not claim.passed)
+    g2 = dataclasses.replace(g2, tol=combined_tol(g1, g2))
+    for kind, partition, point in found:
+        partition = ast.literal_eval(partition)
+        point = [_number(x) for x in point.split(", ")]
+        (block,) = [b for b in partition if b & (b - 1)]
+        assert all(point[i] == 1 for i in range(g1.n) if not block >> i & 1)
+        assert solution_feasible(g1, partition, point)
+        assert naive_fission_resistant(g1, partition, point, kind)
+        assert not (
+            solution_feasible(g2, partition, point)
+            and naive_fission_resistant(g2, partition, point, kind)
+        )
+
+
 def _theorem_report_with_naive_fission_claim(g1, g2, samples, seed):
     report = verify_theorem1(g1, g2, samples=samples, seed=seed)
+    _read_back_fission_failures(g1, g2, report.claims[3])
     claims = list(report.claims)
     claims[3] = naive_theorem_fission_claim(g1, g2, samples=samples, seed=seed)
     return dataclasses.replace(report, claims=tuple(claims)).to_dict()
@@ -444,21 +474,37 @@ def test_per_block_matrices_match_naive_loops(samples):
         _assert_matches_naive_loops(g1, g2, samples, 3)
 
 
-def test_claim_four_judges_long_blocks_in_chunks(monkeypatch):
-    # with seven rows a chunk, a block's witnesses and its draws from one
-    # partition straddle chunk boundaries; verdicts, counts and the first
-    # failing point read the same as the one-candidate-at-a-time loops
+def test_draws_stay_within_one_chunk_per_call(monkeypatch):
+    # with seven rows a chunk, no call draws more than seven rows, and a
+    # block's witnesses and draws straddle chunk boundaries: the n=6
+    # corollary's seven witnesses (six split vertices and the weak witness)
+    # fill the first chunk exactly.  Verdicts, counts and the first failing
+    # point read the same as the one-candidate-at-a-time loops
     monkeypatch.setattr(centripetality, "_CHUNK", 7)
+    asked = []
+    cuts = BoundarySampler.cuts
+
+    def spy(self, coalition, rng, rows=1):
+        asked.append(rows)
+        return cuts(self, coalition, rng, rows)
+
+    monkeypatch.setattr(BoundarySampler, "cuts", spy)
     rng = random.Random(2024)
     failed = 0
     for n in (3, 4, 5):
         pairs = _pair_modes(*generate_ordered_pair(rng.randrange(1 << 30), n))
         pairs += _pair_modes(random_exact_game(rng, n), random_exact_game(rng, n))
         for g1, g2 in pairs:
-            _assert_matches_naive_loops(g1, g2, 9, 5)
-            report = verify_theorem1(g1, g2, samples=9, seed=5)
-            failed += not next(c for c in report.claims if c.name == "fission-resistant-solutions").passed
-    assert failed
+            _assert_matches_naive_loops(g1, g2, 30, 5)
+            report = verify_theorem1(g1, g2, samples=30, seed=5)
+            failed += not report.claims[3].passed
+    assert failed and asked and max(asked) == 7
+    g1, g2 = generate_ordered_pair(2, 6)
+    asked.clear()
+    assert verify_corollary(g1, g2, samples=30, seed=5).to_dict() == (
+        _corollary_report_with_naive_weak_claim(g1, g2, 30, 5)
+    )
+    assert asked == [7, 7, 7, 7, 2, 7, 7, 7, 7, 2]
 
 
 @pytest.mark.parametrize("factor", [1 << 21, 1 << 40])
@@ -477,77 +523,53 @@ def test_per_block_matrices_past_the_int64_range(factor):
             assert scaled == verify_theorem1(g1, g2, samples=25, seed=3).to_dict()
 
 
-def test_a_partition_whose_draw_ends_at_an_empty_block():
-    # pair 3's partition (3, 12): the pair 3 has a split set, 12 has none,
-    # so each draw of it takes one cut and then reads None; the harnesses,
-    # which skip such partitions, match the naive loops
-    g1, g2 = generate_ordered_pair(3, 4)
-    assert not boundary_empty(g1, 3) and boundary_empty(g1, 12)
-    rng, replay = random.Random(7), random.Random(7)
-    assert BoundarySampler(g1).cuts((3, 12), rng, 2) is None
-    replay.randrange((1 << 20) + 1), replay.randrange((1 << 20) + 1)
-    assert rng.getstate() == replay.getstate()
-    for pair in _pair_modes(g1, g2):
-        for samples in (5, 50):
-            _assert_matches_naive_loops(*pair, samples, 3)
-
-
-def test_witness_rows_count_only_when_every_block_has_one():
-    # pair 0 at five players: the partition (11, 20) has a nonempty strong
-    # region on its pair block 20 but an empty one on its triple 11, so its
-    # patched witness does not exist and must not be counted
-    g1, g2 = generate_ordered_pair(0, 5)
-    table = stability.BlockTable(g1, canonical_witness=False)
-    assert [table[b, STRONG].status for b in (11, 20)] == ["empty", "nonempty"]
-    assert not any(boundary_empty(g1, b) for b in (11, 20))
-    for pair in _pair_modes(g1, g2):
-        _assert_matches_naive_loops(*pair, 5, 3)
-
-
 def test_verdict_arrays_are_bool():
     # numpy's ``~`` on an object array of Python bools is bitwise, so every
     # verdict the harness combines must have bool dtype
     g1, g2 = generate_ordered_pair(5, 4)
-    partitions = [(15,), (3, 12), (1, 2, 4, 8), (7, 8)]
-    for pair in ((g1, g2), (_float_copy(g1), _float_copy(g2)), (g1, _float_copy(g2)),
-                 (_float_copy(g1), g2)):
+    for pair in _pair_modes(g1, g2):
         sampler = BoundarySampler(pair[0])
         rng = random.Random(4)
         judged = 0
-        for partition in partitions:
-            # a partition with an empty split set draws nothing
-            for block, cuts in zip(partition, sampler.cuts(partition, rng, 6) or ()):
-                judged += 1
-                terms, scale = sampler.terms(block, cuts)
-                for feasible, fission in centripetality._judge_block(*pair, block, terms, scale):
-                    assert feasible.dtype == bool and len(feasible) == len(terms) == 6
-                    assert all(v.dtype == bool and len(v) == 6 for v in fission.values())
-                second = centripetality._judge_block(*pair, block, terms, scale, (False, True))
-                assert second[0][0] is None and second[1][0].dtype == bool
-        assert judged >= 5
+        for block in (15, 3, 12, 1, 7, 8):
+            drawn = sampler.cuts(block, rng, 6)
+            if drawn is None:  # an empty split set draws nothing
+                continue
+            judged += 1
+            terms, scale = sampler.terms(block, drawn)
+            for verdicts in centripetality._judge_block(*pair, block, terms, scale):
+                assert all(v.dtype == bool and len(v) == len(terms) == 6 for v in verdicts.values())
+        assert judged >= 4
     terms = np.array([[1, 2], [2, 1]], dtype=object)
-    for feasible, fission in stability.block_verdicts((g1, g2), 3, terms, 3, True):
-        assert feasible.dtype == bool and all(v.dtype == bool for v in fission.values())
+    for verdicts in stability.block_verdicts((g1, g2), 3, terms, 3, True):
+        assert all(v.dtype == bool for v in verdicts.values())
 
 
 def test_theorem_judges_feasibility_under_the_second_game_only(monkeypatch):
-    # claim 4's candidates are feasible under g1 by construction; on a float
-    # g1 judging that anyway would run boundary_contains per row and block
-    # (pair 16 has no empty split set, so every block draws)
+    # claim 4's candidates are g1 splits by construction; on a float g1
+    # judging their feasibility anyway would run boundary_contains per row
+    # and block.  Each row's verdicts are those of the literal predicates
+    # on the block with singletons: fission resistance under g1, and
+    # feasibility plus fission resistance under g2 at the pair's combined
+    # tolerance (pair 16 has no empty split set, so every block draws)
     g1, g2 = generate_ordered_pair(16, 4)
-    for pair in ((g1, g2), (_float_copy(g1), _float_copy(g2)), (g1, _float_copy(g2)),
-                 (_float_copy(g1), g2)):
+    for pair in _pair_modes(g1, g2):
         sampler, rng = BoundarySampler(pair[0]), random.Random(4)
+        second = dataclasses.replace(pair[1], tol=combined_tol(*pair))
         for block in (1, 14, 15):
-            terms, scale = sampler.terms(block, sampler.cuts((block,), rng, 6)[0])
-            both = centripetality._judge_block(*pair, block, terms, scale)
-            (none, fission1), second = centripetality._judge_block(
-                *pair, block, terms, scale, (False, True)
-            )
-            assert none is None and second[0].tolist() == both[1][0].tolist()
-            for kind in (STRONG, WEAK):
-                assert fission1[kind].tolist() == both[0][1][kind].tolist()
-                assert second[1][kind].tolist() == both[1][1][kind].tolist()
+            terms, scale = sampler.terms(block, sampler.cuts(block, rng, 6))
+            judged = centripetality._judge_block(*pair, block, terms, scale)
+            partition = tuple(sorted({block, *(1 << i for i in range(4) if not block >> i & 1)}))
+            for r, row in enumerate(terms.tolist()):
+                point = [1] * 4
+                for i, x in zip(members(block), draw_shares(row, scale)):
+                    point[i] = x
+                for kind in (STRONG, WEAK):
+                    assert judged[0][kind][r] == naive_fission_resistant(pair[0], partition, point, kind)
+                    assert judged[1][kind][r] == (
+                        solution_feasible(second, partition, point)
+                        and naive_fission_resistant(second, partition, point, kind)
+                    )
     f1, f2 = _float_copy(g1), _float_copy(g2)
     original = stability.boundary_contains
 

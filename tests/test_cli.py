@@ -718,12 +718,18 @@ def test_sweep_refuses_oversized_inputs_before_building_them(capsys, argv, messa
         ["--scenario", "meanstd", "--r", "0:1/0:1"],
         ["--scenario", "meanstd", "--r", "0:1:1/0"],
         ["--scenario", "cvar", "--beta-a", "1/0"],
+        ["--scenario", "meanstd", "--r", "nan"],
+        ["--scenario", "meanstd", "--r", "0,,1"],
+        ["--scenario", "meanstd", "--r", "abc"],
+        ["--scenario", "cvar", "--beta-a", "inf"],
     ],
 )
 def test_sweep_refuses_zero_denominator_grids(capsys, argv):
+    # and grids with a value that is not a number, named the same way
+    problem = "a zero denominator" if "1/0" in argv[-1] else "a value that is not a number"
     assert run(["sweep", *argv]) == 2
     captured = capsys.readouterr()
-    assert captured.err == f"grid {argv[-1]!r} has a zero denominator\n" and not captured.out
+    assert captured.err == f"grid {argv[-1]!r} has {problem}\n" and not captured.out
 
 
 @pytest.mark.parametrize("suite", ["theorem", "corollary"])

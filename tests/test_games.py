@@ -277,13 +277,11 @@ def test_size_values_refuses_a_value_one_ulp_off(mask):
 
 
 def test_batched_draws_match_one_draw_at_a_time():
-    # BoundarySampler.cuts over the blocks of a partition, then terms per
-    # block, gives the points that rounds of one sample_boundary draw per
-    # block give, from the same rng values; a round that meets an empty
-    # split set ends there, and then the batch is None.  Exact and float
-    # games, and a float pair whose bounds overshoot 1 within tolerance
-    # (drawn as its bounds, without rng values)
-    from fracgame import enumerate_partitions
+    # BoundarySampler.cuts on one coalition, then terms, gives the points
+    # that one sample_boundary draw at a time gives, from the same rng
+    # values; an empty split set takes no rng value, and then the batch is
+    # None.  Exact and float games, and a float pair whose bounds overshoot
+    # 1 within tolerance (drawn as its bounds, without rng values)
     from fracgame.games import draw_shares
 
     rng = random.Random(31)
@@ -292,30 +290,20 @@ def test_batched_draws_match_one_draw_at_a_time():
     games.append(make_game(3, {1: 0.5, 2: 0.5 + 1e-12, 4: 1.0, 3: 1.0, 5: 2.0, 6: 2.0, 7: 3.0}))
     nones = 0
     for k, g in enumerate(games):
-        parts = list(enumerate_partitions(g.n))
         for rows in (0, 1, 4):
-            partition = parts[rng.randrange(len(parts))]
+            block = rng.randrange(1, 1 << g.n)
             batched, single = random.Random(k), random.Random(k)
             sampler = BoundarySampler(g)
-            cuts = sampler.cuts(partition, batched, rows)
-            want = []
-            for _ in range(rows):
-                drawn = []
-                for block in partition:
-                    drawn.append(sample_boundary(g, block, single))
-                    if drawn[-1] is None:
-                        break
-                want.append(None if drawn[-1] is None else drawn)
+            cuts = sampler.cuts(block, batched, rows)
+            want = [sample_boundary(g, block, single) for _ in range(rows)]
             assert batched.getstate() == single.getstate()
             if cuts is None:
                 nones += rows > 0
                 assert all(w is None for w in want)
                 continue
-            for j, block in enumerate(partition):
-                terms, scale = sampler.terms(block, cuts[j])
-                assert terms.shape == (rows, block.bit_count())
-                got = [draw_shares(row, scale) for row in terms.tolist()]
-                assert got == [w[j] for w in want]
+            terms, scale = sampler.terms(block, cuts)
+            assert terms.shape == (rows, block.bit_count())
+            assert [draw_shares(row, scale) for row in terms.tolist()] == want
     assert nones > 0
     degenerate = BoundarySampler(games[-1])
-    assert degenerate.cuts((3,), random.Random(0), 5) == [[[]] * 5]
+    assert degenerate.cuts(3, random.Random(0), 5) == [[]] * 5
