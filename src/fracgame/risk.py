@@ -20,6 +20,8 @@ tail-ratio property.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -149,15 +151,6 @@ class QuantileCurve(_KnotTable):
     _argument = "quantile"
     _out_of_range = ValueError
 
-    def _integrals(self, x):
-        """Integral from 0 to every point of x in [0, 1], closed form per
-        segment."""
-        betas, vals, prefix = self.xs, self.values, self.prefix
-        j, last = _segments(betas, x)
-        dx = x - betas[j]
-        slope = (vals[j + 1] - vals[j]) / (betas[j + 1] - betas[j])
-        return np.where(last, prefix[-1], prefix[j] + vals[j] * dx + 0.5 * slope * dx * dx)
-
     @property
     def mean(self) -> float:
         return float(self.prefix[-1])
@@ -248,18 +241,50 @@ def beta_density(a: float, knot_count: int = 101) -> Density:
 def cvar(curve: QuantileCurve, alpha: float) -> float:
     """Mean of the curve over its lowest 1-alpha mass: the strict tail
     average at level alpha.  alpha = 0 gives the plain mean."""
-    return float(_tail_averages(curve, alpha))
+    return float(_tail_averages(curve, _tail_lookup(curve.xs, alpha)))
 
 
-def _tail_averages(curve: QuantileCurve, alpha) -> np.ndarray:
-    """``cvar`` at every point of alpha (a float or an array).  Once alpha
-    is in [0, 1), the integration bound 1 - alpha is in (0, 1]."""
+def _tail_lookup(knots_x: np.ndarray, alpha) -> tuple:
+    """x = 1 - alpha at every point of alpha (a float or an array), in (0, 1] once
+    alpha is in [0, 1), with ``_segments``' (j, last) on the column and x's offset dx."""
     alpha = np.asarray(alpha, dtype=float)
     ok = (alpha >= 0.0) & (alpha < 1.0)
     if not ok.all():
         raise AlphaOutOfRange(f"tail level {float(alpha[~ok][0])!r} outside [0, 1)")
     x = 1.0 - alpha
-    return curve._integrals(x) / x
+    j, last = _segments(knots_x, x)
+    return x, j, last, x - knots_x[j]
+
+
+def _tail_averages(curve: QuantileCurve, lookup: tuple) -> np.ndarray:
+    """``cvar`` at every point of a ``_tail_lookup`` on the curve's column, per segment."""
+    x, j, last, dx = lookup
+    vals, prefix = curve.values, curve.prefix
+    half_slope = 0.5 * (np.diff(vals) / np.diff(curve.xs))
+    return np.where(last, prefix[-1], prefix[j] + vals[j] * dx + half_slope[j] * dx * dx) / x
+
+
+def _mixtures(curves: Sequence[QuantileCurve], density: Density) -> list[float]:
+    """``mixture_reward`` of curves on one knot column, one at a time on one layout:
+    the panel grid, and each node's ``_tail_lookup``, weight and density."""
+    knots_x = curves[0].xs
+    points = {0.0, 1.0}
+    points.update((1.0 - knots_x).tolist())
+    points.update(density.xs.tolist())
+    grid = sorted(x for x in points if 0.0 <= x <= 1.0)
+    panels = []
+    for a, b in zip(grid, grid[1:]):
+        count = max(1, math.ceil((b - a) / 0.0625))
+        edges = [a + (b - a) * p / count for p in range(count + 1)]
+        panels += zip(edges, edges[1:])
+    lo, hi = np.array(panels).T[:, :, None]
+    half = 0.5 * (hi - lo)
+    alpha = (0.5 * (lo + hi) + half * _GL_NODES).ravel()
+    # the density first, so its temporaries never sit beside the lookup's arrays
+    dens = _interp(density.xs, density.values, alpha)
+    w = (_GL_WEIGHTS * half).ravel()
+    lookup = _tail_lookup(knots_x, alpha)
+    return [float(np.add.accumulate(w * _tail_averages(k, lookup) * dens)[-1]) for k in curves]
 
 
 def mixture_reward(curve: QuantileCurve, density: Density) -> float:
@@ -275,31 +300,11 @@ def mixture_reward(curve: QuantileCurve, density: Density) -> float:
     bit-for-bit the scalar term.
 
     The terms are summed left to right, panel-major and node-minor, with
-    ``np.add.accumulate``.  The order is fixed because coalition values feed
-    exact LPs and byte-compared reports: ``np.sum`` sums pairwise and the
-    built-in ``sum`` compensates from Python 3.12, and either changes the
-    last bits of the result.
+    ``np.add.accumulate``: coalition values feed exact LPs and byte-compared
+    reports, and ``np.sum`` (pairwise) or ``sum`` (compensated from Python
+    3.12) changes the last bits of the result.
     """
-    points = {0.0, 1.0}
-    points.update((1.0 - curve.xs).tolist())
-    points.update(density.xs.tolist())
-    grid = sorted(x for x in points if 0.0 <= x <= 1.0)
-    lo, hi = [], []
-    for a, b in zip(grid, grid[1:]):
-        width = b - a
-        panels = max(1, math.ceil(width / 0.0625))
-        for p in range(panels):
-            lo.append(a + width * p / panels)
-            hi.append(a + width * (p + 1) / panels)
-    lo = np.array(lo)[:, None]
-    hi = np.array(hi)[:, None]
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    alpha = (mid + half * _GL_NODES).ravel()
-    tails = _tail_averages(curve, alpha)
-    dens = _interp(density.xs, density.values, alpha)
-    terms = (_GL_WEIGHTS * half).ravel() * tails * dens
-    return float(np.add.accumulate(terms)[-1])
+    return _mixtures([curve], density)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -350,10 +355,11 @@ def check_tail_dominance(
 ) -> MonotoneVerdict:
     """Whether for every nested coalition pair the larger coalition's curve
     dominates in relative tails: the curve ratio outer/inner is nonincreasing
-    in the quantile argument."""
+    in the quantile argument.  Each distinct pair of curves is judged once."""
+    judge = functools.cache(lambda f, g: _ratio_monotone(f, g, nonincreasing=True, tol=tol))
     violations = []
     for inner, outer in _nested_pairs(curves):
-        bad = _ratio_monotone(curves[inner], curves[outer], nonincreasing=True, tol=tol)
+        bad = judge(curves[inner], curves[outer])
         if bad is not None:
             violations.append((inner, outer) + bad)
     return MonotoneVerdict(not violations, tuple(violations))
@@ -432,7 +438,7 @@ def build_cvar_game(
     """Game whose coalition values are the curves' tail averages mixed
     against the density.  The curve table must cover every coalition of the
     players (by default, of as many players as the largest mask spans);
-    equal curves are integrated once."""
+    equal curves are integrated once, those on one knot column on one layout."""
     if not curves:
         raise ScenarioError("no curves supplied")
     n = len(players) if players is not None else max(curves).bit_length()
@@ -440,13 +446,13 @@ def build_cvar_game(
         raise ScenarioError(f"a cvar game needs 1..{MAX_PLAYERS} players, got {n}")
     if len(curves) != (1 << n) - 1 or any(c not in curves for c in coalitions(n)):
         raise ScenarioError(f"curve table must cover all coalitions of {n} players")
-    rewards: dict[QuantileCurve, float] = {}
-    values = {}
-    for c in coalitions(n):
-        curve = curves[c]
-        if curve not in rewards:
-            rewards[curve] = mixture_reward(curve, density)
-        values[c] = rewards[curve]
+    columns: dict[bytes, list[QuantileCurve]] = {}
+    for curve in dict.fromkeys(curves[c] for c in coalitions(n)):
+        columns.setdefault(curve.xs.tobytes(), []).append(curve)
+    rewards = {}
+    for group in columns.values():
+        rewards.update(zip(group, _mixtures(group, density)))
+    values = {c: rewards[curves[c]] for c in coalitions(n)}
     return make_game(n, values, mode=FLOAT, tol=tol, players=players)
 
 
@@ -583,12 +589,13 @@ def verify_prop2(
     g2 = build_cvar_game(curves, d2, tol=tol)
     order = leq_cp(g1, g2)
     alphas = [j / grid for j in range(grid)]
-    table = {c: _tail_averages(k, alphas).tolist() for c, k in curves.items()}
+    distinct = dict.fromkeys(curves.values())
+    table = {k: _tail_averages(k, _tail_lookup(k.xs, alphas)).tolist() for k in distinct}
     violations = []
     checks = 0
     for inner, outer in _nested_pairs(curves):
-        lo = table[inner]
-        hi = table[outer]
+        lo = table[curves[inner]]
+        hi = table[curves[outer]]
         for t in range(len(alphas) - 1):
             checks += 1
             if not leq(hi[t] * lo[t + 1], hi[t + 1] * lo[t], tol):
@@ -650,6 +657,15 @@ def _field_knots(raw, name: str) -> list[tuple[float, float]]:
             raise ScenarioError(f"{name}[{i}] must be an [x, y] pair, got {pt!r}")
         pts.append(tuple(_field(x, f"{name}[{i}]") for x in pt))
     return pts
+
+
+def _field_samples(raw, name: str) -> list[float]:
+    """Draws as floats, in one type pass if all are JSON numbers, else by ``_field``."""
+    samples = _field(raw, name, list)
+    if all(type(x) in (int, float) for x in samples):
+        with contextlib.suppress(OverflowError):
+            return [float(x) for x in samples]
+    return [_field(x, name) for x in samples]
 
 
 def _field_players(data: Mapping, default=None) -> tuple[str, ...]:
@@ -738,11 +754,10 @@ def density_from_dict(data: Mapping) -> Density:
 def _curve_from_entry(entry, name: str) -> QuantileCurve:
     if isinstance(entry, Mapping):
         if "samples" in entry:
-            samples = _field(entry["samples"], f"{name}.samples", list)
             return _built(
                 name,
                 empirical_curve,
-                [_field(x, f"{name}.samples") for x in samples],
+                _field_samples(entry["samples"], f"{name}.samples"),
                 _field(entry.get("knot_count", 101), f"{name}.knot_count", int, MAX_KNOTS),
             )
         if "knots" in entry:

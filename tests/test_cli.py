@@ -794,6 +794,11 @@ def test_sweep_reports_match_committed_bytes(capsys, argv, name):
             ["scenario-cvar", str(DATA / "scenario_cvar_empirical_n3.json")],
             "cvar_game_empirical_n3.json",
         ),
+        # the benchmark's shape: fifteen empirical curves on one knot column
+        (
+            ["scenario-cvar", str(DATA / "scenario_cvar_empirical_n4_shared.json")],
+            "cvar_game_empirical_n4_shared.json",
+        ),
         (
             ["scenario-meanstd", str(DATA / "scenario_meanstd_phi_n3.json")],
             "meanstd_game_phi_n3.json",

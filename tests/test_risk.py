@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -207,19 +208,42 @@ def test_empirical_knots_match_the_scalar_loop(monkeypatch):
 
 
 def test_cvar_game_integrates_each_distinct_curve_once(monkeypatch):
+    # the default family's curves all run from beta 0 to beta 1, so one
+    # layout serves its seven distinct curves
     fam = default_uniform_family(7)
     density = beta_density(2.633)
     want = {c: mixture_reward(k, density) for c, k in fam.items()}
-    calls = []
-
-    def counting(curve, density):
-        calls.append(curve)
-        return mixture_reward(curve, density)
-
-    monkeypatch.setattr(risk, "mixture_reward", counting)
+    groups = []
+    mixtures = risk._mixtures
+    monkeypatch.setattr(risk, "_mixtures", lambda ks, d: groups.append(ks) or mixtures(ks, d))
     game = build_cvar_game(fam, density)
-    assert len(calls) == 7
+    assert len(groups) == 1 and len(groups[0]) == 7 and set(groups[0]) == set(fam.values())
     assert all(game.values[c] == want[c] for c in fam)
+
+
+def test_cvar_game_matches_the_scalar_loop_across_knot_columns():
+    # uniform curves, empirical curves at three knot counts, explicit knots
+    # and repeated curves in one table: each knot column gets its own layout,
+    # and every value is the scalar loop's bit for bit.  The spiked density
+    # weighs the nodes below alpha = 2**-54, where 1 - alpha rounds to 1 and
+    # the tail integral is the last prefix
+    rng = random.Random(25)
+    spike = density_curve([(0, 2.0**53), (2.0**-53, 1.0), (1, 1.0)], normalize=True)
+    densities = _oracle_densities() + [spike]
+    for trial in range(2 * len(densities)):
+        pool = [uniform_curve(1 + rng.random(), 3 + rng.random()) for _ in range(2)]
+        for count in (11, 26, 26, 51):
+            pool.append(empirical_curve([1 + rng.expovariate(1.0) for _ in range(30)], count))
+        top = 1 - 2.0**-53 if trial % 2 else rng.random()
+        pool.append(quantile_curve([(0, 0.5), (0.5 * top, 1.5), (top, 2.0), (1, 3.0)]))
+        masks = list(range(1, 16))
+        rng.shuffle(masks)
+        curves = {c: pool[i] if i < len(pool) else rng.choice(pool) for i, c in enumerate(masks)}
+        density = densities[trial % len(densities)]
+        game = build_cvar_game(curves, density)
+        assert len({k.xs.tobytes() for k in curves.values()}) == 5
+        for c, k in curves.items():
+            assert game.values[c] == naive_mixture_reward(k, density)
 
 
 def test_curves_compare_by_knots():
@@ -247,9 +271,17 @@ def test_non_finite_knots_and_draws_rejected():
 # monotone ratio checks
 
 
-def test_tail_dominance_of_default_family():
+def test_tail_dominance_of_default_family(monkeypatch):
     fam = default_uniform_family(4)
+    judged = []
+    ratio = risk._ratio_monotone
+    monkeypatch.setattr(
+        risk, "_ratio_monotone", lambda f, g, **kw: judged.append((f, g)) or ratio(f, g, **kw)
+    )
     assert check_tail_dominance(fam).holds
+    # 50 nested coalition pairs, but only 6 distinct (inner, outer) curve pairs
+    assert len(list(risk._nested_pairs(fam))) == 50
+    assert len(judged) == len(set(judged)) == 6
 
 
 def test_tail_dominance_violation_detected():
@@ -260,7 +292,8 @@ def test_tail_dominance_violation_detected():
     }
     verdict = check_tail_dominance(fam)
     assert not verdict.holds
-    assert verdict.violations
+    # both coalition pairs share one curve pair, judged once, listed twice
+    assert verdict.violations == ((2, 3, 0.0, 1.0), (1, 3, 0.0, 1.0))
 
 
 def test_leq_lr_chain_and_reversal():
@@ -552,6 +585,26 @@ def test_cvar_scenario_accepts_sampled_curves():
             cvar_scenario_from_dict,
             {"curves": {"a": {"samples": [1, 2], "knot_count": 9.5}}, "density": {"beta_a": 2}},
             "curves.a.knot_count",
+        ),
+        # a samples list with an item that is not a number, or a draw that
+        # is not finite, after good draws
+        *[
+            (
+                cvar_scenario_from_dict,
+                {"curves": {"a": {"samples": [1, 2.5, bad]}}, "density": {"beta_a": 2}},
+                f"^curves.a.samples must be a number, got {re.escape(repr(bad))}$",
+            )
+            for bad in (True, "1", None, [1])
+        ],
+        (
+            cvar_scenario_from_dict,
+            {"curves": {"a": {"samples": [1, 2.5, 10**400]}}, "density": {"beta_a": 2}},
+            "^curves.a.samples must be a finite number, got 1000+$",
+        ),
+        (
+            cvar_scenario_from_dict,
+            {"curves": {"a": {"samples": [1, 2.5, math.nan]}}, "density": {"beta_a": 2}},
+            "^curves.a: sample draws must be finite$",
         ),
         (
             cvar_scenario_from_dict,
