@@ -15,12 +15,17 @@ The order's consequences are checked by two verification harnesses: one for
 the five inclusion claims between the ordered games' solution sets, one for
 the core inclusions and the downward transfer of splintered stability.  The
 split-set and feasible-solution claims are decided exactly, per distinct
-block, on vertices.  The sampled claims, fission-resistant solutions and
-weak-core inclusion, are per-block core inclusions too, so both go through
-one sampled-block check: a block's witnesses, then its draws, judged a
-bounded chunk at a time as bool arrays (``stability.block_verdicts``) and
-read off in order up to the first failure.  The second game always judges
-at the pair's combined tolerance, as ``leq_cp`` does.
+block, on vertices.  Fission-resistant solutions and weak-core inclusion
+are per-block core inclusions too.  On an exact pair, a block B is
+dominated when ``leq_cp`` names no violation with B as its outer coalition:
+every g2 threshold v2(C)/v2(B) sits at or below g1's, so g1's split set,
+strong core and weak core lie in g2's (a g2-blocking split is g1-blocking),
+and the block is decided constraint-wise with no draws.  Every other block,
+on float or mixed pairs every block, goes through one sampled-block check:
+its witnesses, then its draws, judged a bounded chunk at a time as bool
+arrays (``stability.block_verdicts``) and read off in order up to the first
+failure.  The second game always judges at the pair's combined tolerance,
+as ``leq_cp`` does.
 """
 
 from __future__ import annotations
@@ -286,8 +291,9 @@ def verify_theorem1(
     per-partition split products, feasible solutions, fission-resistant
     solutions (both senses), and the reversed inclusion of fusion-resistant
     partitions.  All but the fourth are exhaustive and exact; the fourth is
-    checked per distinct block, on its witnesses plus random samples read
-    in order up to the first failure."""
+    decided per distinct block, constraint-wise on a block the order
+    dominates, else on its witnesses plus random samples read in order up
+    to the first failure."""
     if g1.n != g2.n:
         raise DimensionMismatch(f"games on {g1.n} and {g2.n} players")
     n = g1.n
@@ -328,16 +334,24 @@ def verify_theorem1(
     # iff each block's shares lie in that block's core, and any block with
     # singletons around it is a g1 solution, so the claim fails iff some
     # block's g1 core holds a point g2 refuses.  Each distinct block of two
-    # or more players with a nonempty g1 split set is checked on its own
-    # region witnesses (one per nonempty region, without repeats), then on
-    # its draws, from one rng in ascending block order
+    # or more players with a nonempty g1 split set is checked: a dominated
+    # one passes as it stands; any other on its own region witnesses (one
+    # per nonempty region, without repeats), then on its draws, from one
+    # rng in ascending block order
+    exact = g1.mode == g2.mode == EXACT
+    doubted = {v.outer for v in order.violations}
     rng = random.Random(seed)
     table = BlockTable(g1, canonical_witness=False)
     checked = {STRONG: 0, WEAK: 0}
+    dominated = sampled = 0
     failures = []
     for block in coalitions(n):
         if block.bit_count() < 2 or boundary_empty(g1, block):
             continue
+        if exact and block not in doubted:
+            dominated += 1
+            continue
+        sampled += 1
         regions = (table[block, kind] for kind in (STRONG, WEAK))
         points = dict.fromkeys(r.witness for r in regions if r.status == NONEMPTY)
         witnesses = [share_terms(g1, f) for f in points]
@@ -346,13 +360,13 @@ def verify_theorem1(
             checked[kind] += got
             if point is not None:
                 failures.append(f"{kind} {_padded(n, block, point)}")
+    scope = f"witness+sampled(strong={checked[STRONG]},weak={checked[WEAK]})"
+    if exact and not sampled:
+        scope = "constraintwise-blocks"
+    elif dominated:
+        scope = f"constraintwise({dominated})+{scope}"
     claims.append(
-        ClaimResult(
-            "fission-resistant-solutions",
-            not failures,
-            f"witness+sampled(strong={checked[STRONG]},weak={checked[WEAK]})",
-            "; ".join(failures[:3]),
-        )
+        ClaimResult("fission-resistant-solutions", not failures, scope, "; ".join(failures[:3]))
     )
 
     # (5) fusion-resistant partitions, reversed, exhaustive
@@ -372,20 +386,16 @@ def verify_theorem1(
     return InclusionReport("theorem-inclusions", order.holds, tuple(claims))
 
 
-def _strong_core_included(g1: Game, g2: Game, tol: float):
+def _strong_core_included(g1: Game, g2: Game, order: OrderVerdict, tol: float):
     """Exact polytope inclusion of strong cores.  Fast path: every g2
-    constraint threshold sits at or below the matching g1 threshold, making
-    the inclusion constraint-wise.  Residual constraints are settled by
-    minimizing their left side over the g1 core (support-function test)."""
+    constraint threshold sits at or below the matching g1 threshold, so
+    ``order`` names no violation at the grand block and the inclusion is
+    constraint-wise.  Each violation's inner coalition there, in ascending
+    mask order, is settled by minimizing its left side over the g1 core
+    (support-function test)."""
     n = g1.n
     full = g1.grand
-    v1n = g1.values[full]
-    v2n = g2.values[full]
-    doubtful = [
-        c
-        for c in coalitions(n)
-        if c != full and not leq(g2.values[c] * v1n, g1.values[c] * v2n, tol)
-    ]
+    doubtful = sorted(v.inner for v in order.violations if v.outer == full)
     if not doubtful:
         return True, "constraintwise", ""
     system = core_system(g1)
@@ -398,7 +408,7 @@ def _strong_core_included(g1: Game, g2: Game, tol: float):
             # the system is the same for every c, so only the first can fail
             return True, "vacuous", "strong core empty under the first game"
         value, point = found
-        threshold = Fraction(g2.values[c]) / Fraction(v2n)
+        threshold = Fraction(g2.values[c]) / Fraction(g2.values[full])
         if not geq(value, threshold, tol):
             return False, "support-lp", f"coalition {c:#x} point {_fmt_point(point)}"
     return True, "support-lp", ""
@@ -413,9 +423,10 @@ def verify_corollary(
 ) -> InclusionReport:
     """Check that both grand-coalition cores grow along the order and that
     splintered stability transfers downward: if staying split is stable for
-    the later game it already was for the earlier one.  Weak-core membership
-    is judged on the grand block's witnesses plus random samples, as claim 4
-    of ``verify_theorem1`` judges each block."""
+    the later game it already was for the earlier one.  Weak-core inclusion
+    is decided constraint-wise when the order dominates the grand block,
+    else judged on its witnesses plus random samples, as claim 4 of
+    ``verify_theorem1`` judges each block."""
     if g1.n != g2.n:
         raise DimensionMismatch(f"games on {g1.n} and {g2.n} players")
     n = g1.n
@@ -424,26 +435,26 @@ def verify_corollary(
     rng = random.Random(seed)
     claims = []
 
-    ok, scope, detail = _strong_core_included(g1, g2, tol)
+    ok, scope, detail = _strong_core_included(g1, g2, order, tol)
     claims.append(ClaimResult("strong-core-inclusion", ok, scope, detail))
 
-    # weak core: membership transfer on every g1 weak-core point we can
-    # find, judged as one block's sampled inclusion
-    points = split_vertices(g1, g1.grand)
-    region = core_region(g1, WEAK, canonical_witness=False)
-    if region.status == NONEMPTY:
-        points.append(region.witness)
-    witnesses = [share_terms(g1, f) for f in points]
-    ((checked, point),) = _sampled_block(g1, g2, g1.grand, witnesses, rng, samples, (WEAK,)).values()
-    failures = [] if point is None else [_fmt_point(point)]
-    claims.append(
-        ClaimResult(
-            "weak-core-inclusion",
-            not failures,
-            f"witness+sampled({checked})",
-            "; ".join(failures),
+    # weak core: included as it stands on a dominated grand block of an
+    # exact pair, else membership transfer on every g1 weak-core point we
+    # can find, judged as one block's sampled inclusion
+    if g1.mode == g2.mode == EXACT and all(v.outer != g1.grand for v in order.violations):
+        claims.append(ClaimResult("weak-core-inclusion", True, "constraintwise"))
+    else:
+        points = split_vertices(g1, g1.grand)
+        region = core_region(g1, WEAK, canonical_witness=False)
+        if region.status == NONEMPTY:
+            points.append(region.witness)
+        witnesses = [share_terms(g1, f) for f in points]
+        found = _sampled_block(g1, g2, g1.grand, witnesses, rng, samples, (WEAK,))
+        ((checked, point),) = found.values()
+        detail = "" if point is None else _fmt_point(point)
+        claims.append(
+            ClaimResult("weak-core-inclusion", point is None, f"witness+sampled({checked})", detail)
         )
-    )
 
     ones = (1,) * n
     splintered = singleton_partition(n)

@@ -189,65 +189,105 @@ def _at_pair_tol(g1, g2):
     return dataclasses.replace(g2, tol=combined_tol(g1, g2))
 
 
-def naive_theorem_fission_claim(g1, g2, *, samples, seed):
-    """Reference for claim 4 of centripetality.verify_theorem1, in its rng
-    order: per block of two or more players with a nonempty g1 split set,
-    in ascending mask order, the block-table witnesses (strong, then a
-    different weak one), then naive_sample_boundary draws, each candidate
-    padded with the share 1 on every other player and judged on the block
-    with singletons, one at a time and each kind on its own, by
-    naive_fission_resistant under g1 and then by solution_feasible and
-    naive_fission_resistant under g2 at the pair's combined tolerance."""
-    from fracgame.centripetality import ClaimResult, _fmt_point
+def naive_dominated(g1, g2, block):
+    """Whether an exact pair settles the block without samples: for every
+    nonempty proper part C of the block B, v2(C)/v2(B) <= v1(C)/v1(B) as
+    Fraction ratios.  A block of one player has no part.  Float and mixed
+    pairs settle no block."""
+    if not g1.mode == g2.mode == "exact":
+        return False
+
+    def ratio(game, c):
+        return Fraction(game.values[c]) / Fraction(game.values[block])
+
+    return all(ratio(g2, c) <= ratio(g1, c) for c in range(1, block) if c & block == c)
+
+
+def naive_sampled_block(g1, g2, block, rng, samples, table):
+    """One block of claim 4 of centripetality.verify_theorem1 judged one
+    candidate at a time: the witnesses of g1's block table ``table``
+    (strong, then a different weak one), then naive_sample_boundary draws,
+    each padded with the share 1 on every other player and judged on the
+    block with singletons, each kind on its own, by naive_fission_resistant under g1
+    and then by solution_feasible and naive_fission_resistant under g2 at
+    the pair's combined tolerance.  Returns per kind the candidates g1 puts
+    in its core up to the first one g2 refuses, and that refusal's text
+    (None when there is none)."""
+    from fracgame.centripetality import _fmt_point
     from fracgame.games import solution_feasible
     from fracgame.partitions import make_partition
 
     n = g1.n
-    rng = random.Random(seed)
     g2 = _at_pair_tol(g1, g2)
+    others = [1 << i for i in range(n) if not block >> i & 1]
+    partition = make_partition([block, *others], n)
+    local = []
+    for kind in (stability.STRONG, stability.WEAK):
+        region = table[block, kind]
+        if region.status == stability.NONEMPTY and region.witness not in local:
+            local.append(region.witness)
+    local += [naive_sample_boundary(g1, block, rng) for _ in range(samples)]
+    candidates = []
+    for point in local:
+        shares = [1] * n
+        for i, x in zip(members(block), point):
+            shares[i] = x
+        candidates.append(shares)
+    found = {}
+    for kind in (stability.STRONG, stability.WEAK):
+        checked, refused = 0, None
+        for f in candidates:
+            if not naive_fission_resistant(g1, partition, f, kind):
+                continue
+            checked += 1
+            if not (
+                solution_feasible(g2, partition, f)
+                and naive_fission_resistant(g2, partition, f, kind)
+            ):
+                refused = f"{kind} partition {partition} point {_fmt_point(f)}"
+                break
+        found[kind] = checked, refused
+    return found
+
+
+def naive_theorem_fission_claim(g1, g2, *, samples, seed):
+    """Reference for claim 4 of centripetality.verify_theorem1, in its rng
+    order: per block of two or more players with a nonempty g1 split set,
+    in ascending mask order, a block naive_dominated settles is counted and
+    skipped, and every other one is judged by naive_sampled_block.  The
+    scope names the settled blocks: all of them on an exact pair that
+    samples none, else their count ahead of the sampled counts."""
+    from fracgame.centripetality import ClaimResult
+
+    rng = random.Random(seed)
     table = stability.BlockTable(g1, canonical_witness=False)
     checked = {stability.STRONG: 0, stability.WEAK: 0}
+    dominated = sampled = 0
     failures = []
-    for block in range(1, 1 << n):
+    for block in range(1, 1 << g1.n):
         if block.bit_count() < 2 or boundary_empty(g1, block):
             continue
-        others = [1 << i for i in range(n) if not block >> i & 1]
-        partition = make_partition([block, *others], n)
-        local = []
-        for kind in (stability.STRONG, stability.WEAK):
-            region = table[block, kind]
-            if region.status == stability.NONEMPTY and region.witness not in local:
-                local.append(region.witness)
-        local += [naive_sample_boundary(g1, block, rng) for _ in range(samples)]
-        candidates = []
-        for point in local:
-            shares = [1] * n
-            for i, x in zip(members(block), point):
-                shares[i] = x
-            candidates.append(shares)
-        for kind in (stability.STRONG, stability.WEAK):
-            for f in candidates:
-                if not naive_fission_resistant(g1, partition, f, kind):
-                    continue
-                checked[kind] += 1
-                if not (
-                    solution_feasible(g2, partition, f)
-                    and naive_fission_resistant(g2, partition, f, kind)
-                ):
-                    failures.append(f"{kind} partition {partition} point {_fmt_point(f)}")
-                    break
-    return ClaimResult(
-        "fission-resistant-solutions",
-        not failures,
-        f"witness+sampled(strong={checked[stability.STRONG]},weak={checked[stability.WEAK]})",
-        "; ".join(failures[:3]),
-    )
+        if naive_dominated(g1, g2, block):
+            dominated += 1
+            continue
+        sampled += 1
+        found = naive_sampled_block(g1, g2, block, rng, samples, table)
+        for kind, (count, refused) in found.items():
+            checked[kind] += count
+            if refused is not None:
+                failures.append(refused)
+    scope = f"witness+sampled(strong={checked[stability.STRONG]},weak={checked[stability.WEAK]})"
+    if g1.mode == g2.mode == "exact" and not sampled:
+        scope = "constraintwise-blocks"
+    elif dominated:
+        scope = f"constraintwise({dominated})+{scope}"
+    return ClaimResult("fission-resistant-solutions", not failures, scope, "; ".join(failures[:3]))
 
 
-def naive_corollary_weak_claim(g1, g2, *, samples, seed):
-    """Reference for the weak-core claim of centripetality.verify_corollary,
-    in its rng order: the grand split set's vertices, the g1 weak-core
-    witness and naive_sample_boundary draws, each point judged by
+def naive_corollary_weak_sampled(g1, g2, *, samples, seed):
+    """The weak-core claim of centripetality.verify_corollary judged on
+    samples, in its rng order: the grand split set's vertices, the g1
+    weak-core witness and naive_sample_boundary draws, each point judged by
     boundary_contains and naive_weak_core_contains under g1 and then under
     g2 at the pair's combined tolerance."""
     from fracgame.centripetality import ClaimResult, _fmt_point
@@ -278,6 +318,17 @@ def naive_corollary_weak_claim(g1, g2, *, samples, seed):
     return ClaimResult(
         "weak-core-inclusion", not failures, f"witness+sampled({checked})", "; ".join(failures)
     )
+
+
+def naive_corollary_weak_claim(g1, g2, *, samples, seed):
+    """Reference for the weak-core claim of centripetality.verify_corollary:
+    included as it stands when naive_dominated settles the grand block,
+    else naive_corollary_weak_sampled."""
+    from fracgame.centripetality import ClaimResult
+
+    if naive_dominated(g1, g2, g1.grand):
+        return ClaimResult("weak-core-inclusion", True, "constraintwise")
+    return naive_corollary_weak_sampled(g1, g2, samples=samples, seed=seed)
 
 
 def naive_stable_sets(game, *, canonical_witness=True):

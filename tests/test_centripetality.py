@@ -32,6 +32,7 @@ from fracgame.risk import (
 )
 from fracgame.games import (
     BoundarySampler,
+    boundary_empty,
     combined_tol,
     draw_shares,
     members,
@@ -42,7 +43,10 @@ from fracgame.linfeas import vertices
 from conftest import (
     cut_game,
     naive_corollary_weak_claim,
+    naive_corollary_weak_sampled,
+    naive_dominated,
     naive_fission_resistant,
+    naive_sampled_block,
     naive_theorem_fission_claim,
     random_exact_game,
 )
@@ -358,6 +362,74 @@ def test_claim_three_is_decided_by_claim_two(samples):
     assert len(failed) > 10
 
 
+def _checked_blocks(game):
+    return [b for b in range(3, 1 << game.n) if b & (b - 1) and not boundary_empty(game, b)]
+
+
+def test_dominated_blocks_refuse_no_sampled_point():
+    # on a block the order dominates, every g2 threshold sits at or below
+    # g1's, so g1's split set and cores lie in g2's: the one-candidate loops
+    # at 200 samples find no refused point there, on 40 generated pairs
+    # (every block dominated, so claim 4 and the corollary's weak claim
+    # draw nothing) and on the dominated blocks of unordered exact pairs
+    rng = random.Random(404)
+    ordered = [generate_ordered_pair(rng.randrange(1 << 30), n)
+               for n in [2] * 16 + [3] * 14 + [4] * 8 + [5] * 2]
+    unordered = [(random_exact_game(rng, n), random_exact_game(rng, n)) for n in (3, 3, 4, 4)]
+    checked = {STRONG: 0, WEAK: 0}
+    for g1, g2 in ordered + unordered:
+        table = stability.BlockTable(g1, canonical_witness=False)
+        for block in _checked_blocks(g1):
+            if naive_dominated(g1, g2, block):
+                found = naive_sampled_block(g1, g2, block, random.Random(block), 200, table)
+                for kind, (count, refused) in found.items():
+                    assert refused is None, refused
+                    checked[kind] += count
+        if naive_dominated(g1, g2, g1.grand):
+            assert naive_corollary_weak_sampled(g1, g2, samples=200, seed=1).passed
+    assert min(checked.values()) > 1000
+    for g1, g2 in ordered:
+        assert all(naive_dominated(g1, g2, b) for b in range(1, 1 << g1.n))
+        claim = verify_theorem1(g1, g2, samples=200, seed=1).claims[3]
+        assert (claim.passed, claim.scope, claim.detail) == (True, "constraintwise-blocks", "")
+        claim = verify_corollary(g1, g2, samples=200, seed=1).claims[1]
+        assert (claim.passed, claim.scope, claim.detail) == (True, "constraintwise", "")
+
+
+def test_exact_pairs_sample_only_their_undominated_blocks():
+    # doubling g2's value of the pair {a, b} leaves every block that holds
+    # the pair undominated, and unordered exact pairs rarely dominate any
+    # block: claim 4 counts the dominated blocks ahead of the sampled
+    # counts, and the corollary samples exactly when its grand block is
+    # undominated, as the references' own ratio rule says
+    rng = random.Random(405)
+    pairs = []
+    for n in (3, 4, 4, 5):
+        g1, g2 = generate_ordered_pair(rng.randrange(1 << 30), n)
+        bumped = make_game(n, {c: g2.values[c] * (2 if c == 3 else 1) for c in range(1, 1 << n)})
+        pairs += [(g1, g2), (g1, bumped)]
+    pairs += [(random_exact_game(rng, n), random_exact_game(rng, n)) for n in (3, 4, 4)]
+    scopes, weak_scopes = set(), set()
+    for g1, g2 in pairs:
+        report = verify_theorem1(g1, g2, samples=10, seed=2)
+        assert report.claims[3] == naive_theorem_fission_claim(g1, g2, samples=10, seed=2)
+        blocks = _checked_blocks(g1)
+        dominated = sum(naive_dominated(g1, g2, b) for b in blocks)
+        scope = report.claims[3].scope
+        if dominated == len(blocks):
+            assert scope == "constraintwise-blocks"
+        elif dominated:
+            assert scope.startswith(f"constraintwise({dominated})+witness+sampled(")
+        else:
+            assert scope.startswith("witness+sampled(")
+        scopes.add(scope.split("(")[0])
+        weak = verify_corollary(g1, g2, samples=10, seed=2).claims[1]
+        assert (weak.scope == "constraintwise") == naive_dominated(g1, g2, g1.grand)
+        weak_scopes.add(weak.scope.split("(")[0])
+    assert scopes == {"constraintwise-blocks", "constraintwise", "witness+sampled"}
+    assert weak_scopes == {"constraintwise", "witness+sampled"}
+
+
 def test_corollary_weak_claim_matches_naive_loop():
     # the weak-core claim judged on one grand share table per candidate must
     # give the verdicts, counts and details of boundary_contains plus the
@@ -478,8 +550,10 @@ def test_draws_stay_within_one_chunk_per_call(monkeypatch):
     # with seven rows a chunk, no call draws more than seven rows, and a
     # block's witnesses and draws straddle chunk boundaries: the n=6
     # corollary's seven witnesses (six split vertices and the weak witness)
-    # fill the first chunk exactly.  Verdicts, counts and the first failing
-    # point read the same as the one-candidate-at-a-time loops
+    # fill the first chunk exactly.  The n=6 pair is a float copy, since an
+    # exact ordered pair settles its grand block without draws.  Verdicts,
+    # counts and the first failing point read the same as the
+    # one-candidate-at-a-time loops
     monkeypatch.setattr(centripetality, "_CHUNK", 7)
     asked = []
     cuts = BoundarySampler.cuts
@@ -499,7 +573,7 @@ def test_draws_stay_within_one_chunk_per_call(monkeypatch):
             report = verify_theorem1(g1, g2, samples=30, seed=5)
             failed += not report.claims[3].passed
     assert failed and asked and max(asked) == 7
-    g1, g2 = generate_ordered_pair(2, 6)
+    g1, g2 = map(_float_copy, generate_ordered_pair(2, 6))
     asked.clear()
     assert verify_corollary(g1, g2, samples=30, seed=5).to_dict() == (
         _corollary_report_with_naive_weak_claim(g1, g2, 30, 5)
