@@ -335,11 +335,9 @@ def verify_theorem1(
     # singletons around it is a g1 solution, so the claim fails iff some
     # block's g1 core holds a point g2 refuses.  Each distinct block of two
     # or more players with a nonempty g1 split set is checked: a dominated
-    # one passes as it stands; any other on its own region witnesses (one
-    # per nonempty region, without repeats), then on its draws, from one
-    # rng in ascending block order
-    exact = g1.mode == g2.mode == EXACT
-    doubted = {v.outer for v in order.violations}
+    # one passes as it stands, any other on its own region witnesses (one
+    # per nonempty region, no repeats), then its draws, one rng in mask order
+    doubted = _doubted(g1, g2, order)
     rng = random.Random(seed)
     table = BlockTable(g1, canonical_witness=False)
     checked = {STRONG: 0, WEAK: 0}
@@ -348,7 +346,7 @@ def verify_theorem1(
     for block in coalitions(n):
         if block.bit_count() < 2 or boundary_empty(g1, block):
             continue
-        if exact and block not in doubted:
+        if block not in doubted:
             dominated += 1
             continue
         sampled += 1
@@ -361,7 +359,7 @@ def verify_theorem1(
             if point is not None:
                 failures.append(f"{kind} {_padded(n, block, point)}")
     scope = f"witness+sampled(strong={checked[STRONG]},weak={checked[WEAK]})"
-    if exact and not sampled:
+    if not sampled and g1.mode == g2.mode == EXACT:
         scope = "constraintwise-blocks"
     elif dominated:
         scope = f"constraintwise({dominated})+{scope}"
@@ -384,6 +382,13 @@ def verify_theorem1(
     )
 
     return InclusionReport("theorem-inclusions", order.holds, tuple(claims))
+
+
+def _doubted(g1: Game, g2: Game, order: OrderVerdict):
+    """The blocks ``order`` leaves undominated: the outer coalitions of its
+    violations on an exact pair, every block on a float or mixed pair."""
+    exact = g1.mode == g2.mode == EXACT
+    return {v.outer for v in order.violations} if exact else range(1 << g1.n)
 
 
 def _strong_core_included(g1: Game, g2: Game, order: OrderVerdict, tol: float):
@@ -438,10 +443,9 @@ def verify_corollary(
     ok, scope, detail = _strong_core_included(g1, g2, order, tol)
     claims.append(ClaimResult("strong-core-inclusion", ok, scope, detail))
 
-    # weak core: included as it stands on a dominated grand block of an
-    # exact pair, else membership transfer on every g1 weak-core point we
-    # can find, judged as one block's sampled inclusion
-    if g1.mode == g2.mode == EXACT and all(v.outer != g1.grand for v in order.violations):
+    # weak core: included as it stands on a dominated grand block, else
+    # judged as one block's sampled inclusion on every g1 point we can find
+    if g1.grand not in _doubted(g1, g2, order):
         claims.append(ClaimResult("weak-core-inclusion", True, "constraintwise"))
     else:
         points = split_vertices(g1, g1.grand)

@@ -550,10 +550,11 @@ def test_draws_stay_within_one_chunk_per_call(monkeypatch):
     # with seven rows a chunk, no call draws more than seven rows, and a
     # block's witnesses and draws straddle chunk boundaries: the n=6
     # corollary's seven witnesses (six split vertices and the weak witness)
-    # fill the first chunk exactly.  The n=6 pair is a float copy, since an
-    # exact ordered pair settles its grand block without draws.  Verdicts,
-    # counts and the first failing point read the same as the
-    # one-candidate-at-a-time loops
+    # fill the first chunk exactly, lifted to one exact scale across chunk
+    # boundaries.  Doubling g2's value of a,b,c,d leaves the n=6 grand block
+    # undominated, so the corollary still samples it.  Verdicts, counts and
+    # the first failing point read the same as the one-candidate-at-a-time
+    # loops
     monkeypatch.setattr(centripetality, "_CHUNK", 7)
     asked = []
     cuts = BoundarySampler.cuts
@@ -573,7 +574,8 @@ def test_draws_stay_within_one_chunk_per_call(monkeypatch):
             report = verify_theorem1(g1, g2, samples=30, seed=5)
             failed += not report.claims[3].passed
     assert failed and asked and max(asked) == 7
-    g1, g2 = map(_float_copy, generate_ordered_pair(2, 6))
+    g1, g2 = generate_ordered_pair(2, 6)
+    g2 = make_game(6, {c: g2.values[c] * (2 if c == 15 else 1) for c in range(1, 1 << 6)})
     asked.clear()
     assert verify_corollary(g1, g2, samples=30, seed=5).to_dict() == (
         _corollary_report_with_naive_weak_claim(g1, g2, 30, 5)
