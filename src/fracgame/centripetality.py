@@ -22,10 +22,10 @@ every g2 threshold v2(C)/v2(B) sits at or below g1's, so g1's split set,
 strong core and weak core lie in g2's (a g2-blocking split is g1-blocking),
 and the block is decided constraint-wise with no draws.  Every other block,
 on float or mixed pairs every block, goes through one sampled-block check:
-its witnesses, then its draws, judged a bounded chunk at a time as bool
-arrays (``stability.block_verdicts``) and read off in order up to the first
-failure.  The second game always judges at the pair's combined tolerance,
-as ``leq_cp`` does.
+its witnesses, then its draws (one rng, built at the first such block),
+judged a bounded chunk at a time as bool arrays (``stability.block_verdicts``)
+and read off in order up to the first failure.  The second game always
+judges at the pair's combined tolerance, as ``leq_cp`` does.
 """
 
 from __future__ import annotations
@@ -167,10 +167,7 @@ class InclusionReport:
             "suite": self.suite,
             "order_holds": self.order_holds,
             "passed": self.passed,
-            "claims": [
-                {"name": c.name, "passed": c.passed, "scope": c.scope, "detail": c.detail}
-                for c in self.claims
-            ],
+            "claims": [dict(vars(c)) for c in self.claims],
         }
 
 
@@ -338,8 +335,7 @@ def verify_theorem1(
     # one passes as it stands, any other on its own region witnesses (one
     # per nonempty region, no repeats), then its draws, one rng in mask order
     doubted = _doubted(g1, g2, order)
-    rng = random.Random(seed)
-    table = BlockTable(g1, canonical_witness=False)
+    rng = table = None  # both built at the first undominated block
     checked = {STRONG: 0, WEAK: 0}
     dominated = sampled = 0
     failures = []
@@ -350,6 +346,8 @@ def verify_theorem1(
             dominated += 1
             continue
         sampled += 1
+        if rng is None:
+            rng, table = random.Random(seed), BlockTable(g1, canonical_witness=False)
         regions = (table[block, kind] for kind in (STRONG, WEAK))
         points = dict.fromkeys(r.witness for r in regions if r.status == NONEMPTY)
         witnesses = [share_terms(g1, f) for f in points]
@@ -437,7 +435,6 @@ def verify_corollary(
     n = g1.n
     order = leq_cp(g1, g2)
     tol = combined_tol(g1, g2)
-    rng = random.Random(seed)
     claims = []
 
     ok, scope, detail = _strong_core_included(g1, g2, order, tol)
@@ -453,7 +450,7 @@ def verify_corollary(
         if region.status == NONEMPTY:
             points.append(region.witness)
         witnesses = [share_terms(g1, f) for f in points]
-        found = _sampled_block(g1, g2, g1.grand, witnesses, rng, samples, (WEAK,))
+        found = _sampled_block(g1, g2, g1.grand, witnesses, random.Random(seed), samples, (WEAK,))
         ((checked, point),) = found.values()
         detail = "" if point is None else _fmt_point(point)
         claims.append(

@@ -36,6 +36,7 @@ from .games import (
     game_from_dict,
     game_to_dict,
     json_number,
+    json_text,
     load_game,
 )
 from .partitions import DEFAULT_ENUM_CAP, grand_partition, partition_from_label, partition_label
@@ -71,10 +72,6 @@ MAX_GRID_POINTS = 10_000
 # output plumbing
 
 
-def _json_text(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
 def _csv_text(rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -97,7 +94,7 @@ def _emit(args, stem: str, payload, csv_rows=None) -> None:
     if csv_rows is not None and args.format == "csv":
         _write(args, stem + ".csv", _csv_text(csv_rows))
     else:
-        _write(args, stem + ".json", _json_text(payload))
+        _write(args, stem + ".json", json_text(payload))
 
 
 def _fail(message: str, code: int) -> int:
@@ -167,9 +164,7 @@ def cmd_core(args) -> int:
         patched = table.patched(part, kind)
         payload[kind] = {
             "status": patched.status,
-            "witness": None
-            if patched.witness is None
-            else [json_number(x) for x in patched.witness],
+            "witness": patched.witness and [json_number(x) for x in patched.witness],
             "blocks": [
                 {"status": r.status, "method": r.method} for r in patched.block_regions
             ],
@@ -364,18 +359,15 @@ def _pair_stream(pairs: int, seed: int):
 def _verify_inclusions(kind: str, args) -> dict:
     runner = verify_theorem1 if kind == "theorem" else verify_corollary
     reports = []
-    passed = True
     for k, n, pair_seed in _pair_stream(args.pairs, args.seed):
         g1, g2 = generate_ordered_pair(pair_seed, n)
         rep = runner(g1, g2, samples=args.samples, seed=pair_seed)
-        ok = rep.order_holds and rep.passed
-        passed = passed and ok
         reports.append({"pair": k, "n": n, "seed": pair_seed, **rep.to_dict()})
     return {
         "suite": kind,
         "pairs": args.pairs,
         "seed": args.seed,
-        "passed": passed,
+        "passed": all(r["order_holds"] and r["passed"] for r in reports),
         "reports": reports,
     }
 
@@ -389,9 +381,7 @@ def _verify_prop2_suite(args) -> dict:
     family = default_uniform_family(4)
     expected = {1.0: 1.25, 2.0: 7 / 6}
     closed_form = []
-    for a in PROP2_SHAPES:
-        if a not in expected:
-            continue
+    for a in expected:  # the shapes of PROP2_SHAPES with a closed form, in order
         value = mixture_reward(family[1], beta_density(a))
         closed_form.append(
             {
@@ -425,10 +415,9 @@ def cmd_verify(args) -> int:
     names = list(suites) if args.suite == "all" else [args.suite]
     results = {}
     for name in names:
-        payload = suites[name]()
-        results[name] = payload
+        results[name] = suites[name]()
         if args.out:
-            _emit(args, f"verify-{name}", payload)
+            _emit(args, f"verify-{name}", results[name])
     summary = {
         "seed": args.seed,
         "suites": {name: results[name]["passed"] for name in names},
@@ -436,11 +425,8 @@ def cmd_verify(args) -> int:
     }
     if args.out:
         _emit(args, "verify-summary", summary)
-        sys.stdout.write(_json_text(summary))
-    elif len(names) == 1:
-        sys.stdout.write(_json_text(results[names[0]]))
-    else:
-        sys.stdout.write(_json_text(summary))
+    alone = len(names) == 1 and not args.out
+    sys.stdout.write(json_text(results[names[0]] if alone else summary))
     return 0 if summary["passed"] else 1
 
 

@@ -19,6 +19,8 @@ import math
 import string
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -503,6 +505,54 @@ def json_number(x):
     return str(x) if isinstance(x, Fraction) else x
 
 
+def json_text(payload) -> str:
+    """The bytes of ``json.dumps(payload, sort_keys=True, indent=2) + "\\n"``,
+    written without the pure-Python encoder that ``indent`` puts json on."""
+    return json_value(payload, 0) + "\n"
+
+
+def json_value(o, depth: int) -> str:
+    """One value as ``json_text`` lays it out at the given nesting depth.  All
+    but exact str, int, bool, None, finite float, list, tuple and str-keyed
+    dict goes to ``json.dumps``, its lines shifted by the depth's pad (exact:
+    its ASCII-escaped output holds no raw newline)."""
+    kind = type(o)
+    if kind is str:
+        return encode_basestring_ascii(o)
+    if kind is int:
+        return int.__repr__(o)
+    if kind is bool or o is None:
+        return "null" if o is None else "true" if o else "false"
+    if kind is float and math.isfinite(o):
+        return float.__repr__(o)
+    if kind is list or kind is tuple:
+        return json_list([json_value(x, depth + 1) for x in o], depth)
+    if kind is dict and o:
+        keys = tuple(sorted(o))
+        if template := json_object(keys, depth):
+            return template.format(*[json_value(o[k], depth + 1) for k in keys])
+    return json.dumps(o, sort_keys=True, indent=2).replace("\n", "\n" + "  " * depth)
+
+
+def json_list(items: Sequence[str] | None, depth: int) -> str:
+    """Encoded items (None: JSON null) as ``json_text`` lays out an array
+    that opens on a line of the given nesting depth."""
+    if not items:
+        return "null" if items is None else "[]"
+    pad = "  " * depth
+    return "[\n  " + pad + (",\n  " + pad).join(items) + "\n" + pad + "]"
+
+
+@lru_cache(maxsize=1024)
+def json_object(keys: tuple[str, ...], depth: int) -> str | None:
+    """The ``str.format`` template, a field per key, of an object with these
+    sorted keys as ``json_text`` lays it out at a depth; None unless all str."""
+    if all(type(k) is str for k in keys):
+        pad = "  " * depth
+        keys = [encode_basestring_ascii(k).replace("{", "{{").replace("}", "}}") for k in keys]
+        return "{{\n" + ",\n".join(f"{pad}  {k}: {{}}" for k in keys) + "\n" + pad + "}}"
+
+
 def coalition_from_label(label: str, players: Sequence[str]) -> int:
     index = {name: i for i, name in enumerate(players)}
     mask = 0
@@ -575,8 +625,7 @@ def load_game(path) -> Game:
 
 def save_game(game: Game, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(game_to_dict(game), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json_text(game_to_dict(game)))
 
 
 def game_digest(game: Game) -> str:

@@ -37,7 +37,10 @@ from .games import (
     coalition_label,
     geq,
     integer_terms,
+    json_list,
     json_number,
+    json_object,
+    json_value,
     members,
     remap,
     size_values,
@@ -588,18 +591,17 @@ class StabilityReport:
         return min((p for p in stable if len(p) == fewest), key=label, default=None)
 
     def json_text(self) -> str:
-        """The report as JSON: the bytes of ``json.dumps(d, sort_keys=True,
-        indent=2) + "\\n"`` for the report's dict ``d``, written from
-        fragments kept for this call (see ``_Fragments``) into templates
-        with the keys in sorted order.  Each ``CoreRegion`` object is
-        encoded once, however many partitions share it."""
+        """The report as JSON: the bytes of ``games.json_text(d)`` for the
+        report's dict ``d``, written from fragments kept for this call (see
+        ``_Fragments``) into that writer's templates and arrays.  Each
+        ``CoreRegion`` is encoded once, however many partitions share it."""
         parts = _Fragments(self.players, lambda s: json.dumps(s)[1:-1], _json_scalar)
         regions: dict[int, str] = {}
 
         def region(b: CoreRegion) -> str:
             text = regions.get(id(b))
             if text is None:
-                witness = _json_list(b.witness and parts.witness(b), 6)
+                witness = json_list(b.witness and parts.witness(b), 6)
                 text = _REGION.format(_json_scalar(b.method), _json_scalar(b.status), witness)
                 regions[id(b)] = text
             return text
@@ -611,26 +613,26 @@ class StabilityReport:
             label, sides = f'"{parts.partition(r.partition)}"', []
             for kind, p in ((STRONG, r.strong), (WEAK, r.weak)):
                 items = p.witness and parts.scatter(p)
-                blocks = _json_list([region(b) for b in p.block_regions], 4)
-                sides.append(_PATCHED.format(blocks, f'"{p.status}"', _json_list(items, 4)))
+                blocks = json_list([region(b) for b in p.block_regions], 4)
+                sides.append(_PATCHED.format(blocks, f'"{p.status}"', json_list(items, 4)))
                 if p.status == NONEMPTY:
                     nonempty[kind].append(label)
                     if r.fusion_resistant:
-                        stable[kind].append(_STABLE.format(label, _json_list(items, 3)))
+                        stable[kind].append(_STABLE.format(label, json_list(items, 3)))
             if r.fusion_resistant:
                 fused.append(label)
-            records.append(_RECORD.format(json.dumps(r.fusion_resistant), label, *sides))
+            records.append(_RECORD.format(_json_scalar(r.fusion_resistant), label, *sides))
         most = self.most_consolidated(WEAK)
         return _REPORT.format(
-            _json_list(fused, 1),
+            json_list(fused, 1),
             _json_scalar(self.digest),
             _json_scalar(most and partition_label(most, self.players)),
-            _json_list(records, 1),
-            _json_list(nonempty[STRONG], 1),
-            _json_list(nonempty[WEAK], 1),
-            _json_list([_json_scalar(name) for name in self.players], 1),
-            _json_list(stable[STRONG], 1),
-            _json_list(stable[WEAK], 1),
+            json_list(records, 1),
+            json_list(nonempty[STRONG], 1),
+            json_list(nonempty[WEAK], 1),
+            json_list([_json_scalar(name) for name in self.players], 1),
+            json_list(stable[STRONG], 1),
+            json_list(stable[WEAK], 1),
             "[]",  # every weak core is decided; weak_unknown stays in the schema
         )
 
@@ -660,31 +662,12 @@ class StabilityReport:
 
 
 def _json_scalar(x) -> str:
-    """One number (as reports print it; see ``json_number``), string or
-    None as JSON."""
-    return json.dumps(json_number(x))
-
-
-def _json_list(items: Sequence[str] | None, depth: int) -> str:
-    """Encoded items (None: JSON null) as ``json.dumps(..., indent=2)`` lays
-    out an array that opens on a line of the given nesting depth."""
-    if not items:
-        return "null" if items is None else "[]"
-    pad = "  " * depth
-    return "[\n  " + pad + (",\n  " + pad).join(items) + "\n" + pad + "]"
-
-
-def _json_object(keys: tuple[str, ...], depth: int) -> str:
-    """The ``str.format`` template, one field per key, of an object with
-    these keys as ``json.dumps(..., sort_keys=True, indent=2)`` lays it out
-    on a line of the given nesting depth; the keys come in sorted order."""
-    pad = "  " * depth
-    fields = ",\n".join(f'{pad}  "{key}": {{}}' for key in keys)
-    return "{{\n" + fields + "\n" + pad + "}}"
+    """One number (as reports print it; see ``json_number``), str or None as JSON."""
+    return json_value(json_number(x), 0)
 
 
 # the objects of an analyze report, each at the one depth it sits at
-_REPORT = _json_object(
+_REPORT = json_object(
     (
         "fusion_resistant", "game", "most_consolidated_weak", "partitions",
         "patched_strong_nonempty", "patched_weak_nonempty", "players",
@@ -692,10 +675,10 @@ _REPORT = _json_object(
     ),
     0,
 ) + "\n"
-_RECORD = _json_object(("fusion_resistant", "partition", "strong", "weak"), 2)
-_STABLE = _json_object(("partition", "witness"), 2)
-_PATCHED = _json_object(("blocks", "status", "witness"), 3)
-_REGION = _json_object(("method", "status", "witness"), 5)
+_RECORD = json_object(("fusion_resistant", "partition", "strong", "weak"), 2)
+_STABLE = json_object(("partition", "witness"), 2)
+_PATCHED = json_object(("blocks", "status", "witness"), 3)
+_REGION = json_object(("method", "status", "witness"), 5)
 
 
 class _Fragments:

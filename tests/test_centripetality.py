@@ -430,6 +430,36 @@ def test_exact_pairs_sample_only_their_undominated_blocks():
     assert weak_scopes == {"constraintwise", "witness+sampled"}
 
 
+def test_pairs_with_no_undominated_block_build_no_rng_or_region_table(monkeypatch):
+    # generated pairs leave every block dominated, so neither harness
+    # draws: with the rng and the region table made to raise, both still
+    # pass on them; the pair of CI's memory guard (g2's value of a,b,c,d
+    # doubled) keeps its grand block undominated, raises under the patch,
+    # and unpatched still samples with the scopes it always printed
+    pairs = [generate_ordered_pair(s, n) for s in range(40) for n in range(2, 6)]
+    rng = random.Random(0)
+    n, seed = rng.randint(2, 5), rng.randrange(1 << 31)
+    g1, g2 = generate_ordered_pair(seed, n)
+    g2 = make_game(n, {c: g2.values[c] * (2 if c == 15 else 1) for c in range(1, 1 << n)})
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built for a pair that draws nothing")
+
+    monkeypatch.setattr(centripetality.random, "Random", refuse)
+    monkeypatch.setattr(centripetality, "BlockTable", refuse)
+    for p1, p2 in pairs:
+        assert verify_theorem1(p1, p2, samples=50, seed=1).passed
+        assert verify_corollary(p1, p2, samples=50, seed=1).passed
+    for harness in (verify_theorem1, verify_corollary):
+        with pytest.raises(AssertionError, match="draws nothing"):
+            harness(g1, g2, samples=50, seed=seed)
+    monkeypatch.undo()
+    assert verify_theorem1(g1, g2, samples=50, seed=seed).claims[3].scope == (
+        "constraintwise(17)+witness+sampled(strong=0,weak=0)"
+    )
+    assert verify_corollary(g1, g2, samples=50, seed=seed).claims[1].scope == "witness+sampled(0)"
+
+
 def test_corollary_weak_claim_matches_naive_loop():
     # the weak-core claim judged on one grand share table per candidate must
     # give the verdicts, counts and details of boundary_contains plus the

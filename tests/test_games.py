@@ -1,8 +1,10 @@
+import enum
 import json
 import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from fracgame import (
@@ -27,7 +29,7 @@ from fracgame import (
     to_fractional,
     validate_game,
 )
-from fracgame.games import BoundarySampler, size_values
+from fracgame.games import BoundarySampler, json_text, size_values
 from conftest import naive_sample_boundary, random_exact_game, random_float_game
 
 
@@ -307,3 +309,77 @@ def test_batched_draws_match_one_draw_at_a_time():
     assert nones > 0
     degenerate = BoundarySampler(games[-1])
     assert degenerate.cuts(3, random.Random(0), 5) == [[]] * 5
+
+
+class _Level(enum.IntEnum):
+    LOW = 3
+
+
+class _Label(str):
+    pass
+
+
+class _Loud(float):
+    """A float that prints itself otherwise: json writes its float value."""
+
+    def __repr__(self):
+        return "loud"
+
+    __str__ = __repr__
+
+    def __format__(self, spec):
+        return "loud"
+
+
+_KEYS = ['say "hi"', "{0}", "}{", "{{x}}", "{", "tab\there", "line\nbreak", "\x00\x1f\x7f",
+         "caf\u00e9", "\u65e5\u672c", "\ud83d", "\\", "", "9", "10", "a", "b"]
+_SCALARS = [0, -1, 9, 10, 2**64 + 1, -(2**70), 0.1, -0.0, 5e-324, 1e308, 1.5e-7, math.nan,
+            math.inf, -math.inf, True, False, None, "", "x", "caf\u00e9", "{}", "\n\"",
+            np.float64(0.25), np.float64(-0.0), _Level.LOW, _Label("l{a}b"), _Loud(1.5)]
+_KEY_SETS = [[9, 10], [10, 9, -1, 2**65], [0.5, -0.0, 1e308, 5e-324, 2], [True, False],
+             [None], [_Label("b"), _Label("a")], [1, 2.5]]
+_BAD = [{1: 0, "a": 1}, {None: 0, True: 1}, {(1, 2): 0}, {1, 2}, object(), Fraction(1, 3), b"x"]
+
+
+def _payload(rng, depth):
+    """A random JSON value up to ``depth`` containers deep."""
+    roll = rng.random()
+    if depth == 0 or roll < 0.3:
+        return rng.choice(_SCALARS)
+    width = rng.choice([0, 1, 2, 3, 5])
+    if roll < 0.55:
+        items = [_payload(rng, depth - 1) for _ in range(width)]
+        return tuple(items) if rng.random() < 0.3 else items
+    if rng.random() < 0.2:
+        keys = rng.choice(_KEY_SETS)
+    else:
+        keys = rng.sample(_KEYS, min(width, len(_KEYS)))
+    return {k: _payload(rng, depth - 1) for k in keys}
+
+
+def test_json_text_writes_the_bytes_of_json_dumps():
+    # the writer against json.dumps(sort_keys=True, indent=2) itself, on
+    # random nested payloads: escaped and brace-bearing keys, every float
+    # json spells its own way, ints past 64 bits, non-str keys (sorted by
+    # the key, not its text: 9 before 10), subclasses json writes as their
+    # base type, empty containers; unserializable values and keys of types
+    # that do not sort together raise TypeError from both
+    rng = random.Random(27)
+    written = raised = 0
+    for k in range(400):
+        payload = _payload(rng, 6)
+        if k % 10 == 0:
+            payload = {"bad": [payload, rng.choice(_BAD)]}
+        try:
+            want = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        except TypeError:
+            with pytest.raises(TypeError):
+                json_text(payload)
+            raised += 1
+            continue
+        assert json_text(payload) == want
+        written += 1
+    assert written > 300 and raised >= 40
+    for keys in _KEY_SETS:
+        payload = [{"x": {k: [k] for k in keys}}]
+        assert json_text(payload) == json.dumps(payload, sort_keys=True, indent=2) + "\n"
