@@ -103,19 +103,24 @@ def _interp(knots_x: np.ndarray, knots_y: np.ndarray, x):
 class _KnotTable:
     """Piecewise linear function on [0, 1] given by its knots.  ``xs`` and
     ``values`` are the knot columns and ``prefix[j]`` the integral from 0 to
-    the j-th knot, all read-only arrays; equality and hashing depend on
-    ``knots`` alone.  Each kind names its argument (``_argument``) and the
-    error that ``value`` raises outside [0, 1] (``_out_of_range``)."""
+    the j-th knot, all read-only arrays; equality and hashing depend on the
+    two knot columns alone.  Each kind names its argument (``_argument``) and
+    the error that ``value`` raises outside [0, 1] (``_out_of_range``)."""
 
-    knots: tuple[tuple[float, float], ...]
+    xs: np.ndarray = field(compare=False)
+    values: np.ndarray = field(compare=False)
     prefix: np.ndarray = field(compare=False, repr=False)
-    xs: np.ndarray = field(init=False, compare=False, repr=False)
-    values: np.ndarray = field(init=False, compare=False, repr=False)
+    _key: bytes = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "prefix", _column(self.prefix))
-        object.__setattr__(self, "xs", _column([x for x, _ in self.knots]))
-        object.__setattr__(self, "values", _column([v for _, v in self.knots]))
+        for name in ("xs", "values", "prefix"):
+            object.__setattr__(self, name, _column(getattr(self, name)))
+        # adding 0.0 turns -0.0 into 0.0: the key counts them as one value, as float equality does
+        object.__setattr__(self, "_key", (self.xs + 0.0).tobytes() + (self.values + 0.0).tobytes())
+
+    @property
+    def knots(self) -> tuple[tuple[float, float], ...]:
+        return tuple(zip(self.xs.tolist(), self.values.tolist()))
 
     def value(self, x: float) -> float:
         if not 0.0 <= x <= 1.0:
@@ -123,24 +128,34 @@ class _KnotTable:
         return float(_interp(self.xs, self.values, x))
 
 
-def _knot_table(knots: Sequence, kind: str, arg: str, check: Callable) -> tuple:
-    """The knots as float pairs, validated, and the prefix integrals of the
-    piecewise linear function through them.  Every knot after the first goes
-    through ``check(x, v, previous v)``, which raises on a bad value."""
-    pts = [(float(x), float(v)) for x, v in knots]
-    if not all(math.isfinite(x) and math.isfinite(v) for x, v in pts):
+def _pairs(knots: Sequence) -> np.ndarray:
+    """The x and value columns of a sequence of (x, value) knots, as floats."""
+    return np.array([(float(x), float(v)) for x, v in knots], dtype=float).reshape(-1, 2).T
+
+
+def _knot_table(xs: np.ndarray, vs: np.ndarray, kind: str, arg: str, rules: Callable) -> tuple:
+    """The knot columns, validated, and the prefix integrals of the piecewise
+    linear function through them.  Every knot after the first must increase
+    strictly in x and then pass ``rules(x, v, previous v)``, a list of
+    (failure mask, message) pairs; the first failing knot raises the message
+    of its first failing rule."""
+    if not (np.isfinite(xs).all() and np.isfinite(vs).all()):
         raise ValueError(f"{kind} knots must be finite")
-    if len(pts) < 2 or pts[0][0] != 0.0 or pts[-1][0] != 1.0:
+    if len(xs) < 2 or xs[0] != 0.0 or xs[-1] != 1.0:
         raise ValueError(f"{kind} knots must run from {arg}=0 to {arg}=1")
-    if pts[0][1] < 0:
+    if vs[0] < 0:
         raise ValueError(f"{kind} values must be nonnegative")
-    prefix = [0.0]
-    for (prev_x, prev_v), (x, v) in zip(pts, pts[1:]):
-        if x <= prev_x:
-            raise ValueError(f"{kind} knots must be strictly increasing in {arg}")
-        check(x, v, prev_v)
-        prefix.append(prefix[-1] + 0.5 * (prev_v + v) * (x - prev_x))
-    return tuple(pts), prefix
+    x, v, prev_x, prev_v = xs[1:], vs[1:], xs[:-1], vs[:-1]
+    increase = (x <= prev_x, f"{kind} knots must be strictly increasing in {arg}")
+    fails = [increase, *rules(x, v, prev_v)]
+    bad = np.array([mask for mask, _ in fails])
+    if bad.any():
+        knot = bad.any(axis=0).argmax()
+        raise ValueError(fails[bad[:, knot].argmax()][1])
+    # a left fold (np.sum, pairwise, changes the last bits); overflow is inf, as in float sums
+    with np.errstate(over="ignore"):
+        steps = 0.5 * (prev_v + v) * (x - prev_x)
+        return xs, vs, np.add.accumulate(np.concatenate(([0.0], steps)))
 
 
 @dataclass(frozen=True)
@@ -156,15 +171,15 @@ class QuantileCurve(_KnotTable):
         return float(self.prefix[-1])
 
 
-def _nondecreasing_positive(beta: float, v: float, prev_v: float) -> None:
-    if v < prev_v:
-        raise ValueError("curve must be nondecreasing")
-    if v <= 0:
-        raise ValueError("curve must be strictly positive for beta > 0")
+def _nondecreasing_positive(beta, v, prev_v) -> list:
+    return [
+        (v < prev_v, "curve must be nondecreasing"),
+        (v <= 0, "curve must be strictly positive for beta > 0"),
+    ]
 
 
 def quantile_curve(knots: Sequence) -> QuantileCurve:
-    return QuantileCurve(*_knot_table(knots, "curve", "beta", _nondecreasing_positive))
+    return QuantileCurve(*_knot_table(*_pairs(knots), "curve", "beta", _nondecreasing_positive))
 
 
 def uniform_curve(lo: float, hi: float) -> QuantileCurve:
@@ -181,17 +196,28 @@ def empirical_curve(samples: Sequence, knot_count: int = 101) -> QuantileCurve:
     """
     if knot_count < 2:
         raise ScenarioError("need at least two knots")
-    data = [float(x) for x in samples]
-    if not data:
+    data = np.fromiter(map(float, samples), float)
+    if not data.size:
         raise ScenarioError("cannot build a curve from an empty sample")
-    if not all(math.isfinite(x) for x in data):
+    if not np.isfinite(data).all():
         raise ScenarioError("sample draws must be finite")
-    if min(data) <= 0:
+    if data.min() <= 0:
         raise ScenarioError("sample draws must be positive")
-    betas = [j / (knot_count - 1) for j in range(knot_count)]
+    betas = np.arange(knot_count) / (knot_count - 1)
     # the running maximum irons out rounding dips between interpolated levels
-    levels = np.maximum.accumulate(np.quantile(np.array(data), betas))
-    return quantile_curve(zip(betas, levels.tolist()))
+    levels = np.maximum.accumulate(_quantiles(np.sort(data), betas))
+    return QuantileCurve(*_knot_table(betas, levels, "curve", "beta", _nondecreasing_positive))
+
+
+def _quantiles(data: np.ndarray, betas: np.ndarray) -> np.ndarray:
+    """``np.quantile(data, betas)`` on sorted data, by its own arithmetic for the
+    linear rule (Hyndman & Fan's type 7), without its import of numpy.ma."""
+    index = (len(data) - 1) * betas
+    below = np.floor(index)
+    lo = below.astype(np.intp)
+    a, b = data[lo], data[np.minimum(lo + 1, len(data) - 1)]
+    d, g = b - a, index - below
+    return np.where(g >= 0.5, b - d * (1 - g), a + d * g)
 
 
 @dataclass(frozen=True)
@@ -203,22 +229,24 @@ class Density(_KnotTable):
     _out_of_range = AlphaOutOfRange
 
 
-def _positive_inside(alpha: float, v: float, prev_v: float) -> None:
-    if v < 0 or (v == 0 and alpha < 1.0):
-        raise ValueError("density must be strictly positive inside (0, 1)")
+def _positive_inside(alpha, v, prev_v) -> list:
+    bad = (v < 0) | ((v == 0) & (alpha < 1.0))
+    return [(bad, "density must be strictly positive inside (0, 1)")]
 
 
 def density_curve(knots: Sequence, *, normalize: bool = False) -> Density:
-    pts, prefix = _knot_table(knots, "density", "alpha", _positive_inside)
-    total = prefix[-1]
+    xs, vs, prefix = _knot_table(*_pairs(knots), "density", "alpha", _positive_inside)
+    total = float(prefix[-1])
+    if not math.isfinite(total):
+        raise ValueError("density integral overflows the float range")
     if normalize:
         if total <= 0:
             raise ValueError("cannot normalize a zero density")
-        pts = tuple((a, v / total) for a, v in pts)
-        prefix = [p / total for p in prefix]
+        with np.errstate(over="ignore"):
+            vs, prefix = vs / total, prefix / total
     elif abs(total - 1.0) > 1e-9:
         raise ValueError(f"density integrates to {total!r}, not 1; pass normalize=True")
-    return Density(pts, prefix)
+    return Density(xs, vs, prefix)
 
 
 def beta_density(a: float, knot_count: int = 101) -> Density:
@@ -459,13 +487,10 @@ def build_cvar_game(
 def uniform_curve_family(
     n: int, lo: Callable[[int], float], hi: Callable[[int], float]
 ) -> dict[int, QuantileCurve]:
-    """One uniform-spread curve per coalition, parameterized by size."""
+    """One uniform-spread curve per coalition, parameterized by size, one object per size."""
     _check_player_count(n)
-    out = {}
-    for c in coalitions(n):
-        s = c.bit_count()
-        out[c] = uniform_curve(lo(s), hi(s))
-    return out
+    by_size = functools.cache(lambda s: uniform_curve(lo(s), hi(s)))
+    return {c: by_size(c.bit_count()) for c in coalitions(n)}
 
 
 def default_uniform_family(n: int) -> dict[int, QuantileCurve]:
@@ -662,7 +687,7 @@ def _field_knots(raw, name: str) -> list[tuple[float, float]]:
 def _field_samples(raw, name: str) -> list[float]:
     """Draws as floats, in one type pass if all are JSON numbers, else by ``_field``."""
     samples = _field(raw, name, list)
-    if all(type(x) in (int, float) for x in samples):
+    if set(map(type, samples)) <= {int, float}:
         with contextlib.suppress(OverflowError):
             return [float(x) for x in samples]
     return [_field(x, name) for x in samples]

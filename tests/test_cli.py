@@ -220,6 +220,31 @@ def test_scenario_cvar_from_samples(tmp_path, capsys):
     assert abs(float(payload["values"]["x,y"]) - 3.0) < 1e-10
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_scenario_cvar_refuses_a_density_whose_integral_overflows(tmp_path, capsys, n):
+    # the integral of 1e308 over [0, 1] overflows; dividing by it would zero the density
+    scen = tmp_path / "scen.json"
+    density = {"knots": [[0, 1e308], [1, 1e308]], "normalize": True}
+    scen.write_text(json.dumps({"n": n, "density": density}))
+    assert run(["scenario-cvar", str(scen)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "density: density integral overflows the float range\n"
+
+
+def test_cvar_commands_never_import_numpy_ma():
+    # np.quantile imports numpy.ma (through np.unique) on its first call
+    script = f"""
+import sys
+from fracgame import cli
+assert cli.run(["scenario-cvar", {str(DATA / "scenario_cvar_empirical_n3.json")!r}]) == 0
+assert cli.run(["sweep", "--scenario", "cvar", "--n", "3", "--beta-a", "1,2"]) == 0
+sys.exit("numpy.ma" in sys.modules)
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_scenario_cvar_missing_grand_curve_names_player_count(tmp_path, capsys):
     scen = tmp_path / "scen.json"
     scen.write_text(

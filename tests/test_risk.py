@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from fracgame import (
     verify_prop2,
 )
 from fracgame import risk
+from fracgame.games import coalitions
 from fracgame.risk import (
     MeanStdScenario,
     cvar_scenario_from_dict,
@@ -202,9 +204,122 @@ def test_empirical_knots_match_the_scalar_loop(monkeypatch):
         count = rng.randint(2, 101)
         assert empirical_curve(draws, count).knots == naive_empirical_knots(draws, count)
     # a level that dips below the one before is held there
-    monkeypatch.setattr(np, "quantile", lambda data, betas: np.array([1.0, 2.0, 1.5, 3.0]))
+    monkeypatch.setattr(risk, "_quantiles", lambda data, betas: np.array([1.0, 2.0, 1.5, 3.0]))
     want = ((0.0, 1.0), (1 / 3, 2.0), (2 / 3, 2.0), (1.0, 3.0))
-    assert empirical_curve([1.0, 3.0], 4).knots == naive_empirical_knots([1.0, 3.0], 4) == want
+    assert empirical_curve([1.0, 3.0], 4).knots == want
+
+
+def _left_fold_prefix(knots):
+    prefix = [0.0]
+    for (prev_x, prev_v), (x, v) in zip(knots, knots[1:]):
+        prefix.append(prefix[-1] + 0.5 * (prev_v + v) * (x - prev_x))
+    return prefix
+
+
+def test_empirical_levels_are_np_quantile_bit_for_bit():
+    # the written-out type-7 quantile, after the running maximum, is
+    # np.quantile's bit for bit, and the prefix is the knots' left fold
+    rng = random.Random(57)
+    cases = [([3.0], 2), ([2.0, 2.0, 2.0], 3), ([1e-300, 1e300], 10_001)]
+    for k in range(120):
+        scale = 10.0 ** rng.randint(-300, 299)
+        pool = [scale * (1 + rng.random()) for _ in range(rng.randint(1, 6))]
+        draws = [rng.choice(pool) if k % 2 else scale * rng.expovariate(1.0) + 1e-300
+                 for _ in range(rng.randint(1, 300))]
+        cases.append((draws, (2, 3, 10_001)[k % 3] if k % 4 == 0 else rng.randint(2, 400)))
+    for draws, count in cases:
+        betas = np.arange(count) / (count - 1)
+        want = np.maximum.accumulate(np.quantile(np.array(draws), betas))
+        curve = empirical_curve(draws, count)
+        assert curve.values.tobytes() == want.tobytes()
+        assert curve.xs.tolist() == [j / (count - 1) for j in range(count)]
+        assert curve.prefix.tolist() == _left_fold_prefix(curve.knots)
+
+
+def test_knot_errors_name_the_first_failing_knot_and_its_first_rule():
+    cases = [
+        # a later rule fails at an earlier knot than an earlier rule
+        ([(0, 0), (0.5, 0), (0.7, -1), (1, 1)], "curve must be strictly positive for beta > 0"),
+        ([(0, 2), (0.5, 1), (0.7, 0), (1, 3)], "curve must be nondecreasing"),
+        # the increase check and a rule fail at the same knot
+        ([(0, 1), (0.5, 2), (0.5, 1), (1, 3)], "curve knots must be strictly increasing in beta"),
+        ([(0, 1), (0.5, 0), (0.4, 3), (1, 3)], "curve must be nondecreasing"),
+        ([(0, 1), (0.5, 2), (0.4, 3), (0.6, 0), (1, 3)], "curve knots must be strictly increasing"),
+    ]
+    for knots, message in cases:
+        with pytest.raises(ValueError, match=message):
+            quantile_curve(knots)
+    with pytest.raises(ValueError, match="density must be strictly positive inside"):
+        density_curve([(0, 1), (0.5, 0), (0.4, 1), (1, 1)], normalize=True)
+    with pytest.raises(ValueError, match="density knots must be strictly increasing in alpha"):
+        density_curve([(0, 1), (0.5, 1), (0.4, 0), (1, 1)], normalize=True)
+
+
+def _scalar_knot_table(knots, kind, arg, rules):
+    """The message of ``risk._knot_table``'s first failure, else its prefix,
+    by a per-knot scalar loop that calls the same rule builders on floats."""
+    pts = [(float(x), float(v)) for x, v in knots]
+    if not all(math.isfinite(x) and math.isfinite(v) for x, v in pts):
+        return f"{kind} knots must be finite"
+    if len(pts) < 2 or pts[0][0] != 0.0 or pts[-1][0] != 1.0:
+        return f"{kind} knots must run from {arg}=0 to {arg}=1"
+    if pts[0][1] < 0:
+        return f"{kind} values must be nonnegative"
+    for (prev_x, prev_v), (x, v) in zip(pts, pts[1:]):
+        if x <= prev_x:
+            return f"{kind} knots must be strictly increasing in {arg}"
+        for bad, message in rules(x, v, prev_v):
+            if bad:
+                return message
+    return _left_fold_prefix(pts)
+
+
+def test_knot_table_matches_the_scalar_loop():
+    rng = random.Random(61)
+    special = [0.0, -0.0, 1.0, 2.0, -1.0, 1e308, 5e-324, math.inf, math.nan]
+    kinds = [("curve", "beta", risk._nondecreasing_positive),
+             ("density", "alpha", risk._positive_inside)]
+    for _ in range(3000):
+        xs = sorted(rng.random() for _ in range(rng.randint(0, 12)))
+        if xs and rng.random() < 0.9:
+            xs[0], xs[-1] = 0.0, 1.0
+        for _ in range(rng.randint(0, 2)):
+            if len(xs) > 2:
+                i = rng.randrange(1, len(xs) - 1)
+                xs[i] = rng.choice([xs[i - 1], xs[i + 1], rng.random()])
+        vs = sorted(rng.choice(special) if rng.random() < 0.3 else rng.uniform(0, 5) for _ in xs)
+        if rng.random() < 0.5:
+            rng.shuffle(vs)
+        knots = list(zip(xs, vs))
+        for kind, arg, rules in kinds:
+            want = _scalar_knot_table(knots, kind, arg, rules)
+            try:
+                got = risk._knot_table(*risk._pairs(knots), kind, arg, rules)[2].tolist()
+            except ValueError as exc:
+                got = str(exc)
+            assert got == want
+
+
+def test_overflowing_density_integral_is_refused():
+    for normalize in (True, False):
+        with pytest.raises(ValueError, match="^density integral overflows the float range$"):
+            density_curve([(0, 1e308), (1, 1e308)], normalize=normalize)
+    # a finite integral of huge values still normalizes
+    d = density_curve([(0, 1e307), (1, 1e307)], normalize=True)
+    assert d.values.tolist() == [1.0, 1.0] and d.prefix.tolist() == [0.0, 1.0]
+    # a curve's mean overflows to inf, as the float sum does, with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert quantile_curve([(0, 1e308), (1, 1e308)]).mean == math.inf
+
+
+def test_uniform_family_builds_one_curve_per_size():
+    fam = default_uniform_family(7)
+    assert list(fam) == list(coalitions(7))
+    assert len({id(k) for k in fam.values()}) == 7
+    for c, k in fam.items():
+        s = c.bit_count()
+        assert k == uniform_curve(float(s), s + math.sqrt(s))
 
 
 def test_cvar_game_integrates_each_distinct_curve_once(monkeypatch):
@@ -255,6 +370,13 @@ def test_curves_compare_by_knots():
     assert a != quantile_curve([(0, 1), (0.5, 2), (1, 5)])
     d = density_curve([(0, 1), (1, 1)])
     assert d == density_curve([(0.0, 1.0), (1.0, 1.0)]) and d.xs.tolist() == [0.0, 1.0]
+    # -0.0 and 0.0 are one value, as in float equality
+    zero = quantile_curve([(0, 0.0), (1, 1)])
+    assert zero == quantile_curve([(-0.0, -0.0), (1, 1)])
+    assert hash(zero) == hash(quantile_curve([(-0.0, -0.0), (1, 1)]))
+    # a curve never equals a density, even on equal columns
+    assert quantile_curve([(0, 1), (1, 1)]) != d and d != quantile_curve([(0, 1), (1, 1)])
+    assert a.knots == ((0.0, 1.0), (0.5, 2.0), (1.0, 4.0))
 
 
 def test_non_finite_knots_and_draws_rejected():
