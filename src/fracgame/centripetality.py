@@ -23,20 +23,18 @@ strong core and weak core lie in g2's (a g2-blocking split is g1-blocking),
 and the block is decided constraint-wise with no draws.  Every other block,
 on float or mixed pairs every block, goes through one sampled-block check:
 its witnesses, then its draws (one rng, built at the first such block),
-judged a bounded chunk at a time as bool arrays (``stability.block_verdicts``)
-and read off in order up to the first failure.  The second game always
-judges at the pair's combined tolerance, as ``leq_cp`` does.
+each judged in order, one row at a time, by the scalar predicates that
+``stability.core_contains`` runs, up to the first failure.  The second game
+always judges at the pair's combined tolerance, as ``leq_cp`` does.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import chain
 from typing import Sequence
-
-import numpy as np
 
 from . import linfeas
 from .errors import DimensionMismatch
@@ -54,6 +52,7 @@ from .games import (
     make_game,
     members,
     size_values,
+    subgame,
     submasks,
 )
 from .partitions import enumerate_partitions, make_partition, singleton_partition
@@ -62,11 +61,10 @@ from .stability import (
     STRONG,
     WEAK,
     BlockTable,
-    block_verdicts,
+    _resists_fission,
     core_region,
     core_system,
     fusion_resistant,
-    is_stable,
     share_terms,
     split_vertices,
 )
@@ -215,65 +213,37 @@ def _padded(n: int, block: int, point) -> str:
     return f"partition {partition} point {_fmt_point(shares)}"
 
 
-_fraction = np.frompyfunc(Fraction, 2, 1)
-
-
-def _judge_block(g1: Game, g2: Game, block: int, terms, scale: int) -> list:
-    """``block_verdicts`` under g1 and g2 on one block's candidate rows, g1
-    splits held as the matrix ``terms`` over ``scale``: per game and kind,
-    whether g1 resists fission on each row, and whether g2 puts it in its
-    core.  g2 judges at the pair's combined tolerance, so a float g1's rows
-    that miss an exact g2's bounds by rounding alone pass, and a float g2
-    judges an exact g1's rows on their shares over 1."""
-    g2 = _at_tol(g2, combined_tol(g1, g2))
-    rational = g1.mode == g2.mode == EXACT
-    if g1.mode == EXACT and not rational:
-        terms, scale = _fraction(terms, scale), 1
-    return block_verdicts((g1, g2), block, terms, scale, rational)
-
-
-def _block_matrix(sampler, block: int, witnesses: list, cuts) -> tuple:
-    """One block's candidates as one term matrix over one scale: the
-    witness rows ``(terms, scale)`` first, then the draws of the cut rows
-    in order, all lifted to the scales' least common multiple."""
-    drawn, den = sampler.terms(block, cuts)
-    if not witnesses:
-        return drawn, den
-    scale = math.lcm(den, *(s for _, s in witnesses))
-    lifted = np.array([[t * (scale // s) for t in w] for w, s in witnesses], object)
-    return np.concatenate([lifted, drawn * (scale // den)]), scale
-
-
-# rows drawn and judged per call of the sampled claims: a block's cuts,
-# Python-number terms and subset sums exist for at most this many rows at once
-_CHUNK = 1 << 12
-
-
 def _sampled_block(g1: Game, g2: Game, block: int, witnesses: list, rng, samples: int, kinds):
     """One block's sampled inclusion of g1's cores in g2's, per kind: its
     witness rows ``(terms, scale)``, then ``samples`` draws from the g1
-    split set, each read in order up to the first row that g1 puts in the
-    kind's core and g2 refuses.  Returns per kind the rows g1 put in its
-    core up to that row, and that row's point (None when there is none).
-    The draws always take ``samples`` rows of ``rng``; at most ``_CHUNK``
-    rows are drawn and judged at a time."""
-    sampler, total = BoundarySampler(g1), len(witnesses) + samples
+    split set, judged one row at a time, in order, up to the first row that
+    g1 puts in the kind's core and g2 refuses.  Rows are g1 splits, so g1
+    judges fission only; g2 judges the split set and fission at the pair's
+    combined tolerance, and a float g2 judges an exact g1's rows on their
+    shares over 1.  Returns per kind the rows g1 put in its core up to that
+    row, and that row's point (None when there is none).  The draws always
+    take ``samples`` rows of ``rng``, judged or not, so the blocks after
+    this one see the same rng values."""
+    first, second = subgame(g1, block), subgame(_at_tol(g2, combined_tol(g1, g2)), block)
+    full, shares_only = first.grand, g1.mode == EXACT != g2.mode
+    draw = BoundarySampler(g1).draw
     checked, refused = dict.fromkeys(kinds, 0), dict.fromkeys(kinds)
-    for lo in range(0, total, _CHUNK):
-        hi = min(lo + _CHUNK, total)
-        draws = hi - max(lo, len(witnesses))
-        cuts = sampler.cuts(block, rng, draws) if draws > 0 else []
-        if None not in refused.values():
-            continue  # every kind has failed: the draws only keep the rng's order
-        terms, scale = _block_matrix(sampler, block, witnesses[lo:hi], cuts or [])
-        first, second = _judge_block(g1, g2, block, terms, scale)
+    for row in chain(witnesses, (draw(block, rng) for _ in range(samples))):
+        if row is None or None not in refused.values():
+            continue  # an empty split set, or every kind has failed
+        terms, scale = row
+        if shares_only:
+            terms, scale = [Fraction(t, scale) for t in terms], 1
+        feasible = None  # whether g2 holds the row's split, judged once
         for kind in kinds:
-            if refused[kind] is None:
-                bad = np.flatnonzero(first[kind] & ~second[kind])
-                stop = int(bad[0]) + 1 if bad.size else len(terms)
-                checked[kind] += int(np.count_nonzero(first[kind][:stop]))
-                if bad.size:
-                    refused[kind] = draw_shares(terms[bad[0]].tolist(), scale)
+            if refused[kind] is not None or not _resists_fission(first, (full,), terms, scale, kind):
+                continue
+            checked[kind] += 1
+            if feasible is None:
+                point = draw_shares(terms, scale)
+                feasible = boundary_contains(second, full, point)
+            if not (feasible and _resists_fission(second, (full,), terms, scale, kind)):
+                refused[kind] = point
     return {kind: (checked[kind], refused[kind]) for kind in kinds}
 
 
@@ -457,14 +427,15 @@ def verify_corollary(
             ClaimResult("weak-core-inclusion", point is None, f"witness+sampled({checked})", detail)
         )
 
-    ones = (1,) * n
+    # the splintered solution, share 1 to each player alone, is feasible and
+    # resists fission under every game, so it is stable in either sense iff
+    # the singleton partition resists fusion
     splintered = singleton_partition(n)
+    if fusion_resistant(g2, splintered):
+        ok, scope = fusion_resistant(g1, splintered), "direct"
+    else:
+        ok, scope = True, "vacuous"
     for kind in (STRONG, WEAK):
-        if is_stable(g2, splintered, ones, kind):
-            ok = is_stable(g1, splintered, ones, kind)
-            scope = "direct"
-        else:
-            ok, scope = True, "vacuous"
         claims.append(ClaimResult(f"splintered-transfer-{kind}", ok, scope, ""))
 
     return InclusionReport("corollary-inclusions", order.holds, tuple(claims))

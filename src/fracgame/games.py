@@ -23,8 +23,6 @@ from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, Mapping, Sequence
 
-import numpy as np
-
 from .errors import DimensionMismatch, InvalidGameError, InvalidPartition
 
 MAX_PLAYERS = 16
@@ -380,17 +378,13 @@ def to_absolute(game: Game, shares: Sequence) -> tuple:
 
 
 class BoundarySampler:
-    """Draws from the coalitions' split sets, bound to one game, in two
-    steps.  ``cuts`` takes the rng values of draws on one coalition, in the
-    order one draw after another takes them; ``terms`` turns a block's cut
-    rows into the draws' terms, one matrix over one scale: row r, column
-    j is share j of draw r times the scale.  Exact games draw integer terms
-    over ``v(C)*2^20`` (v(C) scaled to an integer), float games their float
-    shares over 1, and singletons the share 1 over 1.  Each coalition's
-    lower bounds and leftover are derived on its first draw and reused
-    after; calling the sampler makes the one draw ``(terms, scale)`` that
-    ``sample_boundary`` makes, from the same rng values, or None when the
-    split set is empty."""
+    """Draws from the coalitions' split sets, bound to one game, one draw
+    ``(terms, scale)`` at a time: share j of a draw is ``terms[j] / scale``.
+    Exact games draw integer terms over ``v(C)*2^20`` (v(C) scaled to an
+    integer), float games their float shares over 1, and singletons the
+    share 1 over 1.  Each coalition's lower bounds and leftover are derived
+    on its first draw and reused after; a draw is the one ``sample_boundary``
+    makes, from the same rng values."""
 
     GRAIN = 1 << 20
 
@@ -415,9 +409,9 @@ class BoundarySampler:
         elif self.exact:
             whole, lone = split_terms(game, coalition)
             rest = whole - sum(lone)
-            found = ([a * grain for a in lone], whole * grain, rest, count if rest >= 0 else None)
+            found = (tuple(a * grain for a in lone), whole * grain, rest, count if rest >= 0 else None)
         else:
-            lbs = [game.values[1 << i] / v_c for i in mem]
+            lbs = tuple(game.values[1 << i] / v_c for i in mem)
             total = sum(lbs)
             s = 1.0 - total
             if s < 0:  # degenerate within tolerance: the bounds themselves
@@ -426,47 +420,24 @@ class BoundarySampler:
         self.bounds[coalition] = found
         return found
 
-    def cuts(self, coalition: int, rng, rows: int = 1) -> list | None:
-        """The rng values of ``rows`` draws on the coalition, one cut list
-        per draw: k-1 ``randrange(2^20+1)`` cuts for k members on exact
-        games, k-1 ``random()`` cuts on float games, none for a singleton or
-        a float coalition whose bounds already sum to 1 within tolerance.
-        None, taking no rng value, when the split set is empty."""
-        count = self._bounds(coalition)[3]
-        if count is None:
-            return None
+    def draw(self, coalition: int, rng) -> tuple | None:
+        """One draw ``(terms, scale)`` on the coalition, or None, taking no
+        rng value, when its split set is empty.  It takes k-1
+        ``randrange(2^20+1)`` cuts for k members on exact games, k-1
+        ``random()`` cuts on float games, and none for a singleton or a
+        float coalition whose bounds already sum to 1 within tolerance (it
+        draws the bounds).  Share j is ``lower_j + leftover * gap_j``, with
+        the sorted cuts splitting the grain (2^20, or 1.0 on float games)
+        into gaps; the terms are ints on exact games, floats on float games."""
+        lower, scale, rest, count = self._bounds(coalition)
+        if not count:  # empty (None), or a singleton or degenerate float block
+            return None if count is None else (lower, scale)
         if self.exact:
             top = self.GRAIN + 1
-            return [[rng.randrange(top) for _ in range(count)] for _ in range(rows)]
-        return [[rng.random() for _ in range(count)] for _ in range(rows)]
-
-    def terms(self, coalition: int, cuts: Sequence) -> tuple[np.ndarray, int]:
-        """The draws of one block's cut lists (from ``cuts``) on the
-        coalition, as one matrix of terms over one scale: share j of a draw
-        is ``lower_j + leftover * gap_j``, with the sorted cuts splitting the
-        grain (2^20, or 1.0 on float games) into gaps.  The matrix holds
-        Python numbers: ints on exact games, floats on float games."""
-        lower, scale, rest, count = self._bounds(coalition)
-        out = np.empty((len(cuts), len(lower)), object)
-        if count == 0 or not len(cuts):  # a singleton or a degenerate float block
-            out[:] = lower
-            return out, scale
-        ends = np.sort(np.asarray(cuts, np.int64 if self.exact else float), axis=1)
-        gaps = np.empty(out.shape, ends.dtype)
-        gaps[:, 0] = ends[:, 0]
-        gaps[:, 1:-1] = ends[:, 1:] - ends[:, :-1]
-        gaps[:, -1] = (self.GRAIN if self.exact else 1.0) - ends[:, -1]
-        if self.exact:
-            gaps = gaps.astype(object)
-        out[:] = gaps * rest + np.array(lower, gaps.dtype)
-        return out, scale
-
-    def __call__(self, coalition: int, rng) -> tuple | None:
-        drawn = self.cuts(coalition, rng)
-        if drawn is None:
-            return None
-        terms, scale = self.terms(coalition, drawn)
-        return tuple(terms[0].tolist()), scale
+            ends = [0, *sorted(rng.randrange(top) for _ in range(count)), self.GRAIN]
+        else:
+            ends = [0.0, *sorted(rng.random() for _ in range(count)), 1.0]
+        return tuple((b - a) * rest + low for a, b, low in zip(ends, ends[1:], lower)), scale
 
 
 def draw_shares(terms: Sequence, scale: int) -> tuple:
@@ -488,7 +459,7 @@ def sample_boundary(game: Game, coalition: int, rng) -> tuple | None:
     Repeated draws from one game go through ``BoundarySampler``, which
     gives exact samples as integer terms without building Fractions.
     """
-    drawn = BoundarySampler(game)(coalition, rng)
+    drawn = BoundarySampler(game).draw(coalition, rng)
     return None if drawn is None else draw_shares(*drawn)
 
 

@@ -244,6 +244,8 @@ def density_curve(knots: Sequence, *, normalize: bool = False) -> Density:
             raise ValueError("cannot normalize a zero density")
         with np.errstate(over="ignore"):
             vs, prefix = vs / total, prefix / total
+        if not np.isfinite(vs).all():
+            raise ValueError("normalized density overflows the float range")
     elif abs(total - 1.0) > 1e-9:
         raise ValueError(f"density integrates to {total!r}, not 1; pass normalize=True")
     return Density(xs, vs, prefix)

@@ -11,8 +11,9 @@ have two or more members need to be examined.  In particular blocks of up to
 three players can never be split weakly.
 
 Coverage (a piece's scaled share covers its value) is read off subset sums:
-of one allocation in the scalar predicates, of many in ``block_verdicts``,
-and of the weak-core search's LP points in ``CoreRows.covered``.
+of one allocation in the scalar predicates, which the inclusion harnesses
+also run on their sampled rows, one row at a time, and of the weak-core
+search's LP points in ``CoreRows.covered``.
 """
 
 from __future__ import annotations
@@ -20,18 +21,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cache
 from itertools import combinations
 from typing import Iterator, Sequence
-
-import numpy as np
 
 from . import linfeas
 from .errors import DimensionMismatch, InfeasibleSolution, InfeasibleSystem, NumericFailure
 from .games import (
     EXACT,
     Game,
-    boundary_contains,
     boundary_empty,
     check_partition,
     coalition_label,
@@ -42,7 +39,6 @@ from .games import (
     json_object,
     json_value,
     members,
-    remap,
     size_values,
     solution_feasible,
     split_terms,
@@ -93,27 +89,31 @@ def _blocking_split(block: int, blocking) -> tuple[int, ...] | None:
     the shares are individually rational within the block."""
     if block.bit_count() <= 3:
         return None
+    return _split(block, block, blocking, {})
 
-    blocking = cache(blocking)
 
-    @cache
-    def split(mask: int) -> tuple[int, ...] | None:
-        # every piece must contain the lowest member, have >=2 players, and
-        # stay a proper part of the block
-        if not mask:
-            return ()
-        low = mask & -mask
-        rest = sub = mask ^ low
-        while sub:
-            piece = sub | low
-            if piece != block and blocking(piece):
-                tail = split(mask ^ piece)
-                if tail is not None:
-                    return (piece, *tail)
-            sub = (sub - 1) & rest
-        return None
-
-    return split(block)
+def _split(mask: int, block: int, blocking, memo: dict) -> tuple[int, ...] | None:
+    """``_blocking_split`` on the players of ``mask``, memoized in ``memo``:
+    every piece must contain the lowest member, have >=2 players, and stay
+    a proper part of the block.  A module-level recursion, so that a call
+    leaves no reference cycle for the garbage collector."""
+    if not mask:
+        return ()
+    if mask in memo:
+        return memo[mask]
+    low = mask & -mask
+    rest = sub = mask ^ low
+    found = None
+    while sub:
+        piece = sub | low
+        if piece != block and blocking(piece):
+            tail = _split(mask ^ piece, block, blocking, memo)
+            if tail is not None:
+                found = (piece, *tail)
+                break
+        sub = (sub - 1) & rest
+    memo[mask] = found
+    return found
 
 
 def core_contains(game: Game, shares: Sequence, kind: str = STRONG) -> bool:
@@ -125,7 +125,9 @@ def core_contains(game: Game, shares: Sequence, kind: str = STRONG) -> bool:
     if len(shares) != game.n:
         raise DimensionMismatch(f"expected {game.n} shares, got {len(shares)}")
     grand = (game.grand,)
-    return solution_feasible(game, grand, shares) and _resists_fission(game, grand, shares, kind)
+    if not solution_feasible(game, grand, shares):
+        return False
+    return _resists_fission(game, grand, *share_terms(game, shares), kind)
 
 
 def fission_resistant(game: Game, partition: Sequence[int], shares: Sequence, kind: str = STRONG) -> bool:
@@ -139,14 +141,14 @@ def fission_resistant(game: Game, partition: Sequence[int], shares: Sequence, ki
     _check_kind(kind)
     if not solution_feasible(game, partition, shares):
         raise InfeasibleSolution("allocation is not feasible for this partition")
-    return _resists_fission(game, partition, shares, kind)
+    return _resists_fission(game, partition, *share_terms(game, shares), kind)
 
 
-def _resists_fission(game: Game, partition: Sequence[int], shares: Sequence, kind: str) -> bool:
-    """``fission_resistant`` on a feasible allocation, judged on its subset
-    sums, built once: a piece ``c`` of block ``b`` is covered exactly when
+def _resists_fission(game: Game, partition: Sequence[int], terms: Sequence, scale, kind: str) -> bool:
+    """``fission_resistant`` on a feasible allocation whose share i is
+    ``terms[i] / scale`` (see ``share_terms``), judged on its subset sums,
+    built once: a piece ``c`` of block ``b`` is covered exactly when
     ``v(b) * sums[c] >= v(c) * scale`` (tolerant ``geq`` on float games)."""
-    terms, scale = share_terms(game, shares)
     sums, values, tol = [0] * (1 << game.n), game.values, game.tol
     for block in partition:
         if block.bit_count() < 2:
@@ -160,68 +162,6 @@ def _resists_fission(game: Game, partition: Sequence[int], shares: Sequence, kin
         elif _blocking_split(block, lambda piece: not covers(piece)) is not None:
             return False
     return True
-
-
-def block_verdicts(games: Sequence[Game], block: int, terms, scale: int, rational: bool) -> list:
-    """Core membership on one block, for many allocations at once: row r
-    of the object array ``terms`` holds one allocation's terms on the
-    block's members, over ``scale`` (1 unless ``rational``).  The rows are
-    splits of the block under the first game, so only the later games judge
-    ``boundary_contains``; every game judges ``fission_resistant``.  The
-    sums follow the scalar predicates' ``subset_sums`` and each element is
-    compared as the scalar predicates compare it: exactly, or by tolerant
-    ``geq`` on float games.  Rational terms (integers under an exact game)
-    are feasible when they sum to the scale and each covers its member's
-    lower bound (so none exceeds the scale).  Returns, per game, the bool
-    arrays ``{STRONG: ..., WEAK: ...}`` over the rows."""
-    mem = members(block)
-    count, full = len(terms), (1 << len(mem)) - 1
-    pieces = [(piece, remap(piece, mem)) for piece in range(1, full)]
-    sums = subset_sums(terms.T, full)
-    judged = []
-    for game in games:
-        values, v_b, tol = game.values, game.values[block], game.tol
-        if not judged:
-            feasible = np.ones(count, bool)
-        elif rational:
-            lone = [values[1 << i] * scale for i in mem]
-            feasible = (v_b * terms >= lone).all(axis=1) & (terms.sum(axis=1) == scale)
-        else:
-            feasible = np.fromiter(
-                (boundary_contains(game, block, f) for f in terms.tolist()), bool, count
-            )
-        covered = {}
-        for piece, outer in pieces:
-            lhs, rhs = v_b * sums[piece], values[outer] * scale
-            covered[piece] = (
-                np.fromiter((geq(x, rhs, tol) for x in lhs), bool, count) if tol else lhs >= rhs
-            )
-        strong = feasible.copy()
-        for verdict in covered.values():
-            strong &= verdict
-        weak = feasible
-        if len(mem) > 3:
-            weak = feasible & ~_blocking_splits(full, full, covered, {0: np.ones(count, bool)})
-        judged.append({STRONG: strong, WEAK: weak})
-    return judged
-
-
-def _blocking_splits(mask: int, full: int, covered: dict, memo: dict) -> np.ndarray:
-    """``_blocking_split``'s recursion over bool arrays: per row, whether
-    ``mask`` splits into pieces of two or more members, none of them the
-    block ``full``, that all block (``covered`` false); memoized in
-    ``memo``, which starts as ``{0: all true}``."""
-    got = memo.get(mask)
-    if got is None:
-        low = mask & -mask
-        rest = sub = mask ^ low
-        got = np.zeros(len(memo[0]), bool)
-        while sub:
-            if sub | low != full:
-                got |= ~covered[sub | low] & _blocking_splits(mask ^ sub ^ low, full, covered, memo)
-            sub = (sub - 1) & rest
-        memo[mask] = got
-    return got
 
 
 def fusion_resistant(game: Game, partition: Sequence[int]) -> bool:
@@ -250,7 +190,8 @@ def is_stable(game: Game, partition: Sequence[int], shares: Sequence, kind: str 
     _check_kind(kind)
     if not solution_feasible(game, partition, shares):
         return False
-    return _resists_fission(game, partition, shares, kind) and fusion_resistant(game, partition)
+    terms, scale = share_terms(game, shares)
+    return _resists_fission(game, partition, terms, scale, kind) and fusion_resistant(game, partition)
 
 
 # ---------------------------------------------------------------------------

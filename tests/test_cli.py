@@ -1,4 +1,5 @@
 import argparse
+import ast
 import json
 import math
 import pathlib
@@ -230,6 +231,36 @@ def test_scenario_cvar_refuses_a_density_whose_integral_overflows(tmp_path, caps
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "density: density integral overflows the float range\n"
+
+
+def test_scenario_cvar_refuses_a_density_that_overflows_once_normalized(tmp_path):
+    # the density integrates to about 1e-310, and 1 / 1e-310 overflows: the
+    # density is refused with no numpy warning, not read as a nan game
+    scen = tmp_path / "scen.json"
+    density = {"knots": [[0, 1], [5e-324, 1e-310], [1, 1e-310]], "normalize": True}
+    scen.write_text(json.dumps({"n": 1, "density": density}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "fracgame.cli", "scenario-cvar", str(scen)],
+        capture_output=True, text=True,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "density: normalized density overflows the float range\n"
+
+
+def test_only_risk_imports_numpy():
+    # numpy serves the quadrature alone; every other module is plain Python
+    importers = set()
+    for path in sorted((pathlib.Path(cli.__file__).parent).glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.partition(".")[0] == "numpy" for name in names):
+                importers.add(path.name)
+    assert importers == {"risk.py"}
 
 
 def test_cvar_commands_never_import_numpy_ma():

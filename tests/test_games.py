@@ -158,8 +158,9 @@ def _draws_match_reference(games) -> int:
     sample_boundary and through one BoundarySampler per game, against the
     reference formula: same points, same rng draws.  A BoundarySampler
     draw is ``(terms, scale)``: on exact games int terms whose quotients by
-    the int scale are the point, on float games the point itself over 1.
-    Returns how many draws found an empty split set."""
+    the int scale are the point, on float games the point itself over 1;
+    an empty split set draws None and takes no rng value.  Returns how many
+    draws found an empty split set."""
     empty = 0
     for k, g in enumerate(games):
         sample = BoundarySampler(g)
@@ -168,7 +169,7 @@ def _draws_match_reference(games) -> int:
             for mask in range(1, 1 << g.n):
                 want = naive_sample_boundary(g, mask, slow)
                 assert sample_boundary(g, mask, fast) == want
-                drawn = sample(mask, memo)
+                drawn = sample.draw(mask, memo)
                 if want is None:
                     assert drawn is None
                 elif g.mode == "exact":
@@ -197,9 +198,13 @@ def test_exact_sample_boundary_matches_reference_formula():
 
 
 def test_float_sample_boundary_matches_reference_formula():
+    # and a pair whose bounds overshoot 1 within tolerance: drawn as its
+    # bounds, without rng values
     rng = random.Random(23)
     games = [random_float_game(rng, rng.randint(2, 5)) for _ in range(12)]
-    assert _draws_match_reference(games) > 0
+    degenerate = make_game(3, {1: 0.5, 2: 0.5 + 1e-12, 4: 1.0, 3: 1.0, 5: 2.0, 6: 2.0, 7: 3.0})
+    assert BoundarySampler(degenerate)._bounds(3)[3] == 0
+    assert _draws_match_reference([*games, degenerate]) > 0
 
 
 def test_labels_round_trip():
@@ -276,39 +281,6 @@ def test_size_values_refuses_a_value_one_ulp_off(mask):
     # the grand coalition is alone in its size
     assert (size_values(game) is None) == (mask != 15)
     assert size_values(random_exact_game(random.Random(0), 4)) is None
-
-
-def test_batched_draws_match_one_draw_at_a_time():
-    # BoundarySampler.cuts on one coalition, then terms, gives the points
-    # that one sample_boundary draw at a time gives, from the same rng
-    # values; an empty split set takes no rng value, and then the batch is
-    # None.  Exact and float games, and a float pair whose bounds overshoot
-    # 1 within tolerance (drawn as its bounds, without rng values)
-    from fracgame.games import draw_shares
-
-    rng = random.Random(31)
-    games = [random_exact_game(rng, n) for n in (1, 2, 3, 4, 5) for _ in range(3)]
-    games += [random_float_game(rng, n) for n in (1, 2, 3, 4, 5) for _ in range(3)]
-    games.append(make_game(3, {1: 0.5, 2: 0.5 + 1e-12, 4: 1.0, 3: 1.0, 5: 2.0, 6: 2.0, 7: 3.0}))
-    nones = 0
-    for k, g in enumerate(games):
-        for rows in (0, 1, 4):
-            block = rng.randrange(1, 1 << g.n)
-            batched, single = random.Random(k), random.Random(k)
-            sampler = BoundarySampler(g)
-            cuts = sampler.cuts(block, batched, rows)
-            want = [sample_boundary(g, block, single) for _ in range(rows)]
-            assert batched.getstate() == single.getstate()
-            if cuts is None:
-                nones += rows > 0
-                assert all(w is None for w in want)
-                continue
-            terms, scale = sampler.terms(block, cuts)
-            assert terms.shape == (rows, block.bit_count())
-            assert [draw_shares(row, scale) for row in terms.tolist()] == want
-    assert nones > 0
-    degenerate = BoundarySampler(games[-1])
-    assert degenerate.cuts(3, random.Random(0), 5) == [[]] * 5
 
 
 class _Level(enum.IntEnum):

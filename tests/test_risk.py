@@ -304,6 +304,9 @@ def test_overflowing_density_integral_is_refused():
     for normalize in (True, False):
         with pytest.raises(ValueError, match="^density integral overflows the float range$"):
             density_curve([(0, 1e308), (1, 1e308)], normalize=normalize)
+    # a tiny integral can overflow a value once divided by it
+    with pytest.raises(ValueError, match="^normalized density overflows the float range$"):
+        density_curve([(0, 1), (5e-324, 1e-310), (1, 1e-310)], normalize=True)
     # a finite integral of huge values still normalizes
     d = density_curve([(0, 1e307), (1, 1e307)], normalize=True)
     assert d.values.tolist() == [1.0, 1.0] and d.prefix.tolist() == [0.0, 1.0]
