@@ -13,19 +13,20 @@ false, the cross product agrees (case check over the zero patterns).
 
 The order's consequences are checked by two verification harnesses: one for
 the five inclusion claims between the ordered games' solution sets, one for
-the core inclusions and the downward transfer of splintered stability.  The
-split-set and feasible-solution claims are decided exactly, per distinct
-block, on vertices.  Fission-resistant solutions and weak-core inclusion
-are per-block core inclusions too.  On an exact pair, a block B is
-dominated when ``leq_cp`` names no violation with B as its outer coalition:
-every g2 threshold v2(C)/v2(B) sits at or below g1's, so g1's split set,
-strong core and weak core lie in g2's (a g2-blocking split is g1-blocking),
-and the block is decided constraint-wise with no draws.  Every other block,
-on float or mixed pairs every block, goes through one sampled-block check:
-its witnesses, then its draws (one rng, built at the first such block),
-each judged in order, one row at a time, by the scalar predicates that
-``stability.core_contains`` runs, up to the first failure.  The second game
-always judges at the pair's combined tolerance, as ``leq_cp`` does.
+the core inclusions and the downward transfer of splintered stability.  Both
+read ``leq_cp``'s violations once, as inner coalitions per outer block B.
+With no singleton among them, g2's lower bounds sit at or below g1's and B's
+split set is included; else it is decided exactly on its vertices.  On an
+exact pair, a B with no violation is dominated: every g2 threshold
+v2(C)/v2(B) sits at or below g1's, so g1's split set, strong core and weak
+core lie in g2's, and B is decided constraint-wise with no draws.  Every
+other block, on float or mixed pairs every block, goes through one sampled-
+block check: its witnesses, then its draws (one rng, built at the first such
+block), each row judged in order on one coverage table per game, by the
+core judgement ``stability.core_contains`` runs, up to the first failure.
+The second game always judges at the pair's combined tolerance, as
+``leq_cp`` does.  The theorem's claims 1, 2 and 4 take one pass over the
+blocks.
 """
 
 from __future__ import annotations
@@ -40,9 +41,9 @@ from . import linfeas
 from .errors import DimensionMismatch
 from .games import (
     EXACT,
-    BoundarySampler,
     Game,
     boundary_contains,
+    boundary_draws,
     boundary_empty,
     coalitions,
     combined_tol,
@@ -61,7 +62,8 @@ from .stability import (
     STRONG,
     WEAK,
     BlockTable,
-    _resists_fission,
+    _coverage,
+    _in_core,
     core_region,
     core_system,
     fusion_resistant,
@@ -179,19 +181,17 @@ def _at_tol(game: Game, tol: float) -> Game:
     return game if game.tol == tol else replace(game, tol=tol)
 
 
-def _boundary_included(g1: Game, g2: Game, block: int, tol: float):
+def _boundary_included(g1: Game, g2: Game, block: int, tol: float, inner: Sequence[int]):
     """Split-set inclusion for one block, exact: ``(scope, detail,
     vertex)``, where vertex is the first g1 vertex that g2 refuses, or None
-    when the inclusion holds.  Fast path: lower bounds under g2 sit below
-    those under g1 (cross-multiplied).  Otherwise decide on the vertices of
-    the g1 split set, which is a simplex-like polytope with at most dim
-    vertices."""
-    mem = members(block)
-    if len(mem) == 1:
+    when the inclusion holds.  Fast path: ``inner``, the inner coalitions of
+    the order's violations at the block, holds no singleton, so lower bounds
+    under g2 sit below those under g1 (cross-multiplied).  Otherwise decide
+    on the vertices of the g1 split set, which is a simplex-like polytope
+    with at most dim vertices."""
+    if block.bit_count() == 1:
         return "singleton", "", None
-    v1b = g1.values[block]
-    v2b = g2.values[block]
-    if all(leq(g2.values[1 << i] * v1b, g1.values[1 << i] * v2b, tol) for i in mem):
+    if all(c.bit_count() > 1 for c in inner):
         return "thresholds", "", None
     if boundary_empty(g1, block):
         return "vacuous", "empty under the first game", None
@@ -213,38 +213,53 @@ def _padded(n: int, block: int, point) -> str:
     return f"partition {partition} point {_fmt_point(shares)}"
 
 
-def _sampled_block(g1: Game, g2: Game, block: int, witnesses: list, rng, samples: int, kinds):
+def _sampled_block(g1: Game, g2: Game, block: int, witnesses, rng, samples: int, kinds):
     """One block's sampled inclusion of g1's cores in g2's, per kind: its
-    witness rows ``(terms, scale)``, then ``samples`` draws from the g1
-    split set, judged one row at a time, in order, up to the first row that
-    g1 puts in the kind's core and g2 refuses.  Rows are g1 splits, so g1
-    judges fission only; g2 judges the split set and fission at the pair's
-    combined tolerance, and a float g2 judges an exact g1's rows on their
-    shares over 1.  Returns per kind the rows g1 put in its core up to that
-    row, and that row's point (None when there is none).  The draws always
-    take ``samples`` rows of ``rng``, judged or not, so the blocks after
-    this one see the same rng values."""
+    witness points, then ``samples`` draws from the g1 split set, as rows
+    ``(terms, scale)`` (see ``stability.share_terms``), judged one row at a
+    time, in order, up to the first row that g1 puts in the kind's core and
+    g2 refuses.  Rows are g1 splits, so g1 judges fission only, on one
+    coverage table per row; g2 judges the split set and fission at the
+    pair's combined tolerance, on at most one table per row, and a float g2
+    judges an exact g1's rows on their shares over 1.  Returns per kind the
+    rows g1 put in its core up to that row, and that row's point (None when
+    there is none).  The draws always take ``samples`` rows of ``rng``,
+    judged or not, so the blocks after this one see the same rng values."""
     first, second = subgame(g1, block), subgame(_at_tol(g2, combined_tol(g1, g2)), block)
     full, shares_only = first.grand, g1.mode == EXACT != g2.mode
-    draw = BoundarySampler(g1).draw
     checked, refused = dict.fromkeys(kinds, 0), dict.fromkeys(kinds)
-    for row in chain(witnesses, (draw(block, rng) for _ in range(samples))):
-        if row is None or None not in refused.values():
-            continue  # an empty split set, or every kind has failed
-        terms, scale = row
+    rows = (share_terms(g1, f) for f in witnesses)
+    for terms, scale in chain(rows, boundary_draws(g1, block, rng, samples) or ()):
+        if None not in refused.values():
+            continue  # every kind has failed
         if shares_only:
             terms, scale = [Fraction(t, scale) for t in terms], 1
-        feasible = None  # whether g2 holds the row's split, judged once
+        covers, covers2 = _coverage(first, full, terms, scale), None
         for kind in kinds:
-            if refused[kind] is not None or not _resists_fission(first, (full,), terms, scale, kind):
+            if refused[kind] is not None or not _in_core(full, covers, kind):
                 continue
             checked[kind] += 1
-            if feasible is None:
+            if covers2 is None:  # False when g2 refuses the split, else g2's coverage
                 point = draw_shares(terms, scale)
-                feasible = boundary_contains(second, full, point)
-            if not (feasible and _resists_fission(second, (full,), terms, scale, kind)):
+                covers2 = boundary_contains(second, full, point)
+                covers2 = covers2 and _coverage(second, full, terms, scale)
+            if not (covers2 and _in_core(full, covers2, kind)):
                 refused[kind] = point
     return {kind: (checked[kind], refused[kind]) for kind in kinds}
+
+
+def _checked_order(g1: Game, g2: Game, samples: int) -> tuple[OrderVerdict, dict[int, list[int]]]:
+    """``leq_cp(g1, g2)`` and its violations' inner coalitions per outer
+    one, for a harness that takes ``samples`` (ValueError when negative).
+    On an exact pair, a block that is no key is dominated: no g2 threshold
+    v2(C)/v2(B) tops g1's."""
+    if samples < 0:
+        raise ValueError(f"samples must be nonnegative, got {samples}")
+    order = leq_cp(g1, g2)
+    inner: dict[int, list[int]] = {}
+    for v in order.violations:
+        inner.setdefault(v.outer, []).append(v.inner)
+    return order, inner
 
 
 def verify_theorem1(
@@ -260,59 +275,31 @@ def verify_theorem1(
     partitions.  All but the fourth are exhaustive and exact; the fourth is
     decided per distinct block, constraint-wise on a block the order
     dominates, else on its witnesses plus random samples read in order up
-    to the first failure."""
-    if g1.n != g2.n:
-        raise DimensionMismatch(f"games on {g1.n} and {g2.n} players")
-    n = g1.n
-    order = leq_cp(g1, g2)
-    tol = combined_tol(g1, g2)
+    to the first failure.  Claims 1, 2 and 4 come from one pass over the
+    blocks."""
+    order, violated = _checked_order(g1, g2, samples)
+    n, tol, exact = g1.n, combined_tol(g1, g2), g1.mode == g2.mode == EXACT
     claims = []
 
-    # (1) grand-coalition split set
-    scope, detail, vertex = _boundary_included(g1, g2, g1.grand, tol)
-    claims.append(ClaimResult("boundary", vertex is None, scope, detail))
-
-    # (2) split products, one check per distinct block
-    refused = []  # per failing block: the block, its detail and its refused vertex
-    for block in coalitions(n):
-        if block.bit_count() < 2:
-            continue
-        _, detail, vertex = _boundary_included(g1, g2, block, tol)
-        if vertex is not None:
-            refused.append((block, detail, vertex))
-    claims.append(
-        ClaimResult(
-            "partition-boundaries",
-            not refused,
-            "exhaustive-blocks",
-            "; ".join(detail for _, detail, _ in refused),
-        )
-    )
-
-    # (3) feasible solutions transfer.  A feasible solution is a product of
-    # per-block splits, so every one transfers iff every block's split set
-    # does, which claim 2 decides.  The first failing block's refused vertex,
-    # with the share 1 on each other player alone, is a g1-feasible solution
-    # that g2 refuses
-    detail = _padded(n, refused[0][0], refused[0][2]) if refused else ""
-    claims.append(ClaimResult("feasible-solutions", not refused, "exhaustive-blocks", detail))
-
-    # (4) fission-resistant solutions transfer.  A solution resists fission
-    # iff each block's shares lie in that block's core, and any block with
-    # singletons around it is a g1 solution, so the claim fails iff some
-    # block's g1 core holds a point g2 refuses.  Each distinct block of two
-    # or more players with a nonempty g1 split set is checked: a dominated
-    # one passes as it stands, any other on its own region witnesses (one
-    # per nonempty region, no repeats), then its draws, one rng in mask order
-    doubted = _doubted(g1, g2, order)
+    # (1) the grand split set and (2) the split products, one check per
+    # distinct block.  (4) fission-resistant solutions transfer.  A solution
+    # resists fission iff each block's shares lie in that block's core, and
+    # any block with singletons around it is a g1 solution, so the claim
+    # fails iff some block's g1 core holds a point g2 refuses.  Each distinct
+    # block of two or more players with a nonempty g1 split set is checked:
+    # a dominated one passes as it stands, any other on its own region
+    # witnesses (one per nonempty region, no repeats), then its draws, one
+    # rng in mask order
+    included = {}  # per block: its split-set scope, detail and refused vertex
     rng = table = None  # both built at the first undominated block
     checked = {STRONG: 0, WEAK: 0}
     dominated = sampled = 0
     failures = []
     for block in coalitions(n):
+        included[block] = _boundary_included(g1, g2, block, tol, violated.get(block, ()))
         if block.bit_count() < 2 or boundary_empty(g1, block):
             continue
-        if block not in doubted:
+        if exact and block not in violated:
             dominated += 1
             continue
         sampled += 1
@@ -320,14 +307,27 @@ def verify_theorem1(
             rng, table = random.Random(seed), BlockTable(g1, canonical_witness=False)
         regions = (table[block, kind] for kind in (STRONG, WEAK))
         points = dict.fromkeys(r.witness for r in regions if r.status == NONEMPTY)
-        witnesses = [share_terms(g1, f) for f in points]
-        found = _sampled_block(g1, g2, block, witnesses, rng, samples, (STRONG, WEAK))
+        found = _sampled_block(g1, g2, block, points, rng, samples, (STRONG, WEAK))
         for kind, (got, point) in found.items():
             checked[kind] += got
             if point is not None:
                 failures.append(f"{kind} {_padded(n, block, point)}")
+    scope, detail, vertex = included[g1.grand]
+    claims.append(ClaimResult("boundary", vertex is None, scope, detail))
+    refused = [b for b, (_, _, vertex) in included.items() if vertex is not None]
+    detail = "; ".join(included[b][1] for b in refused)
+    claims.append(ClaimResult("partition-boundaries", not refused, "exhaustive-blocks", detail))
+
+    # (3) feasible solutions transfer.  A feasible solution is a product of
+    # per-block splits, so every one transfers iff every block's split set
+    # does, which claim 2 decides.  The first failing block's refused vertex,
+    # with the share 1 on each other player alone, is a g1-feasible solution
+    # that g2 refuses
+    detail = _padded(n, refused[0], included[refused[0]][2]) if refused else ""
+    claims.append(ClaimResult("feasible-solutions", not refused, "exhaustive-blocks", detail))
+
     scope = f"witness+sampled(strong={checked[STRONG]},weak={checked[WEAK]})"
-    if not sampled and g1.mode == g2.mode == EXACT:
+    if not sampled and exact:
         scope = "constraintwise-blocks"
     elif dominated:
         scope = f"constraintwise({dominated})+{scope}"
@@ -340,43 +340,24 @@ def verify_theorem1(
     for partition in enumerate_partitions(n):
         if fusion_resistant(g2, partition) and not fusion_resistant(g1, partition):
             failures.append(str(partition))
-    claims.append(
-        ClaimResult(
-            "fusion-resistant-partitions",
-            not failures,
-            "exhaustive-partitions",
-            "; ".join(failures[:3]),
-        )
-    )
+    scope, detail = "exhaustive-partitions", "; ".join(failures[:3])
+    claims.append(ClaimResult("fusion-resistant-partitions", not failures, scope, detail))
 
     return InclusionReport("theorem-inclusions", order.holds, tuple(claims))
 
 
-def _doubted(g1: Game, g2: Game, order: OrderVerdict):
-    """The blocks ``order`` leaves undominated: the outer coalitions of its
-    violations on an exact pair, every block on a float or mixed pair."""
-    exact = g1.mode == g2.mode == EXACT
-    return {v.outer for v in order.violations} if exact else range(1 << g1.n)
-
-
-def _strong_core_included(g1: Game, g2: Game, order: OrderVerdict, tol: float):
+def _strong_core_included(g1: Game, g2: Game, inner: Sequence[int], tol: float):
     """Exact polytope inclusion of strong cores.  Fast path: every g2
     constraint threshold sits at or below the matching g1 threshold, so
-    ``order`` names no violation at the grand block and the inclusion is
-    constraint-wise.  Each violation's inner coalition there, in ascending
-    mask order, is settled by minimizing its left side over the g1 core
-    (support-function test)."""
-    n = g1.n
-    full = g1.grand
-    doubtful = sorted(v.inner for v in order.violations if v.outer == full)
-    if not doubtful:
+    ``inner``, the inner coalitions of the order's violations at the grand
+    block, is empty and the inclusion is constraint-wise.  Each of them, in
+    ascending mask order, is settled by minimizing its left side over the
+    g1 core (support-function test)."""
+    if not inner:
         return True, "constraintwise", ""
-    system = core_system(g1)
-    for c in doubtful:
-        cost = [0] * n
-        for i in members(c):
-            cost[i] = 1
-        found = linfeas.minimize(system, cost)
+    system, full = core_system(g1), g1.grand
+    for c in sorted(inner):
+        found = linfeas.minimize(system, [c >> i & 1 for i in range(g1.n)])
         if found is None:
             # the system is the same for every c, so only the first can fail
             return True, "vacuous", "strong core empty under the first game"
@@ -400,27 +381,23 @@ def verify_corollary(
     is decided constraint-wise when the order dominates the grand block,
     else judged on its witnesses plus random samples, as claim 4 of
     ``verify_theorem1`` judges each block."""
-    if g1.n != g2.n:
-        raise DimensionMismatch(f"games on {g1.n} and {g2.n} players")
-    n = g1.n
-    order = leq_cp(g1, g2)
-    tol = combined_tol(g1, g2)
+    order, violated = _checked_order(g1, g2, samples)
+    n, tol = g1.n, combined_tol(g1, g2)
     claims = []
 
-    ok, scope, detail = _strong_core_included(g1, g2, order, tol)
+    ok, scope, detail = _strong_core_included(g1, g2, violated.get(g1.grand, ()), tol)
     claims.append(ClaimResult("strong-core-inclusion", ok, scope, detail))
 
     # weak core: included as it stands on a dominated grand block, else
     # judged as one block's sampled inclusion on every g1 point we can find
-    if g1.grand not in _doubted(g1, g2, order):
+    if g1.mode == g2.mode == EXACT and g1.grand not in violated:
         claims.append(ClaimResult("weak-core-inclusion", True, "constraintwise"))
     else:
         points = split_vertices(g1, g1.grand)
         region = core_region(g1, WEAK, canonical_witness=False)
         if region.status == NONEMPTY:
             points.append(region.witness)
-        witnesses = [share_terms(g1, f) for f in points]
-        found = _sampled_block(g1, g2, g1.grand, witnesses, random.Random(seed), samples, (WEAK,))
+        found = _sampled_block(g1, g2, g1.grand, points, random.Random(seed), samples, (WEAK,))
         ((checked, point),) = found.values()
         detail = "" if point is None else _fmt_point(point)
         claims.append(

@@ -19,7 +19,8 @@ import math
 import string
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -377,67 +378,50 @@ def to_absolute(game: Game, shares: Sequence) -> tuple:
     return tuple(f * v_n for f in shares)
 
 
-class BoundarySampler:
-    """Draws from the coalitions' split sets, bound to one game, one draw
-    ``(terms, scale)`` at a time: share j of a draw is ``terms[j] / scale``.
-    Exact games draw integer terms over ``v(C)*2^20`` (v(C) scaled to an
-    integer), float games their float shares over 1, and singletons the
-    share 1 over 1.  Each coalition's lower bounds and leftover are derived
-    on its first draw and reused after; a draw is the one ``sample_boundary``
-    makes, from the same rng values."""
+GRAIN = 1 << 20
 
-    GRAIN = 1 << 20
 
-    def __init__(self, game: Game):
-        self.game = game
-        self.exact = game.mode == EXACT
-        self.bounds: dict[int, tuple] = {}
+def boundary_draws(game: Game, coalition: int, rng, count: int) -> Iterator[tuple] | None:
+    """``count`` draws ``(terms, scale)`` from the coalition's split set,
+    share j of a draw being ``terms[j] / scale``, or None, taking no rng
+    value, when the split set is empty.  The bounds are derived once, and
+    the draws come lazily, each taking its rng values as it is made: k-1
+    ``randrange(2^20+1)`` cuts for k members on exact games, k-1
+    ``random()`` cuts on float games, and none for a singleton or a float
+    coalition whose bounds already sum to 1 within tolerance (it draws the
+    bounds).  Share j is ``lower_j + leftover * gap_j``, with the sorted
+    cuts splitting ``GRAIN`` (1.0 on float games) into gaps: exact games
+    draw int terms over ``v(C)*2^20`` (v(C) scaled to an integer), float
+    games their float shares over 1, and singletons the share 1 over 1."""
+    mem, exact = members(coalition), game.mode == EXACT
+    cuts = len(mem) - 1
+    if not cuts:
+        lower, scale = (1 if exact else 1.0,), 1
+    elif exact:
+        whole, lone = split_terms(game, coalition)
+        rest = whole - sum(lone)
+        if rest < 0:
+            return None
+        lower, scale = [a * GRAIN for a in lone], whole * GRAIN
+        ends, cut = (0, GRAIN), partial(rng.randrange, GRAIN + 1)
+    else:
+        v_c = game.values[coalition]
+        lower = tuple(game.values[1 << i] / v_c for i in mem)
+        total = sum(lower)
+        rest, scale = 1.0 - total, 1
+        ends, cut = (0.0, 1.0), rng.random
+        if rest < 0:  # degenerate within tolerance: the bounds themselves
+            if not geq(1.0, total, game.tol):
+                return None
+            cuts = 0
+    if not cuts:
+        return repeat((lower, scale), count)
 
-    def _bounds(self, coalition: int) -> tuple:
-        """``(lower, scale, leftover, count)``: the members' lower bounds,
-        as integer terms over ``scale`` on exact games and as floats
-        otherwise; the leftover share above them (scaled terms on exact
-        games); and the number of rng values a draw takes, None when the
-        split set is empty.  Cached per coalition."""
-        found = self.bounds.get(coalition)
-        if found is not None:
-            return found
-        game, mem, grain = self.game, members(coalition), self.GRAIN
-        v_c, count = game.values[coalition], len(mem) - 1
-        if count == 0:
-            found = ((1 if self.exact else 1.0,), 1, 0, 0)
-        elif self.exact:
-            whole, lone = split_terms(game, coalition)
-            rest = whole - sum(lone)
-            found = (tuple(a * grain for a in lone), whole * grain, rest, count if rest >= 0 else None)
-        else:
-            lbs = tuple(game.values[1 << i] / v_c for i in mem)
-            total = sum(lbs)
-            s = 1.0 - total
-            if s < 0:  # degenerate within tolerance: the bounds themselves
-                count = 0 if geq(1.0, total, game.tol) else None
-            found = (lbs, 1, s, count)
-        self.bounds[coalition] = found
-        return found
+    def draw() -> tuple:
+        points = [ends[0], *sorted(cut() for _ in range(cuts)), ends[1]]
+        return tuple((b - a) * rest + low for a, b, low in zip(points, points[1:], lower)), scale
 
-    def draw(self, coalition: int, rng) -> tuple | None:
-        """One draw ``(terms, scale)`` on the coalition, or None, taking no
-        rng value, when its split set is empty.  It takes k-1
-        ``randrange(2^20+1)`` cuts for k members on exact games, k-1
-        ``random()`` cuts on float games, and none for a singleton or a
-        float coalition whose bounds already sum to 1 within tolerance (it
-        draws the bounds).  Share j is ``lower_j + leftover * gap_j``, with
-        the sorted cuts splitting the grain (2^20, or 1.0 on float games)
-        into gaps; the terms are ints on exact games, floats on float games."""
-        lower, scale, rest, count = self._bounds(coalition)
-        if not count:  # empty (None), or a singleton or degenerate float block
-            return None if count is None else (lower, scale)
-        if self.exact:
-            top = self.GRAIN + 1
-            ends = [0, *sorted(rng.randrange(top) for _ in range(count)), self.GRAIN]
-        else:
-            ends = [0.0, *sorted(rng.random() for _ in range(count)), 1.0]
-        return tuple((b - a) * rest + low for a, b, low in zip(ends, ends[1:], lower)), scale
+    return (draw() for _ in range(count))
 
 
 def draw_shares(terms: Sequence, scale: int) -> tuple:
@@ -456,11 +440,11 @@ def sample_boundary(game: Game, coalition: int, rng) -> tuple | None:
     a_j and v(C) scaled to integers, share j is
     (a_j*2^20 + rest*gap_j) / (v(C)*2^20), where rest = v(C) - sum(a) and
     the gaps split 2^20.  Float games get Dirichlet-uniform float samples.
-    Repeated draws from one game go through ``BoundarySampler``, which
-    gives exact samples as integer terms without building Fractions.
+    It is the first of ``boundary_draws``, which gives exact samples as
+    integer terms without building Fractions.
     """
-    drawn = BoundarySampler(game).draw(coalition, rng)
-    return None if drawn is None else draw_shares(*drawn)
+    draws = boundary_draws(game, coalition, rng, 1)
+    return None if draws is None else draw_shares(*next(draws))
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,9 @@ have two or more members need to be examined.  In particular blocks of up to
 three players can never be split weakly.
 
 Coverage (a piece's scaled share covers its value) is read off subset sums:
-of one allocation in the scalar predicates, which the inclusion harnesses
-also run on their sampled rows, one row at a time, and of the weak-core
+of one allocation per block in ``_coverage``, whose predicate ``_in_core``
+judges in either sense for the scalar predicates and for the inclusion
+harnesses' sampled rows (one table per row and game), and of the weak-core
 search's LP points in ``CoreRows.covered``.
 """
 
@@ -146,22 +147,34 @@ def fission_resistant(game: Game, partition: Sequence[int], shares: Sequence, ki
 
 def _resists_fission(game: Game, partition: Sequence[int], terms: Sequence, scale, kind: str) -> bool:
     """``fission_resistant`` on a feasible allocation whose share i is
-    ``terms[i] / scale`` (see ``share_terms``), judged on its subset sums,
-    built once: a piece ``c`` of block ``b`` is covered exactly when
-    ``v(b) * sums[c] >= v(c) * scale`` (tolerant ``geq`` on float games)."""
-    sums, values, tol = [0] * (1 << game.n), game.values, game.tol
-    for block in partition:
-        if block.bit_count() < 2:
-            continue
-        subset_sums(terms, block, sums)
-        v_b = values[block]
-        covers = lambda piece: geq(v_b * sums[piece], values[piece] * scale, tol)
-        if kind == STRONG:
-            if not all(map(covers, submasks(block, proper=True))):
-                return False
-        elif _blocking_split(block, lambda piece: not covers(piece)) is not None:
-            return False
-    return True
+    ``terms[i] / scale`` (see ``share_terms``): each block of two or more
+    players judged by ``_in_core`` on its ``_coverage``, the blocks' subset
+    sums filled into one table."""
+    sums = [0] * (1 << game.n)
+    return all(
+        _in_core(block, _coverage(game, block, terms, scale, sums), kind)
+        for block in partition
+        if block.bit_count() > 1
+    )
+
+
+def _coverage(game: Game, block: int, terms: Sequence, scale, sums: list | None = None):
+    """Whether a piece ``c`` of the block is covered, as a predicate on c,
+    for the allocation ``terms / scale``: ``v(block) * sums[c] >= v(c) *
+    scale`` (tolerant ``geq`` on float games), read off the block's subset
+    sums, filled once into ``sums`` (default: a fresh table)."""
+    sums, values, tol = subset_sums(terms, block, sums), game.values, game.tol
+    v_b = values[block]
+    return lambda piece: geq(v_b * sums[piece], values[piece] * scale, tol)
+
+
+def _in_core(block: int, covers, kind: str) -> bool:
+    """Whether an allocation whose pieces ``covers`` covers lies in the
+    block's core of the kind: strong, every proper piece is covered; weak,
+    no split into blocking pieces exists."""
+    if kind == STRONG:
+        return all(map(covers, submasks(block, proper=True)))
+    return _blocking_split(block, lambda piece: not covers(piece)) is None
 
 
 def fusion_resistant(game: Game, partition: Sequence[int]) -> bool:

@@ -1,6 +1,8 @@
 import ast
 import dataclasses
 import itertools
+import json
+import pathlib
 import random
 import re
 import tracemalloc
@@ -680,6 +682,35 @@ def test_splintered_stability_is_one_fusion_verdict():
     assert len(seen) == 4
 
 
+def test_claim_one_takes_thresholds_exactly_when_every_lower_bound_drops():
+    # the grand split set's fast path reads only singleton violations: it
+    # is taken iff every g2 lower bound v2(i)/v2(N) sits at or below g1's,
+    # as Fraction ratios, whatever the larger coalitions do
+    rng = random.Random(41)
+    seen = set()
+    for _ in range(200):
+        n = rng.randint(2, 4)
+        g1, g2 = random_exact_game(rng, n), random_exact_game(rng, n)
+        full = g1.grand
+
+        def bound(game, i):
+            return Fraction(game.values[1 << i]) / game.values[full]
+
+        want = all(bound(g2, i) <= bound(g1, i) for i in range(n))
+        assert (verify_theorem1(g1, g2, samples=0).claims[0].scope == "thresholds") == want
+        seen.add((want, full in {v.outer for v in leq_cp(g1, g2).violations}))
+    assert (True, True) in seen and (False, True) in seen
+
+
+def test_negative_samples_are_refused():
+    # the CLI refuses them too; the library used to draw nothing instead
+    g1, g2 = generate_ordered_pair(0, 3)
+    for verify in (verify_theorem1, verify_corollary):
+        with pytest.raises(ValueError, match="samples must be nonnegative, got -1"):
+            verify(g1, g2, samples=-1)
+        assert verify(g1, g2, samples=0).passed
+
+
 def test_corollary_suite_on_ordered_pairs():
     rng = random.Random(4)
     for _ in range(12):
@@ -750,3 +781,45 @@ def test_order_matrix_by_size_pairs_matches_leq_cp():
         # a game of another player count
         with pytest.raises(ValueError):
             order_matrix(games + [build_meanstd_game(MeanStdScenario(n + 1, 1.0, 0.5, 0.4))])
+
+
+LIBRARY_GOLDEN = pathlib.Path(__file__).parent / "data" / "inclusion_reports_library.json"
+
+
+def library_reports() -> str:
+    """The ``to_dict()`` of both harnesses at 20 samples on 16 seeded pairs
+    of up to four players, as ``json.dumps(sort_keys=True, indent=2)``: two
+    of each kind (ordered exact, unordered exact, float/float, and an
+    ordered pair with a float second game), each in both orders, so most
+    blocks are sampled.  ``inclusion_reports_library.json`` holds what this
+    printed before the harnesses were folded into one pass per block."""
+    rng = random.Random(30)
+    entries = []
+    for kind in ("ordered", "unordered", "float", "mixed"):
+        for _ in range(2):
+            n = rng.randint(2, 4)
+            if kind == "unordered":
+                pair = random_exact_game(rng, n), random_exact_game(rng, n)
+            elif kind == "float":
+                pair = random_float_game(rng, n), random_float_game(rng, n)
+            else:
+                g1, g2 = generate_ordered_pair(rng.randrange(1 << 30), n)
+                if kind == "mixed":
+                    g2 = make_game(n, {c: float(g2.values[c]) for c in range(1, 1 << n)})
+                pair = g1, g2
+            seed = rng.randrange(1 << 30)
+            for label, (g1, g2) in (("forward", pair), ("reversed", pair[::-1])):
+                entries.append(
+                    {
+                        "pair": f"{kind} n={n} {label}",
+                        "theorem": verify_theorem1(g1, g2, samples=20, seed=seed).to_dict(),
+                        "corollary": verify_corollary(g1, g2, samples=20, seed=seed).to_dict(),
+                    }
+                )
+    return json.dumps(entries, sort_keys=True, indent=2) + "\n"
+
+
+def test_library_reports_match_committed_bytes():
+    # sampled blocks, float and mixed pairs: no CLI golden reaches them,
+    # since verify's generated pairs draw nothing
+    assert library_reports().encode("utf-8") == LIBRARY_GOLDEN.read_bytes()

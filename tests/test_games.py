@@ -29,7 +29,7 @@ from fracgame import (
     to_fractional,
     validate_game,
 )
-from fracgame.games import BoundarySampler, json_text, size_values
+from fracgame.games import boundary_draws, json_text, size_values
 from conftest import naive_sample_boundary, random_exact_game, random_float_game
 
 
@@ -154,32 +154,34 @@ def test_sample_boundary_exact_empty_returns_none():
 
 
 def _draws_match_reference(games) -> int:
-    """Draw every coalition of each game three times over, through
-    sample_boundary and through one BoundarySampler per game, against the
-    reference formula: same points, same rng draws.  A BoundarySampler
-    draw is ``(terms, scale)``: on exact games int terms whose quotients by
-    the int scale are the point, on float games the point itself over 1;
-    an empty split set draws None and takes no rng value.  Returns how many
-    draws found an empty split set."""
+    """Draw every coalition of each game three times over, two draws at a
+    time, through sample_boundary and through boundary_draws, against the
+    reference formula: same points, same rng draws, each draw taking its rng
+    values as it is made.  A boundary_draws draw is ``(terms, scale)``: on
+    exact games int terms whose quotients by the int scale are the point,
+    on float games the point itself over 1; an empty split set draws None
+    and takes no rng value.  Returns how many draws found an empty split
+    set."""
     empty = 0
     for k, g in enumerate(games):
-        sample = BoundarySampler(g)
-        fast, slow, memo = random.Random(k), random.Random(k), random.Random(k)
+        fast, slow, lazy = random.Random(k), random.Random(k), random.Random(k)
         for _ in range(3):
             for mask in range(1, 1 << g.n):
-                want = naive_sample_boundary(g, mask, slow)
-                assert sample_boundary(g, mask, fast) == want
-                drawn = sample.draw(mask, memo)
-                if want is None:
-                    assert drawn is None
-                elif g.mode == "exact":
-                    terms, scale = drawn
-                    assert all(type(t) is int for t in (*terms, scale))
-                    assert tuple(Fraction(t, scale) for t in terms) == want
-                else:
-                    assert drawn == (want, 1)
-                assert fast.getstate() == slow.getstate() == memo.getstate()
-                empty += want is None
+                draws = boundary_draws(g, mask, lazy, 2)
+                for _ in range(2):
+                    want = naive_sample_boundary(g, mask, slow)
+                    assert sample_boundary(g, mask, fast) == want
+                    if want is None:
+                        assert draws is None
+                    elif g.mode == "exact":
+                        terms, scale = next(draws)
+                        assert all(type(t) is int for t in (*terms, scale))
+                        assert tuple(Fraction(t, scale) for t in terms) == want
+                    else:
+                        assert next(draws) == (want, 1)
+                    assert fast.getstate() == slow.getstate() == lazy.getstate()
+                    empty += want is None
+                assert draws is None or next(draws, None) is None
     return empty
 
 
@@ -203,7 +205,10 @@ def test_float_sample_boundary_matches_reference_formula():
     rng = random.Random(23)
     games = [random_float_game(rng, rng.randint(2, 5)) for _ in range(12)]
     degenerate = make_game(3, {1: 0.5, 2: 0.5 + 1e-12, 4: 1.0, 3: 1.0, 5: 2.0, 6: 2.0, 7: 3.0})
-    assert BoundarySampler(degenerate)._bounds(3)[3] == 0
+    rng = random.Random(0)
+    state = rng.getstate()
+    assert list(boundary_draws(degenerate, 3, rng, 2)) == [((0.5, 0.5 + 1e-12), 1)] * 2
+    assert rng.getstate() == state
     assert _draws_match_reference([*games, degenerate]) > 0
 
 

@@ -30,8 +30,9 @@ from fracgame import (
 )
 from fracgame import NumericFailure, linfeas, stability
 from fracgame.games import (
-    BoundarySampler,
+    GRAIN,
     boundary_contains,
+    boundary_draws,
     boundary_empty,
     size_values,
     solution_feasible,
@@ -349,10 +350,15 @@ def test_split_simplex_functions_match_their_fraction_formulas():
                 centre = tuple(map(float, centre))
             assert _centered_boundary_point(game, block) == centre
             if game.mode == "exact":
-                lower, scale, rest, count = BoundarySampler(game)._bounds(block)
-                assert [Fraction(a, scale) for a in lower] == lbs
-                assert Fraction(rest * BoundarySampler.GRAIN, scale) == s
-                assert (count is None) == (s < 0)
+                # a draw: int terms over v(B)*2^20, between the bounds and
+                # the bounds plus the leftover, summing to 1
+                draws = boundary_draws(game, block, random.Random(block), 1)
+                assert (draws is None) == (s < 0)
+                if draws is not None:
+                    terms, scale = next(draws)
+                    assert all(type(x) is int for x in (*terms, scale))
+                    assert scale == whole * GRAIN and sum(terms) == scale
+                    assert all(lb <= Fraction(t, scale) <= lb + s for t, lb in zip(terms, lbs))
             assert stability.CoreRows(subgame(game, block)).base.lower == tuple(lbs)
             seen["empty"] += s < 0
             seen["flat"] += s == 0
