@@ -22,8 +22,9 @@ v2(C)/v2(B) sits at or below g1's, so g1's split set, strong core and weak
 core lie in g2's, and B is decided constraint-wise with no draws.  Every
 other block, on float or mixed pairs every block, goes through one sampled-
 block check: its witnesses, then its draws (one rng, built at the first such
-block), each row judged in order on one coverage table per game, by the
-core judgement ``stability.core_contains`` runs, up to the first failure.
+block), each row judged in order on one coverage table read by both games,
+by the core judgement ``stability.core_contains`` runs, up to the first
+failure.
 The second game always judges at the pair's combined tolerance, as
 ``leq_cp`` does.  The theorem's claims 1, 2 and 4 take one pass over the
 blocks.
@@ -55,6 +56,7 @@ from .games import (
     size_values,
     subgame,
     submasks,
+    subset_sums,
 )
 from .partitions import enumerate_partitions, make_partition, singleton_partition
 from .stability import (
@@ -218,15 +220,18 @@ def _sampled_block(g1: Game, g2: Game, block: int, witnesses, rng, samples: int,
     witness points, then ``samples`` draws from the g1 split set, as rows
     ``(terms, scale)`` (see ``stability.share_terms``), judged one row at a
     time, in order, up to the first row that g1 puts in the kind's core and
-    g2 refuses.  Rows are g1 splits, so g1 judges fission only, on one
-    coverage table per row; g2 judges the split set and fission at the
-    pair's combined tolerance, on at most one table per row, and a float g2
-    judges an exact g1's rows on their shares over 1.  Returns per kind the
-    rows g1 put in its core up to that row, and that row's point (None when
-    there is none).  The draws always take ``samples`` rows of ``rng``,
-    judged or not, so the blocks after this one see the same rng values."""
+    g2 refuses.  Each row fills one subset-sum table, which both games read
+    (``stability._coverage``); a float g2 judges an exact g1's rows on their
+    shares over 1.  Rows are g1 splits, nonnegative and summing to 1, so g1
+    judges fission only, and g2, at the pair's combined tolerance, judges
+    its split set by its member bounds (the row's singleton pieces) and
+    then fission.  Returns per kind the rows g1 put in its core up to that
+    row, and that row's point (None when there is none).  The draws always
+    take ``samples`` rows of ``rng``, judged or not, so the blocks after
+    this one see the same rng values."""
     first, second = subgame(g1, block), subgame(_at_tol(g2, combined_tol(g1, g2)), block)
     full, shares_only = first.grand, g1.mode == EXACT != g2.mode
+    lone = [1 << i for i in range(first.n)]
     checked, refused = dict.fromkeys(kinds, 0), dict.fromkeys(kinds)
     rows = (share_terms(g1, f) for f in witnesses)
     for terms, scale in chain(rows, boundary_draws(g1, block, rng, samples) or ()):
@@ -234,17 +239,17 @@ def _sampled_block(g1: Game, g2: Game, block: int, witnesses, rng, samples: int,
             continue  # every kind has failed
         if shares_only:
             terms, scale = [Fraction(t, scale) for t in terms], 1
-        covers, covers2 = _coverage(first, full, terms, scale), None
+        sums = subset_sums(terms, full)
+        covers, covers2 = _coverage(first, full, sums, scale), None
         for kind in kinds:
             if refused[kind] is not None or not _in_core(full, covers, kind):
                 continue
             checked[kind] += 1
-            if covers2 is None:  # False when g2 refuses the split, else g2's coverage
-                point = draw_shares(terms, scale)
-                covers2 = boundary_contains(second, full, point)
-                covers2 = covers2 and _coverage(second, full, terms, scale)
+            if covers2 is None:  # False when a g2 member bound fails, else g2's coverage
+                covers2 = _coverage(second, full, sums, scale)
+                covers2 = all(map(covers2, lone)) and covers2
             if not (covers2 and _in_core(full, covers2, kind)):
-                refused[kind] = point
+                refused[kind] = draw_shares(terms, scale)
     return {kind: (checked[kind], refused[kind]) for kind in kinds}
 
 

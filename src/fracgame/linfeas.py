@@ -22,15 +22,15 @@ to its optimal face; every point it returns is re-checked.  Many
 halfspaces (the strong core's 2^n - 2 coalitions, few of them tight) go
 through row generation (Hallefjord, Helming & Jornsten 1995) in the same
 driver: a caller's pricing names the row of least slack at the max-slack
-point, if below the optimal slack (one integer subset-sum table per point
-finds it), so the strong core never lists its 2^n - 2 rows.  The row is
-appended to the optimal tableau with a surplus column of its own, its
-basic columns eliminated, and one artificial on it driven to zero by phase
-1 (a basis restart, as in Lemke 1954) before the stages re-run from that
-basis.  Max-slack points are unique, so the rounds end where cold solves
-would, on a point meeting every row, which the caller re-checks.
-Vertices come from brute-force active-set intersection, which is entirely
-adequate at the dimensions this package targets.
+point, if below the optimal slack (``stability.CoreRows`` prices the strong
+core off one integer subset-sum table per point), so the strong core never
+lists its 2^n - 2 rows.  The row is appended to the optimal tableau with a
+surplus column of its own, its basic columns eliminated, and one artificial
+on it driven to zero by phase 1 (a basis restart, as in Lemke 1954) before
+the stages re-run from that basis.  Max-slack points are unique, so the
+rounds end where cold solves would, on a point meeting every row, which the
+caller re-checks.  Vertices come from brute-force active-set intersection,
+which is entirely adequate at the dimensions this package targets.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CapExceeded, InfeasibleSystem, NumericFailure
-from .games import integer_terms, members, subset_sums
+from .games import integer_terms, members
 
 VERTEX_DIM_CAP = 5
 
@@ -69,12 +69,6 @@ class LinearSystem:
     lower: tuple[Fraction, ...]
     blocks: tuple[int, ...]
     halfspaces: tuple[Halfspace, ...] = ()
-
-    def restricted(self, keep) -> LinearSystem:
-        """The same bounds and blocks with only the halfspaces at the indices
-        ``keep``, in ascending index order."""
-        hs = self.halfspaces
-        return LinearSystem(self.dim, self.lower, self.blocks, tuple(hs[k] for k in sorted(keep)))
 
 
 def linear_system(dim, lower, blocks, halfspaces=()) -> LinearSystem:
@@ -463,28 +457,6 @@ def max_slack_point(system: LinearSystem):
     return _max_slack(system)
 
 
-def _halfspace_pricing(system: LinearSystem):
-    """``generate_rows`` pricing over the system's own halfspaces, keyed by
-    index: one integer subset-sum table per point."""
-    halfspaces, full = system.halfspaces, (1 << system.dim) - 1
-    # halfspace k reads coefs[k] * F >= rhss[k] * D for a share sum F / D
-    terms, unit = integer_terms([x for h in halfspaces for x in (h.coef, h.rhs)])
-    coefs, rhss = terms[0::2], terms[1::2]
-
-    def price(point, t):
-        terms, scale = integer_terms(point)
-        sums = subset_sums(terms, full)
-        # slacks over the common scale unit * scale, compared with t
-        bar = t.numerator * unit * scale
-        slacks = (
-            (coefs[k] * sums[h.support] - rhss[k] * scale, k) for k, h in enumerate(halfspaces)
-        )
-        worst = min((s for s in slacks if s[0] * t.denominator < bar), default=None)
-        return None if worst is None else (worst[1], halfspaces[worst[1]])
-
-    return price
-
-
 def generate_rows(base: LinearSystem, price):
     """``max_slack_point`` of ``base`` plus halfspaces given lazily, by row
     generation.
@@ -499,16 +471,6 @@ def generate_rows(base: LinearSystem, price):
     is the one a cold solve finds.  The caller re-checks the answer against
     every halfspace.  Raises InfeasibleSystem when nothing is feasible."""
     return _max_slack(base, price)
-
-
-def row_generation(system: LinearSystem):
-    """``max_slack_point`` of a system with many halfspaces:
-    ``generate_rows`` from its bounds and blocks over its own halfspaces,
-    the answer re-checked against the whole system."""
-    found = generate_rows(system.restricted(()), _halfspace_pricing(system))
-    if not satisfies(system, found[0]):
-        raise NumericFailure("row generation returned a point violating the system")
-    return found
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,8 @@ three players can never be split weakly.
 Coverage (a piece's scaled share covers its value) is read off subset sums:
 of one allocation per block in ``_coverage``, whose predicate ``_in_core``
 judges in either sense for the scalar predicates and for the inclusion
-harnesses' sampled rows (one table per row and game), and of the weak-core
-search's LP points in ``CoreRows.covered``.
+harnesses' sampled rows (one table per row, read by both games), and of the
+weak-core search's LP points in ``CoreRows.covered``.
 """
 
 from __future__ import annotations
@@ -152,18 +152,19 @@ def _resists_fission(game: Game, partition: Sequence[int], terms: Sequence, scal
     sums filled into one table."""
     sums = [0] * (1 << game.n)
     return all(
-        _in_core(block, _coverage(game, block, terms, scale, sums), kind)
+        _in_core(block, _coverage(game, block, subset_sums(terms, block, sums), scale), kind)
         for block in partition
         if block.bit_count() > 1
     )
 
 
-def _coverage(game: Game, block: int, terms: Sequence, scale, sums: list | None = None):
+def _coverage(game: Game, block: int, sums: Sequence, scale):
     """Whether a piece ``c`` of the block is covered, as a predicate on c,
-    for the allocation ``terms / scale``: ``v(block) * sums[c] >= v(c) *
-    scale`` (tolerant ``geq`` on float games), read off the block's subset
-    sums, filled once into ``sums`` (default: a fresh table)."""
-    sums, values, tol = subset_sums(terms, block, sums), game.values, game.tol
+    for an allocation ``terms / scale`` whose subset sums over the block
+    (``games.subset_sums``) are ``sums``: ``v(block) * sums[c] >= v(c) *
+    scale`` (tolerant ``geq`` on float games).  Any game may read one
+    table: only the values differ."""
+    values, tol = game.values, game.tol
     v_b = values[block]
     return lambda piece: geq(v_b * sums[piece], values[piece] * scale, tol)
 

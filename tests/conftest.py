@@ -15,8 +15,6 @@ from fracgame.games import (
     check_partition,
     combined_tol,
     geq,
-    integer_terms,
-    subset_sums,
 )
 from fracgame.partitions import fusion_neighborhood
 
@@ -883,42 +881,6 @@ def naive_max_slack_point(system):
     return point, slack
 
 
-def naive_row_generation(system: linfeas.LinearSystem):
-    """The cold row-generation driver linfeas used before its max-slack
-    rounds went warm, kept verbatim but for its feasibility mode (solvers
-    called through the module): every round solves its restricted system
-    from scratch with ``linfeas.max_slack_point``.
-
-    The restricted system keeps the lower bounds and blocks and starts with
-    no halfspace.  Each round solves it with ``max_slack_point`` and takes
-    in the halfspace of least slack among those whose slack at the point is
-    below the restricted optimum t, ties going to the lowest index, until
-    there is none.  The answer is re-checked against the whole system:
-    verdict and max-slack point are the whole system's.
-    """
-    dim, halfspaces = system.dim, system.halfspaces
-    # halfspace k reads coefs[k] * F >= rhss[k] * D for a share sum F / D
-    terms, unit = integer_terms([x for h in halfspaces for x in (h.coef, h.rhs)])
-    coefs, rhss = terms[0::2], terms[1::2]
-    chosen: list[int] = []
-    while True:
-        found = point, t = linfeas.max_slack_point(system.restricted(chosen))
-        terms, scale = integer_terms(point)
-        sums = subset_sums(terms, (1 << dim) - 1)
-        # slacks over the common scale unit * scale, compared with t
-        bar = t.numerator * unit * scale
-        slacks = (
-            (coefs[k] * sums[h.support] - rhss[k] * scale, k) for k, h in enumerate(halfspaces)
-        )
-        worst = min((s for s in slacks if s[0] * t.denominator < bar), default=None)
-        if worst is None:
-            break
-        chosen.append(worst[1])
-    if not linfeas.satisfies(system, point):  # pragma: no cover - solver contract
-        raise NumericFailure("row generation returned a point violating the system")
-    return found
-
-
 def naive_generate_rows(base: linfeas.LinearSystem, price):
     """linfeas.generate_rows with every round solved cold on its restricted
     system (``base`` plus the rows taken in, in key order) through
@@ -949,9 +911,15 @@ _GL_NODES = tuple(float(x) for x in _raw_nodes)
 _GL_WEIGHTS = tuple(float(x) for x in _raw_weights)
 
 
+def _columns(knots):
+    return [a for a, _ in knots], [v for _, v in knots]
+
+
 def naive_interp(knots, x):
-    knots_x = [a for a, _ in knots]
-    knots_y = [v for _, v in knots]
+    return _interp_columns(*_columns(knots), x)
+
+
+def _interp_columns(knots_x, knots_y, x):
     j = bisect.bisect_right(knots_x, x) - 1
     if j >= len(knots_x) - 1:
         return knots_y[-1]
@@ -975,10 +943,11 @@ def naive_empirical_knots(samples, knot_count):
 
 
 def naive_cvar(curve, alpha):
+    return _cvar_columns(*_columns(curve.knots), [float(p) for p in curve.prefix], alpha)
+
+
+def _cvar_columns(betas, vals, prefix, alpha):
     x = 1.0 - alpha
-    betas = [b for b, _ in curve.knots]
-    vals = [v for _, v in curve.knots]
-    prefix = [float(p) for p in curve.prefix]
     j = bisect.bisect_right(betas, x) - 1
     if j >= len(betas) - 1:
         return prefix[-1] / x
@@ -990,10 +959,13 @@ def naive_cvar(curve, alpha):
 def naive_mixture_reward(curve, density):
     """Scalar reference for risk.mixture_reward: one Python float per
     quadrature node, summed left to right, evaluating the tail average and
-    the density from the raw knot lists at every node."""
+    the density from knot lists read once per call at every node."""
+    betas, vals = _columns(curve.knots)
+    prefix = [float(p) for p in curve.prefix]
+    density_x, density_y = _columns(density.knots)
     points = {0.0, 1.0}
-    points.update(1.0 - b for b, _ in curve.knots)
-    points.update(a for a, _ in density.knots)
+    points.update(1.0 - b for b in betas)
+    points.update(density_x)
     grid = sorted(x for x in points if 0.0 <= x <= 1.0)
     total = 0.0
     for a, b in zip(grid, grid[1:]):
@@ -1008,7 +980,7 @@ def naive_mixture_reward(curve, density):
             half = 0.5 * (hi - lo)
             for node, weight in zip(_GL_NODES, _GL_WEIGHTS):
                 alpha = mid + half * node
-                total += weight * half * naive_cvar(curve, alpha) * naive_interp(
-                    density.knots, alpha
+                total += weight * half * _cvar_columns(betas, vals, prefix, alpha) * _interp_columns(
+                    density_x, density_y, alpha
                 )
     return float(total)

@@ -20,21 +20,20 @@ from fracgame import (
     vertices,
 )
 from fracgame import linfeas, stability
-from fracgame.games import make_game, subgame
+from fracgame.games import make_game, members, subgame
 from fracgame.risk import (
     beta_density,
     build_cvar_game,
     default_uniform_family,
     uniform_curve_family,
 )
-from fracgame.linfeas import row_generation
-from fracgame.stability import core_system
+from fracgame.stability import CoreRows, core_system
 from conftest import (
     cut_game,
     naive_feasible,
+    naive_generate_rows,
     naive_max_slack_point,
     naive_minimize,
-    naive_row_generation,
     naive_satisfies,
     naive_warm_max_slack_point,
     outcome,
@@ -117,7 +116,8 @@ def test_minimize_none_when_infeasible_and_slack_raises():
         feasible,
         partial(minimize, cost=[1, 0, 0]),
         max_slack_point,
-        row_generation,
+        # the row-generation driver with a pricing that names no row
+        pytest.param(partial(linfeas.generate_rows, price=lambda point, t: None), id="generate_rows"),
     ],
 )
 def test_every_solver_rechecks_its_point(monkeypatch, solve):
@@ -176,7 +176,6 @@ def test_vertices_all_satisfy_and_span():
             support = rng.randrange(1, 1 << dim)
             cuts.append((1, support, Fraction(rng.randrange(0, 10), 12)))
         sys_ = simplex(dim, lower, cuts)
-        _assert_row_generation(sys_, _frozen_cold(sys_))
         verts = vertices(sys_)
         for v in verts:
             assert satisfies(sys_, v)
@@ -211,7 +210,6 @@ def test_feasible_agrees_between_float_and_fraction_inputs():
             [(Fraction(1), cut_support, Fraction(cut_rhs))],
         )
         assert sys_float == sys_frac
-        _assert_row_generation(sys_frac, _frozen_cold(sys_frac))
         a = feasible(sys_float)
         b = feasible(sys_frac)
         assert (a is None) == (b is None)
@@ -223,7 +221,6 @@ def test_minimize_value_bounds_sampled_points():
         dim = rng.randint(2, 4)
         lower = [Fraction(rng.randrange(0, 2), 8) for _ in range(dim)]
         sys_ = simplex(dim, lower, [(1, rng.randrange(1, 1 << dim), Fraction(1, 3))])
-        _assert_row_generation(sys_, _frozen_cold(sys_))
         if feasible(sys_) is None:
             continue
         cost = [Fraction(rng.randrange(-4, 5)) for _ in range(dim)]
@@ -239,16 +236,6 @@ def test_minimize_value_bounds_sampled_points():
 _frozen_feasible = cache(naive_feasible)
 _frozen_cold = cache(partial(outcome, naive_max_slack_point))
 _frozen_warm = cache(partial(outcome, naive_warm_max_slack_point))
-
-
-def _assert_row_generation(system, frozen_best):
-    """The row-generation driver on a whole system: its max-slack outcome is
-    None iff the frozen solver finds the system infeasible, its point lies
-    inside the system, and the outcome is the frozen max-slack one."""
-    got = outcome(row_generation, system)
-    assert (got is None) == (_frozen_feasible(system) is None)
-    assert got is None or satisfies(system, got[0])
-    assert got == frozen_best
 
 
 def _oracle_systems(rng):
@@ -355,30 +342,36 @@ def _superlinear_family(n):
     return uniform_curve_family(n, lambda s: s**1.3, lambda s: s**1.3 + 1)
 
 
-def _differential_systems():
-    """Labelled systems for the point-equality test against the frozen
-    Fraction solver: every kind the library builds, feasible and not.  The
-    n=6 systems are few and picked cheap for the frozen solver."""
+def _differential_games():
+    """Labelled games whose strong-core systems the frozen Fraction solver
+    checks: every kind of game the library builds, with cores empty and
+    not.  The n=6 games are few and picked cheap for the frozen solver."""
     out = []
     for n in (3, 4, 5):
         for k in range(4):
-            out.append(("exact-core", core_system(random_exact_game(random.Random(k), n))))
-            out.append(("float-core", core_system(random_float_game(random.Random(k), n))))
-    out.append(("exact-core", core_system(random_exact_game(random.Random(0), 6))))
-    out.append(("float-core", core_system(random_float_game(random.Random(2), 6))))
+            out.append(("exact-core", random_exact_game(random.Random(k), n)))
+            out.append(("float-core", random_float_game(random.Random(k), n)))
+    out.append(("exact-core", random_exact_game(random.Random(0), 6)))
+    out.append(("float-core", random_float_game(random.Random(2), 6)))
     for n, r, phi in (
         (4, 0.3, {}), (4, 0.9, {3: 1.6}), (4, 1.4, {}),
         (5, 0.3, {3: 1.6}), (5, 1.4, {}), (6, 0.8, {}),
     ):
-        game = build_meanstd_game(MeanStdScenario(n, 1.3, 0.6, r, phi))
-        out.append(("meanstd", core_system(game)))
+        out.append(("meanstd", build_meanstd_game(MeanStdScenario(n, 1.3, 0.6, r, phi))))
     # the default family's tails shrink per head with size (empty split
     # sets); a superlinear family has nonempty cores
     for n in (3, 4):
         for family in (default_uniform_family, _superlinear_family):
             for a in (1.0, 4.0):
                 game = build_cvar_game(family(n), beta_density(a))
-                out.extend(("cvar", core_system(subgame(game, b))) for b in (3, 7, game.grand))
+                out.extend(("cvar", subgame(game, b)) for b in (3, 7, game.grand))
+    return out
+
+
+def _differential_systems():
+    """Labelled systems for the point-equality test against the frozen
+    Fraction solver: every kind the library builds, feasible and not."""
+    out = [(label, core_system(game)) for label, game in _differential_games()]
     rng = random.Random(77)
     weak_games = [cut_game(rng, n) for n in (4, 4, 5)]
     out.extend(("weak-committed", s) for s in _committed_weak_systems(weak_games))
@@ -431,32 +424,71 @@ def test_integer_simplex_returns_the_frozen_solvers_points(monkeypatch):
     assert paths["deleted"] and paths["negative"]
 
 
+@cache
+def _row_cases():
+    """Seeded strong-core row sets for the row-generation gates, as (label,
+    game, candidate coalitions): 240 games of three to six players in turn,
+    random exact and float games, cut games, and pooled ventures whose
+    coalitions of two or more carry a synergy factor within 20% of 1; each
+    with every proper coalition, then with two seeded subsets of them, each
+    coalition kept with probability 1/2 (the weak-core search solves such
+    restrictions)."""
+    rng, out = random.Random(2304), []
+    for k in range(240):
+        n = 3 + k % 4
+        label = ("exact", "float", "cut", "pooled")[k // 4 % 4]
+        if label == "exact":
+            game = random_exact_game(rng, n)
+        elif label == "float":
+            game = random_float_game(rng, n)
+        elif label == "cut":
+            game = cut_game(rng, n)
+        else:
+            phi = {c: rng.uniform(0.8, 1.2) for c in range(3, 1 << n) if c.bit_count() > 1}
+            game = build_meanstd_game(MeanStdScenario(n, 1.0, 0.5, rng.uniform(0.0, 1.5), phi))
+        out.append((label, game, range(1, game.grand)))
+        for _ in range(2):
+            out.append((label, game, [c for c in range(1, game.grand) if rng.random() < 0.5]))
+    return out
+
+
+def _generated(game, candidates, generate_rows=None):
+    """The row-generation outcome over the candidates' rows, (point, slack)
+    or None when infeasible: ``generate_rows`` (default:
+    ``linfeas.generate_rows``) from ``CoreRows(game).base``, priced by
+    ``CoreRows.pricing``, the pricing every strong region uses."""
+    rows = CoreRows(game)
+    price = rows.pricing(candidates)
+    return outcome(partial(generate_rows or linfeas.generate_rows, price=price), rows.base)
+
+
 def test_row_generation_matches_the_frozen_solvers():
-    # the seeded oracle set against the cold reference, and every kind of
-    # system the library builds against the warm one (the pair agree on
-    # the oracle set); meanstd systems carry 54-bit denominators
-    for _, _, sys_ in _oracle_systems(random.Random(2304)):
-        _assert_row_generation(sys_, _frozen_cold(sys_))
+    # every kind of game the library builds, whole systems of three to six
+    # players, against the warm reference (meanstd values carry 54-bit
+    # denominators), and the first 48 games' row sets of three and four
+    # players against the cold one; CoreRows.solve hands back the same point
     den_bits = 0
-    for label, sys_ in _differential_systems():
-        _assert_row_generation(sys_, _frozen_warm(sys_))
+    cases = [(label, game, range(1, game.grand)) for label, game in _differential_games()]
+    cold = [case for case in _row_cases()[:144] if case[1].n <= 4]
+    for k, (label, game, candidates) in enumerate(cases + cold):
+        system = CoreRows(game).restricted(candidates)
+        want = _frozen_warm(system) if k < len(cases) else _frozen_cold(system)
+        got = _generated(game, candidates)
+        assert got == want, label
+        assert (got is None) == (_frozen_feasible(system) is None), label
+        assert got is None or satisfies(system, got[0]), label
+        assert CoreRows(game).solve(candidates) == (got and got[0]), label
         if label == "meanstd":
-            den_bits = max(den_bits, *(h.rhs.denominator.bit_length() for h in sys_.halfspaces))
+            den_bits = max(den_bits, *(h.rhs.denominator.bit_length() for h in system.halfspaces))
     assert den_bits >= 54
-
-
-def _row_generation_systems():
-    return [s for _, _, s in _oracle_systems(random.Random(2304))] + [
-        s for _, s in _differential_systems()
-    ]
 
 
 def test_row_generation_matches_the_cold_driver():
     # the max-slack rounds are warm: the same outcomes as cold rounds
     infeasible = 0
-    for system in _row_generation_systems():
-        want = outcome(naive_row_generation, system)
-        assert outcome(row_generation, system) == want
+    for label, game, candidates in _row_cases():
+        want = _generated(game, candidates, naive_generate_rows)
+        assert _generated(game, candidates) == want, label
         infeasible += want is None
     assert infeasible >= 20
 
@@ -493,28 +525,34 @@ def test_max_slack_rounds_run_one_phase_one_and_every_warm_branch(monkeypatch):
             return found
         return drive_out(tab, basis, n)
 
-    systems = _row_generation_systems()
+    cases = _row_cases()
     monkeypatch.setattr(linfeas, "_phase_one", counting_phase_one)
     monkeypatch.setattr(linfeas, "_take_row", counting_take_row)
     monkeypatch.setattr(linfeas, "_drive_out", counting_drive_out)
-    for system in systems:
+    for _, game, candidates in cases:
         before = counts["phase one"]
-        outcome(row_generation, system)
+        _generated(game, candidates)
         assert counts["phase one"] == before + 1
-    assert counts["rows"] > len(systems) // 2
+    assert counts["rows"] > len(cases) // 2
     assert counts["infeasible"] >= 20 and counts["driven out"] >= 1, counts
 
 
 def test_row_generation_never_prices_a_row_twice(monkeypatch):
     # a row taken in keeps at least the optimal slack of every later
-    # restriction, so the rounds end: no pricing names it again
-    halfspace_pricing, taken = linfeas._halfspace_pricing, []
+    # restriction, so the rounds end: no pricing names it again.  Each row
+    # named is the candidate of least slack below t, ties to the lowest
+    # coalition, by one Fraction sum per candidate
+    pricing, taken, solving = CoreRows.pricing, [], []
 
-    def pricing_once(system):
-        price, priced = halfspace_pricing(system), set()
+    def pricing_once(self, candidates):
+        price, priced, game = pricing(self, candidates), set(), solving[-1]
+        ratio = {c: Fraction(game.values[c]) / Fraction(game.values[game.grand]) for c in candidates}
 
         def wrapped(point, t):
             row = price(point, t)
+            slacks = ((sum(point[i] for i in members(c)) - ratio[c], c) for c in candidates)
+            worst = min((s for s in slacks if s[0] < t), default=None)
+            assert (row and row[0]) == (worst and worst[1])
             if row is not None:
                 assert row[0] not in priced, "a row taken in was priced again"
                 priced.add(row[0])
@@ -523,11 +561,12 @@ def test_row_generation_never_prices_a_row_twice(monkeypatch):
 
         return wrapped
 
-    systems = [s for _, _, s in _oracle_systems(random.Random(2304))]
-    systems += [core_system(game) for n in (4, 5, 6) for game in _core_games(n).values()]
-    monkeypatch.setattr(linfeas, "_halfspace_pricing", pricing_once)
-    for system in systems:
-        outcome(row_generation, system)
+    cases = [(game, candidates) for _, game, candidates in _row_cases()]
+    cases += [(game, range(1, game.grand)) for n in (4, 5, 6) for game in _core_games(n).values()]
+    monkeypatch.setattr(CoreRows, "pricing", pricing_once)
+    for game, candidates in cases:
+        solving.append(game)
+        CoreRows(game).solve(candidates)
     assert len(taken) > 100
 
 
@@ -560,10 +599,11 @@ def test_row_generation_decides_core_systems_of_six_to_eight_players(monkeypatch
     for label, game in _core_games(n).items():
         system = core_system(game)
         solved.clear()
-        got = outcome(row_generation, system)
+        got = _generated(game, range(1, game.grand))
         last = solved[-1]
         assert (last.dim, last.lower, last.blocks) == (system.dim, system.lower, system.blocks)
         assert set(last.halfspaces) < set(system.halfspaces), label
+        assert CoreRows(game).solve(range(1, game.grand)) == (got and got[0]), label
         if got is None:
             assert naive_feasible(last) is None, label
         else:

@@ -39,7 +39,6 @@ from fracgame.games import (
     split_terms,
     subgame,
 )
-from fracgame.linfeas import row_generation
 from fracgame.partitions import bell_number
 from fracgame.risk import (
     MeanStdScenario,
@@ -70,7 +69,6 @@ from conftest import (
     naive_weak_core_contains,
     naive_weak_region_exact,
     naive_warm_max_slack_point,
-    outcome,
     random_exact_game,
     random_float_game,
 )
@@ -303,7 +301,7 @@ def test_split_vertices_match_brute_force_enumeration():
         for block in range(1, 1 << game.n):
             if block.bit_count() < 2:
                 continue
-            bare = core_system(subgame(game, block)).restricted(())
+            bare = stability.CoreRows(subgame(game, block)).base
             want = linfeas.vertices(bare, cap=block.bit_count())
             assert split_vertices(game, block) == want
             assert (want == []) == boundary_empty(game, block)
@@ -958,7 +956,7 @@ def test_equal_split_region_matches_the_lp(n):
         system = core_system(game)
         nonempty = region.status == NONEMPTY
         statuses.add(region.status)
-        assert nonempty == (outcome(row_generation, system) is not None), label
+        assert nonempty == (stability.CoreRows(game).solve(range(1, game.grand)) is not None), label
         # the frozen solver takes about a second per six-player system
         if n <= 5 or n == 6 and label in ("pooled-7/37", "cut", "tie"):
             assert nonempty == (naive_feasible(system) is not None), label
@@ -983,7 +981,7 @@ def test_equal_split_region_matches_the_lp_on_pooled_games_without_aversion():
         for k in range(1, 200):
             game = build_meanstd_game(MeanStdScenario(n, k / 37, 0.5, 0.0))
             region = core_region(game, STRONG, canonical_witness=False)
-            got = outcome(row_generation, core_system(game))
+            got = stability.CoreRows(game).solve(range(1, game.grand))
             assert (region.status == NONEMPTY) == (got is not None)
             empty += region.status == EMPTY
     assert empty == 121
