@@ -37,10 +37,6 @@ FLOAT = "float"
 # coalition bitmask helpers
 
 
-def full_mask(n: int) -> int:
-    return (1 << n) - 1
-
-
 def mask_of(players: Iterable[int]) -> int:
     mask = 0
     for i in players:
@@ -203,9 +199,6 @@ class Game:
     def coalition_label(self, coalition: int) -> str:
         return coalition_label(coalition, self.players)
 
-    def partition_label(self, partition: Sequence[int]) -> str:
-        return "|".join(self.coalition_label(b) for b in partition)
-
 
 def default_players(n: int) -> tuple[str, ...]:
     return tuple(string.ascii_lowercase[:n])
@@ -305,7 +298,7 @@ def boundary_empty(game: Game, coalition: int) -> bool:
 
 
 def check_partition(n: int, blocks: Sequence[int]) -> None:
-    full = full_mask(n)
+    full = (1 << n) - 1
     union = 0
     count = 0
     for b in blocks:

@@ -14,23 +14,24 @@ rational row, divided by its gcd after every update (fraction-free
 elimination, as in Bareiss 1968), and the ratio test cross-multiplies, so
 the pivots are those of the rational tableau and only the returned point is
 built from Fractions.  One lexicographic driver solves every LP, as in the
-sequential LPs of the nucleolus (Kopelowitz 1967): one phase 1, then one
-phase-2 stage per objective on the same tableau (none for feasibility, one
-for minimization, the slack and then each share for the max-slack
-witness), each restarting from the previous optimal basis and restricted
-to its optimal face; every point it returns is re-checked.  Many
+sequential LPs of the nucleolus (Kopelowitz 1967), behind three entries:
+one phase 1, then one phase-2 stage per objective on the same tableau (none
+for ``feasible``, one for ``minimize``, the slack and then each share for
+``max_slack_point``), each restarting from the previous optimal basis and
+restricted to its optimal face; every point it returns is re-checked.  Many
 halfspaces (the strong core's 2^n - 2 coalitions, few of them tight) go
 through row generation (Hallefjord, Helming & Jornsten 1995) in the same
-driver: a caller's pricing names the row of least slack at the max-slack
-point, if below the optimal slack (``stability.CoreRows`` prices the strong
-core off one integer subset-sum table per point), so the strong core never
-lists its 2^n - 2 rows.  The row is appended to the optimal tableau with a
-surplus column of its own, its basic columns eliminated, and one artificial
-on it driven to zero by phase 1 (a basis restart, as in Lemke 1954) before
-the stages re-run from that basis.  Max-slack points are unique, so the
-rounds end where cold solves would, on a point meeting every row, which the
-caller re-checks.  Vertices come from brute-force active-set intersection,
-which is entirely adequate at the dimensions this package targets.
+driver, by ``max_slack_point`` with a caller's pricing, which names the row
+of least slack at the max-slack point, if below the optimal slack
+(``stability.CoreRows`` prices the strong core off one integer subset-sum
+table per point), so the strong core never lists its 2^n - 2 rows.  The row
+is appended to the optimal tableau with a surplus column of its own, its
+basic columns eliminated, and one artificial on it driven to zero by phase
+1 (a basis restart, as in Lemke 1954) before the stages re-run from that
+basis.  Max-slack points are unique, so the rounds end where cold solves
+would, on a point meeting every row, which the caller re-checks.  Vertices
+come from brute-force active-set intersection, which is entirely adequate
+at the dimensions this package targets.
 """
 
 from __future__ import annotations
@@ -384,12 +385,13 @@ def _optimize(tab, basis, n, costs) -> None:
 
 
 def _lexmin(system: LinearSystem, costs, slack_var: bool = False, price=None):
-    """Minimize the costs over the leading columns of ``_tableau`` in turn:
-    one phase 1, then ``_optimize``, re-run after each halfspace a
-    ``price`` (see ``generate_rows``) names at the optimum is taken in by
-    ``_take_row``.  Returns (point, slack variable or None), re-checked
-    against ``system``, or None when the rows taken in so far are
-    infeasible."""
+    """The one LP solve behind ``feasible``, ``minimize`` and
+    ``max_slack_point``: minimize the costs over the leading columns of
+    ``_tableau`` in turn, by one phase 1, then ``_optimize``, re-run after
+    each halfspace a ``price`` (see ``max_slack_point``) names at the
+    optimum is taken in by ``_take_row``.  Returns (point, slack variable
+    or None), re-checked against ``system``, or None when the rows taken in
+    so far are infeasible."""
     dim = system.dim
     tab, n, low, unit = _tableau(system, slack_var)
     found = _phase_one(tab, n)
@@ -435,42 +437,31 @@ def minimize(system: LinearSystem, cost):
     return sum(c * f for c, f in zip(cvec, point)), point
 
 
-def _max_slack(system: LinearSystem, price=None):
-    """``_lexmin`` over the stages of the max-slack witness: maximize the
-    slack t (column dim), then minimize f_0, ..., f_{dim-1}."""
+def max_slack_point(system: LinearSystem, price=None):
+    """The feasible point maximizing the minimum constraint slack, with ties
+    broken by lexicographic minimality; returns (point, slack).
+
+    Slack of a lower bound is f_i - lb_i; slack of a halfspace is
+    coef*sum - rhs.  The stages maximize the slack t, then minimize f_0,
+    ..., f_{dim-1}.  Raises InfeasibleSystem when nothing is feasible.
+
+    With ``price``, halfspaces beyond ``system``'s are given lazily, by row
+    generation: ``price(point, t)`` returns ``(key, halfspace)`` for the
+    halfspace of least slack among those whose slack at the point is below
+    t, ties going to the lowest key, or None when there is none.  Each round
+    appends the priced halfspace to the last round's optimal tableau, until
+    there is none; the answer then meets every halfspace, so verdict and
+    max-slack point are the whole system's.  The max-slack point of each
+    restriction (``system`` plus the halfspaces taken in, in key order) is
+    unique, so it is the one a cold solve finds.  The caller re-checks the
+    answer against every priced halfspace.
+    """
     dim = system.dim
     costs = [[0] * dim + [-1]] + [[0] * i + [1] for i in range(dim)]
     found = _lexmin(system, costs, True, price)
     if found is None:
         raise InfeasibleSystem("system has no feasible point")
     return found
-
-
-def max_slack_point(system: LinearSystem):
-    """The feasible point maximizing the minimum constraint slack, with ties
-    broken by lexicographic minimality; returns (point, slack).
-
-    Slack of a lower bound is f_i - lb_i; slack of a halfspace is
-    coef*sum - rhs.  Raises InfeasibleSystem when nothing is feasible.
-    The stages maximize the slack t, then minimize f_0, ..., f_{dim-1}.
-    """
-    return _max_slack(system)
-
-
-def generate_rows(base: LinearSystem, price):
-    """``max_slack_point`` of ``base`` plus halfspaces given lazily, by row
-    generation.
-
-    ``price(point, t)`` returns ``(key, halfspace)`` for the halfspace of
-    least slack among those whose slack at the point is below t, ties going
-    to the lowest key, or None when there is none.  Each round appends the
-    priced halfspace to the last round's optimal tableau, until there is
-    none; the answer then meets every halfspace, so verdict and max-slack
-    point are the whole system's.  The max-slack point of each restriction
-    (``base`` plus the halfspaces taken in, in key order) is unique, so it
-    is the one a cold solve finds.  The caller re-checks the answer against
-    every halfspace.  Raises InfeasibleSystem when nothing is feasible."""
-    return _max_slack(base, price)
 
 
 # ---------------------------------------------------------------------------

@@ -250,7 +250,7 @@ class CoreRows:
         return lambda c: v_n * sums[c] >= values[c] * scale
 
     def pricing(self, candidates: Sequence[int]):
-        """``linfeas.generate_rows`` pricing over the candidate coalitions,
+        """``linfeas.max_slack_point`` pricing over the candidate coalitions,
         ascending and keyed by coalition, off the point's subset-sum table:
         the order, and ties, of ``core_system``'s rows."""
         values, full = self.values, self.full
@@ -268,12 +268,12 @@ class CoreRows:
 
     def solve(self, candidates: Sequence[int]) -> tuple | None:
         """The max-slack point of the split simplex covering every
-        candidate coalition, by ``linfeas.generate_rows``, or None when
-        there is none.  The driver re-checks the point on the split
-        simplex; every candidate is re-checked here, on its own code path,
-        with its own member sum."""
+        candidate coalition, by ``linfeas.max_slack_point`` priced over the
+        candidates, or None when there is none.  The driver re-checks the
+        point on the split simplex; every candidate is re-checked here, on
+        its own code path, with its own member sum."""
         try:
-            point = linfeas.generate_rows(self.base, self.pricing(candidates))[0]
+            point = linfeas.max_slack_point(self.base, self.pricing(candidates))[0]
         except InfeasibleSystem:
             return None
         terms, scale = integer_terms(point)

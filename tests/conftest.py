@@ -881,16 +881,18 @@ def naive_max_slack_point(system):
     return point, slack
 
 
-def naive_generate_rows(base: linfeas.LinearSystem, price):
-    """linfeas.generate_rows with every round solved cold on its restricted
-    system (``base`` plus the rows taken in, in key order) through
-    ``linfeas.max_slack_point``, so a test can hand every round to the
+def naive_generate_rows(base: linfeas.LinearSystem, price, solve=None):
+    """linfeas.max_slack_point priced by ``price``, with every round solved
+    cold on its restricted system (``base`` plus the rows taken in, in key
+    order) by the unpriced solver ``solve`` (default: the library's
+    ``linfeas.max_slack_point``), so a test can hand every round to the
     frozen solvers."""
+    solve = solve or linfeas.max_slack_point
     taken = {}
     while True:
         rows = tuple(taken[k] for k in sorted(taken))
         restricted = linfeas.LinearSystem(base.dim, base.lower, base.blocks, base.halfspaces + rows)
-        found = point, t = linfeas.max_slack_point(restricted)
+        found = point, t = solve(restricted)
         row = price(point, t)
         if row is None:
             return found

@@ -21,6 +21,7 @@ from fracgame import (
     make_game,
     mask_of,
     members,
+    partition_label,
     sample_boundary,
     save_game,
     solution_feasible,
@@ -80,7 +81,7 @@ def test_mode_inference_and_labels():
     f = make_game(2, {1: 1.0, 2: 0.5, 3: 2.0})
     assert f.mode == "float" and f.tol > 0
     assert g.coalition_label(3) == "a,b"
-    assert g.partition_label([1, 2]) == "a|b"
+    assert partition_label([1, 2], g.players) == "a|b"
 
 
 def test_boundary_membership_singletons_and_pairs():

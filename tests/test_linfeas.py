@@ -116,8 +116,8 @@ def test_minimize_none_when_infeasible_and_slack_raises():
         feasible,
         partial(minimize, cost=[1, 0, 0]),
         max_slack_point,
-        # the row-generation driver with a pricing that names no row
-        pytest.param(partial(linfeas.generate_rows, price=lambda point, t: None), id="generate_rows"),
+        # the row-generation rounds, with a pricing that names no row
+        pytest.param(partial(max_slack_point, price=lambda point, t: None), id="max_slack_point-priced"),
     ],
 )
 def test_every_solver_rechecks_its_point(monkeypatch, solve):
@@ -292,10 +292,11 @@ def test_max_slack_point_matches_cold_sequential_reference():
 
 
 def _recording_rows(record):
-    """A stand-in for ``linfeas.generate_rows`` that hands ``record`` each
-    restricted system the driver solves, in order, as it is formed: the
-    base, then the base plus the rows taken in so far, in key order."""
-    generate_rows = linfeas.generate_rows
+    """A stand-in for a priced ``linfeas.max_slack_point`` that hands
+    ``record`` each restricted system the driver solves, in order, as it is
+    formed: the base, then the base plus the rows taken in so far, in key
+    order."""
+    solve = linfeas.max_slack_point
 
     def wrapped(base, price):
         taken = {}
@@ -309,7 +310,7 @@ def _recording_rows(record):
             return row
 
         record(base)
-        return generate_rows(base, recording)
+        return solve(base, recording)
 
     return wrapped
 
@@ -328,13 +329,13 @@ def _committed_weak_systems(games):
         record(system)
         return feasible(system)
 
-    saved = linfeas.feasible, linfeas.generate_rows
-    linfeas.feasible, linfeas.generate_rows = recording_feasible, _recording_rows(record)
+    saved = linfeas.feasible, linfeas.max_slack_point
+    linfeas.feasible, linfeas.max_slack_point = recording_feasible, _recording_rows(record)
     try:
         for game in games:
             stability.core_region(game, stability.WEAK)
     finally:
-        linfeas.feasible, linfeas.generate_rows = saved
+        linfeas.feasible, linfeas.max_slack_point = saved
     return seen
 
 
@@ -452,14 +453,14 @@ def _row_cases():
     return out
 
 
-def _generated(game, candidates, generate_rows=None):
+def _generated(game, candidates, solve=None):
     """The row-generation outcome over the candidates' rows, (point, slack)
-    or None when infeasible: ``generate_rows`` (default:
-    ``linfeas.generate_rows``) from ``CoreRows(game).base``, priced by
-    ``CoreRows.pricing``, the pricing every strong region uses."""
+    or None when infeasible: ``solve`` (default: ``linfeas.max_slack_point``)
+    from ``CoreRows(game).base``, priced by ``CoreRows.pricing``, the
+    pricing every strong region uses."""
     rows = CoreRows(game)
     price = rows.pricing(candidates)
-    return outcome(partial(generate_rows or linfeas.generate_rows, price=price), rows.base)
+    return outcome(partial(solve or linfeas.max_slack_point, price=price), rows.base)
 
 
 def test_row_generation_matches_the_frozen_solvers():
@@ -594,7 +595,7 @@ def test_row_generation_decides_core_systems_of_six_to_eight_players(monkeypatch
     # point is the whole system's when every row there keeps at least that
     # slack
     solved = []
-    monkeypatch.setattr(linfeas, "generate_rows", _recording_rows(solved.append))
+    monkeypatch.setattr(linfeas, "max_slack_point", _recording_rows(solved.append))
     verdicts = {}
     for label, game in _core_games(n).items():
         system = core_system(game)

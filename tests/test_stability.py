@@ -830,6 +830,14 @@ def test_repeated_sampled_block_has_one_region():
     assert any(r.method == "exact-search" and r.witness for r in seen.values())
 
 
+def _frozen_max_slack_point(system, price=None):
+    """``linfeas.max_slack_point`` with every round solved cold by the
+    frozen warm solver."""
+    if price is None:
+        return naive_warm_max_slack_point(system)
+    return naive_generate_rows(system, price, naive_warm_max_slack_point)
+
+
 @pytest.mark.parametrize(
     "game",
     [
@@ -846,8 +854,7 @@ def test_report_equals_the_frozen_solvers_report(monkeypatch, game):
     # when every round is solved cold by the frozen solvers
     got = stable_sets(game).to_dict()
     monkeypatch.setattr(linfeas, "feasible", naive_feasible)
-    monkeypatch.setattr(linfeas, "max_slack_point", naive_warm_max_slack_point)
-    monkeypatch.setattr(linfeas, "generate_rows", naive_generate_rows)
+    monkeypatch.setattr(linfeas, "max_slack_point", _frozen_max_slack_point)
     assert stable_sets(game).to_dict() == got
 
 
@@ -902,6 +909,53 @@ def test_regions_never_build_the_whole_core_system(monkeypatch):
     monkeypatch.setattr(stability, "core_system", refuse)
     assert stable_sets(game).to_dict() == want
     assert core_region(game, WEAK, canonical_witness=False).status == NONEMPTY
+
+
+def test_every_lp_solve_goes_through_a_named_entry(monkeypatch):
+    # the tracer times LP work at linfeas.feasible and max_slack_point: a
+    # strong region is one priced max-slack solve, and the weak search
+    # solves feasibility systems and priced max-slack systems, every one of
+    # them entering ``_lexmin`` through one of the two
+    calls, stray, inside = [], [], []
+    lexmin, feasible, max_slack_point = linfeas._lexmin, linfeas.feasible, linfeas.max_slack_point
+
+    def entered(call, solve, *args):
+        calls.append(call)
+        inside.append(call)
+        try:
+            return solve(*args)
+        finally:
+            inside.pop()
+
+    def guarded_lexmin(*args):
+        if not inside:
+            stray.append(args[0])
+        return lexmin(*args)
+
+    def entered_max_slack(system, price=None):
+        return entered(("max_slack_point", price is not None), max_slack_point, system, price)
+
+    monkeypatch.setattr(linfeas, "_lexmin", guarded_lexmin)
+    monkeypatch.setattr(linfeas, "feasible", lambda system: entered(("feasible", False), feasible, system))
+    monkeypatch.setattr(linfeas, "max_slack_point", entered_max_slack)
+    games = [
+        make(random.Random(seed), n)
+        for n in (4, 5, 6)
+        for seed in range(3)
+        for make in (random_exact_game, random_float_game, cut_game)
+    ]
+    methods = set()
+    for game in games:
+        assert size_values(game) is None
+        calls.clear()
+        strong = core_region(game, STRONG)
+        assert calls == [("max_slack_point", True)] and not stray
+        calls.clear()
+        weak = core_region(game, WEAK, strong=strong)
+        assert set(calls) <= {("feasible", False), ("max_slack_point", True)} and not stray
+        assert (weak.method == "exact-search") == bool(calls), weak.method
+        methods.add(weak.method)
+    assert {"strong-subset", "exact-search"} <= methods
 
 
 # ---------------------------------------------------------------------------
