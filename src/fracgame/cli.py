@@ -353,14 +353,13 @@ def _pair_stream(pairs: int, seed: int):
     for k in range(pairs):
         n = rng.randint(2, 5)
         pair_seed = rng.randrange(1 << 31)
-        yield k, n, pair_seed
+        yield k, n, pair_seed, *generate_ordered_pair(pair_seed, n)
 
 
-def _verify_inclusions(kind: str, args) -> dict:
+def _verify_inclusions(kind: str, args, pairs: list) -> dict:
     runner = verify_theorem1 if kind == "theorem" else verify_corollary
     reports = []
-    for k, n, pair_seed in _pair_stream(args.pairs, args.seed):
-        g1, g2 = generate_ordered_pair(pair_seed, n)
+    for k, n, pair_seed, g1, g2 in pairs:
         rep = runner(g1, g2, samples=args.samples, seed=pair_seed)
         reports.append({"pair": k, "n": n, "seed": pair_seed, **rep.to_dict()})
     return {
@@ -406,9 +405,11 @@ def _verify_prop2_suite(args) -> dict:
 
 
 def cmd_verify(args) -> int:
+    # generated on first use, and shared by both inclusion suites
+    pairs = functools.cache(lambda: list(_pair_stream(args.pairs, args.seed)))
     suites = {
-        "theorem": lambda: _verify_inclusions("theorem", args),
-        "corollary": lambda: _verify_inclusions("corollary", args),
+        "theorem": lambda: _verify_inclusions("theorem", args, pairs()),
+        "corollary": lambda: _verify_inclusions("corollary", args, pairs()),
         "prop1": lambda: _verify_prop1_suite(args),
         "prop2": lambda: _verify_prop2_suite(args),
     }

@@ -18,20 +18,22 @@ sequential LPs of the nucleolus (Kopelowitz 1967), behind three entries:
 one phase 1, then one phase-2 stage per objective on the same tableau (none
 for ``feasible``, one for ``minimize``, the slack and then each share for
 ``max_slack_point``), each restarting from the previous optimal basis and
-restricted to its optimal face; every point it returns is re-checked.  Many
-halfspaces (the strong core's 2^n - 2 coalitions, few of them tight) go
-through row generation (Hallefjord, Helming & Jornsten 1995) in the same
-driver, by ``max_slack_point`` with a caller's pricing, which names the row
-of least slack at the max-slack point, if below the optimal slack
-(``stability.CoreRows`` prices the strong core off one integer subset-sum
-table per point), so the strong core never lists its 2^n - 2 rows.  The row
-is appended to the optimal tableau with a surplus column of its own, its
-basic columns eliminated, and one artificial on it driven to zero by phase
-1 (a basis restart, as in Lemke 1954) before the stages re-run from that
-basis.  Max-slack points are unique, so the rounds end where cold solves
-would, on a point meeting every row, which the caller re-checks.  Vertices
-come from brute-force active-set intersection, which is entirely adequate
-at the dimensions this package targets.
+restricted to its optimal face; every point it returns is re-checked.
+``max_slack_point`` on a bare split simplex needs neither: its optimal
+tableau is written in closed form (``split_center``).  Many halfspaces (the
+strong core's 2^n - 2 coalitions, few of them tight) go through row
+generation (Hallefjord, Helming & Jornsten 1995) in the same driver, by
+``max_slack_point`` with a caller's pricing, which names the row of least
+slack at the max-slack point, read as integers over one scale, if below the
+optimal slack (``stability.CoreRows`` prices the strong core off one
+integer subset-sum table per point), so the strong core never lists its
+2^n - 2 rows.  The row is appended to the optimal tableau with a surplus
+column of its own, its basic columns eliminated, and one artificial on it
+driven to zero by phase 1 (a basis restart, as in Lemke 1954) before the
+stages re-run from that basis.  Max-slack points are unique, so the rounds
+end where cold solves would, on a point meeting every row, which the caller
+re-checks.  Vertices come from brute-force active-set intersection, which
+is entirely adequate at the dimensions this package targets.
 """
 
 from __future__ import annotations
@@ -278,31 +280,15 @@ def _take_row(tab, basis, row):
     return _drive_out(tab, basis, n)
 
 
-def _phase_two(tab, basis, cost, candidates):
-    """Minimize cost.x (integers) from the tableau's current feasible basis,
-    entering only the given columns.  Pivots in place; returns (status,
-    obj), where obj holds a positive multiple of the final reduced costs."""
-    obj = list(cost) + [0]
-    scale = 1  # obj is scale times the reduced costs built so far
-    for i, bi in enumerate(basis):
-        cb = cost[bi]
-        if cb:
-            row = tab[i]
-            s = row[bi]
-            k = scale * cb
-            obj = [s * o - k * r for o, r in zip(obj, row)]
-            scale *= s
-    obj = _reduced(obj)
-    return _pivot_loop(tab, obj, basis, candidates), obj
-
-
-def _basic_point(tab, basis, nv):
-    """The first nv coordinates of the basic solution, one Fraction each."""
-    x = [_F0] * nv
-    for i, bi in enumerate(basis):
+def _basic_terms(tab, basis, nv, low, unit):
+    """(terms, scale): the basic solution's first nv coordinates, terms[i] /
+    scale each, the shares shifted back by their bounds low[i] / unit."""
+    scale = math.lcm(unit, *(tab[i][bi] for i, bi in enumerate(basis) if bi < nv))
+    terms = [a * (scale // unit) for a in low] + [0] * (nv - len(low))
+    for row, bi in zip(tab, basis):
         if bi < nv:
-            x[bi] = Fraction(tab[i][-1], tab[i][bi])
-    return x
+            terms[bi] += row[-1] * (scale // row[bi])
+    return terms, scale
 
 
 # ---------------------------------------------------------------------------
@@ -371,15 +357,47 @@ def _tableau(system: LinearSystem, slack_var: bool):
     return tab, n, low, unit
 
 
+def split_center(low, unit):
+    """The max-slack point of the bare split simplex f_i >= low[i] / unit in
+    closed form, the leftover rest = unit - sum(low) spread evenly: (terms,
+    dim * unit), shares then slack, or None when rest < 0 (it is empty)."""
+    dim, rest = len(low), unit - sum(low)
+    return None if rest < 0 else ([dim * a + rest for a in low] + [rest], dim * unit)
+
+
+def _split_start(low, unit):
+    """``max_slack_point``'s optimal tableau on a bare split simplex, on
+    ``_tableau``'s columns: basis x_0..x_{dim-1}, t, surpluses s nonbasic,
+    rows dim*x_i + sum(s) - dim*s_i = dim*t + sum(s) = rest / unit (x_i = t
+    + s_i).  The only optimal basis unless rest is 0; None when empty."""
+    center = split_center(low, unit)
+    if center is None:
+        return None
+    (*_, rest), scale = center
+    dim = len(low)
+    tab = [[0] * (dim + 1) + [unit] * dim + [rest] for _ in range(dim + 1)]
+    for i, row in enumerate(tab[:dim]):
+        row[i], row[dim + 1 + i] = scale, unit - scale
+    tab[dim][dim] = scale
+    return list(map(_reduced, tab)), list(range(dim + 1))
+
+
 def _optimize(tab, basis, n, costs) -> None:
     """One phase-2 stage per cost (integer lists over the leading columns),
-    each from the previous optimal basis.  A nonbasic column with positive
-    reduced cost is zero on every optimal point of its stage, so dropping it
-    from the entering candidates keeps exactly the optimal face."""
+    each from the previous optimal basis, on a positive multiple of its
+    reduced costs.  A nonbasic column with positive reduced cost is zero on
+    every optimal point of its stage, so dropping it from the entering
+    candidates keeps exactly the optimal face."""
     candidates = range(n)
     for cost in costs:
-        status, obj = _phase_two(tab, basis, cost + [0] * (n - len(cost)), candidates)
-        if status == "unbounded":
+        obj = cost + [0] * (n + 1 - len(cost))
+        for row, bi in zip(tab, basis):
+            k = obj[bi]  # the basic column's cost, times the scale so far
+            if k:
+                s = row[bi]
+                obj = [s * o - k * r for o, r in zip(obj, row)]
+        obj = _reduced(obj)
+        if _pivot_loop(tab, obj, basis, candidates) == "unbounded":
             raise NumericFailure("objective unbounded; every variable needs a block")
         candidates = [j for j in candidates if obj[j] == 0]
 
@@ -389,21 +407,26 @@ def _lexmin(system: LinearSystem, costs, slack_var: bool = False, price=None):
     ``max_slack_point``: minimize the costs over the leading columns of
     ``_tableau`` in turn, by one phase 1, then ``_optimize``, re-run after
     each halfspace a ``price`` (see ``max_slack_point``) names at the
-    optimum is taken in by ``_take_row``.  Returns (point, slack variable
-    or None), re-checked against ``system``, or None when the rows taken in
-    so far are infeasible."""
+    optimum is taken in by ``_take_row``; a bare split simplex under the
+    slack stages starts at its optimum instead (``_split_start``).  Returns
+    (point, slack variable or None), re-checked against ``system``, or None
+    when the rows taken in so far are infeasible."""
     dim = system.dim
-    tab, n, low, unit = _tableau(system, slack_var)
-    found = _phase_one(tab, n)
+    split = slack_var and not system.halfspaces and system.blocks == ((1 << dim) - 1,)
+    if split:
+        low, unit = integer_terms(system.lower)
+        n, found = 2 * dim + 1, _split_start(low, unit)
+    else:
+        tab, n, low, unit = _tableau(system, slack_var)
+        found = _phase_one(tab, n)
     if found is None:
         return None
     tab, basis = found
-    while True:
+    if not split:
         _optimize(tab, basis, n, costs)
-        x = _basic_point(tab, basis, dim + slack_var)
-        point = tuple(xi + lb for xi, lb in zip(x, system.lower))
-        t = x[-1] if slack_var else None
-        row = price(point, t) if price else None
+    while True:
+        terms, scale = _basic_terms(tab, basis, dim + slack_var, low, unit)
+        row = price(terms[:dim], scale, terms[dim]) if price else None
         if row is None:
             break
         # coef*sum(x) - t - surplus = rhs - coef*sum(lower), surplus last
@@ -412,9 +435,11 @@ def _lexmin(system: LinearSystem, costs, slack_var: bool = False, price=None):
         tab = _take_row(tab, basis, _row(n + 1, mem, a, (dim, n - 1), d, r))
         if tab is None:
             return None
+        _optimize(tab, basis, n, costs)
+    point = tuple(Fraction(a, scale) for a in terms[:dim])
     if not satisfies(system, point):
         raise NumericFailure("simplex returned a point violating the system")
-    return point, t
+    return point, Fraction(terms[dim], scale) if slack_var else None
 
 
 def feasible(system: LinearSystem) -> tuple | None:
@@ -443,18 +468,21 @@ def max_slack_point(system: LinearSystem, price=None):
 
     Slack of a lower bound is f_i - lb_i; slack of a halfspace is
     coef*sum - rhs.  The stages maximize the slack t, then minimize f_0,
-    ..., f_{dim-1}.  Raises InfeasibleSystem when nothing is feasible.
+    ..., f_{dim-1}, after phase 1; a bare split simplex (one block, no
+    halfspaces) starts at their optimum, in closed form (``split_center``).
+    Raises InfeasibleSystem when nothing is feasible.
 
     With ``price``, halfspaces beyond ``system``'s are given lazily, by row
-    generation: ``price(point, t)`` returns ``(key, halfspace)`` for the
-    halfspace of least slack among those whose slack at the point is below
-    t, ties going to the lowest key, or None when there is none.  Each round
-    appends the priced halfspace to the last round's optimal tableau, until
-    there is none; the answer then meets every halfspace, so verdict and
-    max-slack point are the whole system's.  The max-slack point of each
-    restriction (``system`` plus the halfspaces taken in, in key order) is
-    unique, so it is the one a cold solve finds.  The caller re-checks the
-    answer against every priced halfspace.
+    generation: ``price(terms, scale, t)``, at the point terms / scale of
+    slack t / scale, returns ``(key, halfspace)`` for the halfspace of least
+    slack among those whose slack there is below t / scale, ties going to
+    the lowest key, or None when there is none.  Each round appends the
+    priced halfspace to the last round's optimal tableau, until there is
+    none; the answer then meets every halfspace, so verdict and max-slack
+    point are the whole system's.  The max-slack point of each restriction
+    (``system`` plus the halfspaces taken in, in key order) is unique, so it
+    is the one a cold solve finds.  The caller re-checks the answer against
+    every priced halfspace.
     """
     dim = system.dim
     costs = [[0] * dim + [-1]] + [[0] * i + [1] for i in range(dim)]

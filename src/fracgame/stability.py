@@ -251,17 +251,16 @@ class CoreRows:
 
     def pricing(self, candidates: Sequence[int]):
         """``linfeas.max_slack_point`` pricing over the candidate coalitions,
-        ascending and keyed by coalition, off the point's subset-sum table:
-        the order, and ties, of ``core_system``'s rows."""
+        ascending and keyed by coalition, off the subset-sum table of the
+        point's integer terms: the order, and ties, of ``core_system``'s rows."""
         values, full = self.values, self.full
         v_n = values[full]
 
-        def price(point, t):
-            terms, scale = integer_terms(point)
+        def price(terms, scale, t):
             sums = subset_sums(terms, full)
-            bar, den = t.numerator * v_n * scale, t.denominator
+            bar = v_n * t
             slacks = ((v_n * sums[c] - values[c] * scale, c) for c in candidates)
-            worst = min((s for s in slacks if s[0] * den < bar), default=None)
+            worst = min((s for s in slacks if s[0] < bar), default=None)
             return None if worst is None else (worst[1], self.halfspace(worst[1]))
 
         return price
@@ -309,13 +308,13 @@ def split_vertices(game: Game, block: int) -> list[tuple]:
 
 
 def _centered_boundary_point(game: Game, block: int) -> tuple | None:
-    """Max-slack point of a bare split simplex, computed in closed form:
-    spread the leftover evenly.  None when the simplex is empty."""
+    """Max-slack point of a block's bare split simplex, in closed form
+    (``linfeas.split_center``).  None when the simplex is empty."""
     whole, lone = split_terms(game, block)
-    rest, k = whole - sum(lone), len(lone)
-    if rest < 0:
+    center = linfeas.split_center(lone, whole)
+    if center is None:
         return None
-    return _finish_witness(game, (Fraction(k * a + rest, k * whole) for a in lone))
+    return _finish_witness(game, (Fraction(a, center[1]) for a in center[0][:-1]))
 
 
 def _finish_witness(game: Game, point) -> tuple:

@@ -886,14 +886,17 @@ def naive_generate_rows(base: linfeas.LinearSystem, price, solve=None):
     cold on its restricted system (``base`` plus the rows taken in, in key
     order) by the unpriced solver ``solve`` (default: the library's
     ``linfeas.max_slack_point``), so a test can hand every round to the
-    frozen solvers."""
+    frozen solvers.  ``price`` sees each round's Fraction point and slack
+    as integer terms over their common denominator."""
     solve = solve or linfeas.max_slack_point
     taken = {}
     while True:
         rows = tuple(taken[k] for k in sorted(taken))
         restricted = linfeas.LinearSystem(base.dim, base.lower, base.blocks, base.halfspaces + rows)
         found = point, t = solve(restricted)
-        row = price(point, t)
+        scale = math.lcm(*(x.denominator for x in (*point, t)))
+        terms = [x.numerator * scale // x.denominator for x in point]
+        row = price(terms, scale, t.numerator * scale // t.denominator)
         if row is None:
             return found
         taken[row[0]] = row[1]

@@ -346,6 +346,28 @@ def test_verify_all_writes_reports_deterministically(tmp_path, capsys):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def test_verify_all_generates_each_pair_once(monkeypatch, tmp_path, capsys):
+    # both inclusion suites judge one generated list of pairs, and write
+    # the reports each suite prints when it runs alone
+    generated = []
+    generate = cli.generate_ordered_pair
+
+    def counting(seed, n):
+        generated.append((seed, n))
+        return generate(seed, n)
+
+    monkeypatch.setattr(cli, "generate_ordered_pair", counting)
+    argv = ["--pairs", "3", "--samples", "20", "--seed", "4"]
+    assert run(["verify", "all", *argv, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert len(generated) == len(set(generated)) == 3
+    for suite in ("theorem", "corollary"):
+        generated.clear()
+        assert run(["verify", suite, *argv]) == 0
+        assert capsys.readouterr().out == (tmp_path / f"verify-{suite}.json").read_text()
+        assert len(generated) == 3
+
+
 def test_console_script_entry_point(super3_path):
     proc = subprocess.run(
         [sys.executable, "-m", "fracgame.cli", "validate", super3_path],

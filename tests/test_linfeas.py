@@ -117,13 +117,19 @@ def test_minimize_none_when_infeasible_and_slack_raises():
         partial(minimize, cost=[1, 0, 0]),
         max_slack_point,
         # the row-generation rounds, with a pricing that names no row
-        pytest.param(partial(max_slack_point, price=lambda point, t: None), id="max_slack_point-priced"),
+        pytest.param(partial(max_slack_point, price=lambda terms, scale, t: None), id="max_slack_point-priced"),
     ],
 )
 def test_every_solver_rechecks_its_point(monkeypatch, solve):
-    # a basic point off the system is refused, never handed back
-    basic_point = linfeas._basic_point
-    monkeypatch.setattr(linfeas, "_basic_point", lambda *a: [x + 1 for x in basic_point(*a)])
+    # a basic point off the system (every coordinate one higher) is
+    # refused, never handed back
+    basic_terms = linfeas._basic_terms
+
+    def moved(*args):
+        terms, scale = basic_terms(*args)
+        return [a + scale for a in terms], scale
+
+    monkeypatch.setattr(linfeas, "_basic_terms", moved)
     with pytest.raises(NumericFailure, match="violating the system"):
         solve(simplex(3, [0, 0, 0]))
 
@@ -301,8 +307,8 @@ def _recording_rows(record):
     def wrapped(base, price):
         taken = {}
 
-        def recording(point, t):
-            row = price(point, t)
+        def recording(terms, scale, t):
+            row = price(terms, scale, t)
             if row is not None:
                 taken[row[0]] = row[1]
                 rows = tuple(taken[k] for k in sorted(taken))
@@ -494,11 +500,14 @@ def test_row_generation_matches_the_cold_driver():
     assert infeasible >= 20
 
 
-def test_max_slack_rounds_run_one_phase_one_and_every_warm_branch(monkeypatch):
-    # each call solves its first restriction cold and every later round
-    # warm; an appended row proves infeasibility, and the artificial of an
-    # appended row is driven out at zero level (its row always keeps its own
-    # surplus column, so it is never deleted as redundant)
+def test_max_slack_rounds_run_phase_one_only_off_the_split_simplex_and_every_warm_branch(monkeypatch):
+    # a priced solve from the bare split simplex starts from its optimum in
+    # closed form, with no phase 1; from a system listing one of the rows
+    # it starts cold, by one phase 1; every later round is warm, and both
+    # end on the same point.  An appended row proves infeasibility, and the
+    # artificial of an appended row is driven out at zero level (its row
+    # always keeps its own surplus column, so it is never deleted as
+    # redundant)
     counts = {"phase one": 0, "rows": 0, "infeasible": 0, "driven out": 0}
     phase_one, take_row, drive_out = linfeas._phase_one, linfeas._take_row, linfeas._drive_out
     warm = []
@@ -530,12 +539,112 @@ def test_max_slack_rounds_run_one_phase_one_and_every_warm_branch(monkeypatch):
     monkeypatch.setattr(linfeas, "_phase_one", counting_phase_one)
     monkeypatch.setattr(linfeas, "_take_row", counting_take_row)
     monkeypatch.setattr(linfeas, "_drive_out", counting_drive_out)
+    listed = 0
     for _, game, candidates in cases:
         before = counts["phase one"]
-        _generated(game, candidates)
-        assert counts["phase one"] == before + 1
+        got = _generated(game, candidates)
+        assert counts["phase one"] == before
+        if candidates:
+            rows = CoreRows(game)
+            priced = partial(max_slack_point, price=rows.pricing(candidates))
+            assert outcome(priced, rows.restricted(candidates[:1])) == got
+            assert counts["phase one"] == before + 1
+            listed += 1
+    assert listed > len(cases) // 2
     assert counts["rows"] > len(cases) // 2
     assert counts["infeasible"] >= 20 and counts["driven out"] >= 1, counts
+
+
+def _listed_pricing(rows):
+    """A pricing over listed halfspaces keyed by their index, on one
+    Fraction sum per row: the row of least slack below the slack, ties to
+    the lowest index."""
+
+    def price(terms, scale, t):
+        point = [Fraction(a, scale) for a in terms]
+        slacks = ((h.coef * sum(point[i] for i in members(h.support)) - h.rhs, k) for k, h in enumerate(rows))
+        worst = min((s for s in slacks if s[0] < Fraction(t, scale)), default=None)
+        return None if worst is None else (worst[1], rows[worst[1]])
+
+    return price
+
+
+def _split_simplex_cases():
+    """Bare split simplices of two to eight variables, labelled by their
+    leftover: loose (positive), tight (zero: the simplex is one point, a
+    degenerate start), empty (negative), and float (a float game's grand
+    split simplex, whose bounds carry denominators of 54 bits or more);
+    each with seeded halfspaces for a pricing to name."""
+    rng, out = random.Random(3303), []
+    for dim in range(2, 9):
+        full = (1 << dim) - 1
+        for k in range(12):
+            label = ("loose", "tight", "empty", "float")[k % 4]
+            den = rng.choice([6, 12, 35])
+            if label == "float":
+                game = random_float_game(rng, dim)
+                rows = CoreRows(game)
+                out.append((label, rows.base, [rows.halfspace(rng.randrange(1, full)) for _ in range(4)]))
+                continue
+            if label == "loose":
+                lower = [Fraction(rng.randrange(0, 4), den * dim) for _ in range(dim)]
+            else:
+                weights = [rng.randint(1, 4) for _ in range(dim)]
+                grow = 1 if label == "tight" else Fraction(den + 1, den)
+                lower = [grow * Fraction(w, sum(weights)) for w in weights]
+            cuts = []
+            for _ in range(rng.randrange(1, 6)):
+                support = rng.randrange(1, full)
+                share = Fraction(support.bit_count(), dim) * Fraction(rng.randrange(den, 2 * den), den)
+                cuts.append((rng.randint(1, 3), support, share))
+            system = linear_system(dim, lower, [full], cuts)
+            out.append((label, replace(system, halfspaces=()), list(system.halfspaces)))
+    return out
+
+
+def test_split_simplex_starts_from_the_frozen_solvers_optimum(monkeypatch):
+    # a bare split simplex's max-slack point is written in closed form,
+    # with no pivot (an empty one raises with no pivot either); priced
+    # rounds from that tableau end on the frozen solvers' point of the
+    # whole system, so a wrong entry anywhere in it shows
+    pivots = []
+    pivot = linfeas._pivot
+
+    def counting_pivot(tab, basis, row, col):
+        pivots.append(col)
+        pivot(tab, basis, row, col)
+
+    monkeypatch.setattr(linfeas, "_pivot", counting_pivot)
+    seen, taken, den_bits = {}, 0, 0
+    for label, base, rows in _split_simplex_cases():
+        whole = replace(base, halfspaces=tuple(rows))
+        pivots.clear()
+        got = outcome(max_slack_point, base)
+        assert not pivots, label
+        # the cold reference only where it is cheap
+        frozen = (_frozen_warm, _frozen_cold) if base.dim <= 4 else (_frozen_warm,)
+        assert all(got == solve(base) for solve in frozen), label
+        if label != "float":
+            assert (got is None) == (label == "empty"), label
+        if label == "tight":
+            assert got == (base.lower, 0)
+        price, named = _listed_pricing(rows), []
+
+        def recording(*args):
+            named.append(price(*args))
+            return named[-1]
+
+        priced = outcome(partial(max_slack_point, price=recording), base)
+        assert all(priced == solve(whole) for solve in frozen), label
+        if got is None:
+            assert named == [] and not pivots, label
+        taken += any(named)
+        seen.setdefault(label, set()).add((base.dim, priced is None))
+        if label == "float":
+            den_bits = max(den_bits, *(lb.denominator.bit_length() for lb in base.lower))
+    assert all(len({dim for dim, _ in seen[label]}) == 7 for label in seen), seen
+    assert {none for _, none in seen["loose"] | seen["tight"] | seen["float"]} == {True, False}, seen
+    assert taken >= 30 and den_bits >= 54
 
 
 def test_row_generation_never_prices_a_row_twice(monkeypatch):
@@ -549,10 +658,11 @@ def test_row_generation_never_prices_a_row_twice(monkeypatch):
         price, priced, game = pricing(self, candidates), set(), solving[-1]
         ratio = {c: Fraction(game.values[c]) / Fraction(game.values[game.grand]) for c in candidates}
 
-        def wrapped(point, t):
-            row = price(point, t)
+        def wrapped(terms, scale, t):
+            row = price(terms, scale, t)
+            point = [Fraction(a, scale) for a in terms]
             slacks = ((sum(point[i] for i in members(c)) - ratio[c], c) for c in candidates)
-            worst = min((s for s in slacks if s[0] < t), default=None)
+            worst = min((s for s in slacks if s[0] < Fraction(t, scale)), default=None)
             assert (row and row[0]) == (worst and worst[1])
             if row is not None:
                 assert row[0] not in priced, "a row taken in was priced again"

@@ -871,8 +871,8 @@ def test_row_generation_rechecks_every_coalition(monkeypatch):
     def recording(self, candidates):
         price = pricing(self, candidates)
 
-        def wrapped(point, t):
-            row = price(point, t)
+        def wrapped(terms, scale, t):
+            row = price(terms, scale, t)
             if row is not None:
                 taken.append(row[0])
             return row
@@ -885,9 +885,9 @@ def test_row_generation_rechecks_every_coalition(monkeypatch):
     def skipping(self, candidates):
         price = pricing(self, candidates)
 
-        def wrapped(point, t):
+        def wrapped(terms, scale, t):
             # the first coalition taken in is reported as no violation
-            row = price(point, t)
+            row = price(terms, scale, t)
             return None if row and row[0] == taken[0] else row
 
         return wrapped
