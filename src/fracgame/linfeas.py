@@ -1,7 +1,7 @@
-"""Exact linear feasibility for block share systems.
+"""Exact linear feasibility for a split simplex cut by halfspaces.
 
 Variables are shares f_0..f_{dim-1}.  A system couples per-variable lower
-bounds, one sum-to-one equality per variable block, and half-spaces
+bounds, the split equality sum(f_i) = 1, and half-spaces
 
     coef * sum(f_i for i in support)  >=  rhs.
 
@@ -70,11 +70,10 @@ class Halfspace:
 class LinearSystem:
     dim: int
     lower: tuple[Fraction, ...]
-    blocks: tuple[int, ...]
     halfspaces: tuple[Halfspace, ...] = ()
 
 
-def linear_system(dim, lower, blocks, halfspaces=()) -> LinearSystem:
+def linear_system(dim, lower, halfspaces=()) -> LinearSystem:
     """Validating constructor; accepts halfspaces as (coef, support, rhs)."""
     if dim < 1:
         raise ValueError("need at least one variable")
@@ -82,12 +81,6 @@ def linear_system(dim, lower, blocks, halfspaces=()) -> LinearSystem:
     if len(lower) != dim:
         raise ValueError(f"expected {dim} lower bounds, got {len(lower)}")
     full = (1 << dim) - 1
-    seen = 0
-    blocks = tuple(int(b) for b in blocks)
-    for b in blocks:
-        if b == 0 or b & ~full or b & seen:
-            raise ValueError("blocks must be nonempty, in range, and disjoint")
-        seen |= b
     hs = []
     for coef, support, rhs in halfspaces:
         support = int(support)
@@ -97,7 +90,7 @@ def linear_system(dim, lower, blocks, halfspaces=()) -> LinearSystem:
         if coef <= 0:
             raise ValueError("halfspace coefficient must be positive")
         hs.append(Halfspace(coef, support, _frac(rhs)))
-    return LinearSystem(dim, lower, blocks, tuple(hs))
+    return LinearSystem(dim, lower, tuple(hs))
 
 
 def satisfies(system: LinearSystem, point) -> bool:
@@ -111,9 +104,8 @@ def satisfies(system: LinearSystem, point) -> bool:
     for t, lb in zip(terms, system.lower):
         if t * lb.denominator < lb.numerator * scale:
             return False
-    for b in system.blocks:
-        if sum(terms[i] for i in members(b)) != scale:
-            return False
+    if sum(terms) != scale:
+        return False
     for h in system.halfspaces:
         # coef * total / scale >= rhs
         coef, rhs = h.coef, h.rhs
@@ -202,20 +194,22 @@ def _pivot_loop(tab, obj, basis, candidates) -> str:
             obj[:] = _reduced([piv * o - delta * p for o, p in zip(obj, prow)])
 
 
-def _drive_out(tab, basis, n):
-    """The end of a phase 1 that reached zero: each artificial still basic
-    (a column from n on, at zero level) is pivoted out onto the first
-    nonzero column of its row, or its row is deleted when there is none (a
-    redundant row).  Returns the rows without the artificial columns."""
+def _end_phase_one(tab, obj, basis, n, candidates):
+    """Phase 1 from a basis with artificial columns (from n on) under the
+    objective ``obj`` minimizing them: the pivot loop over the candidate
+    columns, then, when it reached zero, each artificial still basic (at
+    zero level) pivoted out onto the first nonzero column of its row.  There
+    is always one: every row but the split equality has a surplus column of
+    its own, so the rows are linearly independent.  Returns the rows without
+    the artificial columns, or None when the system is infeasible."""
+    status = _pivot_loop(tab, obj, basis, candidates)
+    if status != "optimal":  # pragma: no cover - phase 1 is always bounded
+        raise NumericFailure("phase-1 simplex reported unbounded")
+    if -obj[-1] > 0:
+        return None
     for i in range(len(tab) - 1, -1, -1):
-        if basis[i] < n:
-            continue
-        col = next((j for j in range(n) if tab[i][j] != 0), None)
-        if col is None:
-            del tab[i]
-            del basis[i]
-        else:
-            _pivot(tab, basis, i, col)
+        if basis[i] >= n:
+            _pivot(tab, basis, i, next(j for j in range(n) if tab[i][j]))
     return [_reduced(row[:n] + row[-1:]) for row in tab]
 
 
@@ -224,8 +218,8 @@ def _phase_one(tab, n):
     rows of ``_tableau`` (artificial columns n..n+m-1 already in place).
 
     Returns (tab, basis): a tableau in a feasible basis of structural
-    columns, with redundant rows and the artificial columns removed, so each
-    row is n coefficients plus its right-hand side.  None when infeasible.
+    columns, every row kept and the artificial columns removed, so each row
+    is n coefficients plus its right-hand side.  None when infeasible.
     """
     m = len(tab)
     basis = list(range(n, n + m))
@@ -237,13 +231,8 @@ def _phase_one(tab, n):
         k = scale // row[n + i]
         obj = [o - k * v for o, v in zip(obj, row)]
     obj[n : n + m] = [0] * m
-    obj = _reduced(obj)
-    status = _pivot_loop(tab, obj, basis, range(n + m))
-    if status != "optimal":  # pragma: no cover - phase 1 is always bounded
-        raise NumericFailure("phase-1 simplex reported unbounded")
-    if -obj[-1] > 0:
-        return None
-    return _drive_out(tab, basis, n), basis
+    found = _end_phase_one(tab, _reduced(obj), basis, n, range(n + m))
+    return None if found is None else (found, basis)
 
 
 def _take_row(tab, basis, row):
@@ -272,12 +261,7 @@ def _take_row(tab, basis, row):
     # minimize the artificial: reduced cost -row outside its column
     obj = [-a for a in row]
     obj[n] = 0
-    status = _pivot_loop(tab, obj, basis, range(n))
-    if status != "optimal":  # pragma: no cover - phase 1 is always bounded
-        raise NumericFailure("phase-1 simplex reported unbounded")
-    if -obj[-1] > 0:
-        return None
-    return _drive_out(tab, basis, n)
+    return _end_phase_one(tab, obj, basis, n, range(n))
 
 
 def _basic_terms(tab, basis, nv, low, unit):
@@ -331,7 +315,7 @@ def _tableau(system: LinearSystem, slack_var: bool):
     Columns: the dim shifted shares (plus a trailing slack variable t when
     requested), one surplus column per inequality, then one artificial
     column per row, then the right-hand side; n counts the columns before
-    the artificials.  Rows: each block's equality, then each halfspace's
+    the artificials.  Rows: the split equality, then each halfspace's
     coef*sum(x) [- t] - surplus = rhs - coef*sum(lower), then with the slack
     x_i - t - surplus = 0.  A row is the primitive integer multiple of its
     rational row (artificial entry 1), negated first if its right-hand side
@@ -341,12 +325,9 @@ def _tableau(system: LinearSystem, slack_var: bool):
     nh = len(system.halfspaces)
     ns = nh + dim if slack_var else nh
     n = nv + ns
-    width = n + len(system.blocks) + ns + 1
+    width = n + 1 + ns + 1
     low, unit = integer_terms(system.lower)
-    tab = []
-    for b in system.blocks:
-        mem = members(b)
-        tab.append(_row(width, mem, unit, (), unit, unit - sum(low[i] for i in mem), n + len(tab)))
+    tab = [_row(width, range(dim), unit, (), unit, unit - sum(low), n)]
     slack = (dim,) if slack_var else ()
     for k, h in enumerate(system.halfspaces):
         mem, a, d, r = _halfspace_terms(h, low, unit)
@@ -397,8 +378,9 @@ def _optimize(tab, basis, n, costs) -> None:
                 s = row[bi]
                 obj = [s * o - k * r for o, r in zip(obj, row)]
         obj = _reduced(obj)
-        if _pivot_loop(tab, obj, basis, candidates) == "unbounded":
-            raise NumericFailure("objective unbounded; every variable needs a block")
+        status = _pivot_loop(tab, obj, basis, candidates)
+        if status != "optimal":  # pragma: no cover - the split simplex is bounded
+            raise NumericFailure("phase-2 simplex reported unbounded")
         candidates = [j for j in candidates if obj[j] == 0]
 
 
@@ -412,7 +394,7 @@ def _lexmin(system: LinearSystem, costs, slack_var: bool = False, price=None):
     (point, slack variable or None), re-checked against ``system``, or None
     when the rows taken in so far are infeasible."""
     dim = system.dim
-    split = slack_var and not system.halfspaces and system.blocks == ((1 << dim) - 1,)
+    split = slack_var and not system.halfspaces
     if split:
         low, unit = integer_terms(system.lower)
         n, found = 2 * dim + 1, _split_start(low, unit)
@@ -451,7 +433,7 @@ def feasible(system: LinearSystem) -> tuple | None:
 
 def minimize(system: LinearSystem, cost):
     """Minimize sum(cost[i]*f_i); returns (value, point) or None when the
-    system is infeasible.  Raises on an unbounded objective."""
+    system is infeasible."""
     if len(cost) != system.dim:
         raise ValueError("cost vector length must match dim")
     cvec = [_frac(c) for c in cost]
@@ -468,8 +450,8 @@ def max_slack_point(system: LinearSystem, price=None):
 
     Slack of a lower bound is f_i - lb_i; slack of a halfspace is
     coef*sum - rhs.  The stages maximize the slack t, then minimize f_0,
-    ..., f_{dim-1}, after phase 1; a bare split simplex (one block, no
-    halfspaces) starts at their optimum, in closed form (``split_center``).
+    ..., f_{dim-1}, after phase 1; a bare split simplex (no halfspaces)
+    starts at their optimum, in closed form (``split_center``).
     Raises InfeasibleSystem when nothing is feasible.
 
     With ``price``, halfspaces beyond ``system``'s are given lazily, by row
@@ -525,15 +507,12 @@ def vertices(system: LinearSystem, cap: int = VERTEX_DIM_CAP) -> list[tuple]:
     def row(support, coef):
         return [coef if support >> i & 1 else _F0 for i in range(dim)]
 
-    eq_rows = [(row(b, _F1), _F1) for b in system.blocks]
+    split = ([_F1] * dim, _F1)
     ineqs = [(row(1 << i, _F1), lb) for i, lb in enumerate(system.lower)]
     ineqs += [(row(h.support, h.coef), h.rhs) for h in system.halfspaces]
-    need = dim - len(eq_rows)
-    if need < 0:
-        return []
     found = set()
-    for combo in itertools.combinations(range(len(ineqs)), need):
-        rows = eq_rows + [ineqs[k] for k in combo]
+    for combo in itertools.combinations(range(len(ineqs)), dim - 1):
+        rows = [split] + [ineqs[k] for k in combo]
         point = _solve_square(rows)
         if point is None:
             continue

@@ -233,7 +233,7 @@ class CoreRows:
         self.full = full = game.grand
         self.values = integer_terms((0, *game.values[1:]))[0]
         whole, lone = split_terms(game, full)
-        self.base = linfeas.linear_system(game.n, [Fraction(a, whole) for a in lone], (full,))
+        self.base = linfeas.linear_system(game.n, [Fraction(a, whole) for a in lone])
 
     def halfspace(self, c: int) -> linfeas.Halfspace:
         return linfeas.Halfspace(_F1, c, Fraction(self.values[c], self.values[self.full]))

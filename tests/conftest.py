@@ -508,7 +508,7 @@ def naive_weak_region_exact(game, canonical_witness):
     v_n = Fraction(game.values[full])
     ratio = {c: Fraction(game.values[c]) / v_n for c in coalitions(n) if c != full}
     lower = [Fraction(game.values[1 << i]) / v_n for i in range(n)]
-    base = linfeas.linear_system(n, lower, (full,))
+    base = linfeas.linear_system(n, lower)
     start = linfeas.feasible(base)
     if start is None:
         return CoreRegion(EMPTY, None, "boundary")
@@ -523,7 +523,7 @@ def naive_weak_region_exact(game, canonical_witness):
 
     def system_for(committed):
         hs = [(1, c, ratio[c]) for c in sorted(committed)]
-        return linfeas.linear_system(n, base.lower, base.blocks, hs)
+        return linfeas.linear_system(n, base.lower, hs)
 
     failed: set[tuple[int, frozenset]] = set()
 
@@ -713,17 +713,11 @@ def naive_two_phase(a_rows, b_vals, cost):
 
 def _naive_assemble(system: linfeas.LinearSystem, slack_var: bool):
     """Equality/inequality rows over nv variables: the dim shifted shares,
-    plus one trailing slack variable when requested."""
+    plus one trailing slack variable when requested.  The one equality is
+    the split: the shifted shares sum to 1 - sum(lower)."""
     dim = system.dim
     nv = dim + 1 if slack_var else dim
-    eqs = []
-    for b in system.blocks:
-        row = [_F0] * nv
-        shift = _F0
-        for i in members(b):
-            row[i] = _F1
-            shift += system.lower[i]
-        eqs.append((row, _F1 - shift))
+    eqs = [([_F1] * dim + [_F0] * (nv - dim), _F1 - sum(system.lower))]
     ges = []
     for h in system.halfspaces:
         row = [_F0] * nv
@@ -770,12 +764,13 @@ def _naive_lp(nv, eqs, ges, cost):
 
 def naive_satisfies(system: linfeas.LinearSystem, point) -> bool:
     """Reference for linfeas.satisfies without tolerance: one Fraction sum
-    per block and per halfspace, each constraint compared as it reads."""
+    for the split and one per halfspace, each constraint compared as it
+    reads."""
     if len(point) != system.dim:
         return False
     if any(x < lb for x, lb in zip(point, system.lower)):
         return False
-    if any(sum(point[i] for i in members(b)) != 1 for b in system.blocks):
+    if sum(point) != 1:
         return False
     return all(
         h.coef * sum(point[i] for i in members(h.support)) >= h.rhs for h in system.halfspaces
@@ -892,7 +887,7 @@ def naive_generate_rows(base: linfeas.LinearSystem, price, solve=None):
     taken = {}
     while True:
         rows = tuple(taken[k] for k in sorted(taken))
-        restricted = linfeas.LinearSystem(base.dim, base.lower, base.blocks, base.halfspaces + rows)
+        restricted = linfeas.LinearSystem(base.dim, base.lower, base.halfspaces + rows)
         found = point, t = solve(restricted)
         scale = math.lcm(*(x.denominator for x in (*point, t)))
         terms = [x.numerator * scale // x.denominator for x in point]

@@ -42,69 +42,55 @@ from conftest import (
 )
 
 
-def simplex(dim, lower, halfspaces=()):
-    return linear_system(dim, lower, [(1 << dim) - 1], halfspaces)
-
-
 def test_constructor_rejects_garbage():
     with pytest.raises(ValueError):
-        linear_system(2, [0], [3])
+        linear_system(2, [0])
     with pytest.raises(ValueError):
-        linear_system(2, [0, 0], [1, 3])  # overlapping blocks
+        linear_system(2, [0, 0], [(0, 3, 1)])  # zero coefficient
     with pytest.raises(ValueError):
-        linear_system(2, [0, 0], [3], [(0, 3, 1)])  # zero coefficient
-    with pytest.raises(ValueError):
-        linear_system(2, [0, 0], [3], [(1, 4, 1)])  # support out of range
+        linear_system(2, [0, 0], [(1, 4, 1)])  # support out of range
     with pytest.raises(NumericFailure):
-        linear_system(2, [float("inf"), 0], [3])
+        linear_system(2, [float("inf"), 0])
 
 
 def test_plain_simplex_is_feasible():
-    sys_ = simplex(3, [0, 0, 0])
+    sys_ = linear_system(3, [0, 0, 0])
     point = feasible(sys_)
     assert point is not None and satisfies(sys_, point)
 
 
 def test_tight_lower_bounds():
     # lower bounds already sum to 1: the single feasible point
-    sys_ = simplex(2, [Fraction(1, 4), Fraction(3, 4)])
+    sys_ = linear_system(2, [Fraction(1, 4), Fraction(3, 4)])
     assert feasible(sys_) == (Fraction(1, 4), Fraction(3, 4))
     # bounds overshoot: infeasible
-    assert feasible(simplex(2, [Fraction(1, 2), Fraction(2, 3)])) is None
+    assert feasible(linear_system(2, [Fraction(1, 2), Fraction(2, 3)])) is None
 
 
 def test_halfspace_cuts():
     # f0 + f1 = 1, f0 >= 0, f1 >= 0, 2*f0 >= 3 is impossible (f0 <= 1)
-    assert feasible(simplex(2, [0, 0], [(2, 1, 3)])) is None
+    assert feasible(linear_system(2, [0, 0], [(2, 1, 3)])) is None
     # 2*f0 >= 1 is fine
-    sys_ = simplex(2, [0, 0], [(2, 1, 1)])
+    sys_ = linear_system(2, [0, 0], [(2, 1, 1)])
     point = feasible(sys_)
     assert point is not None and point[0] >= Fraction(1, 2)
 
 
-def test_multiple_blocks():
-    sys_ = linear_system(4, [0, 0, 0, 0], [0b0011, 0b1100], [(1, 0b0101, Fraction(3, 2))])
-    point = feasible(sys_)
-    assert point is not None
-    assert point[0] + point[1] == 1 and point[2] + point[3] == 1
-    assert point[0] + point[2] >= Fraction(3, 2)
-
-
 def test_minimize_linear_objective():
     # min f0 subject to the simplex with f0 + f1 >= ... trivial: f0 -> 0
-    sys_ = simplex(3, [Fraction(1, 10), 0, 0])
+    sys_ = linear_system(3, [Fraction(1, 10), 0, 0])
     value, point = minimize(sys_, [1, 0, 0])
     assert value == Fraction(1, 10)
     assert satisfies(sys_, point)
     # maximize f0 via minimizing -f0: hits 1 minus other lower bounds
     value, point = minimize(sys_, [-1, 0, 0])
     assert value == -1
-    value, point = minimize(simplex(3, [Fraction(1, 10), Fraction(1, 5), 0]), [-1, 0, 0])
+    value, point = minimize(linear_system(3, [Fraction(1, 10), Fraction(1, 5), 0]), [-1, 0, 0])
     assert value == Fraction(-4, 5)
 
 
 def test_minimize_none_when_infeasible_and_slack_raises():
-    bad = simplex(2, [Fraction(3, 4), Fraction(1, 2)])
+    bad = linear_system(2, [Fraction(3, 4), Fraction(1, 2)])
     assert minimize(bad, [1, 1]) is None
     with pytest.raises(InfeasibleSystem):
         max_slack_point(bad)
@@ -131,13 +117,13 @@ def test_every_solver_rechecks_its_point(monkeypatch, solve):
 
     monkeypatch.setattr(linfeas, "_basic_terms", moved)
     with pytest.raises(NumericFailure, match="violating the system"):
-        solve(simplex(3, [0, 0, 0]))
+        solve(linear_system(3, [0, 0, 0]))
 
 
 def test_max_slack_frozen_example():
     # simplex with lower bounds 0 plus the halfspace f0 + f1 >= 5/6 on four
     # variables; slack-maximizing point computed once by hand
-    sys_ = simplex(4, [0, 0, 0, 0], [(1, 0b0011, Fraction(5, 6))])
+    sys_ = linear_system(4, [0, 0, 0, 0], [(1, 0b0011, Fraction(5, 6))])
     point, slack = max_slack_point(sys_)
     assert slack == Fraction(1, 18)
     assert point == (Fraction(1, 18), Fraction(5, 6), Fraction(1, 18), Fraction(1, 18))
@@ -145,20 +131,20 @@ def test_max_slack_frozen_example():
 
 
 def test_max_slack_bare_simplex_centroid():
-    point, slack = max_slack_point(simplex(3, [0, 0, 0]))
+    point, slack = max_slack_point(linear_system(3, [0, 0, 0]))
     assert point == (Fraction(1, 3),) * 3
     assert slack == Fraction(1, 3)
 
 
 def test_max_slack_deterministic_and_canonical():
-    sys_ = simplex(3, [0, Fraction(1, 6), 0], [(2, 0b011, Fraction(1, 2))])
+    sys_ = linear_system(3, [0, Fraction(1, 6), 0], [(2, 0b011, Fraction(1, 2))])
     first = max_slack_point(sys_)
     second = max_slack_point(sys_)
     assert first == second
 
 
 def test_vertices_of_plain_simplex():
-    got = vertices(simplex(3, [0, 0, 0]))
+    got = vertices(linear_system(3, [0, 0, 0]))
     want = sorted(
         [(Fraction(1), Fraction(0), Fraction(0)),
          (Fraction(0), Fraction(1), Fraction(0)),
@@ -168,7 +154,7 @@ def test_vertices_of_plain_simplex():
 
 
 def test_vertices_respect_halfspaces():
-    sys_ = simplex(2, [0, 0], [(2, 1, 1)])
+    sys_ = linear_system(2, [0, 0], [(2, 1, 1)])
     assert vertices(sys_) == [(Fraction(1, 2), Fraction(1, 2)), (Fraction(1), Fraction(0))]
 
 
@@ -181,7 +167,7 @@ def test_vertices_all_satisfy_and_span():
         for _ in range(rng.randrange(0, 3)):
             support = rng.randrange(1, 1 << dim)
             cuts.append((1, support, Fraction(rng.randrange(0, 10), 12)))
-        sys_ = simplex(dim, lower, cuts)
+        sys_ = linear_system(dim, lower, cuts)
         verts = vertices(sys_)
         for v in verts:
             assert satisfies(sys_, v)
@@ -209,8 +195,8 @@ def test_feasible_agrees_between_float_and_fraction_inputs():
         lower_f = [rng.randrange(0, 9) / 16 for _ in range(dim)]
         cut_support = rng.randrange(1, 1 << dim)
         cut_rhs = rng.randrange(0, 17) / 16
-        sys_float = simplex(dim, lower_f, [(1.0, cut_support, cut_rhs)])
-        sys_frac = simplex(
+        sys_float = linear_system(dim, lower_f, [(1.0, cut_support, cut_rhs)])
+        sys_frac = linear_system(
             dim,
             [Fraction(x) for x in lower_f],
             [(Fraction(1), cut_support, Fraction(cut_rhs))],
@@ -226,7 +212,7 @@ def test_minimize_value_bounds_sampled_points():
     for _ in range(50):
         dim = rng.randint(2, 4)
         lower = [Fraction(rng.randrange(0, 2), 8) for _ in range(dim)]
-        sys_ = simplex(dim, lower, [(1, rng.randrange(1, 1 << dim), Fraction(1, 3))])
+        sys_ = linear_system(dim, lower, [(1, rng.randrange(1, 1 << dim), Fraction(1, 3))])
         if feasible(sys_) is None:
             continue
         cost = [Fraction(rng.randrange(-4, 5)) for _ in range(dim)]
@@ -251,20 +237,11 @@ def _oracle_systems(rng):
     for k in range(300):
         dim = rng.randint(2, 6)
         full = (1 << dim) - 1
-        if dim >= 3 and k % 2:
-            cut = (1 << rng.randint(1, dim - 1)) - 1
-            blocks = [cut, full ^ cut]
-        else:
-            blocks = [full]
         den = rng.choice([6, 8, 12])
         if k % 4 < 2:
-            # lower bounds filling each block exactly: a degenerate optimum
-            lower = [Fraction(0)] * dim
-            for b in blocks:
-                mem = [i for i in range(dim) if b >> i & 1]
-                weights = [rng.randint(1, 4) for _ in mem]
-                for i, w in zip(mem, weights):
-                    lower[i] = Fraction(w, sum(weights))
+            # lower bounds filling the split exactly: a degenerate optimum
+            weights = [rng.randint(1, 4) for _ in range(dim)]
+            lower = [Fraction(w, sum(weights)) for w in weights]
             label = "tight"
         else:
             lower = [Fraction(rng.randrange(0, 4), den) for _ in range(dim)]
@@ -273,27 +250,26 @@ def _oracle_systems(rng):
             (rng.randint(1, 3), rng.randrange(1, full + 1), Fraction(rng.randrange(0, 2 * den), den))
             for _ in range(rng.randrange(0, 5))
         ]
-        out.append((label, len(blocks), linear_system(dim, lower, blocks, cuts)))
+        out.append((label, linear_system(dim, lower, cuts)))
     for n in (3, 4):
         for r in (0.0, 0.3, 0.7, 1.1):
             phi = {rng.randrange(1, (1 << n) - 1): rng.uniform(0.8, 1.3) for _ in range(2)}
             game = build_meanstd_game(MeanStdScenario(n, 1.3, 0.6, r, phi))
-            out.append(("meanstd", 1, core_system(game)))
+            out.append(("meanstd", core_system(game)))
     return out
 
 
 def test_max_slack_point_matches_cold_sequential_reference():
-    seen = {"infeasible": 0, "two-block": 0, "tight": 0, "meanstd": 0}
+    seen = {"infeasible": 0, "tight": 0, "meanstd": 0}
     den_bits = 0
-    for label, nblocks, sys_ in _oracle_systems(random.Random(2304)):
+    for label, sys_ in _oracle_systems(random.Random(2304)):
         want = _frozen_cold(sys_)
         assert outcome(max_slack_point, sys_) == want
         seen["infeasible"] += want is None
-        seen["two-block"] += nblocks == 2
         seen[label] = seen.get(label, 0) + 1
         if label == "meanstd":
             den_bits = max(den_bits, *(h.rhs.denominator.bit_length() for h in sys_.halfspaces))
-    assert min(seen["infeasible"], seen["two-block"], seen["tight"]) >= 20
+    assert min(seen["infeasible"], seen["tight"]) >= 20
     assert seen["meanstd"] == 8 and den_bits >= 50
 
 
@@ -382,33 +358,19 @@ def _differential_systems():
     rng = random.Random(77)
     weak_games = [cut_game(rng, n) for n in (4, 4, 5)]
     out.extend(("weak-committed", s) for s in _committed_weak_systems(weak_games))
-    for n in (3, 4):
-        for k in range(6):
-            base = core_system(random_exact_game(random.Random(k), n))
-            # the grand block twice: one equality row is redundant
-            twice = LinearSystem(n, base.lower, base.blocks * 2, base.halfspaces)
-            out.append(("redundant-block", twice))
     return out
 
 
 def test_integer_simplex_returns_the_frozen_solvers_points(monkeypatch):
     systems = _differential_systems()
-    # phase 1's rarer paths: a redundant row deleted, a negative pivot in
-    # the drive-out pass
-    paths = {"deleted": 0, "negative": 0}
-    phase_one, pivot = linfeas._phase_one, linfeas._pivot
-
-    def counting_phase_one(tab, n):
-        rows = len(tab)
-        found = phase_one(tab, n)
-        paths["deleted"] += found is not None and len(found[0]) < rows
-        return found
+    # phase 1's rarer path: a negative pivot in the drive-out pass
+    paths = {"negative": 0}
+    pivot = linfeas._pivot
 
     def counting_pivot(tab, basis, row, col):
         paths["negative"] += tab[row][col] < 0
         pivot(tab, basis, row, col)
 
-    monkeypatch.setattr(linfeas, "_phase_one", counting_phase_one)
     monkeypatch.setattr(linfeas, "_pivot", counting_pivot)
 
     rng = random.Random(4)
@@ -425,10 +387,10 @@ def test_integer_simplex_returns_the_frozen_solvers_points(monkeypatch):
         if label == "meanstd":
             den_bits = max(den_bits, *(h.rhs.denominator.bit_length() for h in sys_.halfspaces))
     # every kind is seen both feasible and infeasible
-    assert len(feasible_by_label) == 6
+    assert len(feasible_by_label) == 5
     assert all(v == {True, False} for v in feasible_by_label.values()), feasible_by_label
     assert den_bits >= 50
-    assert paths["deleted"] and paths["negative"]
+    assert paths["negative"]
 
 
 @cache
@@ -504,41 +466,23 @@ def test_max_slack_rounds_run_phase_one_only_off_the_split_simplex_and_every_war
     # a priced solve from the bare split simplex starts from its optimum in
     # closed form, with no phase 1; from a system listing one of the rows
     # it starts cold, by one phase 1; every later round is warm, and both
-    # end on the same point.  An appended row proves infeasibility, and the
-    # artificial of an appended row is driven out at zero level (its row
-    # always keeps its own surplus column, so it is never deleted as
-    # redundant)
-    counts = {"phase one": 0, "rows": 0, "infeasible": 0, "driven out": 0}
-    phase_one, take_row, drive_out = linfeas._phase_one, linfeas._take_row, linfeas._drive_out
-    warm = []
+    # end on the same point.  An appended row proves infeasibility
+    counts = {"phase one": 0, "rows": 0, "infeasible": 0}
+    phase_one, take_row = linfeas._phase_one, linfeas._take_row
 
     def counting_phase_one(tab, n):
         counts["phase one"] += 1
         return phase_one(tab, n)
 
     def counting_take_row(tab, basis, row):
-        warm.append(True)
-        try:
-            found = take_row(tab, basis, row)
-        finally:
-            warm.pop()
+        found = take_row(tab, basis, row)
         counts["rows"] += 1
         counts["infeasible"] += found is None
         return found
 
-    def counting_drive_out(tab, basis, n):
-        if warm:
-            counts["driven out"] += any(b >= n for b in basis)
-            rows = len(tab)
-            found = drive_out(tab, basis, n)
-            assert len(found) == rows
-            return found
-        return drive_out(tab, basis, n)
-
     cases = _row_cases()
     monkeypatch.setattr(linfeas, "_phase_one", counting_phase_one)
     monkeypatch.setattr(linfeas, "_take_row", counting_take_row)
-    monkeypatch.setattr(linfeas, "_drive_out", counting_drive_out)
     listed = 0
     for _, game, candidates in cases:
         before = counts["phase one"]
@@ -552,7 +496,59 @@ def test_max_slack_rounds_run_phase_one_only_off_the_split_simplex_and_every_war
             listed += 1
     assert listed > len(cases) // 2
     assert counts["rows"] > len(cases) // 2
-    assert counts["infeasible"] >= 20 and counts["driven out"] >= 1, counts
+    assert counts["infeasible"] >= 20, counts
+
+
+def test_no_phase_one_drops_a_row(monkeypatch):
+    # every row but the split equality has a surplus column of its own, so
+    # the rows are linearly independent: an artificial still basic at zero
+    # level when phase 1 ends always has a nonzero entry to be driven out
+    # on.  _tableau writes one row per constraint, and each phase 1 returns
+    # every row it was given, plus the row taken in by _take_row; both kinds
+    # of phase 1 end with some artificial driven out
+    tableau, phase_one, take_row, pivot_loop = (
+        linfeas._tableau, linfeas._phase_one, linfeas._take_row, linfeas._pivot_loop
+    )
+    ending, driven = [], {"phase one": 0, "take row": 0}
+
+    def checked_tableau(system, slack_var):
+        found = tableau(system, slack_var)
+        assert len(found[0]) == 1 + len(system.halfspaces) + slack_var * system.dim
+        return found
+
+    def checked_phase_one(tab, n):
+        rows = len(tab)
+        ending.append(("phase one", n))
+        found = phase_one(tab, n)
+        ending.pop()
+        assert found is None or len(found[0]) == rows
+        return found
+
+    def checked_take_row(tab, basis, row):
+        rows = len(tab) + 1
+        ending.append(("take row", len(row) - 1))
+        found = take_row(tab, basis, row)
+        ending.pop()
+        assert found is None or len(found) == rows
+        return found
+
+    def watched_pivot_loop(tab, obj, basis, candidates):
+        status = pivot_loop(tab, obj, basis, candidates)
+        if ending and obj[-1] == 0:
+            kind, n = ending[-1]
+            driven[kind] += any(b >= n for b in basis)
+        return status
+
+    monkeypatch.setattr(linfeas, "_tableau", checked_tableau)
+    monkeypatch.setattr(linfeas, "_phase_one", checked_phase_one)
+    monkeypatch.setattr(linfeas, "_take_row", checked_take_row)
+    monkeypatch.setattr(linfeas, "_pivot_loop", watched_pivot_loop)
+    for _, system in _differential_systems():
+        feasible(system)
+        outcome(max_slack_point, system)
+    for _, game, candidates in _row_cases():
+        _generated(game, candidates)
+    assert min(driven.values()) >= 1, driven
 
 
 def _listed_pricing(rows):
@@ -597,7 +593,7 @@ def _split_simplex_cases():
                 support = rng.randrange(1, full)
                 share = Fraction(support.bit_count(), dim) * Fraction(rng.randrange(den, 2 * den), den)
                 cuts.append((rng.randint(1, 3), support, share))
-            system = linear_system(dim, lower, [full], cuts)
+            system = linear_system(dim, lower, cuts)
             out.append((label, replace(system, halfspaces=()), list(system.halfspaces)))
     return out
 
@@ -712,7 +708,7 @@ def test_row_generation_decides_core_systems_of_six_to_eight_players(monkeypatch
         solved.clear()
         got = _generated(game, range(1, game.grand))
         last = solved[-1]
-        assert (last.dim, last.lower, last.blocks) == (system.dim, system.lower, system.blocks)
+        assert (last.dim, last.lower) == (system.dim, system.lower)
         assert set(last.halfspaces) < set(system.halfspaces), label
         assert CoreRows(game).solve(range(1, game.grand)) == (got and got[0]), label
         if got is None:
@@ -755,13 +751,13 @@ def test_exact_satisfies_matches_the_fraction_check():
     # the integer check against one Fraction sum per constraint, on the
     # systems above: their LP points, which sit on the constraints they make
     # tight, those points moved off by one unit, and their nearest floats
-    systems = [s for _, _, s in _oracle_systems(random.Random(2304))]
+    systems = [s for _, s in _oracle_systems(random.Random(2304))]
     systems += [s for _, s in _differential_systems()]
     seen = {True: 0, False: 0, "last-alone": 0}
     for system in systems:
         best = outcome(max_slack_point, system)
         points = [feasible(system), best and best[0]] if best else [tuple(system.lower)]
-        allbut = LinearSystem(system.dim, system.lower, system.blocks, system.halfspaces[:-1])
+        allbut = LinearSystem(system.dim, system.lower, system.halfspaces[:-1])
         for point in points:
             for p in [point, *_moved(point), (Fraction(1),) * (system.dim + 1)]:
                 want = naive_satisfies(system, p)
