@@ -164,7 +164,7 @@ def cmd_core(args) -> int:
         patched = table.patched(part, kind)
         payload[kind] = {
             "status": patched.status,
-            "witness": patched.witness and [json_number(x) for x in patched.witness],
+            "witness": list(map(json_number, patched.witness)) if patched.status == NONEMPTY else None,
             "blocks": [
                 {"status": r.status, "method": r.method} for r in patched.block_regions
             ],

@@ -20,7 +20,7 @@ weak-core search's LP points in ``CoreRows.covered``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterator, Sequence
@@ -429,10 +429,24 @@ def _weak_region_exact(game: Game, canonical_witness: bool) -> CoreRegion:
 
 @dataclass(frozen=True)
 class PatchedCore:
+    """The product of a partition's block cores: empty when any block's is.
+    Its witness, built when read, puts each block's witness on its members."""
+
     partition: Partition
-    status: str
-    witness: tuple | None
     block_regions: tuple[CoreRegion, ...]
+    status: str = field(init=False)
+
+    def __post_init__(self):
+        empty = any(r.status == EMPTY for r in self.block_regions)
+        object.__setattr__(self, "status", EMPTY if empty else NONEMPTY)
+
+    @property
+    def witness(self) -> tuple | None:
+        if self.status == EMPTY:
+            return None
+        pairs = zip(self.partition, self.block_regions)
+        placed = {i: x for block, r in pairs for i, x in zip(members(block), r.witness)}
+        return tuple(placed[i] for i in range(len(placed)))
 
 
 class BlockTable(dict):
@@ -444,22 +458,20 @@ class BlockTable(dict):
     partitions contain it.  Regions are kept by the subgame's content, its
     value table without player labels (one table serves one game, so mode
     and tolerance are fixed): blocks with equal subgames share one region,
-    computed once, and since a region is in the block's local coordinates,
-    ``patched`` scatters its witness into any of them.  The weak region of
-    a block of four or more players reads the strong region of the same
-    content, so its strong-core system is solved once.  Without canonical
-    witnesses only regions that rest on a size-symmetric strong region or
-    on the weak search change (see ``core_region``).
-    """
+    computed once in local coordinates, which a ``PatchedCore`` places on
+    any of them.  The weak region of a block of four or more players reads
+    the strong region of the same content, so its strong-core system is
+    solved once.  Without canonical witnesses only regions that rest on a
+    size-symmetric strong region or on the weak search change (see
+    ``core_region``)."""
 
     def __init__(self, game: Game, *, canonical_witness: bool = True):
         super().__init__()
         self.game = game
         self.canonical_witness = canonical_witness
-        # each block's subgame, the index of its value table (so a table is
-        # hashed once per block and the regions are keyed by int) and its
-        # members
-        self.subgames: dict[int, tuple[Game, int, list[int]]] = {}
+        # each block's subgame and the index of its value table (so a table
+        # is hashed once per block and the regions are keyed by int)
+        self.subgames: dict[int, tuple[Game, int]] = {}
         self.contents: dict[tuple, int] = {}
         self.regions: dict[tuple[int, str], CoreRegion] = {}
 
@@ -468,8 +480,8 @@ class BlockTable(dict):
         if block not in self.subgames:
             game = subgame(self.game, block)
             content = self.contents.setdefault(game.values, len(self.contents))
-            self.subgames[block] = game, content, members(block)
-        game, content, _ = self.subgames[block]
+            self.subgames[block] = game, content
+        game, content = self.subgames[block]
         region = self.regions.get((content, kind))
         if region is None:
             strong = self[block, STRONG] if kind == WEAK and game.n > 3 else None
@@ -481,21 +493,11 @@ class BlockTable(dict):
         return region
 
     def patched(self, partition: Sequence[int], kind: str) -> PatchedCore:
-        """Blockwise product of cores: each block's subgame must have a
-        nonempty core of the requested kind.  Any empty block makes the
-        whole product empty.  Every block is decided, even after an empty
-        one."""
+        """Blockwise product of cores of the requested kind, on a partition
+        checked here.  Every block is decided, even after an empty one."""
         _check_kind(kind)
         check_partition(self.game.n, partition)
-        partition = tuple(partition)
-        regions = tuple(self[block, kind] for block in partition)
-        if any(r.status == EMPTY for r in regions):
-            return PatchedCore(partition, EMPTY, None, regions)
-        shares: list = [None] * self.game.n
-        for block, region in zip(partition, regions):
-            for i, x in zip(self.subgames[block][2], region.witness):
-                shares[i] = x
-        return PatchedCore(partition, NONEMPTY, tuple(shares), regions)
+        return PatchedCore(tuple(partition), tuple(self[block, kind] for block in partition))
 
 
 def patched_core(game: Game, partition: Sequence[int], kind: str = STRONG) -> PatchedCore:
@@ -518,10 +520,14 @@ class StabilityReport:
     digest: str
     records: tuple[PartitionRecord, ...]
 
+    def _nonempty(self, kind: str) -> list[tuple[PartitionRecord, PatchedCore]]:
+        """(record, core) per record whose ``kind`` field is a nonempty core."""
+        _check_kind(kind)
+        return [(r, p) for r in self.records if (p := getattr(r, kind)).status == NONEMPTY]
+
     def partitions_with(self, kind: str) -> list[Partition]:
         """Partitions whose patched core of the requested kind is nonempty."""
-        side = {STRONG: lambda r: r.strong, WEAK: lambda r: r.weak}[kind]
-        return [r.partition for r in self.records if side(r).status == NONEMPTY]
+        return [r.partition for r, _ in self._nonempty(kind)]
 
     def fusion_resistant_partitions(self) -> list[Partition]:
         return [r.partition for r in self.records if r.fusion_resistant]
@@ -529,17 +535,12 @@ class StabilityReport:
     def stable(self, kind: str) -> list[tuple[Partition, tuple]]:
         """Partitions carrying a patched core of the requested kind that are
         also fusion-resistant, with their witnesses."""
-        out = []
-        for r in self.records:
-            patched = r.strong if kind == STRONG else r.weak
-            if r.fusion_resistant and patched.status == NONEMPTY:
-                out.append((r.partition, patched.witness))
-        return out
+        return [(r.partition, p.witness) for r, p in self._nonempty(kind) if r.fusion_resistant]
 
     def most_consolidated(self, kind: str = WEAK) -> Partition | None:
         """Stable partition with the fewest blocks; ties broken by canonical
         label order."""
-        stable = [partition for partition, _ in self.stable(kind)]
+        stable = [r.partition for r, _ in self._nonempty(kind) if r.fusion_resistant]
         fewest = min(map(len, stable), default=None)
         label = lambda partition: partition_label(partition, self.players)
         return min((p for p in stable if len(p) == fewest), key=label, default=None)
@@ -566,7 +567,7 @@ class StabilityReport:
         for r in self.records:
             label, sides = f'"{parts.partition(r.partition)}"', []
             for kind, p in ((STRONG, r.strong), (WEAK, r.weak)):
-                items = p.witness and parts.scatter(p)
+                items = parts.scatter(p) if p.status == NONEMPTY else None
                 blocks = json_list([region(b) for b in p.block_regions], 4)
                 sides.append(_PATCHED.format(blocks, f'"{p.status}"', json_list(items, 4)))
                 if p.status == NONEMPTY:
@@ -602,7 +603,7 @@ class StabilityReport:
             "stable_strong", "stable_weak", "weak_status", "witness_strong", "witness_weak",
         ]
         parts = _Fragments(self.players, str, str)
-        wit = lambda p: "" if p.witness is None else " ".join(parts.scatter(p))
+        wit = lambda p: " ".join(parts.scatter(p)) if p.status == NONEMPTY else ""
         rows = [header]
         for r in self.records:
             strong_ok, weak_ok, fused = (
@@ -693,8 +694,7 @@ def stable_sets(game: Game, *, cap: int = DEFAULT_ENUM_CAP) -> StabilityReport:
     records = [
         PartitionRecord(
             partition,
-            table.patched(partition, STRONG),
-            table.patched(partition, WEAK),
+            *(PatchedCore(partition, tuple(table[b, k] for b in partition)) for k in (STRONG, WEAK)),
             fusion_resistant(game, partition),
         )
         for partition in enumerate_partitions(game.n, cap)
@@ -711,23 +711,22 @@ def walk_partitions(
     and its fusion verdict.  No record or witness is built per partition.
     Raises ValueError, on the first step, on any other game.
 
-    Blocks of one size have equal subgames, so a partition's patched cores,
-    ANDs over its blocks, depend only on its block-size multiset: each
-    multiset is decided once, on the first partition that has it.
-    ``fusion_resistant`` adds block values in block order, so its verdict is
-    taken once per sequence of block sizes in block order, which reproduces
-    every partition's own verdict bit for bit."""
+    Blocks of one size have equal subgames, so a partition's verdicts
+    depend only on its sequence of block sizes in block order (the order in
+    which ``fusion_resistant`` adds block values, so its verdict is every
+    partition's own bit for bit): each sequence is decided once, on the
+    first partition that has it."""
     if size_values(game) is None:
         raise ValueError("walk_partitions needs a size-symmetric game")
     table = BlockTable(game, canonical_witness=False)
-    types: dict[tuple[int, ...], tuple[str, str]] = {}
     seen: dict[tuple[int, ...], tuple[str, str, bool]] = {}
     for partition in enumerate_partitions(game.n, cap):
         sizes = tuple(b.bit_count() for b in partition)
         found = seen.get(sizes)
         if found is None:
-            key = tuple(sorted(sizes))
-            if key not in types:
-                types[key] = tuple(table.patched(partition, kind).status for kind in (STRONG, WEAK))
-            found = seen[sizes] = (*types[key], fusion_resistant(game, partition))
+            strong, weak = (
+                PatchedCore(partition, tuple(table[b, kind] for b in partition)).status
+                for kind in (STRONG, WEAK)
+            )
+            found = seen[sizes] = (strong, weak, fusion_resistant(game, partition))
         yield partition, *found

@@ -329,10 +329,13 @@ def naive_corollary_weak_claim(g1, g2, *, samples, seed):
     return naive_corollary_weak_sampled(g1, g2, samples=samples, seed=seed)
 
 
-def naive_stable_sets(game, *, canonical_witness=True):
+def naive_stable_sets(game, *, canonical_witness=True, patched_out=None):
     """Per-partition reference for stability.stable_sets: every block of
     every partition decided afresh by core_region on its subgame, and the
-    patched status aggregated block by block."""
+    patched status and witness aggregated block by block.  The records'
+    cores derive their own status and witness from the block regions, so
+    the oracle's pair goes into ``patched_out``, when given, keyed by
+    (partition, kind)."""
     from fracgame.games import game_digest, subgame
 
     def patched(partition, kind):
@@ -350,7 +353,9 @@ def naive_stable_sets(game, *, canonical_witness=True):
                 for j, i in enumerate(members(block)):
                     shares[i] = region.witness[j]
         witness = tuple(shares) if status == stability.NONEMPTY else None
-        return stability.PatchedCore(partition, status, witness, tuple(regions))
+        if patched_out is not None:
+            patched_out[partition, kind] = status, witness
+        return stability.PatchedCore(partition, tuple(regions))
 
     records = tuple(
         stability.PartitionRecord(

@@ -598,6 +598,61 @@ def test_stable_sets_superadditive(superadditive3):
     assert report.most_consolidated(WEAK) == (7,)
 
 
+@pytest.mark.parametrize("query", ["partitions_with", "stable", "most_consolidated"])
+def test_report_queries_refuse_an_unknown_kind(superadditive3, query):
+    with pytest.raises(ValueError, match="kind must be"):
+        getattr(stable_sets(superadditive3), query)("bogus")
+
+
+def test_report_writers_build_no_share_vector(monkeypatch):
+    # the writers test each patched core's status and write its witness
+    # from the block regions: no core's share vector is built, and the
+    # text is the one the oracle writes from those vectors
+    rng = random.Random(21)
+    games = [random_exact_game(rng, 5), random_float_game(rng, 5), cut_game(rng, 5)]
+
+    def refuse(self):
+        raise AssertionError("a patched core's share vector was built")
+
+    monkeypatch.setattr(stability.PatchedCore, "witness", property(refuse))
+    reports = [stable_sets(game) for game in games]
+    texts = [(report.json_text(), report.csv_rows()) for report in reports]
+    monkeypatch.undo()
+    for report, (text, rows) in zip(reports, texts):
+        assert report.stable(WEAK) and any(r.strong.status == EMPTY for r in report.records)
+        assert text == json.dumps(naive_report_dict(report), sort_keys=True, indent=2) + "\n"
+        assert rows == naive_csv_rows(report)
+
+
+def _count_partition_checks(monkeypatch) -> list:
+    checked = []
+    original = stability.check_partition
+
+    def counting(n, blocks):
+        checked.append(blocks)
+        return original(n, blocks)
+
+    monkeypatch.setattr(stability, "check_partition", counting)
+    return checked
+
+
+def test_stable_sets_checks_each_partition_once(monkeypatch):
+    # stable_sets builds its cores from enumerated partitions, so only
+    # fusion_resistant checks them
+    checked = _count_partition_checks(monkeypatch)
+    stable_sets(random_exact_game(random.Random(13), 5))
+    assert len(checked) == len(set(checked)) == bell_number(5)
+
+
+def test_walk_partitions_decides_each_block_size_sequence_once(monkeypatch):
+    # one memo, by the sequence of block sizes: each of the 2^(n-1)
+    # sequences is decided, and checked by its fusion test, once
+    checked = _count_partition_checks(monkeypatch)
+    walked = list(walk_partitions(build_meanstd_game(MeanStdScenario(6, 1, 0.5, 0.8))))
+    sequences = {tuple(b.bit_count() for b in blocks) for blocks in checked}
+    assert len(walked) == bell_number(6) and len(checked) == len(sequences) == 2**5
+
+
 def test_stable_sets_pairy_splinters(pairy3):
     report = stable_sets(pairy3)
     stable_weak = report.stable(WEAK)
@@ -697,16 +752,25 @@ def test_stable_sets_match_per_partition_oracle(n, seed, canonical):
     # deciding each block once must reproduce the sweep that decides every
     # block of every partition afresh, with either kind of witness (patched
     # cores without the canonical one read from a block table); the grand
-    # weak core of each of these games is left to the exact search
+    # weak core of each of these games is left to the exact search.  Each
+    # core derives its status and witness from its block regions: both must
+    # be the ones the oracle aggregates block by block
     game = random_exact_game(random.Random(seed), n)
-    want = naive_stable_sets(game, canonical_witness=canonical)
+    oracle = {}
+    want = naive_stable_sets(game, canonical_witness=canonical, patched_out=oracle)
     if canonical:
-        assert stable_sets(game).to_dict() == want.to_dict()
+        got = stable_sets(game)
+        assert got.to_dict() == want.to_dict()
+        cores = {(r.partition, kind): getattr(r, kind) for r in got.records for kind in (STRONG, WEAK)}
     else:
         table = BlockTable(game, canonical_witness=False)
-        for record in want.records:
-            assert table.patched(record.partition, STRONG) == record.strong
-            assert table.patched(record.partition, WEAK) == record.weak
+        cores = {key: table.patched(*key) for key in oracle}
+    assert cores.keys() == oracle.keys()
+    for record in want.records:
+        for kind in (STRONG, WEAK):
+            core = cores[record.partition, kind]
+            assert core == getattr(record, kind)
+            assert (core.status, core.witness) == oracle[record.partition, kind]
     assert want.records[0].weak.block_regions[0].method == "exact-search"
 
 
