@@ -19,7 +19,7 @@ import math
 import string
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -196,6 +196,37 @@ class Game:
     def grand(self) -> int:
         return (1 << self.n) - 1
 
+    @cached_property
+    def terms(self) -> tuple:
+        """The values as ints over one common denominator, built on first
+        read (``integer_terms``; slot 0 holds 0).  A subgame's are a slice of
+        its root game's, so every block of one game shares one scale."""
+        root, index = self.__dict__.get("origin", (None, None))
+        if root is None:
+            return tuple(integer_terms((0, *self.values[1:]))[0])
+        return tuple(map(root.terms.__getitem__, index))
+
+    def cover(self) -> int:
+        """w(N) on the scale of ``terms``: the most a partition of the players
+        is worth, read from the root game's subset DP (built on first use)."""
+        root, index = self.__dict__.get("origin", (self, [self.grand]))
+        return root._covers[index[-1]]
+
+    @cached_property
+    def _covers(self) -> list:
+        """The superadditive cover w(S) = max(v(S), max over proper A of w(A)
+        + w(S - A)) of every coalition, in O(3^n) (Yeh 1986)."""
+        w = list(self.terms)
+        for s in range(3, len(w)):
+            low, best = s & -s, w[s]
+            rest = sub = s ^ low
+            while sub:
+                sub = (sub - 1) & rest
+                if (x := w[low | sub] + w[rest ^ sub]) > best:
+                    best = x
+            w[s] = best
+        return w
+
     def coalition_label(self, coalition: int) -> str:
         return coalition_label(coalition, self.players)
 
@@ -280,12 +311,11 @@ def boundary_contains(game: Game, coalition: int, shares: Sequence) -> bool:
 
 
 def split_terms(game: Game, coalition: int) -> tuple[int, list]:
-    """``(whole, lone)``: the coalition's value and its members' values over
-    their common denominator (``integer_terms``), so member i's lower bound
-    on a split is ``lone[i] / whole``, the leftover ``1 - sum(lone) / whole``."""
-    mem = members(coalition)
-    (whole, *lone), _ = integer_terms([game.values[coalition], *(game.values[1 << i] for i in mem)])
-    return whole, lone
+    """``(whole, lone)``: the coalition's value and its members' values, read
+    from the game's ``terms``, so member i's lower bound on a split is
+    ``lone[i] / whole``, the leftover ``1 - sum(lone) / whole``."""
+    terms = game.terms
+    return terms[coalition], [terms[1 << i] for i in members(coalition)]
 
 
 def boundary_empty(game: Game, coalition: int) -> bool:
@@ -326,13 +356,15 @@ def solution_feasible(game: Game, partition: Sequence[int], shares: Sequence) ->
 
 
 def subgame(game: Game, coalition: int) -> Game:
-    """Restriction of the game to a coalition, players reindexed to 0..k-1."""
+    """Restriction of the game to a coalition, players reindexed to 0..k-1,
+    keeping its root game and each coalition's mask there (``terms``)."""
     mem = members(coalition)
-    k = len(mem)
-    table = [None] * (1 << k)
-    for local in coalitions(k):
-        table[local] = game.values[remap(local, mem)]
-    return Game(k, tuple(table), game.mode, game.tol, tuple(game.players[i] for i in mem))
+    index = [remap(local, mem) for local in range(1 << len(mem))]
+    values, players = tuple(map(game.values.__getitem__, index)), tuple(game.players[i] for i in mem)
+    sub = Game(len(mem), values, game.mode, game.tol, players)
+    root, at = game.__dict__.get("origin", (game, None))
+    sub.__dict__["origin"] = root, index if at is None else [at[i] for i in index]
+    return sub
 
 
 def size_values(game: Game) -> tuple | None:

@@ -181,19 +181,21 @@ def _in_core(block: int, covers, kind: str) -> bool:
 def fusion_resistant(game: Game, partition: Sequence[int]) -> bool:
     """Whether no group of blocks gains by merging: for every union of two
     or more blocks, the blocks' stand-alone values already cover the merged
-    value."""
+    value, judged on the stored values (``stable_sets`` reads an exact
+    game's ``terms``, which a game checked only here never builds)."""
     check_partition(game.n, partition)
-    blocks = list(partition)
-    tol = game.tol
-    values = game.values
-    for k in range(2, len(blocks) + 1):
-        for combo in combinations(blocks, k):
-            union = 0
+    return _resists_fusion(game.values, partition, game.tol)
+
+
+def _resists_fusion(values: Sequence, partition: Sequence[int], tol: float) -> bool:
+    """``fusion_resistant`` on a checked partition: the values summed in a
+    left fold in block order (float verdicts bit for bit) and ``geq``."""
+    for k in range(2, len(partition) + 1):
+        for combo in combinations(partition, k):
             total = 0
             for b in combo:
-                union |= b
                 total += values[b]
-            if not geq(total, values[union], tol):
+            if not geq(total, values[sum(combo)], tol):
                 return False
     return True
 
@@ -223,15 +225,15 @@ class CoreRows:
     """The strong-core system of a game with its coalition rows given
     lazily: the grand split simplex ``base``, and the halfspace
     ``f(C) >= v(C) / v(N)`` of each proper coalition C, built only when
-    asked for.  Rows are priced on one integer value table ``values``, with
-    v(C) proportional to ``values[C]`` (float values converted exactly), so
-    a coalition's slack at a point with share sums F(C) / scale is
-    proportional to ``values[N] * F(C) - values[C] * scale``.  Every solve
-    gives the max-slack point of the rows it covers."""
+    asked for.  Rows are priced on the game's integer table ``values``
+    (``Game.terms``), so a coalition's slack at a point with share sums
+    F(C) / scale is proportional to ``values[N] * F(C) - values[C] *
+    scale``.  Every solve gives the max-slack point of the rows it covers;
+    ``core_region`` solves no system that ``Game.cover`` shows empty."""
 
     def __init__(self, game: Game):
         self.full = full = game.grand
-        self.values = integer_terms((0, *game.values[1:]))[0]
+        self.values = game.terms
         whole, lone = split_terms(game, full)
         self.base = linfeas.linear_system(game.n, [Fraction(a, whole) for a in lone])
 
@@ -332,11 +334,14 @@ def core_region(
 ) -> CoreRegion:
     """Decide (non)emptiness of the requested core and produce a witness.
 
-    The strong core is a polytope, decided exactly by LP with row generation
-    over its coalition halfspaces, priced lazily (see ``CoreRows``; the
-    whole system is never listed); its witness maximizes the minimum
-    constraint slack (the canonical witness), found by rounds on one
-    tableau.  Without the canonical witness, the strong core of a
+    The strong core is a polytope, empty with no LP solved when a partition
+    of the players is worth more than v(N) (``Game.cover``): a balanced
+    collection no split covers (Bondareva 1963; Shapley 1967), so the LP's
+    own verdict, under its ``lp`` tag.  Otherwise it is decided exactly by
+    LP with row generation over its coalition halfspaces, priced lazily (see
+    ``CoreRows``; the whole system is never listed); its witness maximizes
+    the minimum constraint slack (the canonical witness), found by rounds
+    on one tableau.  Without the canonical witness, the strong core of a
     size-symmetric game (see ``games.size_values``) is decided in closed
     form on the equal split (``equal-split``; see ``_equal_split_region``);
     every other strong region is the same either way.
@@ -360,6 +365,8 @@ def core_region(
         by_size = None if canonical_witness else size_values(game)
         if by_size is not None:
             return _equal_split_region(game, by_size)
+        if game.cover() > game.terms[game.grand]:
+            return CoreRegion(EMPTY, None, "lp")
         point = CoreRows(game).solve(range(1, game.grand))
         if point is None:
             return CoreRegion(EMPTY, None, "lp")
@@ -456,14 +463,14 @@ class BlockTable(dict):
     block's subgame with this table's settings, and read back on every later
     use, so each block has one verdict and one witness however many
     partitions contain it.  Regions are kept by the subgame's content, its
-    value table without player labels (one table serves one game, so mode
-    and tolerance are fixed): blocks with equal subgames share one region,
-    computed once in local coordinates, which a ``PatchedCore`` places on
-    any of them.  The weak region of a block of four or more players reads
-    the strong region of the same content, so its strong-core system is
-    solved once.  Without canonical witnesses only regions that rest on a
-    size-symmetric strong region or on the weak search change (see
-    ``core_region``)."""
+    ``terms`` (one scale per game) without player labels (one table serves
+    one game, so mode and tolerance are fixed): blocks with equal subgames
+    share one region, computed once in local coordinates, which a
+    ``PatchedCore`` places on any of them.  The weak region of a block of
+    four or more players reads the strong region of the same content, so
+    its strong-core system is solved once.  Without canonical witnesses
+    only regions that rest on a size-symmetric strong region or on the weak
+    search change (see ``core_region``)."""
 
     def __init__(self, game: Game, *, canonical_witness: bool = True):
         super().__init__()
@@ -479,7 +486,7 @@ class BlockTable(dict):
         block, kind = key
         if block not in self.subgames:
             game = subgame(self.game, block)
-            content = self.contents.setdefault(game.values, len(self.contents))
+            content = self.contents.setdefault(game.terms, len(self.contents))
             self.subgames[block] = game, content
         game, content = self.subgames[block]
         region = self.regions.get((content, kind))
@@ -691,11 +698,12 @@ def stable_sets(game: Game, *, cap: int = DEFAULT_ENUM_CAP) -> StabilityReport:
     from .games import game_digest
 
     table = BlockTable(game)
+    values = game.terms if game.mode == EXACT else game.values
     records = [
         PartitionRecord(
             partition,
             *(PatchedCore(partition, tuple(table[b, k] for b in partition)) for k in (STRONG, WEAK)),
-            fusion_resistant(game, partition),
+            _resists_fusion(values, partition, game.tol),
         )
         for partition in enumerate_partitions(game.n, cap)
     ]

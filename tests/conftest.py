@@ -122,6 +122,44 @@ def fusion_resistant_by_total(game, partition):
     return True
 
 
+def naive_set_partitions(items):
+    """Every partition of a list, as lists of lists, by placing the first
+    item alone or into a block of a partition of the rest."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for blocks in naive_set_partitions(rest):
+        yield [[first], *blocks]
+        for j in range(len(blocks)):
+            yield [*blocks[:j], [first, *blocks[j]], *blocks[j + 1 :]]
+
+
+def naive_cover(game, block):
+    """Reference for the superadditive cover: ``(w, pieces)``, the largest
+    total Fraction value of a partition of the block's members, by listing
+    every partition, and the first partition (as masks) reaching it."""
+    best = None
+    for blocks in naive_set_partitions(members(block)):
+        pieces = [sum(1 << i for i in piece) for piece in blocks]
+        total = sum(Fraction(game.values[c]) for c in pieces)
+        if best is None or total > best[0]:
+            best = total, pieces
+    return best
+
+
+def naive_fusion_resistant(game, partition):
+    """Reference for the fusion verdict of an exact game: for every set of
+    two or more blocks, listed as a bitmask over the blocks, the blocks'
+    Fraction values summed cover their union's value."""
+    value = lambda c: Fraction(game.values[c])
+    for chosen in range(1, 1 << len(partition)):
+        picked = [b for j, b in enumerate(partition) if chosen >> j & 1]
+        if len(picked) > 1 and sum(map(value, picked)) < value(sum(picked)):
+            return False
+    return True
+
+
 def remap_local(local_mask, mem):
     out = 0
     for j, i in enumerate(mem):

@@ -30,8 +30,8 @@ from fracgame import (
     to_fractional,
     validate_game,
 )
-from fracgame.games import boundary_draws, json_text, size_values
-from conftest import naive_sample_boundary, random_exact_game, random_float_game
+from fracgame.games import boundary_draws, integer_terms, json_text, remap, size_values
+from conftest import cut_game, naive_sample_boundary, random_exact_game, random_float_game
 
 
 def test_mask_helpers():
@@ -361,3 +361,41 @@ def test_json_text_writes_the_bytes_of_json_dumps():
     for keys in _KEY_SETS:
         payload = [{"x": {k: [k] for k in keys}}]
         assert json_text(payload) == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# the integer value table
+
+
+def _table_games():
+    rng = random.Random(29)
+    games = [random_exact_game(rng, rng.randint(1, 5)) for _ in range(10)]
+    games += [random_float_game(rng, rng.randint(1, 5)) for _ in range(10)]
+    games += [cut_game(random.Random(3), 5), make_game(3, {m: m.bit_count() for m in range(1, 8)})]
+    return games
+
+
+def test_game_terms_are_the_integer_terms_of_its_values():
+    # one int per coalition over one common denominator, floats converted
+    # exactly: the terms integer_terms gives for the whole value table
+    for game in _table_games():
+        assert all(type(t) is int for t in game.terms)
+        assert game.terms == (0, *integer_terms(game.values[1:])[0])
+
+
+def test_subgame_terms_slice_the_root_games_terms():
+    # a block's subgame reads its terms off the game it was cut from, on
+    # that game's scale, also when cut from a subgame itself; so blocks
+    # with equal values have equal terms, the BlockTable's content key
+    for game in _table_games():
+        for block in range(1, 1 << game.n):
+            mem = members(block)
+            sub = subgame(game, block)
+            assert sub.terms == tuple(game.terms[remap(c, mem)] for c in range(1 << len(mem)))
+            inner = (1 << len(mem)) - 2 or 1  # all but the last member
+            nested = subgame(sub, inner)
+            outer = [mem[i] for i in members(inner)]
+            assert nested.terms == tuple(game.terms[remap(c, outer)] for c in range(1 << len(outer)))
+    # the scale is the root's, not the block's own denominator
+    game = make_game(2, {1: Fraction(1, 2), 2: 1, 3: 3})
+    assert game.terms == (0, 1, 2, 6) and subgame(game, 2).terms == (0, 2)

@@ -299,8 +299,11 @@ def _recording_rows(record):
 
 def _committed_weak_systems(games):
     """The systems the exact weak-core search hands to the LP for these
-    games: the strong-core restrictions it reads first, its base system,
-    every committed extension and the canonical witness restrictions."""
+    games (its base system, every committed extension and the canonical
+    witness restrictions), after the strong-core restrictions that row
+    generation solves on them.  The strong regions of these games are empty
+    by their superadditive cover, so ``core_region`` solves none of those
+    itself; they are solved here, directly."""
     seen = []
 
     def record(system):
@@ -315,6 +318,7 @@ def _committed_weak_systems(games):
     linfeas.feasible, linfeas.max_slack_point = recording_feasible, _recording_rows(record)
     try:
         for game in games:
+            stability.CoreRows(game).solve(range(1, game.grand))
             stability.core_region(game, stability.WEAK)
     finally:
         linfeas.feasible, linfeas.max_slack_point = saved

@@ -1,5 +1,7 @@
+import itertools
 import json
 import math
+import pathlib
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -30,6 +32,8 @@ from fracgame import (
 )
 from fracgame import NumericFailure, linfeas, stability
 from fracgame.games import (
+    geq,
+    load_game,
     GRAIN,
     boundary_contains,
     boundary_draws,
@@ -59,9 +63,11 @@ from fracgame.stability import (
 from conftest import (
     cut_game,
     fusion_resistant_by_total,
+    naive_cover,
     naive_csv_rows,
     naive_feasible,
     naive_fission_resistant,
+    naive_fusion_resistant,
     naive_generate_rows,
     naive_report_dict,
     naive_sample_boundary,
@@ -636,12 +642,13 @@ def _count_partition_checks(monkeypatch) -> list:
     return checked
 
 
-def test_stable_sets_checks_each_partition_once(monkeypatch):
-    # stable_sets builds its cores from enumerated partitions, so only
-    # fusion_resistant checks them
+def test_stable_sets_checks_no_enumerated_partition(monkeypatch):
+    # stable_sets builds its cores and fusion verdicts from enumerated
+    # partitions, which need no check, on exact and float games
     checked = _count_partition_checks(monkeypatch)
     stable_sets(random_exact_game(random.Random(13), 5))
-    assert len(checked) == len(set(checked)) == bell_number(5)
+    stable_sets(random_float_game(random.Random(13), 5))
+    assert checked == []
 
 
 def test_walk_partitions_decides_each_block_size_sequence_once(monkeypatch):
@@ -977,7 +984,8 @@ def test_regions_never_build_the_whole_core_system(monkeypatch):
 
 def test_every_lp_solve_goes_through_a_named_entry(monkeypatch):
     # the tracer times LP work at linfeas.feasible and max_slack_point: a
-    # strong region is one priced max-slack solve, and the weak search
+    # strong region is one priced max-slack solve (none when some partition
+    # of the players is worth more than v(N)), and the weak search
     # solves feasibility systems and priced max-slack systems, every one of
     # them entering ``_lexmin`` through one of the two
     calls, stray, inside = [], [], []
@@ -1008,18 +1016,21 @@ def test_every_lp_solve_goes_through_a_named_entry(monkeypatch):
         for seed in range(3)
         for make in (random_exact_game, random_float_game, cut_game)
     ]
-    methods = set()
+    methods, screened = set(), 0
     for game in games:
         assert size_values(game) is None
         calls.clear()
         strong = core_region(game, STRONG)
-        assert calls == [("max_slack_point", True)] and not stray
+        covered = naive_cover(game, game.grand)[0] > Fraction(game.values[game.grand])
+        screened += covered
+        assert calls == ([] if covered else [("max_slack_point", True)]) and not stray
         calls.clear()
         weak = core_region(game, WEAK, strong=strong)
         assert set(calls) <= {("feasible", False), ("max_slack_point", True)} and not stray
         assert (weak.method == "exact-search") == bool(calls), weak.method
         methods.add(weak.method)
     assert {"strong-subset", "exact-search"} <= methods
+    assert 0 < screened < len(games)
 
 
 # ---------------------------------------------------------------------------
@@ -1169,3 +1180,126 @@ def test_size_types_count_the_partitions_of_each_type():
             assert len(statuses) == want and len(set(statuses)) == 1
         assert len(types) == [1, 2, 3, 5, 7, 11, 15, 22][n - 1]
         assert len(walked) == bell_number(n)
+
+
+# ---------------------------------------------------------------------------
+# the superadditive cover and the integer table
+
+
+DATA = pathlib.Path(__file__).parent / "data"
+
+
+def _additive_game(rng: random.Random, n: int):
+    lone = [rng.randint(1, 4) for _ in range(n)]
+    return make_game(n, {m: sum(lone[i] for i in members(m)) for m in range(1, 1 << n)})
+
+
+def _cover_games() -> list:
+    """Seeded games of every family at n <= 7, and one whose best partition
+    of the players has a piece per player, although no split into two
+    pieces is worth more than the whole: singletons 1, pairs 3/2, triples
+    5/2, and 7/2 for all four."""
+    rng = random.Random(41)
+    games = [random_exact_game(rng, n) for n in (3, 4, 5, 6) for _ in range(2)]
+    games += [random_float_game(rng, n) for n in (3, 4, 5, 6) for _ in range(2)]
+    games += [cut_game(random.Random(seed), n) for seed, n in ((0, 4), (1, 5), (2, 6), (3, 7))]
+    games += [build_meanstd_game(MeanStdScenario(n, 1.0, 0.5, r)) for n in (4, 6) for r in (0, 0.8)]
+    games += [_additive_game(rng, n) for n in (3, 5, 6)]
+    games.append(_size_game(4, {1: 1, 2: Fraction(3, 2), 3: Fraction(5, 2), 4: Fraction(7, 2)}))
+    return games
+
+
+def test_superadditive_cover_matches_partition_enumeration_and_the_lp():
+    # every block's cover w(B) equals the best partition of B listed
+    # literally, and a strong region the cover screens (w(B) > v(B)) is
+    # empty, as CoreRows solved directly finds; every other strong region
+    # agrees with the direct solve too.  Some block's best partition has
+    # three or more pieces and beats every split into two
+    screened = beyond_two = 0
+    for game in _cover_games():
+        for block in range(1, 1 << game.n):
+            if block.bit_count() < 2:
+                continue
+            sub, (w, pieces) = subgame(game, block), naive_cover(game, block)
+            v = Fraction(game.values[block])
+            assert Fraction(sub.cover(), sub.terms[-1]) == w / v
+            two = max(
+                Fraction(game.values[a]) + Fraction(game.values[block ^ a])
+                for a in range(1, block)
+                if a & block == a
+            )
+            beyond_two += len(pieces) >= 3 and w > max(v, two)
+            if block.bit_count() < 3:
+                continue
+            region = core_region(sub, STRONG)
+            direct = stability.CoreRows(sub).solve(range(1, sub.grand))
+            assert (region.status == EMPTY) == (direct is None)
+            if w > v:
+                assert region == stability.CoreRegion(EMPTY, None, "lp")
+                screened += 1
+    assert screened >= 100 and beyond_two
+
+
+def test_screened_strong_regions_solve_no_lp(monkeypatch):
+    # on the n=6 golden game, no block whose partitions beat its value
+    # (w(B) > v(B), by the literal oracle) has its strong system solved:
+    # the strong solves are one per distinct content among the others
+    game = load_game(DATA / "cut_game_n6_seed0.json")
+    solved = []
+    solve = stability.CoreRows.solve
+
+    def recording(rows, candidates):
+        if list(candidates) == list(range(1, rows.full)):  # a strong system
+            solved.append(rows.values)
+        return solve(rows, candidates)
+
+    monkeypatch.setattr(stability.CoreRows, "solve", recording)
+    stable_sets(game)
+    blocks = {b: subgame(game, b).terms for b in range(1, 1 << game.n) if b.bit_count() > 2}
+    covered = {b for b in blocks if naive_cover(game, b)[0] > Fraction(game.values[b])}
+    assert len(covered) == 22 and not {blocks[b] for b in covered} & set(solved)
+    assert sorted(solved) == sorted({blocks[b] for b in blocks if b not in covered})
+
+
+def test_stable_sets_fusion_verdicts_match_a_fraction_oracle():
+    # exact games judge fusion on their integer terms: the verdicts equal a
+    # Fraction oracle's over every set of blocks, on additive games (every
+    # merger ties, so every partition resists) and on games with ties
+    # between a union and its blocks
+    rng = random.Random(47)
+    games = [random_exact_game(rng, n) for n in (3, 4, 5, 6)]
+    # a coalition of three or more holding player a is worth one more than
+    # its size, any other coalition its size
+    tied = {m: m.bit_count() + (m.bit_count() > 2) * (m & 1) for m in range(1, 1 << 6)}
+    games += [cut_game(random.Random(5), 7), make_game(6, tied), _additive_game(rng, 8)]
+    resisting = []
+    for game in games:
+        verdicts = [r.fusion_resistant for r in stable_sets(game).records]
+        assert verdicts == [naive_fusion_resistant(game, p) for p in enumerate_partitions(game.n)]
+        resisting.append(Fraction(sum(verdicts), len(verdicts)))
+    assert 0 < resisting[-2] < 1 and resisting[-1] == 1
+
+
+def test_stable_sets_fusion_on_float_games_is_the_float_left_fold():
+    # float games keep the left fold of their float values, compared by
+    # tolerant geq, bit for bit: here 1 + b rounds up to v(a,b) in the fold
+    # although the exact sum falls short of it
+    b = 2.0**-53 + 2.0**-60
+    game = make_game(2, {1: 1.0, 2: b, 3: 1.0 + 2.0**-52}, mode="float", tol=0.0)
+    assert Fraction(1.0) + Fraction(b) < Fraction(game.values[3])
+    assert [r.fusion_resistant for r in stable_sets(game).records] == [True, True]
+    rng = random.Random(53)
+    for game in [random_float_game(rng, n) for n in (3, 4, 5)]:
+        for r in stable_sets(game).records:
+            assert r.fusion_resistant == _float_left_fold(game, r.partition)
+
+
+def _float_left_fold(game, partition) -> bool:
+    for k in range(2, len(partition) + 1):
+        for combo in itertools.combinations(partition, k):
+            total = 0
+            for block in combo:
+                total += game.values[block]
+            if not geq(total, game.values[sum(combo)], game.tol):
+                return False
+    return True
