@@ -66,6 +66,7 @@ from .stability import (
     BlockTable,
     _coverage,
     _in_core,
+    _resists_fusion,
     core_region,
     core_system,
     fusion_resistant,
@@ -309,7 +310,7 @@ def verify_theorem1(
             continue
         sampled += 1
         if rng is None:
-            rng, table = random.Random(seed), BlockTable(g1, canonical_witness=False)
+            rng, table = random.Random(seed), BlockTable(g1)
         regions = (table[block, kind] for kind in (STRONG, WEAK))
         points = dict.fromkeys(r.witness for r in regions if r.status == NONEMPTY)
         found = _sampled_block(g1, g2, block, points, rng, samples, (STRONG, WEAK))
@@ -340,10 +341,11 @@ def verify_theorem1(
         ClaimResult("fission-resistant-solutions", not failures, scope, "; ".join(failures[:3]))
     )
 
-    # (5) fusion-resistant partitions, reversed, exhaustive
+    # (5) fusion-resistant partitions, reversed, exhaustive, at each game's tolerance
     failures = []
+    resists = lambda g, partition: _resists_fusion(g.values, partition, g.tol)
     for partition in enumerate_partitions(n):
-        if fusion_resistant(g2, partition) and not fusion_resistant(g1, partition):
+        if resists(g2, partition) and not resists(g1, partition):
             failures.append(str(partition))
     scope, detail = "exhaustive-partitions", "; ".join(failures[:3])
     claims.append(ClaimResult("fusion-resistant-partitions", not failures, scope, detail))
@@ -399,7 +401,7 @@ def verify_corollary(
         claims.append(ClaimResult("weak-core-inclusion", True, "constraintwise"))
     else:
         points = split_vertices(g1, g1.grand)
-        region = core_region(g1, WEAK, canonical_witness=False)
+        region = core_region(g1, WEAK)
         if region.status == NONEMPTY:
             points.append(region.witness)
         found = _sampled_block(g1, g2, g1.grand, points, random.Random(seed), samples, (WEAK,))

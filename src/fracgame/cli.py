@@ -259,8 +259,8 @@ def _parse_grid(text: str) -> list[float]:
 
 
 def _sweep_point(args, label: str, game: Game, extra: dict) -> dict:
-    # a sweep prints no witness, so any core point will do; no weak core is
-    # left undecided, so unknown_weak stays 0 in the schema
+    # a sweep prints statuses only, one per block-size type; no weak core
+    # is left undecided, so unknown_weak stays 0 in the schema
     counted = ("patched_strong", "patched_weak", "fusion_resistant", "unknown_weak")
     counts = dict.fromkeys(counted, 0)
     stable: dict[str, list] = {STRONG: [], WEAK: []}

@@ -329,28 +329,26 @@ def core_region(
     game: Game,
     kind: str = STRONG,
     *,
-    canonical_witness: bool = True,
     strong: CoreRegion | None = None,
 ) -> CoreRegion:
     """Decide (non)emptiness of the requested core and produce a witness.
 
-    The strong core is a polytope, empty with no LP solved when a partition
-    of the players is worth more than v(N) (``Game.cover``): a balanced
-    collection no split covers (Bondareva 1963; Shapley 1967), so the LP's
-    own verdict, under its ``lp`` tag.  Otherwise it is decided exactly by
-    LP with row generation over its coalition halfspaces, priced lazily (see
-    ``CoreRows``; the whole system is never listed); its witness maximizes
-    the minimum constraint slack (the canonical witness), found by rounds
-    on one tableau.  Without the canonical witness, the strong core of a
-    size-symmetric game (see ``games.size_values``) is decided in closed
-    form on the equal split (``equal-split``; see ``_equal_split_region``);
-    every other strong region is the same either way.
+    Every strong region is the strong-core system's own verdict and
+    max-slack point (the canonical witness), under the ``lp`` tag.  A
+    size-symmetric game's (see ``games.size_values``) is the equal split's
+    closed form (see ``_equal_split_region``).  Otherwise the core is empty
+    with no LP solved when a partition of the players is worth more than
+    v(N) (``Game.cover``): a balanced collection no split covers (Bondareva
+    1963; Shapley 1967).  Otherwise it is decided exactly by LP with row
+    generation over its coalition halfspaces, priced lazily (see
+    ``CoreRows``; the whole system is never listed), by rounds on one
+    tableau.
     The weak core is a union of polytopes containing the strong core, whose
     region answers first: a nonempty one lends its verdict and witness
     (``strong-subset``).  ``strong`` is that region when the caller has
-    already decided it for this game with the same ``canonical_witness``.
-    Otherwise the weak core is decided exactly by a search that branches on
-    the pieces of all-blocking splits (see ``_weak_region_exact``).
+    already decided it for this game.  Otherwise the weak core is decided
+    exactly by a search that branches on the pieces of all-blocking splits
+    (see ``_weak_region_exact``).
     """
     _check_kind(kind)
     n = game.n
@@ -362,7 +360,7 @@ def core_region(
             return CoreRegion(EMPTY, None, "boundary")
         return CoreRegion(NONEMPTY, point, "boundary")
     if kind == STRONG:
-        by_size = None if canonical_witness else size_values(game)
+        by_size = size_values(game)
         if by_size is not None:
             return _equal_split_region(game, by_size)
         if game.cover() > game.terms[game.grand]:
@@ -372,10 +370,10 @@ def core_region(
             return CoreRegion(EMPTY, None, "lp")
         return CoreRegion(NONEMPTY, _finish_witness(game, point), "lp")
     if strong is None:
-        strong = core_region(game, STRONG, canonical_witness=canonical_witness)
+        strong = core_region(game, STRONG)
     if strong.status == NONEMPTY:
         return CoreRegion(NONEMPTY, strong.witness, "strong-subset")
-    return _weak_region_exact(game, canonical_witness)
+    return _weak_region_exact(game)
 
 
 def _equal_split_region(game: Game, by_size: tuple) -> CoreRegion:
@@ -385,15 +383,18 @@ def _equal_split_region(game: Game, by_size: tuple) -> CoreRegion:
     core holds the average of any point's permutations, the equal split
     (the averaging argument for symmetric LPs; Bödi, Herr & Joswig 2013).
     The equal split covers a coalition of s players iff s*v(n) >= n*v(s),
-    compared on the exactly converted values, as the LP compares them."""
+    compared on the exactly converted values, as the LP compares them.  It
+    is the only max-slack point: at any optimum, the coalitions of a size s
+    attaining t* = min over s < n of s/n - v(s)/v(n) each hold at least s/n
+    and average exactly s/n, so for 1 <= s <= n-1 every share is 1/n."""
     n = game.n
     v = [Fraction(x) for x in by_size[1:]]
     if all(s * v[-1] >= n * v[s - 1] for s in range(1, n)):
-        return CoreRegion(NONEMPTY, _finish_witness(game, (Fraction(1, n),) * n), "equal-split")
-    return CoreRegion(EMPTY, None, "equal-split")
+        return CoreRegion(NONEMPTY, _finish_witness(game, (Fraction(1, n),) * n), "lp")
+    return CoreRegion(EMPTY, None, "lp")
 
 
-def _weak_region_exact(game: Game, canonical_witness: bool) -> CoreRegion:
+def _weak_region_exact(game: Game) -> CoreRegion:
     """Search over commitment sets: sets of proper coalitions whose
     halfspace ``v(N) * f(C) >= v(C)`` is imposed on the grand split simplex.
     A set's LP point either has no all-blocking split, and is then a weak-
@@ -401,10 +402,9 @@ def _weak_region_exact(game: Game, canonical_witness: bool) -> CoreRegion:
     piece of the split ``_blocking_split`` finds there, so the search
     branches on the pieces.  Infeasible sets are kept as nogoods and their
     supersets skipped.  Coverage at the point is read off ``CoreRows``'
-    integer table, exact as the LP decides it.  The canonical witness is the
-    max-slack point of the polytope committing every coalition the found
-    point covers, all of which lies in the weak core; without it the found
-    point serves."""
+    integer table, exact as the LP decides it.  The witness is the canonical
+    one: the max-slack point of the polytope committing every coalition the
+    found point covers, all of which lies in the weak core."""
     full = game.grand
     if boundary_empty(game, full):
         return CoreRegion(EMPTY, None, "boundary")
@@ -425,8 +425,7 @@ def _weak_region_exact(game: Game, canonical_witness: bool) -> CoreRegion:
         stack += [committed | {piece} for piece in reversed(pieces)]
     else:
         return CoreRegion(EMPTY, None, "exact-search")
-    if canonical_witness:
-        point = rows.solve([c for c in range(1, full) if covered(c)])
+    point = rows.solve([c for c in range(1, full) if covered(c)])
     return CoreRegion(NONEMPTY, _finish_witness(game, point), "exact-search")
 
 
@@ -460,22 +459,19 @@ class BlockTable(dict):
     """The core regions of one game's blocks, looked up by (block, kind).
 
     A block's region is decided on first use, by ``core_region`` on the
-    block's subgame with this table's settings, and read back on every later
-    use, so each block has one verdict and one witness however many
-    partitions contain it.  Regions are kept by the subgame's content, its
-    ``terms`` (one scale per game) without player labels (one table serves
-    one game, so mode and tolerance are fixed): blocks with equal subgames
-    share one region, computed once in local coordinates, which a
-    ``PatchedCore`` places on any of them.  The weak region of a block of
+    block's subgame, and read back on every later use, so each block has
+    one verdict and one witness however many partitions contain it.
+    Regions are kept by the subgame's content, its ``terms`` (one scale per
+    game) without player labels (one table serves one game, so mode and
+    tolerance are fixed): blocks with equal subgames share one region,
+    computed once in local coordinates, which a ``PatchedCore`` places on
+    any of them.  The weak region of a block of
     four or more players reads the strong region of the same content, so
-    its strong-core system is solved once.  Without canonical witnesses
-    only regions that rest on a size-symmetric strong region or on the weak
-    search change (see ``core_region``)."""
+    its strong-core system is solved once."""
 
-    def __init__(self, game: Game, *, canonical_witness: bool = True):
+    def __init__(self, game: Game):
         super().__init__()
         self.game = game
-        self.canonical_witness = canonical_witness
         # each block's subgame and the index of its value table (so a table
         # is hashed once per block and the regions are keyed by int)
         self.subgames: dict[int, tuple[Game, int]] = {}
@@ -492,9 +488,7 @@ class BlockTable(dict):
         region = self.regions.get((content, kind))
         if region is None:
             strong = self[block, STRONG] if kind == WEAK and game.n > 3 else None
-            region = core_region(
-                game, kind, canonical_witness=self.canonical_witness, strong=strong
-            )
+            region = core_region(game, kind, strong=strong)
             self.regions[content, kind] = region
         self[key] = region
         return region
@@ -715,18 +709,18 @@ def walk_partitions(
 ) -> Iterator[tuple[Partition, str, str, bool]]:
     """Every partition of a size-symmetric game (see ``games.size_values``)
     in enumeration order, with the statuses of its patched strong and weak
-    cores, decided through one ``BlockTable`` without canonical witnesses,
-    and its fusion verdict.  No record or witness is built per partition.
-    Raises ValueError, on the first step, on any other game.
+    cores, decided through one ``BlockTable``, and its fusion verdict.  No
+    record or witness is built per partition.  Raises ValueError, on the
+    first step, on any other game.
 
     Blocks of one size have equal subgames, so a partition's verdicts
     depend only on its sequence of block sizes in block order (the order in
-    which ``fusion_resistant`` adds block values, so its verdict is every
+    which the fusion test adds block values, so its verdict is every
     partition's own bit for bit): each sequence is decided once, on the
     first partition that has it."""
     if size_values(game) is None:
         raise ValueError("walk_partitions needs a size-symmetric game")
-    table = BlockTable(game, canonical_witness=False)
+    table = BlockTable(game)
     seen: dict[tuple[int, ...], tuple[str, str, bool]] = {}
     for partition in enumerate_partitions(game.n, cap):
         sizes = tuple(b.bit_count() for b in partition)
@@ -736,5 +730,5 @@ def walk_partitions(
                 PatchedCore(partition, tuple(table[b, kind] for b in partition)).status
                 for kind in (STRONG, WEAK)
             )
-            found = seen[sizes] = (strong, weak, fusion_resistant(game, partition))
+            found = seen[sizes] = (strong, weak, _resists_fusion(game.values, partition, game.tol))
         yield partition, *found

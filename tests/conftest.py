@@ -296,7 +296,7 @@ def naive_theorem_fission_claim(g1, g2, *, samples, seed):
     from fracgame.centripetality import ClaimResult
 
     rng = random.Random(seed)
-    table = stability.BlockTable(g1, canonical_witness=False)
+    table = stability.BlockTable(g1)
     checked = {stability.STRONG: 0, stability.WEAK: 0}
     dominated = sampled = 0
     failures = []
@@ -331,7 +331,7 @@ def naive_corollary_weak_sampled(g1, g2, *, samples, seed):
     rng = random.Random(seed)
     g2 = _at_pair_tol(g1, g2)
     candidates = list(stability.split_vertices(g1, g1.grand))
-    region = stability.core_region(g1, stability.WEAK, canonical_witness=False)
+    region = stability.core_region(g1, stability.WEAK)
     if region.status == stability.NONEMPTY:
         candidates.append(region.witness)
     for _ in range(samples):
@@ -367,7 +367,7 @@ def naive_corollary_weak_claim(g1, g2, *, samples, seed):
     return naive_corollary_weak_sampled(g1, g2, samples=samples, seed=seed)
 
 
-def naive_stable_sets(game, *, canonical_witness=True, patched_out=None):
+def naive_stable_sets(game, *, patched_out=None):
     """Per-partition reference for stability.stable_sets: every block of
     every partition decided afresh by core_region on its subgame, and the
     patched status and witness aggregated block by block.  The records'
@@ -381,9 +381,7 @@ def naive_stable_sets(game, *, canonical_witness=True, patched_out=None):
         shares = [None] * game.n
         status = stability.NONEMPTY
         for block in partition:
-            region = stability.core_region(
-                subgame(game, block), kind, canonical_witness=canonical_witness
-            )
+            region = stability.core_region(subgame(game, block), kind)
             regions.append(region)
             if region.status == stability.EMPTY:
                 status = stability.EMPTY
@@ -502,43 +500,62 @@ def naive_csv_rows(report):
 
 
 def naive_sweep_point(args, label, game, extra):
-    """Reference for cli._sweep_point: the point as it was read off a full
-    stable_sets report, with no weak core left undecided.  The report takes
-    canonical witnesses, so every strong region comes from the LP and the
-    oracle shares neither the type walk nor the closed form; the statuses
-    do not depend on the witness."""
+    """Reference for cli._sweep_point: every partition judged on its own,
+    with no type walk, block table or closed form.  A block's strong core
+    is nonempty iff ``CoreRows`` solves its whole strong-core system (a
+    lone player's always is), and its weak core iff its strong one is or
+    the exact weak search finds a point, each decided once per block
+    content; fusion is the public predicate's verdict."""
+    from fracgame.games import game_digest, subgame
     from fracgame.partitions import partition_label
-    from fracgame.stability import STRONG, WEAK, stable_sets
+    from fracgame.stability import EMPTY, NONEMPTY, STRONG, WEAK
 
-    report = stable_sets(game, cap=args.cap)
-    # partitions come grand first, so the first record holds the grand cores
-    grand = report.records[0]
-    stable_strong = [partition_label(p, game.players) for p, _ in report.stable(STRONG)]
-    stable_weak = [partition_label(p, game.players) for p, _ in report.stable(WEAK)]
-    consolidated = report.most_consolidated(WEAK)
+    decided = {}
+
+    def block_statuses(block):
+        sub = subgame(game, block)
+        found = decided.get(sub.values)
+        if found is None:
+            strong = sub.n == 1 or stability.CoreRows(sub).solve(range(1, sub.grand)) is not None
+            weak = strong or stability._weak_region_exact(sub).status == NONEMPTY
+            found = decided[sub.values] = strong, weak
+        return found
+
+    counts = dict.fromkeys(("patched_strong", "patched_weak", "fusion_resistant"), 0)
+    stable = {STRONG: [], WEAK: []}
+    core = None
+    for partition in enumerate_partitions(game.n, args.cap):
+        by_block = [block_statuses(b) for b in partition]
+        patched = {STRONG: all(s for s, _ in by_block), WEAK: all(w for _, w in by_block)}
+        fused = stability.fusion_resistant(game, partition)
+        if core is None:
+            core = {kind: NONEMPTY if ok else EMPTY for kind, ok in patched.items()}
+        counts["patched_strong"] += patched[STRONG]
+        counts["patched_weak"] += patched[WEAK]
+        counts["fusion_resistant"] += fused
+        for kind, ok in patched.items():
+            if ok and fused:
+                stable[kind].append(partition)
+    labels = {kind: [partition_label(p, game.players) for p in stable[kind]] for kind in stable}
+    fewest = min(map(len, stable[WEAK]), default=None)
+    consolidated = min(
+        (lab for p, lab in zip(stable[WEAK], labels[WEAK]) if len(p) == fewest), default=None
+    )
+    counts.update(stable_strong=len(stable[STRONG]), stable_weak=len(stable[WEAK]), unknown_weak=0)
     point = {
         "label": label,
-        "digest": report.digest,
-        "counts": {
-            "patched_strong": len(report.partitions_with(STRONG)),
-            "patched_weak": len(report.partitions_with(WEAK)),
-            "fusion_resistant": len(report.fusion_resistant_partitions()),
-            "stable_strong": len(stable_strong),
-            "stable_weak": len(stable_weak),
-            "unknown_weak": 0,
-        },
-        "core": {"strong": grand.strong.status, "weak": grand.weak.status},
-        "stable_strong": stable_strong,
-        "stable_weak": stable_weak,
-        "most_consolidated": None
-        if consolidated is None
-        else partition_label(consolidated, game.players),
+        "digest": game_digest(game),
+        "counts": counts,
+        "core": core,
+        "stable_strong": labels[STRONG],
+        "stable_weak": labels[WEAK],
+        "most_consolidated": consolidated,
     }
     point.update(extra)
     return point
 
 
-def naive_weak_region_exact(game, canonical_witness):
+def naive_weak_region_exact(game):
     """Verdict oracle for stability._weak_region_exact: the partition walk
     it replaced, kept verbatim.  It walks all Bell(n)-1 non-grand partitions
     in enumeration order, commits one block of each, and recurses once per
@@ -598,10 +615,7 @@ def naive_weak_region_exact(game, canonical_witness):
     result = search(0, frozenset(), start, {})
     if result is None:
         return CoreRegion(EMPTY, None, "exact-search")
-    committed, point = result
-    if canonical_witness:
-        point, _ = linfeas.max_slack_point(system_for(committed))
-    return CoreRegion(NONEMPTY, stability._finish_witness(game, point), "exact-search")
+    return CoreRegion(NONEMPTY, stability._finish_witness(game, result[1]), "exact-search")
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ from fracgame.games import (
     solution_feasible,
     subgame,
 )
-from fracgame.partitions import singleton_partition
+from fracgame.partitions import enumerate_partitions, singleton_partition
 from fracgame.stability import core_system
 from fracgame.linfeas import vertices
 from conftest import (
@@ -381,7 +381,7 @@ def test_dominated_blocks_refuse_no_sampled_point():
     unordered = [(random_exact_game(rng, n), random_exact_game(rng, n)) for n in (3, 3, 4, 4)]
     checked = {STRONG: 0, WEAK: 0}
     for g1, g2 in ordered + unordered:
-        table = stability.BlockTable(g1, canonical_witness=False)
+        table = stability.BlockTable(g1)
         for block in _checked_blocks(g1):
             if naive_dominated(g1, g2, block):
                 found = naive_sampled_block(g1, g2, block, random.Random(block), 200, table)
@@ -683,6 +683,38 @@ def test_splintered_stability_is_one_fusion_verdict():
     assert len(seen) == 4
 
 
+def test_claim_five_checks_no_enumerated_partition(monkeypatch):
+    # claim 5 judges each enumerated partition's fusion under g2 and, where
+    # g2's resists, under g1, each game at its own tolerance, and checks no
+    # partition; its verdict is the public predicate's
+    checks, judged = [], []
+    check, resists = stability.check_partition, centripetality._resists_fusion
+    monkeypatch.setattr(stability, "check_partition", lambda *a: checks.append(a) or check(*a))
+    monkeypatch.setattr(
+        centripetality, "_resists_fusion", lambda *a: judged.append(a) or resists(*a)
+    )
+    rng = random.Random(67)
+    seen = set()
+    for n in (2, 3, 4) * 4:
+        g1, g2 = random_float_game(rng, n), random_float_game(rng, n)
+        g2 = make_game(n, dict(enumerate(g2.values[1:], 1)), mode="float", tol=1e-6)
+        checks.clear()
+        judged.clear()
+        claim = verify_theorem1(g1, g2, samples=0, seed=0).claims[4]
+        assert not checks
+        tols = {id(g.values): g.tol for g in (g1, g2)}
+        assert judged and all(tols[id(values)] == tol for values, _, tol in judged)
+        partitions = list(enumerate_partitions(n))
+        assert [p for values, p, _ in judged if values is g2.values] == partitions
+        want = not any(
+            stability.fusion_resistant(g2, p) and not stability.fusion_resistant(g1, p)
+            for p in partitions
+        )
+        assert claim.passed == want
+        seen.add(want)
+    assert seen == {True, False}
+
+
 def test_claim_one_takes_thresholds_exactly_when_every_lower_bound_drops():
     # the grand split set's fast path reads only singleton violations: it
     # is taken iff every g2 lower bound v2(i)/v2(N) sits at or below g1's,
@@ -793,7 +825,10 @@ def library_reports() -> str:
     of each kind (ordered exact, unordered exact, float/float, and an
     ordered pair with a float second game), each in both orders, so most
     blocks are sampled.  ``inclusion_reports_library.json`` holds what this
-    printed before the harnesses were folded into one pass per block."""
+    printed before the harnesses were folded into one pass per block, but
+    for two claim-4 weak counts of float n=4 pairs, which grew when claim 4
+    took each block's canonical weak witness in place of the search's
+    stopping point."""
     rng = random.Random(30)
     entries = []
     for kind in ("ordered", "unordered", "float", "mixed"):

@@ -915,7 +915,7 @@ def test_analyze_out_file_matches_committed_bytes(tmp_path, capsys, fmt):
         (["core", "{game}", "--partition", "a,b,c|d,e,f"], "core_cut_game_n6_seed0_abc-def.json"),
     ],
 )
-def test_canonical_witnesses_match_committed_bytes(capsys, argv, golden):
+def test_max_slack_witnesses_match_committed_bytes(capsys, argv, golden):
     # every canonical witness as the cold max-slack rounds wrote it: the
     # strong regions of the 3+3 blocks, every weak region of four or more
     # players and its max-slack witness over the rows it covers

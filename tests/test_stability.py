@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import operator
 import pathlib
 import random
 from dataclasses import replace
@@ -420,23 +421,21 @@ def test_region_witness_always_revalidates():
 
 def test_weak_region_lends_the_strong_region_of_the_same_game():
     # a nonempty strong core answers the weak one with its own witness,
-    # standalone and in a block table, with and without the canonical one
+    # standalone and in a block table
     rng = random.Random(29)
     make = (random_float_game, random_exact_game)
     games = [make[k % 2](rng, 4 + k % 3) for k in range(30)]
     games += [build_meanstd_game(MeanStdScenario(n, 1.0, 0.5, r)) for n in (4, 5, 6) for r in (0, 0.8)]
     lent = 0
     for game in games:
-        for canonical in (True, False):
-            strong = core_region(game, STRONG, canonical_witness=canonical)
-            weak = core_region(game, WEAK, canonical_witness=canonical)
-            table = BlockTable(game, canonical_witness=canonical)
-            assert table[game.grand, WEAK] == weak and table[game.grand, STRONG] == strong
-            assert (weak.method == "strong-subset") == (strong.status == NONEMPTY)
-            if strong.status == NONEMPTY:
-                assert weak.witness == strong.witness
-                lent += 1
-    assert lent >= 16 and lent < 2 * len(games)
+        strong, weak = core_region(game, STRONG), core_region(game, WEAK)
+        table = BlockTable(game)
+        assert table[game.grand, WEAK] == weak and table[game.grand, STRONG] == strong
+        assert (weak.method == "strong-subset") == (strong.status == NONEMPTY)
+        if strong.status == NONEMPTY:
+            assert weak.witness == strong.witness
+            lent += 1
+    assert lent >= 8 and lent < len(games)
 
 
 def test_weak_region_exact_vs_sampled_consistency():
@@ -484,17 +483,16 @@ def _weak_search_games(n, seeds):
 @pytest.mark.parametrize("n, seeds", [(4, range(60)), (5, range(25))])
 def test_weak_region_exact_matches_the_partition_walk(n, seeds):
     # the split-driven search against the Bell(n) partition walk it
-    # replaced: same status on every game, and every witness, canonical or
-    # raw, re-validates under the library and the literal predicate
+    # replaced: same status on every game, and every canonical witness
+    # re-validates under the library and the literal predicate
     statuses = set()
     for game in _weak_search_games(n, seeds):
-        want = naive_weak_region_exact(game, canonical_witness=False).status
-        for canonical in (True, False):
-            got = _weak_region_exact(game, canonical)
-            assert got.status == want
-            if got.status == NONEMPTY:
-                assert core_contains(game, got.witness, WEAK)
-                assert naive_weak_core_contains(game, got.witness)
+        want = naive_weak_region_exact(game).status
+        got = _weak_region_exact(game)
+        assert got.status == want
+        if got.status == NONEMPTY:
+            assert core_contains(game, got.witness, WEAK)
+            assert naive_weak_core_contains(game, got.witness)
         statuses.add((game.mode, want))
     assert statuses == {(m, s) for m in ("exact", "float") for s in (EMPTY, NONEMPTY)}
 
@@ -503,7 +501,7 @@ def test_weak_region_exact_decides_eight_players():
     # the partition walk recursed once per partition (Bell(8) - 1 = 4139
     # levels) and overflowed the stack here
     game = cut_game(random.Random(8), 8)
-    region = _weak_region_exact(game, True)
+    region = _weak_region_exact(game)
     assert region.status in (NONEMPTY, EMPTY)
     if region.status == NONEMPTY:
         assert core_contains(game, region.witness, WEAK)
@@ -519,7 +517,6 @@ def test_weak_region_empty_where_sampling_cannot_decide():
         15: 12,
     })
     assert core_region(game, WEAK) == CoreRegion(EMPTY, None, "exact-search")
-    assert core_region(game, WEAK, canonical_witness=False) == core_region(game, WEAK)
 
 
 def test_singleton_game_region():
@@ -561,7 +558,7 @@ def test_default_reports_decide_every_weak_core(n):
                 assert core_contains(sub, region.witness, WEAK)
                 assert naive_weak_core_contains(sub, region.witness)
         if n == 5:
-            want = naive_weak_region_exact(game, canonical_witness=False)
+            want = naive_weak_region_exact(game)
             assert regions[game.grand].status == want.status
     assert "exact-search" in methods
 
@@ -653,11 +650,17 @@ def test_stable_sets_checks_no_enumerated_partition(monkeypatch):
 
 def test_walk_partitions_decides_each_block_size_sequence_once(monkeypatch):
     # one memo, by the sequence of block sizes: each of the 2^(n-1)
-    # sequences is decided, and checked by its fusion test, once
-    checked = _count_partition_checks(monkeypatch)
+    # sequences is decided, and judged by the fusion test, once; no
+    # enumerated partition is checked
+    checked, judged = _count_partition_checks(monkeypatch), []
+    resists = stability._resists_fusion
+    monkeypatch.setattr(
+        stability, "_resists_fusion", lambda *args: judged.append(args[1]) or resists(*args)
+    )
     walked = list(walk_partitions(build_meanstd_game(MeanStdScenario(6, 1, 0.5, 0.8))))
-    sequences = {tuple(b.bit_count() for b in blocks) for blocks in checked}
-    assert len(walked) == bell_number(6) and len(checked) == len(sequences) == 2**5
+    sequences = {tuple(b.bit_count() for b in blocks) for blocks in judged}
+    assert len(walked) == bell_number(6) and len(judged) == len(sequences) == 2**5
+    assert checked == []
 
 
 def test_stable_sets_pairy_splinters(pairy3):
@@ -754,24 +757,18 @@ def test_report_text_prints_float_witnesses_with_exponents():
 
 
 @pytest.mark.parametrize("n, seed", [(4, 12), (5, 14), (5, 31), (5, 40)])
-@pytest.mark.parametrize("canonical", [False, True])
-def test_stable_sets_match_per_partition_oracle(n, seed, canonical):
+def test_stable_sets_match_per_partition_oracle(n, seed):
     # deciding each block once must reproduce the sweep that decides every
-    # block of every partition afresh, with either kind of witness (patched
-    # cores without the canonical one read from a block table); the grand
-    # weak core of each of these games is left to the exact search.  Each
-    # core derives its status and witness from its block regions: both must
-    # be the ones the oracle aggregates block by block
+    # block of every partition afresh; the grand weak core of each of these
+    # games is left to the exact search.  Each core derives its status and
+    # witness from its block regions: both must be the ones the oracle
+    # aggregates block by block
     game = random_exact_game(random.Random(seed), n)
     oracle = {}
-    want = naive_stable_sets(game, canonical_witness=canonical, patched_out=oracle)
-    if canonical:
-        got = stable_sets(game)
-        assert got.to_dict() == want.to_dict()
-        cores = {(r.partition, kind): getattr(r, kind) for r in got.records for kind in (STRONG, WEAK)}
-    else:
-        table = BlockTable(game, canonical_witness=False)
-        cores = {key: table.patched(*key) for key in oracle}
+    want = naive_stable_sets(game, patched_out=oracle)
+    got = stable_sets(game)
+    assert got.to_dict() == want.to_dict()
+    cores = {(r.partition, kind): getattr(r, kind) for r in got.records for kind in (STRONG, WEAK)}
     assert cores.keys() == oracle.keys()
     for record in want.records:
         for kind in (STRONG, WEAK):
@@ -979,7 +976,7 @@ def test_regions_never_build_the_whole_core_system(monkeypatch):
 
     monkeypatch.setattr(stability, "core_system", refuse)
     assert stable_sets(game).to_dict() == want
-    assert core_region(game, WEAK, canonical_witness=False).status == NONEMPTY
+    assert core_region(game, WEAK).status == NONEMPTY
 
 
 def test_every_lp_solve_goes_through_a_named_entry(monkeypatch):
@@ -1034,14 +1031,16 @@ def test_every_lp_solve_goes_through_a_named_entry(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# size-symmetric games: the equal-split closed form and the type walk
+# size-symmetric games: the equal split's closed form and the type walk
 
 
 def _size_symmetric_games(n: int) -> list:
-    """Labelled size-symmetric games of n players: pooled ventures (float),
-    the cvar sweep's default family, and exact games by size with empty
-    strong cores (some over nonempty split simplices, so the weak core goes
-    to the exact search), nonempty ones, and ties s*v(n) = n*v(s)."""
+    """Labelled size-symmetric games of n players: pooled ventures (float,
+    one rounded at r = 0), the cvar sweep's default family, and exact and
+    float games by size with empty strong cores (some over nonempty split
+    simplices, so the weak core goes to the exact search), nonempty ones,
+    zero singletons, and ties s*v(n) = n*v(s) (additive games tie at every
+    size, and lone-heavy ones at every size but 1)."""
     games = [
         (f"pooled-r{r}", build_meanstd_game(MeanStdScenario(n, 1.0, 0.5, r)))
         for r in (0.0, 0.8, 1.5)
@@ -1065,6 +1064,9 @@ def _size_symmetric_games(n: int) -> list:
         # a tie at n - 1 players, strict below it
         ("tie", _size_game(n, {s: s * s if s < n - 1 else (n - 1) * s * n for s in sizes})),
         ("lone-heavy", _size_game(n, {s: 2 * n if s == 1 else n * s for s in sizes})),
+        ("zero-lone", _size_game(n, {s: 0 if s == 1 else s * s for s in sizes})),
+        ("float-tie", _size_game(n, {s: float(s * s if s < n - 1 else (n - 1) * s * n) for s in sizes})),
+        ("float-additive", _size_game(n, {s: 0.1 * s for s in sizes})),
     ]
     rng = random.Random(n)
     games += [
@@ -1076,30 +1078,117 @@ def _size_symmetric_games(n: int) -> list:
     return games
 
 
+def _strong_region_problem(game) -> str | None:
+    """How ``core_region(game, STRONG)`` differs from the strong-core
+    system's own LP: the status and max-slack point ``CoreRows`` solves for,
+    tagged ``lp``, the witness compared number by number as text.  None
+    when they agree."""
+    point = stability.CoreRows(game).solve(range(1, game.grand))
+    if point is None:
+        want = CoreRegion(EMPTY, None, "lp")
+    else:
+        want = CoreRegion(NONEMPTY, stability._finish_witness(game, point), "lp")
+    got = core_region(game, STRONG)
+    if got != want or repr(got.witness) != repr(want.witness):
+        return f"{got} is not {want}"
+    return None
+
+
+def _asymmetric_games(n: int, mode: str) -> list:
+    """Seeded games of n players in the mode that are not size-symmetric,
+    though some of their blocks may be: random and cut games, or random
+    games and pooled ventures with a few coalitions' synergy scaled."""
+    rng = random.Random(50 + n)
+    if mode == "exact":
+        return [random_exact_game(rng, n), cut_game(rng, n)]
+    phi = {rng.randrange(3, 1 << n): rng.uniform(1.05, 1.4) for _ in range(n)}
+    return [
+        random_float_game(rng, n),
+        build_meanstd_game(MeanStdScenario(n, 1.0, 0.5, 0.8, phi)),
+        build_meanstd_game(MeanStdScenario(n, 1.3, 0.6, 0.3, phi)),
+    ]
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
-def test_equal_split_region_matches_the_lp(n):
+def test_size_symmetric_strong_regions_are_the_lps(n, mode, monkeypatch):
+    # the closed form decides every size-symmetric strong region with no LP
+    # solved, and it is the LP's region: the same status and the same
+    # max-slack point, byte for byte; the frozen solver agrees on the
+    # status at n <= 5.  Up to six players, every block subgame of three
+    # or more players of an asymmetric game, size-symmetric or not, is the
+    # LP's region as well
+    solves = []
+    solve = stability.CoreRows.solve
+    monkeypatch.setattr(stability.CoreRows, "solve", lambda *a: solves.append(1) or solve(*a))
     statuses = set()
     for label, game in _size_symmetric_games(n):
-        region = core_region(game, STRONG, canonical_witness=False)
-        assert region.method == "equal-split", label
-        system = core_system(game)
-        nonempty = region.status == NONEMPTY
+        if game.mode != mode:
+            continue
+        assert size_values(game) is not None, label
+        region = core_region(game, STRONG)
+        assert not solves, label
+        assert _strong_region_problem(game) is None, label
         statuses.add(region.status)
-        assert nonempty == (stability.CoreRows(game).solve(range(1, game.grand)) is not None), label
-        # the frozen solver takes about a second per six-player system
-        if n <= 5 or n == 6 and label in ("pooled-7/37", "cut", "tie"):
-            assert nonempty == (naive_feasible(system) is not None), label
-        if nonempty:
-            w = region.witness
-            assert core_contains(game, w, STRONG), label
-            assert boundary_contains(game, game.grand, w), label
-            assert naive_fission_resistant(game, (game.grand,), w, STRONG), label
-        # the weak verdict does not move with the strong region's method
-        weak = core_region(game, WEAK, canonical_witness=False)
-        assert weak.status == core_region(game, WEAK).status, label
+        if n <= 5:
+            assert (region.status == NONEMPTY) == (naive_feasible(core_system(game)) is not None), label
         if label == "cut":
+            weak = core_region(game, WEAK)
             assert (region.status, weak.method) == (EMPTY, "exact-search" if n > 3 else "boundary")
+        solves.clear()
     assert statuses == {EMPTY, NONEMPTY}
+    if n <= 6:
+        for game in _asymmetric_games(n, mode):
+            blocks = [b for b in range(1, game.grand + 1) if b.bit_count() > 2]
+            subgames = {sub.values: sub for sub in (subgame(game, b) for b in blocks)}
+            assert size_values(game) is None
+            assert all(_strong_region_problem(sub) is None for sub in subgames.values())
+
+
+def _closed_form(compare, first_size):
+    """``stability._equal_split_region`` with its comparison and its
+    smallest compared size as given."""
+
+    def region(game, by_size):
+        n, v = game.n, [Fraction(x) for x in by_size[1:]]
+        if all(compare(s * v[-1], n * v[s - 1]) for s in range(first_size, n)):
+            return CoreRegion(NONEMPTY, stability._finish_witness(game, (Fraction(1, n),) * n), "lp")
+        return CoreRegion(EMPTY, None, "lp")
+
+    return region
+
+
+def _vertex_region(game, by_size):
+    """The closed form's verdict with a vertex of the core as its witness."""
+    region = _closed_form(operator.ge, 1)(game, by_size)
+    if region.status == EMPTY:
+        return region
+    vertex = linfeas.minimize(core_system(game), (1,) + (0,) * (game.n - 1))[1]
+    return replace(region, witness=stability._finish_witness(game, vertex))
+
+
+@pytest.mark.parametrize(
+    "closed_form, caught",
+    [
+        (_closed_form(operator.ge, 1), False),
+        (_closed_form(operator.gt, 1), True),
+        (_closed_form(operator.ge, 2), True),
+        (_vertex_region, True),
+    ],
+    ids=["as-is", "strict", "without-singletons", "vertex"],
+)
+def test_size_symmetric_games_catch_a_wrong_closed_form(closed_form, caught, monkeypatch):
+    # the families above tell the closed form apart from a strict
+    # comparison (ties), from one that skips singletons (lone-heavy games)
+    # and from one that returns another core point (a vertex)
+    monkeypatch.setattr(stability, "_equal_split_region", closed_form)
+    problems = [
+        label
+        for n in (3, 4, 5)
+        for label, game in _size_symmetric_games(n)
+        if _strong_region_problem(game) is not None
+    ]
+    assert bool(problems) == caught, problems
 
 
 def test_equal_split_region_matches_the_lp_on_pooled_games_without_aversion():
@@ -1109,54 +1198,9 @@ def test_equal_split_region_matches_the_lp_on_pooled_games_without_aversion():
     for n in (3, 4):
         for k in range(1, 200):
             game = build_meanstd_game(MeanStdScenario(n, k / 37, 0.5, 0.0))
-            region = core_region(game, STRONG, canonical_witness=False)
-            got = stability.CoreRows(game).solve(range(1, game.grand))
-            assert (region.status == NONEMPTY) == (got is not None)
-            empty += region.status == EMPTY
+            assert _strong_region_problem(game) is None, (n, k)
+            empty += core_region(game, STRONG).status == EMPTY
     assert empty == 121
-
-
-def test_canonical_witness_and_asymmetric_games_keep_the_lp():
-    game = build_meanstd_game(MeanStdScenario(5, 1.0, 0.5, 0.8))
-    assert core_region(game, STRONG).method == "lp"
-    # one coalition of three players one ulp above the rest of its size
-    values = list(game.values)
-    values[7] = math.nextafter(values[7], math.inf)
-    nudged = make_game(5, dict(enumerate(values[1:], 1)), tol=game.tol)
-    assert size_values(game) is not None and size_values(nudged) is None
-    assert core_region(nudged, STRONG, canonical_witness=False).method == "lp"
-
-
-@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
-def test_strong_regions_without_the_canonical_witness_are_the_canonical_ones(n):
-    # every strong region the LP decides carries its max-slack point, with
-    # or without the canonical witness; only size-symmetric block subgames
-    # are decided on the equal split without it
-    rng = random.Random(50 + n)
-    phi = {rng.randrange(3, 1 << n): rng.uniform(1.05, 1.4) for _ in range(n)}
-    games = [
-        random_exact_game(rng, n),
-        random_float_game(rng, n),
-        cut_game(rng, n),
-        build_meanstd_game(MeanStdScenario(n, 1.0, 0.5, 0.8, phi)),
-        build_meanstd_game(MeanStdScenario(n, 1.3, 0.6, 0.3, phi)),
-        build_meanstd_game(MeanStdScenario(n, 1.0, 0.5, 0.8)),
-    ]
-    seen = {"lp": 0, "nonempty lp": 0, "equal-split": 0}
-    for game in games:
-        subgames = {subgame(game, b).values: subgame(game, b) for b in range(1, game.grand + 1)}
-        for sub in subgames.values():
-            canonical = core_region(sub, STRONG)
-            region = core_region(sub, STRONG, canonical_witness=False)
-            if sub.n >= 3 and size_values(sub) is not None:
-                assert region.method == "equal-split" and canonical.method == "lp"
-                assert region.status == canonical.status
-                seen["equal-split"] += 1
-            else:
-                assert region == canonical
-                seen["lp"] += region.method == "lp"
-                seen["nonempty lp"] += region.method == "lp" and region.status == NONEMPTY
-    assert min(seen.values()) >= 1 and seen["nonempty lp"] >= 2, seen
 
 
 def test_size_types_count_the_partitions_of_each_type():
@@ -1242,8 +1286,10 @@ def test_superadditive_cover_matches_partition_enumeration_and_the_lp():
 
 def test_screened_strong_regions_solve_no_lp(monkeypatch):
     # on the n=6 golden game, no block whose partitions beat its value
-    # (w(B) > v(B), by the literal oracle) has its strong system solved:
-    # the strong solves are one per distinct content among the others
+    # (w(B) > v(B), by the literal oracle) has its strong system solved,
+    # nor the one size-symmetric block of three or more players (b,d,f),
+    # which the equal split decides: the strong solves are one per
+    # distinct content among the others
     game = load_game(DATA / "cut_game_n6_seed0.json")
     solved = []
     solve = stability.CoreRows.solve
@@ -1257,8 +1303,10 @@ def test_screened_strong_regions_solve_no_lp(monkeypatch):
     stable_sets(game)
     blocks = {b: subgame(game, b).terms for b in range(1, 1 << game.n) if b.bit_count() > 2}
     covered = {b for b in blocks if naive_cover(game, b)[0] > Fraction(game.values[b])}
-    assert len(covered) == 22 and not {blocks[b] for b in covered} & set(solved)
-    assert sorted(solved) == sorted({blocks[b] for b in blocks if b not in covered})
+    symmetric = {b for b in blocks if size_values(subgame(game, b)) is not None}
+    assert len(covered) == 22 and symmetric == {0b101010}
+    assert not {blocks[b] for b in covered | symmetric} & set(solved)
+    assert sorted(solved) == sorted({blocks[b] for b in blocks if b not in covered | symmetric})
 
 
 def test_stable_sets_fusion_verdicts_match_a_fraction_oracle():
