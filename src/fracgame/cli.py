@@ -259,13 +259,13 @@ def _parse_grid(text: str) -> list[float]:
 
 
 def _sweep_point(args, label: str, game: Game, extra: dict) -> dict:
-    # a sweep prints statuses only, one per block-size type; no weak core
-    # is left undecided, so unknown_weak stays 0 in the schema
+    # a sweep prints statuses only, read from the partition walk; no weak
+    # core is left undecided, so unknown_weak stays 0 in the schema
     counted = ("patched_strong", "patched_weak", "fusion_resistant", "unknown_weak")
     counts = dict.fromkeys(counted, 0)
     stable: dict[str, list] = {STRONG: [], WEAK: []}
     core = None
-    for partition, strong, weak, fused in walk_partitions(game, cap=args.cap):
+    for partition, _, _, strong, weak, fused in walk_partitions(game, cap=args.cap):
         # partitions come grand first, so the first row holds the grand cores
         core = core or {"strong": strong, "weak": weak}
         counts["patched_strong"] += strong == NONEMPTY
@@ -297,49 +297,31 @@ def _sweep_point(args, label: str, game: Game, extra: dict) -> dict:
 
 def cmd_sweep(args) -> int:
     tol = args.tolerance if args.tolerance is not None else DEFAULT_TOL
-    games: list[Game] = []
-    points: list[dict] = []
+    # (label, game, extra fields) per grid point
     if args.scenario == "meanstd":
-        grid = _parse_grid(args.r)
-        for r in grid:
-            scenario = MeanStdScenario(args.n, args.mu, args.sigma, r)
-            game = build_meanstd_game(scenario, tol=tol)
-            games.append(game)
-            points.append(_sweep_point(args, f"r={r:g}", game, {"r": r}))
+        build = lambda r: build_meanstd_game(MeanStdScenario(args.n, args.mu, args.sigma, r), tol=tol)
+        runs = [(f"r={r:g}", build(r), {"r": r}) for r in _parse_grid(args.r)]
     else:
-        shapes = _parse_grid(args.beta_a)
         family = default_uniform_family(args.n)
-        for a in shapes:
-            density = beta_density(a)
-            game = build_cvar_game(family, density, tol=tol)
-            games.append(game)
-            points.append(_sweep_point(args, f"a={a:g}", game, {"beta_a": a}))
-    labels = [p["label"] for p in points]
-    matrix = order_matrix(games)
+        build = lambda a: build_cvar_game(family, beta_density(a), tol=tol)
+        runs = [(f"a={a:g}", build(a), {"beta_a": a}) for a in _parse_grid(args.beta_a)]
+    points = [_sweep_point(args, *run) for run in runs]
     payload = {
         "scenario": args.scenario,
         "n": args.n,
-        "grid": labels,
+        "grid": [p["label"] for p in points],
         "points": points,
-        "leq_cp_matrix": matrix,
+        "leq_cp_matrix": order_matrix([game for _, game, _ in runs]),
     }
-    header = [
+    columns = (
         "label", "digest", "patched_strong", "patched_weak", "fusion_resistant",
         "stable_strong", "stable_weak", "unknown_weak", "core_strong", "core_weak",
         "most_consolidated",
-    ]
-    rows = [header]
-    for p in points:
-        rows.append(
-            [
-                p["label"], p["digest"],
-                p["counts"]["patched_strong"], p["counts"]["patched_weak"],
-                p["counts"]["fusion_resistant"], p["counts"]["stable_strong"],
-                p["counts"]["stable_weak"], p["counts"]["unknown_weak"],
-                p["core"]["strong"], p["core"]["weak"],
-                p["most_consolidated"] or "",
-            ]
-        )
+    )
+    # a point's fields flattened, its counts over the stable lists of the
+    # same names and its core statuses as core_*; a None cell prints empty
+    cells = lambda p: {**p, **p["counts"], **{f"core_{k}": s for k, s in p["core"].items()}}
+    rows = [columns, *([row[c] for c in columns] for row in map(cells, points))]
     _emit(args, "sweep", payload, rows)
     return 0
 

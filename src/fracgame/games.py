@@ -276,10 +276,8 @@ def make_game(
     if mode == EXACT and tol:
         raise ValueError("exact mode has no tolerance")
     players = default_players(n) if players is None else _check_players(players, n)
-    table = [None] * (1 << n)
-    for m in coalitions(n):
-        table[m] = values[m]
-    return Game(n, tuple(table), mode, float(tol), players)
+    table = (None, *(values[m] for m in coalitions(n)))
+    return Game(n, table, mode, float(tol), players)
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +356,8 @@ def solution_feasible(game: Game, partition: Sequence[int], shares: Sequence) ->
 def subgame(game: Game, coalition: int) -> Game:
     """Restriction of the game to a coalition, players reindexed to 0..k-1,
     keeping its root game and each coalition's mask there (``terms``)."""
+    if coalition == game.grand:
+        return game
     mem = members(coalition)
     index = [remap(local, mem) for local in range(1 << len(mem))]
     values, players = tuple(map(game.values.__getitem__, index)), tuple(game.players[i] for i in mem)

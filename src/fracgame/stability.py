@@ -33,6 +33,7 @@ from .games import (
     boundary_empty,
     check_partition,
     coalition_label,
+    game_digest,
     geq,
     integer_terms,
     json_list,
@@ -181,7 +182,7 @@ def _in_core(block: int, covers, kind: str) -> bool:
 def fusion_resistant(game: Game, partition: Sequence[int]) -> bool:
     """Whether no group of blocks gains by merging: for every union of two
     or more blocks, the blocks' stand-alone values already cover the merged
-    value, judged on the stored values (``stable_sets`` reads an exact
+    value, judged on the stored values (``walk_partitions`` reads an exact
     game's ``terms``, which a game checked only here never builds)."""
     check_partition(game.n, partition)
     return _resists_fusion(game.values, partition, game.tol)
@@ -206,8 +207,8 @@ def is_stable(game: Game, partition: Sequence[int], shares: Sequence, kind: str 
     _check_kind(kind)
     if not solution_feasible(game, partition, shares):
         return False
-    terms, scale = share_terms(game, shares)
-    return _resists_fission(game, partition, terms, scale, kind) and fusion_resistant(game, partition)
+    resists = _resists_fission(game, partition, *share_terms(game, shares), kind)
+    return resists and _resists_fusion(game.values, partition, game.tol)
 
 
 # ---------------------------------------------------------------------------
@@ -443,8 +444,7 @@ class PatchedCore:
     status: str = field(init=False)
 
     def __post_init__(self):
-        empty = any(r.status == EMPTY for r in self.block_regions)
-        object.__setattr__(self, "status", EMPTY if empty else NONEMPTY)
+        object.__setattr__(self, "status", _patched_status(self.block_regions))
 
     @property
     def witness(self) -> tuple | None:
@@ -453,6 +453,10 @@ class PatchedCore:
         pairs = zip(self.partition, self.block_regions)
         placed = {i: x for block, r in pairs for i, x in zip(members(block), r.witness)}
         return tuple(placed[i] for i in range(len(placed)))
+
+
+def _patched_status(regions: Sequence[CoreRegion]) -> str:
+    return EMPTY if EMPTY in [r.status for r in regions] else NONEMPTY
 
 
 class BlockTable(dict):
@@ -684,51 +688,46 @@ class _Fragments:
 
 
 def stable_sets(game: Game, *, cap: int = DEFAULT_ENUM_CAP) -> StabilityReport:
-    """Sweep every partition: patched strong/weak cores and fusion
-    resistance.  Stable solutions pair a fusion-resistant partition with any
-    point of its nonempty patched core.  All partitions read their blocks
-    from one ``BlockTable``, so each distinct block subgame is decided once,
-    with its canonical witness."""
-    from .games import game_digest
-
-    table = BlockTable(game)
-    values = game.terms if game.mode == EXACT else game.values
-    records = [
-        PartitionRecord(
-            partition,
-            *(PatchedCore(partition, tuple(table[b, k] for b in partition)) for k in (STRONG, WEAK)),
-            _resists_fusion(values, partition, game.tol),
-        )
-        for partition in enumerate_partitions(game.n, cap)
-    ]
-    return StabilityReport(game.n, game.players, game_digest(game), tuple(records))
+    """Every partition's record, read from ``walk_partitions``: patched
+    strong/weak cores and fusion resistance.  Stable solutions pair a
+    fusion-resistant partition with any point of its nonempty patched core."""
+    records = tuple(
+        PartitionRecord(partition, PatchedCore(partition, strong), PatchedCore(partition, weak), fused)
+        for partition, strong, weak, _, _, fused in walk_partitions(game, cap=cap)
+    )
+    return StabilityReport(game.n, game.players, game_digest(game), records)
 
 
 def walk_partitions(
     game: Game, *, cap: int = DEFAULT_ENUM_CAP
-) -> Iterator[tuple[Partition, str, str, bool]]:
-    """Every partition of a size-symmetric game (see ``games.size_values``)
-    in enumeration order, with the statuses of its patched strong and weak
-    cores, decided through one ``BlockTable``, and its fusion verdict.  No
-    record or witness is built per partition.  Raises ValueError, on the
-    first step, on any other game.
+) -> Iterator[tuple[Partition, tuple, tuple, str, str, bool]]:
+    """Every partition in enumeration order, with its strong and weak block
+    regions, read from one ``BlockTable``, the statuses of the patched cores
+    they make, and its fusion verdict, judged on an exact game's ``terms``
+    and a float game's stored values.  No record or witness is built here.
 
-    Blocks of one size have equal subgames, so a partition's verdicts
-    depend only on its sequence of block sizes in block order (the order in
-    which the fusion test adds block values, so its verdict is every
-    partition's own bit for bit): each sequence is decided once, on the
-    first partition that has it."""
-    if size_values(game) is None:
-        raise ValueError("walk_partitions needs a size-symmetric game")
+    On a size-symmetric game (see ``games.size_values``) blocks of one size
+    have equal subgames, so all of these depend only on the partition's
+    sequence of block sizes in block order (the order in which the fusion
+    test adds block values, so its verdict is every partition's own bit for
+    bit): each sequence is decided once, on the first partition that has
+    it.  On any other game each partition is decided on its own."""
     table = BlockTable(game)
-    seen: dict[tuple[int, ...], tuple[str, str, bool]] = {}
+    values = game.terms if game.mode == EXACT else game.values
+
+    def decide(partition: Partition) -> tuple:
+        strong = tuple([table[b, STRONG] for b in partition])
+        weak = tuple([table[b, WEAK] for b in partition])
+        fused = _resists_fusion(values, partition, game.tol)
+        return strong, weak, _patched_status(strong), _patched_status(weak), fused
+
+    seen: dict[tuple[int, ...], tuple] | None = {} if size_values(game) is not None else None
     for partition in enumerate_partitions(game.n, cap):
+        if seen is None:
+            yield partition, *decide(partition)
+            continue
         sizes = tuple(b.bit_count() for b in partition)
         found = seen.get(sizes)
         if found is None:
-            strong, weak = (
-                PatchedCore(partition, tuple(table[b, kind] for b in partition)).status
-                for kind in (STRONG, WEAK)
-            )
-            found = seen[sizes] = (strong, weak, _resists_fusion(game.values, partition, game.tol))
+            found = seen[sizes] = decide(partition)
         yield partition, *found

@@ -20,7 +20,8 @@ from fracgame.risk import (
     build_meanstd_game,
     default_uniform_family,
 )
-from conftest import naive_sweep_point, random_exact_game
+from fracgame.games import size_values
+from conftest import naive_sweep_point, random_exact_game, random_float_game
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -1063,14 +1064,12 @@ def test_sweep_points_match_the_report_oracle(n):
     for label, game, extra in _sweep_games(n):
         assert _sweep_point(args, label, game, extra) == naive_sweep_point(args, label, game, extra)
         by_count = {}
-        for partition, strong, weak, _ in walk_partitions(game):
+        for partition, _, _, strong, weak, _ in walk_partitions(game):
             by_count.setdefault(len(partition), set()).add((strong, weak))
         apart |= any(len(statuses) > 1 for statuses in by_count.values())
     assert apart == (n > 3)
-    # sweeps take only size-symmetric games
+    # the walk serves any game: asymmetric ones decide each partition alone
     if n <= 5:
-        game = random_exact_game(random.Random(n), n)
-        with pytest.raises(ValueError, match="size-symmetric"):
-            next(walk_partitions(game))
-        with pytest.raises(ValueError, match="size-symmetric"):
-            _sweep_point(args, "g", game, {})
+        for game in (random_exact_game(random.Random(n), n), random_float_game(random.Random(n), n)):
+            assert size_values(game) is None
+            assert _sweep_point(args, "g", game, {}) == naive_sweep_point(args, "g", game, {})

@@ -399,3 +399,20 @@ def test_subgame_terms_slice_the_root_games_terms():
     # the scale is the root's, not the block's own denominator
     game = make_game(2, {1: Fraction(1, 2), 2: 1, 3: 3})
     assert game.terms == (0, 1, 2, 6) and subgame(game, 2).terms == (0, 2)
+
+
+def test_subgame_of_the_grand_coalition_is_the_game_itself():
+    # no table is copied for a lone grand block: a root game and a subgame
+    # each come back as they are, with the terms, cover and size values of
+    # a fresh copy of their table
+    for game in _table_games():
+        block = game.grand - (game.n > 1)  # all but the first player, if any
+        sub = subgame(game, block)
+        copies = (
+            make_game(game.n, dict(enumerate(game.values))),
+            subgame(game, block),
+        )
+        for g, copy in zip((game, sub), copies):
+            assert subgame(g, g.grand) is g
+            assert g.terms == copy.terms and g.cover() == copy.cover()
+            assert size_values(g) == size_values(copy)

@@ -663,6 +663,50 @@ def test_walk_partitions_decides_each_block_size_sequence_once(monkeypatch):
     assert checked == []
 
 
+@pytest.mark.parametrize("family", ["meanstd-r0", "meanstd-r0.8", "cvar", "additive"])
+def test_stable_sets_decides_each_block_size_sequence_once(monkeypatch, family):
+    # stable_sets reads walk_partitions, so a size-symmetric game's report,
+    # exact or float, judges fusion once per sequence of block sizes: 2^5
+    # of the 203 partitions at n=6.  The report is the per-partition
+    # oracle's, and its JSON and CSV are the dict and row oracles'
+    game = {
+        "meanstd-r0": lambda: build_meanstd_game(MeanStdScenario(6, 1, 0.5, 0.0)),
+        "meanstd-r0.8": lambda: build_meanstd_game(MeanStdScenario(6, 1, 0.5, 0.8)),
+        "cvar": lambda: build_cvar_game(default_uniform_family(6), beta_density(2.0)),
+        "additive": lambda: make_game(6, {m: 3 * m.bit_count() for m in range(1, 1 << 6)}),
+    }[family]()
+    assert size_values(game) is not None
+    judged, resists = [], stability._resists_fusion
+    monkeypatch.setattr(
+        stability, "_resists_fusion", lambda *args: judged.append(args[1]) or resists(*args)
+    )
+    report = stable_sets(game)
+    assert len(judged) == 2**5 and len(report.records) == bell_number(6)
+    monkeypatch.undo()
+    assert report.to_dict() == naive_stable_sets(game).to_dict()
+    _assert_report_text(report)
+
+
+def test_is_stable_checks_its_partition_once(monkeypatch):
+    # solution_feasible checks the partition; the fission and fusion tests
+    # read it as checked.  On an additive game every block's equal split is
+    # in its core, so every call reaches the fusion test
+    from fracgame import games as games_module
+
+    checked = []
+    for module in (games_module, stability):
+        original = module.check_partition
+        monkeypatch.setattr(
+            module, "check_partition", lambda n, b, f=original: checked.append(b) or f(n, b)
+        )
+    game = make_game(4, {m: m.bit_count() for m in range(1, 16)})
+    for partition in enumerate_partitions(4):
+        shares = [Fraction(1, b.bit_count()) for i in range(4) for b in partition if b >> i & 1]
+        before = len(checked)
+        assert is_stable(game, partition, shares, STRONG)
+        assert len(checked) == before + 1
+
+
 def test_stable_sets_pairy_splinters(pairy3):
     report = stable_sets(pairy3)
     stable_weak = report.stable(WEAK)
@@ -1210,9 +1254,9 @@ def test_size_types_count_the_partitions_of_each_type():
     for n in range(1, 9):
         game = build_meanstd_game(MeanStdScenario(n, 1, 0.5, 0.8))
         walked = list(walk_partitions(game))
-        assert [p for p, _, _, _ in walked] == list(enumerate_partitions(n))
+        assert [p for p, *_ in walked] == list(enumerate_partitions(n))
         types = {}
-        for partition, strong, weak, _ in walked:
+        for partition, _, _, strong, weak, _ in walked:
             sizes = tuple(sorted(b.bit_count() for b in partition))
             types.setdefault(sizes, []).append((strong, weak))
         for sizes, statuses in types.items():
@@ -1340,6 +1384,24 @@ def test_stable_sets_fusion_on_float_games_is_the_float_left_fold():
     for game in [random_float_game(rng, n) for n in (3, 4, 5)]:
         for r in stable_sets(game).records:
             assert r.fusion_resistant == _float_left_fold(game, r.partition)
+
+
+def test_walk_keeps_the_fold_order_on_a_size_symmetric_float_game():
+    # at tolerance 0, (v1 + v1) + v2 rounds below v(N) while (v1 + v2) + v1
+    # reaches it: partitions with one multiset of block sizes get different
+    # fusion verdicts by the order of their blocks, so the walk's memo on a
+    # size-symmetric game is keyed by the sequence of sizes
+    x, y = 0.91, 0.94
+    by_size = {1: x, 2: y, 3: x + y, 4: (x + y) + x}
+    game = make_game(4, {m: by_size[m.bit_count()] for m in range(1, 16)}, mode="float", tol=0.0)
+    assert size_values(game) is not None and (x + x) + y < by_size[4]
+    walked = {partition: fused for partition, *_, fused in walk_partitions(game)}
+    assert walked == {p: _float_left_fold(game, p) for p in enumerate_partitions(4)}
+    assert [r.fusion_resistant for r in stable_sets(game).records] == list(walked.values())
+    by_multiset = {}
+    for partition, fused in walked.items():
+        by_multiset.setdefault(tuple(sorted(b.bit_count() for b in partition)), set()).add(fused)
+    assert by_multiset[1, 1, 2] == {True, False}
 
 
 def _float_left_fold(game, partition) -> bool:
