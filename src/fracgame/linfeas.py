@@ -20,20 +20,24 @@ for ``feasible``, one for ``minimize``, the slack and then each share for
 ``max_slack_point``), each restarting from the previous optimal basis and
 restricted to its optimal face; every point it returns is re-checked.
 ``max_slack_point`` on a bare split simplex needs neither: its optimal
-tableau is written in closed form (``split_center``).  Many halfspaces (the
-strong core's 2^n - 2 coalitions, few of them tight) go through row
-generation (Hallefjord, Helming & Jornsten 1995) in the same driver, by
-``max_slack_point`` with a caller's pricing, which names the row of least
-slack at the max-slack point, read as integers over one scale, if below the
-optimal slack (``stability.CoreRows`` prices the strong core off one
-integer subset-sum table per point), so the strong core never lists its
-2^n - 2 rows.  The row is appended to the optimal tableau with a surplus
-column of its own, its basic columns eliminated, and one artificial on it
-driven to zero by phase 1 (a basis restart, as in Lemke 1954) before the
-stages re-run from that basis.  Max-slack points are unique, so the rounds
-end where cold solves would, on a point meeting every row, which the caller
-re-checks.  Vertices come from brute-force active-set intersection, which
-is entirely adequate at the dimensions this package targets.
+tableau is written in closed form (``split_center``).  Two more answers
+never reach this module: ``stability`` writes the max-slack point of a
+3-player strong core (a box cut by the simplex) and the point ``feasible``
+ends on for a bare split simplex (the lower bounds, the leftover on f_0) in
+closed form.  Many halfspaces (the strong core's 2^n - 2 coalitions, few
+of them tight) go through row generation (Hallefjord, Helming & Jornsten
+1995) in the same driver, by ``max_slack_point`` with a caller's pricing,
+which names the row of least slack at the max-slack point, read as integers
+over one scale, if below the optimal slack (``stability.CoreRows`` prices
+the strong core off one integer subset-sum table per point), so the strong
+core never lists its 2^n - 2 rows.  The row is appended to the optimal
+tableau with a surplus column of its own, its basic columns eliminated,
+and one artificial on it driven to zero by phase 1 (a basis restart, as in
+Lemke 1954) before the stages re-run from that basis.  Max-slack points are
+unique, so the rounds end where cold solves would, on a point meeting every
+row, which the caller re-checks.  Vertices come from brute-force active-set
+intersection, which is entirely adequate at the dimensions this package
+targets.
 """
 
 from __future__ import annotations

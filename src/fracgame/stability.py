@@ -20,7 +20,7 @@ weak-core search's LP points in ``CoreRows.covered``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterator, Sequence
@@ -30,7 +30,6 @@ from .errors import DimensionMismatch, InfeasibleSolution, InfeasibleSystem, Num
 from .games import (
     EXACT,
     Game,
-    boundary_empty,
     check_partition,
     coalition_label,
     game_digest,
@@ -320,6 +319,18 @@ def _centered_boundary_point(game: Game, block: int) -> tuple | None:
     return _finish_witness(game, (Fraction(a, center[1]) for a in center[0][:-1]))
 
 
+def _phase_one_point(game: Game) -> tuple | None:
+    """The point ``linfeas.feasible``'s phase 1 ends on for a game's bare
+    split simplex, in closed form: every share at its lower bound, the
+    whole leftover on member 0.  None when the simplex is empty."""
+    whole, lone = split_terms(game, game.grand)
+    rest = whole - sum(lone)
+    if rest < 0:
+        return None
+    lone[0] += rest
+    return tuple(Fraction(a, whole) for a in lone)
+
+
 def _finish_witness(game: Game, point) -> tuple:
     if game.mode == EXACT:
         return tuple(point)
@@ -336,10 +347,12 @@ def core_region(
 
     Every strong region is the strong-core system's own verdict and
     max-slack point (the canonical witness), under the ``lp`` tag.  A
-    size-symmetric game's (see ``games.size_values``) is the equal split's
-    closed form (see ``_equal_split_region``).  Otherwise the core is empty
-    with no LP solved when a partition of the players is worth more than
-    v(N) (``Game.cover``): a balanced collection no split covers (Bondareva
+    3-player game's core is a box cut by the simplex, decided in closed form
+    (see ``_box_region``).  A larger size-symmetric game's (see
+    ``games.size_values``) is the equal split's closed form (see
+    ``_equal_split_region``).  Otherwise the core is empty with no LP
+    solved when a partition of the players is worth more than v(N)
+    (``Game.cover``): a balanced collection no split covers (Bondareva
     1963; Shapley 1967).  Otherwise it is decided exactly by LP with row
     generation over its coalition halfspaces, priced lazily (see
     ``CoreRows``; the whole system is never listed), by rounds on one
@@ -361,6 +374,8 @@ def core_region(
             return CoreRegion(EMPTY, None, "boundary")
         return CoreRegion(NONEMPTY, point, "boundary")
     if kind == STRONG:
+        if n == 3:
+            return _box_region(game)
         by_size = size_values(game)
         if by_size is not None:
             return _equal_split_region(game, by_size)
@@ -377,8 +392,35 @@ def core_region(
     return _weak_region_exact(game)
 
 
+def _box_region(game: Game) -> CoreRegion:
+    """The strong region of a 3-player game.  Every proper coalition is a
+    member k or the complement of one, so on the integer scale w = 6 v(N)
+    of ``Game.terms`` its row bounds the share F_k of w below by lo_k =
+    6 v(k) or above by hi_k = 6 (v(N) - v(N - k)): the core is a box cut by
+    the simplex sum(F) = w.  The largest slack t (in the LP's share units,
+    times w) has lo + t <= F <= hi - t with sum(F) = w, so it is the least
+    of (hi_k - lo_k) / 2, (w - sum(lo)) / 3 and (sum(hi) - w) / 3, each
+    exact on this scale, and the core is empty iff t < 0.  The witness is
+    the lexicographic minimum of that face, which ``CoreRows.solve``'s
+    stages find: each share in turn at its least, given the bounds left to
+    the later ones.  It is re-checked on integers, as ``solve`` does."""
+    terms, full = game.terms, game.grand
+    w = 6 * terms[full]
+    lo = [6 * terms[1 << k] for k in range(3)]
+    hi = [w - 6 * terms[full ^ 1 << k] for k in range(3)]
+    t = min(min(h - a for a, h in zip(lo, hi)) // 2, (w - sum(lo)) // 3, (sum(hi) - w) // 3)
+    if t < 0:
+        return CoreRegion(EMPTY, None, "lp")
+    f0 = max(lo[0] + t, w - hi[1] - hi[2] + 2 * t)
+    f1 = max(lo[1] + t, w - f0 - hi[2] + t)
+    point = (f0, f1, w - f0 - f1)
+    if not all(a <= f <= h for a, f, h in zip(lo, point, hi)):
+        raise NumericFailure("closed form returned a point violating the system")
+    return CoreRegion(NONEMPTY, _finish_witness(game, (Fraction(f, w) for f in point)), "lp")
+
+
 def _equal_split_region(game: Game, by_size: tuple) -> CoreRegion:
-    """The strong region of a size-symmetric game of three or more players,
+    """The strong region of a size-symmetric game of four or more players,
     whose values by size are ``by_size``.  Its strong-core system is
     invariant under permuting the players, and the core is convex, so the
     core holds the average of any point's permutations, the equal split
@@ -402,12 +444,15 @@ def _weak_region_exact(game: Game) -> CoreRegion:
     core point, or every weak-core point of the set's polytope covers one
     piece of the split ``_blocking_split`` finds there, so the search
     branches on the pieces.  Infeasible sets are kept as nogoods and their
-    supersets skipped.  Coverage at the point is read off ``CoreRows``'
+    supersets skipped.  The root commits nothing, so its point is written
+    directly (``_phase_one_point``); deeper sets are solved by
+    ``linfeas.feasible``.  Coverage at the point is read off ``CoreRows``'
     integer table, exact as the LP decides it.  The witness is the canonical
     one: the max-slack point of the polytope committing every coalition the
     found point covers, all of which lies in the weak core."""
     full = game.grand
-    if boundary_empty(game, full):
+    root = _phase_one_point(game)
+    if root is None:
         return CoreRegion(EMPTY, None, "boundary")
     rows = CoreRows(game)
     nogoods, stack = [], [frozenset()]
@@ -415,7 +460,7 @@ def _weak_region_exact(game: Game) -> CoreRegion:
         committed = stack.pop()
         if any(bad <= committed for bad in nogoods):
             continue
-        point = linfeas.feasible(rows.restricted(committed))
+        point = linfeas.feasible(rows.restricted(committed)) if committed else root
         if point is None:
             nogoods.append(committed)
             continue
@@ -436,15 +481,13 @@ def _weak_region_exact(game: Game) -> CoreRegion:
 
 @dataclass(frozen=True)
 class PatchedCore:
-    """The product of a partition's block cores: empty when any block's is.
+    """The product of a partition's block cores, whose ``status`` is empty
+    when any block's is (``_patched_status``; its builders pass it in).
     Its witness, built when read, puts each block's witness on its members."""
 
     partition: Partition
     block_regions: tuple[CoreRegion, ...]
-    status: str = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "status", _patched_status(self.block_regions))
+    status: str
 
     @property
     def witness(self) -> tuple | None:
@@ -502,7 +545,8 @@ class BlockTable(dict):
         checked here.  Every block is decided, even after an empty one."""
         _check_kind(kind)
         check_partition(self.game.n, partition)
-        return PatchedCore(tuple(partition), tuple(self[block, kind] for block in partition))
+        regions = tuple(self[block, kind] for block in partition)
+        return PatchedCore(tuple(partition), regions, _patched_status(regions))
 
 
 def patched_core(game: Game, partition: Sequence[int], kind: str = STRONG) -> PatchedCore:
@@ -692,8 +736,8 @@ def stable_sets(game: Game, *, cap: int = DEFAULT_ENUM_CAP) -> StabilityReport:
     strong/weak cores and fusion resistance.  Stable solutions pair a
     fusion-resistant partition with any point of its nonempty patched core."""
     records = tuple(
-        PartitionRecord(partition, PatchedCore(partition, strong), PatchedCore(partition, weak), fused)
-        for partition, strong, weak, _, _, fused in walk_partitions(game, cap=cap)
+        PartitionRecord(partition, PatchedCore(partition, strong, s), PatchedCore(partition, weak, w), fused)
+        for partition, strong, weak, s, w, fused in walk_partitions(game, cap=cap)
     )
     return StabilityReport(game.n, game.players, game_digest(game), records)
 

@@ -371,9 +371,9 @@ def naive_stable_sets(game, *, patched_out=None):
     """Per-partition reference for stability.stable_sets: every block of
     every partition decided afresh by core_region on its subgame, and the
     patched status and witness aggregated block by block.  The records'
-    cores derive their own status and witness from the block regions, so
-    the oracle's pair goes into ``patched_out``, when given, keyed by
-    (partition, kind)."""
+    cores carry the oracle's status but derive their own witness from the
+    block regions, so the oracle's pair goes into ``patched_out``, when
+    given, keyed by (partition, kind)."""
     from fracgame.games import game_digest, subgame
 
     def patched(partition, kind):
@@ -391,7 +391,7 @@ def naive_stable_sets(game, *, patched_out=None):
         witness = tuple(shares) if status == stability.NONEMPTY else None
         if patched_out is not None:
             patched_out[partition, kind] = status, witness
-        return stability.PatchedCore(partition, tuple(regions))
+        return stability.PatchedCore(partition, tuple(regions), status)
 
     records = tuple(
         stability.PartitionRecord(

@@ -31,7 +31,7 @@ from fracgame import (
     singleton_partition,
     stable_sets,
 )
-from fracgame import NumericFailure, linfeas, stability
+from fracgame import InfeasibleSystem, NumericFailure, linfeas, stability
 from fracgame.games import (
     geq,
     load_game,
@@ -70,6 +70,7 @@ from conftest import (
     naive_fission_resistant,
     naive_fusion_resistant,
     naive_generate_rows,
+    naive_max_slack_point,
     naive_report_dict,
     naive_sample_boundary,
     naive_stable_sets,
@@ -804,9 +805,9 @@ def test_report_text_prints_float_witnesses_with_exponents():
 def test_stable_sets_match_per_partition_oracle(n, seed):
     # deciding each block once must reproduce the sweep that decides every
     # block of every partition afresh; the grand weak core of each of these
-    # games is left to the exact search.  Each core derives its status and
-    # witness from its block regions: both must be the ones the oracle
-    # aggregates block by block
+    # games is left to the exact search.  Each core takes its status from
+    # the partition walk and derives its witness from its block regions:
+    # both must be the ones the oracle aggregates block by block
     game = random_exact_game(random.Random(seed), n)
     oracle = {}
     want = naive_stable_sets(game, patched_out=oracle)
@@ -1331,9 +1332,10 @@ def test_superadditive_cover_matches_partition_enumeration_and_the_lp():
 def test_screened_strong_regions_solve_no_lp(monkeypatch):
     # on the n=6 golden game, no block whose partitions beat its value
     # (w(B) > v(B), by the literal oracle) has its strong system solved,
-    # nor the one size-symmetric block of three or more players (b,d,f),
-    # which the equal split decides: the strong solves are one per
-    # distinct content among the others
+    # nor any block of three players, which the box decides in closed form
+    # (b,d,f among them, the one size-symmetric block): the strong solves
+    # are one per distinct content among the others, and every block of
+    # four or more players is screened here, so there are none
     game = load_game(DATA / "cut_game_n6_seed0.json")
     solved = []
     solve = stability.CoreRows.solve
@@ -1348,9 +1350,10 @@ def test_screened_strong_regions_solve_no_lp(monkeypatch):
     blocks = {b: subgame(game, b).terms for b in range(1, 1 << game.n) if b.bit_count() > 2}
     covered = {b for b in blocks if naive_cover(game, b)[0] > Fraction(game.values[b])}
     symmetric = {b for b in blocks if size_values(subgame(game, b)) is not None}
+    decided = covered | symmetric | {b for b in blocks if b.bit_count() == 3}
     assert len(covered) == 22 and symmetric == {0b101010}
-    assert not {blocks[b] for b in covered | symmetric} & set(solved)
-    assert sorted(solved) == sorted({blocks[b] for b in blocks if b not in covered | symmetric})
+    assert not {blocks[b] for b in decided} & set(solved)
+    assert sorted(solved) == sorted({blocks[b] for b in blocks if b not in decided}) == []
 
 
 def test_stable_sets_fusion_verdicts_match_a_fraction_oracle():
@@ -1413,3 +1416,103 @@ def _float_left_fold(game, partition) -> bool:
             if not geq(total, game.values[sum(combo)], game.tol):
                 return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# 3-player strong regions: a box cut by the simplex, in closed form
+
+
+def _three_player_games() -> list:
+    """Labelled 3-player games: int, Fraction and float values (floats of
+    random draws and of thirds, with denominators near 2^52), cut, size-
+    symmetric and additive games, zero singletons, and games whose largest
+    slack t* is 0 by each bound of ``stability._box_region``: a member's
+    pair bound meeting its own (t0-member), the singletons summing to v(N)
+    (t0-lone), the pairs' upper bounds summing to it (t0-pairs)."""
+    rng = random.Random(71)
+    games = []
+    for _ in range(25):
+        ints = {m: rng.randrange(m.bit_count() > 1, 3 * m.bit_count() ** 2) for m in range(1, 8)}
+        thirds = cut_game(rng, 3)
+        games += [
+            ("int", make_game(3, ints)),
+            ("fraction", random_exact_game(rng, 3)),
+            ("float", random_float_game(rng, 3)),
+            ("float-thirds", make_game(3, {m: float(thirds.values[m]) for m in range(1, 8)}, mode="float")),
+            ("cut", cut_game(rng, 3)),
+            ("zero-lone", make_game(3, {m: 0 if m in (1, 2, 4) else ints[m] + 1 for m in range(1, 8)})),
+        ]
+    games += [(f"size-{label}", game) for label, game in _size_symmetric_games(3)]
+    games += [("additive", _additive_game(rng, 3)) for _ in range(6)]
+    lone = {1: 1, 2: 1, 4: 1}
+    games += [
+        ("t0-member", make_game(3, {**lone, 3: 2, 5: 2, 6: 4, 7: 5})),
+        ("t0-lone", make_game(3, {**lone, 3: Fraction(3, 2), 5: Fraction(3, 2), 6: Fraction(3, 2), 7: 3})),
+        ("t0-pairs", make_game(3, {1: 0.5, 2: 0.5, 4: 0.5, 3: 2.0, 5: 2.0, 6: 2.0, 7: 3.0}, mode="float")),
+    ]
+    return games
+
+
+def _lp_region(game, point) -> CoreRegion:
+    """The strong region whose LP found ``point`` (None: no point)."""
+    if point is None:
+        return CoreRegion(EMPTY, None, "lp")
+    return CoreRegion(NONEMPTY, stability._finish_witness(game, point), "lp")
+
+
+def test_three_player_strong_regions_are_the_lps(monkeypatch):
+    # the box decides every 3-player strong region with no LP solved, and
+    # by repr it is the region of conftest's cold sequential solve of the
+    # listed strong-core system and of CoreRows.solve's priced one: the
+    # same verdict and the same max-slack point, the lexicographic least
+    # of them, number for number.  Every random family has both verdicts
+    # (cut games and their float copies are supermodular, so nonempty),
+    # and t* = 0 is reached, nonempty, by each of the box's bounds
+    solves = []
+    max_slack_point = linfeas.max_slack_point
+    monkeypatch.setattr(linfeas, "max_slack_point", lambda *a: solves.append(1) or max_slack_point(*a))
+    statuses, tight = set(), set()
+    for label, game in _three_player_games():
+        got = core_region(game, STRONG)
+        assert not solves, label
+        try:
+            point, slack = naive_max_slack_point(core_system(game))
+        except InfeasibleSystem:
+            point = slack = None
+        assert repr(got) == repr(_lp_region(game, point)), label
+        assert repr(got) == repr(_lp_region(game, stability.CoreRows(game).solve(range(1, 7)))), label
+        solves.clear()
+        statuses.add((label, got.status))
+        if slack == 0:
+            tight.add(label)
+    families = ("int", "fraction", "float", "zero-lone")
+    assert {(f, s) for f in families for s in (EMPTY, NONEMPTY)} <= statuses
+    assert {("cut", NONEMPTY), ("float-thirds", NONEMPTY)} <= statuses
+    assert {"t0-member", "t0-lone", "t0-pairs", "additive", "size-additive"} <= tight
+
+
+def test_weak_search_roots_are_phase_ones_points(monkeypatch):
+    # the weak search's root point, written in closed form, is the point
+    # linfeas.feasible's phase 1 ends on for the bare split simplex, on
+    # seeded games of 2-6 players, some with no leftover (singletons
+    # summing to v(N)), some with zero singletons, some empty; the search
+    # calls feasible only on sets that commit some coalition
+    rng = random.Random(73)
+    games = [make(rng, n) for n in range(2, 7) for make in (random_exact_game, random_float_game) for _ in range(8)]
+    games += [_additive_game(rng, n) for n in range(2, 7)]
+    games += [make_game(n, {m: 0 if m.bit_count() == 1 else m.bit_count() for m in range(1, 1 << n)}) for n in (2, 4)]
+    seen = {"empty": 0, "no-leftover": 0, "zero-lone": 0}
+    for game in games:
+        whole, lone = split_terms(game, game.grand)
+        want = linfeas.feasible(stability.CoreRows(game).base)
+        assert stability._phase_one_point(game) == want
+        seen["empty"] += want is None
+        seen["no-leftover"] += sum(lone) == whole
+        seen["zero-lone"] += want is not None and 0 in lone
+    assert all(count >= 3 for count in seen.values()), seen
+    roots = []
+    feasible = linfeas.feasible
+    monkeypatch.setattr(linfeas, "feasible", lambda system: roots.append(not system.halfspaces) or feasible(system))
+    searched = [_weak_region_exact(game) for n in (4, 5) for game in _weak_search_games(n, range(6))]
+    assert roots and not any(roots)
+    assert {r.method for r in searched} == {"exact-search", "boundary"}
