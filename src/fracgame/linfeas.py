@@ -35,9 +35,14 @@ tableau with a surplus column of its own, its basic columns eliminated,
 and one artificial on it driven to zero by phase 1 (a basis restart, as in
 Lemke 1954) before the stages re-run from that basis.  Max-slack points are
 unique, so the rounds end where cold solves would, on a point meeting every
-row, which the caller re-checks.  Vertices come from brute-force active-set
-intersection, which is entirely adequate at the dimensions this package
-targets.
+row, which the caller re-checks.  A fourth entry, ``packing_point``, runs
+the same stages, pricing and row intake beside that driver on a packing LP
+(rows x(S) <= cap over x >= 0, nonnegative caps), from the origin, with
+no phase 1 and no slack column: ``stability`` writes the weak search's
+root witness as one, after taking its max slack t* in closed form, another
+answer written outside this module.  Vertices come from brute-force
+active-set intersection, which is entirely adequate at the dimensions this
+package targets.
 """
 
 from __future__ import annotations
@@ -476,6 +481,33 @@ def max_slack_point(system: LinearSystem, price=None):
     if found is None:
         raise InfeasibleSystem("system has no feasible point")
     return found
+
+
+def packing_point(dim: int, cap: int, price):
+    """The lexicographic optimum of a packing LP over x >= 0 in dim
+    coordinates: maximize sum(x), then minimize x_0, ..., x_{dim-2} in turn
+    (dim stages in all, so the point is unique), under sum(x) <= cap and
+    rows x(support) <= cap' given lazily.  Caps are nonnegative integers,
+    so the origin is feasible: no phase 1 runs, and the tableau starts in
+    the slack basis of the one row.  ``price(terms, scale)``, at the point
+    terms / scale, returns (support, cap') for a row the point violates, or
+    None; each round takes it in with a slack column of its own
+    (``_take_row``) and re-runs the stages.  Returns (terms, scale) of the
+    point meeting every row; the caller re-checks it."""
+    n, tab, basis = dim + 1, [[1] * (dim + 1) + [cap]], [dim]
+    costs = [[-1] * dim] + [[0] * i + [1] for i in range(dim - 1)]
+    while True:
+        _optimize(tab, basis, n, costs)
+        terms, scale = _basic_terms(tab, basis, dim, (), 1)
+        row = price(terms, scale)
+        if row is None:
+            return terms, scale
+        support, cap = row
+        row = [support >> j & 1 for j in range(dim)] + [0] * (n - dim) + [1, cap]
+        n += 1
+        tab = _take_row(tab, basis, row)
+        if tab is None:  # pragma: no cover - the origin meets every row
+            raise NumericFailure("a packing row with a nonnegative cap was infeasible")
 
 
 # ---------------------------------------------------------------------------

@@ -277,11 +277,55 @@ class CoreRows:
             point = linfeas.max_slack_point(self.base, self.pricing(candidates))[0]
         except InfeasibleSystem:
             return None
-        terms, scale = integer_terms(point)
+        self._check(*integer_terms(point), candidates)
+        return point
+
+    def solve_at_root(self, candidates: Sequence[int]) -> tuple:
+        """``solve(candidates)`` when the candidates are every coalition the
+        weak search's root covers (each share j > 0 at its lower bound l_j =
+        v(j) / v(N), the leftover on member 0), in the root's coordinates.
+        A covered C without member 0 has v(C) <= sum of v(i) over C, so its
+        row holds at any slack t >= 0, and the root has slack 0: it is
+        dropped.  C with member 0 is covered iff g(D) = v(N) - v(C) - sum
+        of v(i) over D >= 0, for D = N - C (D = N - {0} is member 0's lower
+        bound).  With x_j = f_j - l_j - t (j > 0), its row reads x(D) <=
+        g(D) / v(N) - (|D| + 1) t, so t* = min of g(D) / ((|D| + 1) v(N))
+        leaves x = 0 feasible, and minimizing f_0, f_1, ... is maximizing
+        sum(x), then minimizing x_1, ...: ``linfeas.packing_point``, with
+        caps on the integer scale k v(N) of t* = g / (k v(N)), priced off
+        one subset-sum table of x.  Every candidate (the lower bounds among
+        them) is re-checked on integers, as ``solve`` does."""
+        values, full = self.values, self.full
+        v_n, dim = values[full], full.bit_length() - 1
+        lone = [values[1 << i] for i in range(dim + 1)]
+        alone = subset_sums(lone, full)
+        kept = [(d, g) for d in range(2, full, 2) if (g := v_n - values[full ^ d] - alone[d]) >= 0]
+        g_t, k_t = kept[-1][1], dim + 1  # D = N - {0}, whose g is the root's leftover
+        for d, g in kept:
+            if g * k_t < g_t * (k := d.bit_count() + 1):
+                g_t, k_t = g, k
+        rows = [(d >> 1, k_t * g - (d.bit_count() + 1) * g_t) for d, g in kept]
+
+        def price(terms, scale):
+            sums, worst, row = subset_sums(terms, full >> 1), 0, None
+            for s, cap in rows:
+                if (over := sums[s] - scale * cap) > worst:
+                    worst, row = over, (s, cap)
+            return row
+
+        terms, scale = linfeas.packing_point(dim, rows[-1][1], price)
+        whole = scale * k_t * v_n
+        shares = [scale * (k_t * a + g_t) + x for a, x in zip(lone[1:], terms)]
+        shares.insert(0, whole - sum(shares))
+        self._check(shares, whole, candidates)
+        return tuple(Fraction(a, whole) for a in shares)
+
+    def _check(self, terms, scale, candidates) -> None:
+        """Re-check the point terms / scale on every candidate's row, on its
+        own code path, with its own member sum."""
         values, v_n = self.values, self.values[self.full]
         if any(v_n * sum(terms[i] for i in members(c)) < values[c] * scale for c in candidates):
             raise NumericFailure("row generation returned a point violating the system")
-        return point
 
 
 def core_system(game: Game) -> linfeas.LinearSystem:
@@ -449,7 +493,11 @@ def _weak_region_exact(game: Game) -> CoreRegion:
     ``linfeas.feasible``.  Coverage at the point is read off ``CoreRows``'
     integer table, exact as the LP decides it.  The witness is the canonical
     one: the max-slack point of the polytope committing every coalition the
-    found point covers, all of which lies in the weak core."""
+    found point covers, all of which lies in the weak core.  A search that
+    ends at its root writes it in the root's coordinates, as a packing LP
+    from the origin with its max slack in closed form
+    (``CoreRows.solve_at_root``); a deeper end solves it by
+    ``CoreRows.solve``."""
     full = game.grand
     root = _phase_one_point(game)
     if root is None:
@@ -471,7 +519,8 @@ def _weak_region_exact(game: Game) -> CoreRegion:
         stack += [committed | {piece} for piece in reversed(pieces)]
     else:
         return CoreRegion(EMPTY, None, "exact-search")
-    point = rows.solve([c for c in range(1, full) if covered(c)])
+    candidates = [c for c in range(1, full) if covered(c)]
+    point = rows.solve(candidates) if committed else rows.solve_at_root(candidates)
     return CoreRegion(NONEMPTY, _finish_witness(game, point), "exact-search")
 
 

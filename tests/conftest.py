@@ -933,6 +933,21 @@ def naive_max_slack_point(system):
     return point, slack
 
 
+def naive_packing_point(dim, rows):
+    """Cold sequential reference for linfeas.packing_point with every row
+    (support, cap) listed: one full frozen two-phase solve per stage
+    (maximize sum(x), then minimize x_0, ..., x_{dim-2}), each adding the
+    previous stage's optimum as an equality row."""
+    ges = [([-Fraction(s >> j & 1) for j in range(dim)], Fraction(-cap)) for s, cap in rows]
+    costs = [[Fraction(-1)] * dim] + [[Fraction(j == i) for j in range(dim)] for i in range(dim - 1)]
+    fixed = []
+    for cost in costs:
+        status, x = _naive_lp(dim, fixed, ges, cost)
+        assert status == "optimal"
+        fixed.append((cost, sum(c * v for c, v in zip(cost, x))))
+    return tuple(x)
+
+
 def naive_generate_rows(base: linfeas.LinearSystem, price, solve=None):
     """linfeas.max_slack_point priced by ``price``, with every round solved
     cold on its restricted system (``base`` plus the rows taken in, in key

@@ -34,6 +34,7 @@ from conftest import (
     naive_generate_rows,
     naive_max_slack_point,
     naive_minimize,
+    naive_packing_point,
     naive_satisfies,
     naive_warm_max_slack_point,
     outcome,
@@ -303,7 +304,10 @@ def _committed_weak_systems(games):
     witness restrictions), after the strong-core restrictions that row
     generation solves on them.  The strong regions of these games are empty
     by their superadditive cover, so ``core_region`` solves none of those
-    itself; they are solved here, directly."""
+    itself; they are solved here, directly.  A search that ends at its root
+    writes its witness with ``linfeas.packing_point``, so the root's
+    canonical restriction (every coalition the root covers) is solved here
+    too, by row generation."""
     seen = []
 
     def record(system):
@@ -318,8 +322,11 @@ def _committed_weak_systems(games):
     linfeas.feasible, linfeas.max_slack_point = recording_feasible, _recording_rows(record)
     try:
         for game in games:
-            stability.CoreRows(game).solve(range(1, game.grand))
+            rows = stability.CoreRows(game)
+            rows.solve(range(1, game.grand))
             stability.core_region(game, stability.WEAK)
+            covered = rows.covered(stability._phase_one_point(game))
+            rows.solve([c for c in range(1, game.grand) if covered(c)])
     finally:
         linfeas.feasible, linfeas.max_slack_point = saved
     return seen
@@ -679,6 +686,35 @@ def test_row_generation_never_prices_a_row_twice(monkeypatch):
         solving.append(game)
         CoreRows(game).solve(candidates)
     assert len(taken) > 100
+
+
+def test_packing_point_matches_the_cold_staged_solves():
+    # the packing LP's lexicographic optimum (maximize sum(x), then minimize
+    # x_0, x_1, ... in turn) over rows priced in lazily, the most violated
+    # first, is the frozen solver's over every row listed, staged cold: on
+    # seeded random rows in one to six coordinates, caps 0 among them (the
+    # origin degenerate), every round's point meeting x >= 0
+    rng, taken = random.Random(40), []
+    for k in range(180):
+        dim = 1 + k % 6
+        full = (1 << dim) - 1
+        rows = [(full, rng.randrange(12))]
+        rows += [
+            (rng.randrange(1, full + 1), rng.choice((0, rng.randrange(1, 9))))
+            for _ in range(rng.randrange(2 * dim + 2))
+        ]
+
+        def price(terms, scale):
+            assert min(terms) >= 0 and scale > 0
+            over, *row = max((sum(terms[j] for j in members(s)) - scale * cap, s, cap) for s, cap in rows)
+            if over <= 0:
+                return None
+            taken.append(row)
+            return row
+
+        terms, scale = linfeas.packing_point(dim, rows[0][1], price)
+        assert tuple(Fraction(a, scale) for a in terms) == naive_packing_point(dim, rows)
+    assert len(taken) >= 100
 
 
 def _core_games(n):

@@ -508,6 +508,67 @@ def test_weak_region_exact_decides_eight_players():
         assert core_contains(game, region.witness, WEAK)
 
 
+def _root_games():
+    """Seeded labelled games of four to six players for the weak search's
+    root witness: cut games, random Fraction and float games (float values
+    convert to denominators near 2^52), Fraction games with zero
+    singletons, and near-additive games (Fraction and float), whose
+    leftover v(N) - sum of v(i) is often 0 (t* = 0) and whose coalitions
+    often tie their members' values (g(D) = 0)."""
+    rng, out = random.Random(3940), []
+    for k in range(30):
+        n, full = 4 + k % 3, (1 << (4 + k % 3)) - 1
+        out.append(("cut", cut_game(rng, n)))
+        out.append(("exact", random_exact_game(rng, n)))
+        out.append(("float", random_float_game(rng, n)))
+        values = random_exact_game(rng, n).values
+        zeros = {1 << i for i in range(n) if rng.random() < 0.5}
+        zeroed = {m: 0 if m in zeros else values[m] for m in range(1, full + 1)}
+        out.append(("zero-singletons", make_game(n, zeroed)))
+        w = [rng.randrange(4) for _ in range(n)]
+        near = {}
+        for m in range(1, full + 1):
+            alone = sum(w[i] for i in members(m))
+            if m.bit_count() > 1:
+                alone = max(alone + rng.choice((0, 0, 0, -1, Fraction(1, 2), 1)), Fraction(1, 3))
+            near[m] = alone
+        near[full] = max(sum(w) + rng.choice((0, 0, Fraction(1, 5), 1)), 1)
+        out.append(("near-additive", make_game(n, near)))
+        floats = {m: float(v) for m, v in near.items()}
+        out.append(("near-additive-float", make_game(n, floats, mode="float", tol=1e-9)))
+    return out
+
+
+def test_root_witness_is_the_canonical_restrictions_max_slack_point():
+    # a weak search that ends at its root writes its witness in the root's
+    # coordinates (``CoreRows.solve_at_root``): the max-slack point of the
+    # restriction to every coalition the root covers, as row generation
+    # (``CoreRows.solve``) and, at n = 4, the cold frozen solver find it;
+    # where the search ends at its root (never on the random Fraction
+    # games, whose roots are all blocked), the whole region is the one
+    # those make
+    seen = {"t* = 0": 0}
+    for label, game in _root_games():
+        rows, full = stability.CoreRows(game), game.grand
+        root = stability._phase_one_point(game)
+        if root is None:
+            continue
+        covered = rows.covered(root)
+        candidates = [c for c in range(1, full) if covered(c)]
+        point = rows.solve(candidates)
+        assert rows.solve_at_root(candidates) == point, label
+        if game.n == 4:
+            want, slack = naive_max_slack_point(rows.restricted(candidates))
+            assert want == point, label
+            seen["t* = 0"] += slack == 0
+        if stability._blocking_split(full, lambda c: not covered(c)) is None:
+            region = CoreRegion(NONEMPTY, stability._finish_witness(game, point), "exact-search")
+            assert repr(_weak_region_exact(game)) == repr(region), label
+            seen[label] = seen.get(label, 0) + 1
+    assert seen.pop("t* = 0") >= 5
+    assert set(seen) == {"cut", "float", "zero-singletons", "near-additive", "near-additive-float"}
+
+
 def test_weak_region_empty_where_sampling_cannot_decide():
     # every two-two pairing blocks any split of the unit, so the weak core
     # is empty; sampling alone cannot certify that, the exact search does
@@ -1025,13 +1086,15 @@ def test_regions_never_build_the_whole_core_system(monkeypatch):
 
 
 def test_every_lp_solve_goes_through_a_named_entry(monkeypatch):
-    # the tracer times LP work at linfeas.feasible and max_slack_point: a
-    # strong region is one priced max-slack solve (none when some partition
-    # of the players is worth more than v(N)), and the weak search
-    # solves feasibility systems and priced max-slack systems, every one of
-    # them entering ``_lexmin`` through one of the two
+    # LP work enters linfeas through named entries: a strong region is one
+    # priced max-slack solve (none when some partition of the players is
+    # worth more than v(N)), and the weak search solves feasibility systems
+    # and priced max-slack systems, every one of them entering ``_lexmin``
+    # through one of the two, and writes a witness that ends at its root
+    # with one priced packing solve
     calls, stray, inside = [], [], []
     lexmin, feasible, max_slack_point = linfeas._lexmin, linfeas.feasible, linfeas.max_slack_point
+    packing_point = linfeas.packing_point
 
     def entered(call, solve, *args):
         calls.append(call)
@@ -1052,6 +1115,7 @@ def test_every_lp_solve_goes_through_a_named_entry(monkeypatch):
     monkeypatch.setattr(linfeas, "_lexmin", guarded_lexmin)
     monkeypatch.setattr(linfeas, "feasible", lambda system: entered(("feasible", False), feasible, system))
     monkeypatch.setattr(linfeas, "max_slack_point", entered_max_slack)
+    monkeypatch.setattr(linfeas, "packing_point", lambda *a: entered(("packing_point", True), packing_point, *a))
     games = [
         make(random.Random(seed), n)
         for n in (4, 5, 6)
@@ -1068,7 +1132,8 @@ def test_every_lp_solve_goes_through_a_named_entry(monkeypatch):
         assert calls == ([] if covered else [("max_slack_point", True)]) and not stray
         calls.clear()
         weak = core_region(game, WEAK, strong=strong)
-        assert set(calls) <= {("feasible", False), ("max_slack_point", True)} and not stray
+        entries = {("feasible", False), ("max_slack_point", True), ("packing_point", True)}
+        assert set(calls) <= entries and not stray
         assert (weak.method == "exact-search") == bool(calls), weak.method
         methods.add(weak.method)
     assert {"strong-subset", "exact-search"} <= methods
@@ -1225,11 +1290,12 @@ def _vertex_region(game, by_size):
 def test_size_symmetric_games_catch_a_wrong_closed_form(closed_form, caught, monkeypatch):
     # the families above tell the closed form apart from a strict
     # comparison (ties), from one that skips singletons (lone-heavy games)
-    # and from one that returns another core point (a vertex)
+    # and from one that returns another core point (a vertex); 3-player
+    # strong regions are boxes (``_box_region``) and never reach it
     monkeypatch.setattr(stability, "_equal_split_region", closed_form)
     problems = [
         label
-        for n in (3, 4, 5)
+        for n in (4, 5)
         for label, game in _size_symmetric_games(n)
         if _strong_region_problem(game) is not None
     ]
