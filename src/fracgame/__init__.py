@@ -119,6 +119,7 @@ from .risk import (
     uniform_curve_family,
     verify_prop1,
     verify_prop2,
+    verify_prop2_chain,
 )
 
 __version__ = "0.1.0"

@@ -50,7 +50,7 @@ from .risk import (
     meanstd_from_dict,
     mixture_reward,
     verify_prop1,
-    verify_prop2,
+    verify_prop2_chain,
 )
 from .stability import (
     NONEMPTY,
@@ -360,10 +360,11 @@ def _verify_prop1_suite(args) -> dict:
 
 def _verify_prop2_suite(args) -> dict:
     family = default_uniform_family(4)
+    densities = {a: beta_density(a) for a in PROP2_SHAPES}
     expected = {1.0: 1.25, 2.0: 7 / 6}
     closed_form = []
     for a in expected:  # the shapes of PROP2_SHAPES with a closed form, in order
-        value = mixture_reward(family[1], beta_density(a))
+        value = mixture_reward(family[1], densities[a])
         closed_form.append(
             {
                 "beta_a": a,
@@ -372,10 +373,11 @@ def _verify_prop2_suite(args) -> dict:
                 "ok": abs(value - expected[a]) <= 1e-8,
             }
         )
-    chain = []
-    for a1, a2 in zip(PROP2_SHAPES, PROP2_SHAPES[1:]):
-        rep = verify_prop2(family, beta_density(a1), beta_density(a2))
-        chain.append({"from_a": a1, "to_a": a2, **rep.to_dict()})
+    reports = verify_prop2_chain(family, list(densities.values()))
+    chain = [
+        {"from_a": a1, "to_a": a2, **rep.to_dict()}
+        for a1, a2, rep in zip(PROP2_SHAPES, PROP2_SHAPES[1:], reports)
+    ]
     passed = all(c["ok"] for c in closed_form) and all(c["passed"] for c in chain)
     return {
         "suite": "prop2",

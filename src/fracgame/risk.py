@@ -298,16 +298,16 @@ def _mixtures(curves: Sequence[QuantileCurve], density: Density) -> list[float]:
     """``mixture_reward`` of curves on one knot column, one at a time on one layout:
     the panel grid, and each node's ``_tail_lookup``, weight and density."""
     knots_x = curves[0].xs
-    points = {0.0, 1.0}
-    points.update((1.0 - knots_x).tolist())
-    points.update(density.xs.tolist())
-    grid = sorted(x for x in points if 0.0 <= x <= 1.0)
-    panels = []
-    for a, b in zip(grid, grid[1:]):
-        count = max(1, math.ceil((b - a) / 0.0625))
-        edges = [a + (b - a) * p / count for p in range(count + 1)]
-        panels += zip(edges, edges[1:])
-    lo, hi = np.array(panels).T[:, :, None]
+    # every point lies in [0, 1]; the sort puts equal ones side by side, and one of each stays
+    grid = np.sort(np.concatenate(([0.0, 1.0], 1.0 - knots_x, density.xs)))
+    grid = grid[np.concatenate(([True], grid[1:] != grid[:-1]))]
+    a, width = grid[:-1], np.diff(grid)
+    count = np.maximum(1.0, np.ceil(width / 0.0625))
+    # panel p of a gap spans a + width * p / count to a + width * (p + 1) / count, as in a loop
+    repeat = count.astype(np.intp)
+    p = (np.arange(repeat.sum()) - np.repeat(np.cumsum(repeat) - repeat, repeat))[:, None]
+    a, width, count = (np.repeat(x, repeat)[:, None] for x in (a, width, count))
+    lo, hi = a + width * p / count, a + width * (p + 1) / count
     half = 0.5 * (hi - lo)
     alpha = (0.5 * (lo + hi) + half * _GL_NODES).ravel()
     # the density first, so its temporaries never sit beside the lookup's arrays
@@ -321,13 +321,13 @@ def mixture_reward(curve: QuantileCurve, density: Density) -> float:
     """Tail averages of the curve mixed against the density, by composite
     Gauss-Legendre quadrature split at every kink of the integrand.
 
-    The panel grid is built in Python: every interval between consecutive
-    kinks (1 - beta at each curve knot, alpha at each density knot) is split
-    into ceil(width / 0.0625) equal panels of 32 nodes.  All nodes of all
-    panels are then evaluated in one numpy sweep: each node's term is
-    weight * half-width * cvar * density, from the same array helpers that
-    the scalar ``cvar`` and ``Density.value`` call, so every term is
-    bit-for-bit the scalar term.
+    The panel grid is built in numpy: every interval [a, a + width] between
+    consecutive kinks (1 - beta at each curve knot, alpha at each density
+    knot) is split into count = ceil(width / 0.0625) panels of 32 nodes, the
+    p-th from a + width * p / count to a + width * (p + 1) / count.  All nodes
+    are evaluated in one numpy sweep: each node's term is weight * half-width
+    * cvar * density, from the array helpers of the scalar ``cvar`` and
+    ``Density.value``, so every term is bit-for-bit the scalar term.
 
     The terms are summed left to right, panel-major and node-minor, with
     ``np.add.accumulate``: coalition values feed exact LPs and byte-compared
@@ -598,6 +598,45 @@ class Prop2Report:
         }
 
 
+def verify_prop2_chain(
+    curves: Mapping[int, QuantileCurve],
+    densities: Sequence[Density],
+    *,
+    grid: int = 21,
+    tol: float = DEFAULT_TOL,
+) -> list[Prop2Report]:
+    """``verify_prop2`` on each consecutive pair of densities, one report per link.
+    The checks that read no density run once: tail dominance, and the one-unit
+    form on the alphas j / grid, judged once per distinct (inner curve, outer
+    curve) pair and counted per nested coalition pair.  Each density's game is
+    built once, and a link runs only the likelihood-ratio and order checks."""
+    if grid < 2:
+        raise ValueError(f"the alpha grid needs at least two points, got {grid!r}")
+    if len(densities) < 2:
+        raise ValueError(f"a chain needs at least two densities, got {len(densities)}")
+    tail = check_tail_dominance(curves, tol)
+    alphas = [j / grid for j in range(grid)]
+    table = {k: _tail_averages(k, _tail_lookup(k.xs, alphas)).tolist() for k in {*curves.values()}}
+    pairs = list(_nested_pairs(curves))
+    holds = {}  # per curve pair and grid step: the outer/inner tail-average ratio does not drop
+    for f, g in {(curves[inner], curves[outer]) for inner, outer in pairs}:
+        lo, hi = table[f], table[g]
+        holds[f, g] = [leq(hi[t] * lo[t + 1], hi[t + 1] * lo[t], tol) for t in range(grid - 1)]
+    checks = len(pairs) * (grid - 1)
+    one_unit = [
+        f"tail-average ratio drops on ({inner:#x},{outer:#x}) at alpha={alphas[t]:.3f}"
+        for inner, outer in pairs
+        for t, ok in enumerate(holds[curves[inner], curves[outer]]) if not ok
+    ]
+    games = [build_cvar_game(curves, d, tol=tol) for d in densities]
+    reports = []
+    for d1, d2, g1, g2 in zip(densities, densities[1:], games, games[1:]):
+        order = leq_cp(g1, g2)
+        violations = (*one_unit, *([] if order.holds else ["mixture games are not ordered"]))
+        reports.append(Prop2Report(tail, leq_lr(d1, d2, tol), order, checks, violations))
+    return reports
+
+
 def verify_prop2(
     curves: Mapping[int, QuantileCurve],
     d1: Density,
@@ -607,32 +646,10 @@ def verify_prop2(
     tol: float = DEFAULT_TOL,
 ) -> Prop2Report:
     """Given tail dominance of the curves, a likelihood-ratio shift of the
-    mixing density toward high alpha orders the mixture games.  Also checks
-    the pointwise one-unit form: each nested pair's tail-average ratio is
-    nondecreasing in alpha on a grid."""
-    tail = check_tail_dominance(curves, tol)
-    likelihood = leq_lr(d1, d2, tol)
-    g1 = build_cvar_game(curves, d1, tol=tol)
-    g2 = build_cvar_game(curves, d2, tol=tol)
-    order = leq_cp(g1, g2)
-    alphas = [j / grid for j in range(grid)]
-    distinct = dict.fromkeys(curves.values())
-    table = {k: _tail_averages(k, _tail_lookup(k.xs, alphas)).tolist() for k in distinct}
-    violations = []
-    checks = 0
-    for inner, outer in _nested_pairs(curves):
-        lo = table[curves[inner]]
-        hi = table[curves[outer]]
-        for t in range(len(alphas) - 1):
-            checks += 1
-            if not leq(hi[t] * lo[t + 1], hi[t + 1] * lo[t], tol):
-                violations.append(
-                    f"tail-average ratio drops on ({inner:#x},{outer:#x}) "
-                    f"at alpha={alphas[t]:.3f}"
-                )
-    if not order.holds:
-        violations.append("mixture games are not ordered")
-    return Prop2Report(tail, likelihood, order, checks, tuple(violations))
+    mixing density toward high alpha orders the mixture games; also checks the
+    one-unit form, each nested pair's tail-average ratio nondecreasing in
+    alpha on ``grid`` >= 2 points.  One link of ``verify_prop2_chain``."""
+    return verify_prop2_chain(curves, [d1, d2], grid=grid, tol=tol)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,16 @@ import numpy as np
 import pytest
 
 from fracgame import STRONG, boundary_contains, enumerate_partitions, make_game, members
-from fracgame import linfeas, stability
+from fracgame import leq_cp, linfeas, risk, stability
 from fracgame.errors import InfeasibleSystem, NumericFailure
 from fracgame.games import (
+    DEFAULT_TOL,
     boundary_empty,
     check_partition,
     combined_tol,
     geq,
+    leq,
+    submasks,
 )
 from fracgame.partitions import fusion_neighborhood
 
@@ -1056,3 +1059,34 @@ def naive_mixture_reward(curve, density):
                     density_x, density_y, alpha
                 )
     return float(total)
+
+
+def naive_verify_prop2(curves, d1, d2, *, grid=21, tol=DEFAULT_TOL):
+    """Reference for one link of risk.verify_prop2_chain: the pairwise check
+    as one loop.  Builds both games and orders them, then compares every
+    nested coalition pair's scalar tail averages at every grid step, with
+    nothing shared between pairs or links."""
+    tail = risk.check_tail_dominance(curves, tol)
+    likelihood = risk.leq_lr(d1, d2, tol)
+    g1 = risk.build_cvar_game(curves, d1, tol=tol)
+    g2 = risk.build_cvar_game(curves, d2, tol=tol)
+    order = leq_cp(g1, g2)
+    alphas = [j / grid for j in range(grid)]
+    violations = []
+    checks = 0
+    for outer in sorted(curves):
+        for inner in submasks(outer, proper=True):
+            if inner not in curves:
+                continue
+            for t in range(grid - 1):
+                checks += 1
+                lo = [naive_cvar(curves[inner], a) for a in alphas[t : t + 2]]
+                hi = [naive_cvar(curves[outer], a) for a in alphas[t : t + 2]]
+                if not leq(hi[0] * lo[1], hi[1] * lo[0], tol):
+                    violations.append(
+                        f"tail-average ratio drops on ({inner:#x},{outer:#x}) "
+                        f"at alpha={alphas[t]:.3f}"
+                    )
+    if not order.holds:
+        violations.append("mixture games are not ordered")
+    return risk.Prop2Report(tail, likelihood, order, checks, tuple(violations))

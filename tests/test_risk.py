@@ -5,7 +5,13 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import naive_cvar, naive_empirical_knots, naive_interp, naive_mixture_reward
+from conftest import (
+    naive_cvar,
+    naive_empirical_knots,
+    naive_interp,
+    naive_mixture_reward,
+    naive_verify_prop2,
+)
 
 from fracgame import (
     AlphaOutOfRange,
@@ -27,9 +33,10 @@ from fracgame import (
     uniform_curve_family,
     verify_prop1,
     verify_prop2,
+    verify_prop2_chain,
 )
 from fracgame import risk
-from fracgame.games import coalitions
+from fracgame.games import DEFAULT_TOL, coalitions
 from fracgame.risk import (
     MeanStdScenario,
     cvar_scenario_from_dict,
@@ -194,6 +201,28 @@ def test_mixture_bit_identical_to_scalar_loop_on_empirical_curves():
             assert cvar(curve, alpha) == naive_cvar(curve, alpha)
             assert density.value(alpha) == naive_interp(density.knots, alpha)
             assert curve.value(alpha) == naive_interp(curve.knots, alpha)
+
+
+def test_mixture_panel_grid_bit_identical_on_edge_layouts():
+    # the numpy panel grid against the scalar loop on layouts that stress it:
+    # a -0.0 first density knot, a 1 - x that equals a density knot, wide
+    # gaps split into many panels, and a 10,001-knot column
+    signed = density_curve([(-0.0, 0.5), (0.3, 1.2), (1, 0.9)], normalize=True)
+    assert math.copysign(1.0, signed.xs[0]) == -1.0
+    shared = density_curve([(0, 1.0), (1 - 0.7, 0.6), (0.75, 1.4), (1, 1.0)], normalize=True)
+    wide = density_curve([(0, 0.3), (0.7, 1.3), (1, 0.4)], normalize=True)
+    curves = [
+        quantile_curve([(0, 0.5), (0.25, 1.0), (0.7, 1.5), (1, 4.0)]),
+        uniform_curve(1.0, 2.5),
+        quantile_curve([(0, 1.0), (1 / 3, 1.1), (1, 3.0)]),
+    ]
+    for density in (signed, shared, wide, beta_density(1.7, 5)):
+        for curve in curves:
+            assert mixture_reward(curve, density) == naive_mixture_reward(curve, density)
+    rng = random.Random(17)
+    big = empirical_curve([1 + rng.expovariate(1.0) for _ in range(200)], risk.MAX_KNOTS)
+    for density in (signed, beta_density(2.0)):
+        assert mixture_reward(big, density) == naive_mixture_reward(big, density)
 
 
 def test_empirical_knots_match_the_scalar_loop(monkeypatch):
@@ -570,6 +599,81 @@ def test_prop2_catches_family_without_tail_dominance():
     }
     report = verify_prop2(fam, beta_density(1.0), beta_density(2.0))
     assert not report.tail.holds
+
+
+@pytest.mark.parametrize("grid", [1, 0, -3])
+def test_prop2_refuses_a_grid_of_fewer_than_two_points(grid):
+    # one point has no step to compare: the one-unit form would pass vacuously
+    fam, d1, d2 = default_uniform_family(3), beta_density(1.0), beta_density(2.0)
+    with pytest.raises(ValueError, match="at least two points"):
+        verify_prop2(fam, d1, d2, grid=grid)
+    with pytest.raises(ValueError, match="at least two points"):
+        verify_prop2_chain(fam, [d1, d2, d1], grid=grid)
+
+
+def test_prop2_chain_refuses_fewer_than_two_densities():
+    fam = default_uniform_family(3)
+    for chain in ([], [beta_density(2.0)]):
+        with pytest.raises(ValueError, match="at least two densities"):
+            verify_prop2_chain(fam, chain)
+
+
+def _empirical_family(seed: int, n: int, shared: bool) -> dict:
+    """Curves from noisy draws, one per coalition or one per size: sampling
+    noise breaks the one-unit form on some nested pairs."""
+    rng = random.Random(seed)
+
+    def draw(s):
+        return empirical_curve([s + rng.gammavariate(2.0, 0.5 * math.sqrt(s)) for _ in range(60)], 11)
+    by_size = {s: draw(s) for s in range(1, n + 1)}
+    return {c: by_size[c.bit_count()] if shared else draw(c.bit_count()) for c in coalitions(n)}
+
+
+def _prop2_families() -> dict:
+    return {
+        "uniform": default_uniform_family(4),
+        "scaled": uniform_curve_family(3, lambda s: 2.0 * s, lambda s: 2.0 * (s + math.sqrt(s))),
+        "empirical": _empirical_family(5, 3, shared=False),
+        "empirical-shared": _empirical_family(9, 4, shared=True),
+        "no-tail-dominance": {1: uniform_curve(1, 2), 2: uniform_curve(1, 2), 3: uniform_curve(2, 6)},
+    }
+
+
+def _prop2_chains() -> list:
+    b1, b2, b3 = beta_density(1.0), beta_density(2.0), beta_density(3.2, 41)
+    explicit = density_curve([(0, 0.2), (0.3, 1.1), (0.55, 0.4), (1, 1.7)], normalize=True)
+    return [[b1, b2], [b2, b1], [b1, b2, b3], [b3, b2, b1, b1], [explicit, b2, b2, b1]]
+
+
+@pytest.mark.parametrize("tol", [0.0, DEFAULT_TOL])
+@pytest.mark.parametrize("name", list(_prop2_families()))
+def test_prop2_chain_matches_the_pairwise_oracle_link_by_link(name, tol):
+    fam = _prop2_families()[name]
+    unordered = 0
+    for chain in _prop2_chains():
+        for grid in (2, 21):
+            reports = verify_prop2_chain(fam, chain, grid=grid, tol=tol)
+            assert len(reports) == len(chain) - 1
+            for d1, d2, report in zip(chain, chain[1:], reports):
+                assert report == naive_verify_prop2(fam, d1, d2, grid=grid, tol=tol)
+                assert verify_prop2(fam, d1, d2, grid=grid, tol=tol) == report
+                unordered += not report.order.holds
+    # every family has a link whose games are not ordered (the chains reverse a shift)
+    assert unordered
+    if name.startswith("empirical"):
+        # the draws break the one-unit form, so every message is compared
+        drops = naive_verify_prop2(fam, *_prop2_chains()[0], tol=tol).violations
+        assert any(v.startswith("tail-average ratio drops") for v in drops)
+
+
+@pytest.mark.parametrize("tol", [0.0, DEFAULT_TOL])
+def test_prop2_chain_is_reflexive(tol):
+    # a link from a density to itself holds its likelihood and order claims
+    densities = dict.fromkeys(d for chain in _prop2_chains() for d in chain)
+    for fam in _prop2_families().values():
+        for d in densities:
+            (report,) = verify_prop2_chain(fam, [d, d], tol=tol)
+            assert report.likelihood.holds and report.order.holds
 
 
 def test_custom_family_scaling_cancels():
