@@ -20,7 +20,7 @@ weak-core search's LP points in ``CoreRows.covered``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterator, Sequence
@@ -219,6 +219,15 @@ class CoreRegion:
     status: str
     witness: tuple | None = None
     method: str = ""
+    rule: str = field(default="", compare=False, repr=False)  # the rule of ``_decide``
+
+
+# the method each rule of ``_decide`` prints
+_METHODS = {
+    "singleton": "singleton", "boundary": "boundary", "empty-split": "boundary",
+    "box": "lp", "equal-split": "lp", "cover": "lp", "priced-lp": "lp",
+    "strong-subset": "strong-subset", "root-packing": "exact-search", "search": "exact-search",
+}
 
 
 class CoreRows:
@@ -353,16 +362,6 @@ def split_vertices(game: Game, block: int) -> list[tuple]:
     return sorted({(*lb[:j], Fraction(a + rest, whole), *lb[j + 1 :]) for j, a in enumerate(lone)})
 
 
-def _centered_boundary_point(game: Game, block: int) -> tuple | None:
-    """Max-slack point of a block's bare split simplex, in closed form
-    (``linfeas.split_center``).  None when the simplex is empty."""
-    whole, lone = split_terms(game, block)
-    center = linfeas.split_center(lone, whole)
-    if center is None:
-        return None
-    return _finish_witness(game, (Fraction(a, center[1]) for a in center[0][:-1]))
-
-
 def _phase_one_point(game: Game) -> tuple | None:
     """The point ``linfeas.feasible``'s phase 1 ends on for a game's bare
     split simplex, in closed form: every share at its lower bound, the
@@ -381,127 +380,126 @@ def _finish_witness(game: Game, point) -> tuple:
     return tuple(float(x) for x in point)
 
 
-def core_region(
-    game: Game,
-    kind: str = STRONG,
-    *,
-    strong: CoreRegion | None = None,
-) -> CoreRegion:
-    """Decide (non)emptiness of the requested core and produce a witness.
-
-    Every strong region is the strong-core system's own verdict and
-    max-slack point (the canonical witness), under the ``lp`` tag.  A
-    3-player game's core is a box cut by the simplex, decided in closed form
-    (see ``_box_region``).  A larger size-symmetric game's (see
-    ``games.size_values``) is the equal split's closed form (see
-    ``_equal_split_region``).  Otherwise the core is empty with no LP
-    solved when a partition of the players is worth more than v(N)
-    (``Game.cover``): a balanced collection no split covers (Bondareva
-    1963; Shapley 1967).  Otherwise it is decided exactly by LP with row
-    generation over its coalition halfspaces, priced lazily (see
-    ``CoreRows``; the whole system is never listed), by rounds on one
-    tableau.
-    The weak core is a union of polytopes containing the strong core, whose
-    region answers first: a nonempty one lends its verdict and witness
-    (``strong-subset``).  ``strong`` is that region when the caller has
-    already decided it for this game.  Otherwise the weak core is decided
-    exactly by a search that branches on the pieces of all-blocking splits
-    (see ``_weak_region_exact``).
-    """
+def core_region(game: Game, kind: str = STRONG, *, strong: CoreRegion | None = None) -> CoreRegion:
+    """The requested core's status and witness, decided by the first rule
+    of ``_decide`` that applies.  ``strong`` is the game's strong region
+    when the caller has already decided it."""
     _check_kind(kind)
+    rule, status, point = _decide(game, kind, strong)
+    witness = None if point is None else _finish_witness(game, point)
+    return CoreRegion(status, witness, _METHODS[rule], rule)
+
+
+def _decide(game: Game, kind: str, strong: CoreRegion | None) -> tuple[str, str, Sequence | None]:
+    """``(rule, status, point)``: the first rule that applies to the game's
+    core of the kind, with the core system's own verdict and canonical
+    witness (its max-slack point; None when empty) in the game's
+    coordinates.  Only ``priced-lp`` and the weak search solve an LP.
+    - ``singleton``: one player, whose only split is the share 1.
+    - ``boundary``: a strong core of 2 players, or a weak one of up to 3
+      (see the module docstring), is the split simplex: its center.
+    - ``box``: a 3-player strong core, a box cut by the simplex.
+    - ``equal-split``: a size-symmetric strong core of 4+ players.
+    - ``cover``: a strong core is empty when a partition of the players is
+      worth more than v(N) (``Game.cover``), a balanced collection that no
+      split covers (Bondareva 1963; Shapley 1967).
+    - ``priced-lp``: any other strong core, by row generation (``CoreRows``).
+    - ``strong-subset``: a nonempty strong core lends the weak core, which
+      contains it, its verdict and witness.
+    - ``empty-split``: a weak core whose split simplex is empty.
+    - ``root-packing``, ``search``: any other weak core, by a search from
+      phase 1's point (``_phase_one_point``) that ends there or below."""
     n = game.n
     if n == 1:
-        return CoreRegion(NONEMPTY, (1,) if game.mode == EXACT else (1.0,), "singleton")
+        return "singleton", NONEMPTY, (1,)
     if n <= (2 if kind == STRONG else 3):
-        point = _centered_boundary_point(game, game.grand)
-        if point is None:
-            return CoreRegion(EMPTY, None, "boundary")
-        return CoreRegion(NONEMPTY, point, "boundary")
+        whole, lone = split_terms(game, game.grand)
+        center = linfeas.split_center(lone, whole)
+        if center is None:
+            return "boundary", EMPTY, None
+        return "boundary", NONEMPTY, [Fraction(a, center[1]) for a in center[0][:-1]]
     if kind == STRONG:
         if n == 3:
-            return _box_region(game)
+            return "box", *_box_region(game)
         by_size = size_values(game)
         if by_size is not None:
-            return _equal_split_region(game, by_size)
+            return "equal-split", *_equal_split_region(game, by_size)
         if game.cover() > game.terms[game.grand]:
-            return CoreRegion(EMPTY, None, "lp")
+            return "cover", EMPTY, None
         point = CoreRows(game).solve(range(1, game.grand))
-        if point is None:
-            return CoreRegion(EMPTY, None, "lp")
-        return CoreRegion(NONEMPTY, _finish_witness(game, point), "lp")
+        return "priced-lp", EMPTY if point is None else NONEMPTY, point
     if strong is None:
         strong = core_region(game, STRONG)
     if strong.status == NONEMPTY:
-        return CoreRegion(NONEMPTY, strong.witness, "strong-subset")
-    return _weak_region_exact(game)
+        return "strong-subset", NONEMPTY, strong.witness
+    root = _phase_one_point(game)
+    if root is None:
+        return "empty-split", EMPTY, None
+    return _weak_region_exact(game, root)
 
 
-def _box_region(game: Game) -> CoreRegion:
-    """The strong region of a 3-player game.  Every proper coalition is a
-    member k or the complement of one, so on the integer scale w = 6 v(N)
-    of ``Game.terms`` its row bounds the share F_k of w below by lo_k =
-    6 v(k) or above by hi_k = 6 (v(N) - v(N - k)): the core is a box cut by
-    the simplex sum(F) = w.  The largest slack t (in the LP's share units,
-    times w) has lo + t <= F <= hi - t with sum(F) = w, so it is the least
-    of (hi_k - lo_k) / 2, (w - sum(lo)) / 3 and (sum(hi) - w) / 3, each
-    exact on this scale, and the core is empty iff t < 0.  The witness is
-    the lexicographic minimum of that face, which ``CoreRows.solve``'s
-    stages find: each share in turn at its least, given the bounds left to
-    the later ones.  It is re-checked on integers, as ``solve`` does."""
+def _box_region(game: Game) -> tuple[str, list | None]:
+    """The strong ``(status, point)`` of a 3-player game.  Every proper
+    coalition is a member k or the complement of one, so on the integer
+    scale w = 6 v(N) of ``Game.terms`` its row bounds the share F_k of w
+    below by lo_k = 6 v(k) or above by hi_k = 6 (v(N) - v(N - k)): the core
+    is a box cut by the simplex sum(F) = w.  The largest slack t (in the
+    LP's share units, times w) has lo + t <= F <= hi - t with sum(F) = w, so
+    it is the least of (hi_k - lo_k) / 2, (w - sum(lo)) / 3 and (sum(hi) -
+    w) / 3, each exact on this scale, and the core is empty iff t < 0.  The
+    witness is the lexicographic minimum of that face, which
+    ``CoreRows.solve``'s stages find: each share in turn at its least, given
+    the bounds left to the later ones.  It is re-checked on integers, as
+    ``solve`` does."""
     terms, full = game.terms, game.grand
     w = 6 * terms[full]
     lo = [6 * terms[1 << k] for k in range(3)]
     hi = [w - 6 * terms[full ^ 1 << k] for k in range(3)]
     t = min(min(h - a for a, h in zip(lo, hi)) // 2, (w - sum(lo)) // 3, (sum(hi) - w) // 3)
     if t < 0:
-        return CoreRegion(EMPTY, None, "lp")
+        return EMPTY, None
     f0 = max(lo[0] + t, w - hi[1] - hi[2] + 2 * t)
     f1 = max(lo[1] + t, w - f0 - hi[2] + t)
     point = (f0, f1, w - f0 - f1)
     if not all(a <= f <= h for a, f, h in zip(lo, point, hi)):
         raise NumericFailure("closed form returned a point violating the system")
-    return CoreRegion(NONEMPTY, _finish_witness(game, (Fraction(f, w) for f in point)), "lp")
+    return NONEMPTY, [Fraction(f, w) for f in point]
 
 
-def _equal_split_region(game: Game, by_size: tuple) -> CoreRegion:
-    """The strong region of a size-symmetric game of four or more players,
-    whose values by size are ``by_size``.  Its strong-core system is
-    invariant under permuting the players, and the core is convex, so the
-    core holds the average of any point's permutations, the equal split
-    (the averaging argument for symmetric LPs; Bödi, Herr & Joswig 2013).
-    The equal split covers a coalition of s players iff s*v(n) >= n*v(s),
-    compared on the exactly converted values, as the LP compares them.  It
-    is the only max-slack point: at any optimum, the coalitions of a size s
-    attaining t* = min over s < n of s/n - v(s)/v(n) each hold at least s/n
-    and average exactly s/n, so for 1 <= s <= n-1 every share is 1/n."""
+def _equal_split_region(game: Game, by_size: tuple) -> tuple[str, tuple | None]:
+    """The strong ``(status, point)`` of a size-symmetric game of four or
+    more players, whose values by size are ``by_size``.  Its strong-core
+    system is invariant under permuting the players, and the core is convex,
+    so the core holds the average of any point's permutations, the equal
+    split (the averaging argument for symmetric LPs; Bödi, Herr & Joswig
+    2013).  The equal split covers a coalition of s players iff s*v(n) >=
+    n*v(s), compared on the exactly converted values, as the LP compares
+    them.  It is the only max-slack point: at any optimum, the coalitions of
+    a size s attaining t* = min over s < n of s/n - v(s)/v(n) each hold at
+    least s/n and average exactly s/n, so for 1 <= s <= n-1 every share is
+    1/n."""
     n = game.n
     v = [Fraction(x) for x in by_size[1:]]
     if all(s * v[-1] >= n * v[s - 1] for s in range(1, n)):
-        return CoreRegion(NONEMPTY, _finish_witness(game, (Fraction(1, n),) * n), "lp")
-    return CoreRegion(EMPTY, None, "lp")
+        return NONEMPTY, (Fraction(1, n),) * n
+    return EMPTY, None
 
 
-def _weak_region_exact(game: Game) -> CoreRegion:
-    """Search over commitment sets: sets of proper coalitions whose
-    halfspace ``v(N) * f(C) >= v(C)`` is imposed on the grand split simplex.
-    A set's LP point either has no all-blocking split, and is then a weak-
-    core point, or every weak-core point of the set's polytope covers one
-    piece of the split ``_blocking_split`` finds there, so the search
-    branches on the pieces.  Infeasible sets are kept as nogoods and their
-    supersets skipped.  The root commits nothing, so its point is written
-    directly (``_phase_one_point``); deeper sets are solved by
-    ``linfeas.feasible``.  Coverage at the point is read off ``CoreRows``'
-    integer table, exact as the LP decides it.  The witness is the canonical
-    one: the max-slack point of the polytope committing every coalition the
-    found point covers, all of which lies in the weak core.  A search that
-    ends at its root writes it in the root's coordinates, as a packing LP
-    from the origin with its max slack in closed form
-    (``CoreRows.solve_at_root``); a deeper end solves it by
-    ``CoreRows.solve``."""
+def _weak_region_exact(game: Game, root: tuple) -> tuple[str, str, tuple | None]:
+    """``_decide``'s weak rule for a game with an empty strong core and a
+    nonempty split simplex: a search over sets of proper coalitions whose
+    halfspaces ``v(N) * f(C) >= v(C)`` are imposed on the split simplex.  A
+    set's LP point either has no all-blocking split, and is a weak-core
+    point, or every weak-core point of the set's polytope covers a piece of
+    the split ``_blocking_split`` finds there, so the search branches on
+    the pieces.  Infeasible sets are kept as nogoods, their supersets
+    skipped.  The root commits nothing and its point is ``root``; deeper
+    sets are solved by ``linfeas.feasible``.  Coverage is read off
+    ``CoreRows``' integer table.  The witness is the max-slack point of the
+    polytope committing every coalition the found point covers, all in the
+    weak core: ``CoreRows.solve_at_root`` at the root (``root-packing``),
+    ``CoreRows.solve`` below it (``search``)."""
     full = game.grand
-    root = _phase_one_point(game)
-    if root is None:
-        return CoreRegion(EMPTY, None, "boundary")
     rows = CoreRows(game)
     nogoods, stack = [], [frozenset()]
     while stack:
@@ -518,10 +516,11 @@ def _weak_region_exact(game: Game) -> CoreRegion:
             break
         stack += [committed | {piece} for piece in reversed(pieces)]
     else:
-        return CoreRegion(EMPTY, None, "exact-search")
+        return "search", EMPTY, None
     candidates = [c for c in range(1, full) if covered(c)]
-    point = rows.solve(candidates) if committed else rows.solve_at_root(candidates)
-    return CoreRegion(NONEMPTY, _finish_witness(game, point), "exact-search")
+    if committed:
+        return "search", NONEMPTY, rows.solve(candidates)
+    return "root-packing", NONEMPTY, rows.solve_at_root(candidates)
 
 
 # ---------------------------------------------------------------------------

@@ -520,7 +520,8 @@ def naive_sweep_point(args, label, game, extra):
         found = decided.get(sub.values)
         if found is None:
             strong = sub.n == 1 or stability.CoreRows(sub).solve(range(1, sub.grand)) is not None
-            weak = strong or stability._weak_region_exact(sub).status == NONEMPTY
+            root = None if strong else stability._phase_one_point(sub)
+            weak = strong or root is not None and stability._weak_region_exact(sub, root)[1] == NONEMPTY
             found = decided[sub.values] = strong, weak
         return found
 

@@ -1,5 +1,6 @@
 import argparse
 import ast
+import hashlib
 import json
 import math
 import pathlib
@@ -923,6 +924,24 @@ def test_max_slack_witnesses_match_committed_bytes(capsys, argv, golden):
     game = str(DATA / "cut_game_n6_seed0.json")
     assert run([a.format(game=game) for a in argv]) == 0
     assert capsys.readouterr().out.encode("utf-8") == (DATA / golden).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["analyze", "{game}"], "analyze_thirds_game_n6_seed0.sha256"),
+        (["analyze", "{game}", "--format", "csv"], "analyze_thirds_game_n6_seed0_csv.sha256"),
+        (["core", "{game}"], "core_thirds_game_n6_seed0.sha256"),
+    ],
+)
+def test_thirds_game_reports_match_committed_digests(capsys, argv, digest):
+    # an n=6 game whose blocks reach every rule of core_region but the
+    # equal split: strong regions solved by the priced LP, weak searches
+    # that end below their root with either verdict, and their witnesses
+    game = str(DATA / "thirds_game_n6_seed0.json")
+    assert run([a.format(game=game) for a in argv]) == 0
+    out = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    assert f"{out}  -\n" == (DATA / digest).read_text()
 
 
 @pytest.mark.parametrize(

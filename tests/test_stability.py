@@ -54,8 +54,6 @@ from fracgame.risk import (
 )
 from fracgame.centripetality import generate_ordered_pair
 from fracgame.stability import (
-    _centered_boundary_point,
-    _weak_region_exact,
     core_system,
     share_terms,
     split_vertices,
@@ -351,10 +349,9 @@ def test_split_simplex_functions_match_their_fraction_formulas():
             assert boundary_empty(game, block) == (s < 0)
             vertices = {tuple(lb + s if i == j else lb for i, lb in enumerate(lbs)) for j in range(k)}
             assert split_vertices(game, block) == ([] if s < 0 else sorted(vertices))
-            centre = None if s < 0 else tuple(lb + s / k for lb in lbs)
-            if centre is not None and game.mode != "exact":
-                centre = tuple(map(float, centre))
-            assert _centered_boundary_point(game, block) == centre
+            centre = linfeas.split_center(lone, whole)
+            centre = centre and [Fraction(a, centre[1]) for a in centre[0][:-1]]
+            assert centre == (None if s < 0 else [lb + s / k for lb in lbs])
             if game.mode == "exact":
                 # a draw: int terms over v(B)*2^20, between the bounds and
                 # the bounds plus the leftover, summing to 1
@@ -461,13 +458,19 @@ def test_weak_region_exact_vs_sampled_consistency():
             f = naive_sample_boundary(game, game.grand, draws)
             if f is None:
                 # only the exact empty-simplex shortcut may say empty here
-                assert exact.status == EMPTY and exact.method == "boundary"
+                assert exact.status == EMPTY and exact.rule == "empty-split"
                 break
             if naive_weak_core_contains(game, f):
                 assert exact.status == NONEMPTY
                 agree += 1
                 break
     assert agree > 10
+
+
+def _searched(game) -> CoreRegion:
+    """The weak region ``core_region`` gives the game when its strong core
+    is empty: the exact search's, or ``empty-split``'s."""
+    return core_region(game, WEAK, strong=CoreRegion(EMPTY))
 
 
 def _weak_search_games(n, seeds):
@@ -489,7 +492,7 @@ def test_weak_region_exact_matches_the_partition_walk(n, seeds):
     statuses = set()
     for game in _weak_search_games(n, seeds):
         want = naive_weak_region_exact(game).status
-        got = _weak_region_exact(game)
+        got = _searched(game)
         assert got.status == want
         if got.status == NONEMPTY:
             assert core_contains(game, got.witness, WEAK)
@@ -502,7 +505,7 @@ def test_weak_region_exact_decides_eight_players():
     # the partition walk recursed once per partition (Bell(8) - 1 = 4139
     # levels) and overflowed the stack here
     game = cut_game(random.Random(8), 8)
-    region = _weak_region_exact(game)
+    region = _searched(game)
     assert region.status in (NONEMPTY, EMPTY)
     if region.status == NONEMPTY:
         assert core_contains(game, region.witness, WEAK)
@@ -563,7 +566,8 @@ def test_root_witness_is_the_canonical_restrictions_max_slack_point():
             seen["t* = 0"] += slack == 0
         if stability._blocking_split(full, lambda c: not covered(c)) is None:
             region = CoreRegion(NONEMPTY, stability._finish_witness(game, point), "exact-search")
-            assert repr(_weak_region_exact(game)) == repr(region), label
+            got = _searched(game)
+            assert (repr(got), got.rule) == (repr(region), "root-packing"), label
             seen[label] = seen.get(label, 0) + 1
     assert seen.pop("t* = 0") >= 5
     assert set(seen) == {"cut", "float", "zero-singletons", "near-additive", "near-additive-float"}
@@ -1085,61 +1089,6 @@ def test_regions_never_build_the_whole_core_system(monkeypatch):
     assert core_region(game, WEAK).status == NONEMPTY
 
 
-def test_every_lp_solve_goes_through_a_named_entry(monkeypatch):
-    # LP work enters linfeas through named entries: a strong region is one
-    # priced max-slack solve (none when some partition of the players is
-    # worth more than v(N)), and the weak search solves feasibility systems
-    # and priced max-slack systems, every one of them entering ``_lexmin``
-    # through one of the two, and writes a witness that ends at its root
-    # with one priced packing solve
-    calls, stray, inside = [], [], []
-    lexmin, feasible, max_slack_point = linfeas._lexmin, linfeas.feasible, linfeas.max_slack_point
-    packing_point = linfeas.packing_point
-
-    def entered(call, solve, *args):
-        calls.append(call)
-        inside.append(call)
-        try:
-            return solve(*args)
-        finally:
-            inside.pop()
-
-    def guarded_lexmin(*args):
-        if not inside:
-            stray.append(args[0])
-        return lexmin(*args)
-
-    def entered_max_slack(system, price=None):
-        return entered(("max_slack_point", price is not None), max_slack_point, system, price)
-
-    monkeypatch.setattr(linfeas, "_lexmin", guarded_lexmin)
-    monkeypatch.setattr(linfeas, "feasible", lambda system: entered(("feasible", False), feasible, system))
-    monkeypatch.setattr(linfeas, "max_slack_point", entered_max_slack)
-    monkeypatch.setattr(linfeas, "packing_point", lambda *a: entered(("packing_point", True), packing_point, *a))
-    games = [
-        make(random.Random(seed), n)
-        for n in (4, 5, 6)
-        for seed in range(3)
-        for make in (random_exact_game, random_float_game, cut_game)
-    ]
-    methods, screened = set(), 0
-    for game in games:
-        assert size_values(game) is None
-        calls.clear()
-        strong = core_region(game, STRONG)
-        covered = naive_cover(game, game.grand)[0] > Fraction(game.values[game.grand])
-        screened += covered
-        assert calls == ([] if covered else [("max_slack_point", True)]) and not stray
-        calls.clear()
-        weak = core_region(game, WEAK, strong=strong)
-        entries = {("feasible", False), ("max_slack_point", True), ("packing_point", True)}
-        assert set(calls) <= entries and not stray
-        assert (weak.method == "exact-search") == bool(calls), weak.method
-        methods.add(weak.method)
-    assert {"strong-subset", "exact-search"} <= methods
-    assert 0 < screened < len(games)
-
-
 # ---------------------------------------------------------------------------
 # size-symmetric games: the equal split's closed form and the type walk
 
@@ -1221,23 +1170,20 @@ def _asymmetric_games(n: int, mode: str) -> list:
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
-def test_size_symmetric_strong_regions_are_the_lps(n, mode, monkeypatch):
-    # the closed form decides every size-symmetric strong region with no LP
-    # solved, and it is the LP's region: the same status and the same
+def test_size_symmetric_strong_regions_are_the_lps(n, mode):
+    # the closed form decides every size-symmetric strong region, and it
+    # is the LP's region: the same status and the same
     # max-slack point, byte for byte; the frozen solver agrees on the
     # status at n <= 5.  Up to six players, every block subgame of three
     # or more players of an asymmetric game, size-symmetric or not, is the
     # LP's region as well
-    solves = []
-    solve = stability.CoreRows.solve
-    monkeypatch.setattr(stability.CoreRows, "solve", lambda *a: solves.append(1) or solve(*a))
     statuses = set()
     for label, game in _size_symmetric_games(n):
         if game.mode != mode:
             continue
         assert size_values(game) is not None, label
         region = core_region(game, STRONG)
-        assert not solves, label
+        assert region.rule == ("box" if n == 3 else "equal-split"), label
         assert _strong_region_problem(game) is None, label
         statuses.add(region.status)
         if n <= 5:
@@ -1245,7 +1191,6 @@ def test_size_symmetric_strong_regions_are_the_lps(n, mode, monkeypatch):
         if label == "cut":
             weak = core_region(game, WEAK)
             assert (region.status, weak.method) == (EMPTY, "exact-search" if n > 3 else "boundary")
-        solves.clear()
     assert statuses == {EMPTY, NONEMPTY}
     if n <= 6:
         for game in _asymmetric_games(n, mode):
@@ -1262,19 +1207,18 @@ def _closed_form(compare, first_size):
     def region(game, by_size):
         n, v = game.n, [Fraction(x) for x in by_size[1:]]
         if all(compare(s * v[-1], n * v[s - 1]) for s in range(first_size, n)):
-            return CoreRegion(NONEMPTY, stability._finish_witness(game, (Fraction(1, n),) * n), "lp")
-        return CoreRegion(EMPTY, None, "lp")
+            return NONEMPTY, (Fraction(1, n),) * n
+        return EMPTY, None
 
     return region
 
 
 def _vertex_region(game, by_size):
     """The closed form's verdict with a vertex of the core as its witness."""
-    region = _closed_form(operator.ge, 1)(game, by_size)
-    if region.status == EMPTY:
-        return region
-    vertex = linfeas.minimize(core_system(game), (1,) + (0,) * (game.n - 1))[1]
-    return replace(region, witness=stability._finish_witness(game, vertex))
+    status, point = _closed_form(operator.ge, 1)(game, by_size)
+    if status == EMPTY:
+        return status, point
+    return status, linfeas.minimize(core_system(game), (1,) + (0,) * (game.n - 1))[1]
 
 
 @pytest.mark.parametrize(
@@ -1395,31 +1339,24 @@ def test_superadditive_cover_matches_partition_enumeration_and_the_lp():
     assert screened >= 100 and beyond_two
 
 
-def test_screened_strong_regions_solve_no_lp(monkeypatch):
-    # on the n=6 golden game, no block whose partitions beat its value
-    # (w(B) > v(B), by the literal oracle) has its strong system solved,
-    # nor any block of three players, which the box decides in closed form
-    # (b,d,f among them, the one size-symmetric block): the strong solves
-    # are one per distinct content among the others, and every block of
-    # four or more players is screened here, so there are none
+def test_screened_strong_regions_solve_no_lp():
+    # on the n=6 golden game, the report's strong region of every block
+    # whose partitions beat its value (w(B) > v(B), by the literal oracle)
+    # is the cover's, and of every block of three players the box's (b,d,f
+    # among them, the one size-symmetric block); every block of four or
+    # more players is screened here, so no strong region is solved
     game = load_game(DATA / "cut_game_n6_seed0.json")
-    solved = []
-    solve = stability.CoreRows.solve
-
-    def recording(rows, candidates):
-        if list(candidates) == list(range(1, rows.full)):  # a strong system
-            solved.append(rows.values)
-        return solve(rows, candidates)
-
-    monkeypatch.setattr(stability.CoreRows, "solve", recording)
-    stable_sets(game)
-    blocks = {b: subgame(game, b).terms for b in range(1, 1 << game.n) if b.bit_count() > 2}
-    covered = {b for b in blocks if naive_cover(game, b)[0] > Fraction(game.values[b])}
-    symmetric = {b for b in blocks if size_values(subgame(game, b)) is not None}
-    decided = covered | symmetric | {b for b in blocks if b.bit_count() == 3}
-    assert len(covered) == 22 and symmetric == {0b101010}
-    assert not {blocks[b] for b in decided} & set(solved)
-    assert sorted(solved) == sorted({blocks[b] for b in blocks if b not in decided}) == []
+    rules = {
+        block: region.rule
+        for record in stable_sets(game).records
+        for block, region in zip(record.partition, record.strong.block_regions)
+        if block.bit_count() > 2
+    }
+    covered = {b for b in rules if naive_cover(game, b)[0] > Fraction(game.values[b])}
+    symmetric = {b for b in rules if size_values(subgame(game, b)) is not None}
+    assert len(rules) == 42 and len(covered) == 22 and symmetric == {0b101010}
+    assert rules == {b: "box" if b.bit_count() == 3 else "cover" for b in rules}
+    assert covered == {b for b in rules if b.bit_count() > 3}
 
 
 def test_stable_sets_fusion_verdicts_match_a_fraction_oracle():
@@ -1519,50 +1456,11 @@ def _three_player_games() -> list:
     return games
 
 
-def _lp_region(game, point) -> CoreRegion:
-    """The strong region whose LP found ``point`` (None: no point)."""
-    if point is None:
-        return CoreRegion(EMPTY, None, "lp")
-    return CoreRegion(NONEMPTY, stability._finish_witness(game, point), "lp")
-
-
-def test_three_player_strong_regions_are_the_lps(monkeypatch):
-    # the box decides every 3-player strong region with no LP solved, and
-    # by repr it is the region of conftest's cold sequential solve of the
-    # listed strong-core system and of CoreRows.solve's priced one: the
-    # same verdict and the same max-slack point, the lexicographic least
-    # of them, number for number.  Every random family has both verdicts
-    # (cut games and their float copies are supermodular, so nonempty),
-    # and t* = 0 is reached, nonempty, by each of the box's bounds
-    solves = []
-    max_slack_point = linfeas.max_slack_point
-    monkeypatch.setattr(linfeas, "max_slack_point", lambda *a: solves.append(1) or max_slack_point(*a))
-    statuses, tight = set(), set()
-    for label, game in _three_player_games():
-        got = core_region(game, STRONG)
-        assert not solves, label
-        try:
-            point, slack = naive_max_slack_point(core_system(game))
-        except InfeasibleSystem:
-            point = slack = None
-        assert repr(got) == repr(_lp_region(game, point)), label
-        assert repr(got) == repr(_lp_region(game, stability.CoreRows(game).solve(range(1, 7)))), label
-        solves.clear()
-        statuses.add((label, got.status))
-        if slack == 0:
-            tight.add(label)
-    families = ("int", "fraction", "float", "zero-lone")
-    assert {(f, s) for f in families for s in (EMPTY, NONEMPTY)} <= statuses
-    assert {("cut", NONEMPTY), ("float-thirds", NONEMPTY)} <= statuses
-    assert {"t0-member", "t0-lone", "t0-pairs", "additive", "size-additive"} <= tight
-
-
-def test_weak_search_roots_are_phase_ones_points(monkeypatch):
+def test_weak_search_roots_are_phase_ones_points():
     # the weak search's root point, written in closed form, is the point
     # linfeas.feasible's phase 1 ends on for the bare split simplex, on
     # seeded games of 2-6 players, some with no leftover (singletons
-    # summing to v(N)), some with zero singletons, some empty; the search
-    # calls feasible only on sets that commit some coalition
+    # summing to v(N)), some with zero singletons, some empty
     rng = random.Random(73)
     games = [make(rng, n) for n in range(2, 7) for make in (random_exact_game, random_float_game) for _ in range(8)]
     games += [_additive_game(rng, n) for n in range(2, 7)]
@@ -1576,9 +1474,267 @@ def test_weak_search_roots_are_phase_ones_points(monkeypatch):
         seen["no-leftover"] += sum(lone) == whole
         seen["zero-lone"] += want is not None and 0 in lone
     assert all(count >= 3 for count in seen.values()), seen
-    roots = []
-    feasible = linfeas.feasible
-    monkeypatch.setattr(linfeas, "feasible", lambda system: roots.append(not system.halfspaces) or feasible(system))
-    searched = [_weak_region_exact(game) for n in (4, 5) for game in _weak_search_games(n, range(6))]
-    assert roots and not any(roots)
-    assert {r.method for r in searched} == {"exact-search", "boundary"}
+
+
+# ---------------------------------------------------------------------------
+# every rule of core_region against the cold oracles
+
+
+# the method a report prints for each rule of ``stability._decide``
+RULE_METHODS = {
+    "singleton": "singleton", "boundary": "boundary", "empty-split": "boundary",
+    "box": "lp", "equal-split": "lp", "cover": "lp", "priced-lp": "lp",
+    "strong-subset": "strong-subset", "root-packing": "exact-search", "search": "exact-search",
+}
+# the linfeas entries each rule may enter; the others enter none
+RULE_ENTRIES = {
+    "priced-lp": {"max_slack_point"},
+    "root-packing": {"packing_point"},
+    "search": {"feasible", "max_slack_point"},
+}
+
+
+def _rule_games() -> list:
+    """Labelled seeded games of one to six players: singletons, random
+    pairs, the 3-player families above, the float size-symmetric games of
+    four players (pooled ventures and cvar games among them), two games whose strong cores no partition refutes although a
+    balanced collection does (four (n-1)-player coalitions worth more than
+    three quarters of v(N)), random Fraction, random float and cut games of
+    four to six, and every block of four or five players of the pinned
+    thirds game, whose weak searches end below their root with either
+    verdict."""
+    rng = random.Random(97)
+    games = [("singleton", make_game(1, {1: v})) for v in (0, 2, Fraction(1, 3), 0.5, 1.5)]
+    games += [("pair", make(rng, 2)) for make in (random_exact_game, random_float_game) for _ in range(8)]
+    games += _three_player_games()
+    games += [(f"size-{label}", g) for label, g in _size_symmetric_games(4) if g.mode == "float"]
+    for top in (9, Fraction(91, 10)):
+        by_size = {1: 1, 2: 2, 3: top}
+        games.append(("balanced", make_game(4, {m: by_size.get(m.bit_count(), 12) + (m == 7) for m in range(1, 16)})))
+    games += [
+        (make.__name__, make(random.Random(seed), n))
+        for n in (4, 5, 6)
+        for seed in range(3)
+        for make in (random_exact_game, random_float_game, cut_game)
+    ]
+    thirds = load_game(DATA / "thirds_game_n6_seed0.json")
+    games += [("thirds", subgame(thirds, b)) for b in range(1, 64) if b.bit_count() in (4, 5)]
+    return games
+
+
+def _cold_point(system):
+    """``(point, slack)`` of the frozen solver's staged max-slack solve, or
+    None when the system is empty."""
+    try:
+        return naive_max_slack_point(system)
+    except InfeasibleSystem:
+        return None
+
+
+def _cold_search(game, system):
+    """The weak search replayed with the frozen solver from phase 1's point
+    of the split simplex, coverage read off Fraction member sums: whether
+    it ends at its root, and the restriction of the strong-core system to
+    the coalitions its final point covers; None when it refutes every
+    commitment set."""
+    rows = {h.support: h for h in system.halfspaces}
+    restrict = lambda coalitions: replace(system, halfspaces=tuple(rows[c] for c in sorted(coalitions)))
+    nogoods, stack = [], [frozenset()]
+    while stack:
+        committed = stack.pop()
+        if any(bad <= committed for bad in nogoods):
+            continue
+        point = naive_feasible(restrict(committed))
+        if point is None:
+            nogoods.append(committed)
+            continue
+        covered = {c for c, h in rows.items() if sum(point[i] for i in members(c)) >= h.rhs}
+        pieces = stability._blocking_split(game.grand, lambda c: c not in covered)
+        if pieces is None:
+            return not committed, restrict(covered)
+        stack += [committed | {piece} for piece in reversed(pieces)]
+    return None
+
+
+def _cold_region(game, kind, strong):
+    """``(rule, system)`` for the game's core of the kind, read off the
+    definitions with literal oracles, and the system whose cold max-slack
+    point is the region: the strong-core system, the bare split simplex,
+    or the restriction the weak search ends on.  ``strong`` is the game's
+    strong status; a lent or refuted region has the system None."""
+    n, full = game.n, game.grand
+    if n == 1:
+        return "singleton", None
+    system = core_system(game)
+    bare = replace(system, halfspaces=())
+    if n <= (2 if kind == STRONG else 3):
+        return "boundary", bare
+    if kind == STRONG:
+        if n == 3:
+            return "box", system
+        if len({(c.bit_count(), game.values[c]) for c in range(1, full + 1)}) == n:
+            return "equal-split", system
+        if naive_cover(game, full)[0] > Fraction(game.values[full]):
+            return "cover", system
+        return "priced-lp", system
+    if strong == NONEMPTY:
+        return "strong-subset", None
+    if naive_feasible(bare) is None:
+        return "empty-split", None
+    end = _cold_search(game, system)
+    if end is None:
+        return "search", None
+    return "root-packing" if end[0] else "search", end[1]
+
+
+def test_every_rule_gives_the_cold_oracles_region(monkeypatch):
+    # each region names the rule the definitions pick for it, prints that
+    # rule's method, and equals by repr the region of the cold oracles:
+    # strong, the frozen solver's max-slack point of the strong-core system;
+    # weak, the partition walk's verdict (naive_weak_region_exact) and the
+    # frozen solver's point of the restriction the search ends on (the bare
+    # simplex up to three players), or the strong witness it lends.  The
+    # frozen solver runs up to four players (a five-player region costs it
+    # 0.1-0.9 s); at five and six, the rules, the entries and the weak
+    # verdicts are checked.  Every rule is hit at least 5 times and gives
+    # every verdict it can; a rule enters only its own linfeas entries,
+    # every LP entering ``_lexmin`` through one of them, every max-slack
+    # solve is priced, and the search solves no system that commits
+    # nothing.  On the 3-player families, every random one has both
+    # box verdicts (cut games and their float copies are supermodular, so
+    # nonempty), and a largest slack of 0 is reached, nonempty, by each of
+    # the box's bounds
+    calls, stray, inside = [], [], []
+    lexmin = linfeas._lexmin
+
+    def entered(name, solve):
+        def entry(*args):
+            calls.append((name, args))
+            inside.append(name)
+            try:
+                return solve(*args)
+            finally:
+                inside.pop()
+
+        return entry
+
+    def guarded_lexmin(*args):
+        if not inside:
+            stray.append(args[0])
+        return lexmin(*args)
+
+    monkeypatch.setattr(linfeas, "_lexmin", guarded_lexmin)
+    for name in ("feasible", "max_slack_point", "packing_point", "minimize"):
+        monkeypatch.setattr(linfeas, name, entered(name, getattr(linfeas, name)))
+    hits, statuses, tight = {}, set(), set()
+    for label, game in _rule_games():
+        strong = None
+        for kind in (STRONG, WEAK):
+            calls.clear()
+            region = core_region(game, kind, strong=strong)
+            rule, system = _cold_region(game, kind, strong and strong.status)
+            assert region.rule == rule, (label, kind, region.rule)
+            assert {name for name, _ in calls} <= RULE_ENTRIES.get(rule, set()), (label, rule)
+            assert not stray
+            if rule in ("priced-lp", "root-packing"):
+                assert len(calls) == 1, (label, rule)
+            assert all(args[1] for name, args in calls if name == "max_slack_point"), label
+            if rule == "search":
+                assert all(args[0].halfspaces for name, args in calls if name == "feasible"), label
+            if kind == WEAK and game.n > 1:
+                assert region.status == naive_weak_region_exact(game).status, label
+            if rule == "singleton":
+                assert region == CoreRegion(NONEMPTY, (1,), "singleton"), label
+            elif rule == "strong-subset":
+                assert (region.status, region.witness) == (NONEMPTY, strong.witness), label
+            elif system is None:
+                assert region.status == EMPTY and region.witness is None, label
+            elif game.n <= 4:
+                cold = _cold_point(system)
+                status = EMPTY if cold is None else NONEMPTY
+                witness = cold and stability._finish_witness(game, cold[0])
+                assert repr(region) == repr(CoreRegion(status, witness, RULE_METHODS[rule])), (label, rule)
+                if rule == "box":
+                    statuses.add((label, status))
+                    if cold and cold[1] == 0:
+                        tight.add(label)
+            assert region.method == RULE_METHODS[rule]
+            hits.setdefault(rule, []).append(region.status)
+            strong = region
+    assert all(len(hits[rule]) >= 5 for rule in RULE_METHODS), {r: len(h) for r, h in hits.items()}
+    both = {"boundary", "box", "equal-split", "priced-lp", "search"}
+    assert {rule for rule in RULE_METHODS if set(hits[rule]) == {EMPTY, NONEMPTY}} == both
+    families = ("int", "fraction", "float", "zero-lone")
+    assert {(f, s) for f in families for s in (EMPTY, NONEMPTY)} <= statuses
+    assert {("cut", NONEMPTY), ("float-thirds", NONEMPTY)} <= statuses
+    assert {"t0-member", "t0-lone", "t0-pairs", "additive", "size-additive"} <= tight
+
+
+# ---------------------------------------------------------------------------
+# metamorphic properties of the partition walk
+
+
+def _metamorphic_games() -> list:
+    """Labelled seeded games of three to six players: random Fraction and
+    float games, cut games, thirds games (values |C| k / 3, k = 10..60, as
+    the pinned one), square games (2|C|^2 plus 0, 1/3 or 2/3), pooled
+    ventures with a few coalitions' synergy scaled, and dyadic Fraction
+    games (values k / 4); one round each at three to five players, three
+    at six."""
+    rng, games = random.Random(151), []
+    for n in (3, 4, 5, 6, 6, 6):
+        masks = range(1, 1 << n)
+        phi = {rng.randrange(3, 1 << n): rng.uniform(1.05, 1.4) for _ in range(n)}
+        games += [
+            ("exact", random_exact_game(rng, n)),
+            ("float", random_float_game(rng, n)),
+            ("cut", cut_game(rng, n)),
+            ("thirds", make_game(n, {m: Fraction(m.bit_count() * rng.randint(10, 60), 3) for m in masks})),
+            ("square", make_game(n, {m: 2 * m.bit_count() ** 2 + Fraction(rng.randrange(3), 3) for m in masks})),
+            ("pooled", build_meanstd_game(MeanStdScenario(n, 1.0, 0.5, rng.choice((0.0, 0.8)), phi))),
+            ("dyadic", make_game(n, {m: Fraction(rng.randrange(1, 8 * m.bit_count()), 4) for m in masks})),
+        ]
+    return games
+
+
+def _walked(game) -> tuple[dict, dict]:
+    """The walk's (strong, weak, fusion) verdicts by the set of a
+    partition's blocks, and its regions by (block, kind)."""
+    verdicts, regions = {}, {}
+    for partition, strong, weak, s, w, fused in walk_partitions(game):
+        verdicts[frozenset(partition)] = s, w, fused
+        for kind, found in ((STRONG, strong), (WEAK, weak)):
+            regions.update(((b, kind), r) for b, r in zip(partition, found))
+    return verdicts, regions
+
+
+def test_walk_verdicts_survive_scaling_relabelling_and_float_copies():
+    # metamorphic oracles, which need no second implementation: scaling
+    # every value (exact by 7/3, float by 2) keeps every region (status,
+    # witness, method and rule) and every fusion verdict; relabelling the
+    # players permutes every block's statuses and every partition's
+    # verdicts; the float copy of a dyadic Fraction game (exact in float)
+    # keeps every verdict and every region, its witness converted
+    rng = random.Random(157)
+    for label, game in _metamorphic_games():
+        n, masks = game.n, range(1, game.grand + 1)
+        verdicts, regions = _walked(game)
+        factor = Fraction(7, 3) if game.mode == "exact" else 2.0
+        scaled = _walked(make_game(n, {m: game.values[m] * factor for m in masks}, mode=game.mode, tol=game.tol))
+        assert scaled[0] == verdicts, label
+        assert {k: (repr(r), r.rule) for k, r in scaled[1].items()} == {
+            k: (repr(r), r.rule) for k, r in regions.items()
+        }, label
+        order = rng.sample(range(n), n)
+        move = lambda m: sum(1 << order[i] for i in members(m))
+        moved = _walked(make_game(n, {move(m): game.values[m] for m in masks}, mode=game.mode, tol=game.tol))
+        assert {p: moved[0][frozenset(map(move, p))] for p in verdicts} == verdicts, label
+        assert {k: moved[1][move(k[0]), k[1]].status for k in regions} == {
+            k: r.status for k, r in regions.items()
+        }, label
+        if label == "dyadic":
+            floated = _walked(make_game(n, {m: float(game.values[m]) for m in masks}, mode="float"))
+            assert floated[0] == verdicts
+            assert {k: (r.status, r.witness, r.rule) for k, r in floated[1].items()} == {
+                k: (r.status, r.witness and tuple(map(float, r.witness)), r.rule) for k, r in regions.items()
+            }
