@@ -295,6 +295,15 @@ def _sweep_point(args, label: str, game: Game, extra: dict) -> dict:
     return point
 
 
+def _shape_density(a: float):
+    """``beta_density(a)``; a shape it refuses is a ScenarioError naming the
+    shape, as a scenario file's is: exit 1."""
+    try:
+        return beta_density(a)
+    except ValueError as exc:
+        raise ScenarioError(f"beta_a={a:g}: {exc}") from None
+
+
 def cmd_sweep(args) -> int:
     tol = args.tolerance if args.tolerance is not None else DEFAULT_TOL
     # (label, game, extra fields) per grid point
@@ -303,7 +312,7 @@ def cmd_sweep(args) -> int:
         runs = [(f"r={r:g}", build(r), {"r": r}) for r in _parse_grid(args.r)]
     else:
         family = default_uniform_family(args.n)
-        build = lambda a: build_cvar_game(family, beta_density(a), tol=tol)
+        build = lambda a: build_cvar_game(family, _shape_density(a), tol=tol)
         runs = [(f"a={a:g}", build(a), {"beta_a": a}) for a in _parse_grid(args.beta_a)]
     points = [_sweep_point(args, *run) for run in runs]
     payload = {

@@ -82,15 +82,15 @@ def cut_game(rng: random.Random, n: int):
     nonempty strong cores), larger coalitions worth their best two-block
     split minus 1/3, 2/3 or 1 (empty strong cores, nonempty split sets), so
     their weak cores go to the exact search."""
-    values = {}
+    thirds = {}
     for mask in sorted(range(1, 1 << n), key=lambda m: (m.bit_count(), m)):
         s = mask.bit_count()
         if s <= 3:
-            values[mask] = Fraction(6 * s * s + rng.randrange(3), 3)
+            thirds[mask] = 6 * s * s + rng.randrange(3)
         else:
-            best = max(values[p] + values[mask ^ p] for p in range(1, mask) if p & mask == p)
-            values[mask] = best - Fraction(1 + rng.randrange(3), 3)
-    return make_game(n, values)
+            best = max(thirds[p] + thirds[mask ^ p] for p in submasks(mask, proper=True))
+            thirds[mask] = best - 1 - rng.randrange(3)
+    return make_game(n, {mask: Fraction(t, 3) for mask, t in thirds.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import argparse
 import ast
+import dataclasses
 import hashlib
 import json
 import math
@@ -22,6 +23,7 @@ from fracgame.risk import (
     default_uniform_family,
 )
 from fracgame.games import size_values
+import pins
 from conftest import naive_sweep_point, random_exact_game, random_float_game
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -313,20 +315,6 @@ def test_sweep_cvar_csv(capsys):
     assert lines[1].startswith("a=1,") and lines[2].startswith("a=2,")
 
 
-def test_verify_prop_suites(capsys):
-    code, payload = run_json(capsys, ["verify", "prop1"])
-    assert code == 0 and payload["passed"]
-    code, payload = run_json(capsys, ["verify", "prop2"])
-    assert code == 0 and payload["passed"]
-    assert all(entry["ok"] for entry in payload["closed_form"])
-
-
-def test_verify_theorem_small(capsys):
-    code, payload = run_json(capsys, ["verify", "theorem", "--pairs", "3", "--samples", "40"])
-    assert code == 0 and payload["passed"]
-    assert len(payload["reports"]) == 3
-
-
 def test_verify_all_writes_reports_deterministically(tmp_path, capsys):
     out1 = tmp_path / "run1"
     out2 = tmp_path / "run2"
@@ -550,6 +538,7 @@ def test_scenario_labels_are_malformed_fields(tmp_path, capsys, command, scenari
 
 
 _SWEEP = ["sweep", "--scenario", "meanstd", "--n", "3", "--r", "0.1"]
+_CVAR_SWEEP = ["sweep", "--scenario", "cvar", "--n", "2", "--beta-a"]
 
 
 @pytest.mark.parametrize(
@@ -594,6 +583,13 @@ _SWEEP = ["sweep", "--scenario", "meanstd", "--n", "3", "--r", "0.1"]
         ),
         (_SWEEP + ["--mu", "inf"], None, "mu must be a finite number, got inf"),
         (_SWEEP + ["--sigma", "nan"], None, "sigma must be a finite number, got nan"),
+        # a sweep's shapes that beta_density refuses, like a scenario file's
+        (_CVAR_SWEEP + ["0.5"], None, "beta_a=0.5: shape parameter must be at least 1"),
+        (
+            _CVAR_SWEEP + ["1e308"],
+            None,
+            "beta_a=1e+308: density must be strictly positive inside (0, 1)",
+        ),
         # non-finite values that were already refused keep their messages
         (["scenario-meanstd"], {**_MEANSTD, "mu": -math.inf}, "mu and sigma must be positive"),
         (
@@ -812,136 +808,39 @@ def test_sweep_refuses_zero_denominator_grids(capsys, argv):
     assert captured.err == f"grid {argv[-1]!r} has {problem}\n" and not captured.out
 
 
-@pytest.mark.parametrize("suite", ["theorem", "corollary"])
-def test_verify_reports_match_committed_bytes(capsys, suite):
-    # the reports as the harnesses wrote them before judging all sampled
-    # candidates of a partition at once; any change to a count, a break
-    # point or a printed point shows here
-    argv = ["verify", suite, "--pairs", "20", "--samples", "50", "--seed", "1"]
-    assert run(argv) == 0
-    golden = DATA / f"verify_{suite}_pairs20_samples50_seed1.json"
-    assert capsys.readouterr().out.encode("utf-8") == golden.read_bytes()
+@pytest.mark.parametrize("pin", [p for p in pins.PINS if not p.slow], ids=lambda p: p.name)
+def test_pinned_run(tmp_path, pin):
+    # each row of the table of pinned runs that is not slow, through cli.run
+    # in this process; tests/pins.py runs every row in a child process
+    assert pins.check(pin, tmp_path, pins.run_in_process) == ([], None)
 
 
-@pytest.mark.parametrize("suite", ["theorem", "corollary"])
-def test_verify_reports_at_the_benchmark_shape_match_committed_bytes(capsys, suite):
-    # a heavy bundle as the benchmark times it (ten pairs at 50 samples:
-    # six n=4, two n=3, two n=2), as the harnesses wrote it before judging
-    # each distinct block once per pair
-    argv = ["verify", suite, "--pairs", "10", "--samples", "50", "--seed", "2058525530"]
-    assert run(argv) == 0
-    golden = DATA / f"verify_{suite}_pairs10_samples50_seed2058525530.json"
-    assert capsys.readouterr().out.encode("utf-8") == golden.read_bytes()
-
-
-def test_verify_report_of_a_pair_with_five_player_weak_searches(capsys):
-    # one n=5 pair whose six weak blocks of 4+ players once took the exact
-    # weak-core search minutes; the report is the one that search wrote
-    assert run(["verify", "theorem", "--pairs", "1", "--seed", "1022929911"]) == 0
-    golden = DATA / "verify_theorem_pairs1_seed1022929911.json"
-    assert capsys.readouterr().out.encode("utf-8") == golden.read_bytes()
-
-
-@pytest.mark.parametrize(
-    "argv, name",
-    [
-        (["--scenario", "meanstd", "--n", "5", "--r", "0:1.5:0.5"], "meanstd_n5_r0-1.5-0.5"),
-        (["--scenario", "cvar", "--n", "4", "--beta-a", "1,2,3"], "cvar_n4_beta1-2-3"),
-        (["--scenario", "meanstd", "--n", "7", "--r", "0:1.5:0.5"], "meanstd_n7_r0-1.5-0.5"),
-        (["--scenario", "cvar", "--n", "6", "--beta-a", "1,2,3"], "cvar_n6_beta1-2-3"),
-    ],
-)
-def test_sweep_reports_match_committed_bytes(capsys, argv, name):
-    # the reports as sweeps wrote them while every block region still took
-    # its canonical (max-slack) witness, which a sweep never prints (n=5,
-    # cvar n=4), while every strong-core LP still carried all its coalition
-    # rows (n=7), and while every sweep still read a full report (cvar n=6,
-    # whose blocks of two or more players have empty split simplices, so
-    # their strong cores are empty by the equal split from three players on)
-    assert run(["sweep", *argv]) == 0
-    golden = DATA / f"sweep_{name}.json"
-    assert capsys.readouterr().out.encode("utf-8") == golden.read_bytes()
-
-
-@pytest.mark.parametrize(
-    "argv, golden",
-    [
-        (["verify", "prop1"], "verify_prop1.json"),
-        (["verify", "prop2"], "verify_prop2.json"),
-        # empirical curves at several knot counts, one explicit curve and a
-        # density given by knots and normalized
-        (
-            ["scenario-cvar", str(DATA / "scenario_cvar_empirical_n3.json")],
-            "cvar_game_empirical_n3.json",
-        ),
-        # the benchmark's shape: fifteen empirical curves on one knot column
-        (
-            ["scenario-cvar", str(DATA / "scenario_cvar_empirical_n4_shared.json")],
-            "cvar_game_empirical_n4_shared.json",
-        ),
-        (
-            ["scenario-meanstd", str(DATA / "scenario_meanstd_phi_n3.json")],
-            "meanstd_game_phi_n3.json",
-        ),
-    ],
-)
-def test_risk_reports_match_committed_bytes(capsys, argv, golden):
-    # the float bits of every quadrature, normalization and synergy factor
-    assert run(argv) == 0
-    assert capsys.readouterr().out.encode("utf-8") == (DATA / golden).read_bytes()
-
-
-def test_analyze_report_matches_committed_bytes(capsys):
-    # an n=6 game whose blocks of four or more players all have empty strong
-    # cores, so every such weak region and its witness comes from the exact
-    # search; default flags
-    assert run(["analyze", str(DATA / "cut_game_n6_seed0.json")]) == 0
-    golden = DATA / "analyze_cut_game_n6_seed0.json"
-    assert capsys.readouterr().out.encode("utf-8") == golden.read_bytes()
-
-
-@pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_analyze_out_file_matches_committed_bytes(tmp_path, capsys, fmt):
-    game = str(DATA / "cut_game_n6_seed0.json")
-    assert run(["analyze", game, "--format", fmt, "--out", str(tmp_path)]) == 0
-    assert not capsys.readouterr().out
-    golden = DATA / f"analyze_cut_game_n6_seed0.{fmt}"
-    assert (tmp_path / f"analyze.{fmt}").read_bytes() == golden.read_bytes()
-
-
-@pytest.mark.parametrize(
-    "argv, golden",
-    [
-        (["analyze", "{game}", "--format", "csv"], "analyze_cut_game_n6_seed0.csv"),
-        (["core", "{game}"], "core_cut_game_n6_seed0.json"),
-        (["core", "{game}", "--partition", "a,b,c|d,e,f"], "core_cut_game_n6_seed0_abc-def.json"),
-    ],
-)
-def test_max_slack_witnesses_match_committed_bytes(capsys, argv, golden):
-    # every canonical witness as the cold max-slack rounds wrote it: the
-    # strong regions of the 3+3 blocks, every weak region of four or more
-    # players and its max-slack witness over the rows it covers
-    game = str(DATA / "cut_game_n6_seed0.json")
-    assert run([a.format(game=game) for a in argv]) == 0
-    assert capsys.readouterr().out.encode("utf-8") == (DATA / golden).read_bytes()
-
-
-@pytest.mark.parametrize(
-    "argv, digest",
-    [
-        (["analyze", "{game}"], "analyze_thirds_game_n6_seed0.sha256"),
-        (["analyze", "{game}", "--format", "csv"], "analyze_thirds_game_n6_seed0_csv.sha256"),
-        (["core", "{game}"], "core_thirds_game_n6_seed0.sha256"),
-    ],
-)
-def test_thirds_game_reports_match_committed_digests(capsys, argv, digest):
-    # an n=6 game whose blocks reach every rule of core_region but the
-    # equal split: strong regions solved by the priced LP, weak searches
-    # that end below their root with either verdict, and their witnesses
-    game = str(DATA / "thirds_game_n6_seed0.json")
-    assert run([a.format(game=game) for a in argv]) == 0
-    out = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
-    assert f"{out}  -\n" == (DATA / digest).read_text()
+def test_pinned_runner_fails_and_names_each_row_that_is_off(tmp_path, capsys):
+    # a row passes on its digest, and the runner fails naming every row whose
+    # digest is one byte off, whose golden is missing, whose exit code is
+    # wrong or whose child's peak RSS reaches its bound
+    true, flipped = tmp_path / "true.sha256", tmp_path / "flipped.sha256"
+    digest = hashlib.sha256(b"pinned\n").hexdigest()
+    true.write_text(f"{digest}  -\n")
+    flipped.write_text(f"{'1' if digest[0] == '0' else '0'}{digest[1:]}  -\n")
+    good = pins.Pin("good", ("-c", "print('pinned')"), {pins.STDOUT: str(true)})
+    changes = {
+        "flipped-digest": {"expect": {pins.STDOUT: str(flipped)}},
+        "missing-golden": {"expect": {pins.STDOUT: "absent.json"}},
+        "wrong-exit-code": {"code": 1},
+        "rss-bound": {"max_rss_mb": 1},
+    }
+    rows = [good, *(dataclasses.replace(good, name=name, **change) for name, change in changes.items())]
+    assert pins.run_rows(rows) == 1
+    out = capsys.readouterr().out.splitlines()
+    fails = [line for line in out if line.startswith("FAIL")]
+    assert fails[:3] == [
+        f"FAIL flipped-digest: stdout does not match the digest {flipped}",
+        "FAIL missing-golden: golden absent.json is missing",
+        "FAIL wrong-exit-code: exit 0, not 1",
+    ]
+    assert len(fails) == 4 and fails[3].startswith("FAIL rss-bound: peak RSS ")
+    assert out[-1] == "4 of 5 pinned runs failed: flipped-digest, missing-golden, wrong-exit-code, rss-bound"
 
 
 @pytest.mark.parametrize(
@@ -1014,14 +913,6 @@ def test_subcommands_take_only_the_options_they_read(
     else:
         assert code == 2 and not captured.out
         assert f"unrecognized arguments: {option} {value}" in captured.err
-
-
-def test_analyze_ignores_the_weak_core_size_flag(capsys):
-    # the benchmark's analyze command shape prints the default report
-    game = str(DATA / "cut_game_n6_seed0.json")
-    assert run(["analyze", game, "--max-exact-weak-core-n", "5"]) == 0
-    golden = DATA / "analyze_cut_game_n6_seed0.json"
-    assert capsys.readouterr().out.encode("utf-8") == golden.read_bytes()
 
 
 @pytest.mark.parametrize("tolerance", ["true", "-0.5", "1e400", '"0.1"', "null"])

@@ -52,7 +52,7 @@ from fracgame.risk import (
     build_meanstd_game,
     default_uniform_family,
 )
-from fracgame.centripetality import generate_ordered_pair
+from fracgame.centripetality import generate_ordered_pair, leq_cp, verify_corollary, verify_theorem1
 from fracgame.stability import (
     core_system,
     share_terms,
@@ -1738,3 +1738,12 @@ def test_walk_verdicts_survive_scaling_relabelling_and_float_copies():
             assert {k: (r.status, r.witness, r.rule) for k, r in floated[1].items()} == {
                 k: (r.status, r.witness and tuple(map(float, r.witness)), r.rule) for k, r in regions.items()
             }
+
+
+def test_every_game_is_ordered_below_itself_and_passes_both_inclusion_reports():
+    # self-pairs: g <= g, and Theorem 1's and the corollary's reports on
+    # (g, g) pass, each game at its own tolerance
+    for label, game in _metamorphic_games():
+        assert leq_cp(game, game).holds, label
+        assert verify_theorem1(game, game, samples=50).passed, label
+        assert verify_corollary(game, game, samples=50).passed, label
