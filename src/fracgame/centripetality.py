@@ -23,8 +23,8 @@ core lie in g2's, and B is decided constraint-wise with no draws.  Every
 other block, on float or mixed pairs every block, goes through one sampled-
 block check: its witnesses, then its draws (one rng, built at the first such
 block), each row judged in order on one coverage table read by both games,
-by the core judgement ``stability.core_contains`` runs, up to the first
-failure.
+by one core judgement for both, member bounds and fission, as
+``stability.core_contains`` runs it, up to the first failure.
 The second game always judges at the pair's combined tolerance, as
 ``leq_cp`` does.  The theorem's claims 1, 2 and 4 take one pass over the
 blocks.
@@ -54,6 +54,7 @@ from .games import (
     make_game,
     members,
     size_values,
+    split_vertices,
     subgame,
     submasks,
     subset_sums,
@@ -71,7 +72,6 @@ from .stability import (
     core_system,
     fusion_resistant,
     share_terms,
-    split_vertices,
 )
 
 
@@ -223,21 +223,24 @@ def _sampled_block(g1: Game, g2: Game, block: int, witnesses, rng, samples: int,
     time, in order, up to the first row that g1 puts in the kind's core and
     g2 refuses.  Each row fills one subset-sum table, which both games read
     (``stability._coverage``); a float g2 judges an exact g1's rows on their
-    shares over 1.  Rows are g1 splits, nonnegative and summing to 1, so g1
-    judges fission only, and g2, at the pair's combined tolerance, judges
-    its split set by its member bounds (the row's singleton pieces) and
-    then fission.  Returns per kind the rows g1 put in its core up to that
-    row, and that row's point (None when there is none).  The draws always
-    take ``samples`` rows of ``rng``, judged or not, so the blocks after
-    this one see the same rng values."""
+    shares over 1.  A row, drawn nonnegative from the g1 split set, is a
+    solution when its shares sum to 1 at g1's tolerance (a float row may
+    miss by rounding), so also at the pair's, each at most 1.  Both games,
+    g2 at the pair's tolerance, judge a solution by one rule, ``_in_core``:
+    member bounds (the row's singleton pieces), then fission.  Returns per
+    kind the rows g1 put in its core up to that row, and that row's point
+    (None when there is none).  The draws always take ``samples`` rows of
+    ``rng``, judged or not, so the blocks after this one see the same rng
+    values."""
     first, second = subgame(g1, block), subgame(_at_tol(g2, combined_tol(g1, g2)), block)
     full, shares_only = first.grand, g1.mode == EXACT != g2.mode
-    lone = [1 << i for i in range(first.n)]
     checked, refused = dict.fromkeys(kinds, 0), dict.fromkeys(kinds)
     rows = (share_terms(g1, f) for f in witnesses)
     for terms, scale in chain(rows, boundary_draws(g1, block, rng, samples) or ()):
         if None not in refused.values():
             continue  # every kind has failed
+        if not (geq(total := sum(terms), scale, g1.tol) and leq(total, scale, g1.tol)):
+            continue  # no g1 solution
         if shares_only:
             terms, scale = [Fraction(t, scale) for t in terms], 1
         sums = subset_sums(terms, full)
@@ -246,10 +249,8 @@ def _sampled_block(g1: Game, g2: Game, block: int, witnesses, rng, samples: int,
             if refused[kind] is not None or not _in_core(full, covers, kind):
                 continue
             checked[kind] += 1
-            if covers2 is None:  # False when a g2 member bound fails, else g2's coverage
-                covers2 = _coverage(second, full, sums, scale)
-                covers2 = all(map(covers2, lone)) and covers2
-            if not (covers2 and _in_core(full, covers2, kind)):
+            covers2 = covers2 or _coverage(second, full, sums, scale)
+            if not _in_core(full, covers2, kind):
                 refused[kind] = draw_shares(terms, scale)
     return {kind: (checked[kind], refused[kind]) for kind in kinds}
 

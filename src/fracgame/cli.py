@@ -39,7 +39,7 @@ from .games import (
     json_text,
     load_game,
 )
-from .partitions import DEFAULT_ENUM_CAP, grand_partition, partition_from_label, partition_label
+from .partitions import DEFAULT_ENUM_CAP, fewest_blocks, grand_partition, partition_from_label, partition_label
 from .risk import (
     MeanStdScenario,
     beta_density,
@@ -276,12 +276,10 @@ def _sweep_point(args, label: str, game: Game, extra: dict) -> dict:
                 stable[kind].append(partition)
     # a label per block, shared by the many partitions that hold the block
     block_label = functools.cache(game.coalition_label)
-    labels = {kind: ["|".join(map(block_label, p)) for p in stable[kind]] for kind in stable}
+    label_of = lambda partition: "|".join(map(block_label, partition))
+    labels = {kind: list(map(label_of, stable[kind])) for kind in stable}
     counts.update(stable_strong=len(stable[STRONG]), stable_weak=len(stable[WEAK]))
-    # the stable weak partition with the fewest blocks, ties to the first label
-    consolidated = min(
-        zip(stable[WEAK], labels[WEAK]), key=lambda p: (len(p[0]), p[1]), default=None
-    )
+    consolidated = fewest_blocks(stable[WEAK], label_of)
     point = {
         "label": label,
         "digest": game_digest(game),
@@ -289,7 +287,7 @@ def _sweep_point(args, label: str, game: Game, extra: dict) -> dict:
         "core": core,
         "stable_strong": labels[STRONG],
         "stable_weak": labels[WEAK],
-        "most_consolidated": None if consolidated is None else consolidated[1],
+        "most_consolidated": consolidated and label_of(consolidated),
     }
     point.update(extra)
     return point

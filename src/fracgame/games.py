@@ -325,6 +325,34 @@ def boundary_empty(game: Game, coalition: int) -> bool:
     return sum(lone) > whole
 
 
+def split_point(game: Game, coalition: int, at: int | None = None) -> tuple | None:
+    """A point of the coalition's split set in closed form, as Fractions:
+    every member at its lower bound and the whole leftover on member ``at``
+    (an index into ``members``), a vertex, of which member 0's is the point
+    ``linfeas.feasible``'s phase 1 ends on; with no ``at``, the leftover
+    spread evenly, the center, the set's max-slack point.  None when the set
+    is empty; the share 1 for a singleton."""
+    if coalition.bit_count() == 1:
+        return (Fraction(1),)
+    whole, lone = split_terms(game, coalition)
+    rest = whole - sum(lone)
+    if rest < 0:
+        return None
+    if at is None:
+        k = len(lone)
+        return tuple(Fraction(k * a + rest, k * whole) for a in lone)
+    lone[at] += rest
+    return tuple(Fraction(a, whole) for a in lone)
+
+
+def split_vertices(game: Game, coalition: int) -> list[tuple]:
+    """The vertices of the coalition's split set (``split_point`` at each
+    member), sorted and without repeats as ``linfeas.vertices`` gives them;
+    empty when the set is."""
+    points = {split_point(game, coalition, j) for j in range(coalition.bit_count())}
+    return sorted(points - {None})
+
+
 def check_partition(n: int, blocks: Sequence[int]) -> None:
     full = (1 << n) - 1
     union = 0

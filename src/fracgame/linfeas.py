@@ -20,7 +20,7 @@ for ``feasible``, one for ``minimize``, the slack and then each share for
 ``max_slack_point``), each restarting from the previous optimal basis and
 restricted to its optimal face; every point it returns is re-checked.
 ``max_slack_point`` on a bare split simplex needs neither: its optimal
-tableau is written in closed form (``split_center``).  Many halfspaces go
+tableau is written in closed form (``_split_start``).  Many halfspaces go
 through row generation (Hallefjord, Helming & Jornsten 1995) in the same
 driver, by ``max_slack_point`` with a caller's pricing, which names the row
 of least slack at the max-slack point, read as integers over one scale, if
@@ -338,24 +338,16 @@ def _tableau(system: LinearSystem, slack_var: bool):
     return tab, n, low, unit
 
 
-def split_center(low, unit):
-    """The max-slack point of the bare split simplex f_i >= low[i] / unit in
-    closed form, the leftover rest = unit - sum(low) spread evenly: (terms,
-    dim * unit), shares then slack, or None when rest < 0 (it is empty)."""
-    dim, rest = len(low), unit - sum(low)
-    return None if rest < 0 else ([dim * a + rest for a in low] + [rest], dim * unit)
-
-
 def _split_start(low, unit):
-    """``max_slack_point``'s optimal tableau on a bare split simplex, on
-    ``_tableau``'s columns: basis x_0..x_{dim-1}, t, surpluses s nonbasic,
-    rows dim*x_i + sum(s) - dim*s_i = dim*t + sum(s) = rest / unit (x_i = t
-    + s_i).  The only optimal basis unless rest is 0; None when empty."""
-    center = split_center(low, unit)
-    if center is None:
+    """``max_slack_point``'s optimal tableau on the bare split simplex f_i
+    >= low[i] / unit, on ``_tableau``'s columns: basis x_0..x_{dim-1}, t,
+    surpluses s nonbasic, rows dim*x_i + sum(s) - dim*s_i = dim*t + sum(s) =
+    rest / unit (x_i = t + s_i; the leftover rest = unit - sum(low) spread
+    evenly).  The only optimal basis unless rest is 0; None when rest < 0."""
+    dim, rest = len(low), unit - sum(low)
+    if rest < 0:
         return None
-    (*_, rest), scale = center
-    dim = len(low)
+    scale = dim * unit
     tab = [[0] * (dim + 1) + [unit] * dim + [rest] for _ in range(dim + 1)]
     for i, row in enumerate(tab[:dim]):
         row[i], row[dim + 1 + i] = scale, unit - scale
@@ -451,7 +443,7 @@ def max_slack_point(system: LinearSystem, price=None):
     Slack of a lower bound is f_i - lb_i; slack of a halfspace is
     coef*sum - rhs.  The stages maximize the slack t, then minimize f_0,
     ..., f_{dim-1}, after phase 1; a bare split simplex (no halfspaces)
-    starts at their optimum, in closed form (``split_center``).
+    starts at their optimum, in closed form (``_split_start``).
     Raises InfeasibleSystem when nothing is feasible.
 
     With ``price``, halfspaces beyond ``system``'s are given lazily, by row

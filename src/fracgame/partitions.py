@@ -76,6 +76,14 @@ def partition_label(partition: Sequence[int], players: Sequence[str]) -> str:
     return "|".join(coalition_label(b, players) for b in partition)
 
 
+def fewest_blocks(partitions: Sequence[Partition], label) -> Partition | None:
+    """The most consolidated of the partitions: the fewest blocks, ties to
+    the least ``label(partition)``, labelled only among the fewest; None
+    when there is none."""
+    fewest = min(map(len, partitions), default=None)
+    return min((p for p in partitions if len(p) == fewest), key=label, default=None)
+
+
 def partition_from_label(text: str, players: Sequence[str]) -> Partition:
     from .games import coalition_from_label
 

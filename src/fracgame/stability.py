@@ -12,9 +12,10 @@ three players can never be split weakly.
 
 Coverage (a piece's scaled share covers its value) is read off subset sums:
 of one allocation per block in ``_coverage``, whose predicate ``_in_core``
-judges in either sense for the scalar predicates and for the inclusion
-harnesses' sampled rows (one table per row, read by both games), and of the
-weak-core search's LP points in ``CoreRows.covered``.
+judges in either sense, member bounds included, for the scalar predicates
+and for the inclusion harnesses' sampled rows (one table per row, read by
+both games under this one rule), and of the weak-core search's LP points in
+``CoreRows.covered``.  The split set's closed forms live in ``games``.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .games import (
     members,
     size_values,
     solution_feasible,
+    split_point,
     split_terms,
     subgame,
     submasks,
@@ -51,6 +53,7 @@ from .partitions import (
     DEFAULT_ENUM_CAP,
     Partition,
     enumerate_partitions,
+    fewest_blocks,
     partition_label,
 )
 
@@ -172,10 +175,12 @@ def _coverage(game: Game, block: int, sums: Sequence, scale):
 def _in_core(block: int, covers, kind: str) -> bool:
     """Whether an allocation whose pieces ``covers`` covers lies in the
     block's core of the kind: strong, every proper piece is covered; weak,
-    no split into blocking pieces exists."""
+    every member is covered (its lower bound on a split) and no split into
+    blocking pieces exists."""
     if kind == STRONG:
         return all(map(covers, submasks(block, proper=True)))
-    return _blocking_split(block, lambda piece: not covers(piece)) is None
+    lone = all(covers(1 << i) for i in members(block))
+    return lone and _blocking_split(block, lambda piece: not covers(piece)) is None
 
 
 def fusion_resistant(game: Game, partition: Sequence[int]) -> bool:
@@ -347,33 +352,6 @@ def core_system(game: Game) -> linfeas.LinearSystem:
     return CoreRows(game).restricted(range(1, game.grand))
 
 
-def split_vertices(game: Game, block: int) -> list[tuple]:
-    """Vertices of a block's bare split simplex in closed form, sorted and
-    without repeats as ``linfeas.vertices`` gives them: the lower bounds
-    plus the whole leftover on one member.  Empty when the simplex is.  A
-    singleton block's only split is the share 1, whatever its value."""
-    if block.bit_count() == 1:
-        return [(Fraction(1),)]
-    whole, lone = split_terms(game, block)
-    rest = whole - sum(lone)
-    if rest < 0:
-        return []
-    lb = [Fraction(a, whole) for a in lone]
-    return sorted({(*lb[:j], Fraction(a + rest, whole), *lb[j + 1 :]) for j, a in enumerate(lone)})
-
-
-def _phase_one_point(game: Game) -> tuple | None:
-    """The point ``linfeas.feasible``'s phase 1 ends on for a game's bare
-    split simplex, in closed form: every share at its lower bound, the
-    whole leftover on member 0.  None when the simplex is empty."""
-    whole, lone = split_terms(game, game.grand)
-    rest = whole - sum(lone)
-    if rest < 0:
-        return None
-    lone[0] += rest
-    return tuple(Fraction(a, whole) for a in lone)
-
-
 def _finish_witness(game: Game, point) -> tuple:
     if game.mode == EXACT:
         return tuple(point)
@@ -408,16 +386,13 @@ def _decide(game: Game, kind: str, strong: CoreRegion | None) -> tuple[str, str,
       contains it, its verdict and witness.
     - ``empty-split``: a weak core whose split simplex is empty.
     - ``root-packing``, ``search``: any other weak core, by a search from
-      phase 1's point (``_phase_one_point``) that ends there or below."""
+      phase 1's point (``split_point`` at member 0), ending there or below."""
     n = game.n
     if n == 1:
         return "singleton", NONEMPTY, (1,)
     if n <= (2 if kind == STRONG else 3):
-        whole, lone = split_terms(game, game.grand)
-        center = linfeas.split_center(lone, whole)
-        if center is None:
-            return "boundary", EMPTY, None
-        return "boundary", NONEMPTY, [Fraction(a, center[1]) for a in center[0][:-1]]
+        center = split_point(game, game.grand)
+        return "boundary", EMPTY if center is None else NONEMPTY, center
     if kind == STRONG:
         if n == 3:
             return "box", *_box_region(game)
@@ -432,7 +407,7 @@ def _decide(game: Game, kind: str, strong: CoreRegion | None) -> tuple[str, str,
         strong = core_region(game, STRONG)
     if strong.status == NONEMPTY:
         return "strong-subset", NONEMPTY, strong.witness
-    root = _phase_one_point(game)
+    root = split_point(game, game.grand, 0)
     if root is None:
         return "empty-split", EMPTY, None
     return _weak_region_exact(game, root)
@@ -636,11 +611,9 @@ class StabilityReport:
 
     def most_consolidated(self, kind: str = WEAK) -> Partition | None:
         """Stable partition with the fewest blocks; ties broken by canonical
-        label order."""
+        label order (``partitions.fewest_blocks``)."""
         stable = [r.partition for r, _ in self._nonempty(kind) if r.fusion_resistant]
-        fewest = min(map(len, stable), default=None)
-        label = lambda partition: partition_label(partition, self.players)
-        return min((p for p in stable if len(p) == fewest), key=label, default=None)
+        return fewest_blocks(stable, lambda partition: partition_label(partition, self.players))
 
     def json_text(self) -> str:
         """The report as JSON: the bytes of ``games.json_text(d)`` for the

@@ -17,6 +17,8 @@ from fracgame.games import (
     combined_tol,
     geq,
     leq,
+    split_point,
+    split_vertices,
     submasks,
 )
 from fracgame.partitions import fusion_neighborhood
@@ -247,11 +249,11 @@ def naive_sampled_block(g1, g2, block, rng, samples, table):
     candidate at a time: the witnesses of g1's block table ``table``
     (strong, then a different weak one), then naive_sample_boundary draws,
     each padded with the share 1 on every other player and judged on the
-    block with singletons, each kind on its own, by naive_fission_resistant under g1
-    and then by solution_feasible and naive_fission_resistant under g2 at
-    the pair's combined tolerance.  Returns per kind the candidates g1 puts
-    in its core up to the first one g2 refuses, and that refusal's text
-    (None when there is none)."""
+    block with singletons, each kind on its own, as claim 4 defines a
+    solution of each game: by solution_feasible and naive_fission_resistant
+    under g1, and then under g2 at the pair's combined tolerance.  Returns
+    per kind the candidates g1 puts in its core up to the first one g2
+    refuses, and that refusal's text (None when there is none)."""
     from fracgame.centripetality import _fmt_point
     from fracgame.games import solution_feasible
     from fracgame.partitions import make_partition
@@ -272,17 +274,18 @@ def naive_sampled_block(g1, g2, block, rng, samples, table):
         for i, x in zip(members(block), point):
             shares[i] = x
         candidates.append(shares)
+
+    def in_core(game, f, kind):
+        return solution_feasible(game, partition, f) and naive_fission_resistant(game, partition, f, kind)
+
     found = {}
     for kind in (stability.STRONG, stability.WEAK):
         checked, refused = 0, None
         for f in candidates:
-            if not naive_fission_resistant(g1, partition, f, kind):
+            if not in_core(g1, f, kind):
                 continue
             checked += 1
-            if not (
-                solution_feasible(g2, partition, f)
-                and naive_fission_resistant(g2, partition, f, kind)
-            ):
+            if not in_core(g2, f, kind):
                 refused = f"{kind} partition {partition} point {_fmt_point(f)}"
                 break
         found[kind] = checked, refused
@@ -333,7 +336,7 @@ def naive_corollary_weak_sampled(g1, g2, *, samples, seed):
 
     rng = random.Random(seed)
     g2 = _at_pair_tol(g1, g2)
-    candidates = list(stability.split_vertices(g1, g1.grand))
+    candidates = split_vertices(g1, g1.grand)
     region = stability.core_region(g1, stability.WEAK)
     if region.status == stability.NONEMPTY:
         candidates.append(region.witness)
@@ -520,7 +523,7 @@ def naive_sweep_point(args, label, game, extra):
         found = decided.get(sub.values)
         if found is None:
             strong = sub.n == 1 or stability.CoreRows(sub).solve(range(1, sub.grand)) is not None
-            root = None if strong else stability._phase_one_point(sub)
+            root = None if strong else split_point(sub, sub.grand, 0)
             weak = strong or root is not None and stability._weak_region_exact(sub, root)[1] == NONEMPTY
             found = decided[sub.values] = strong, weak
         return found

@@ -89,6 +89,8 @@ CUT6, THIRDS6 = str(DATA / "cut_game_n6_seed0.json"), str(DATA / "thirds_game_n6
 SUITES = ("theorem", "corollary")
 R_GRID, BETA_GRID = ("--r", "0:1.5:0.5"), ("--beta-a", "1,2,3")
 POOLED8 = lambda: build_meanstd_game(MeanStdScenario(8, 1, 0.5, 0))
+# a game file with a negative singleton (a) and a missing coalition (b,c)
+INVALID3 = {"players": ["a", "b", "c"], "values": {"a": -1, "b": 1, "c": 0, "a,b": 2, "a,c": 2, "a,b,c": 3}}
 
 PINS = [
     # generated pairs are ordered, so every claim passes; and exact, so every
@@ -154,6 +156,17 @@ PINS = [
         for fmt in ("json", "csv")
     ),
     Pin("core-cut-n6", ("core", CUT6), {STDOUT: "core_cut_game_n6_seed0.json"}),
+    # validate's report of a valid and of an invalid game, and compare's
+    # violations with Fraction sides (377 of them) and with float sides (9)
+    Pin("validate-cut-n6", ("validate", CUT6), {STDOUT: "validate_cut_game_n6_seed0.json"}),
+    Pin("validate-invalid-n3", ("validate", "{input}"), {STDOUT: "validate_invalid_game_n3.json"}, code=1,
+        build=lambda: INVALID3),
+    Pin("compare-invalid-n3", ("compare", "{input}", "{input}"), {STDOUT: EMPTY}, code=1, build=lambda: INVALID3),
+    Pin("compare-cut-n6-self", ("compare", CUT6, CUT6), {STDOUT: "compare_cut_game_n6_seed0_self.json"}),
+    Pin("compare-cut-thirds-n6", ("compare", CUT6, THIRDS6), {STDOUT: "compare_cut_thirds_n6_seed0.json"}, code=1),
+    Pin("compare-meanstd-cvar-n3",
+        ("compare", str(DATA / "meanstd_game_phi_n3.json"), str(DATA / "cvar_game_empirical_n3.json")),
+        {STDOUT: "compare_meanstd_phi_cvar_empirical_n3.json"}, code=1),
     Pin("core-cut-n6-abc-def", ("core", CUT6, "--partition", "a,b,c|d,e,f"),
         {STDOUT: "core_cut_game_n6_seed0_abc-def.json"}),
     # an n=6 game whose blocks reach every rule of core_region but the equal

@@ -37,6 +37,7 @@ from fracgame.games import (
     combined_tol,
     members,
     solution_feasible,
+    split_vertices,
     subgame,
 )
 from fracgame.partitions import enumerate_partitions, singleton_partition
@@ -195,8 +196,8 @@ def test_theorem_suite_on_ordered_pairs():
         ]
 
 
-def _float_copy(game):
-    return make_game(game.n, {c: float(game.values[c]) for c in range(1, 1 << game.n)})
+def _float_copy(game, tol=None):
+    return make_game(game.n, {c: float(game.values[c]) for c in range(1, 1 << game.n)}, tol=tol)
 
 
 def _number(text):
@@ -238,16 +239,23 @@ def test_theorem_fission_claim_matches_naive_loop():
     # one share table per candidate must give the verdicts, counts and
     # details of judging each game and kind separately; exact pairs (int
     # and Fraction values, ordered and not), float copies of them and one
-    # pair of each mixed kind
+    # pair of each mixed kind.  At tolerance 0 a float row can break a
+    # member bound, or sum to other than 1, by rounding, so float pairs
+    # there (copies, self-pairs, and games v(C) = uniform(0.5, 3) |C|^1.3)
+    # compare the two where a rule for g2 alone would refuse g1's own rows
     rng = random.Random(29)
     pairs = []
     for n in (2, 3, 3, 4, 4):
         g1, g2 = generate_ordered_pair(rng.randrange(1 << 30), n)
-        pairs += [(g1, g2), (_float_copy(g1), _float_copy(g2))]
-    pairs += [(g1, _float_copy(g2)), (_float_copy(g1), g2)]
+        pairs += [(g1, g2), (_float_copy(g1), _float_copy(g2)), (_float_copy(g1, 0.0), _float_copy(g2, 0.0))]
+    pairs += [(g1, _float_copy(g2)), (_float_copy(g1), g2), (g1, _float_copy(g2, 0.0))]
     for n in (2, 3, 4):
         g1, g2 = random_exact_game(rng, n), random_exact_game(rng, n)
-        pairs += [(g1, g2), (_float_copy(g1), _float_copy(g2))]
+        pairs += [(g1, g2), (_float_copy(g1), _float_copy(g2)), (_float_copy(g1, 0.0), _float_copy(g1, 0.0))]
+    for n in (2, 3, 3, 4, 4):
+        g1, g2 = (make_game(n, {m: rng.uniform(0.5, 3) * m.bit_count() ** 1.3 for m in range(1, 1 << n)}, tol=0.0)
+                  for _ in range(2))
+        pairs += [(g1, g1), (g1, g2)]
     failed = 0
     for g1, g2 in pairs:
         got = verify_theorem1(g1, g2, samples=25, seed=3).to_dict()
@@ -359,7 +367,7 @@ def test_claim_three_is_decided_by_claim_two(samples):
         others = [1 << i for i in range(g1.n) if not block >> i & 1]
         assert sorted(partition) == sorted([block, *others])
         assert all(point[i] == 1 for i in range(g1.n) if not block >> i & 1)
-        assert tuple(point[i] for i in members(block)) in stability.split_vertices(g1, block)
+        assert tuple(point[i] for i in members(block)) in split_vertices(g1, block)
         assert solution_feasible(g1, partition, point)
         assert not solution_feasible(g2, partition, point)
     assert len(failed) > 10

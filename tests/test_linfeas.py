@@ -20,7 +20,7 @@ from fracgame import (
     vertices,
 )
 from fracgame import linfeas, stability
-from fracgame.games import make_game, members, subgame
+from fracgame.games import make_game, members, split_point, subgame
 from fracgame.risk import (
     beta_density,
     build_cvar_game,
@@ -325,7 +325,7 @@ def _committed_weak_systems(games):
             rows = stability.CoreRows(game)
             rows.solve(range(1, game.grand))
             stability.core_region(game, stability.WEAK)
-            covered = rows.covered(stability._phase_one_point(game))
+            covered = rows.covered(split_point(game, game.grand, 0))
             rows.solve([c for c in range(1, game.grand) if covered(c)])
     finally:
         linfeas.feasible, linfeas.max_slack_point = saved

@@ -41,7 +41,9 @@ from fracgame.games import (
     boundary_empty,
     size_values,
     solution_feasible,
+    split_point,
     split_terms,
+    split_vertices,
     subgame,
 )
 from fracgame.partitions import bell_number
@@ -56,12 +58,12 @@ from fracgame.centripetality import generate_ordered_pair, leq_cp, verify_coroll
 from fracgame.stability import (
     core_system,
     share_terms,
-    split_vertices,
     walk_partitions,
 )
 from conftest import (
     cut_game,
     fusion_resistant_by_total,
+    naive_corollary_weak_sampled,
     naive_cover,
     naive_csv_rows,
     naive_feasible,
@@ -297,37 +299,64 @@ def test_empty_boundary_yields_empty_regions(pairy3):
         assert core_region(pairy3, kind).status == EMPTY
 
 
-def test_split_vertices_match_brute_force_enumeration():
-    rng = random.Random(61)
-    games = [random_exact_game(rng, rng.randint(2, 4)) for _ in range(40)]
-    # singletons summing to the coalition value: a one-point simplex, s == 0
-    games.append(make_game(3, {1: 1, 2: 2, 4: 3, 3: 3, 5: 4, 6: 5, 7: 6}))
-    flat = 0
+def test_split_points_match_independent_oracles():
+    # the split set's one owner, games.split_point and split_vertices,
+    # against oracles that share none of its closed forms: the Fraction
+    # formulas (lower bounds v(i)/v(B), leftover 1 - their sum), brute-force
+    # linfeas.vertices on the bare split simplex (up to four members, where
+    # it is cheap), the point linfeas.feasible's and the frozen
+    # naive_feasible's phase 1 end on (member 0's point), and the frozen
+    # naive_max_slack_point (the center of a grand block of up to three
+    # players); on exact and float blocks, flat ones (no leftover), empty
+    # ones, ones with zero singletons, and singleton blocks, whose one split
+    # is the share 1
+    rng = random.Random(73)
+    games = [make(rng, n) for n in range(2, 7) for make in (random_exact_game, random_float_game) for _ in range(4)]
+    games += [_additive_game(rng, n) for n in range(2, 7)]
+    games += [make_game(n, {m: 0 if m.bit_count() == 1 else m.bit_count() for m in range(1, 1 << n)}) for n in (2, 4)]
+    games += [make_game(3, {1: 1, 2: 2, 4: 3, 3: 3, 5: 4, 6: 5, 7: 6}), make_game(2, {1: 0.5, 2: 0.25, 3: 0.75})]
+    games += [make_game(1, {1: value}) for value in (0, 2, 0.5)]
+    seen = dict.fromkeys(("empty", "flat", "zero-lone", "float", "singleton", "center-lp"), 0)
     for game in games:
         for block in range(1, 1 << game.n):
-            if block.bit_count() < 2:
+            mem, vertices = members(block), split_vertices(game, block)
+            if len(mem) == 1:
+                assert split_point(game, block) == split_point(game, block, 0) == (1,)
+                assert vertices == [(1,)] and boundary_contains(game, block, (1,))
+                seen["singleton"] += 1
                 continue
+            lbs = [Fraction(game.values[1 << i]) / Fraction(game.values[block]) for i in mem]
+            s, k = 1 - sum(lbs), len(mem)
             bare = stability.CoreRows(subgame(game, block)).base
-            want = linfeas.vertices(bare, cap=block.bit_count())
-            assert split_vertices(game, block) == want
-            assert (want == []) == boundary_empty(game, block)
-            flat += len(want) == 1
-    assert flat >= 4
-
-
-def test_split_vertices_of_a_singleton_block():
-    # the only split of a singleton is the share 1, also when it is worth 0
-    for value in (0, 2, 0.5):
-        game = make_game(1, {1: value})
-        assert split_vertices(game, 1) == [(1,)]
-        assert boundary_contains(game, 1, split_vertices(game, 1)[0])
+            root, center = split_point(game, block, 0), split_point(game, block)
+            if s < 0:
+                assert vertices == [] and root is None and center is None
+                assert linfeas.feasible(bare) is None and boundary_empty(game, block)
+                seen["empty"] += 1
+                continue
+            points = [tuple(lb + s if i == j else lb for i, lb in enumerate(lbs)) for j in range(k)]
+            assert [split_point(game, block, j) for j in range(k)] == points
+            assert vertices == sorted(set(points))
+            if k <= 4:
+                assert vertices == linfeas.vertices(bare)
+            assert root == linfeas.feasible(bare) == naive_feasible(bare)
+            assert center == tuple(lb + s / k for lb in lbs)
+            if block == game.grand and k <= 3:
+                assert naive_max_slack_point(bare) == (center, s / k)
+                seen["center-lp"] += 1
+            assert all(boundary_contains(game, block, p) for p in (*vertices, center))
+            seen["flat"] += s == 0
+            seen["zero-lone"] += 0 in lbs
+            seen["float"] += game.mode == "float"
+    assert all(count >= 3 for count in seen.values()), seen
 
 
 def test_split_simplex_functions_match_their_fraction_formulas():
-    # every reader of games.split_terms against the Fraction formulas of a
-    # block's split simplex: lower bounds v(i)/v(B) and leftover 1 - their
-    # sum, on exact and float games, empty blocks and blocks with nothing
-    # left over
+    # every reader of games.split_terms but the split points (which
+    # test_split_points_match_independent_oracles checks) against the
+    # Fraction formulas of a block's split simplex: lower bounds v(i)/v(B)
+    # and leftover 1 - their sum, on exact and float games, empty blocks and
+    # blocks with nothing left over
     rng = random.Random(83)
     games = [random_exact_game(rng, rng.randint(2, 4)) for _ in range(30)]
     games += [random_float_game(rng, rng.randint(2, 4)) for _ in range(30)]
@@ -341,17 +370,12 @@ def test_split_simplex_functions_match_their_fraction_formulas():
                 continue
             mem = members(block)
             lbs = [Fraction(game.values[1 << i]) / Fraction(game.values[block]) for i in mem]
-            s, k = 1 - sum(lbs), len(mem)
+            s = 1 - sum(lbs)
             whole, lone = split_terms(game, block)
             assert all(type(x) is int for x in (whole, *lone))
             assert [Fraction(a, whole) for a in lone] == lbs
             assert Fraction(whole - sum(lone), whole) == s
             assert boundary_empty(game, block) == (s < 0)
-            vertices = {tuple(lb + s if i == j else lb for i, lb in enumerate(lbs)) for j in range(k)}
-            assert split_vertices(game, block) == ([] if s < 0 else sorted(vertices))
-            centre = linfeas.split_center(lone, whole)
-            centre = centre and [Fraction(a, centre[1]) for a in centre[0][:-1]]
-            assert centre == (None if s < 0 else [lb + s / k for lb in lbs])
             if game.mode == "exact":
                 # a draw: int terms over v(B)*2^20, between the bounds and
                 # the bounds plus the leftover, summing to 1
@@ -553,7 +577,7 @@ def test_root_witness_is_the_canonical_restrictions_max_slack_point():
     seen = {"t* = 0": 0}
     for label, game in _root_games():
         rows, full = stability.CoreRows(game), game.grand
-        root = stability._phase_one_point(game)
+        root = split_point(game, game.grand, 0)
         if root is None:
             continue
         covered = rows.covered(root)
@@ -1456,26 +1480,6 @@ def _three_player_games() -> list:
     return games
 
 
-def test_weak_search_roots_are_phase_ones_points():
-    # the weak search's root point, written in closed form, is the point
-    # linfeas.feasible's phase 1 ends on for the bare split simplex, on
-    # seeded games of 2-6 players, some with no leftover (singletons
-    # summing to v(N)), some with zero singletons, some empty
-    rng = random.Random(73)
-    games = [make(rng, n) for n in range(2, 7) for make in (random_exact_game, random_float_game) for _ in range(8)]
-    games += [_additive_game(rng, n) for n in range(2, 7)]
-    games += [make_game(n, {m: 0 if m.bit_count() == 1 else m.bit_count() for m in range(1, 1 << n)}) for n in (2, 4)]
-    seen = {"empty": 0, "no-leftover": 0, "zero-lone": 0}
-    for game in games:
-        whole, lone = split_terms(game, game.grand)
-        want = linfeas.feasible(stability.CoreRows(game).base)
-        assert stability._phase_one_point(game) == want
-        seen["empty"] += want is None
-        seen["no-leftover"] += sum(lone) == whole
-        seen["zero-lone"] += want is not None and 0 in lone
-    assert all(count >= 3 for count in seen.values()), seen
-
-
 # ---------------------------------------------------------------------------
 # every rule of core_region against the cold oracles
 
@@ -1747,3 +1751,21 @@ def test_every_game_is_ordered_below_itself_and_passes_both_inclusion_reports():
         assert leq_cp(game, game).holds, label
         assert verify_theorem1(game, game, samples=50).passed, label
         assert verify_corollary(game, game, samples=50).passed, label
+
+
+def test_float_games_at_tolerance_zero_are_ordered_below_themselves_and_pass_both_reports():
+    # self-pairs with no tolerance to absorb rounding: seeded float games of
+    # 2-5 players, v(C) = uniform(0.5, 3) |C|^1.3.  A float value times a
+    # Fraction share rounds, so a point of g's own split set can break a
+    # member bound by rounding; both games of a pair judge a row's member
+    # bounds by one rule, so g never refuses a row it accepts itself, and
+    # the weak claim counts the rows the naive loop puts in g's weak core
+    rng = random.Random(2026)
+    for k in range(60):
+        n = rng.randint(2, 5)
+        game = make_game(n, {m: rng.uniform(0.5, 3) * m.bit_count() ** 1.3 for m in range(1, 1 << n)}, tol=0.0)
+        assert game.mode == "float" and game.tol == 0, k
+        assert leq_cp(game, game).holds, k
+        assert verify_theorem1(game, game, samples=50, seed=k).passed, k
+        weak = verify_corollary(game, game, samples=50, seed=k).claims[1]
+        assert weak == naive_corollary_weak_sampled(game, game, samples=50, seed=k) and weak.passed, k
