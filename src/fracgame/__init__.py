@@ -106,6 +106,7 @@ from .risk import (
     QuantileCurve,
     beta_density,
     build_cvar_game,
+    build_cvar_games,
     build_meanstd_game,
     check_tail_dominance,
     cvar,

@@ -44,6 +44,7 @@ from .risk import (
     MeanStdScenario,
     beta_density,
     build_cvar_game,
+    build_cvar_games,
     build_meanstd_game,
     cvar_scenario_from_dict,
     default_uniform_family,
@@ -309,9 +310,10 @@ def cmd_sweep(args) -> int:
         build = lambda r: build_meanstd_game(MeanStdScenario(args.n, args.mu, args.sigma, r), tol=tol)
         runs = [(f"r={r:g}", build(r), {"r": r}) for r in _parse_grid(args.r)]
     else:
-        family = default_uniform_family(args.n)
-        build = lambda a: build_cvar_game(family, _shape_density(a), tol=tol)
-        runs = [(f"a={a:g}", build(a), {"beta_a": a}) for a in _parse_grid(args.beta_a)]
+        shapes = _parse_grid(args.beta_a)
+        # every point's density on one column: the points share one quadrature layout
+        games = build_cvar_games(default_uniform_family(args.n), [_shape_density(a) for a in shapes], tol=tol)
+        runs = [(f"a={a:g}", game, {"beta_a": a}) for a, game in zip(shapes, games)]
     points = [_sweep_point(args, *run) for run in runs]
     payload = {
         "scenario": args.scenario,

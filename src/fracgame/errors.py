@@ -6,11 +6,12 @@ class FracgameError(Exception):
 
 
 class InvalidGameError(FracgameError):
-    """Game table failed validation; carries the full validation report."""
+    """Game table failed validation; carries the full validation report.
+    ``label`` names a coalition mask in the message, as ``validate`` does."""
 
-    def __init__(self, report):
+    def __init__(self, report, label):
         self.report = report
-        lines = ", ".join(f"{issue.kind}({issue.coalition:#x})" for issue in report.issues)
+        lines = ", ".join(f"{issue.kind}({label(issue.coalition)})" for issue in report.issues)
         super().__init__(f"invalid game on {report.n} players: {lines}")
 
 

@@ -260,8 +260,9 @@ def make_game(
     players: Sequence[str] | None = None,
 ) -> Game:
     report = validate_game(n, values)
+    players = default_players(n) if players is None else _check_players(players, n)
     if not report.valid:
-        raise InvalidGameError(report)
+        raise InvalidGameError(report, lambda mask: coalition_label(mask, players))
     any_float = any(isinstance(values[m], float) for m in coalitions(n))
     if mode is None:
         mode = FLOAT if any_float else EXACT
@@ -275,7 +276,6 @@ def make_game(
         raise ValueError(f"tolerance must be a finite nonnegative number, got {tol!r}")
     if mode == EXACT and tol:
         raise ValueError("exact mode has no tolerance")
-    players = default_players(n) if players is None else _check_players(players, n)
     table = (None, *(values[m] for m in coalitions(n)))
     return Game(n, table, mode, float(tol), players)
 

@@ -16,6 +16,16 @@ The module also hosts the two monotonicity verifiers: rising risk aversion
 in the mean-std family orders the games, and a likelihood-ratio shift of the
 mixing density orders tail-average games whose curves have the dominating-
 tail-ratio property.
+
+Curves and mixtures are built in numpy, a group at a time, and every value is
+bit for bit what the one-at-a-time build gives:
+
+* a scenario file's sampled curves of one sample count and one knot count
+  are built in one 2-D pass (``_empirical_curves``);
+* the curves of a game on one knot column are integrated against every
+  density on one density column over one quadrature layout, the panel grid
+  and each node's lookups, built once; each curve's terms are folded into
+  two node buffers of that layout in place (``_mixtures``).
 """
 
 from __future__ import annotations
@@ -90,13 +100,26 @@ def _segments(knots_x: np.ndarray, x):
     return np.minimum(j, len(knots_x) - 2), last
 
 
+def _interp_lookup(knots_x: np.ndarray, x) -> tuple:
+    """What ``_interp`` reads of the knot column at every point of x: the
+    ``_segments`` (j, last), x's offset from its segment's start and the
+    segment's width."""
+    j, last = _segments(knots_x, x)
+    x0 = knots_x[j]
+    return j, last, x - x0, knots_x[j + 1] - x0
+
+
+def _interp_at(lookup: tuple, knots_y: np.ndarray):
+    """``_interp`` of the values knots_y on the column of an ``_interp_lookup``."""
+    j, last, dx, width = lookup
+    y0, y1 = knots_y[j], knots_y[j + 1]
+    return np.where(last, knots_y[-1], y0 + (y1 - y0) * dx / width)
+
+
 def _interp(knots_x: np.ndarray, knots_y: np.ndarray, x):
     """Piecewise linear interpolation at every point of x (a float or an
     array), held at the last knot's value from the last knot on."""
-    j, last = _segments(knots_x, x)
-    x0, x1 = knots_x[j], knots_x[j + 1]
-    y0, y1 = knots_y[j], knots_y[j + 1]
-    return np.where(last, knots_y[-1], y0 + (y1 - y0) * (x - x0) / (x1 - x0))
+    return _interp_at(_interp_lookup(knots_x, x), knots_y)
 
 
 @dataclass(frozen=True)
@@ -133,29 +156,50 @@ def _pairs(knots: Sequence) -> np.ndarray:
     return np.array([(float(x), float(v)) for x, v in knots], dtype=float).reshape(-1, 2).T
 
 
-def _knot_table(xs: np.ndarray, vs: np.ndarray, kind: str, arg: str, rules: Callable) -> tuple:
-    """The knot columns, validated, and the prefix integrals of the piecewise
-    linear function through them.  Every knot after the first must increase
-    strictly in x and then pass ``rules(x, v, previous v)``, a list of
-    (failure mask, message) pairs; the first failing knot raises the message
-    of its first failing rule."""
-    if not (np.isfinite(xs).all() and np.isfinite(vs).all()):
-        raise ValueError(f"{kind} knots must be finite")
-    if len(xs) < 2 or xs[0] != 0.0 or xs[-1] != 1.0:
-        raise ValueError(f"{kind} knots must run from {arg}=0 to {arg}=1")
-    if vs[0] < 0:
-        raise ValueError(f"{kind} values must be nonnegative")
-    x, v, prev_x, prev_v = xs[1:], vs[1:], xs[:-1], vs[:-1]
+def _knot_rows(xs: np.ndarray, vs: np.ndarray, kind: str, arg: str, rules: Callable) -> tuple:
+    """The prefix integrals of the piecewise linear functions through the knot
+    column xs and each row of values vs, one row each, and per row the
+    message of its first fault, or None.  The knots must be finite and run
+    from 0 to 1, the first value must be nonnegative, and every knot after
+    the first must increase strictly in x and then pass ``rules(x, v,
+    previous v)``, a list of (failure mask, message) pairs: a row's first
+    failing knot names the message of its first failing rule."""
+    x, v, prev_x, prev_v = xs[1:], vs[:, 1:], xs[:-1], vs[:, :-1]
     increase = (x <= prev_x, f"{kind} knots must be strictly increasing in {arg}")
     fails = [increase, *rules(x, v, prev_v)]
-    bad = np.array([mask for mask, _ in fails])
-    if bad.any():
-        knot = bad.any(axis=0).argmax()
-        raise ValueError(fails[bad[:, knot].argmax()][1])
-    # a left fold (np.sum, pairwise, changes the last bits); overflow is inf, as in float sums
-    with np.errstate(over="ignore"):
-        steps = 0.5 * (prev_v + v) * (x - prev_x)
-        return xs, vs, np.add.accumulate(np.concatenate(([0.0], steps)))
+    knot_bad = functools.reduce(np.logical_or, [mask for mask, _ in fails])
+    finite, runs = np.isfinite(xs).all(), len(xs) >= 2 and xs[0] == 0.0 and xs[-1] == 1.0
+
+    def fault(row: int) -> str | None:
+        if not (finite and np.isfinite(vs[row]).all()):
+            return f"{kind} knots must be finite"
+        if not runs:
+            return f"{kind} knots must run from {arg}=0 to {arg}=1"
+        if vs[row, 0] < 0:
+            return f"{kind} values must be nonnegative"
+        if knot_bad[row].any():
+            knot = knot_bad[row].argmax()
+            return next(message for mask, message in fails if np.broadcast_to(mask, v.shape)[row, knot])
+        return None
+
+    # a left fold along each row (np.sum, pairwise, changes the last bits);
+    # overflow is inf, as in float sums, and a faulty row's prefix is not read
+    prefix = np.zeros(vs.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply(0.5 * (prev_v + v), x - prev_x, out=prefix[:, 1:])
+        np.add.accumulate(prefix, axis=1, out=prefix)
+    # the rows are judged one by one only when some check fails
+    clean = finite and runs and np.isfinite(vs).all() and (vs[:, 0] >= 0).all() and not knot_bad.any()
+    return prefix, [None] * len(vs) if clean else [fault(row) for row in range(len(vs))]
+
+
+def _knot_table(xs: np.ndarray, vs: np.ndarray, kind: str, arg: str, rules: Callable) -> tuple:
+    """The knot columns of one function, validated by ``_knot_rows`` (its
+    fault raised as a ValueError), and its prefix integrals."""
+    (prefix,), (fault,) = _knot_rows(xs, vs[None], kind, arg, rules)
+    if fault is not None:
+        raise ValueError(fault)
+    return xs, vs, prefix
 
 
 @dataclass(frozen=True)
@@ -192,30 +236,61 @@ def empirical_curve(samples: Sequence, knot_count: int = 101) -> QuantileCurve:
 
     Evaluates the linearly interpolated empirical quantile function of the
     sample at knot_count evenly spaced levels.  Draws must be positive so
-    the resulting curve is a valid reward curve.
+    the resulting curve is a valid reward curve.  This is the one-row call
+    of ``_empirical_curves``, which a scenario file's sampled curves are
+    built by a group at a time.
     """
-    if knot_count < 2:
-        raise ScenarioError("need at least two knots")
-    data = np.fromiter(map(float, samples), float)
-    if not data.size:
-        raise ScenarioError("cannot build a curve from an empty sample")
-    if not np.isfinite(data).all():
-        raise ScenarioError("sample draws must be finite")
-    if data.min() <= 0:
-        raise ScenarioError("sample draws must be positive")
-    betas = np.arange(knot_count) / (knot_count - 1)
-    # the running maximum irons out rounding dips between interpolated levels
-    levels = np.maximum.accumulate(_quantiles(np.sort(data), betas))
-    return QuantileCurve(*_knot_table(betas, levels, "curve", "beta", _nondecreasing_positive))
+    (curve,) = _empirical_curves([(list(samples), knot_count)])
+    if isinstance(curve, Exception):
+        raise curve
+    return curve
+
+
+def _empirical_curves(rows: Sequence[tuple[Sequence, int]]) -> list:
+    """``empirical_curve`` of each (draws, knot_count) row: its curve, or the
+    error it raises.  The rows of one sample count and one knot count are
+    built in one 2-D pass: one array, sorted along axis 1, then the levels,
+    their running maximum, the knot rules and the prefix left fold, each
+    along axis 1.  Every row's curve is bit for bit its own build's."""
+    out: list = [None] * len(rows)
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, (draws, knot_count) in enumerate(rows):
+        if knot_count < 2:
+            out[i] = ScenarioError("need at least two knots")
+        elif not len(draws):
+            out[i] = ScenarioError("cannot build a curve from an empty sample")
+        else:
+            groups.setdefault((len(draws), knot_count), []).append(i)
+    for (_, knot_count), members in groups.items():
+        data = np.array([rows[i][0] for i in members], dtype=float)
+        finite, positive = np.isfinite(data).all(axis=1), data.min(axis=1) > 0
+        for i, f, p in zip(members, finite.tolist(), positive.tolist()):
+            if not f:
+                out[i] = ScenarioError("sample draws must be finite")
+            elif not p:
+                out[i] = ScenarioError("sample draws must be positive")
+        kept = finite & positive
+        if not kept.all():
+            members, data = [i for i, k in zip(members, kept.tolist()) if k], data[kept]
+        data.sort(axis=1)
+        betas = np.arange(knot_count) / (knot_count - 1)
+        # the running maximum irons out rounding dips between interpolated levels
+        levels = np.maximum.accumulate(_quantiles(data, betas), axis=1)
+        prefix, faults = _knot_rows(betas, levels, "curve", "beta", _nondecreasing_positive)
+        for i, vs, ps, fault in zip(members, levels, prefix, faults):
+            out[i] = QuantileCurve(betas, vs, ps) if fault is None else ValueError(fault)
+    return out
 
 
 def _quantiles(data: np.ndarray, betas: np.ndarray) -> np.ndarray:
-    """``np.quantile(data, betas)`` on sorted data, by its own arithmetic for the
-    linear rule (Hyndman & Fan's type 7), without its import of numpy.ma."""
-    index = (len(data) - 1) * betas
+    """``np.quantile(data, betas, axis=-1)`` on data sorted along its last axis,
+    by its own arithmetic for the linear rule (Hyndman & Fan's type 7),
+    without its import of numpy.ma."""
+    size = data.shape[-1]
+    index = (size - 1) * betas
     below = np.floor(index)
     lo = below.astype(np.intp)
-    a, b = data[lo], data[np.minimum(lo + 1, len(data) - 1)]
+    a, b = data[..., lo], data[..., np.minimum(lo + 1, size - 1)]
     d, g = b - a, index - below
     return np.where(g >= 0.5, b - d * (1 - g), a + d * g)
 
@@ -271,35 +346,49 @@ def beta_density(a: float, knot_count: int = 101) -> Density:
 def cvar(curve: QuantileCurve, alpha: float) -> float:
     """Mean of the curve over its lowest 1-alpha mass: the strict tail
     average at level alpha.  alpha = 0 gives the plain mean."""
-    return float(_tail_averages(curve, _tail_lookup(curve.xs, alpha)))
+    return float(_tail_averages(curve, _tail_lookup(curve.xs, [alpha]))[0])
 
 
 def _tail_lookup(knots_x: np.ndarray, alpha) -> tuple:
-    """x = 1 - alpha at every point of alpha (a float or an array), in (0, 1] once
-    alpha is in [0, 1), with ``_segments``' (j, last) on the column and x's offset dx."""
+    """x = 1 - alpha at every point of the array alpha, in (0, 1] once alpha
+    is in [0, 1), with ``_segments``' (j, last) on the column and x's offset
+    dx; last is None when no point is at or past the last knot."""
     alpha = np.asarray(alpha, dtype=float)
     ok = (alpha >= 0.0) & (alpha < 1.0)
     if not ok.all():
         raise AlphaOutOfRange(f"tail level {float(alpha[~ok][0])!r} outside [0, 1)")
     x = 1.0 - alpha
     j, last = _segments(knots_x, x)
-    return x, j, last, x - knots_x[j]
+    return x, j, last if last.any() else None, x - knots_x[j]
 
 
-def _tail_averages(curve: QuantileCurve, lookup: tuple) -> np.ndarray:
-    """``cvar`` at every point of a ``_tail_lookup`` on the curve's column, per segment."""
+def _tail_averages(curve: QuantileCurve, lookup: tuple, out=None, scratch=None) -> np.ndarray:
+    """``cvar`` at every point of a ``_tail_lookup`` on the curve's column,
+    per segment: (prefix[j] + vals[j] * dx + half_slope[j] * dx * dx) / x,
+    the last prefix over x from the last knot on.  It is built in place in
+    out, with scratch for the second term: node arrays, allocated when None."""
     x, j, last, dx = lookup
-    vals, prefix = curve.values, curve.prefix
-    half_slope = 0.5 * (np.diff(vals) / np.diff(curve.xs))
-    return np.where(last, prefix[-1], prefix[j] + vals[j] * dx + half_slope[j] * dx * dx) / x
+    vals, prefix, xs = curve.values, curve.prefix, curve.xs
+    half_slope = 0.5 * ((vals[1:] - vals[:-1]) / (xs[1:] - xs[:-1]))
+    # mode="wrap" reads as indexing does, where mode="raise" would buffer out
+    out = prefix.take(j, out=out, mode="wrap")
+    scratch = vals.take(j, out=scratch, mode="wrap")
+    out += np.multiply(scratch, dx, out=scratch)
+    half_slope.take(j, out=scratch, mode="wrap")
+    scratch *= dx
+    scratch *= dx
+    out += scratch
+    if last is not None:
+        np.copyto(out, prefix[-1], where=last)
+    out /= x
+    return out
 
 
-def _mixtures(curves: Sequence[QuantileCurve], density: Density) -> list[float]:
-    """``mixture_reward`` of curves on one knot column, one at a time on one layout:
-    the panel grid, and each node's ``_tail_lookup``, weight and density."""
-    knots_x = curves[0].xs
+def _panel_nodes(knots_x: np.ndarray, density_xs: np.ndarray) -> tuple:
+    """The quadrature's nodes alpha on the panel grid of a curve column and a
+    density column (see ``mixture_reward``), and each panel's half-width."""
     # every point lies in [0, 1]; the sort puts equal ones side by side, and one of each stays
-    grid = np.sort(np.concatenate(([0.0, 1.0], 1.0 - knots_x, density.xs)))
+    grid = np.sort(np.concatenate(([0.0, 1.0], 1.0 - knots_x, density_xs)))
     grid = grid[np.concatenate(([True], grid[1:] != grid[:-1]))]
     a, width = grid[:-1], np.diff(grid)
     count = np.maximum(1.0, np.ceil(width / 0.0625))
@@ -309,12 +398,39 @@ def _mixtures(curves: Sequence[QuantileCurve], density: Density) -> list[float]:
     a, width, count = (np.repeat(x, repeat)[:, None] for x in (a, width, count))
     lo, hi = a + width * p / count, a + width * (p + 1) / count
     half = 0.5 * (hi - lo)
-    alpha = (0.5 * (lo + hi) + half * _GL_NODES).ravel()
-    # the density first, so its temporaries never sit beside the lookup's arrays
-    dens = _interp(density.xs, density.values, alpha)
-    w = (_GL_WEIGHTS * half).ravel()
-    lookup = _tail_lookup(knots_x, alpha)
-    return [float(np.add.accumulate(w * _tail_averages(k, lookup) * dens)[-1]) for k in curves]
+    return (0.5 * (lo + hi) + half * _GL_NODES).ravel(), half
+
+
+def _mixtures(curves: Sequence[QuantileCurve], densities: Sequence[Density]) -> list[list[float]]:
+    """``mixture_reward`` of every curve, all on one knot column, against every
+    density: one row of values per density.  The densities on one knot
+    column share one layout: the panel grid, each node's weight, density
+    segment and ``_tail_lookup``, and two node buffers that each curve's
+    terms are folded into in place."""
+    knots_x = curves[0].xs
+    columns: dict[bytes, list[int]] = {}
+    for i, density in enumerate(densities):
+        columns.setdefault(density.xs.tobytes(), []).append(i)
+    table: list = [None] * len(densities)
+    for members in columns.values():
+        alpha, half = _panel_nodes(knots_x, densities[members[0]].xs)
+        # the densities first, so their temporaries never sit beside the lookup's arrays
+        segments = _interp_lookup(densities[members[0]].xs, alpha)
+        dens = [_interp_at(segments, densities[i].values) for i in members]
+        del segments
+        w = (_GL_WEIGHTS * half).ravel()
+        lookup = _tail_lookup(knots_x, alpha)
+        del alpha
+        terms, scratch = np.empty_like(w), np.empty_like(w)
+        for i, d in zip(members, dens):
+            row = table[i] = []
+            for curve in curves:
+                # each term is (w * cvar) * density, as IEEE products commute
+                _tail_averages(curve, lookup, terms, scratch)
+                terms *= w
+                terms *= d
+                row.append(float(np.add.accumulate(terms, out=scratch)[-1]))
+    return table
 
 
 def mixture_reward(curve: QuantileCurve, density: Density) -> float:
@@ -333,8 +449,13 @@ def mixture_reward(curve: QuantileCurve, density: Density) -> float:
     ``np.add.accumulate``: coalition values feed exact LPs and byte-compared
     reports, and ``np.sum`` (pairwise) or ``sum`` (compensated from Python
     3.12) changes the last bits of the result.
+
+    This is the one-curve, one-density call of ``_mixtures``, which builds
+    the grid and the node lookups once for every curve of a game on one
+    knot column and every density on one density column, and folds each
+    curve's terms into the layout's node buffers in place.
     """
-    return _mixtures([curve], density)[0]
+    return _mixtures([curve], [density])[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -458,6 +579,36 @@ def build_meanstd_game(
     return make_game(n, values, mode=FLOAT, tol=tol, players=players)
 
 
+def build_cvar_games(
+    curves: Mapping[int, QuantileCurve],
+    densities: Sequence[Density],
+    *,
+    players: Sequence[str] | None = None,
+    tol: float = DEFAULT_TOL,
+) -> list[Game]:
+    """``build_cvar_game`` for each density, in order.  Equal curves are
+    integrated once per density, and the curves on one knot column against
+    the densities on one density column over one quadrature layout."""
+    if not curves:
+        raise ScenarioError("no curves supplied")
+    n = len(players) if players is not None else max(curves).bit_length()
+    if not 1 <= n <= MAX_PLAYERS:
+        raise ScenarioError(f"a cvar game needs 1..{MAX_PLAYERS} players, got {n}")
+    if len(curves) != (1 << n) - 1 or any(c not in curves for c in coalitions(n)):
+        raise ScenarioError(f"curve table must cover all coalitions of {n} players")
+    columns: dict[bytes, list[QuantileCurve]] = {}
+    for curve in dict.fromkeys(curves[c] for c in coalitions(n)):
+        columns.setdefault(curve.xs.tobytes(), []).append(curve)
+    rewards: list[dict] = [{} for _ in densities]
+    for group in columns.values():
+        for table, row in zip(rewards, _mixtures(group, densities)):
+            table.update(zip(group, row))
+    return [
+        make_game(n, {c: table[curves[c]] for c in coalitions(n)}, mode=FLOAT, tol=tol, players=players)
+        for table in rewards
+    ]
+
+
 def build_cvar_game(
     curves: Mapping[int, QuantileCurve],
     density: Density,
@@ -469,21 +620,7 @@ def build_cvar_game(
     against the density.  The curve table must cover every coalition of the
     players (by default, of as many players as the largest mask spans);
     equal curves are integrated once, those on one knot column on one layout."""
-    if not curves:
-        raise ScenarioError("no curves supplied")
-    n = len(players) if players is not None else max(curves).bit_length()
-    if not 1 <= n <= MAX_PLAYERS:
-        raise ScenarioError(f"a cvar game needs 1..{MAX_PLAYERS} players, got {n}")
-    if len(curves) != (1 << n) - 1 or any(c not in curves for c in coalitions(n)):
-        raise ScenarioError(f"curve table must cover all coalitions of {n} players")
-    columns: dict[bytes, list[QuantileCurve]] = {}
-    for curve in dict.fromkeys(curves[c] for c in coalitions(n)):
-        columns.setdefault(curve.xs.tobytes(), []).append(curve)
-    rewards = {}
-    for group in columns.values():
-        rewards.update(zip(group, _mixtures(group, density)))
-    values = {c: rewards[curves[c]] for c in coalitions(n)}
-    return make_game(n, values, mode=FLOAT, tol=tol, players=players)
+    return build_cvar_games(curves, [density], players=players, tol=tol)[0]
 
 
 def uniform_curve_family(
@@ -609,7 +746,8 @@ def verify_prop2_chain(
     The checks that read no density run once: tail dominance, and the one-unit
     form on the alphas j / grid, judged once per distinct (inner curve, outer
     curve) pair and counted per nested coalition pair.  Each density's game is
-    built once, and a link runs only the likelihood-ratio and order checks."""
+    built once, all of them by one ``build_cvar_games``, and a link runs only
+    the likelihood-ratio and order checks."""
     if grid < 2:
         raise ValueError(f"the alpha grid needs at least two points, got {grid!r}")
     if len(densities) < 2:
@@ -628,7 +766,7 @@ def verify_prop2_chain(
         for inner, outer in pairs
         for t, ok in enumerate(holds[curves[inner], curves[outer]]) if not ok
     ]
-    games = [build_cvar_game(curves, d, tol=tol) for d in densities]
+    games = build_cvar_games(curves, densities, tol=tol)
     reports = []
     for d1, d2, g1, g2 in zip(densities, densities[1:], games, games[1:]):
         order = leq_cp(g1, g2)
@@ -706,7 +844,10 @@ def _field_knots(raw, name: str) -> list[tuple[float, float]]:
 def _field_samples(raw, name: str) -> list[float]:
     """Draws as floats, in one type pass if all are JSON numbers, else by ``_field``."""
     samples = _field(raw, name, list)
-    if set(map(type, samples)) <= {int, float}:
+    kinds = set(map(type, samples))
+    if kinds <= {float}:
+        return samples
+    if kinds <= {int, float}:
         with contextlib.suppress(OverflowError):
             return [float(x) for x in samples]
     return [_field(x, name) for x in samples]
@@ -795,19 +936,43 @@ def density_from_dict(data: Mapping) -> Density:
     raise ScenarioError("density needs either 'beta_a' or 'knots'")
 
 
-def _curve_from_entry(entry, name: str) -> QuantileCurve:
-    if isinstance(entry, Mapping):
-        if "samples" in entry:
-            return _built(
-                name,
-                empirical_curve,
-                _field_samples(entry["samples"], f"{name}.samples"),
-                _field(entry.get("knot_count", 101), f"{name}.knot_count", int, MAX_KNOTS),
-            )
-        if "knots" in entry:
-            return _built(name, quantile_curve, _field_knots(entry["knots"], f"{name}.knots"))
-        raise ScenarioError("curve entry needs 'knots' or 'samples'")
-    return _built(name, quantile_curve, _field_knots(entry, name))
+def _sampled_curves(sampled: Mapping[int, tuple]) -> dict[int, QuantileCurve]:
+    """The curves of the sampled entries, ``{coalition: (name, (draws,
+    knot_count))}``, built together by ``_empirical_curves``; the first
+    entry whose curve is refused is a ScenarioError naming it."""
+    built = _empirical_curves([row for _, row in sampled.values()])
+    for (name, _), curve in zip(sampled.values(), built):
+        if isinstance(curve, Exception):
+            raise ScenarioError(f"{name}: {curve}") from None
+    return dict(zip(sampled, built))
+
+
+def _curves_from_dict(raw: Mapping, players) -> dict[int, QuantileCurve]:
+    """The curve of every entry of the object ``raw``, in its order.  The
+    fields of each entry are read in order, and the sampled entries are
+    built together at the end; a fault in another entry is raised once the
+    sampled entries before it are built, so the first faulty entry of the
+    file is the one reported."""
+    entries = _field_coalitions(raw, "curves", players)
+    curves, sampled = {}, {}
+    try:
+        for c, (label, entry) in entries.items():
+            name = f"curves.{label}"
+            if not isinstance(entry, Mapping):
+                curves[c] = _built(name, quantile_curve, _field_knots(entry, name))
+            elif "samples" in entry:
+                draws = _field_samples(entry["samples"], f"{name}.samples")
+                count = _field(entry.get("knot_count", 101), f"{name}.knot_count", int, MAX_KNOTS)
+                sampled[c] = name, (draws, count)
+            elif "knots" in entry:
+                curves[c] = _built(name, quantile_curve, _field_knots(entry["knots"], f"{name}.knots"))
+            else:
+                raise ScenarioError("curve entry needs 'knots' or 'samples'")
+    except ScenarioError:
+        _sampled_curves(sampled)
+        raise
+    curves.update(_sampled_curves(sampled))
+    return {c: curves[c] for c in entries}
 
 
 def cvar_scenario_from_dict(
@@ -822,11 +987,7 @@ def cvar_scenario_from_dict(
         players = _field_players(data, sorted(label for label in raw if "," not in label))
         if not players:
             raise ScenarioError("cannot determine the player list")
-        curves = {
-            c: _curve_from_entry(entry, f"curves.{label}")
-            for c, (label, entry) in _field_coalitions(raw, "curves", players).items()
-        }
-        return curves, density, players
+        return _curves_from_dict(raw, players), density, players
     if "n" in data:
         players = _field_players(data)
         return default_uniform_family(len(players)), density, players

@@ -66,6 +66,19 @@ def _knots_scenario() -> dict:
     return {"players": list("abcde"), "curves": curves, "density": {"beta_a": 2.0}}
 
 
+def _mixed_knots_scenario() -> dict:
+    """31 sampled curves at three knot counts (51, 65, 101) and three sample
+    counts (50, 120, 200), nine pairs of them in all."""
+    rng = random.Random(11)
+    labels = [",".join("abcde"[i] for i in range(5) if m >> i & 1) for m in range(1, 32)]
+    curves = {
+        c: {"samples": [c.count(",") + 1 + rng.expovariate(1.0) for _ in range((50, 120, 200)[k % 3])],
+            "knot_count": (51, 65, 101)[k // 3 % 3]}
+        for k, c in enumerate(labels)
+    }
+    return {"players": list("abcde"), "curves": curves, "density": {"beta_a": 2.5}}
+
+
 def _cut3(n: int, kind=Fraction) -> Callable[[], Game]:
     """The n-player cut game of seed 3, its values of type ``kind``."""
     return lambda: make_game(n, {m: kind(v) for m, v in enumerate(cut_game(random.Random(3), n).values) if m})
@@ -108,6 +121,9 @@ PINS = [
     # quadrature layout per knot column: 70 MB measured on Python 3.11, numpy 2.4
     Pin("scenario-cvar-n5-knots10001", ("scenario-cvar", "{input}"),
         {STDOUT: "scenario_cvar_n5_knots10001_seed5.sha256"}, build=_knots_scenario, max_rss_mb=96, slow=True),
+    # curves of one sample count and one knot count are built together
+    Pin("scenario-cvar-n5-mixed-knots", ("scenario-cvar", "{input}"),
+        {STDOUT: "scenario_cvar_n5_mixed_knots_seed11.sha256"}, build=_mixed_knots_scenario),
     Pin("verify-theorem-pairs3-samples40", ("verify", "theorem", "--pairs", "3", "--samples", "40")),
     # an n=5 pair whose weak blocks once took the exact search minutes; ten
     # pairs at 50 samples is the benchmark's shape

@@ -67,6 +67,17 @@ def test_validate_bad_game(tmp_path, capsys):
     assert payload["issues"][0]["coalition"] == "b"
 
 
+def test_invalid_game_error_names_coalitions_by_label(tmp_path, capsys):
+    # the pinned invalid file, loaded by compare: the message names its
+    # coalitions by label, as validate's report does
+    path = tmp_path / "invalid.json"
+    path.write_text(json.dumps(pins.INVALID3))
+    assert run(["compare", str(path), str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "invalid game on 3 players: NegativeSingleton(a), MissingCoalition(b,c)\n"
+
+
 def test_missing_file_is_usage_error(capsys):
     assert run(["validate", "/nonexistent/game.json"]) == 2
     assert capsys.readouterr().err

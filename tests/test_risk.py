@@ -19,6 +19,7 @@ from fracgame import (
     ScenarioError,
     beta_density,
     build_cvar_game,
+    build_cvar_games,
     build_meanstd_game,
     check_tail_dominance,
     cvar,
@@ -223,6 +224,26 @@ def test_mixture_panel_grid_bit_identical_on_edge_layouts():
     big = empirical_curve([1 + rng.expovariate(1.0) for _ in range(200)], risk.MAX_KNOTS)
     for density in (signed, beta_density(2.0)):
         assert mixture_reward(big, density) == naive_mixture_reward(big, density)
+    # one build over densities of which three share a column, so they share
+    # one layout, with the curves on three knot columns
+    shared_column = [beta_density(a, 5) for a in (1.0, 1.7, 3.2)]
+    densities = [shared_column[0], signed, *shared_column[1:], wide]
+    assert len({d.xs.tobytes() for d in densities}) == 3
+    table = {c: curves[c % len(curves)] for c in coalitions(3)}
+    games = build_cvar_games(table, densities)
+    assert len(games) == len(densities)
+    for game, density in zip(games, densities):
+        assert game == build_cvar_game(table, density)
+        for c, curve in table.items():
+            assert game.values[c] == naive_mixture_reward(curve, density)
+    # a density knot at 1e-20: the first nodes have x = 1 - alpha == 1.0, at
+    # the curves' last knot, so the layout takes the last-knot branch
+    tiny = density_curve([(0, 1.0), (1e-20, 1.0), (1, 1.0)])
+    for curve in curves:
+        alpha, _ = risk._panel_nodes(curve.xs, tiny.xs)
+        assert 1.0 - alpha[0] == 1.0 and risk._tail_lookup(curve.xs, alpha)[2] is not None
+        assert mixture_reward(curve, tiny) == naive_mixture_reward(curve, tiny)
+    assert risk._tail_lookup(curves[0].xs, risk._panel_nodes(curves[0].xs, wide.xs)[0])[2] is None
 
 
 def test_empirical_knots_match_the_scalar_loop(monkeypatch):
@@ -232,8 +253,8 @@ def test_empirical_knots_match_the_scalar_loop(monkeypatch):
         draws = [rng.choice(pool) * (1 + 1e-15 * rng.random()) for _ in range(rng.randint(1, 40))]
         count = rng.randint(2, 101)
         assert empirical_curve(draws, count).knots == naive_empirical_knots(draws, count)
-    # a level that dips below the one before is held there
-    monkeypatch.setattr(risk, "_quantiles", lambda data, betas: np.array([1.0, 2.0, 1.5, 3.0]))
+    # a level that dips below the one before is held there (one row per curve)
+    monkeypatch.setattr(risk, "_quantiles", lambda data, betas: np.array([[1.0, 2.0, 1.5, 3.0]]))
     want = ((0.0, 1.0), (1 / 3, 2.0), (2 / 3, 2.0), (1.0, 3.0))
     assert empirical_curve([1.0, 3.0], 4).knots == want
 
@@ -263,6 +284,81 @@ def test_empirical_levels_are_np_quantile_bit_for_bit():
         assert curve.values.tobytes() == want.tobytes()
         assert curve.xs.tolist() == [j / (count - 1) for j in range(count)]
         assert curve.prefix.tolist() == _left_fold_prefix(curve.knots)
+
+
+def _sampled_entries(rng: random.Random) -> list:
+    """Entries of a 4-player scenario: sampled curves at several sample and
+    knot counts (some with no knot count, so 101), repeated draws, and
+    entries given by their knots."""
+    entries = []
+    for k in range(15):
+        if k % 5 == 4:
+            top = 1 + rng.random()
+            entries.append([[0, 0.5], [0.5, top], [1, top + rng.random()]])
+            continue
+        size = (1, 7, 30, 30)[k % 4]
+        pool = [1 + rng.random() for _ in range(3)]
+        draws = [rng.choice(pool) if k % 3 else 1 + rng.expovariate(1.0) for _ in range(size)]
+        entry = {"samples": draws}
+        if k % 3 != 1:
+            entry["knot_count"] = rng.choice((2, 11, 26))
+        entries.append(entry)
+    return entries
+
+
+def test_scenario_curves_match_their_own_build_bit_for_bit():
+    # a scenario's sampled curves are built a group at a time, by sample
+    # count and knot count; each must be its own empirical_curve's and the
+    # scalar loop's, bit for bit
+    rng = random.Random(29)
+    for trial in range(4):
+        entries = _sampled_entries(rng)
+        labels = [",".join("abcd"[i] for i in range(4) if m >> i & 1) for m in range(1, 16)]
+        rng.shuffle(labels)
+        data = {"players": list("abcd"), "curves": dict(zip(labels, entries)), "density": {"beta_a": 2}}
+        curves, _, _ = cvar_scenario_from_dict(data)
+        assert len({(len(e["samples"]), e.get("knot_count")) for e in entries if "samples" in e}) > 3
+        for label, entry in zip(labels, entries):
+            curve = curves[risk.coalition_from_label(label, "abcd")]
+            if isinstance(entry, list):
+                assert curve == quantile_curve(entry)
+                continue
+            count = entry.get("knot_count", 101)
+            own = empirical_curve(entry["samples"], count)
+            for column in ("xs", "values", "prefix"):
+                assert getattr(curve, column).tobytes() == getattr(own, column).tobytes()
+            assert curve.knots == naive_empirical_knots(entry["samples"], count)
+
+
+# a value fault (the curve refuses its draws or knots) and a field fault
+# (a field of the wrong type) in two entries of one file
+VALUE_THEN_FIELD = [
+    (
+        ({"samples": [1.0, 2.0, -1.0]}, "^curves.a: sample draws must be positive$"),
+        ({"samples": [1.0, "x"]}, "^curves.b.samples must be a number, got 'x'$"),
+    ),
+    (
+        ({"samples": [], "knot_count": 5}, "^curves.a: cannot build a curve from an empty sample$"),
+        ({"samples": [1, 2], "knot_count": 9.5}, "^curves.b.knot_count must be an integer, got 9.5$"),
+    ),
+    (
+        ({"samples": [0.0, 1.0]}, "^curves.a: sample draws must be positive$"),
+        ([[0, 2], [1, 1]], "^curves.b: curve must be nondecreasing$"),
+    ),
+]
+
+
+@pytest.mark.parametrize("first_a", [True, False])
+@pytest.mark.parametrize("faults", VALUE_THEN_FIELD)
+def test_scenario_reports_its_first_faulty_entry(faults, first_a):
+    # sampled curves are built after the other entries are read, yet the
+    # first faulty entry in the file is the one reported
+    (a, a_message), (b, b_message) = faults
+    good = {"samples": [1.0, 1.5, 3.0], "knot_count": 5}
+    order = [("a", a), ("a,b", good), ("b", b)] if first_a else [("b", b), ("a,b", good), ("a", a)]
+    data = {"players": ["a", "b"], "curves": dict(order), "density": {"beta_a": 2}}
+    with pytest.raises(ScenarioError, match=a_message if first_a else b_message):
+        cvar_scenario_from_dict(data)
 
 
 def test_knot_errors_name_the_first_failing_knot_and_its_first_rule():
