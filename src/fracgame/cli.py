@@ -35,8 +35,11 @@ from .games import (
     game_digest,
     game_from_dict,
     game_to_dict,
+    json_list,
     json_number,
+    json_object,
     json_text,
+    json_value,
     load_game,
 )
 from .partitions import DEFAULT_ENUM_CAP, fewest_blocks, grand_partition, partition_from_label, partition_label
@@ -347,19 +350,27 @@ def _pair_stream(pairs: int, seed: int):
         yield k, n, pair_seed, *generate_ordered_pair(pair_seed, n)
 
 
-def _verify_inclusions(kind: str, args, pairs: list) -> dict:
+# a suite, its reports and their claims as json_text lays them out
+_SUITE = json_object(("pairs", "passed", "reports", "seed", "suite"), 0)
+_REPORT = json_object(("claims", "n", "order_holds", "pair", "passed", "seed", "suite"), 2)
+_CLAIM = json_object(("detail", "name", "passed", "scope"), 4)
+
+
+def _verify_inclusions(kind: str, args, pairs: list) -> tuple[bool, str]:
+    """Whether every pair is ordered and passes, and the suite as JSON: the
+    bytes of ``json_text`` on the suite's dict of the reports' ``to_dict``,
+    each distinct claim encoded once."""
     runner = verify_theorem1 if kind == "theorem" else verify_corollary
-    reports = []
+    claim = functools.cache(lambda c: _CLAIM.format(*(json_value(x, 5) for x in (c.detail, c.name, c.passed, c.scope))))
+    reports, passed = [], True
     for k, n, pair_seed, g1, g2 in pairs:
         rep = runner(g1, g2, samples=args.samples, seed=pair_seed)
-        reports.append({"pair": k, "n": n, "seed": pair_seed, **rep.to_dict()})
-    return {
-        "suite": kind,
-        "pairs": args.pairs,
-        "seed": args.seed,
-        "passed": all(r["order_holds"] and r["passed"] for r in reports),
-        "reports": reports,
-    }
+        passed = passed and rep.order_holds and rep.passed
+        fields = (n, rep.order_holds, k, rep.passed, pair_seed, rep.suite)
+        items = json_list(list(map(claim, rep.claims)), 3)
+        reports.append(_REPORT.format(items, *(json_value(x, 3) for x in fields)))
+    pairs, seed, suite = (json_value(x, 1) for x in (args.pairs, args.seed, kind))
+    return passed, _SUITE.format(pairs, json_value(passed, 1), json_list(reports, 1), seed, suite) + "\n"
 
 
 def _verify_prop1_suite(args) -> dict:
@@ -400,27 +411,25 @@ def _verify_prop2_suite(args) -> dict:
 def cmd_verify(args) -> int:
     # generated on first use, and shared by both inclusion suites
     pairs = functools.cache(lambda: list(_pair_stream(args.pairs, args.seed)))
+    encoded = lambda payload: (payload["passed"], json_text(payload))
+    # per suite: whether it passed, and its JSON text
     suites = {
         "theorem": lambda: _verify_inclusions("theorem", args, pairs()),
         "corollary": lambda: _verify_inclusions("corollary", args, pairs()),
-        "prop1": lambda: _verify_prop1_suite(args),
-        "prop2": lambda: _verify_prop2_suite(args),
+        "prop1": lambda: encoded(_verify_prop1_suite(args)),
+        "prop2": lambda: encoded(_verify_prop2_suite(args)),
     }
     names = list(suites) if args.suite == "all" else [args.suite]
-    results = {}
+    passed, texts = {}, {}
     for name in names:
-        results[name] = suites[name]()
+        passed[name], texts[name] = suites[name]()
         if args.out:
-            _emit(args, f"verify-{name}", results[name])
-    summary = {
-        "seed": args.seed,
-        "suites": {name: results[name]["passed"] for name in names},
-        "passed": all(results[name]["passed"] for name in names),
-    }
+            _write(args, f"verify-{name}.json", texts[name])
+    summary = {"seed": args.seed, "suites": passed, "passed": all(passed.values())}
     if args.out:
         _emit(args, "verify-summary", summary)
     alone = len(names) == 1 and not args.out
-    sys.stdout.write(json_text(results[names[0]] if alone else summary))
+    sys.stdout.write(texts[names[0]] if alone else json_text(summary))
     return 0 if summary["passed"] else 1
 
 

@@ -74,7 +74,9 @@ def integer_terms(xs: Sequence) -> tuple[list, int]:
     """``(terms, scale)`` with ``xs[i] == terms[i] / scale``: integer
     numerators over the numbers' common denominator.  Ints and Fractions are
     read as they are; anything else (a float) is converted exactly through
-    ``Fraction`` first."""
+    ``Fraction`` first; all ints come back as they are, over 1."""
+    if {*map(type, xs)} == {int}:
+        return list(xs), 1
     xs = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in xs]
     scale = math.lcm(*(x.denominator for x in xs))
     return [x.numerator * (scale // x.denominator) for x in xs], scale
@@ -561,8 +563,10 @@ def json_object(keys: tuple[str, ...], depth: int) -> str | None:
         return "{{\n" + ",\n".join(f"{pad}  {k}: {{}}" for k in keys) + "\n" + pad + "}}"
 
 
-def coalition_from_label(label: str, players: Sequence[str]) -> int:
-    index = {name: i for i, name in enumerate(players)}
+def coalition_from_label(label: str, players: Sequence[str] | dict[str, int]) -> int:
+    """The mask of a label such as ``"a,c"``: the players in order, or a
+    dict from each name to its index, built once for many labels."""
+    index = players if isinstance(players, dict) else {name: i for i, name in enumerate(players)}
     mask = 0
     for name in label.split(","):
         name = name.strip()
@@ -616,8 +620,9 @@ def game_from_dict(data: Mapping) -> Game:
     if "values" not in data or not isinstance(data["values"], Mapping):
         raise ValueError("game JSON needs a 'values' object")
     table: dict[int, object] = {}
+    index = {name: i for i, name in enumerate(players)}
     for label, raw in data["values"].items():
-        mask = coalition_from_label(label, players)
+        mask = coalition_from_label(label, index)
         if mask in table:
             raise ValueError(f"coalition {label!r} listed twice")
         table[mask] = _decode_value(raw)

@@ -47,6 +47,7 @@ from .games import (
     Game,
     _check_players,
     coalition_from_label,
+    coalition_label,
     coalitions,
     default_players,
     leq,
@@ -576,6 +577,11 @@ def build_meanstd_game(
     for c in coalitions(n):
         base = meanstd_value(c.bit_count(), mu, sigma, r)
         values[c] = phi.get(c, 1.0) * base
+    if not all(map(math.isfinite, values.values())):
+        c = next(c for c in coalitions(n) if not math.isfinite(values[c]))
+        label = coalition_label(c, default_players(n) if players is None else players)
+        field = "mu" if not math.isfinite(meanstd_value(c.bit_count(), mu, sigma, r)) else f"phi.{label}"
+        raise ScenarioError(f"{field}: coalition {label} is worth {values[c]!r}, beyond the float range")
     return make_game(n, values, mode=FLOAT, tol=tol, players=players)
 
 
@@ -875,10 +881,10 @@ def _field_coalitions(raw: Mapping, name: str, players) -> dict:
     """The entries of the object ``raw`` keyed by the coalitions their labels
     spell; an unknown or repeated player, or a coalition spelled twice, is a
     ScenarioError naming the field ``name.label``."""
-    out = {}
+    out, index = {}, {name: i for i, name in enumerate(players)}
     for label, entry in raw.items():
         try:
-            mask = coalition_from_label(label, players)
+            mask = coalition_from_label(label, index)
         except ValueError as exc:
             raise ScenarioError(f"{name}.{label}: {exc}") from None
         if mask in out:

@@ -53,6 +53,7 @@ class Pin:
     build: Callable[[], Game | dict] | None = None
     absent: tuple = ("Traceback",)  # text stderr must not hold
     max_rss_mb: int | None = None  # the child fails at or above this peak
+    max_seconds: float | None = None  # the child fails at or above this wall time
     slow: bool = False  # a second or more, or a bound: only the runner runs it
 
 
@@ -77,6 +78,17 @@ def _mixed_knots_scenario() -> dict:
         for k, c in enumerate(labels)
     }
     return {"players": list("abcde"), "curves": curves, "density": {"beta_a": 2.5}}
+
+
+def _square(n: int) -> Callable[[], Game]:
+    """The n-player square game: v(C) = 2|C|^2 plus 0, 1/3 or 2/3, drawn
+    per coalition in mask order from ``random.Random(0)``; it builds in well
+    under a second at 16 players."""
+    def build() -> Game:
+        rng = random.Random(0)
+        extra = (0, Fraction(1, 3), Fraction(2, 3))
+        return make_game(n, {m: 2 * m.bit_count() ** 2 + rng.choice(extra) for m in range(1, 1 << n)})
+    return build
 
 
 def _cut3(n: int, kind=Fraction) -> Callable[[], Game]:
@@ -180,6 +192,11 @@ PINS = [
     Pin("compare-invalid-n3", ("compare", "{input}", "{input}"), {STDOUT: EMPTY}, code=1, build=lambda: INVALID3),
     Pin("compare-cut-n6-self", ("compare", CUT6, CUT6), {STDOUT: "compare_cut_game_n6_seed0_self.json"}),
     Pin("compare-cut-thirds-n6", ("compare", CUT6, THIRDS6), {STDOUT: "compare_cut_thirds_n6_seed0.json"}, code=1),
+    # an ordered pair at n=14 is decided on its covering pairs: 0.6 s against
+    # 16 s for all 3^14 nested pairs, so the bound catches a return of that
+    # listing; an ordered pair prints what the n=6 self-compare prints
+    Pin("compare-square-n14-self", ("compare", "{input}", "{input}"), {STDOUT: "compare_cut_game_n6_seed0_self.json"},
+        build=_square(14), max_seconds=5, slow=True),
     Pin("compare-meanstd-cvar-n3",
         ("compare", str(DATA / "meanstd_game_phi_n3.json"), str(DATA / "cvar_game_empirical_n3.json")),
         {STDOUT: "compare_meanstd_phi_cvar_empirical_n3.json"}, code=1),
@@ -223,6 +240,11 @@ PINS = [
     Pin("analyze-malformed-game", ("analyze", "{input}"), code=2,
         build=lambda: {"players": ["a", "b"], "values": {"a": 1, "b": 1, "a,b": "1/0"}}),
     Pin("sweep-zero-denominator", ("sweep", "--scenario", "meanstd", "--r", "1/0"), code=2),
+    # a finite mu whose pooled values overflow is a scenario fault naming mu
+    Pin("scenario-meanstd-overflowing-mu", ("scenario-meanstd", "{input}"), {STDOUT: EMPTY}, code=1,
+        build=lambda: {"n": 3, "mu": 1e308, "sigma": 1, "r": 0}),
+    Pin("sweep-meanstd-overflowing-mu", ("sweep", "--scenario", "meanstd", "--mu", "1e308", "--n", "3", "--r", "0"),
+        {STDOUT: EMPTY}, code=1),
     Pin("scenario-cvar-overflowing-density", ("scenario-cvar", "{input}"), code=1,
         build=lambda: {"n": 1, "density": {"knots": [[0, 1], [5e-324, 1e-310], [1, 1e-310]], "normalize": True}},
         absent=("Traceback", "RuntimeWarning")),
@@ -287,11 +309,15 @@ def check(pin: Pin, tmp: pathlib.Path, execute=run_child) -> tuple:
         else:
             path.write_text(json.dumps(built))
     places = {"{input}": str(path), "{out}": str(out)}
+    start = time.perf_counter()
     code, stdout, stderr, peak = execute([places.get(a, a) for a in pin.argv])
+    seconds = time.perf_counter() - start
     problems = [f"exit {code}, not {pin.code}"] if code != pin.code else []
     problems += [f"stderr holds {text!r}" for text in pin.absent if text in stderr]
     if pin.max_rss_mb is not None and peak >= pin.max_rss_mb:
         problems.append(f"peak RSS {peak} MB, bound {pin.max_rss_mb} MB")
+    if pin.max_seconds is not None and seconds >= pin.max_seconds:
+        problems.append(f"took {seconds:.2f} s, bound {pin.max_seconds} s")
     for output, golden in pin.expect.items():
         name, written = ("stdout", None) if output == STDOUT else (output, out / output)
         if written is not None and not written.is_file():

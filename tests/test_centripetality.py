@@ -23,7 +23,7 @@ from fracgame import (
     verify_corollary,
     verify_theorem1,
 )
-from fracgame import centripetality, stability
+from fracgame import centripetality, cli, stability
 from fracgame.centripetality import order_matrix
 from fracgame.risk import (
     MeanStdScenario,
@@ -35,6 +35,8 @@ from fracgame.risk import (
 from fracgame.games import (
     boundary_empty,
     combined_tol,
+    json_text,
+    leq,
     members,
     solution_feasible,
     split_vertices,
@@ -827,18 +829,11 @@ def test_order_matrix_by_size_pairs_matches_leq_cp():
 LIBRARY_GOLDEN = pathlib.Path(__file__).parent / "data" / "inclusion_reports_library.json"
 
 
-def library_reports() -> str:
-    """The ``to_dict()`` of both harnesses at 20 samples on 16 seeded pairs
-    of up to four players, as ``json.dumps(sort_keys=True, indent=2)``: two
-    of each kind (ordered exact, unordered exact, float/float, and an
-    ordered pair with a float second game), each in both orders, so most
-    blocks are sampled.  ``inclusion_reports_library.json`` holds what this
-    printed before the harnesses were folded into one pass per block, but
-    for two claim-4 weak counts of float n=4 pairs, which grew when claim 4
-    took each block's canonical weak witness in place of the search's
-    stopping point."""
+def library_pairs():
+    """``(label, g1, g2, seed)`` for 16 seeded pairs of up to four players:
+    two of each kind (ordered exact, unordered exact, float/float, and an
+    ordered pair with a float second game), each in both orders."""
     rng = random.Random(30)
-    entries = []
     for kind in ("ordered", "unordered", "float", "mixed"):
         for _ in range(2):
             n = rng.randint(2, 4)
@@ -853,13 +848,25 @@ def library_reports() -> str:
                 pair = g1, g2
             seed = rng.randrange(1 << 30)
             for label, (g1, g2) in (("forward", pair), ("reversed", pair[::-1])):
-                entries.append(
-                    {
-                        "pair": f"{kind} n={n} {label}",
-                        "theorem": verify_theorem1(g1, g2, samples=20, seed=seed).to_dict(),
-                        "corollary": verify_corollary(g1, g2, samples=20, seed=seed).to_dict(),
-                    }
-                )
+                yield f"{kind} n={n} {label}", g1, g2, seed
+
+
+def library_reports() -> str:
+    """The ``to_dict()`` of both harnesses at 20 samples on the library
+    pairs, as ``json.dumps(sort_keys=True, indent=2)``, so most blocks are
+    sampled.  ``inclusion_reports_library.json`` holds what this printed
+    before the harnesses were folded into one pass per block, but for two
+    claim-4 weak counts of float n=4 pairs, which grew when claim 4 took
+    each block's canonical weak witness in place of the search's stopping
+    point."""
+    entries = [
+        {
+            "pair": label,
+            "theorem": verify_theorem1(g1, g2, samples=20, seed=seed).to_dict(),
+            "corollary": verify_corollary(g1, g2, samples=20, seed=seed).to_dict(),
+        }
+        for label, g1, g2, seed in library_pairs()
+    ]
     return json.dumps(entries, sort_keys=True, indent=2) + "\n"
 
 
@@ -867,3 +874,102 @@ def test_library_reports_match_committed_bytes():
     # sampled blocks, float and mixed pairs: no CLI golden reaches them,
     # since verify's generated pairs draw nothing
     assert library_reports().encode("utf-8") == LIBRARY_GOLDEN.read_bytes()
+
+
+@pytest.mark.parametrize("out", [False, True], ids=["stdout", "out"])
+@pytest.mark.parametrize("suite, runner", [("theorem", verify_theorem1), ("corollary", verify_corollary)])
+def test_verify_reports_are_json_text_of_their_dicts(monkeypatch, tmp_path, capsys, suite, runner, out):
+    # the library pairs, unordered ones among them, as one verify bundle:
+    # its report, on stdout or in its --out file, is json_text of the dict
+    # built from each pair's to_dict, failing claims and their details too
+    pairs = [(k, g1.n, seed, g1, g2) for k, (_, g1, g2, seed) in enumerate(library_pairs())]
+    monkeypatch.setattr(cli, "_pair_stream", lambda count, seed: iter(pairs))
+    reports = [
+        {"pair": k, "n": n, "seed": seed, **runner(g1, g2, samples=20, seed=seed).to_dict()}
+        for k, n, seed, g1, g2 in pairs
+    ]
+    assert any(c["detail"] and not c["passed"] for r in reports for c in r["claims"])
+    passed = all(r["order_holds"] and r["passed"] for r in reports)
+    expected = json_text({"suite": suite, "pairs": 16, "seed": 3, "passed": passed, "reports": reports})
+    argv = ["verify", suite, "--pairs", "16", "--seed", "3", "--samples", "20"]
+    assert cli.run(argv + (["--out", str(tmp_path)] if out else [])) == 1
+    written = (tmp_path / f"verify-{suite}.json").read_text() if out else capsys.readouterr().out
+    assert written == expected
+
+
+def listed_order(g1, g2):
+    """The order by listing both cross products of every nested pair, as
+    ``leq_cp`` decided every pair before it read covering pairs."""
+    tol, v1, v2 = combined_tol(g1, g2), g1.values, g2.values
+    violations = tuple(
+        centripetality.OrderViolation(inner, outer, v1[outer] * v2[inner], v2[outer] * v1[inner])
+        for outer in range(1, 1 << g1.n)
+        for inner in submasks(outer, proper=True)
+        if not leq(v1[outer] * v2[inner], v2[outer] * v1[inner], tol)
+    )
+    return centripetality.OrderVerdict(not violations, violations)
+
+
+# a mixed pair at tolerance 0, ordered on its exact values, whose 1/3s round
+# to float before they multiply: float(5/3) rounds up, 5 * float(1/3) down
+ROUNDED_MIXED = (
+    make_game(2, {1: Fraction(1, 3), 2: Fraction(1, 3), 3: Fraction(5, 3)}),
+    make_game(2, {1: 1.0, 2: 1.0, 3: 5.0}, tol=0),
+)
+
+
+def order_cases():
+    """Exact, float and mixed pairs of up to eight players."""
+    # a zero singleton fails only a singleton-inner pair, and the second
+    # pair fails only where a joins b, a covering pair that does not add the
+    # highest player
+    yield make_game(2, {1: 0, 2: 1, 3: 2}), make_game(2, {1: 1, 2: 1, 3: 2})
+    yield make_game(2, {1: 1, 2: 1, 3: 5}), make_game(2, {1: 1, 2: 4, 3: 5})
+    yield ROUNDED_MIXED
+    rng = random.Random(46)
+    for _ in range(100):
+        n = rng.choice((2, 3, 3, 4, 4, 5, 6, 7, 8))
+        g1, g2 = generate_ordered_pair(rng.randrange(1 << 31), n)
+        yield g1, g2
+        # one coalition of the second game worth less (or its singleton 0)
+        c = rng.randrange(1, 1 << n)
+        factor = Fraction(rng.randint(0 if c.bit_count() == 1 else 1, 9), 10)
+        g3 = make_game(n, {m: g2.values[m] * (factor if m == c else 1) for m in range(1, 1 << n)})
+        yield g1, g3
+        # arbitrary games with zero singletons, the same ones or others
+        zeros = [rng.randrange(n) for _ in range(rng.randint(1, n))]
+        h1, h2 = (random_exact_game(rng, n) for _ in range(2))
+        zeroed = lambda g, z: make_game(n, {m: 0 if m in z else g.values[m] for m in range(1, 1 << n)})
+        yield zeroed(h1, {1 << i for i in zeros}), zeroed(h1 if rng.random() < 0.5 else h2, {1 << zeros[0]})
+        # float and mixed copies, at the default tolerance and at 0
+        tol = rng.choice((0, 1e-9))
+        as_float = lambda g: make_game(n, {m: float(g.values[m]) for m in range(1, 1 << n)}, tol=tol)
+        yield as_float(g1), as_float(g3)
+        yield g1, as_float(g2)
+        yield as_float(g3), g1
+    # the Prop 1 and Prop 2 pairs, float and as their exact values
+    exact = lambda g: make_game(g.n, {m: Fraction(g.values[m]) for m in range(1, 1 << g.n)})
+    for games in (
+        [build_meanstd_game(MeanStdScenario(4, 1.0, 0.5, r)) for r in (0, 0.5, 1.0, 1.5)],
+        [build_cvar_game(default_uniform_family(4), beta_density(a)) for a in (1.0, 2.0, 3.0)],
+    ):
+        for g1, g2 in itertools.permutations(games, 2):
+            yield g1, g2
+            yield exact(g1), exact(g2)
+
+
+def test_covering_pairs_give_the_listed_order():
+    # the covering check decides an exact pair, the listing every other
+    # pair, and a failing pair lists what it always listed
+    verdicts = []
+    for g1, g2 in order_cases():
+        verdict = leq_cp(g1, g2)
+        assert verdict == listed_order(g1, g2), (g1, g2)
+        verdicts.append((g1.mode == g2.mode == "exact", verdict.holds))
+    assert {(True, True), (True, False), (False, True), (False, False)} <= set(verdicts)
+
+
+def test_mixed_pair_at_tolerance_zero_keeps_the_listing():
+    g1, g2 = ROUNDED_MIXED
+    assert combined_tol(g1, g2) == 0 and not leq_cp(g1, g2).holds
+    assert centripetality._covering_pairs_hold(g1.terms, g2.terms)

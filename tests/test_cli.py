@@ -593,6 +593,18 @@ _CVAR_SWEEP = ["sweep", "--scenario", "cvar", "--n", "2", "--beta-a"]
             "phi.a must be a finite number, got -inf",
         ),
         (_SWEEP + ["--mu", "inf"], None, "mu must be a finite number, got inf"),
+        # finite fields whose coalition values overflow name the field
+        (
+            ["scenario-meanstd"],
+            {"n": 3, "mu": 1e308, "sigma": 1, "r": 0},
+            "mu: coalition a,b is worth inf, beyond the float range",
+        ),
+        (
+            ["scenario-meanstd"],
+            {**_MEANSTD, "mu": 1e300, "phi": {"a,b": 1e10}},
+            "phi.a,b: coalition a,b is worth inf, beyond the float range",
+        ),
+        (_SWEEP + ["--mu", "1e308"], None, "mu: coalition a,b is worth inf, beyond the float range"),
         (_SWEEP + ["--sigma", "nan"], None, "sigma must be a finite number, got nan"),
         # a sweep's shapes that beta_density refuses, like a scenario file's
         (_CVAR_SWEEP + ["0.5"], None, "beta_a=0.5: shape parameter must be at least 1"),
@@ -829,7 +841,7 @@ def test_pinned_run(tmp_path, pin):
 def test_pinned_runner_fails_and_names_each_row_that_is_off(tmp_path, capsys):
     # a row passes on its digest, and the runner fails naming every row whose
     # digest is one byte off, whose golden is missing, whose exit code is
-    # wrong or whose child's peak RSS reaches its bound
+    # wrong or whose child's peak RSS or wall time reaches its bound
     true, flipped = tmp_path / "true.sha256", tmp_path / "flipped.sha256"
     digest = hashlib.sha256(b"pinned\n").hexdigest()
     true.write_text(f"{digest}  -\n")
@@ -840,6 +852,7 @@ def test_pinned_runner_fails_and_names_each_row_that_is_off(tmp_path, capsys):
         "missing-golden": {"expect": {pins.STDOUT: "absent.json"}},
         "wrong-exit-code": {"code": 1},
         "rss-bound": {"max_rss_mb": 1},
+        "time-bound": {"max_seconds": 0.001},
     }
     rows = [good, *(dataclasses.replace(good, name=name, **change) for name, change in changes.items())]
     assert pins.run_rows(rows) == 1
@@ -850,8 +863,11 @@ def test_pinned_runner_fails_and_names_each_row_that_is_off(tmp_path, capsys):
         "FAIL missing-golden: golden absent.json is missing",
         "FAIL wrong-exit-code: exit 0, not 1",
     ]
-    assert len(fails) == 4 and fails[3].startswith("FAIL rss-bound: peak RSS ")
-    assert out[-1] == "4 of 5 pinned runs failed: flipped-digest, missing-golden, wrong-exit-code, rss-bound"
+    assert len(fails) == 5 and fails[3].startswith("FAIL rss-bound: peak RSS ")
+    assert fails[4].startswith("FAIL time-bound: took ") and fails[4].endswith(" s, bound 0.001 s")
+    assert out[-1] == (
+        "5 of 6 pinned runs failed: flipped-digest, missing-golden, wrong-exit-code, rss-bound, time-bound"
+    )
 
 
 @pytest.mark.parametrize(

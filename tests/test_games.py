@@ -216,6 +216,8 @@ def test_float_sample_boundary_matches_reference_formula():
 def test_labels_round_trip():
     players = ("x", "y", "z")
     assert coalition_from_label("y,z", players) == 0b110
+    # an index built once for many labels reads them alike
+    assert coalition_from_label("y,z", {"x": 0, "y": 1, "z": 2}) == 0b110
     with pytest.raises(ValueError):
         coalition_from_label("w", players)
     with pytest.raises(ValueError):
