@@ -17,10 +17,11 @@ nested pairs.  Values of two or more players are positive, so the ratio
 v2/v1 that grows along each covering pair grows along every chain of them.
 A singleton {i} inside C is reached through a pair {i, j} within C: if
 v1(i) > 0, v2(i)/v1(i) is at most the pair's ratio, hence C's; if v1(i) =
-0, the pair's check forces v2(i) = 0, and both products at C are 0.  Only
-a pair that fails there lists its violations over every nested pair, as
-does a float or mixed pair: a float game's exact terms cost more than a
-small listing, and a mixed product rounds the exact game's value to float.
+0, the pair's check forces v2(i) = 0, and both products at C are 0.  A
+float or mixed pair is not (a float game's exact terms cost more than a
+scan, a mixed product rounds the exact value to float): a size-symmetric
+pair is decided on pairs of sizes, any other up to its first violation
+(``precedes``).  Only a failing pair lists every violation (``leq_cp``).
 
 The order's consequences are checked by two verification harnesses: one for
 the five inclusion claims between the ordered games' solution sets, one for
@@ -48,7 +49,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import linfeas
 from .errors import DimensionMismatch
@@ -98,26 +99,45 @@ class OrderViolation:
 @dataclass(frozen=True)
 class OrderVerdict:
     holds: bool
-    violations: tuple[OrderViolation, ...] = ()
+    violations: tuple = ()  # OrderViolations, or risk's offending segments
+
+
+def precedes(g1: Game, g2: Game) -> bool:
+    """Whether g1 precedes g2, ``leq_cp``'s verdict: an exact pair decided
+    on its covering pairs, a pair of size-symmetric games (see
+    ``games.size_values``), whose products for a nested pair depend only on
+    the two sizes, on each pair of sizes s < t, and any other pair up to its
+    first violation."""
+    if g1.n != g2.n:
+        raise DimensionMismatch(f"games on {g1.n} and {g2.n} players")
+    if g1.mode == g2.mode == EXACT:
+        return _covering_pairs_hold(g1.terms, g2.terms)
+    w1, w2 = size_values(g1), size_values(g2)
+    if w1 is None or w2 is None:
+        return next(_violations(g1, g2), None) is None
+    tol = combined_tol(g1, g2)
+    return all(leq(w1[t] * w2[s], w2[t] * w1[s], tol) for t in range(2, g1.n + 1) for s in range(1, t))
 
 
 def leq_cp(g1: Game, g2: Game) -> OrderVerdict:
     """Whether g1 precedes g2: every nested coalition pair concentrates
-    value at least as much under g2.  An exact pair ordered on its covering
-    pairs has no violation; any other pair lists them all."""
-    if g1.n != g2.n:
-        raise DimensionMismatch(f"games on {g1.n} and {g2.n} players")
-    if g1.mode == g2.mode == EXACT and _covering_pairs_hold(g1.terms, g2.terms):
+    value at least as much under g2.  ``precedes`` decides; only a failing
+    pair lists its violations, over every nested pair."""
+    if precedes(g1, g2):
         return OrderVerdict(True)
+    return OrderVerdict(False, tuple(_violations(g1, g2)))
+
+
+def _violations(g1: Game, g2: Game) -> Iterator[OrderViolation]:
+    """Every nested pair whose cross products break the order at the pair's
+    tolerance, outer coalitions ascending, inner ones in submask order."""
     tol, v1, v2 = combined_tol(g1, g2), g1.values, g2.values
-    violations = []
     for outer in coalitions(g1.n):
         for inner in submasks(outer, proper=True):
             lhs = v1[outer] * v2[inner]
             rhs = v2[outer] * v1[inner]
             if not leq(lhs, rhs, tol):
-                violations.append(OrderViolation(inner, outer, lhs, rhs))
-    return OrderVerdict(not violations, tuple(violations))
+                yield OrderViolation(inner, outer, lhs, rhs)
 
 
 def _covering_pairs_hold(t1: Sequence[int], t2: Sequence[int]) -> bool:
@@ -133,26 +153,6 @@ def _covering_pairs_hold(t1: Sequence[int], t2: Sequence[int]) -> bool:
             if inner and a * t2[inner] > b * t1[inner]:
                 return False
     return True
-
-
-def order_matrix(games: Sequence[Game]) -> list[list[bool]]:
-    """``leq_cp(gi, gj).holds`` for every ordered pair of size-symmetric
-    games (see ``games.size_values``) of one player count.  The products
-    ``leq_cp`` forms for a nested pair depend only on the two sizes, so each
-    entry is the same comparison on each pair of sizes s < t.  Raises
-    ValueError on other games."""
-    by_size = [size_values(g) for g in games]
-    if None in by_size or len({len(w) for w in by_size}) > 1:
-        raise ValueError("order_matrix needs size-symmetric games of one player count")
-
-    def holds(i: int, j: int) -> bool:
-        w1, w2 = by_size[i], by_size[j]
-        tol = combined_tol(games[i], games[j])
-        return all(
-            leq(w1[t] * w2[s], w2[t] * w1[s], tol) for t in range(2, len(w1)) for s in range(1, t)
-        )
-
-    return [[holds(i, j) for j in range(len(games))] for i in range(len(games))]
 
 
 def generate_ordered_pair(seed: int, n: int) -> tuple[Game, Game]:
@@ -381,9 +381,8 @@ def verify_theorem1(
 
     # (5) fusion-resistant partitions, reversed, exhaustive, at each game's tolerance
     failures = []
-    resists = lambda g, partition: _resists_fusion(g.values, partition, g.tol)
     for partition in _partition_table(n):
-        if resists(g2, partition) and not resists(g1, partition):
+        if _resists_fusion(g2, partition) and not _resists_fusion(g1, partition):
             failures.append(str(partition))
     scope, detail = "exhaustive-partitions", "; ".join(failures[:3])
     claims.append(ClaimResult("fusion-resistant-partitions", not failures, scope, detail))

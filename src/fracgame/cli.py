@@ -22,7 +22,7 @@ from fractions import Fraction
 from .centripetality import (
     generate_ordered_pair,
     leq_cp,
-    order_matrix,
+    precedes,
     verify_corollary,
     verify_theorem1,
 )
@@ -158,7 +158,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_core(args) -> int:
     game = _load_game(args, args.game)
-    if args.partition:
+    if args.partition is not None:
         part = partition_from_label(args.partition, game.players)
     else:
         part = grand_partition(game.n)
@@ -323,7 +323,7 @@ def cmd_sweep(args) -> int:
         "n": args.n,
         "grid": [p["label"] for p in points],
         "points": points,
-        "leq_cp_matrix": order_matrix([game for _, game, _ in runs]),
+        "leq_cp_matrix": [[precedes(a, b) for _, b, _ in runs] for _, a, _ in runs],
     }
     columns = (
         "label", "digest", "patched_strong", "patched_weak", "fusion_resistant",
@@ -535,9 +535,7 @@ def run(argv=None) -> int:
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         return command(args)
-    except InvalidGameError as exc:
-        return _fail(str(exc), 1)
-    except ScenarioError as exc:
+    except (InvalidGameError, ScenarioError) as exc:
         return _fail(str(exc), 1)
     except FracgameError as exc:
         return _fail(str(exc), 2)

@@ -55,7 +55,7 @@ from .games import (
     make_game,
     submasks,
 )
-from .centripetality import OrderVerdict, leq_cp
+from .centripetality import OrderVerdict, leq_cp, precedes
 
 # the 32-point Gauss-Legendre rule on [-1, 1], numpy.polynomial.legendre.leggauss(32)
 # written out bit for bit, so that import pays for neither numpy.polynomial nor the solve
@@ -463,12 +463,6 @@ def mixture_reward(curve: QuantileCurve, density: Density) -> float:
 # monotone ratio checks (division-free, segmentwise)
 
 
-@dataclass(frozen=True)
-class MonotoneVerdict:
-    holds: bool
-    violations: tuple = ()
-
-
 def _ratio_monotone(f_table: _KnotTable, g_table: _KnotTable, nonincreasing: bool, tol: float):
     """Check that g/f is monotone on [0, 1] for piecewise linear f, g >= 0.
 
@@ -504,7 +498,7 @@ def _nested_pairs(curves: Mapping[int, QuantileCurve]):
 
 def check_tail_dominance(
     curves: Mapping[int, QuantileCurve], tol: float = DEFAULT_TOL
-) -> MonotoneVerdict:
+) -> OrderVerdict:
     """Whether for every nested coalition pair the larger coalition's curve
     dominates in relative tails: the curve ratio outer/inner is nonincreasing
     in the quantile argument.  Each distinct pair of curves is judged once."""
@@ -514,16 +508,16 @@ def check_tail_dominance(
         bad = judge(curves[inner], curves[outer])
         if bad is not None:
             violations.append((inner, outer) + bad)
-    return MonotoneVerdict(not violations, tuple(violations))
+    return OrderVerdict(not violations, tuple(violations))
 
 
-def leq_lr(d1: Density, d2: Density, tol: float = DEFAULT_TOL) -> MonotoneVerdict:
+def leq_lr(d1: Density, d2: Density, tol: float = DEFAULT_TOL) -> OrderVerdict:
     """Likelihood-ratio comparison of mixing densities: d2/d1 nondecreasing,
     meaning d2 leans toward high alpha (prices tails harder) than d1."""
     bad = _ratio_monotone(d1, d2, nonincreasing=False, tol=tol)
     if bad is None:
-        return MonotoneVerdict(True)
-    return MonotoneVerdict(False, (bad,))
+        return OrderVerdict(True)
+    return OrderVerdict(False, (bad,))
 
 
 # ---------------------------------------------------------------------------
@@ -696,8 +690,7 @@ def verify_prop1(
             if grid[i] > grid[j] or i == j:
                 continue
             order_pairs += 1
-            verdict = leq_cp(games[i], games[j])
-            if not verdict.holds:
+            if not precedes(games[i], games[j]):
                 order_violations.append(f"order fails between r={grid[i]} and r={grid[j]}")
             for s1 in range(1, n + 1):
                 for s2 in range(s1, n + 1):
@@ -715,8 +708,8 @@ def verify_prop1(
 
 @dataclass(frozen=True)
 class Prop2Report:
-    tail: MonotoneVerdict
-    likelihood: MonotoneVerdict
+    tail: OrderVerdict
+    likelihood: OrderVerdict
     order: OrderVerdict
     one_unit_checks: int
     violations: tuple[str, ...]

@@ -186,15 +186,17 @@ def _in_core(block: int, covers, kind: str) -> bool:
 def fusion_resistant(game: Game, partition: Sequence[int]) -> bool:
     """Whether no group of blocks gains by merging: for every union of two
     or more blocks, the blocks' stand-alone values already cover the merged
-    value, judged on the stored values (``walk_partitions`` reads an exact
-    game's ``terms``, which a game checked only here never builds)."""
+    value (``_resists_fusion``)."""
     check_partition(game.n, partition)
-    return _resists_fusion(game.values, partition, game.tol)
+    return _resists_fusion(game, partition)
 
 
-def _resists_fusion(values: Sequence, partition: Sequence[int], tol: float) -> bool:
-    """``fusion_resistant`` on a checked partition: the values summed in a
-    left fold in block order (float verdicts bit for bit) and ``geq``."""
+def _resists_fusion(game: Game, partition: Sequence[int]) -> bool:
+    """``fusion_resistant`` on a checked partition, the one fusion judge:
+    an exact game's ``terms`` are summed exactly, a float game's stored
+    values in a left fold in block order (its verdicts bit for bit), and
+    each union is compared by ``geq`` at the game's tolerance."""
+    values, tol = game.terms if game.mode == EXACT else game.values, game.tol
     for k in range(2, len(partition) + 1):
         for combo in combinations(partition, k):
             total = 0
@@ -212,7 +214,7 @@ def is_stable(game: Game, partition: Sequence[int], shares: Sequence, kind: str 
     if not solution_feasible(game, partition, shares):
         return False
     resists = _resists_fission(game, partition, *share_terms(game, shares), kind)
-    return resists and _resists_fusion(game.values, partition, game.tol)
+    return resists and _resists_fusion(game, partition)
 
 
 # ---------------------------------------------------------------------------
@@ -768,8 +770,8 @@ def walk_partitions(
 ) -> Iterator[tuple[Partition, tuple, tuple, str, str, bool]]:
     """Every partition in enumeration order, with its strong and weak block
     regions, read from one ``BlockTable``, the statuses of the patched cores
-    they make, and its fusion verdict, judged on an exact game's ``terms``
-    and a float game's stored values.  No record or witness is built here.
+    they make, and its fusion verdict (``_resists_fusion``).  No record or
+    witness is built here.
 
     On a size-symmetric game (see ``games.size_values``) blocks of one size
     have equal subgames, so all of these depend only on the partition's
@@ -778,12 +780,11 @@ def walk_partitions(
     bit): each sequence is decided once, on the first partition that has
     it.  On any other game each partition is decided on its own."""
     table = BlockTable(game)
-    values = game.terms if game.mode == EXACT else game.values
 
     def decide(partition: Partition) -> tuple:
         strong = tuple([table[b, STRONG] for b in partition])
         weak = tuple([table[b, WEAK] for b in partition])
-        fused = _resists_fusion(values, partition, game.tol)
+        fused = _resists_fusion(game, partition)
         return strong, weak, _patched_status(strong), _patched_status(weak), fused
 
     seen: dict[tuple[int, ...], tuple] | None = {} if size_values(game) is not None else None

@@ -154,13 +154,14 @@ def naive_cover(game, block):
 
 
 def naive_fusion_resistant(game, partition):
-    """Reference for the fusion verdict of an exact game: for every set of
-    two or more blocks, listed as a bitmask over the blocks, the blocks'
-    Fraction values summed cover their union's value."""
-    value = lambda c: Fraction(game.values[c])
+    """Reference for the fusion verdict: for every set of two or more
+    blocks, listed as a bitmask over the blocks, the blocks' values summed
+    cover their union's value; an exact game's as Fractions, a float game's
+    stored values summed in block order and compared at its tolerance."""
+    value = (lambda c: Fraction(game.values[c])) if game.mode == "exact" else game.values.__getitem__
     for chosen in range(1, 1 << len(partition)):
         picked = [b for j, b in enumerate(partition) if chosen >> j & 1]
-        if len(picked) > 1 and sum(map(value, picked)) < value(sum(picked)):
+        if len(picked) > 1 and not geq(sum(map(value, picked)), value(sum(picked)), game.tol):
             return False
     return True
 

@@ -114,6 +114,8 @@ CUT6, THIRDS6 = str(DATA / "cut_game_n6_seed0.json"), str(DATA / "thirds_game_n6
 SUITES = ("theorem", "corollary")
 R_GRID, BETA_GRID = ("--r", "0:1.5:0.5"), ("--beta-a", "1,2,3")
 POOLED8 = lambda: build_meanstd_game(MeanStdScenario(8, 1, 0.5, 0))
+POOLED6 = lambda: build_meanstd_game(MeanStdScenario(6, 0.1, 0.5, 0.0))
+MEANSTD4 = {r: str(DATA / f"meanstd_game_n4_r{r}.json") for r in ("0.2", "0.8")}
 # a game file with a negative singleton (a) and a missing coalition (b,c)
 INVALID3 = {"players": ["a", "b", "c"], "values": {"a": -1, "b": 1, "c": 0, "a,b": 2, "a,c": 2, "a,b,c": 3}}
 
@@ -200,6 +202,26 @@ PINS = [
     Pin("compare-meanstd-cvar-n3",
         ("compare", str(DATA / "meanstd_game_phi_n3.json"), str(DATA / "cvar_game_empirical_n3.json")),
         {STDOUT: "compare_meanstd_phi_cvar_empirical_n3.json"}, code=1),
+    # a size-symmetric float pair, ordered one way (r = 0.2 before 0.8) and
+    # listing every violation the other way
+    Pin("compare-meanstd-n4-ordered", ("compare", MEANSTD4["0.2"], MEANSTD4["0.8"]),
+        {STDOUT: "compare_cut_game_n6_seed0_self.json"}),
+    Pin("compare-meanstd-n4-reversed", ("compare", MEANSTD4["0.8"], MEANSTD4["0.2"]),
+        {STDOUT: "compare_meanstd_n4_r0.8_r0.2.json"}, code=1),
+    # a float game under --tolerance: at 0 the pooled n=6 game's fusion
+    # verdicts depend on the order in which a partition's block values are
+    # summed, so these rows pin that order
+    *(
+        Pin(f"{command}-meanstd-n6-mu0.1{suffix}", (command, "{input}", *options), {STDOUT: golden}, build=POOLED6)
+        for command, suffix, options, golden in (
+            ("analyze", "", (), "analyze_meanstd_n6_mu0.1_r0.sha256"),
+            ("analyze", "-tol0", ("--tolerance", "0"), "analyze_meanstd_n6_mu0.1_r0_tol0.sha256"),
+            ("core", "", (), "core_meanstd_n6_mu0.1_r0.json"),
+            ("core", "-tol0", ("--tolerance", "0"), "core_meanstd_n6_mu0.1_r0.json"),
+        )
+    ),
+    Pin("compare-meanstd-n6-mu0.1-self-tol0", ("compare", "{input}", "{input}", "--tolerance", "0"),
+        {STDOUT: "compare_cut_game_n6_seed0_self.json"}, build=POOLED6),
     Pin("core-cut-n6-abc-def", ("core", CUT6, "--partition", "a,b,c|d,e,f"),
         {STDOUT: "core_cut_game_n6_seed0_abc-def.json"}),
     # an n=6 game whose blocks reach every rule of core_region but the equal

@@ -24,7 +24,7 @@ from fracgame import (
     verify_theorem1,
 )
 from fracgame import centripetality, cli, stability
-from fracgame.centripetality import order_matrix
+from fracgame.centripetality import precedes
 from fracgame.risk import (
     MeanStdScenario,
     beta_density,
@@ -148,6 +148,11 @@ def test_dimension_mismatch():
     g2 = make_game(3, {1: 1, 2: 1, 4: 1, 3: 2, 5: 2, 6: 2, 7: 3})
     with pytest.raises(DimensionMismatch):
         leq_cp(g1, g2)
+    # size-symmetric float games of two player counts, and a float pair
+    pooled = lambda n: build_meanstd_game(MeanStdScenario(n, 1.0, 0.5, 0.4))
+    for a, b in ((g1, g2), (pooled(2), pooled(3)), (pooled(4), random_float_game(random.Random(1), 3))):
+        with pytest.raises(DimensionMismatch):
+            precedes(a, b)
 
 
 def test_corollary_on_a_single_player_worth_nothing():
@@ -694,9 +699,9 @@ def test_splintered_stability_is_one_fusion_verdict():
 
 
 def test_claim_five_checks_no_enumerated_partition(monkeypatch):
-    # claim 5 judges each enumerated partition's fusion under g2 and, where
-    # g2's resists, under g1, each game at its own tolerance, and checks no
-    # partition; its verdict is the public predicate's
+    # claim 5 hands each enumerated partition to the fusion judge with g2
+    # and, where g2's resists, with g1, each game at its own tolerance, and
+    # checks no partition; its verdict is the public predicate's
     checks, judged = [], []
     check, resists = stability.check_partition, centripetality._resists_fusion
     monkeypatch.setattr(stability, "check_partition", lambda *a: checks.append(a) or check(*a))
@@ -712,10 +717,9 @@ def test_claim_five_checks_no_enumerated_partition(monkeypatch):
         judged.clear()
         claim = verify_theorem1(g1, g2, samples=0, seed=0).claims[4]
         assert not checks
-        tols = {id(g.values): g.tol for g in (g1, g2)}
-        assert judged and all(tols[id(values)] == tol for values, _, tol in judged)
+        assert judged and all(g is g1 or g is g2 for g, _ in judged)
         partitions = list(enumerate_partitions(n))
-        assert [p for values, p, _ in judged if values is g2.values] == partitions
+        assert [p for g, p in judged if g is g2] == partitions
         want = not any(
             stability.fusion_resistant(g2, p) and not stability.fusion_resistant(g1, p)
             for p in partitions
@@ -804,26 +808,6 @@ def test_weak_core_inclusion_spot_checked():
         region = core_region(g1, WEAK)
         if region.status == "nonempty":
             assert core_contains(g2, region.witness, WEAK)
-
-
-def test_order_matrix_by_size_pairs_matches_leq_cp():
-    # size-symmetric games (pooled ventures, the cvar family, exact games by
-    # size) compared by size pairs; both verdicts occur
-    for n in (1, 2, 3, 5, 6):
-        games = [build_meanstd_game(MeanStdScenario(n, 1.0, 0.5, r)) for r in (0.0, 0.4, 1.2)]
-        games += [build_meanstd_game(MeanStdScenario(n, 7 / 37, 0.1, 0.0))]
-        games += [build_cvar_game(default_uniform_family(n), beta_density(a)) for a in (1.0, 3.0)]
-        games += [make_game(n, {m: m.bit_count() ** k for m in range(1, 1 << n)}) for k in (1, 2)]
-        want = [[leq_cp(gi, gj).holds for gj in games] for gi in games]
-        assert order_matrix(games) == want
-        if n > 2:
-            assert {x for row in want for x in row} == {True, False}
-            # a game that is not size-symmetric
-            with pytest.raises(ValueError):
-                order_matrix(games + [random_exact_game(random.Random(n), n)])
-        # a game of another player count
-        with pytest.raises(ValueError):
-            order_matrix(games + [build_meanstd_game(MeanStdScenario(n + 1, 1.0, 0.5, 0.4))])
 
 
 LIBRARY_GOLDEN = pathlib.Path(__file__).parent / "data" / "inclusion_reports_library.json"
@@ -965,6 +949,7 @@ def test_covering_pairs_give_the_listed_order():
     for g1, g2 in order_cases():
         verdict = leq_cp(g1, g2)
         assert verdict == listed_order(g1, g2), (g1, g2)
+        assert precedes(g1, g2) == verdict.holds, (g1, g2)
         verdicts.append((g1.mode == g2.mode == "exact", verdict.holds))
     assert {(True, True), (True, False), (False, True), (False, False)} <= set(verdicts)
 
@@ -973,3 +958,101 @@ def test_mixed_pair_at_tolerance_zero_keeps_the_listing():
     g1, g2 = ROUNDED_MIXED
     assert combined_tol(g1, g2) == 0 and not leq_cp(g1, g2).holds
     assert centripetality._covering_pairs_hold(g1.terms, g2.terms)
+
+
+def by_size(n, w, tol=None):
+    """The size-symmetric game worth ``w[s]`` on each coalition of s players."""
+    return make_game(n, {m: w[m.bit_count()] for m in range(1, 1 << n)}, tol=tol)
+
+
+def size_symmetric_games(rng, n, tol):
+    """Float size-symmetric games at ``tol`` (pooled ventures, the cvar
+    family, a ratio that creeps down by less than 1e-9 per size) and exact
+    ones (powers of the size, random Fractions, exact copies of the floats)."""
+    floats = [build_meanstd_game(MeanStdScenario(n, 1.0, 0.5, r), tol=tol) for r in (0.0, 0.4, 1.2)]
+    floats += [build_meanstd_game(MeanStdScenario(n, 7 / 37, 0.1, 0.0), tol=tol)]
+    floats += [build_cvar_game(default_uniform_family(n), beta_density(a), tol=tol) for a in (1.0, 3.0)]
+    floats += creeping_pair(n, tol)
+    exact = [by_size(n, [None, *(s ** k for s in range(1, n + 1))]) for k in (1, 2)]
+    exact += [by_size(n, [None, *(Fraction(rng.randrange(0 if s == 1 else 1, 25), rng.randrange(1, 4))
+                                  for s in range(1, n + 1))])]
+    exact += [by_size(n, [None, *(Fraction(g.values[(1 << s) - 1]) for s in range(1, n + 1))]) for g in floats[:2]]
+    return floats + exact
+
+
+def creeping_pair(n, tol):
+    """Worth s and s * (1 - 0.6e-9 s) per coalition of s players: at
+    tolerance 1e-9 each step of one size passes and each step of two fails,
+    so only the pairs of sizes s < t - 1 catch it."""
+    return [by_size(n, [None, *(s * (1.0 - c * s) for s in range(1, n + 1))], tol) for c in (0, 0.6e-9)]
+
+
+def test_precedes_and_leq_cp_give_the_listed_order_on_size_symmetric_pairs():
+    # every ordered pair of size-symmetric games, exact, float or mixed, at
+    # tolerance 0 and the default, decided on pairs of sizes (or covering
+    # pairs); a failing pair lists every violation
+    rng = random.Random(47)
+    seen = set()
+    for n in range(1, 9):
+        for tol in (0, 1e-9):
+            games = size_symmetric_games(rng, n, tol)
+            pairs = list(itertools.product(games, repeat=2))
+            if n > 5:  # a sample of the 169 pairs, whose listings take seconds
+                pairs = rng.sample(pairs, 12) + [creeping_pair(n, tol)]
+            for g1, g2 in pairs:
+                want = listed_order(g1, g2)
+                assert precedes(g1, g2) == want.holds, (n, tol, g1, g2)
+                assert leq_cp(g1, g2) == want, (n, tol, g1, g2)
+                seen.add((g1.mode, g2.mode, combined_tol(g1, g2), want.holds))
+    # exact pairs (at tolerance 0), float and mixed ones at either tolerance
+    mixed = (("exact", "float"), ("float", "exact"), ("float", "float"))
+    kinds = {("exact", "exact", 0)} | {(*m, tol) for m in mixed for tol in (0, 1e-9)}
+    assert {(*kind, holds) for kind in kinds for holds in (True, False)} <= seen
+    # the creeping pair fails at tolerance 1e-9 on steps of two sizes or more
+    verdict = leq_cp(*creeping_pair(8, 1e-9))
+    assert {v.outer.bit_count() - v.inner.bit_count() for v in verdict.violations} == set(range(2, 8))
+
+
+def test_precedes_and_leq_cp_give_the_listed_order_on_other_float_pairs():
+    # pairs of which at most one game is size-symmetric are decided up to
+    # their first violation, and the last nested pair is read too
+    rng = random.Random(48)
+    cases = [
+        # fails only at the last nested pair, (a, a,b)
+        (make_game(2, {1: 1.0, 2: 1.0, 3: 4.0}), make_game(2, {1: 2.0, 2: 1.0, 3: 4.0})),
+        (make_game(2, {1: 1, 2: 1, 3: 4}), make_game(2, {1: 2.0, 2: 1.0, 3: 4.0}, tol=0)),
+    ]
+    for n in range(2, 7):
+        for tol in (0, 1e-9):
+            sym = size_symmetric_games(rng, n, tol)
+            cases += [(random_float_game(rng, n), random_float_game(rng, n)) for _ in range(3)]
+            for g in sym[:4]:
+                # a nondecreasing factor per size orders the pair; one
+                # coalition worth half in the scaled copy, or twice as much
+                # in a copy of g, breaks it one way or both
+                c = rng.randrange(1, 1 << n)
+                factor = [1.0, *sorted(rng.uniform(1, 3) for _ in range(n))]
+                scaled = {m: g.values[m] * factor[m.bit_count()] for m in range(1, 1 << n)}
+                cut = make_game(n, {**scaled, c: scaled[c] * 0.5}, tol=tol)
+                raised = make_game(n, {m: g.values[m] * (2.0 if m == c else 1) for m in range(1, 1 << n)}, tol=tol)
+                cases += [(g, cut), (cut, g), (raised, g), (g, raised), (g, make_game(n, scaled, tol=tol))]
+    verdicts = set()
+    for g1, g2 in cases:
+        want = listed_order(g1, g2)
+        assert precedes(g1, g2) == want.holds, (g1, g2)
+        assert leq_cp(g1, g2) == want, (g1, g2)
+        verdicts.add(want.holds)
+    assert verdicts == {True, False}
+    assert [len(leq_cp(*pair).violations) for pair in cases[:2]] == [1, 1]
+
+
+@pytest.mark.parametrize("scenario, grid", [("meanstd", ("--r", "0:1.5:0.5")), ("cvar", ("--beta-a", "1,2,3"))])
+def test_sweep_matrix_is_leq_cp_on_each_pair(capsys, scenario, grid):
+    assert cli.run(["sweep", "--scenario", scenario, "--n", "4", *grid]) == 0
+    matrix = json.loads(capsys.readouterr().out)["leq_cp_matrix"]
+    if scenario == "meanstd":
+        games = [build_meanstd_game(MeanStdScenario(4, 1.0, 0.5, r)) for r in (0, 0.5, 1.0, 1.5)]
+    else:
+        games = [build_cvar_game(default_uniform_family(4), beta_density(a)) for a in (1, 2, 3)]
+    assert matrix == [[leq_cp(a, b).holds for b in games] for a in games]
+    assert {x for row in matrix for x in row} == {True, False}

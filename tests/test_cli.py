@@ -174,6 +174,13 @@ def test_core_partition(super3_path, capsys):
 
 def test_core_bad_partition_label(super3_path, capsys):
     assert run(["core", super3_path, "--partition", "a|a"]) == 2
+    capsys.readouterr()
+    # an empty label names an empty player, as a trailing '|' does; it is
+    # not read as the absent option
+    for label in ("", "a,b|c|"):
+        assert run(["core", super3_path, "--partition", label]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "unknown player ''\n")
 
 
 def test_compare_exit_codes(super3_path, scaled3_path, capsys):

@@ -33,7 +33,6 @@ from fracgame import (
 )
 from fracgame import InfeasibleSystem, NumericFailure, linfeas, stability
 from fracgame.games import (
-    geq,
     load_game,
     GRAIN,
     boundary_contains,
@@ -1413,7 +1412,62 @@ def test_stable_sets_fusion_on_float_games_is_the_float_left_fold():
     rng = random.Random(53)
     for game in [random_float_game(rng, n) for n in (3, 4, 5)]:
         for r in stable_sets(game).records:
-            assert r.fusion_resistant == _float_left_fold(game, r.partition)
+            assert r.fusion_resistant == naive_fusion_resistant(game, r.partition)
+
+
+def test_every_fusion_caller_gives_the_naive_verdict():
+    # the walk, fusion_resistant, is_stable and claim 5 read one judge: an
+    # exact game's values summed exactly, a float game's stored values in a
+    # left fold in block order, at the game's tolerance.  Games: Fraction
+    # and int values, floats at the default tolerance and at 0, and the
+    # pooled n=6 game, whose verdicts at tolerance 0 depend on the order in
+    # which its block values are summed
+    rng = random.Random(71)
+    games = []
+    for n in (2, 3, 4, 5):
+        ints = {m: rng.randint(0 if m.bit_count() == 1 else 1, 6 * m.bit_count()) for m in range(1, 1 << n)}
+        floats = random_float_game(rng, n)
+        games += [random_exact_game(rng, n), make_game(n, ints), floats, replace(floats, tol=0.0)]
+    pooled = build_meanstd_game(MeanStdScenario(6, 0.1, 0.5, 0.0))
+    games += [pooled, replace(pooled, tol=0.0)]
+    seen = set()
+    for game in games:
+        partitions = list(enumerate_partitions(game.n))
+        want = [naive_fusion_resistant(game, p) for p in partitions]
+        assert [fused for *_, fused in walk_partitions(game)] == want
+        assert [fusion_resistant(game, p) for p in partitions] == want
+        for p, fused in zip(partitions, want):
+            # each block's split-set center, a feasible solution when every
+            # block's split set is nonempty
+            centers = [split_point(game, b) for b in p]
+            if None in centers:
+                assert not is_stable(game, p, [0] * game.n)
+                continue
+            shares = [0] * game.n
+            for b, center in zip(p, centers):
+                for i, x in zip(members(b), center):
+                    shares[i] = x
+            for kind in (STRONG, WEAK):
+                resists = fission_resistant(game, p, shares, kind)
+                assert is_stable(game, p, shares, kind) == (resists and fused)
+                seen.add((resists, fused))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+    # the pooled game at tolerance 0 tells the fold order apart: summed in
+    # reverse block order, its blocks give other verdicts
+    pooled = games[-1]
+    assert [fused for *_, fused in walk_partitions(pooled)] != [
+        naive_fusion_resistant(pooled, p[::-1]) for p in enumerate_partitions(6)]
+    # claim 5 on pairs of games of one player count, each at its own tolerance
+    verdicts = set()
+    for g1, g2 in itertools.product(games, repeat=2):
+        if g1.n != g2.n or g1.n > 4:
+            continue
+        partitions = enumerate_partitions(g1.n)
+        failures = [str(p) for p in partitions if naive_fusion_resistant(g2, p) and not naive_fusion_resistant(g1, p)]
+        claim = verify_theorem1(g1, g2, samples=0).claims[4]
+        assert (claim.passed, claim.detail) == (not failures, "; ".join(failures[:3]))
+        verdicts.add(claim.passed)
+    assert verdicts == {True, False}
 
 
 def test_walk_keeps_the_fold_order_on_a_size_symmetric_float_game():
@@ -1426,23 +1480,12 @@ def test_walk_keeps_the_fold_order_on_a_size_symmetric_float_game():
     game = make_game(4, {m: by_size[m.bit_count()] for m in range(1, 16)}, mode="float", tol=0.0)
     assert size_values(game) is not None and (x + x) + y < by_size[4]
     walked = {partition: fused for partition, *_, fused in walk_partitions(game)}
-    assert walked == {p: _float_left_fold(game, p) for p in enumerate_partitions(4)}
+    assert walked == {p: naive_fusion_resistant(game, p) for p in enumerate_partitions(4)}
     assert [r.fusion_resistant for r in stable_sets(game).records] == list(walked.values())
     by_multiset = {}
     for partition, fused in walked.items():
         by_multiset.setdefault(tuple(sorted(b.bit_count() for b in partition)), set()).add(fused)
     assert by_multiset[1, 1, 2] == {True, False}
-
-
-def _float_left_fold(game, partition) -> bool:
-    for k in range(2, len(partition) + 1):
-        for combo in itertools.combinations(partition, k):
-            total = 0
-            for block in combo:
-                total += game.values[block]
-            if not geq(total, game.values[sum(combo)], game.tol):
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------
