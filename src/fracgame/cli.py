@@ -45,6 +45,7 @@ from .games import (
 from .partitions import DEFAULT_ENUM_CAP, fewest_blocks, grand_partition, partition_from_label, partition_label
 from .risk import (
     MeanStdScenario,
+    _built,
     beta_density,
     build_cvar_game,
     build_cvar_games,
@@ -297,15 +298,6 @@ def _sweep_point(args, label: str, game: Game, extra: dict) -> dict:
     return point
 
 
-def _shape_density(a: float):
-    """``beta_density(a)``; a shape it refuses is a ScenarioError naming the
-    shape, as a scenario file's is: exit 1."""
-    try:
-        return beta_density(a)
-    except ValueError as exc:
-        raise ScenarioError(f"beta_a={a:g}: {exc}") from None
-
-
 def cmd_sweep(args) -> int:
     tol = args.tolerance if args.tolerance is not None else DEFAULT_TOL
     # (label, game, extra fields) per grid point
@@ -315,7 +307,8 @@ def cmd_sweep(args) -> int:
     else:
         shapes = _parse_grid(args.beta_a)
         # every point's density on one column: the points share one quadrature layout
-        games = build_cvar_games(default_uniform_family(args.n), [_shape_density(a) for a in shapes], tol=tol)
+        densities = [_built(f"beta_a={a:g}", beta_density, a) for a in shapes]
+        games = build_cvar_games(default_uniform_family(args.n), densities, tol=tol)
         runs = [(f"a={a:g}", game, {"beta_a": a}) for a, game in zip(shapes, games)]
     points = [_sweep_point(args, *run) for run in runs]
     payload = {

@@ -11,7 +11,7 @@ import itertools
 from typing import Iterator, Sequence
 
 from .errors import CapExceeded, DimensionMismatch
-from .games import check_partition, coalition_label, members, remap
+from .games import check_partition, coalition_from_label, coalition_label, members, remap
 
 Partition = tuple[int, ...]
 
@@ -85,9 +85,8 @@ def fewest_blocks(partitions: Sequence[Partition], label) -> Partition | None:
 
 
 def partition_from_label(text: str, players: Sequence[str]) -> Partition:
-    from .games import coalition_from_label
-
-    blocks = [coalition_from_label(part, players) for part in text.split("|")]
+    index = {name: i for i, name in enumerate(players)}
+    blocks = [coalition_from_label(part, index) for part in text.split("|")]
     return make_partition(blocks, len(players))
 
 

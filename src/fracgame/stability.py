@@ -24,7 +24,7 @@ import json
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from . import linfeas
 from .errors import DimensionMismatch, InfeasibleSolution, InfeasibleSystem, NumericFailure
@@ -537,9 +537,8 @@ class BlockTable(dict):
     game) without player labels (one table serves one game, so mode and
     tolerance are fixed): blocks with equal subgames share one region,
     computed once in local coordinates, which a ``PatchedCore`` places on
-    any of them.  The weak region of a block of
-    four or more players reads the strong region of the same content, so
-    its strong-core system is solved once."""
+    any of them.  The weak region of a block of four or more players reads
+    the strong region of its content, so one strong-core solve serves both."""
 
     def __init__(self, game: Game):
         super().__init__()
@@ -579,12 +578,17 @@ def patched_core(game: Game, partition: Sequence[int], kind: str = STRONG) -> Pa
     return BlockTable(game).patched(partition, kind)
 
 
-@dataclass(frozen=True)
-class PartitionRecord:
+class PartitionRecord(NamedTuple):
+    """A row of ``walk_partitions``; ``strong`` and ``weak`` build its patched cores when read."""
+
     partition: Partition
-    strong: PatchedCore
-    weak: PatchedCore
+    strong_regions: tuple[CoreRegion, ...]
+    weak_regions: tuple[CoreRegion, ...]
+    strong_status: str
+    weak_status: str
     fusion_resistant: bool
+    strong = property(lambda r: PatchedCore(r.partition, r.strong_regions, r.strong_status))
+    weak = property(lambda r: PatchedCore(r.partition, r.weak_regions, r.weak_status))
 
 
 @dataclass(frozen=True)
@@ -594,14 +598,14 @@ class StabilityReport:
     digest: str
     records: tuple[PartitionRecord, ...]
 
-    def _nonempty(self, kind: str) -> list[tuple[PartitionRecord, PatchedCore]]:
-        """(record, core) per record whose ``kind`` field is a nonempty core."""
+    def _nonempty(self, kind: str) -> list[PartitionRecord]:
+        """Records whose patched core of the requested kind is nonempty."""
         _check_kind(kind)
-        return [(r, p) for r in self.records if (p := getattr(r, kind)).status == NONEMPTY]
+        return [r for r in self.records if getattr(r, f"{kind}_status") == NONEMPTY]
 
     def partitions_with(self, kind: str) -> list[Partition]:
         """Partitions whose patched core of the requested kind is nonempty."""
-        return [r.partition for r, _ in self._nonempty(kind)]
+        return [r.partition for r in self._nonempty(kind)]
 
     def fusion_resistant_partitions(self) -> list[Partition]:
         return [r.partition for r in self.records if r.fusion_resistant]
@@ -609,12 +613,12 @@ class StabilityReport:
     def stable(self, kind: str) -> list[tuple[Partition, tuple]]:
         """Partitions carrying a patched core of the requested kind that are
         also fusion-resistant, with their witnesses."""
-        return [(r.partition, p.witness) for r, p in self._nonempty(kind) if r.fusion_resistant]
+        return [(r.partition, getattr(r, kind).witness) for r in self._nonempty(kind) if r.fusion_resistant]
 
     def most_consolidated(self, kind: str = WEAK) -> Partition | None:
         """Stable partition with the fewest blocks; ties broken by canonical
         label order (``partitions.fewest_blocks``)."""
-        stable = [r.partition for r, _ in self._nonempty(kind) if r.fusion_resistant]
+        stable = [r.partition for r in self._nonempty(kind) if r.fusion_resistant]
         return fewest_blocks(stable, lambda partition: partition_label(partition, self.players))
 
     def json_text(self) -> str:
@@ -629,27 +633,28 @@ class StabilityReport:
             text = regions.get(id(b))
             if text is None:
                 witness = json_list(b.witness and parts.witness(b), 6)
-                text = _REGION.format(_json_scalar(b.method), _json_scalar(b.status), witness)
-                regions[id(b)] = text
+                text = regions[id(b)] = _REGION.format(_json_scalar(b.method), _json_scalar(b.status), witness)
             return text
 
-        records, fused = [], []
+        records, fused, stable_weak = [], [], []
         nonempty: dict[str, list] = {STRONG: [], WEAK: []}
         stable: dict[str, list] = {STRONG: [], WEAK: []}
-        for r in self.records:
-            label, sides = f'"{parts.partition(r.partition)}"', []
-            for kind, p in ((STRONG, r.strong), (WEAK, r.weak)):
-                items = parts.scatter(p) if p.status == NONEMPTY else None
-                blocks = json_list([region(b) for b in p.block_regions], 4)
-                sides.append(_PATCHED.format(blocks, f'"{p.status}"', json_list(items, 4)))
-                if p.status == NONEMPTY:
+        for partition, strong, weak, s, w, resists in self.records:
+            label, sides = f'"{parts.partition(partition)}"', []
+            for kind, block_regions, status in ((STRONG, strong, s), (WEAK, weak, w)):
+                items = parts.scatter(partition, block_regions) if status == NONEMPTY else None
+                blocks = json_list([region(b) for b in block_regions], 4)
+                sides.append(_PATCHED.format(blocks, f'"{status}"', json_list(items, 4)))
+                if status == NONEMPTY:
                     nonempty[kind].append(label)
-                    if r.fusion_resistant:
+                    if resists:
                         stable[kind].append(_STABLE.format(label, json_list(items, 3)))
-            if r.fusion_resistant:
+            if resists:
                 fused.append(label)
-            records.append(_RECORD.format(_json_scalar(r.fusion_resistant), label, *sides))
-        most = self.most_consolidated(WEAK)
+                if w == NONEMPTY:
+                    stable_weak.append(partition)
+            records.append(_RECORD.format(_json_scalar(resists), label, *sides))
+        most = fewest_blocks(stable_weak, lambda partition: partition_label(partition, self.players))
         return _REPORT.format(
             json_list(fused, 1),
             _json_scalar(self.digest),
@@ -675,15 +680,14 @@ class StabilityReport:
             "stable_strong", "stable_weak", "weak_status", "witness_strong", "witness_weak",
         ]
         parts = _Fragments(self.players, str, str)
-        wit = lambda p: " ".join(parts.scatter(p)) if p.status == NONEMPTY else ""
         rows = [header]
-        for r in self.records:
-            strong_ok, weak_ok, fused = (
-                r.strong.status == NONEMPTY, r.weak.status == NONEMPTY, r.fusion_resistant
-            )
+        for partition, strong, weak, s, w, fused in self.records:
+            strong_ok, weak_ok = s == NONEMPTY, w == NONEMPTY
             rows.append([
-                parts.partition(r.partition), len(r.partition), strong_ok, weak_ok, fused,
-                strong_ok and fused, weak_ok and fused, r.weak.status, wit(r.strong), wit(r.weak),
+                parts.partition(partition), len(partition), strong_ok, weak_ok, fused,
+                strong_ok and fused, weak_ok and fused, w,
+                " ".join(parts.scatter(partition, strong)) if strong_ok else "",
+                " ".join(parts.scatter(partition, weak)) if weak_ok else "",
             ])
         return rows
 
@@ -725,8 +729,7 @@ class _Fragments:
     def block(self, mask: int) -> tuple[str, list[int]]:
         found = self.blocks.get(mask)
         if found is None:
-            label = self.label(coalition_label(mask, self.players))
-            found = self.blocks[mask] = label, members(mask)
+            found = self.blocks[mask] = self.label(coalition_label(mask, self.players)), members(mask)
         return found
 
     def partition(self, partition: Sequence[int]) -> str:
@@ -740,11 +743,11 @@ class _Fragments:
             found = self.numbers[id(region)] = list(map(self.number, region.witness))
         return found
 
-    def scatter(self, patched: PatchedCore) -> list[str]:
+    def scatter(self, partition: Sequence[int], regions: Sequence[CoreRegion]) -> list[str]:
         """A nonempty patched core's witness numbers, player by player, read
         from its blocks' regions."""
         out, placed = [""] * len(self.players), self.placed
-        for block, region in zip(patched.partition, patched.block_regions):
+        for block, region in zip(partition, regions):
             pairs = placed.get((block, id(region)))
             if pairs is None:
                 pairs = tuple(zip(self.block(block)[1], self.witness(region)))
@@ -755,13 +758,10 @@ class _Fragments:
 
 
 def stable_sets(game: Game, *, cap: int = DEFAULT_ENUM_CAP) -> StabilityReport:
-    """Every partition's record, read from ``walk_partitions``: patched
-    strong/weak cores and fusion resistance.  Stable solutions pair a
-    fusion-resistant partition with any point of its nonempty patched core."""
-    records = tuple(
-        PartitionRecord(partition, PatchedCore(partition, strong, s), PatchedCore(partition, weak, w), fused)
-        for partition, strong, weak, s, w, fused in walk_partitions(game, cap=cap)
-    )
+    """Every partition's record, a row of ``walk_partitions`` kept as it came.
+    Stable solutions pair a fusion-resistant partition with any point of its
+    nonempty patched core."""
+    records = tuple(map(PartitionRecord._make, walk_partitions(game, cap=cap)))
     return StabilityReport(game.n, game.players, game_digest(game), records)
 
 
@@ -770,8 +770,8 @@ def walk_partitions(
 ) -> Iterator[tuple[Partition, tuple, tuple, str, str, bool]]:
     """Every partition in enumeration order, with its strong and weak block
     regions, read from one ``BlockTable``, the statuses of the patched cores
-    they make, and its fusion verdict (``_resists_fusion``).  No record or
-    witness is built here.
+    they make, and its fusion verdict (``_resists_fusion``): a plain tuple,
+    which ``stable_sets`` keeps as its record.  No core or witness is built.
 
     On a size-symmetric game (see ``games.size_values``) blocks of one size
     have equal subgames, so all of these depend only on the partition's

@@ -377,10 +377,11 @@ def naive_corollary_weak_claim(g1, g2, *, samples, seed):
 def naive_stable_sets(game, *, patched_out=None):
     """Per-partition reference for stability.stable_sets: every block of
     every partition decided afresh by core_region on its subgame, and the
-    patched status and witness aggregated block by block.  The records'
-    cores carry the oracle's status but derive their own witness from the
-    block regions, so the oracle's pair goes into ``patched_out``, when
-    given, keyed by (partition, kind)."""
+    patched status and witness aggregated block by block.  Each record
+    holds the block regions and status of the oracle's core, and a core
+    read from it derives its own witness from those regions, so the
+    oracle's pair goes into ``patched_out``, when given, keyed by
+    (partition, kind)."""
     from fracgame.games import game_digest, subgame
 
     def patched(partition, kind):
@@ -400,16 +401,20 @@ def naive_stable_sets(game, *, patched_out=None):
             patched_out[partition, kind] = status, witness
         return stability.PatchedCore(partition, tuple(regions), status)
 
-    records = tuple(
-        stability.PartitionRecord(
-            partition,
-            patched(partition, stability.STRONG),
-            patched(partition, stability.WEAK),
-            stability.fusion_resistant(game, partition),
+    records = []
+    for partition in enumerate_partitions(game.n):
+        strong, weak = patched(partition, stability.STRONG), patched(partition, stability.WEAK)
+        records.append(
+            stability.PartitionRecord(
+                partition,
+                strong.block_regions,
+                weak.block_regions,
+                strong.status,
+                weak.status,
+                stability.fusion_resistant(game, partition),
+            )
         )
-        for partition in enumerate_partitions(game.n)
-    )
-    return stability.StabilityReport(game.n, game.players, game_digest(game), records)
+    return stability.StabilityReport(game.n, game.players, game_digest(game), tuple(records))
 
 
 def naive_report_dict(report):

@@ -44,7 +44,7 @@ from fracgame.games import (
 )
 from fracgame.partitions import enumerate_partitions, singleton_partition
 from fracgame.stability import core_system
-from fracgame.linfeas import vertices
+from fracgame.linfeas import minimize, vertices
 from conftest import (
     cut_game,
     naive_corollary_weak_claim,
@@ -798,6 +798,19 @@ def test_strong_core_inclusion_vacuous_when_first_core_empty(pairy3):
     assert core_region(pairy3, STRONG).status == "empty"
     claim = verify_corollary(pairy3, g2, samples=10, seed=1).claims[0]
     assert (claim.name, claim.passed, claim.scope) == ("strong-core-inclusion", True, "vacuous")
+
+
+def test_strong_core_inclusion_by_support_lp_on_a_slack_row():
+    # g2 raises v(a,b) to 18/5, past the order, so (a,b) is a violated row of
+    # the grand block; over g1's strong core f(a,b) >= 2/3, above g2's
+    # threshold 3/5, so the support LP settles the row and the claim passes
+    g1 = make_game(3, {1: 2, 2: 2, 4: 1, 3: 3, 5: 3, 6: 3, 7: 6})
+    g2 = make_game(3, {1: 2, 2: 2, 4: 1, 3: Fraction(18, 5), 5: 3, 6: 3, 7: 6})
+    assert [(v.inner, v.outer) for v in leq_cp(g1, g2).violations] == [(0b011, 0b111)]
+    value, _ = minimize(core_system(g1), [1, 1, 0])
+    assert value == Fraction(2, 3) > Fraction(3, 5)
+    claim = verify_corollary(g1, g2, samples=10, seed=1).claims[0]
+    assert (claim.name, claim.passed, claim.scope, claim.detail) == ("strong-core-inclusion", True, "support-lp", "")
 
 
 def test_weak_core_inclusion_spot_checked():

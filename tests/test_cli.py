@@ -817,6 +817,20 @@ def test_sweep_refuses_oversized_inputs_before_building_them(capsys, argv, messa
 
 
 @pytest.mark.parametrize(
+    "grid, message",
+    [
+        ("0:1", "grid '0:1' must be start:stop:step"),
+        ("1:0:0.5", "grid '1:0:0.5' must ascend with positive step"),
+        ("0:1:0", "grid '0:1:0' must ascend with positive step"),
+    ],
+)
+def test_sweep_refuses_malformed_ranges(capsys, grid, message):
+    assert run(["sweep", "--scenario", "meanstd", "--r", grid]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and "Traceback" not in captured.err and not captured.out
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["--scenario", "meanstd", "--r", "1/0"],

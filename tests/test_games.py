@@ -136,6 +136,17 @@ def test_conversions_round_trip(superadditive3):
     assert to_fractional(superadditive3, amounts) == shares
 
 
+def test_conversions_on_float_and_lone_games(superadditive3):
+    floats = make_game(2, {1: 0.5, 2: 0.5, 3: 2.0})
+    assert to_fractional(floats, (1.5, 0.5)) == (0.75, 0.25)
+    assert to_absolute(floats, (0.75, 0.25)) == (1.5, 0.5)
+    # a lone player worth nothing holds the whole share
+    assert to_fractional(make_game(1, {1: 0}), (0,)) == (1,)
+    for convert in (to_fractional, to_absolute):
+        with pytest.raises(DimensionMismatch, match="expected 3 .*, got 2"):
+            convert(superadditive3, (1, 2))
+
+
 def test_sample_boundary_lands_inside():
     rng = random.Random(7)
     for trial in range(200):

@@ -619,6 +619,19 @@ def test_prop1_accepts_unsorted_grid():
     assert report.passed
 
 
+def test_prop1_reports_order_and_ratio_violations(monkeypatch):
+    # an order that fails every pair and values that fall with r, so every
+    # size ratio shrinks: each failure is listed, the order's first
+    monkeypatch.setattr(risk, "precedes", lambda g1, g2: False)
+    monkeypatch.setattr(risk, "meanstd_value", lambda s, mu, sigma, r: s ** (1 - r))
+    report = verify_prop1(2, 1.0, 0.5, [0.0, 0.5])
+    assert not report.passed and (report.order_pairs, report.ratio_checks) == (1, 3)
+    assert report.violations == (
+        "order fails between r=0.0 and r=0.5",
+        "ratio not monotone for sizes (1,2) between r=0.0 and r=0.5",
+    )
+
+
 def test_meanstd_ratio_pinned():
     g = build_meanstd_game(MeanStdScenario(4, 1.0, 0.5, 1.0))
     assert abs(g.values[3] / g.values[1] - 2.585786) < 1e-6

@@ -716,6 +716,26 @@ def test_report_writers_build_no_share_vector(monkeypatch):
         assert rows == naive_csv_rows(report)
 
 
+def test_report_writers_build_no_patched_core(monkeypatch):
+    # the writers read each record's statuses and block regions as the walk
+    # gave them: no patched core is built for any partition, and a core is
+    # built only when a record's strong or weak side is read
+    game = random_exact_game(random.Random(6), 6)
+    report = stable_sets(game)
+    built = []
+    init = stability.PatchedCore.__init__
+    monkeypatch.setattr(stability.PatchedCore, "__init__", lambda self, *args: built.append(args) or init(self, *args))
+    text, rows = report.json_text(), report.csv_rows()
+    assert built == []
+    first = report.records[0]
+    assert first.strong == stability.PatchedCore(first.partition, first.strong_regions, first.strong_status)
+    assert len(built) == 2
+    monkeypatch.undo()
+    assert report.stable(WEAK) and json.loads(text)["most_consolidated_weak"] is not None
+    assert text == json.dumps(naive_report_dict(report), sort_keys=True, indent=2) + "\n"
+    assert rows == naive_csv_rows(report)
+
+
 def _count_partition_checks(monkeypatch) -> list:
     checked = []
     original = stability.check_partition
@@ -861,7 +881,7 @@ def test_report_text_matches_the_dict_oracle(n):
     for report in reports:
         _assert_report_text(report)
         # no fusion-resistant partition: empty lists and no consolidated one
-        records = tuple(replace(r, fusion_resistant=False) for r in report.records)
+        records = tuple(r._replace(fusion_resistant=False) for r in report.records)
         text = _assert_report_text(replace(report, records=records))
         assert '"most_consolidated_weak": null' in text
     # the cut game's blocks of four or more players have empty strong cores
