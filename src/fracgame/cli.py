@@ -45,7 +45,7 @@ from .games import (
 from .partitions import DEFAULT_ENUM_CAP, fewest_blocks, grand_partition, partition_from_label, partition_label
 from .risk import (
     MeanStdScenario,
-    _built,
+    build_field,
     beta_density,
     build_cvar_game,
     build_cvar_games,
@@ -307,7 +307,7 @@ def cmd_sweep(args) -> int:
     else:
         shapes = _parse_grid(args.beta_a)
         # every point's density on one column: the points share one quadrature layout
-        densities = [_built(f"beta_a={a:g}", beta_density, a) for a in shapes]
+        densities = [build_field(f"beta_a={a:g}", beta_density, a) for a in shapes]
         games = build_cvar_games(default_uniform_family(args.n), densities, tol=tol)
         runs = [(f"a={a:g}", game, {"beta_a": a}) for a, game in zip(shapes, games)]
     points = [_sweep_point(args, *run) for run in runs]

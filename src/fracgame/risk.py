@@ -906,7 +906,7 @@ def meanstd_from_dict(data: Mapping) -> tuple[MeanStdScenario, tuple[str, ...]]:
     return MeanStdScenario(n, mu, sigma, r, phi), players
 
 
-def _built(name: str, build, *args, **kwargs):
+def build_field(name: str, build, *args, **kwargs):
     """``build(*args, **kwargs)``, a curve or density constructor on fields already
     read, with the values it refuses reported as a ScenarioError naming the
     field ``name``."""
@@ -919,14 +919,14 @@ def _built(name: str, build, *args, **kwargs):
 def density_from_dict(data: Mapping) -> Density:
     _field(data, "density", Mapping)
     if "beta_a" in data:
-        return _built(
+        return build_field(
             "density",
             beta_density,
             _field(data["beta_a"], "density.beta_a"),
             _field(data.get("knot_count", 101), "density.knot_count", int, MAX_KNOTS),
         )
     if "knots" in data:
-        return _built(
+        return build_field(
             "density",
             density_curve,
             _field_knots(data["knots"], "density.knots"),
@@ -958,13 +958,13 @@ def _curves_from_dict(raw: Mapping, players) -> dict[int, QuantileCurve]:
         for c, (label, entry) in entries.items():
             name = f"curves.{label}"
             if not isinstance(entry, Mapping):
-                curves[c] = _built(name, quantile_curve, _field_knots(entry, name))
+                curves[c] = build_field(name, quantile_curve, _field_knots(entry, name))
             elif "samples" in entry:
                 draws = _field_samples(entry["samples"], f"{name}.samples")
                 count = _field(entry.get("knot_count", 101), f"{name}.knot_count", int, MAX_KNOTS)
                 sampled[c] = name, (draws, count)
             elif "knots" in entry:
-                curves[c] = _built(name, quantile_curve, _field_knots(entry["knots"], f"{name}.knots"))
+                curves[c] = build_field(name, quantile_curve, _field_knots(entry["knots"], f"{name}.knots"))
             else:
                 raise ScenarioError("curve entry needs 'knots' or 'samples'")
     except ScenarioError:

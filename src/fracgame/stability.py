@@ -537,8 +537,9 @@ class BlockTable(dict):
     game) without player labels (one table serves one game, so mode and
     tolerance are fixed): blocks with equal subgames share one region,
     computed once in local coordinates, which a ``PatchedCore`` places on
-    any of them.  The weak region of a block of four or more players reads
-    the strong region of its content, so one strong-core solve serves both."""
+    any of them.  The weak region of a block of
+    four or more players reads the strong region of the same content, so
+    its strong-core system is solved once."""
 
     def __init__(self, game: Game):
         super().__init__()
@@ -633,10 +634,11 @@ class StabilityReport:
             text = regions.get(id(b))
             if text is None:
                 witness = json_list(b.witness and parts.witness(b), 6)
-                text = regions[id(b)] = _REGION.format(_json_scalar(b.method), _json_scalar(b.status), witness)
+                text = _REGION.format(_json_scalar(b.method), _json_scalar(b.status), witness)
+                regions[id(b)] = text
             return text
 
-        records, fused, stable_weak = [], [], []
+        records, fused = [], []
         nonempty: dict[str, list] = {STRONG: [], WEAK: []}
         stable: dict[str, list] = {STRONG: [], WEAK: []}
         for partition, strong, weak, s, w, resists in self.records:
@@ -651,10 +653,8 @@ class StabilityReport:
                         stable[kind].append(_STABLE.format(label, json_list(items, 3)))
             if resists:
                 fused.append(label)
-                if w == NONEMPTY:
-                    stable_weak.append(partition)
             records.append(_RECORD.format(_json_scalar(resists), label, *sides))
-        most = fewest_blocks(stable_weak, lambda partition: partition_label(partition, self.players))
+        most = self.most_consolidated(WEAK)
         return _REPORT.format(
             json_list(fused, 1),
             _json_scalar(self.digest),
@@ -729,7 +729,8 @@ class _Fragments:
     def block(self, mask: int) -> tuple[str, list[int]]:
         found = self.blocks.get(mask)
         if found is None:
-            found = self.blocks[mask] = self.label(coalition_label(mask, self.players)), members(mask)
+            label = self.label(coalition_label(mask, self.players))
+            found = self.blocks[mask] = label, members(mask)
         return found
 
     def partition(self, partition: Sequence[int]) -> str:
